@@ -15,7 +15,10 @@ volume difference.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
+from repro.sim.blocks import PairBlock
 from repro.spark import SparkContext
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
@@ -56,10 +59,20 @@ def spark_pagerank_hibench(
             src, (dst, rank) = src_dst_rank
             return (dst, rank / _deg[src])
 
+        # Columnar twin of ``contrib`` over a block join's output: the
+        # out-degrees as a dense column indexed by source vertex.  Degrees
+        # are far below 2**53, so int64 -> float64 is exact and numpy's
+        # division is the same IEEE operation as ``rank / _deg[src]``.
+        deg_col = np.zeros(max(deg, default=-1) + 1, dtype=np.int64)
+        deg_col[list(deg)] = list(deg.values())
+
+        def contrib_block(joined, _deg=deg_col):
+            return PairBlock(joined.left, joined.right / _deg[joined.keys])
+
         ranks = links.map(lambda e: (e[0], 1.0)).distinct(num_parts)
         for _ in range(iterations):
             contribs = links.join(ranks, num_parts).map(
-                contrib, cost=EDGE_COST_JVM)
+                contrib, cost=EDGE_COST_JVM, vector=contrib_block)
             ranks = contribs.reduce_by_key(
                 lambda a, b: a + b, num_parts, vector="sum"
             ).map_values(lambda r: (1 - damping) + damping * r,

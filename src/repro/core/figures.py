@@ -272,31 +272,37 @@ def fig4(
 # ---------------------------------------------------------------------------
 
 
-def _pagerank_inputs(
-    graph: GraphSpec, spark_physical_vertices: int
-):
-    """Inputs for the two fidelity levels of the PageRank figures.
+def _spark_pagerank_inputs(graph: GraphSpec, spark_physical_vertices: int):
+    """Spark-side inputs of the PageRank figures.
 
-    The MPI implementation is fully vectorised, so it runs the paper's
-    *actual* vertex count on real data (edge arrays).  The Spark engine
-    computes on real Python records, so it runs a structurally identical
-    *physical sample* of the graph and is timed via ``record_scale`` as if
-    each record were ``graph.n_vertices / sample`` records — the same
-    logical-vs-physical scaling the filesystems use (DESIGN.md §2).
+    The Spark engine computes on real Python records, so it runs a
+    structurally identical *physical sample* of the graph and is timed via
+    ``record_scale`` as if each record were ``graph.n_vertices / sample``
+    records — the same logical-vs-physical scaling the filesystems use
+    (DESIGN.md §2).
 
-    Returns ``(mpi_edges, spark_content, n_spark, record_scale)`` where
+    Returns ``(spark_content, n_spark, record_scale)`` where
     ``spark_content`` is the HDFS edge-list payload.
     """
     import dataclasses
 
-    from repro.workloads.graphs import ring_edge_list_content, with_ring_arrays
+    from repro.workloads.graphs import ring_edge_list_content
 
-    src, dst = graph.generate_arrays()
-    mpi_edges = with_ring_arrays(src, dst, graph.n_vertices)
     n_spark = min(graph.n_vertices, spark_physical_vertices)
     sample = dataclasses.replace(graph, n_vertices=n_spark)
     record_scale = max(1, graph.n_vertices // n_spark)
-    return mpi_edges, ring_edge_list_content(sample), n_spark, record_scale
+    return ring_edge_list_content(sample), n_spark, record_scale
+
+
+def _mpi_pagerank_edges(graph: GraphSpec):
+    """Edge arrays for the MPI PageRank, which is fully vectorised and so
+    runs the paper's *actual* vertex count on real data.  Generating them
+    is the costly half of the PageRank inputs (one Zipf draw per edge);
+    call this only where an MPI series is about to run."""
+    from repro.workloads.graphs import with_ring_arrays
+
+    src, dst = graph.generate_arrays()
+    return with_ring_arrays(src, dst, graph.n_vertices)
 
 
 def _spark_pagerank_session(nodes: int, procs_per_node: int, content,
@@ -326,7 +332,7 @@ def fig6(
     graph = graph or GraphSpec(n_vertices=1_000_000, out_degree=8)
     want = _select_series(("MPI", "Spark", "Spark-RDMA"), series)
     transports = resolve_machine(machine).shuffle_transports()
-    mpi_edges, content, n_spark, record_scale = _pagerank_inputs(
+    content, n_spark, record_scale = _spark_pagerank_inputs(
         graph, spark_physical_vertices)
     fig = FigureResult(
         "Fig 6",
@@ -334,6 +340,7 @@ def fig6(
         f" {procs_per_node} processes/node)",
         "nodes", "execution time (s)")
     if "MPI" in want:
+        mpi_edges = _mpi_pagerank_edges(graph)
         s_mpi = Series("MPI")
         for nodes in node_counts:
             t, _ = mpi_pagerank.run_in(
@@ -377,7 +384,7 @@ def fig7(
     graph = graph or GraphSpec(n_vertices=1_000_000, out_degree=8)
     want = _select_series(("Spark", "Spark-RDMA"), series)
     transports = resolve_machine(machine).shuffle_transports()
-    _mpi_edges, content, n_spark, record_scale = _pagerank_inputs(
+    content, n_spark, record_scale = _spark_pagerank_inputs(
         graph, spark_physical_vertices)
     fig = FigureResult(
         "Fig 7",
@@ -517,8 +524,9 @@ def fig8(
         measure("AnswersCount", "MPI (no fault tolerance)", base, run_mpi)
 
     def pagerank_rows():
-        mpi_edges, content, n_spark, record_scale = _pagerank_inputs(
+        content, n_spark, record_scale = _spark_pagerank_inputs(
             graph, spark_physical_vertices)
+        mpi_edges = _mpi_pagerank_edges(graph)
         spark_base = ScenarioSpec(
             nodes=nodes, procs_per_node=procs_per_node, machine=machine,
             datasets=(Dataset("edges.txt", content, scale=record_scale,

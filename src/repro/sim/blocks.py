@@ -34,6 +34,11 @@ Block types
     An ``(int64 keys, float64 values)`` column pair for Spark shuffle
     output of numeric aggregations.  Behaves as a ``Sequence`` of
     ``(int, float)`` tuples; slicing is zero-copy.
+``JoinedBlock`` / ``CoGroupBlock``
+    The ``(k, (v, w))`` output of an inner join against a unique-keyed
+    side as three columns, and the two-sided cogroup result that carries
+    it (:func:`join_prepare` + :func:`hash_join`).  Both iterate as
+    exactly the scalar records.
 ``ContribBlock``
     A sparse per-destination-rank PageRank contribution vector
     (indices + values + logical dense length).  Sized and summed as if
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Sequence
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -53,10 +58,16 @@ __all__ = [
     "blocks_enabled",
     "RecordBlock",
     "PairBlock",
+    "JoinedBlock",
+    "CoGroupBlock",
+    "JoinLeft",
     "ContribBlock",
     "sum_by_key",
     "as_pair_block",
+    "pair_columns",
     "partition_pairs",
+    "join_prepare",
+    "hash_join",
 ]
 
 
@@ -275,36 +286,50 @@ class PairBlock(Sequence):
 def as_pair_block(records) -> "PairBlock | None":
     """Columnar view of a numeric pair partition, or ``None``.
 
-    Converts a list of ``(int, float)`` pairs (the shape a declared
-    ``vector="sum"`` aggregation asserts for its input) into a
-    :class:`PairBlock`; returns ``None`` when the records are not such a
-    list.  The declaration is the app's promise that *every* record is a
-    plain ``(int, float)`` 2-tuple — mixed key types (e.g. ``bool``)
-    would serialize to different sizes and must not be declared.
+    Converts a non-empty list of ``(int, float)`` pairs (the shape a
+    declared ``vector="sum"`` aggregation asserts for its input) into a
+    :class:`PairBlock`; returns ``None`` for anything else — see
+    :func:`pair_columns` for the per-record check (mixed key types such
+    as ``bool`` would serialize to different sizes, and a float64 detour
+    would merge int keys past 2**53).
     """
     if isinstance(records, PairBlock):
         return records
-    if not isinstance(records, list) or not records:
+    cols = pair_columns(records) if records else None
+    if cols is None or cols[1].dtype != np.float64:
         return None
-    for probe in (records[0], records[-1]):
-        if not (type(probe) is tuple and len(probe) == 2
-                and type(probe[0]) is int and type(probe[1]) is float):
-            return None
-    n = len(records)
+    return PairBlock(*cols)
+
+
+def pair_columns(records) -> "tuple[np.ndarray, np.ndarray] | None":
+    """``(int64 keys, values)`` columns of a pair partition, or ``None``.
+
+    Trusts no declaration: *every* record must be an exact 2-tuple with
+    an exact ``int`` key (``bool`` and numpy scalars are other types) and
+    the values must be all exact ``int`` (``int64`` column) or all exact
+    ``float`` (``float64``); an int outside ``int64`` is rejected too.
+    The passes run in C (``map`` over ``type``/``len``), so the full
+    check costs about what the conversion itself does.
+    """
+    if isinstance(records, PairBlock):
+        return records.keys, records.values
+    if type(records) is not list:
+        return None
+    if not records:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    if set(map(type, records)) != {tuple} or set(map(len, records)) != {2}:
+        return None
+    ks = [r[0] for r in records]
+    vs = [r[1] for r in records]
+    vtypes = set(map(type, vs))
+    if set(map(type, ks)) != {int} or vtypes not in ({int}, {float}):
+        return None
     try:
-        # keys convert int -> int64 directly (exact for every key the
-        # scalar hash/group path could distinguish, including > 2**53,
-        # unlike a float64 detour); OverflowError beyond int64 falls back
-        keys = np.fromiter((r[0] for r in records), dtype=np.int64, count=n)
-        keys_f = np.fromiter((r[0] for r in records), dtype=np.float64,
-                             count=n)
-        values = np.fromiter((r[1] for r in records), dtype=np.float64,
-                             count=n)
-    except (TypeError, ValueError, OverflowError):
+        return (np.array(ks, dtype=np.int64),
+                np.array(vs, dtype=np.int64 if vtypes == {int}
+                         else np.float64))
+    except OverflowError:
         return None
-    if not (keys == keys_f).all():  # a non-integral key past the probes
-        return None
-    return PairBlock(keys, values)
 
 
 def partition_pairs(block: PairBlock, nparts: int) -> "list[PairBlock]":
@@ -351,6 +376,155 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray) -> PairBlock:
     rest[first_idx] = False
     np.add.at(out_vals, slots[rest], values[rest])
     return PairBlock(out_keys, out_vals)
+
+
+# ---------------------------------------------------------------------------
+# Block hash-join: cogroup + inner join against a unique-keyed right side
+# ---------------------------------------------------------------------------
+
+
+class JoinedBlock(Sequence):
+    """Inner-join output ``(k, (v, w))`` as three aligned columns.
+
+    ``keys`` is ``int64``, ``left`` is ``int64`` or ``float64`` (the left
+    side's value type) and ``right`` is ``float64``.  Iteration and
+    indexing yield plain Python ``(int, (int | float, float))`` tuples —
+    exactly what the scalar ``_join_expand`` emits — so a consumer without
+    a declared columnar twin sees no difference.
+    """
+
+    __slots__ = ("keys", "left", "right")
+
+    def __init__(self, keys: np.ndarray, left: np.ndarray,
+                 right: np.ndarray) -> None:
+        self.keys = keys
+        self.left = left
+        self.right = right
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return JoinedBlock(self.keys[i], self.left[i], self.right[i])
+        return (self.keys[i].item(),
+                (self.left[i].item(), self.right[i].item()))
+
+    def __iter__(self):
+        return iter(zip(self.keys.tolist(),
+                        zip(self.left.tolist(), self.right.tolist())))
+
+    def __repr__(self) -> str:
+        return f"JoinedBlock({len(self)} records)"
+
+
+class CoGroupBlock(Sequence):
+    """A two-sided cogroup whose inner join is already computed.
+
+    Stands in for the scalar ``[(k, (vs, ws)), ...]`` group list: ``len``
+    is the number of groups (what the next operator is charged on),
+    ``joined`` is the :class:`JoinedBlock` a ``join`` expands it to, and
+    any other consumer gets the scalar group list, built on first use by
+    ``rows`` (the scalar cogroup over the same two inputs).
+    """
+
+    __slots__ = ("joined", "n_groups", "_rows")
+
+    def __init__(self, joined: JoinedBlock, n_groups: int,
+                 rows: Callable[[], list]) -> None:
+        self.joined = joined
+        self.n_groups = n_groups
+        self._rows: "Callable[[], list] | list" = rows
+
+    def _materialize(self) -> list:
+        if not isinstance(self._rows, list):
+            self._rows = self._rows()
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.n_groups
+
+    def __getitem__(self, i):
+        return self._materialize()[i]
+
+    def __iter__(self):
+        return iter(self._materialize())
+
+    def __repr__(self) -> str:
+        return (f"CoGroupBlock({self.n_groups} groups, "
+                f"{len(self.joined)} joined)")
+
+
+class JoinLeft:
+    """The right-side-independent half of a block join (see
+    :func:`join_prepare`): the left records stably regrouped by each
+    key's first occurrence, plus the sorted distinct keys to probe."""
+
+    __slots__ = ("uniq", "keys", "values", "uniq_idx")
+
+    def __init__(self, uniq: np.ndarray, keys: np.ndarray,
+                 values: np.ndarray, uniq_idx: np.ndarray) -> None:
+        self.uniq = uniq          # sorted distinct left keys
+        self.keys = keys          # left keys, in output (group) order
+        self.values = values      # left values, same order
+        self.uniq_idx = uniq_idx  # per output record: index into ``uniq``
+
+
+def join_prepare(keys: np.ndarray, values: np.ndarray) -> JoinLeft:
+    """Regroup a left side into the order a cogroup + join emits it.
+
+    The scalar cogroup inserts keys in first-occurrence order and appends
+    each key's values in record order; ``_join_expand`` then walks the
+    groups in that order.  So the joined output is the left side stably
+    sorted by the rank of each key's first occurrence — computed here
+    once, because iterative joins feed the same left side every time.
+    """
+    uniq, first_idx, inverse = np.unique(
+        keys, return_index=True, return_inverse=True)
+    rank_of = np.empty(len(uniq), dtype=np.int64)
+    rank_of[np.argsort(first_idx, kind="stable")] = np.arange(
+        len(uniq), dtype=np.int64)
+    perm = np.argsort(rank_of[inverse], kind="stable")
+    return JoinLeft(uniq, keys[perm], values[perm], inverse[perm])
+
+
+def hash_join(left: JoinLeft, right) -> "tuple[JoinedBlock, int] | None":
+    """Inner-join a prepared left side against a unique-keyed right side.
+
+    ``right`` is a partition of ``(int, float)`` pairs (a
+    :class:`PairBlock` or a list, checked by :func:`pair_columns`).
+    Returns ``(joined, n_groups)`` — ``n_groups`` is
+    ``|keys(L) ∪ keys(R)|``, the length of the cogroup's group list — or
+    ``None`` when the right side is not such a partition or one of its
+    keys repeats (then ``ws`` has several entries and the output is no
+    longer a filter of the left side); the scalar loop handles those.
+    With unique right keys every left record whose key is present pairs
+    with exactly one ``w``, so the output is the prepared left order
+    filtered by presence: the scalar order.
+    """
+    cols = pair_columns(right)
+    if cols is None or cols[1].dtype != np.float64:
+        return None
+    rkeys, rvalues = cols
+    nr = len(rkeys)
+    order = np.argsort(rkeys, kind="stable")
+    sorted_keys = rkeys[order]
+    if not (sorted_keys[1:] != sorted_keys[:-1]).all():
+        return None
+    uniq = left.uniq
+    if nr == 0:  # nothing to probe: every left key is unmatched
+        return (JoinedBlock(left.keys[:0], left.values[:0], rvalues),
+                len(uniq))
+    pos = np.minimum(np.searchsorted(sorted_keys, uniq), nr - 1)
+    found = sorted_keys[pos] == uniq
+    n_common = int(np.count_nonzero(found))
+    w_of_uniq = rvalues[order[pos]]  # meaningful where ``found``
+    keys, values, idx = left.keys, left.values, left.uniq_idx
+    if n_common < len(uniq):  # drop left records whose key has no match
+        keep = found[idx]
+        keys, values, idx = keys[keep], values[keep], idx[keep]
+    return (JoinedBlock(keys, values, w_of_uniq[idx]),
+            len(uniq) + nr - n_common)
 
 
 # ---------------------------------------------------------------------------

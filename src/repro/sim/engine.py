@@ -30,14 +30,14 @@ not change the schedule order) switch-free:
    whose wake time is already due) the running process peeks at the heap
    top.  If its own ``(clock, pid)`` is still the global minimum, the
    reference scheduler would park it and immediately re-grant it, so the
-   process simply *keeps* the token and continues inline: zero Event
+   process simply *keeps* the token and continues inline: zero lock
    round-trips, zero OS context switches.  This is safe because no other
    process could have run in between — the observable interleaving is
    identical to park-and-regrant.
 
 2. **Direct handoff** — when a switch *is* required, the yielding process
    thread pops the successor off the heap and grants the token straight to
-   it (one Event signal), instead of waking the engine thread first (two
+   it (one lock release), instead of waking the engine thread first (two
    signals).  The token invariant — at most one thread executes simulation
    code at any instant — is preserved: the granting thread touches no
    shared state after the grant.
@@ -332,7 +332,7 @@ class Engine:
     def _run_reference(self) -> float:
         """The reference scheduler: O(n) scan, engine-mediated switches.
 
-        Every yield funnels through this thread (two Event round-trips per
+        Every yield funnels through this thread (two signal round-trips per
         decision).  Kept verbatim as the differential-testing baseline for
         the fast path — see the module docstring.
         """
@@ -404,7 +404,7 @@ class Engine:
                 if p.state in (ProcState.RUNNABLE, ProcState.BLOCKED):
                     p._killed = True
                     self._yield_evt.clear()
-                    p._go.set()
+                    p._go.release()
                     self._yield_evt.wait()
                 elif p.state is ProcState.NEW:
                     p._killed = True
@@ -425,8 +425,9 @@ class Engine:
 
         Walks the blocked thread's live frame stack past simulator-internal
         and threading frames to the runtime/user frame that issued the wait.
-        The thread is parked on an Event while we look, so the stack is
-        stable.  Returns ``None`` when no frame can be attributed.
+        The thread is parked in its hand-off lock's ``acquire`` while we
+        look, so the stack is stable.  Returns ``None`` when no frame can
+        be attributed.
         """
         frame = sys._current_frames().get(proc._thread.ident)
         while frame is not None:

@@ -95,7 +95,14 @@ class SimProcess:
         self._fn = fn
         self._args = args
         self._kwargs = kwargs
-        self._go = threading.Event()
+        #: hand-off semaphore: a plain lock held while the process must not
+        #: run.  The backing thread blocks in ``acquire()``; a grant is one
+        #: ``release()`` from whichever thread holds the token.  A release
+        #: that lands before the thread reaches its ``acquire`` just lets
+        #: that acquire fall through.  (An ``Event`` costs a ``Condition``,
+        #: a fresh waiter lock and ~10 lock operations per switch.)
+        self._go = threading.Lock()
+        self._go.acquire()
         self._killed = False
         #: heap sequence number; bumped by ``Engine._push`` so stale run
         #: queue entries for this process can be recognised and skipped.
@@ -296,15 +303,14 @@ class SimProcess:
         if state is ProcState.RUNNABLE:
             eng._push(self)
         eng._release_token(self)
-        self._go.wait()
-        self._go.clear()
+        self._go.acquire()
         if self._killed:
             raise SimKilled()
 
     def _grant(self) -> None:
         """Engine-side: give this process the execution token."""
         self.state = ProcState.RUNNING
-        self._go.set()
+        self._go.release()
 
     def _start(self) -> None:
         """Engine-side: start the backing thread (parked immediately)."""
@@ -325,8 +331,7 @@ class SimProcess:
     def _thread_main(self) -> None:
         self.engine._register_current(self)
         # Wait for the first grant before touching any shared state.
-        self._go.wait()
-        self._go.clear()
+        self._go.acquire()
         try:
             if self._killed:
                 raise SimKilled()

@@ -18,9 +18,13 @@ from __future__ import annotations
 import itertools
 import os
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import SparkError
+from repro.sim.blocks import (CoGroupBlock, JoinedBlock, JoinLeft, PairBlock,
+                              RecordBlock, blocks_enabled, hash_join,
+                              join_prepare, pair_columns, sum_by_key)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.storage import StorageLevel
 
@@ -38,8 +42,12 @@ def _join_expand(_i: int, it: list) -> list:
     Keyed joins against a unique-keyed side (PageRank's ranks) have
     single-element ``ws`` almost always; lift that case out of the nested
     comprehension so the inner loop runs per edge, not per pair of loops.
-    Output order matches the generic form: ``w`` varies fastest.
+    Output order matches the generic form: ``w`` varies fastest.  A
+    :class:`~repro.sim.blocks.CoGroupBlock` already carries this
+    expansion as columns.
     """
+    if isinstance(it, CoGroupBlock):
+        return it.joined
     out: list = []
     extend = out.extend
     for k, (vs, ws) in it:
@@ -181,11 +189,22 @@ class RDD:
         return MapPartitionsRDD(self, f, preserves_partitioning, cost, name,
                                 record_op)
 
-    def map(self, f: Callable[[Any], Any], *, cost: float = 0.0) -> "RDD":
-        """Apply ``f`` to every record."""
+    def map(self, f: Callable[[Any], Any], *, cost: float = 0.0,
+            vector: Callable | None = None) -> "RDD":
+        """Apply ``f`` to every record.
+
+        ``vector`` optionally supplies the columnar twin of ``f``: a
+        function from the partition's block
+        (:class:`~repro.sim.blocks.JoinedBlock` after a block join,
+        :class:`~repro.sim.blocks.PairBlock` after a numeric shuffle) to
+        a block whose records the caller asserts are *bitwise* those of
+        mapping ``f``.  Same promise, same scope as ``map_values``'s:
+        used only when the partition arrives columnar, charges
+        identical, the scalar ``f`` authoritative everywhere else.
+        """
         return self.map_partitions(
             lambda _i, it: [f(x) for x in it], cost=cost, name="map",
-            record_op=("map", f))
+            record_op=("map", f, vector))
 
     def flat_map(self, f: Callable[[Any], Iterable], *, cost: float = 0.0) -> "RDD":
         """Apply ``f`` and flatten the results."""
@@ -608,9 +627,6 @@ class RDD:
         return "\n".join(lines)
 
 
-from dataclasses import dataclass
-
-
 @dataclass(frozen=True)
 class Stats:
     """One-pass numeric summary returned by :meth:`RDD.stats`."""
@@ -620,9 +636,6 @@ class Stats:
     stdev: float
     minimum: float
     maximum: float
-
-
-_MISSING = object()
 
 
 def _fold_list(zero: Any, f: Callable, it: list) -> Any:
@@ -715,7 +728,6 @@ class TextFileRDD(RDD):
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
         from repro.fs.records import read_split_records
-        from repro.sim.blocks import RecordBlock
 
         start, end = self._splits[index]
         raw = read_split_records(self.fs, ctx.proc, self.path, start, end)
@@ -771,16 +783,9 @@ class MapPartitionsRDD(RDD):
             parent = parent.deps[0].parent
         records = ctx.iterator(parent, index)
         if len(chain) == 1:
-            from repro.sim.blocks import PairBlock
-
-            if isinstance(records, PairBlock):
-                vec_out = _vector_stage(self, records)
-                if vec_out is not None:
-                    ctx.charge_records(len(records),
-                                       extra=self.cost_per_record)
-                    return vec_out
+            vec_out = _vector_stage(self, records)
             ctx.charge_records(len(records), extra=self.cost_per_record)
-            return self.f(index, records)
+            return self.f(index, records) if vec_out is None else vec_out
         chain.reverse()
         return _eval_fused_chain(chain, index, records, ctx)
 
@@ -789,17 +794,20 @@ class MapPartitionsRDD(RDD):
 
 
 def _vector_stage(level: MapPartitionsRDD, records) -> "Any | None":
-    """Columnar application of one fused level to a PairBlock, or None.
+    """Columnar application of one fused level to a block, or None.
 
     Only operators whose columnar twin was *declared* by the application
-    (``map_values(..., vector=...)``) qualify; the caller charges the
-    identical per-level cost before use.
+    (``map_values(..., vector=...)``, ``map(..., vector=...)``) qualify;
+    the caller charges the identical per-level cost.
     """
-    from repro.sim.blocks import PairBlock, blocks_enabled
-
     op = level.record_op
-    if (op is not None and op[0] == "map_values" and len(op) > 2
-            and op[2] is not None and blocks_enabled()):
+    if (op is None or len(op) < 3 or op[2] is None
+            or not isinstance(records, (PairBlock, JoinedBlock))
+            or not blocks_enabled()):
+        return None
+    if op[0] == "map":
+        return op[2](records)
+    if isinstance(records, PairBlock):  # map_values
         return PairBlock(records.keys, op[2](records.values))
     return None
 
@@ -815,24 +823,22 @@ def _eval_fused_chain(chain: list[MapPartitionsRDD], index: int,
     of levels whose ``record_op`` is known; generic ``map_partitions``
     levels still apply their whole-partition function.
 
-    Partitions arriving as a :class:`~repro.sim.blocks.PairBlock` flow
-    through declared columnar operators without leaving column form;
-    the first level without a columnar twin sees the block as a plain
-    sequence of pairs (``level.f`` iterates it) and the chain continues
-    scalar from there.
+    Partitions arriving as a block (:class:`~repro.sim.blocks.PairBlock`,
+    or the :class:`~repro.sim.blocks.JoinedBlock` a block join expands
+    to) flow through declared columnar operators without leaving column
+    form; the first level without a columnar twin sees the block as a
+    plain sequence of records (``level.f`` iterates it) and the chain
+    continues scalar from there.
     """
-    from repro.sim.blocks import PairBlock
-
     i, n = 0, len(chain)
     while i < n:
         level = chain[i]
-        if isinstance(records, PairBlock):
-            vec_out = _vector_stage(level, records)
-            if vec_out is not None:
-                ctx.charge_records(len(records), extra=level.cost_per_record)
-                records = vec_out
-                i += 1
-                continue
+        vec_out = _vector_stage(level, records)
+        if vec_out is not None:
+            ctx.charge_records(len(records), extra=level.cost_per_record)
+            records = vec_out
+            i += 1
+            continue
         if level.record_op is None:
             ctx.charge_records(len(records), extra=level.cost_per_record)
             records = level.f(index, records)
@@ -1029,16 +1035,14 @@ class ShuffledRDD(RDD):
         if self.aggregator is None:
             return records
         create, merge_value, merge_combiners = self.aggregator
-        if self.vector == "sum" and self.map_side_combine:
-            from repro.sim.blocks import PairBlock, sum_by_key
-
-            if isinstance(records, PairBlock):
-                # Columnar twin of the dict merge below: first-occurrence
-                # key order, per-key left-to-right addition (sum_by_key's
-                # charge-replay argument); same reduce-side charge.
-                out_block = sum_by_key(records.keys, records.values)
-                ctx.charge_records(len(records))
-                return out_block
+        if (self.vector == "sum" and self.map_side_combine
+                and isinstance(records, PairBlock)):
+            # Columnar twin of the dict merge below: first-occurrence
+            # key order, per-key left-to-right addition (sum_by_key's
+            # charge-replay argument); same reduce-side charge.
+            out_block = sum_by_key(records.keys, records.values)
+            ctx.charge_records(len(records))
+            return out_block
         out: dict = {}
         get = out.get
         if self.map_side_combine:
@@ -1077,6 +1081,25 @@ class ShuffledRDD(RDD):
         return "Shuffled" + ("+combine" if self.aggregator else "")
 
 
+def _cogroup_pairs(left, right, grouped_left: list | None = None) -> dict:
+    """Scalar two-sided cogroup: ``{k: (vs, ws)}`` with keys in
+    first-occurrence order over ``left``, then ``right``.  The reference
+    the block join replays; ``grouped_left`` is ``left`` already grouped
+    (``[(k, vs), ...]`` in that order), copied instead of re-derived."""
+    groups: dict[Any, tuple[list, list]] = (
+        {} if grouped_left is None
+        else {k: (list(vs), []) for k, vs in grouped_left})
+    get = groups.get
+    for side, records in enumerate(
+            (left if grouped_left is None else (), right)):
+        for k, v in records:
+            g = get(k)
+            if g is None:
+                g = groups[k] = ([], [])
+            g[side].append(v)
+    return groups
+
+
 class CoGroupedRDD(RDD):
     """Groups values of several keyed parents by key.
 
@@ -1098,59 +1121,69 @@ class CoGroupedRDD(RDD):
         self.partitioner = partitioner
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
-        groups: dict[Any, tuple[list, ...]] = {}
-        nsides = len(self.deps)
-        get = groups.get
-        n_records = 0
-        # Iterative joins feed the same left-side list object every
-        # iteration (cached partitions / memoised shuffle reads), so its
-        # per-key grouping is recomputed verbatim.  Memoise it per list
-        # identity: replaying grouped pairs inserts keys in the same
-        # first-occurrence order and values in the same record order as
-        # the per-record loop.  The id-key pragmas below are safe because
-        # the cache holds the referent (no id recycling) and every hit is
-        # re-checked with ``is`` before use — a false miss merely recomputes.
+        sides = [
+            ctx.shuffle_read(dep.shuffle_id, index, dep.parent.num_partitions)
+            if isinstance(dep, ShuffleDependency)
+            else ctx.iterator(dep.parent, index)
+            for dep in self.deps
+        ]
+        if len(sides) != 2:
+            groups: dict[Any, tuple[list, ...]] = {}
+            get = groups.get
+            for side, records in enumerate(sides):
+                for k, v in records:
+                    g = get(k)
+                    if g is None:
+                        g = groups[k] = tuple([] for _ in sides)
+                    g[side].append(v)
+            ctx.charge_records(len(groups))
+            return list(groups.items())
+        left, right = sides
+        # Iterative joins feed the same left-side object every iteration
+        # (cached partitions / memoised shuffle reads), so what is derived
+        # from it alone is memoised per identity: the columnar join
+        # preparation when every record is an exact numeric pair, else its
+        # per-key grouping (replaying grouped pairs inserts keys in the
+        # same first-occurrence order and values in the same record order
+        # as the per-record loop).  The id-key pragmas below are safe
+        # because the cache holds the referent (no id recycling) and every
+        # hit is re-checked with ``is`` before use — a false miss merely
+        # recomputes.
         cache = getattr(ctx.env, "cogroup_cache", None)
         if cache is None:
             cache = ctx.env.cogroup_cache = OrderedDict()
-        for side, dep in enumerate(self.deps):
-            if isinstance(dep, ShuffleDependency):
-                records = ctx.shuffle_read(
-                    dep.shuffle_id, index, dep.parent.num_partitions)
-            else:
-                records = ctx.iterator(dep.parent, index)
-            n_records += len(records)
-            if nsides == 2:
-                hit = cache.get(id(records))  # reprolint: disable=id-key
-                if hit is not None and hit[0] is records:
-                    cache.move_to_end(id(records))  # reprolint: disable=id-key
-                    for k, vs in hit[1]:
-                        g = get(k)
-                        if g is None:
-                            g = groups[k] = ([], [])
-                        g[side].extend(vs)
-                    continue
-                for k, v in records:
-                    g = get(k)
-                    if g is None:
-                        g = groups[k] = ([], [])
-                    g[side].append(v)
-                if side == 0:
-                    # after side 0, groups holds exactly its grouping
-                    cache[id(records)] = (  # reprolint: disable=id-key
-                        records, [(k, g[0]) for k, g in groups.items()])
-                    if len(cache) > 128:
-                        cache.popitem(last=False)
-            else:
-                for k, v in records:
-                    g = get(k)
-                    if g is None:
-                        g = groups[k] = tuple([] for _ in range(nsides))
-                    g[side].append(v)
+        key = id(left)  # reprolint: disable=id-key
+        hit = cache.get(key)
+        memo = hit[1] if hit is not None and hit[0] is left else None
+        fresh = memo is None
+        if not fresh:
+            cache.move_to_end(key)
+        elif type(self.partitioner) is HashPartitioner and blocks_enabled():
+            cols = pair_columns(left)
+            if cols is not None:
+                memo = join_prepare(*cols)
+        out = None
+        if type(memo) is JoinLeft:
+            joined = hash_join(memo, right)
+            if joined is not None:
+                out = CoGroupBlock(
+                    *joined, lambda: list(_cogroup_pairs(left, right).items()))
+        if out is None:
+            groups = _cogroup_pairs(left, right,
+                                    memo if type(memo) is list else None)
+            out = list(groups.items())
+            if memo is None:
+                # the left-only view of the grouping: right-only keys sit
+                # later in the dict and have an empty left list
+                memo = [(k, g[0]) for k, g in groups.items() if g[0]]
+        if fresh:
+            cache[key] = (left, memo)
+            if len(cache) > 128:
+                cache.popitem(last=False)
         # two-sided: every input record lands in exactly one group list, so
         # the old sum over group sizes equals the record count
-        ctx.charge_records(n_records if nsides == 2 else len(groups))
-        return list(groups.items())
+        ctx.charge_records(len(left) + len(right))
+        return out
 
     def _op_name(self) -> str:
         kinds = ["narrow" if isinstance(d, NarrowDependency) else "shuffle"

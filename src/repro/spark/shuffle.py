@@ -24,13 +24,24 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.errors import SparkError
 from repro.mpi.datatypes import nbytes_of
+from repro.sim.blocks import (PairBlock, as_pair_block, blocks_enabled,
+                              partition_pairs, sum_by_key)
 from repro.sim.process import SimProcess
 from repro.spark.partitioner import HashPartitioner
 
 #: sample size for record-size estimation
 _SAMPLE = 20
+
+#: what :func:`estimate_nbytes` comes to per record of a ``PairBlock``: a
+#: record is always an ``(int, float)`` tuple, which ``nbytes_of`` prices
+#: at 8 + 2 * (8 + 8) = 40, plus the estimate's 8 bytes of framing.  Both
+#: of its branches reduce to exactly ``48 * n`` (the sample mean is exactly
+#: ``40.0``, and ``48.0 * n`` is exact in a double below 2**53 / 48).
+_PAIR_RECORD_NBYTES = 48
 
 #: sentinel distinguishing "key absent" from any stored value
 _MISSING = object()
@@ -91,19 +102,6 @@ class MapOutputTracker:
                 del self._data[k]
         return lost
 
-    def outputs_for(self, shuffle_id: int, n_maps: int) -> list[tuple[int, int, int]]:
-        """``(map_id, executor_id, nbytes)`` for one reduce partition's fetch
-        plan; raises if any map output is missing (triggers stage rerun)."""
-        plan = []
-        for map_id in range(n_maps):
-            entry = self._outputs.get((shuffle_id, map_id))
-            if entry is None:
-                raise SparkError(
-                    f"missing map output: shuffle {shuffle_id} map {map_id}"
-                )
-            plan.append((map_id, entry[0], 0))
-        return plan
-
     def missing_maps(self, shuffle_id: int, n_maps: int) -> list[int]:
         return [
             m for m in range(n_maps) if (shuffle_id, m) not in self._outputs
@@ -145,14 +143,21 @@ class ShuffleWriter:
     @staticmethod
     def _sizes(bucket_lists: list[list], scale: int
                ) -> tuple[list[int], int, dict[int, list]]:
-        """Per-reduce sizes, their total, and the non-empty buckets."""
+        """Per-reduce sizes, their total, and the non-empty buckets.
+
+        Block buckets are sized in closed form — equal to the sampled
+        estimate, without boxing 20 records per bucket to learn a constant.
+        """
         sizes = [0] * len(bucket_lists)
         total = 0
         buckets: dict[int, list] = {}
         for reduce_id, bucket in enumerate(bucket_lists):
             if not bucket:
                 continue
-            nbytes = estimate_nbytes(bucket) * scale
+            if type(bucket) is PairBlock:
+                nbytes = _PAIR_RECORD_NBYTES * len(bucket) * scale
+            else:
+                nbytes = estimate_nbytes(bucket) * scale
             sizes[reduce_id] = nbytes
             total += nbytes
             buckets[reduce_id] = bucket
@@ -176,9 +181,6 @@ class ShuffleWriter:
         bucket contents, per-bucket order and every charge are identical
         to the scalar pass (see :mod:`repro.sim.blocks`).
         """
-        from repro.sim.blocks import (PairBlock, as_pair_block, blocks_enabled,
-                                      partition_pairs, sum_by_key)
-
         costs = self.env.costs
         scale = self.env.record_scale
         part = partitioner.partition
@@ -363,14 +365,10 @@ class ShuffleReader:
             out = hit[1]
             cache.move_to_end(key)
         else:
-            from repro.sim.blocks import PairBlock
-
             filled = [p for p in parts if len(p)]
             if filled and all(isinstance(p, PairBlock) for p in filled):
                 # columnar concatenation in map order — element-equal to
                 # extending a list bucket by bucket
-                import numpy as np
-
                 out = PairBlock(
                     np.concatenate([p.keys for p in filled]),
                     np.concatenate([p.values for p in filled]))

@@ -6,7 +6,7 @@ Two halves:
   scalar semantics it replays (record splitting, dict-merge group-sum,
   hash partitioning, sparse contribution adds) — including the ``-0.0``
   and NaN bit-preservation corners the charge-replay rule depends on;
-* differential tests running miniature Fig 4 / Fig 6 workloads under
+* differential tests running miniature Fig 4 / Fig 6 / Fig 7 workloads under
   ``REPRO_SPARK_SCALAR=1`` vs the block kernels (and ``REPRO_SPARK_NOFUSE``
   vs fused) and asserting byte-identical result fingerprints plus
   identical trace-event streams.
@@ -18,18 +18,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import figures
 from repro.platform import Dataset, ScenarioSpec, fingerprint_result
 from repro.sim.blocks import (
+    CoGroupBlock,
     ContribBlock,
+    JoinedBlock,
     PairBlock,
     RecordBlock,
     as_pair_block,
     blocks_enabled,
+    hash_join,
+    join_prepare,
+    pair_columns,
     partition_pairs,
     sum_by_key,
 )
+from repro.spark.rdd import _cogroup_pairs, _join_expand
+from repro.spark.shuffle import ShuffleWriter, estimate_nbytes
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
 
@@ -196,6 +205,139 @@ class TestSumByKey:
 
 
 # ---------------------------------------------------------------------------
+# block hash-join vs the scalar cogroup + _join_expand
+# ---------------------------------------------------------------------------
+
+#: few distinct keys (so duplicates and misses on either side are common),
+#: including ones a float64 detour would merge
+_KEYS = st.sampled_from([0, 1, 2, 3, 5, 8, -7, 2**53, 2**53 + 1, 2**62])
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _left_lists():
+    def of(values):
+        return st.lists(st.tuples(_KEYS, values), max_size=40)
+    return st.one_of(of(st.integers(-2**63, 2**63 - 1)), of(_FLOATS))
+
+
+def _unique_rights():
+    return st.lists(st.tuples(_KEYS, _FLOATS), max_size=12,
+                    unique_by=lambda kv: kv[0])
+
+
+def _bits(records):
+    """Records with every float spelled out, so ``-0.0`` and NaN compare."""
+    def bits(x):
+        if type(x) is tuple:
+            return tuple(bits(y) for y in x)
+        return x.hex() if type(x) is float else (type(x).__name__, x)
+    return [bits(r) for r in records]
+
+
+class TestHashJoin:
+    @given(left=_left_lists(), right=_unique_rights(),
+           right_as_block=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_cogroup_and_expand(self, left, right,
+                                               right_as_block):
+        groups = list(_cogroup_pairs(left, right).items())
+        want = _join_expand(0, groups)
+        rside = PairBlock.from_pairs(right) if right_as_block else right
+        got = hash_join(join_prepare(*pair_columns(left)), rside)
+        assert got is not None
+        joined, n_groups = got
+        # the three numbers the charges are made of, then every record
+        assert n_groups == len(groups)
+        assert len(joined) == len(want)
+        assert _bits(joined) == _bits(want)
+        assert _bits(joined[i] for i in range(len(joined))) == _bits(want)
+        assert _bits(joined[1:]) == _bits(want[1:])
+
+    @pytest.mark.parametrize("right", [
+        [(1, 1.0), (2, 2.0), (1, 3.0)],   # a right key repeats
+        [(1, 1.0), (True, 2.0)],          # bool key
+        [(1.0, 1.0)],                     # float key
+        [(1, 1)],                         # int payload on the right
+        [(1, 1.0, 2.0)],                  # not a 2-tuple
+        [(1, 1.0), [2, 2.0]],             # a list record
+        ((1, 1.0),),                      # not a list
+    ])
+    def test_other_right_sides_take_the_scalar_path(self, right):
+        left = join_prepare(*pair_columns([(1, 10), (2, 20), (1, 11)]))
+        assert hash_join(left, right) is None
+
+    @pytest.mark.parametrize("left", [
+        [(True, 1)],                      # bool key
+        [(1.0, 1)],                       # float key
+        [(1, 1), (2, 2.0)],               # mixed value types
+        [(1, "a")],                       # non-numeric value
+        [(1, 2, 3)],                      # not a 2-tuple
+        [(2**63, 1)],                     # key beyond int64
+        [(1, 2**63)],                     # value beyond int64
+        [(1, np.float64(1.0))],           # numpy scalar, not float
+    ])
+    def test_other_left_sides_are_not_columnar(self, left):
+        assert pair_columns(left) is None
+
+    def test_cogroup_block_iterates_as_the_scalar_groups(self):
+        left, right = [(1, 10), (2, 20), (1, 11)], [(1, 0.5), (3, 1.5)]
+        rows = lambda: list(_cogroup_pairs(left, right).items())  # noqa: E731
+        block = CoGroupBlock(
+            *hash_join(join_prepare(*pair_columns(left)), right), rows)
+        assert len(block) == 3
+        assert list(block) == rows() and block[0] == (1, ([10, 11], [0.5]))
+        assert _join_expand(0, block) is block.joined
+        assert isinstance(block.joined, JoinedBlock)
+        assert list(block.joined) == [(1, (10, 0.5)), (1, (11, 0.5))]
+
+    def test_rdd_join_family_is_unchanged_by_the_block_path(self,
+                                                            monkeypatch):
+        """End to end through the RDD API: an eligible join, its undeclared
+        consumers (plain cogroup, outer join, a lambda after the join) and
+        an ineligible one agree with the scalar plane."""
+        from repro.cluster import Cluster
+        from repro.cluster.spec import TESTING
+        from repro.spark import SparkContext
+
+        edges = [(i % 7, (i * 5) % 11) for i in range(60)]
+        ranks = [(k, 1.0 + k / 4) for k in range(0, 9, 2)]
+
+        def app(sc):
+            links, rk = sc.parallelize(edges, 4), sc.parallelize(ranks, 3)
+            return (links.join(rk, 4).collect(),
+                    links.join(rk, 4).map(lambda r: r[1][1] * 2).collect(),
+                    links.cogroup(rk, 4).collect(),
+                    links.left_outer_join(rk, 4).collect(),
+                    links.join(sc.parallelize(ranks + [(2, 9.0)], 3),
+                               4).collect())
+
+        def run():
+            sc = SparkContext(Cluster(TESTING.with_nodes(2)),
+                              executors_per_node=2, app_startup=0.1)
+            res = sc.run(app)
+            return res.app_elapsed, res.value
+
+        monkeypatch.setenv("REPRO_SPARK_SCALAR", "1")
+        scalar = run()
+        monkeypatch.delenv("REPRO_SPARK_SCALAR")
+        assert run() == scalar
+
+
+class TestClosedFormSizing:
+    @given(n=st.integers(0, 200), scale=st.sampled_from([1, 7, 62]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_sampled_estimate(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        block = PairBlock(rng.integers(-2**62, 2**62, size=n),
+                          rng.standard_normal(n))
+        sizes, total, buckets = ShuffleWriter._sizes([block, []], scale)
+        assert sizes == [estimate_nbytes(block) * scale, 0]
+        assert total == sizes[0]
+        assert list(buckets) == ([0] if n else [])
+
+
+# ---------------------------------------------------------------------------
 # ContribBlock
 # ---------------------------------------------------------------------------
 
@@ -251,6 +393,12 @@ MINI = {
         node_counts=(1, 2), procs_per_node=2,
         graph=GraphSpec(n_vertices=600, out_degree=3),
         iterations=2, spark_physical_vertices=600),
+    # the wide HiBench path: block join -> declared contrib twin ->
+    # combining write, re-shuffled every iteration
+    "fig7": lambda: figures.fig7(
+        node_counts=(1, 2), procs_per_node=2,
+        graph=GraphSpec(n_vertices=600, out_degree=3),
+        iterations=3, spark_physical_vertices=600),
 }
 
 
@@ -272,9 +420,9 @@ class TestDifferentialFingerprints:
         assert fingerprint_result(MINI[fig]()) == nofuse_fp
 
 
-def _traced_pagerank() -> list:
+def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench") -> list:
     """One traced Spark PageRank run's events (PairBlock-heavy)."""
-    from repro.apps import spark_pagerank_bigdatabench
+    import repro.apps
     from repro.workloads.graphs import ring_edge_list_content
 
     graph = GraphSpec(n_vertices=200, out_degree=4)
@@ -282,9 +430,14 @@ def _traced_pagerank() -> list:
         nodes=2, procs_per_node=4, hb=True,
         datasets=(Dataset("edges.txt", ring_edge_list_content(graph),
                           on=("hdfs",)),)).session()
-    spark_pagerank_bigdatabench.run_in(session, "hdfs://edges.txt",
-                                       graph.n_vertices, 4, iterations=2)
+    getattr(repro.apps, app_name).run_in(session, "hdfs://edges.txt",
+                                         graph.n_vertices, 4, iterations=2)
     return session.trace.events
+
+
+def _traced_hibench() -> list:
+    """The HiBench twin (block join + JoinedBlock every iteration)."""
+    return _traced_pagerank("spark_pagerank_hibench")
 
 
 def _traced_answers_count() -> list:
@@ -303,6 +456,7 @@ def _traced_answers_count() -> list:
 
 class TestDifferentialTraces:
     @pytest.mark.parametrize("traced", [_traced_pagerank,
+                                        _traced_hibench,
                                         _traced_answers_count])
     def test_event_streams_identical_scalar_vs_blocks(self, traced,
                                                       monkeypatch):

@@ -111,6 +111,47 @@ def test_failure_aborts_other_processes():
     assert s.exception is None  # not an error of its own
 
 
+@pytest.mark.parametrize("slowpath", [False, True], ids=["fast", "reference"])
+@pytest.mark.parametrize("boom_at", [0.0, 1.0],
+                         ids=["never-granted", "after-park"])
+def test_abort_unwinds_ungranted_and_parked_threads(slowpath, boom_at):
+    """The hand-off lock under abort, on both run loops.
+
+    ``never-granted``: the failing process is pid 0 and fails at t=0, so
+    the others' threads were started but never ran — the abort's release
+    may land before or after they reach their first ``acquire``.
+    ``after-park``: they ran, parked (one timed, one blocked), and are
+    killed where they wait.  Either way every thread must exit.
+    """
+    eng = Engine(slowpath=slowpath)
+    box = Mailbox("never")
+
+    def boom():
+        if boom_at:
+            current_process().sleep(boom_at)
+        raise RuntimeError("x")
+
+    def sleeper():
+        current_process().sleep(100.0)
+
+    def waiter():
+        box.recv(current_process(), reason="never")
+
+    eng.spawn(boom, name="boom")
+    others = [eng.spawn(sleeper, name="sleeper"),
+              eng.spawn(waiter, name="waiter"),
+              eng.spawn(sleeper, name="sleeper2")]
+    with pytest.raises(SimProcessError) as ei:
+        eng.run()
+    assert isinstance(ei.value.__cause__, RuntimeError)
+    for p in others:
+        p._thread.join(timeout=10)
+        assert not p._thread.is_alive()
+        assert p.state is ProcState.FAILED and p.exception is None
+        assert p.clock == (0.0 if not boom_at or p.name == "waiter"
+                           else 100.0)
+
+
 def test_deadlock_detection_lists_blocked_processes():
     eng = Engine()
     box = Mailbox("never")
