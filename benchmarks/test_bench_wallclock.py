@@ -1,8 +1,7 @@
-"""Wall-clock benchmark of the scheduler fast path (tools/bench_wallclock).
+"""Wall-clock benchmark of the simulator (tools/bench_wallclock).
 
-Asserts the headline acceptance numbers: Fig 3 regenerates several times
-faster than the recorded pre-fast-path seed, and the fast and reference
-schedulers produce bit-identical virtual-time outputs (equal fingerprints).
+Asserts the headline acceptance numbers: the figures regenerate several
+times faster than their recorded seed wall times.
 """
 
 from __future__ import annotations
@@ -35,22 +34,6 @@ def test_bench_wallclock_fig3_speedup(benchmark):
     assert entry["wall_s"] < bench.SEED_WALL["fig3"] / 5.0
 
 
-def test_fingerprints_identical_across_schedulers(monkeypatch):
-    bench = _load()
-    fast = bench.run_workload("fig4_mini")
-    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    slow = bench.run_workload("fig4_mini")
-    assert fast["fingerprint"] == slow["fingerprint"]
-
-
-def test_fingerprints_identical_without_fusion(monkeypatch):
-    bench = _load()
-    fused = bench.run_workload("fig4_mini")
-    monkeypatch.setenv("REPRO_SPARK_NOFUSE", "1")
-    nofuse = bench.run_workload("fig4_mini")
-    assert fused["fingerprint"] == nofuse["fingerprint"]
-
-
 def test_bench_wallclock_fig4_speedup(benchmark):
     bench = _load()
     entry = benchmark.pedantic(bench.run_workload, args=("fig4",),
@@ -81,8 +64,7 @@ def test_main_writes_bench_json(tmp_path):
     out = tmp_path / "BENCH_sim.json"
     assert bench.main(["--only", "fig4_mini", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["scheduler"] == "fast"
-    assert data["data_plane"] == "fused"
+    assert set(data) == {"python", "machine", "host", "workloads"}
     wl = data["workloads"]["fig4_mini"]
     assert set(wl) == {"wall_s", "walls_s", "seed_wall_s",
                        "speedup_vs_seed", "fingerprint"}

@@ -2,9 +2,9 @@
 
 Every figure and table in this reproduction rests on one invariant: a
 simulation's outputs are a pure function of its inputs — bit-identical
-across the scheduler fast/slow paths, the fused/no-fuse data planes and the
-sharded driver.  This package enforces that invariant *before* a golden
-fingerprint can drift, with three engines:
+across runs, hosts, worker counts and the sharded driver.  This package
+enforces that invariant *before* a golden fingerprint can drift, with
+three engines:
 
 * :mod:`repro.analysis.lint` — **reprolint**, an AST-based determinism
   linter with rules tuned to this codebase (wall-clock reads, unseeded

@@ -110,13 +110,10 @@ DETERMINISTIC_PACKAGES = frozenset({
     "spark", "mapreduce", "apps", "workloads", "sched",
 })
 
-#: every supported environment escape hatch and the ONE module allowed to
-#: read it.  Reading a hatch from a second place is how the fast and slow
-#: paths start disagreeing about which mode they are in.
+#: every supported environment switch and the ONE module allowed to read
+#: it.  Reading a switch from a second place is how two layers start
+#: disagreeing about which mode they are in.
 ENV_REGISTRY: dict[str, str] = {
-    "REPRO_SIM_SLOWPATH": "repro/sim/engine.py",
-    "REPRO_SPARK_NOFUSE": "repro/spark/rdd.py",
-    "REPRO_SPARK_SCALAR": "repro/sim/blocks.py",
     "REPRO_CACHE_DIR": "repro/cache/store.py",
     "REPRO_NO_CACHE": "repro/cache/store.py",
     "REPRO_SANITIZE": "repro/platform/scenario.py",

@@ -50,7 +50,7 @@ def mpi_pagerank(
 
     def bench(comm) -> tuple[float, np.ndarray | None]:
         from repro.sim import current_process
-        from repro.sim.blocks import ContribBlock, blocks_enabled
+        from repro.sim.blocks import ContribBlock
 
         # <boilerplate>
         me = comm.rank
@@ -62,7 +62,9 @@ def mpi_pagerank(
         my_deg = safe_deg[my_src]
         # </boilerplate>
         p = comm.size
-        vec = blocks_enabled() and p > 1
+        # one rank has one destination block — its own — so the dense
+        # bincount below is already the whole exchange
+        vec = p > 1
         if vec:
             # Group this rank's edges by destination block once (the
             # destinations never change across iterations).  The stable

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from repro.fs.base import FileSystem
 from repro.fs.content import MappedContent
-from repro.sim.blocks import RecordBlock, blocks_enabled
+from repro.sim.blocks import RecordBlock
 from repro.sim.process import SimProcess
 from repro.units import KiB
 
@@ -37,23 +37,21 @@ def read_split_records(
     end: int,
     *,
     lookahead: int = LOOKAHEAD,
-) -> "RecordBlock | list[bytes]":
+) -> RecordBlock:
     """Timed read of the records owned by logical split ``[start, end)``.
 
-    Returns the records as byte strings (no trailing newlines) — normally
-    a :class:`~repro.sim.blocks.RecordBlock` over the split's buffer
+    Returns the records as byte strings (no trailing newlines): a
+    :class:`~repro.sim.blocks.RecordBlock` over the split's buffer
     (list-equal, but records materialize lazily and batch consumers can
-    use its columnar kernels), or a plain list under
-    ``REPRO_SPARK_SCALAR=1``.  I/O time is charged for the split plus any
-    boundary lookahead, exactly as a real reader would incur it; the
-    charge sequence is identical on both paths.
+    use its columnar kernels).  I/O time is charged for the split plus any
+    boundary lookahead, exactly as a real reader would incur it.
     """
     f = fs.lookup(path)
     lsize = f.logical_size
     start = max(0, min(start, lsize))
     end = max(start, min(end, lsize))
     if start == end:
-        return RecordBlock(b"") if blocks_enabled() else []
+        return RecordBlock(b"")
     buf = fs.read(proc, path, start, end - start)
     pstart, pend = f.physical_range(start, end - start)
     psize = f.physical_size
@@ -83,12 +81,7 @@ def read_split_records(
             nl = buf.find(b"\n")
             buf = buf[nl + 1 :] if nl >= 0 else b""
 
-    if blocks_enabled():
-        return RecordBlock(buf)
-    lines = buf.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    return lines
+    return RecordBlock(buf)
 
 
 def iter_all_records(fs: FileSystem, path: str) -> Iterator[bytes]:

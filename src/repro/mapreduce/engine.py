@@ -28,7 +28,6 @@ from repro.costs import SoftwareCosts
 from repro.errors import BlockUnavailableError, MapReduceError, TaskFailedError
 from repro.fs.hdfs import HDFS
 from repro.fs.records import read_split_records
-from repro.sim.blocks import RecordBlock
 from repro.mapreduce.types import FaultInjector, JobConf, JobCounters, JobResult
 from repro.sim.engine import current_process
 from repro.sim.sync import Mailbox
@@ -272,13 +271,9 @@ def _map_attempt(state: _JobState, tid: int, split: tuple[int, int],
                                      split[0], split[1])
         proc.compute_bytes(max(1, split[1] - split[0]), costs.parse_rate_jvm)
         out: list[tuple[Any, Any]] = []
-        if isinstance(records, RecordBlock):
-            # one buffer-level decode (string-equal to per-record decode)
-            for line in records.decode_all():
-                out.extend(conf.mapper(line))
-        else:
-            for raw in records:
-                out.extend(conf.mapper(raw.decode("utf-8", errors="replace")))
+        # one buffer-level decode (string-equal to per-record decode)
+        for line in records.decode_all():
+            out.extend(conf.mapper(line))
         proc.compute(len(records) * (conf.map_cost_per_record + 1e-7))
         state.counters.map_input_records += len(records)
         state.counters.map_output_records += len(out)

@@ -54,8 +54,7 @@ def fingerprint_result(result: FigureResult | TableResult) -> str:
 
     Floats are hashed via their hex representation, so two runs produced
     identical simulations iff their fingerprints match — the invariant the
-    fast/slow scheduler and fused/nofuse data-plane diffs pin, reused here
-    for serial-vs-sharded driver runs.
+    golden fingerprints pin, reused here for serial-vs-sharded driver runs.
     """
     h = hashlib.sha256()
     if isinstance(result, TableResult):
@@ -218,41 +217,17 @@ class CachePlan:
     root: str
     code_version: str
     refresh: bool = False
-    #: execution-variant fingerprint: the differential escape hatches
-    #: active when the plan was built (see :func:`execution_variant`).
-    #: Hatched runs produce byte-identical *results*, but keying them
-    #: separately keeps differential CI runs honest — a scalar-plane run
-    #: never silently replays a block-plane entry.
-    variant: tuple = ()
-
-
-def execution_variant() -> tuple:
-    """The active differential escape hatches, via their home modules.
-
-    Reads each hatch through its owner's resolved accessor (the R006
-    discipline) rather than the environment, so this stays in lockstep
-    with what the engine/data plane would actually do.
-    """
-    from repro.sim.blocks import blocks_enabled
-    from repro.sim.engine import slowpath_enabled
-    from repro.spark.rdd import fusion_enabled
-
-    return tuple(name for name, active in (
-        ("slowpath", slowpath_enabled()),
-        ("nofuse", not fusion_enabled()),
-        ("scalar", not blocks_enabled()),
-    ) if active)
 
 
 def unit_cache_key(plan: CachePlan, unit: Unit) -> str | None:
     """Result-plane key of a unit, or ``None`` if its params defy encoding.
 
-    Keyed on (code version, execution variant, experiment id, fully
-    resolved params, machine spec) — the unit's
-    ``index``/``total``/``point``/``series`` are derived from the params
-    and the registry, so they carry no extra information.  The scenario a
-    unit provisions is itself a pure function of experiment id + params,
-    which is how the key covers the scenario fingerprint.  The *resolved*
+    Keyed on (code version, experiment id, fully resolved params,
+    machine spec) — the unit's ``index``/``total``/``point``/``series``
+    are derived from the params and the registry, so they carry no extra
+    information.  The scenario a unit provisions is itself a pure function
+    of experiment id + params, which is how the key covers the scenario
+    fingerprint.  The *resolved*
     :class:`~repro.cluster.MachineSpec` (hardware, costs, fabric routing)
     is folded in — not just its name — so results computed on one machine
     definition are never replayed for another, and editing a registered
@@ -270,8 +245,8 @@ def unit_cache_key(plan: CachePlan, unit: Unit) -> str | None:
     # before folding: ``machine="comet"`` and the bare default share keys
     params = {k: v for k, v in unit.params.items() if k != "machine"}
     try:
-        return cache_key("unit-result", plan.code_version, plan.variant,
-                         unit.exp_id, params, machine)
+        return cache_key("unit-result", plan.code_version, unit.exp_id,
+                         params, machine)
     except UncacheableError:
         return None
 
@@ -445,8 +420,7 @@ def run_suite(
     pool_size = max(workers, intra_workers)
 
     cache_root = resolve_root(cache)
-    plan = (CachePlan(str(cache_root), code_version(), refresh_cache,
-                      execution_variant())
+    plan = (CachePlan(str(cache_root), code_version(), refresh_cache)
             if cache_root is not None else None)
     say(f"planned {len(units)} units over {len(exp_ids)} experiments "
         f"({workers} workers"

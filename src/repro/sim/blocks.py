@@ -17,10 +17,13 @@ process) as the scalar path, and produce bitwise-identical record
 values.  Anything observable in virtual time — event order, clock
 values, fingerprints — is then unchanged by construction.
 
-Escape hatch: ``REPRO_SPARK_SCALAR=1`` disables every block path at once
-(this module is its registered home; see ``repro.analysis.lint``).  CI
-runs the scalar and block planes differentially and asserts byte-equal
-fingerprints, mirroring the SLOWPATH and NOFUSE hatches.
+A block kernel runs only on input it can verify is eligible — exact
+``(int, float)`` pairs, a plain ``HashPartitioner``, a unique-keyed join
+side — and every caller keeps the scalar loop for everything else, so
+the scalar kernels are production code, selected by the data.  The tests
+reach them the same way: ``tests/test_blocks.py`` makes every record list
+ineligible (it patches :func:`pair_columns`, the one list→columns
+converter) and asserts byte-equal fingerprints and traces.
 
 Block types
 -----------
@@ -28,8 +31,8 @@ Block types
     A split's worth of newline-delimited records backed by one ``bytes``
     buffer.  Slicing is zero-copy (offset views over the shared buffer);
     ``decode_all`` decodes the whole buffer in one C call instead of
-    per-record.  Behaves as a ``Sequence[bytes]`` equal to the list the
-    scalar reader returns.
+    per-record.  Behaves as a ``Sequence[bytes]`` equal to the list of
+    its lines.
 ``PairBlock``
     An ``(int64 keys, float64 values)`` column pair for Spark shuffle
     output of numeric aggregations.  Behaves as a ``Sequence`` of
@@ -48,14 +51,12 @@ Block types
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
-    "blocks_enabled",
     "RecordBlock",
     "PairBlock",
     "JoinedBlock",
@@ -71,15 +72,6 @@ __all__ = [
 ]
 
 
-def blocks_enabled() -> bool:
-    """True unless ``REPRO_SPARK_SCALAR=1`` forces the scalar data plane.
-
-    Read at every call site (not cached) so tests can flip the hatch
-    between experiments within one process.
-    """
-    return os.environ.get("REPRO_SPARK_SCALAR", "") != "1"
-
-
 # ---------------------------------------------------------------------------
 # RecordBlock: newline-delimited byte records over one shared buffer
 # ---------------------------------------------------------------------------
@@ -88,11 +80,11 @@ def blocks_enabled() -> bool:
 class RecordBlock(Sequence):
     """Records of a text split as one buffer plus lazy line offsets.
 
-    Equal to (and substitutable for) the ``list[bytes]`` of lines the
-    scalar reader produced: no trailing newlines, trailing empty line
-    dropped.  ``len`` is O(1) amortized (one ``bytes.count``); slicing
-    returns a view sharing the buffer; full iteration materializes the
-    line list once (a single C-level ``split``) and caches it.
+    Equal to (and substitutable for) the ``list[bytes]`` of lines a
+    ``split(b"\n")`` of the buffer gives: no trailing newlines, trailing
+    empty line dropped.  ``len`` is O(1) amortized (one ``bytes.count``);
+    slicing returns a view sharing the buffer; full iteration materializes
+    the line list once (a single C-level ``split``) and caches it.
 
     The buffer may also be any read-only buffer-protocol object —
     ``mmap.mmap`` of an artifact-cache dataset entry, or a
@@ -233,9 +225,9 @@ class PairBlock(Sequence):
     """A Spark partition of ``(int key, float value)`` pairs, columnar.
 
     Iteration and indexing yield plain Python ``(int, float)`` tuples so
-    every scalar consumer (cogroup, collect, user lambdas under NOFUSE)
-    sees exactly what the list-of-tuples path produced.  Slicing returns
-    a zero-copy column view.
+    every scalar consumer (cogroup, collect, user lambdas) sees exactly
+    what the list-of-tuples path produced.  Slicing returns a zero-copy
+    column view.
     """
 
     __slots__ = ("keys", "values")

@@ -12,8 +12,8 @@ The engine runs on the caller's thread; simulated processes each own a
 daemon thread that is parked except when granted the token, so at any moment
 at most one thread is doing work.
 
-Execution model and the scheduler fast path
--------------------------------------------
+Execution model
+---------------
 
 The scheduling decision ("which runnable process has the smallest
 ``(clock, pid)``?") is answered by a lazy-deletion binary heap
@@ -28,8 +28,8 @@ not change the schedule order) switch-free:
 
 1. **Run-ahead token retention** — at a checkpoint (or a ``park_until``
    whose wake time is already due) the running process peeks at the heap
-   top.  If its own ``(clock, pid)`` is still the global minimum, the
-   reference scheduler would park it and immediately re-grant it, so the
+   top.  If its own ``(clock, pid)`` is still the global minimum, a
+   scheduler that parked it would immediately re-grant it, so the
    process simply *keeps* the token and continues inline: zero lock
    round-trips, zero OS context switches.  This is safe because no other
    process could have run in between — the observable interleaving is
@@ -48,17 +48,18 @@ not change the schedule order) switch-free:
    or no process is runnable (termination vs deadlock detection).
 
 Determinism is unaffected: the successor chosen by the heap is exactly the
-``min()`` of the reference scheduler, and token retention only happens when
-that minimum is the yielding process itself.  Set ``REPRO_SIM_SLOWPATH=1``
-(or pass ``Engine(slowpath=True)``) to force the reference O(n)
-engine-mediated scheduler — the differential-testing escape hatch; the
-determinism suite asserts both paths produce byte-identical traces.
+``min(runnable, key=(clock, pid))`` of a linear scan, and token retention
+only happens when that minimum is the yielding process itself.  That
+obviously-correct scheduler — O(n) scan, every yield through the engine
+thread, no retention — lives in ``tests/sim_oracle.py`` as an
+:class:`Engine` subclass; the determinism suite asserts byte-identical
+traces between it and this engine on golden scenarios and on generated
+process programs.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import sys
 import threading
 from heapq import heappop, heappush
@@ -69,16 +70,6 @@ from repro.sim.process import ProcState, SimProcess
 from repro.sim.trace import Trace, anchored_path
 
 _current: threading.local = threading.local()
-
-
-def slowpath_enabled() -> bool:
-    """Resolved ``REPRO_SIM_SLOWPATH`` hatch (this module is its home).
-
-    Other layers (e.g. the artifact cache's execution-variant key) import
-    this instead of re-reading the environment, so every site agrees on
-    which scheduler a process runs.
-    """
-    return os.environ.get("REPRO_SIM_SLOWPATH") == "1"
 
 
 def current_process() -> SimProcess:
@@ -103,10 +94,6 @@ class Engine:
     trace:
         Optional :class:`~repro.sim.trace.Trace` collecting structured
         events; when ``None`` a disabled trace is used (zero overhead).
-    slowpath:
-        Force the reference engine-mediated scheduler (no token retention,
-        no direct handoff).  Defaults to the ``REPRO_SIM_SLOWPATH``
-        environment variable; used for differential testing.
 
     Example
     -------
@@ -121,9 +108,7 @@ class Engine:
     ('hi', 1.5)
     """
 
-    def __init__(
-        self, *, trace: Trace | None = None, slowpath: bool | None = None
-    ) -> None:
+    def __init__(self, *, trace: Trace | None = None) -> None:
         self.trace = trace if trace is not None else Trace(enabled=False)
         self.processes: list[SimProcess] = []
         self._next_pid = 0
@@ -134,11 +119,6 @@ class Engine:
         #: an entry is live iff ``seq == proc._hseq`` and the process is
         #: RUNNABLE (see :meth:`_push`).
         self._heap: list[tuple[float, int, int, SimProcess]] = []
-        if slowpath is None:
-            slowpath = slowpath_enabled()
-        #: True when the switch-free fast path (token retention + direct
-        #: handoff) is active; False forces the reference scheduler.
-        self._fast = not slowpath
         #: happens-before mode: thread vector clocks through processes and
         #: synchronisation primitives so the race checker can replay traces
         #: (:mod:`repro.analysis.races`).  Purely observational — scheduling
@@ -279,9 +259,7 @@ class Engine:
         try:
             for proc in list(self.processes):
                 proc._start()
-            if self._fast:
-                return self._run_fast()
-            return self._run_reference()
+            return self._supervise()
         finally:
             self._running = False
             sys.setswitchinterval(old_switch)
@@ -289,7 +267,7 @@ class Engine:
                 gc.enable()
                 gc.collect()
 
-    def _run_fast(self) -> float:
+    def _supervise(self) -> float:
         """Supervisor loop: grant, sleep, and handle the terminal cases.
 
         Between grants the token circulates directly among process threads;
@@ -329,38 +307,6 @@ class Engine:
             self._yield_evt.wait()
         return self.makespan()
 
-    def _run_reference(self) -> float:
-        """The reference scheduler: O(n) scan, engine-mediated switches.
-
-        Every yield funnels through this thread (two signal round-trips per
-        decision).  Kept verbatim as the differential-testing baseline for
-        the fast path — see the module docstring.
-        """
-        while True:
-            runnable = [
-                p for p in self.processes if p.state is ProcState.RUNNABLE
-            ]
-            if not runnable:
-                blocked = [
-                    p for p in self.processes if p.state is ProcState.BLOCKED
-                ]
-                if blocked:
-                    msg = self._deadlock_message(blocked)
-                    self._abort()
-                    raise DeadlockError(msg)
-                break  # everything DONE/FAILED
-            proc = min(runnable, key=lambda p: (p.clock, p.pid))
-            self.now = max(self.now, proc.clock)
-            self._yield_evt.clear()
-            proc._grant()
-            self._yield_evt.wait()
-            if proc.state is ProcState.FAILED and proc.exception is not None:
-                self._abort()
-                if isinstance(proc.exception, DeadlockError):
-                    raise proc.exception
-                raise SimProcessError(proc.name) from proc.exception
-        return self.makespan()
-
     def makespan(self) -> float:
         """Largest virtual clock reached by any process."""
         return max((p.clock for p in self.processes), default=0.0)
@@ -374,18 +320,13 @@ class Engine:
     def _release_token(self, proc: SimProcess) -> None:
         """Called from ``proc``'s thread when it parks or terminates.
 
-        On the fast path the yielding thread grants the successor directly
-        (it still owns the token, so heap access is race-free) and wakes the
-        engine thread only when it cannot: the process failed, an abort is
-        in progress, or nothing is runnable (termination/deadlock — the
-        engine decides which).  On the slow path every yield wakes the
-        engine.
+        The yielding thread grants the successor directly (it still owns
+        the token, so heap access is race-free) and wakes the engine thread
+        only when it cannot: the process failed, an abort is in progress,
+        or nothing is runnable (termination/deadlock — the engine decides
+        which).
         """
-        if (
-            not self._fast
-            or self._aborting
-            or proc.state is ProcState.FAILED
-        ):
+        if self._aborting or proc.state is ProcState.FAILED:
             self._yield_evt.set()
             return
         nxt = self._pop_min()

@@ -169,19 +169,18 @@ class SimProcess:
         process either has ``clock >= self.clock`` or is blocked, so an
         interaction performed now is globally ordered.
 
-        Fast path (run-ahead token retention): when this process is still
-        the minimum runnable ``(clock, pid)``, parking would re-grant it
-        immediately with no intervening execution, so it keeps the token
-        and returns inline — no context switch.
+        Run-ahead token retention: when this process is still the minimum
+        runnable ``(clock, pid)``, parking would re-grant it immediately
+        with no intervening execution, so it keeps the token and returns
+        inline — no context switch.
         """
         self._assert_current()
         eng = self.engine
-        if eng._fast:
-            top = eng._peek_min()
-            if top is None or (self.clock, self.pid) < top:
-                if self.clock > eng.now:
-                    eng.now = self.clock
-                return
+        top = eng._peek_min()
+        if top is None or (self.clock, self.pid) < top:
+            if self.clock > eng.now:
+                eng.now = self.clock
+            return
         self._park(ProcState.RUNNABLE)
 
     def sleep(self, seconds: float) -> None:
@@ -203,14 +202,13 @@ class SimProcess:
             )
         self.clock = wake_time
         eng = self.engine
-        if eng._fast:
-            # Run-ahead retention: if no other runnable precedes the wake
-            # time, nothing can run (and hence revise it) before it fires.
-            top = eng._peek_min()
-            if top is None or (wake_time, self.pid) < top:
-                if wake_time > eng.now:
-                    eng.now = wake_time
-                return
+        # Run-ahead retention: if no other runnable precedes the wake
+        # time, nothing can run (and hence revise it) before it fires.
+        top = eng._peek_min()
+        if top is None or (wake_time, self.pid) < top:
+            if wake_time > eng.now:
+                eng.now = wake_time
+            return
         self.waiting_on = reason
         self._park(ProcState.RUNNABLE)
         self.waiting_on = None

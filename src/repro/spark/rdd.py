@@ -16,15 +16,13 @@ explicit about where time goes.
 from __future__ import annotations
 
 import itertools
-import os
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import SparkError
 from repro.sim.blocks import (CoGroupBlock, JoinedBlock, JoinLeft, PairBlock,
-                              RecordBlock, blocks_enabled, hash_join,
-                              join_prepare, pair_columns, sum_by_key)
+                              hash_join, join_prepare, pair_columns,
+                              sum_by_key)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.storage import StorageLevel
 
@@ -59,11 +57,17 @@ def _join_expand(_i: int, it: list) -> list:
     return out
 
 
-def fusion_enabled() -> bool:
-    """Whole-chain narrow-pipeline fusion (``REPRO_SPARK_NOFUSE=1`` keeps
-    the op-by-op evaluation as a differential baseline — the data-plane
-    twin of ``REPRO_SIM_SLOWPATH``)."""
-    return not os.environ.get("REPRO_SPARK_NOFUSE")
+def _values_twin(vector: Callable) -> Callable:
+    """Lift ``map_values``' twin over a values array to a twin over blocks.
+
+    Defined on a :class:`PairBlock` only — a :class:`JoinedBlock`'s values
+    are ``(v, w)`` pairs, not one column — so anything else stays scalar.
+    """
+    def twin(block):
+        if isinstance(block, PairBlock):
+            return PairBlock(block.keys, vector(block.values))
+        return None
+    return twin
 
 
 class Dependency:
@@ -94,12 +98,9 @@ class ShuffleDependency(Dependency):
         super().__init__(parent)
         self.partitioner = partitioner
         self.shuffle_id = next(ShuffleDependency._shuffle_ids)
-        #: optional map-side transform applied before the shuffle write
-        #: (reduceByKey's combiner); set by the consuming ShuffledRDD
-        self.prepare: Callable[[list, "TaskContext"], list] | None = None
-        #: ``(create, merge_value)`` twin of ``prepare`` for the combining
-        #: shuffle write, which folds the combine into the partitioning
-        #: pass instead of materialising a combined list first
+        #: ``(create, merge_value)`` of a map-side-combining aggregator
+        #: (reduceByKey), set by the consuming ShuffledRDD: the shuffle
+        #: write folds the combine into its partitioning pass
         self.combiner: tuple[Callable, Callable] | None = None
         #: declared columnar semantics of the combiner (``"sum"``), set by
         #: the consuming ShuffledRDD; lets the writer use the vectorized
@@ -178,16 +179,15 @@ class RDD:
     def map_partitions(self, f: Callable[[int, list], list], *,
                        preserves_partitioning: bool = False,
                        cost: float = 0.0, name: str = "mapPartitions",
-                       record_op: tuple | None = None) -> "RDD":
+                       vector: Callable | None = None) -> "RDD":
         """The primitive every narrow transformation lowers onto.
 
-        ``record_op`` optionally describes the per-record semantics of
-        ``f`` (e.g. ``("map", fn)``) so chains of such operators can be
-        fused into one per-partition pipeline; ``f`` stays authoritative
-        and is used whenever fusion is off or inapplicable.
+        ``vector`` is the declared columnar twin of ``f`` (see :meth:`map`
+        and :meth:`map_values`): block in, block out — or ``None`` for a
+        block it is not defined on.  ``f`` stays authoritative.
         """
         return MapPartitionsRDD(self, f, preserves_partitioning, cost, name,
-                                record_op)
+                                vector)
 
     def map(self, f: Callable[[Any], Any], *, cost: float = 0.0,
             vector: Callable | None = None) -> "RDD":
@@ -204,19 +204,18 @@ class RDD:
         """
         return self.map_partitions(
             lambda _i, it: [f(x) for x in it], cost=cost, name="map",
-            record_op=("map", f, vector))
+            vector=vector)
 
     def flat_map(self, f: Callable[[Any], Iterable], *, cost: float = 0.0) -> "RDD":
         """Apply ``f`` and flatten the results."""
         return self.map_partitions(
             lambda _i, it: [y for x in it for y in f(x)], cost=cost,
-            name="flatMap", record_op=("flat_map", f))
+            name="flatMap")
 
     def filter(self, pred: Callable[[Any], bool], *, cost: float = 0.0) -> "RDD":
         """Keep records satisfying ``pred``."""
         return self.map_partitions(
-            lambda _i, it: [x for x in it if pred(x)], cost=cost, name="filter",
-            record_op=("filter", pred))
+            lambda _i, it: [x for x in it if pred(x)], cost=cost, name="filter")
 
     def map_values(self, f: Callable[[Any], Any], *, cost: float = 0.0,
                    vector: Callable | None = None) -> "RDD":
@@ -233,31 +232,29 @@ class RDD:
         return self.map_partitions(
             lambda _i, it: [(k, f(v)) for k, v in it],
             preserves_partitioning=True, cost=cost, name="mapValues",
-            record_op=("map_values", f, vector))
+            vector=None if vector is None else _values_twin(vector))
 
     def flat_map_values(self, f: Callable[[Any], Iterable], *,
                         cost: float = 0.0) -> "RDD":
         """Expand values of (k, v) pairs; preserves partitioning."""
         return self.map_partitions(
             lambda _i, it: [(k, w) for k, v in it for w in f(v)],
-            preserves_partitioning=True, cost=cost, name="flatMapValues",
-            record_op=("flat_map_values", f))
+            preserves_partitioning=True, cost=cost, name="flatMapValues")
 
     def keys(self) -> "RDD":
         """First elements of (k, v) pairs."""
         return self.map_partitions(lambda _i, it: [k for k, _ in it],
-                                   name="keys", record_op=("keys",))
+                                   name="keys")
 
     def values(self) -> "RDD":
         """Second elements of (k, v) pairs."""
         return self.map_partitions(lambda _i, it: [v for _, v in it],
-                                   name="values", record_op=("values",))
+                                   name="values")
 
     def key_by(self, f: Callable[[Any], Any], *, cost: float = 0.0) -> "RDD":
         """Pair every record with ``f(record)`` as its key."""
         return self.map_partitions(
-            lambda _i, it: [(f(x), x) for x in it], cost=cost, name="keyBy",
-            record_op=("key_by", f))
+            lambda _i, it: [(f(x), x) for x in it], cost=cost, name="keyBy")
 
     def glom(self) -> "RDD":
         """One list per partition."""
@@ -332,7 +329,7 @@ class RDD:
         merge functions are numeric addition, allowing the columnar
         group-sum kernel (:func:`repro.sim.blocks.sum_by_key`) on numeric
         pair partitions.  The scalar functions stay authoritative for
-        non-numeric records and under ``REPRO_SPARK_SCALAR=1``.
+        every other record shape.
         """
         part = HashPartitioner(num_partitions or self.num_partitions)
         return ShuffledRDD(
@@ -711,8 +708,9 @@ class TextFileRDD(RDD):
             self._splits = []
             self._preferred = []
             for s, e, nodes in locs:
-                step = -(-(e - s) // pieces)
-                for off in range(s, e, max(1, step)):
+                step = max(1, -(-(e - s) // pieces))
+                # an empty file is one zero-byte block: one empty split
+                for off in range(s, max(e, s + 1), step):
                     self._splits.append((off, min(e, off + step)))
                     self._preferred.append(nodes)
         else:
@@ -734,11 +732,9 @@ class TextFileRDD(RDD):
         ctx.charge_records(len(raw))
         # decode cost is part of the JVM text-parsing rate
         ctx.charge_bytes(max(1, end - start), ctx.costs.parse_rate_jvm)
-        if isinstance(raw, RecordBlock):
-            # one C-level decode of the split buffer; string-equal to the
-            # per-record decode (see RecordBlock.decode_all)
-            return raw.decode_all()
-        return [r.decode("utf-8", errors="replace") for r in raw]
+        # one C-level decode of the split buffer; string-equal to the
+        # per-record decode (see RecordBlock.decode_all)
+        return raw.decode_all()
 
     def preferred_nodes(self, index: int) -> list[int]:
         return list(self._preferred[index])
@@ -752,201 +748,30 @@ class MapPartitionsRDD(RDD):
 
     def __init__(self, parent: RDD, f: Callable[[int, list], list],
                  preserves_partitioning: bool, cost: float, name: str,
-                 record_op: tuple | None = None) -> None:
+                 vector: Callable | None = None) -> None:
         super().__init__(parent.sc, [NarrowDependency(parent)],
                          parent.num_partitions)
         self.f = f
         self.cost_per_record = cost
         self.name = name
-        #: per-record semantics of ``f`` when known (enables chain fusion)
-        self.record_op = record_op
+        #: declared columnar twin of ``f`` (``map`` / ``map_values``)
+        self.vector = vector
         if preserves_partitioning:
             self.partitioner = parent.partitioner
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
-        parent = self.deps[0].parent
-        if not fusion_enabled():
-            records = ctx.iterator(parent, index)
-            ctx.charge_records(len(records), extra=self.cost_per_record)
-            return self.f(index, records)
-        # Fusion: collect the maximal chain of narrow ancestors that the
-        # op-by-op path would evaluate inline anyway (uncached and
-        # uncheckpointed, so their ctx.iterator call is a plain compute),
-        # then evaluate the whole chain in one per-partition pass.  Cached,
-        # checkpointed or non-MapPartitions ancestors are fusion barriers
-        # and materialise through ctx.iterator as before.
-        chain: list[MapPartitionsRDD] = [self]
-        while (isinstance(parent, MapPartitionsRDD)
-               and parent.storage_level is None
-               and not parent.is_checkpointed):
-            chain.append(parent)
-            parent = parent.deps[0].parent
-        records = ctx.iterator(parent, index)
-        if len(chain) == 1:
-            vec_out = _vector_stage(self, records)
-            ctx.charge_records(len(records), extra=self.cost_per_record)
-            return self.f(index, records) if vec_out is None else vec_out
-        chain.reverse()
-        return _eval_fused_chain(chain, index, records, ctx)
+        records = ctx.iterator(self.deps[0].parent, index)
+        # A declared twin applies only to a partition that arrives
+        # columnar; the charge is the same either way.
+        out = None
+        if (self.vector is not None
+                and isinstance(records, (PairBlock, JoinedBlock))):
+            out = self.vector(records)
+        ctx.charge_records(len(records), extra=self.cost_per_record)
+        return self.f(index, records) if out is None else out
 
     def _op_name(self) -> str:
         return self.name
-
-
-def _vector_stage(level: MapPartitionsRDD, records) -> "Any | None":
-    """Columnar application of one fused level to a block, or None.
-
-    Only operators whose columnar twin was *declared* by the application
-    (``map_values(..., vector=...)``, ``map(..., vector=...)``) qualify;
-    the caller charges the identical per-level cost.
-    """
-    op = level.record_op
-    if (op is None or len(op) < 3 or op[2] is None
-            or not isinstance(records, (PairBlock, JoinedBlock))
-            or not blocks_enabled()):
-        return None
-    if op[0] == "map":
-        return op[2](records)
-    if isinstance(records, PairBlock):  # map_values
-        return PairBlock(records.keys, op[2](records.values))
-    return None
-
-
-def _eval_fused_chain(chain: list[MapPartitionsRDD], index: int,
-                      records: list, ctx: "TaskContext") -> list:
-    """Evaluate a bottom-up chain of narrow levels over one partition.
-
-    Cost-equivalence invariant: issues exactly the ``charge_records`` calls
-    the op-by-op path would — same values (each level's input length times
-    its per-record cost), same order — so virtual time is bit-identical.
-    Only the host-side intermediate list per operator is elided, for runs
-    of levels whose ``record_op`` is known; generic ``map_partitions``
-    levels still apply their whole-partition function.
-
-    Partitions arriving as a block (:class:`~repro.sim.blocks.PairBlock`,
-    or the :class:`~repro.sim.blocks.JoinedBlock` a block join expands
-    to) flow through declared columnar operators without leaving column
-    form; the first level without a columnar twin sees the block as a
-    plain sequence of records (``level.f`` iterates it) and the chain
-    continues scalar from there.
-    """
-    i, n = 0, len(chain)
-    while i < n:
-        level = chain[i]
-        vec_out = _vector_stage(level, records)
-        if vec_out is not None:
-            ctx.charge_records(len(records), extra=level.cost_per_record)
-            records = vec_out
-            i += 1
-            continue
-        if level.record_op is None:
-            ctx.charge_records(len(records), extra=level.cost_per_record)
-            records = level.f(index, records)
-            i += 1
-            continue
-        j = i
-        while j < n and chain[j].record_op is not None:
-            j += 1
-        if j - i == 1:
-            # a run of one operator gains nothing from the push pipeline;
-            # charge and apply it directly, as the op-by-op path does
-            ctx.charge_records(len(records), extra=level.cost_per_record)
-            records = level.f(index, records)
-            i = j
-            continue
-        run = chain[i:j]
-        out, counts = _run_pipeline(run, records)
-        # Per-level charges, deferred past the (host-side) evaluation but
-        # in the original order: level k's input is level k-1's output.
-        ctx.charge_records(len(records), extra=run[0].cost_per_record)
-        for k in range(1, len(run)):
-            ctx.charge_records(counts[k - 1], extra=run[k].cost_per_record)
-        records = out
-        i = j
-    return records
-
-
-def _run_pipeline(levels: list[MapPartitionsRDD],
-                  records: list) -> tuple[list, list[int]]:
-    """Push ``records`` through a run of fusable operators in one pass.
-
-    Returns ``(output, counts)`` where ``counts[k]`` is the number of
-    records level ``k`` emitted (needed for the per-level charges).
-    """
-    m = len(levels)
-    out: list = []
-    cells: list = [None] * m  # one-element counters for count-changing ops
-    stage: Callable = out.append
-    for k in range(m - 1, -1, -1):
-        op = levels[k].record_op
-        kind = op[0]
-        if kind == "map":
-            f = op[1]
-
-            def stage(v, f=f, c=stage):
-                c(f(v))
-        elif kind == "filter":
-            f = op[1]
-            cell = cells[k] = [0]
-
-            def stage(v, f=f, c=stage, cell=cell):
-                if f(v):
-                    cell[0] += 1
-                    c(v)
-        elif kind == "flat_map":
-            f = op[1]
-            cell = cells[k] = [0]
-
-            def stage(v, f=f, c=stage, cell=cell):
-                n = 0
-                for y in f(v):
-                    n += 1
-                    c(y)
-                cell[0] += n
-        elif kind == "map_values":
-            f = op[1]
-
-            def stage(v, f=f, c=stage):
-                key, w = v
-                c((key, f(w)))
-        elif kind == "flat_map_values":
-            f = op[1]
-            cell = cells[k] = [0]
-
-            def stage(v, f=f, c=stage, cell=cell):
-                key, w = v
-                n = 0
-                for y in f(w):
-                    n += 1
-                    c((key, y))
-                cell[0] += n
-        elif kind == "keys":
-
-            def stage(v, c=stage):
-                key, _w = v
-                c(key)
-        elif kind == "values":
-
-            def stage(v, c=stage):
-                _key, w = v
-                c(w)
-        elif kind == "key_by":
-            f = op[1]
-
-            def stage(v, f=f, c=stage):
-                c((f(v), v))
-        else:  # pragma: no cover - record_op values are package-internal
-            raise SparkError(f"unknown fused operator {kind!r}")
-    pipe = stage
-    for v in records:
-        pipe(v)
-    counts = [0] * m
-    prev = len(records)
-    for k in range(m):
-        if cells[k] is not None:
-            prev = cells[k][0]
-        counts[k] = prev  # count-preserving ops emit their input count
-    return out, counts
 
 
 class UnionRDD(RDD):
@@ -1019,7 +844,6 @@ class ShuffledRDD(RDD):
         self.vector = vector if aggregator is not None else None
         self.map_side_combine = map_side_combine and aggregator is not None
         if self.map_side_combine:
-            dep.prepare = self.map_side_prepare
             dep.combiner = (aggregator[0], aggregator[1])
             dep.vector = self.vector
 
@@ -1055,25 +879,6 @@ class ShuffledRDD(RDD):
                 prev = get(k, _MISSING)
                 out[k] = (create(v) if prev is _MISSING
                           else merge_value(prev, v))
-        ctx.charge_records(len(records))
-        return list(out.items())
-
-    def map_side_prepare(self, records: list, ctx: "TaskContext") -> list:
-        """Map-side combine before the shuffle write (reduceByKey)."""
-        if not self.map_side_combine:
-            return records
-        create, merge_value, _mc = self.aggregator  # type: ignore[misc]
-        out: dict = {}
-        get = out.get
-        try:
-            for k, v in records:
-                prev = get(k, _MISSING)
-                out[k] = (create(v) if prev is _MISSING
-                          else merge_value(prev, v))
-        except TypeError as exc:
-            raise SparkError(
-                f"keyed operation over non-pair records: {exc}"
-            ) from exc
         ctx.charge_records(len(records))
         return list(out.items())
 
@@ -1149,16 +954,14 @@ class CoGroupedRDD(RDD):
         # because the cache holds the referent (no id recycling) and every
         # hit is re-checked with ``is`` before use — a false miss merely
         # recomputes.
-        cache = getattr(ctx.env, "cogroup_cache", None)
-        if cache is None:
-            cache = ctx.env.cogroup_cache = OrderedDict()
+        cache = ctx.env.cogroup_cache
         key = id(left)  # reprolint: disable=id-key
         hit = cache.get(key)
         memo = hit[1] if hit is not None and hit[0] is left else None
         fresh = memo is None
         if not fresh:
             cache.move_to_end(key)
-        elif type(self.partitioner) is HashPartitioner and blocks_enabled():
+        elif type(self.partitioner) is HashPartitioner:
             cols = pair_columns(left)
             if cols is not None:
                 memo = join_prepare(*cols)

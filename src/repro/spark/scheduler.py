@@ -26,7 +26,6 @@ from repro.spark.rdd import (
     NarrowDependency,
     RDD,
     ShuffleDependency,
-    fusion_enabled,
 )
 from repro.spark.shuffle import ShuffleReader, ShuffleWriter, estimate_nbytes
 
@@ -154,17 +153,10 @@ def run_shuffle_map_task(env: "SparkEnv", executor: "Executor",
     """Compute one map-side partition and write its shuffle buckets."""
     ctx = TaskContext(env, executor)
     records = ctx.iterator(dep.parent, partition)
-    if dep.combiner is not None and fusion_enabled():
-        # combining shuffle write: map-side combine folded into the
-        # partitioning pass (charge-identical to prepare-then-write)
-        ShuffleWriter(env).write(
-            ctx.proc, executor, dep.shuffle_id, partition, dep.partitioner,
-            records, combiner=dep.combiner, vector=dep.vector)
-        return ctx
-    if dep.prepare is not None:
-        records = dep.prepare(records, ctx)
+    # a combining dependency's map-side combine happens inside the write
     ShuffleWriter(env).write(
-        ctx.proc, executor, dep.shuffle_id, partition, dep.partitioner, records)
+        ctx.proc, executor, dep.shuffle_id, partition, dep.partitioner,
+        records, combiner=dep.combiner, vector=dep.vector)
     return ctx
 
 

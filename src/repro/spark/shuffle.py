@@ -21,15 +21,14 @@ fabric each transport rides comes from the cluster's machine
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Iterable
 
 import numpy as np
 
 from repro.errors import SparkError
 from repro.mpi.datatypes import nbytes_of
-from repro.sim.blocks import (PairBlock, as_pair_block, blocks_enabled,
-                              partition_pairs, sum_by_key)
+from repro.sim.blocks import (PairBlock, as_pair_block, partition_pairs,
+                              sum_by_key)
 from repro.sim.process import SimProcess
 from repro.spark.partitioner import HashPartitioner
 
@@ -171,10 +170,9 @@ class ShuffleWriter:
 
         Single pass over preallocated buckets.  When ``combiner`` is given
         (``(create, merge_value)`` of a map-side-combining aggregator), the
-        combine happens *during* partitioning — per-bucket dicts replace
-        the separate pre-combined list the two-pass path materialises.
-        Charges are identical either way: the combine pass's per-record
-        charge (input length) followed by the write's (output length).
+        combine happens *during* partitioning.  It is charged as the two
+        passes Spark runs: the combine's per-record charge (input length)
+        followed by the write's (output length).
 
         ``vector="sum"`` (the consuming RDD's declaration) enables the
         columnar combine + partition kernels on numeric pair partitions;
@@ -209,9 +207,7 @@ class ShuffleWriter:
             int_hash = type(partitioner) is HashPartitioner
             cache = hit = None
             if int_hash:
-                cache = getattr(self.env, "shuffle_write_cache", None)
-                if cache is None:
-                    cache = self.env.shuffle_write_cache = OrderedDict()
+                cache = self.env.shuffle_write_cache
                 key = (id(records), nparts)  # reprolint: disable=id-key
                 hit = cache.get(key)
                 if hit is not None and hit[0] is not records:
@@ -255,7 +251,7 @@ class ShuffleWriter:
         else:
             int_hash = type(partitioner) is HashPartitioner
             pair_block = None
-            if vector == "sum" and int_hash and blocks_enabled():
+            if vector == "sum" and int_hash:
                 pair_block = as_pair_block(records)
             if pair_block is not None:
                 # Columnar combining write: group-sum in first-occurrence
@@ -278,8 +274,7 @@ class ShuffleWriter:
                     ) from exc
                 # Partition the combined output (one hash per distinct key,
                 # not per input record); per-bucket order is the dict's
-                # first-occurrence order, identical to partitioning the
-                # two-pass path's materialised combined list.
+                # first-occurrence order.
                 bucket_lists = [[] for _ in range(nparts)]
                 for kv in combined.items():
                     k = kv[0]
@@ -354,9 +349,7 @@ class ShuffleReader:
         # *same* list object lets per-partition consumers key their own
         # memos on list identity; like cached partitions, reduce inputs
         # are read-only by convention.
-        cache = getattr(self.env, "shuffle_read_cache", None)
-        if cache is None:
-            cache = self.env.shuffle_read_cache = OrderedDict()
+        cache = self.env.shuffle_read_cache
         # Safe id-keying: ``parts`` (the referents) are stored in the hit
         # alongside the key and re-checked with ``is`` before use.
         key = tuple(map(id, parts))  # reprolint: disable=id-key

@@ -199,6 +199,14 @@ class TestPageRank:
         np.testing.assert_allclose(ranks, self.expected(), rtol=1e-9)
         assert t > 0
 
+    def test_mpi_single_rank_matches_reference(self):
+        # one rank exchanges with nobody: the dense-bincount branch, which
+        # the multi-rank runs (sparse per-destination blocks) never take
+        t, ranks = mpi_pagerank(comet(1), self.EDGES, self.N, 1, 1,
+                                iterations=5)
+        np.testing.assert_allclose(ranks, self.expected(), rtol=1e-9)
+        assert t > 0
+
     def test_mpi_accepts_edge_arrays(self):
         from repro.workloads.graphs import edge_arrays
 

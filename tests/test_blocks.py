@@ -6,15 +6,17 @@ Two halves:
   scalar semantics it replays (record splitting, dict-merge group-sum,
   hash partitioning, sparse contribution adds) — including the ``-0.0``
   and NaN bit-preservation corners the charge-replay rule depends on;
-* differential tests running miniature Fig 4 / Fig 6 / Fig 7 workloads under
-  ``REPRO_SPARK_SCALAR=1`` vs the block kernels (and ``REPRO_SPARK_NOFUSE``
-  vs fused) and asserting byte-identical result fingerprints plus
-  identical trace-event streams.
+* differential tests running miniature Fig 4 / Fig 6 / Fig 7 workloads on
+  the scalar kernels vs the block kernels and asserting byte-identical
+  result fingerprints plus identical trace-event streams.  The scalar
+  kernels are reached the way production reaches them — by input the
+  block kernels cannot take (:func:`ineligible_inputs`).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,7 +32,6 @@ from repro.sim.blocks import (
     PairBlock,
     RecordBlock,
     as_pair_block,
-    blocks_enabled,
     hash_join,
     join_prepare,
     pair_columns,
@@ -47,8 +48,25 @@ from repro.workloads.stackexchange import StackExchangeSpec
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def ineligible_inputs():
+    """Make every record list ineligible for the Spark block kernels.
+
+    ``pair_columns`` is the one list→columns converter: with it answering
+    ``None`` no ``PairBlock`` / ``JoinedBlock`` is ever built, so the
+    combining write, the reduce-side merge, the cogroup and every declared
+    twin run their scalar loops — exactly as they do in production for
+    records that are not exact ``(int, float)`` pairs.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for module in ("repro.sim.blocks", "repro.spark.rdd"):
+            patch.setattr(f"{module}.pair_columns", lambda records: None)
+        assert as_pair_block([(1, 2.0)]) is None
+        yield
+
+
 def scalar_lines(buf: bytes) -> list[bytes]:
-    """The scalar reader's record list for a split buffer."""
+    """The reference record list for a split buffer."""
     lines = buf.split(b"\n")
     if lines and lines[-1] == b"":
         lines.pop()
@@ -290,8 +308,7 @@ class TestHashJoin:
         assert isinstance(block.joined, JoinedBlock)
         assert list(block.joined) == [(1, (10, 0.5)), (1, (11, 0.5))]
 
-    def test_rdd_join_family_is_unchanged_by_the_block_path(self,
-                                                            monkeypatch):
+    def test_rdd_join_family_is_unchanged_by_the_block_path(self):
         """End to end through the RDD API: an eligible join, its undeclared
         consumers (plain cogroup, outer join, a lambda after the join) and
         an ineligible one agree with the scalar plane."""
@@ -317,9 +334,8 @@ class TestHashJoin:
             res = sc.run(app)
             return res.app_elapsed, res.value
 
-        monkeypatch.setenv("REPRO_SPARK_SCALAR", "1")
-        scalar = run()
-        monkeypatch.delenv("REPRO_SPARK_SCALAR")
+        with ineligible_inputs():
+            scalar = run()
         assert run() == scalar
 
 
@@ -380,7 +396,7 @@ class TestContribBlock:
 
 
 # ---------------------------------------------------------------------------
-# differentials: scalar vs blocks, nofuse vs fused
+# differentials: scalar kernels vs block kernels
 # ---------------------------------------------------------------------------
 
 #: miniature figure runs, big enough to exercise every vectorized layer
@@ -404,20 +420,10 @@ MINI = {
 
 class TestDifferentialFingerprints:
     @pytest.mark.parametrize("fig", sorted(MINI))
-    def test_scalar_and_blocks_fingerprints_match(self, fig, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARK_SCALAR", "1")
-        assert not blocks_enabled()
-        scalar_fp = fingerprint_result(MINI[fig]())
-        monkeypatch.delenv("REPRO_SPARK_SCALAR")
-        assert blocks_enabled()
+    def test_scalar_and_blocks_fingerprints_match(self, fig):
+        with ineligible_inputs():
+            scalar_fp = fingerprint_result(MINI[fig]())
         assert fingerprint_result(MINI[fig]()) == scalar_fp
-
-    @pytest.mark.parametrize("fig", sorted(MINI))
-    def test_nofuse_and_fused_fingerprints_match(self, fig, monkeypatch):
-        monkeypatch.setenv("REPRO_SPARK_NOFUSE", "1")
-        nofuse_fp = fingerprint_result(MINI[fig]())
-        monkeypatch.delenv("REPRO_SPARK_NOFUSE")
-        assert fingerprint_result(MINI[fig]()) == nofuse_fp
 
 
 def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench") -> list:
@@ -458,11 +464,9 @@ class TestDifferentialTraces:
     @pytest.mark.parametrize("traced", [_traced_pagerank,
                                         _traced_hibench,
                                         _traced_answers_count])
-    def test_event_streams_identical_scalar_vs_blocks(self, traced,
-                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_SPARK_SCALAR", "1")
-        scalar = traced()
-        monkeypatch.delenv("REPRO_SPARK_SCALAR")
+    def test_event_streams_identical_scalar_vs_blocks(self, traced):
+        with ineligible_inputs():
+            scalar = traced()
         blocks = traced()
         assert len(blocks) == len(scalar)
         # same events at the same (bit-exact) virtual times, same owners

@@ -440,9 +440,12 @@ class TestResultPlane:
             CachePlan("/s", "c0de", True), unit) == base  # refresh ≠ key
         assert unit_cache_key(CachePlan("/s", "beef", False), unit) != base
         assert unit_cache_key(
-            CachePlan("/s", "c0de", False, ("scalar",)), unit) != base
-        assert unit_cache_key(
             plan, Unit("fig4", 0, 1, {"proc_counts": (16,)})) != base
+        # a machine variant keys apart; naming the default does not
+        assert unit_cache_key(plan, Unit("fig4", 0, 1, {
+            "proc_counts": (8,), "machine": "commodity-eth"})) != base
+        assert unit_cache_key(plan, Unit("fig4", 0, 1, {
+            "proc_counts": (8,), "machine": "comet"})) == base
         assert unit_cache_key(
             plan, Unit("fig4", 0, 1, {"fn": print})) is None
 

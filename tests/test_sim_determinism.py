@@ -18,10 +18,11 @@ from repro.cluster.spec import TESTING
 from repro.fs import HDFS, LineContent
 from repro.mapreduce import JobConf, run_job
 from repro.mpi import mpi_run
-from repro.sim import Engine, Mailbox, current_process
+from repro.sim import Engine, Mailbox, SimBarrier, current_process
 from repro.sim.resources import FlowSystem, FluidResource
 from repro.sim.trace import Trace
 from repro.spark import SparkContext
+from tests.sim_oracle import ReferenceEngine
 
 
 def random_program(engine, fs, resources, boxes, actions):
@@ -143,18 +144,76 @@ def _trace_digest(trace: Trace) -> str:
     return h.hexdigest()
 
 
-@pytest.fixture(params=["fast", "slowpath", "nofuse"])
-def sched_path(request, monkeypatch):
-    """Run the test under every engine configuration: the fast path (token
-    retention + direct handoff), the ``REPRO_SIM_SLOWPATH=1`` reference
-    engine, and the ``REPRO_SPARK_NOFUSE=1`` op-by-op Spark data plane
-    (fusion and the combining shuffle disabled)."""
-    monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-    monkeypatch.delenv("REPRO_SPARK_NOFUSE", raising=False)
-    if request.param == "slowpath":
-        monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-    elif request.param == "nofuse":
-        monkeypatch.setenv("REPRO_SPARK_NOFUSE", "1")
+def _run_program(engine_cls, n_procs, steps):
+    """Run a generated program; ``(trace digest, final clocks, makespan)``.
+
+    ``steps`` is one global script of ``(kind, a, b, amount)``.  A
+    compute / checkpoint / sleep step belongs to process ``a``; a ``msg``
+    step makes ``a`` post and ``b`` ``recv``; a ``barrier`` step is
+    entered by everybody.  Each process
+    executes its own steps in script order, so the earliest unfinished
+    step can always complete and no generated program deadlocks.  Every
+    process logs an event after each of its steps: the order of events in
+    the shared trace *is* the interleaving the scheduler chose.
+    """
+    tr = Trace(enabled=True)
+    eng = engine_cls(trace=tr)
+    boxes = [Mailbox(f"b{i}") for i in range(n_procs)]
+    barrier = SimBarrier(n_procs)
+
+    def body(me):
+        p = current_process()
+        for i, (kind, a, b, amount) in enumerate(steps):
+            a, b = a % n_procs, b % n_procs
+            if kind == "barrier":
+                barrier.wait(p, extra_cost=amount / 1000)
+            elif kind == "msg":
+                if me == a:
+                    boxes[b].post(p, i, arrival=p.clock + amount / 1000)
+                if me == b:
+                    # later steps' messages may already be queued
+                    boxes[b].recv(p, lambda m, i=i: m.payload == i)
+                if me not in (a, b):
+                    continue
+            elif me != a:
+                continue
+            elif kind == "compute":
+                p.compute(amount / 1000)
+            elif kind == "checkpoint":
+                p.checkpoint()
+            else:
+                p.sleep(amount / 1000)
+            tr.record(p.clock, p.name, f"step.{kind}", step=i, now=eng.now)
+
+    procs = [eng.spawn(body, i, name=f"p{i}") for i in range(n_procs)]
+    makespan = eng.run()
+    return _trace_digest(tr), [p.clock for p in procs], makespan
+
+
+@given(
+    n_procs=st.integers(2, 6),
+    steps=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["compute", "checkpoint", "sleep", "msg", "barrier"]),
+            st.integers(0, 5), st.integers(0, 5), st.integers(0, 20)),
+        max_size=30),
+)
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_reference_scheduler_on_generated_programs(
+        n_procs, steps):
+    assert (_run_program(Engine, n_procs, steps)
+            == _run_program(ReferenceEngine, n_procs, steps))
+
+
+@pytest.fixture(params=["fast", "reference"])
+def scheduler(request, monkeypatch):
+    """Run the test on the production engine (heap, token retention,
+    direct handoff) and on the reference scheduler of
+    ``tests/sim_oracle.py``, swapped in where a cluster builds its
+    engine."""
+    if request.param == "reference":
+        monkeypatch.setattr("repro.cluster.cluster.Engine", ReferenceEngine)
     return request.param
 
 
@@ -162,10 +221,10 @@ class TestGoldenCrossPath:
     """Golden workloads pinned to exact virtual-time outputs.
 
     The hex-float makespans and trace digests below were captured from the
-    reference scheduler *before* the fast path existed.  Each workload must
-    reproduce them byte-for-byte on the fast path and on the slow path —
-    any scheduling-order divergence (a wrong heap pop, an unsafe token
-    retention) changes the digest.
+    reference scheduler *before* the production engine's switch-free
+    paths existed.  Each workload must reproduce them byte-for-byte on
+    both — any scheduling-order divergence (a wrong heap pop, an unsafe
+    token retention) changes the digest.
     """
 
     def _run_mpi(self):
@@ -184,7 +243,7 @@ class TestGoldenCrossPath:
         return (cl.engine.makespan().hex(), res.returns, len(tr.events),
                 _trace_digest(tr))
 
-    def test_mpi_collective_golden(self, sched_path):
+    def test_mpi_collective_golden(self, scheduler):
         got = self._run_mpi()
         assert got == self._run_mpi()  # run-to-run identical
         makespan, returns, n_events, digest = got
@@ -207,7 +266,7 @@ class TestGoldenCrossPath:
         return (cl.engine.makespan().hex(), res.value, len(tr.events),
                 _trace_digest(tr))
 
-    def test_spark_shuffle_golden(self, sched_path):
+    def test_spark_shuffle_golden(self, scheduler):
         got = self._run_spark()
         assert got == self._run_spark()
         makespan, value, n_events, digest = got
@@ -235,7 +294,7 @@ class TestGoldenCrossPath:
         return (cl.engine.makespan().hex(), sorted(res.output),
                 len(tr.events), _trace_digest(tr))
 
-    def test_mapreduce_dynamic_spawn_golden(self, sched_path):
+    def test_mapreduce_dynamic_spawn_golden(self, scheduler):
         # run_job spawns task attempts dynamically, exercising _push on a
         # process created while the engine is already running
         got = self._run_mapreduce()
@@ -250,13 +309,14 @@ class TestGoldenCrossPath:
 
 
 class TestFusionDifferential:
-    """Fused data plane vs the ``REPRO_SPARK_NOFUSE=1`` op-by-op reference.
+    """Spark app workloads pinned to the op-by-op data plane's outputs.
 
-    The knob disables both narrow-stage fusion and the combining shuffle
-    write, so each fused app workload runs with one ``compute`` call per
-    materialised stage again.  Results, hex-float makespans and trace
-    digests must be byte-identical either way — fusion is a wall-clock
-    optimisation, never a simulation change.
+    The values below were captured from the evaluation that ran one
+    ``compute`` call per narrow level and a separate map-side combine
+    pass before the shuffle write, while the repo also carried a fused
+    pipeline and a combining writer to compare against it.  Results,
+    hex-float makespans and trace digests must stay byte-identical —
+    how a stage is evaluated on the host is never a simulation change.
     """
 
     def _run(self, build):
@@ -302,12 +362,27 @@ class TestFusionDifferential:
         return spark_pagerank_hibench(
             cl, "hdfs://edges.txt", 200, 4, iterations=3, collect_ranks=True)
 
-    @pytest.mark.parametrize("workload", [
-        "answers_count", "pagerank_bigdatabench", "pagerank_hibench"])
-    def test_fused_matches_nofuse(self, workload, monkeypatch):
-        build = getattr(self, f"_{workload}")
-        monkeypatch.delenv("REPRO_SPARK_NOFUSE", raising=False)
-        fused = self._run(build)
-        monkeypatch.setenv("REPRO_SPARK_NOFUSE", "1")
-        nofuse = self._run(build)
-        assert fused == nofuse
+    FROZEN = {
+        "answers_count": (
+            "0x1.06d50ae2504e8p+2", "0x1.b542b89413a00p-4", 7,
+            "6ca1db4cad637bbc5cd0fb99f3f0ad8db88631efe75e078db71ff5e39780bf14",
+            "fbd04e1aae9ce0b11a8946e2c9ac2619f7428a64d32d01eff61d809dcb70ee8e"),
+        "pagerank_bigdatabench": (
+            "0x1.11c8c2ff5f61fp+2", "0x1.1c8c2ff5f61f0p-2", 86,
+            "97f34347d69970ce02c3bae674ca4a8e1d71747885996269f8cd752e8792f8e6",
+            "ac440e03ae3918bc9e0a31a3fd8edffecd84dff47b57ac7962e69c0cb649e2f5"),
+        "pagerank_hibench": (
+            "0x1.232f1d367f1e0p+2", "0x1.1978e9b3f8f00p-1", 159,
+            "94288a6e2a089ec0eef9dda9e8bd1da78a67668ebb9e994d1c9b55fec30ec8c4",
+            "ac440e03ae3918bc9e0a31a3fd8edffecd84dff47b57ac7962e69c0cb649e2f5"),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(FROZEN))
+    def test_fused_matches_nofuse(self, workload):
+        makespan, app_time, value, n_events, digest = self._run(
+            getattr(self, f"_{workload}"))
+        # repr round-trips floats exactly, so this pins the value's bits
+        # (and a dict's insertion order)
+        value_digest = hashlib.sha256(repr(value).encode()).hexdigest()
+        assert (makespan, app_time, n_events, digest,
+                value_digest) == self.FROZEN[workload]

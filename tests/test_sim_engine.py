@@ -7,6 +7,7 @@ import pytest
 from repro.errors import DeadlockError, SimProcessError, SimulationError
 from repro.sim import Engine, Future, Mailbox, SimBarrier, current_process
 from repro.sim.process import ProcState
+from tests.sim_oracle import ReferenceEngine
 
 
 def test_single_process_computes_and_returns():
@@ -111,11 +112,17 @@ def test_failure_aborts_other_processes():
     assert s.exception is None  # not an error of its own
 
 
-@pytest.mark.parametrize("slowpath", [False, True], ids=["fast", "reference"])
+#: the production engine and the test-side reference scheduler: programs
+#: that *fail* must fail the same way on both, or the oracle is no oracle
+BOTH_SCHEDULERS = pytest.mark.parametrize(
+    "engine_cls", [Engine, ReferenceEngine], ids=["fast", "reference"])
+
+
+@BOTH_SCHEDULERS
 @pytest.mark.parametrize("boom_at", [0.0, 1.0],
                          ids=["never-granted", "after-park"])
-def test_abort_unwinds_ungranted_and_parked_threads(slowpath, boom_at):
-    """The hand-off lock under abort, on both run loops.
+def test_abort_unwinds_ungranted_and_parked_threads(engine_cls, boom_at):
+    """The hand-off lock under abort.
 
     ``never-granted``: the failing process is pid 0 and fails at t=0, so
     the others' threads were started but never ran — the abort's release
@@ -123,7 +130,7 @@ def test_abort_unwinds_ungranted_and_parked_threads(slowpath, boom_at):
     ``after-park``: they ran, parked (one timed, one blocked), and are
     killed where they wait.  Either way every thread must exit.
     """
-    eng = Engine(slowpath=slowpath)
+    eng = engine_cls()
     box = Mailbox("never")
 
     def boom():
@@ -410,22 +417,12 @@ class TestBarrier:
         assert leave == [pytest.approx(0.25)] * 2
 
 
+@BOTH_SCHEDULERS
 class TestDeadlockDiagnosis:
-    """The no-runnable-process branch: reasons, sites, wait-for cycles.
+    """The no-runnable-process branch: reasons, sites, wait-for cycles."""
 
-    Parametrized over both scheduler loops — the fast path and the
-    ``REPRO_SIM_SLOWPATH=1`` reference loop share the diagnosis code but
-    reach it from different control flow.
-    """
-
-    @pytest.fixture(params=["fast", "slowpath"], autouse=True)
-    def scheduler(self, request, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
-        if request.param == "slowpath":
-            monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
-
-    def test_clean_termination_is_not_a_deadlock(self):
-        eng = Engine()
+    def test_clean_termination_is_not_a_deadlock(self, engine_cls):
+        eng = engine_cls()
 
         def work():
             current_process().compute(1.0)
@@ -433,8 +430,8 @@ class TestDeadlockDiagnosis:
         eng.spawn(work, name="w")
         assert eng.run() == pytest.approx(1.0)
 
-    def test_block_reason_carries_primitive_time_and_site(self):
-        eng = Engine()
+    def test_block_reason_carries_primitive_time_and_site(self, engine_cls):
+        eng = engine_cls()
         box = Mailbox("never")
 
         def stuck():
@@ -451,8 +448,8 @@ class TestDeadlockDiagnosis:
         assert "since t=2.5" in msg
         assert "test_sim_engine.py" in msg  # blames the recv call site
 
-    def test_wait_for_cycle_names_ranks_and_primitives(self):
-        eng = Engine()
+    def test_wait_for_cycle_names_ranks_and_primitives(self, engine_cls):
+        eng = engine_cls()
         box_a, box_b = Mailbox("a"), Mailbox("b")
         procs = {}
 
@@ -472,8 +469,8 @@ class TestDeadlockDiagnosis:
         assert "wait-for cycle: left [recv:a] -> right [recv:b] -> left" \
             in msg
 
-    def test_without_waker_metadata_no_cycle_is_claimed(self):
-        eng = Engine()
+    def test_without_waker_metadata_no_cycle_is_claimed(self, engine_cls):
+        eng = engine_cls()
         box = Mailbox("never")
 
         def stuck():
@@ -485,8 +482,8 @@ class TestDeadlockDiagnosis:
             eng.run()
         assert "wait-for cycle" not in str(ei.value)
 
-    def test_broken_waker_callback_does_not_mask_the_deadlock(self):
-        eng = Engine()
+    def test_broken_waker_callback_does_not_mask_the_deadlock(self, engine_cls):
+        eng = engine_cls()
 
         def stuck():
             current_process().block(reason="custom-wait",
@@ -499,11 +496,11 @@ class TestDeadlockDiagnosis:
         assert "custom-wait" in msg
         assert "wait-for cycle" not in msg
 
-    def test_deadlock_error_from_process_surfaces_unwrapped(self):
+    def test_deadlock_error_from_process_surfaces_unwrapped(self, engine_cls):
         # a protocol-level detector (the MPI send/send diagnostic) raises
         # DeadlockError inside the process; the engine must not wrap it in
         # SimProcessError, which would bury the diagnosis one level down
-        eng = Engine()
+        eng = engine_cls()
         boom = DeadlockError("protocol detector diagnosis")
 
         def raiser():

@@ -7,7 +7,7 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.spec import TESTING, ClusterSpec, NodeSpec
 from repro.errors import JobAbortedError, SimProcessError
-from repro.fs import HDFS, LineContent
+from repro.fs import HDFS, BytesContent, LineContent, LocalFS
 from repro.spark import SparkContext, StorageLevel
 from repro.units import MiB
 
@@ -182,6 +182,26 @@ class TestLocality:
     def test_replication_equal_to_nodes_fixes_locality(self):
         """...and the paper's fix: replication == node count."""
         assert self._remote_bytes(executor_nodes=[0, 1], replication=4) == 0
+
+
+class TestEmptyInput:
+    """A zero-byte file is one empty partition, not a crash."""
+
+    @pytest.mark.parametrize("scheme", ["hdfs", "local"])
+    @pytest.mark.parametrize("min_partitions", [None, 4])
+    def test_empty_text_file_collects_nothing(self, scheme, min_partitions):
+        cl = Cluster(TESTING.with_nodes(2))
+        if scheme == "hdfs":
+            HDFS(cl).create("empty.txt", BytesContent(b""))
+        else:
+            LocalFS(cl).create_replicated("empty.txt", BytesContent(b""))
+        sc = SparkContext(cl, executors_per_node=2, app_startup=0.1)
+
+        def app(sc):
+            rdd = sc.text_file(f"{scheme}://empty.txt", min_partitions)
+            return rdd.num_partitions, rdd.collect(), rdd.count()
+
+        assert sc.run(app).value == (1, [], 0)
 
 
 class TestShuffleTransport:

@@ -1,19 +1,18 @@
 #!/usr/bin/env python
-"""Wall-clock benchmark for the simulator's scheduler fast path.
+"""Wall-clock benchmark for the simulator.
 
 Times the paper reproductions that dominate the benchmark suite — Fig 3
 (reduce microbenchmark), Table II (parallel file read) and a miniature
 Fig 4 (AnswersCount) — and writes ``benchmarks/results/BENCH_sim.json``
-with the measured wall times, speedups over the recorded pre-fast-path
-seed, and a fingerprint of the virtual-time outputs.
+with the measured wall times, speedups over the recorded seed, and a
+fingerprint of the virtual-time outputs.
 
 The fingerprint hashes the exact float bits of every data point, so two
-runs (e.g. fast path vs ``--slowpath``) produced identical simulations iff
+runs (e.g. two commits, or two hosts) produced identical simulations iff
 their fingerprints match::
 
     PYTHONPATH=src python tools/bench_wallclock.py
-    PYTHONPATH=src python tools/bench_wallclock.py --slowpath   # reference engine
-    PYTHONPATH=src python tools/bench_wallclock.py --scalar     # no block kernels
+    PYTHONPATH=src python tools/bench_wallclock.py --only fig3 --repeat 3
     PYTHONPATH=src python tools/bench_wallclock.py \
         --workloads fig4_mini --compare --max-regression 2.0    # CI bench smoke
 
@@ -39,9 +38,9 @@ from repro.core import figures  # noqa: E402
 from repro.platform import fingerprint_result as fingerprint  # noqa: E402
 
 #: wall seconds on the seed engine (see module docstring).  fig3/table2/
-#: fig4_mini were measured before the scheduler fast path (PR 1);
-#: fig4/fig6/fig7 before the data-plane batching work (fused narrow
-#: stages, combining shuffle, chunked content) on the same container.
+#: fig4_mini were measured before the heap scheduler with token retention
+#: (PR 1); fig4/fig6/fig7 before the data-plane batching work (combining
+#: shuffle, chunked content) on the same container.
 SEED_WALL = {
     "fig3": 19.7,
     "table2": 16.9,
@@ -56,9 +55,10 @@ SEED_WALL = {
     # cache existed every rerun paid this full cost, so the fig4_mini seed
     # applies to the cold leg
     "cold_vs_warm": 0.75,
-    # full sched-trace experiment (3 seeds x 120 jobs) on the reference
-    # engine (--slowpath), cold runtime memo — the scheduler itself is
-    # pure Python; the wall cost is the memoized app-adapter measurements
+    # full sched-trace experiment (3 seeds x 120 jobs) on the O(n)-scan,
+    # engine-mediated scheduler the repo started from, cold runtime memo —
+    # the batch scheduler itself is pure Python; the wall cost is the
+    # memoized app-adapter measurements
     "sched_trace": 4.62,
 }
 
@@ -250,14 +250,6 @@ def main(argv: list[str] | None = None) -> int:
 
     ap.add_argument("--repeat", type=positive_int, default=1,
                     help="repetitions per workload; best wall time is kept")
-    ap.add_argument("--slowpath", action="store_true",
-                    help="force the reference scheduler (REPRO_SIM_SLOWPATH=1)")
-    ap.add_argument("--nofuse", action="store_true",
-                    help="disable Spark narrow-stage fusion and the "
-                         "combining shuffle (REPRO_SPARK_NOFUSE=1)")
-    ap.add_argument("--scalar", action="store_true",
-                    help="disable the columnar record-block kernels "
-                         "(REPRO_SPARK_SCALAR=1)")
     ap.add_argument("--machine", default="comet", metavar="NAME",
                     help="simulated machine model to benchmark on (default: "
                          "comet; non-default machines produce different "
@@ -286,12 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         ap.error(str(exc))
 
-    if args.slowpath:
-        os.environ["REPRO_SIM_SLOWPATH"] = "1"
-    if args.nofuse:
-        os.environ["REPRO_SPARK_NOFUSE"] = "1"
-    if args.scalar:
-        os.environ["REPRO_SPARK_SCALAR"] = "1"
     names = list(args.only or sorted(WORKLOADS))
     if args.workloads:
         wanted = [w.strip() for w in args.workloads.split(",") if w.strip()]
@@ -309,16 +295,12 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"--compare baseline {args.baseline} not found")
 
     out = {
-        "scheduler": "slowpath" if args.slowpath else "fast",
-        "data_plane": "nofuse" if args.nofuse else "fused",
-        "record_blocks": "scalar" if args.scalar else "blocks",
         "python": sys.version.split()[0],
         "machine": args.machine,
         "host": host_metadata(args.machine),
         "workloads": {},
     }
-    print(f"scheduler: {out['scheduler']}  data plane: {out['data_plane']}"
-          f"  record blocks: {out['record_blocks']}  (repeat={args.repeat})")
+    print(f"repeat={args.repeat}")
     host = out["host"]
     print(f"host: {host['cpu_model'] or 'unknown CPU'}, "
           f"{host['cores']} cores, "
