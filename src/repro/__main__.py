@@ -74,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(bit-identical results, nothing read or written)")
     p_run.add_argument("--refresh", action="store_true",
                        help="re-execute every unit, overwriting cached "
-                            "results (datasets are still served from the "
-                            "cache)")
+                            "results")
 
     p_list = sub.add_parser("list", help="list registered experiments")
     p_list.add_argument("--json", action="store_true",
@@ -170,8 +169,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(suite.manifest(), indent=1))
     else:
-        for exp_id in ids:
-            print(suite.results[exp_id].render())
+        for result in suite.results.values():
+            print(result.render())
             print()
         if suite.cache is not None:
             print(f"cache: {suite.cache['hits']} hit(s), "

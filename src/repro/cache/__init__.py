@@ -1,27 +1,21 @@
 """Content-addressed artifact cache (see ``docs/caching.md``).
 
-Two planes over one on-disk store (default ``.repro-cache/``):
-
-* the **dataset plane** publishes generated workload payloads keyed by
-  (generator name, spec, format version) and re-opens them read-only via
-  ``mmap``, so sharded runs share one physical copy across worker
-  processes instead of N regenerations;
-* the **result plane** stores each driver Unit's result keyed by
-  (experiment id, resolved params, code version), letting ``repro run``
-  skip unchanged units and replay their results byte-identically.
+One plane over one on-disk store (default ``.repro-cache/``): each driver
+Unit's result is stored keyed by (experiment id, resolved params, machine
+spec, code version), letting ``repro run`` skip unchanged units and replay
+their results byte-identically.
 
 Caching is strictly an *execution* optimisation: cold, warm and
 ``--no-cache`` runs produce byte-identical golden fingerprints, and every
 entry is checksum-verified on open — corrupted or version-mismatched
-entries are dropped and regenerated, never served.
+entries are dropped and re-executed, never served.  The package holds no
+process-wide state: a run opens ``ArtifactStore(root)`` where it needs it.
 """
 
-from repro.cache.datasets import dataset_stats, keyed_content, resolve_content
 from repro.cache.keys import (FORMAT_VERSION, UncacheableError, cache_key,
                               code_version, encode_value)
 from repro.cache.results import decode_result, encode_result, try_encode_result
-from repro.cache.store import (ArtifactStore, active_store, configure,
-                               default_root, env_root, register_invalidation,
+from repro.cache.store import (ArtifactStore, default_root, env_root,
                                resolve_root, store_info)
 
 __all__ = [
@@ -31,16 +25,10 @@ __all__ = [
     "cache_key",
     "code_version",
     "ArtifactStore",
-    "configure",
-    "active_store",
     "default_root",
     "env_root",
     "resolve_root",
-    "register_invalidation",
     "store_info",
-    "keyed_content",
-    "resolve_content",
-    "dataset_stats",
     "encode_result",
     "try_encode_result",
     "decode_result",

@@ -1,8 +1,8 @@
 """Cache key derivation: canonical value encoding + the code-version digest.
 
 Every artifact-cache key is the SHA-256 of a *canonical encoding* of the
-inputs that determine the artifact: generator name + spec for datasets,
-experiment id + resolved parameters + code version for unit results.  The
+inputs that determine the artifact: experiment id + resolved parameters +
+machine spec + code version for a unit result.  The
 encoding must satisfy two properties the plain ``repr`` does not guarantee:
 
 * **stable across processes** — no memory addresses, no hash-seed

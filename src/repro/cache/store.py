@@ -1,10 +1,8 @@
-"""The on-disk artifact store: two planes, atomic publish, verify-on-open.
+"""The on-disk artifact store: one plane, atomic publish, verify-on-open.
 
 Layout (default ``.repro-cache/``, see :func:`default_root`)::
 
     .repro-cache/
-      datasets/<key>.bin    # generated payload bytes (opened via mmap)
-      datasets/<key>.json   # {"format", "sha256", "size", "meta"}
       results/<key>.json    # {"format", "sha256", "meta", "payload"}
 
 Publishing is atomic: entries are written to a ``*.tmp-<pid>`` sibling and
@@ -13,10 +11,13 @@ file (ignored by readers and by entry counts) and concurrent writers of
 the same key converge on identical content — keys are derived from the
 inputs, so two racing publishers write the same bytes.
 
-Nothing read from the store is ever trusted: :meth:`ArtifactStore.open_dataset`
-and :meth:`ArtifactStore.load_result` re-hash the payload against the
-recorded SHA-256 and treat any mismatch — or a format-version mismatch —
-as a miss, dropping the entry so the caller regenerates it.
+Nothing read from the store is ever trusted:
+:meth:`ArtifactStore.load_result` re-hashes the payload against the
+recorded SHA-256 and treats any mismatch — or a format-version mismatch —
+as a miss, dropping the entry so the caller re-executes the unit.
+
+There is no process-wide store: whoever needs one constructs
+``ArtifactStore(root)`` (construction is free) and passes it along.
 
 This module is the registered home of the cache environment hatches
 (``repro.analysis.lint`` R006): ``REPRO_CACHE_DIR`` relocates the default
@@ -28,28 +29,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.cache.keys import FORMAT_VERSION
-from repro.fs.content import MappedContent
 
 __all__ = [
-    "PLANES",
     "ArtifactStore",
     "default_root",
     "env_root",
     "resolve_root",
-    "configure",
-    "active_store",
     "store_info",
-    "register_invalidation",
 ]
-
-#: the two planes of the store
-PLANES = ("datasets", "results")
 
 
 def _canonical(payload: dict) -> bytes:
@@ -71,13 +63,8 @@ class ArtifactStore:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArtifactStore({str(self.root)!r})"
 
-    # -- shared plumbing ---------------------------------------------------
-
-    def _entry(self, plane: str, key: str) -> Path:
-        return self.root / plane / f"{key}.json"
-
-    def _payload(self, key: str) -> Path:
-        return self.root / "datasets" / f"{key}.bin"
+    def _entry(self, key: str) -> Path:
+        return self.root / "results" / f"{key}.json"
 
     def _atomic_write(self, path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -85,7 +72,7 @@ class ArtifactStore:
         tmp.write_bytes(data)
         os.replace(tmp, path)
 
-    def _load_sidecar(self, path: Path) -> dict | None:
+    def _load_entry(self, path: Path) -> dict | None:
         try:
             raw = path.read_text()
         except OSError:
@@ -96,91 +83,21 @@ class ArtifactStore:
             return {}  # unparseable = corrupt; caller drops it
         return entry if isinstance(entry, dict) else {}
 
-    def drop(self, plane: str, key: str) -> None:
-        """Remove one entry (both files for datasets); missing is fine."""
-        paths = [self._entry(plane, key)]
-        if plane == "datasets":
-            paths.append(self._payload(key))
-        for path in paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass  # reprolint: disable=swallowed-error
-
-    def entry_count(self, plane: str) -> int:
-        """Committed entries in a plane (tmp leftovers excluded)."""
-        plane_dir = self.root / plane
+    def drop(self, key: str) -> None:
+        """Remove one entry; missing is fine."""
         try:
-            names = sorted(os.listdir(plane_dir))
+            self._entry(key).unlink()
+        except OSError:
+            pass  # reprolint: disable=swallowed-error
+
+    def entry_count(self) -> int:
+        """Committed entries (tmp leftovers excluded)."""
+        try:
+            names = sorted(os.listdir(self.root / "results"))
         except OSError:
             return 0
         return sum(1 for n in names
                    if n.endswith(".json") and ".tmp-" not in n)
-
-    def info(self) -> dict[str, Any]:
-        """Store path + per-plane entry counts (never raises)."""
-        return {
-            "path": str(self.root),
-            "planes": {plane: self.entry_count(plane) for plane in PLANES},
-        }
-
-    # -- dataset plane -----------------------------------------------------
-
-    def publish_dataset(self, key: str, data: bytes,
-                        meta: dict | None = None) -> None:
-        """Atomically publish a generated payload under ``key``.
-
-        The ``.bin`` payload lands before its ``.json`` sidecar; readers
-        require the sidecar, so a crash between the two leaves an
-        invisible (and harmless) payload file, never a half-entry.
-        """
-        data = bytes(data)
-        self._atomic_write(self._payload(key), data)
-        sidecar = {
-            "format": FORMAT_VERSION,
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "size": len(data),
-            "meta": meta or {},
-        }
-        self._atomic_write(self._entry("datasets", key),
-                           json.dumps(sidecar, indent=1).encode() + b"\n")
-
-    def open_dataset(self, key: str) -> MappedContent | None:
-        """Open a published payload read-only via ``mmap``, or ``None``.
-
-        The payload is re-hashed against the sidecar's SHA-256 on every
-        open; a corrupted, truncated or version-mismatched entry is
-        dropped and reported as a miss — never served.  The returned
-        :class:`~repro.fs.content.MappedContent` wraps a read-only map,
-        so N worker processes opening the same key share one set of
-        physical pages through the OS page cache.
-        """
-        sidecar = self._load_sidecar(self._entry("datasets", key))
-        if sidecar is None:
-            return None
-        if sidecar.get("format") != FORMAT_VERSION:
-            self.drop("datasets", key)
-            return None
-        try:
-            f = open(self._payload(key), "rb")
-        except OSError:
-            self.drop("datasets", key)
-            return None
-        with f:
-            size = os.fstat(f.fileno()).st_size
-            if size == 0:
-                mapped: Any = b""
-            else:
-                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-        if (sidecar.get("size") != size
-                or hashlib.sha256(mapped).hexdigest() != sidecar.get("sha256")):
-            if size:
-                mapped.close()
-            self.drop("datasets", key)
-            return None
-        return MappedContent(mapped)
-
-    # -- result plane ------------------------------------------------------
 
     def store_result(self, key: str, payload: dict,
                      meta: dict | None = None) -> None:
@@ -191,7 +108,7 @@ class ArtifactStore:
             "meta": meta or {},
             "payload": payload,
         }
-        self._atomic_write(self._entry("results", key),
+        self._atomic_write(self._entry(key),
                            json.dumps(entry, indent=1).encode() + b"\n")
 
     def load_result(self, key: str) -> dict | None:
@@ -201,7 +118,7 @@ class ArtifactStore:
         payload re-hashes to the recorded checksum under the current
         format version; anything else is dropped and missed.
         """
-        entry = self._load_sidecar(self._entry("results", key))
+        entry = self._load_entry(self._entry(key))
         if entry is None:
             return None
         payload = entry.get("payload")
@@ -209,18 +126,9 @@ class ArtifactStore:
                 or not isinstance(payload, dict)
                 or hashlib.sha256(_canonical(payload)).hexdigest()
                 != entry.get("sha256")):
-            self.drop("results", key)
+            self.drop(key)
             return None
         return entry
-
-
-# ---------------------------------------------------------------------------
-# process-wide active store
-# ---------------------------------------------------------------------------
-
-_active: ArtifactStore | None = None
-_initialized = False
-_invalidation_hooks: list[Callable[[], None]] = []
 
 
 def env_root() -> Path | None:
@@ -267,50 +175,14 @@ def resolve_root(cache: bool | str | Path | None) -> Path | None:
     return Path(cache)
 
 
-def register_invalidation(hook: Callable[[], None]) -> None:
-    """Register a callback run whenever the active store changes.
-
-    The workload generators memoise rendered content per process
-    (``lru_cache``); re-pointing the store must flush those memos so the
-    next call resolves through (or away from) the new store.
-    """
-    _invalidation_hooks.append(hook)
-
-
-def configure(root: Path | str | None) -> ArtifactStore | None:
-    """Set (or, with ``None``, clear) the process-wide active store."""
-    global _active, _initialized
-    _initialized = True
-    new = None if root is None else ArtifactStore(root)
-    if (new is None) != (_active is None) or (
-            new is not None and _active is not None
-            and new.root != _active.root):
-        for hook in _invalidation_hooks:
-            hook()
-    _active = new
-    return _active
-
-
-def active_store() -> ArtifactStore | None:
-    """The process-wide store; first use initialises from the environment."""
-    global _initialized
-    if not _initialized:
-        configure(env_root())
-    return _active
-
-
 def store_info() -> dict[str, Any]:
     """Capability block for ``repro list --json`` (never raises).
 
-    Reports the *effective* store: the active one if configured, else the
-    location a default ``repro run`` would use.  A missing or empty store
-    directory reports zero entries, not an error.
+    Reports the store a default ``repro run`` would use.  A missing or
+    empty store directory reports zero entries, not an error.
     """
-    store = active_store()
-    if store is None:
-        root = default_root()
-        if root is None:
-            return {"enabled": False, "path": None,
-                    "planes": {plane: 0 for plane in PLANES}}
-        store = ArtifactStore(root)
-    return {"enabled": True, **store.info()}
+    root = default_root()
+    if root is None:
+        return {"enabled": False, "path": None, "entries": 0}
+    return {"enabled": True, "path": str(root),
+            "entries": ArtifactStore(root).entry_count()}

@@ -124,13 +124,8 @@ def _read_scenario(nodes: int, procs_per_node: int, logical_size: int, *,
                    replication: int | None = None,
                    machine: str = "comet") -> ScenarioSpec:
     """Scenario with the read benchmark's input on local scratch and HDFS."""
-    from repro.cache import keyed_content
-
     line = "payload-%08d-" + "z" * 100
-    n_lines = physical // 115
-    content = keyed_content(
-        "read-bench", ("payload-z100", n_lines),
-        lambda: LineContent(lambda i: line % i, n_lines))
+    content = LineContent(lambda i: line % i, physical // 115)
     scale = max(1, logical_size // content.size)
     from repro.platform import HDFSSpec
 

@@ -9,8 +9,6 @@ sequential reference implementation can re-derive the expected answer.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_right
-from collections import OrderedDict
 from typing import Callable, Iterator
 
 
@@ -32,7 +30,7 @@ class ContentProvider(ABC):
 
 
 class BytesContent(ContentProvider):
-    """A literal byte string."""
+    """One contiguous ``bytes`` buffer — the only provider there is."""
 
     def __init__(self, data: bytes) -> None:
         self._data = bytes(data)
@@ -47,7 +45,7 @@ class BytesContent(ContentProvider):
         return self._data[offset : offset + length]
 
 
-class LineContent(ContentProvider):
+class LineContent(BytesContent):
     """Newline-delimited records produced by a deterministic generator.
 
     Parameters
@@ -57,145 +55,34 @@ class LineContent(ContentProvider):
         newline.  Must be deterministic.
     n_lines:
         Number of records.
-    chunk_lines:
-        Records rendered per chunk (the lazy-materialisation granularity).
-    cache_chunks:
-        Maximum rendered chunks kept in the LRU cache.
 
-    The payload is rendered in fixed-size record chunks, on demand, with an
-    LRU over rendered chunks — construction performs one measuring pass to
-    index chunk byte offsets (which also validates every record and warms
-    the cache) but retains at most ``cache_chunks`` chunks of bytes.  Reads
-    outside the cached window re-render deterministically, so random access
-    stays exact while the resident footprint is bounded.
+    Construction renders every record once into the one contiguous buffer
+    :class:`BytesContent` serves (and so validates every record); the
+    staged inputs are a few MB of physical bytes (``scale`` carries the
+    logical size), so nothing is gained by rendering lazily.
     """
 
-    def __init__(self, line_fn: Callable[[int], str], n_lines: int, *,
-                 chunk_lines: int = 1024, cache_chunks: int = 256) -> None:
+    #: records rendered per intermediate chunk — bounds the transient
+    #: ``str`` garbage of a render, not the payload
+    _RENDER_LINES = 4096
+
+    def __init__(self, line_fn: Callable[[int], str], n_lines: int) -> None:
         if n_lines < 0:
             raise ValueError(f"n_lines must be >= 0, got {n_lines}")
-        if chunk_lines < 1:
-            raise ValueError(f"chunk_lines must be >= 1, got {chunk_lines}")
-        if cache_chunks < 1:
-            raise ValueError(f"cache_chunks must be >= 1, got {cache_chunks}")
-        self._line_fn = line_fn
         self.n_lines = n_lines
-        self._chunk_lines = chunk_lines
-        self._cache_chunks = cache_chunks
-        self._cache: OrderedDict[int, bytes] = OrderedDict()
-        n_chunks = -(-n_lines // chunk_lines) if n_lines else 0
-        # Measuring pass: byte offset of each chunk start (+ total size).
-        # Rendering validates the records and leaves the tail of the file
-        # warm in the LRU; the bytes themselves are not all retained.
-        offsets = [0] * (n_chunks + 1)
-        for ci in range(n_chunks):
-            offsets[ci + 1] = offsets[ci] + len(self._chunk(ci))
-        self._offsets = offsets
-
-    @property
-    def size(self) -> int:
-        return self._offsets[-1] if len(self._offsets) > 1 else 0
-
-    def _render_chunk(self, ci: int) -> bytes:
-        lo = ci * self._chunk_lines
-        hi = min(self.n_lines, lo + self._chunk_lines)
-        line_fn = self._line_fn
-        parts = []
-        for i in range(lo, hi):
-            line = line_fn(i)
-            if "\n" in line:
-                raise ValueError(f"line {i} contains a newline: {line!r}")
-            parts.append(line)
-        return ("\n".join(parts) + "\n").encode() if parts else b""
-
-    def _chunk(self, ci: int) -> bytes:
-        cache = self._cache
-        data = cache.get(ci)
-        if data is not None:
-            cache.move_to_end(ci)
-            return data
-        data = self._render_chunk(ci)
-        cache[ci] = data
-        if len(cache) > self._cache_chunks:
-            cache.popitem(last=False)
-        return data
-
-    def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0:
-            raise ValueError(f"invalid range: offset={offset} length={length}")
-        size = self.size
-        end = min(offset + length, size)
-        if offset >= end:
-            return b""
-        offsets = self._offsets
-        ci = bisect_right(offsets, offset) - 1
-        out = []
-        while offset < end:
-            base = offsets[ci]
-            take = min(end, offsets[ci + 1]) - offset
-            out.append(self._chunk(ci)[offset - base: offset - base + take])
-            offset += take
-            ci += 1
-        return out[0] if len(out) == 1 else b"".join(out)
+        chunks = []
+        for lo in range(0, n_lines, self._RENDER_LINES):
+            lines = [line_fn(i)
+                     for i in range(lo, min(n_lines, lo + self._RENDER_LINES))]
+            for i, line in enumerate(lines, lo):
+                if "\n" in line:
+                    raise ValueError(f"line {i} contains a newline: {line!r}")
+            chunks.append(("\n".join(lines) + "\n").encode())
+        super().__init__(b"".join(chunks))
 
     def lines(self) -> Iterator[str]:
         """Iterate records (host-side convenience for references/tests)."""
-        for ci in range(len(self._offsets) - 1):
-            yield from self._chunk(ci).decode().splitlines()
-
-
-class MappedContent(ContentProvider):
-    """Content over a read-only buffer — typically an ``mmap`` of a cache
-    entry, so every process mapping the same artifact shares one set of
-    physical pages through the OS page cache.
-
-    Accepts any object with ``len``, slicing and ``find`` (``mmap.mmap``,
-    ``bytes``, ``memoryview``).  :meth:`view` exposes the buffer zero-copy
-    for the columnar record-block readers in :mod:`repro.sim.blocks`.
-    """
-
-    def __init__(self, buf) -> None:
-        self._buf = buf
-
-    @property
-    def buffer(self):
-        """The underlying buffer object (zero-copy access)."""
-        return self._buf
-
-    @property
-    def size(self) -> int:
-        return len(self._buf)
-
-    def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0:
-            raise ValueError(f"invalid range: offset={offset} length={length}")
-        return bytes(self._buf[offset : offset + length])
-
-    def read_all(self) -> bytes:
-        return bytes(self._buf)
-
-    def view(self) -> memoryview:
-        """Zero-copy view of the whole payload."""
-        return memoryview(self._buf)
-
-    def lines(self) -> Iterator[str]:
-        """Iterate newline-delimited records (host-side convenience)."""
-        buf = self._buf
-        n = len(buf)
-        start = 0
-        while start < n:
-            nl = buf.find(b"\n", start)
-            if nl < 0:
-                yield bytes(buf[start:n]).decode()
-                return
-            yield bytes(buf[start:nl]).decode()
-            start = nl + 1
-
-    def close(self) -> None:
-        """Release the underlying map (no-op for plain byte buffers)."""
-        closer = getattr(self._buf, "close", None)
-        if closer is not None:
-            closer()
+        return iter(self._data.decode().split("\n")[:-1])
 
 
 def split_records(chunk: bytes, *, first: bool) -> list[bytes]:

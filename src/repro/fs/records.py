@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.fs.base import FileSystem
-from repro.fs.content import MappedContent
 from repro.sim.blocks import RecordBlock
 from repro.sim.process import SimProcess
 from repro.units import KiB
@@ -94,21 +93,6 @@ def iter_all_records(fs: FileSystem, path: str) -> Iterator[bytes]:
     """
     f = fs.lookup(path)
     content = f.content
-    if isinstance(content, MappedContent):
-        # Cache-mapped payload: records slice straight out of the shared
-        # read-only map — no chunk reassembly, no tail copies, and the
-        # map's physical pages stay shared across worker processes.
-        buf = content.buffer
-        n = len(buf)
-        pos = 0
-        while pos < n:
-            nl = buf.find(b"\n", pos)
-            if nl < 0:
-                yield bytes(buf[pos:n])
-                return
-            yield bytes(buf[pos:nl])
-            pos = nl + 1
-        return
     size = content.size
     pos = 0
     tail = b""

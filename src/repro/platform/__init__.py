@@ -39,7 +39,6 @@ from repro.platform.scenario import (
     ScenarioSpec,
     Session,
     comet,
-    run_in,
     session_app,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "Dataset",
     "HDFSSpec",
     "comet",
-    "run_in",
     "session_app",
     "run_suite",
     "plan_units",

@@ -36,6 +36,7 @@ import hashlib
 import inspect
 import json
 import multiprocessing
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -210,8 +211,7 @@ class CachePlan:
     Pinning ``code_version`` at plan time (rather than computing it in
     each worker) keeps one run internally consistent even if sources are
     edited while it executes.  ``refresh`` forces unit re-execution while
-    still overwriting (and thus repairing) stored result entries; the
-    dataset plane stays active either way.
+    still overwriting (and thus repairing) stored result entries.
     """
 
     root: str
@@ -323,20 +323,19 @@ class SuiteResult:
 def _run_unit(unit: Unit, plan: CachePlan | None = None) -> UnitResult:
     """Worker entry point: run one unit (also used in-process).
 
-    With a :class:`CachePlan`, the plan's store is made this process's
-    active store (spawn workers start without one), the result plane is
-    consulted before executing, and a fresh execution's result is encoded
-    back into the store.  A stored entry that fails checksum or decode is
-    dropped and the unit re-executes — corrupt entries are never served.
+    With a :class:`CachePlan`, the plan's store is consulted before
+    executing, and a fresh execution's result is encoded back into it.  A
+    stored entry that fails checksum or decode is dropped and the unit
+    re-executes — corrupt entries are never served.
     """
     from repro.core.experiment import run_experiment
 
     t0 = time.perf_counter()
     store = key = None
     if plan is not None:
-        from repro import cache as artifact_cache
+        from repro.cache import ArtifactStore
 
-        store = artifact_cache.configure(plan.root)
+        store = ArtifactStore(plan.root)
         key = unit_cache_key(plan, unit)
     if store is not None and key is not None and not plan.refresh:
         entry = store.load_result(key)
@@ -346,7 +345,7 @@ def _run_unit(unit: Unit, plan: CachePlan | None = None) -> UnitResult:
             try:
                 result = decode_result(entry["payload"])
             except (KeyError, ValueError, TypeError):
-                store.drop("results", key)
+                store.drop(key)
             else:
                 meta = entry.get("meta") or {}
                 return UnitResult(unit, result, time.perf_counter() - t0,
@@ -368,6 +367,14 @@ def _run_unit(unit: Unit, plan: CachePlan | None = None) -> UnitResult:
     return UnitResult(unit, result, wall_s, cache_key=key)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_suite(
     exp_ids: list[str],
     *,
@@ -385,7 +392,8 @@ def run_suite(
     ``workers=1`` runs every unit in-process (the reference execution);
     ``workers>1`` distributes units over a spawn-based process pool.  Both
     paths run the identical unit plan and merge in planned order, so their
-    results — and fingerprints — are identical.
+    results — and fingerprints — are identical.  A repeated experiment id
+    runs once (first occurrence keeps its place).
 
     ``intra_workers>1`` additionally splits each sweep point of an
     experiment that declares an ``intra_param`` into one unit per
@@ -393,6 +401,11 @@ def run_suite(
     the independent framework runs *inside* one figure point then execute
     concurrently.  The plan changes but the merge reassembles the serial
     result bit for bit, so fingerprints are still identical.
+
+    The pool never exceeds the CPUs this process may use (its affinity
+    mask): more spawn workers than CPUs only oversubscribe the host
+    (DESIGN §4.5), so on one CPU every request runs in-process.  The
+    manifest records the requested numbers.
 
     ``overrides`` maps experiment id to parameter overrides (applied on
     top of quick params); ``out_dir`` enables manifests: one JSON per unit
@@ -404,20 +417,22 @@ def run_suite(
     and test runs are unaffected; ``True`` uses the default
     ``.repro-cache/`` (what the CLI passes), ``False`` disables caching,
     and a path uses that store.  ``refresh_cache=True`` re-executes every
-    unit and overwrites its result entry (datasets are still served from
-    the store).  Caching never changes results: a replayed unit's decoded
-    result is the byte-exact result the producing run computed, so
-    fingerprints are identical across cold, warm and uncached runs.
+    unit and overwrites its result entry.  Caching never changes results:
+    a replayed unit's decoded result is the byte-exact result the
+    producing run computed, so fingerprints are identical across cold,
+    warm and uncached runs.
     """
-    from repro.cache import active_store, code_version, configure, resolve_root
+    from repro.cache import code_version, resolve_root
 
     say = progress or (lambda _msg: None)
+    exp_ids = list(dict.fromkeys(exp_ids))
     units: list[Unit] = []
     for exp_id in exp_ids:
         units.extend(plan_units(exp_id, quick=quick,
                                 overrides=(overrides or {}).get(exp_id),
                                 intra=intra_workers > 1))
-    pool_size = max(workers, intra_workers)
+    requested = max(workers, intra_workers)
+    pool_size = min(requested, _usable_cpus())
 
     cache_root = resolve_root(cache)
     plan = (CachePlan(str(cache_root), code_version(), refresh_cache)
@@ -425,23 +440,17 @@ def run_suite(
     say(f"planned {len(units)} units over {len(exp_ids)} experiments "
         f"({workers} workers"
         + (f", {intra_workers} intra-workers" if intra_workers > 1 else "")
+        + (f", pool clamped to {pool_size} usable CPU(s)"
+           if pool_size < requested else "")
         + (f", cache {plan.root}" if plan is not None else "")
         + ")")
 
     done: dict[str, UnitResult] = {}
     if pool_size <= 1:
-        # _run_unit re-points the process-wide store at the plan's root;
-        # remember the caller's store so an in-process run is hermetic
-        prior = active_store() if plan is not None else None
-        try:
-            for unit in units:
-                done[unit.key] = _run_unit(unit, plan)
-                ur = done[unit.key]
-                say(f"  {unit.key}: {ur.wall_s:.2f}s"
-                    + (" (cached)" if ur.cached else ""))
-        finally:
-            if plan is not None:
-                configure(prior.root if prior is not None else None)
+        for unit in units:
+            done[unit.key] = ur = _run_unit(unit, plan)
+            say(f"  {unit.key}: {ur.wall_s:.2f}s"
+                + (" (cached)" if ur.cached else ""))
     else:
         ctx = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(

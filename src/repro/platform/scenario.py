@@ -277,25 +277,13 @@ class Session:
                 f"no filesystem {scheme!r} mounted in this session") from None
 
     def stage(self, ds: Dataset) -> None:
-        """Install one dataset on the filesystems it names.
-
-        Content carrying a cache identity (built via
-        :func:`repro.cache.keyed_content`) is resolved through the active
-        artifact store first, so staged payloads are served from a
-        read-only ``mmap`` shared across worker processes.  Resolution is
-        byte-preserving — the staged file is identical either way.
-        Non-default machines scope the cache identity so their staged
-        artifacts are never shared with another machine's.
-        """
-        from repro.cache import resolve_content
-
-        content = resolve_content(ds.content, machine=self.machine.name)
+        """Install one dataset on the filesystems it names."""
         for scheme in ds.on:
             fs = self.fs(scheme)
             if scheme == "local":
-                fs.create_replicated(ds.path, content, scale=ds.scale)
+                fs.create_replicated(ds.path, ds.content, scale=ds.scale)
             else:
-                fs.create(ds.path, content, scale=ds.scale)
+                fs.create(ds.path, ds.content, scale=ds.scale)
 
     # -- framework runtime handles ---------------------------------------------
 
@@ -344,20 +332,10 @@ class Session:
         kwargs.setdefault("reduce_slots_per_node", self.spec.procs_per_node)
         return run_job(self.cluster, conf, **kwargs)
 
-    def run_in(self, app: Callable[..., Any], *args: Any, **kwargs: Any):
-        """Run an app with signature ``app(cluster, ...)`` in this session."""
-        return app(self.cluster, *args, **kwargs)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Session(nodes={self.spec.nodes}, "
                 f"procs_per_node={self.spec.procs_per_node}, "
                 f"filesystems={sorted(self.cluster.filesystems)})")
-
-
-def run_in(session: Session, app: Callable[..., Any], *args: Any,
-           **kwargs: Any) -> Any:
-    """Module-level form of :meth:`Session.run_in`."""
-    return session.run_in(app, *args, **kwargs)
 
 
 def session_app(fn: Callable[..., Any]) -> Callable[..., Any]:

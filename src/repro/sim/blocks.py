@@ -85,16 +85,11 @@ class RecordBlock(Sequence):
     empty line dropped.  ``len`` is O(1) amortized (one ``bytes.count``);
     slicing returns a view sharing the buffer; full iteration materializes
     the line list once (a single C-level ``split``) and caches it.
-
-    The buffer may also be any read-only buffer-protocol object —
-    ``mmap.mmap`` of an artifact-cache dataset entry, or a
-    ``memoryview`` — in which case offsets index straight into the
-    shared map and only the records actually touched are copied out.
     """
 
     __slots__ = ("_buf", "_starts", "_ends", "_lines")
 
-    def __init__(self, buf,
+    def __init__(self, buf: bytes,
                  _starts: np.ndarray | None = None,
                  _ends: np.ndarray | None = None) -> None:
         self._buf = buf
@@ -108,15 +103,6 @@ class RecordBlock(Sequence):
     def buffer(self) -> bytes:
         return self._buf
 
-    def _slice(self, s: int, e: int) -> bytes:
-        """One record copied out of the buffer as ``bytes``.
-
-        ``bytes`` and ``mmap`` slice to ``bytes`` already; ``memoryview``
-        needs the explicit conversion.
-        """
-        chunk = self._buf[s:e]
-        return chunk if type(chunk) is bytes else bytes(chunk)
-
     def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
         """Line [start, end) offsets into the buffer (computed lazily)."""
         if self._starts is None:
@@ -128,9 +114,7 @@ class RecordBlock(Sequence):
             ends = np.empty_like(starts)
             ends[:-1] = nl
             ends[-1] = len(buf)
-            # buffer-protocol-safe trailing-newline check (no .endswith on
-            # mmap/memoryview; indexing yields an int byte everywhere)
-            if len(buf) == 0 or buf[-1] == 0x0A:
+            if not buf or buf.endswith(b"\n"):
                 starts = starts[:-1]
                 ends = ends[:-1]
             self._starts, self._ends = starts, ends
@@ -144,8 +128,6 @@ class RecordBlock(Sequence):
         if self._starts is not None:
             return len(self._starts)
         buf = self._buf
-        if type(buf) is not bytes:
-            return len(self._offsets()[0])
         n = buf.count(b"\n")
         if buf and not buf.endswith(b"\n"):
             n += 1
@@ -163,18 +145,19 @@ class RecordBlock(Sequence):
         starts, ends = self._offsets()
         if i < 0:
             i += len(starts)
-        return self._slice(starts[i], ends[i])
+        return self._buf[starts[i]:ends[i]]
 
     def _materialize(self) -> list[bytes]:
         if self._lines is None:
-            if self._starts is None and type(self._buf) is bytes:
+            if self._starts is None:
                 lines = self._buf.split(b"\n")
                 if lines and lines[-1] == b"":
                     lines.pop()
                 self._lines = lines
             else:
                 starts, ends = self._offsets()
-                self._lines = [self._slice(s, e) for s, e in
+                buf = self._buf
+                self._lines = [buf[s:e] for s, e in
                                zip(starts.tolist(), ends.tolist())]
         return self._lines
 
@@ -207,9 +190,7 @@ class RecordBlock(Sequence):
         if self._starts is not None and self._lines is None:
             # A sliced view: decode only the covered records.
             return [r.decode(encoding, errors) for r in self._materialize()]
-        # str(buf, ...) decodes any buffer-protocol object (bytes, mmap,
-        # memoryview) in one C call
-        text = str(self._buf, encoding, errors)
+        text = self._buf.decode(encoding, errors)
         out = text.split("\n")
         if out and out[-1] == "":
             out.pop()

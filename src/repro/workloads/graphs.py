@@ -137,32 +137,16 @@ def edge_list_content(edges) -> "LineContent":
 
 
 @lru_cache(maxsize=8)
-def ring_edge_list_content(spec: GraphSpec):
+def ring_edge_list_content(spec: GraphSpec) -> "LineContent":
     """Memoised edge-list payload of ``spec``'s graph plus its ring.
 
     Identical bytes to ``edge_list_content(with_ring(spec.generate(),
     spec.n_vertices))`` — the array twin concatenates the same edges in
     the same order — but built once per spec, so node-count sweeps that
-    rebuild clusters share one chunked payload.  With an artifact store
-    active the rendered edge list is published to the dataset plane and
-    mapped read-only, shared across worker processes.
+    rebuild clusters share one payload.
     """
-    from repro.cache import keyed_content
-
-    def build():
-        src, dst = with_ring_arrays(*spec.generate_arrays(), spec.n_vertices)
-        return edge_list_content((src, dst))
-
-    return keyed_content("ring-edge-list", spec, build)
-
-
-def _register_graph_invalidation() -> None:
-    from repro.cache import register_invalidation
-
-    register_invalidation(ring_edge_list_content.cache_clear)
-
-
-_register_graph_invalidation()
+    src, dst = with_ring_arrays(*spec.generate_arrays(), spec.n_vertices)
+    return edge_list_content((src, dst))
 
 
 def adjacency(edges: list[tuple[int, int]], n: int) -> list[list[int]]:

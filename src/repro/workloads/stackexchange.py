@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.cache import keyed_content, register_invalidation
-from repro.fs.content import ContentProvider, LineContent
+from repro.fs.content import LineContent
 from repro.spark.partitioner import stable_hash
 
 POST_QUESTION = 1
@@ -83,21 +82,14 @@ def se_line(spec: StackExchangeSpec, i: int) -> str:
 
 
 @lru_cache(maxsize=8)
-def stackexchange_content(spec: StackExchangeSpec) -> ContentProvider:
+def stackexchange_content(spec: StackExchangeSpec) -> LineContent:
     """The physical payload for a spec (host-side, memoised per spec).
 
     Specs are frozen/hashable and content is a pure function of the spec,
-    so figure sweeps that rebuild clusters share one chunked payload
-    instead of re-rendering every post per cluster size.  With an artifact
-    store active the payload is additionally published to (and mapped out
-    of) the dataset plane, shared across worker processes.
+    so figure sweeps that rebuild clusters share one payload instead of
+    re-rendering every post per cluster size.
     """
-    return keyed_content(
-        "stackexchange", spec,
-        lambda: LineContent(lambda i: se_line(spec, i), spec.n_posts))
-
-
-register_invalidation(stackexchange_content.cache_clear)
+    return LineContent(lambda i: se_line(spec, i), spec.n_posts)
 
 
 def parse_post(line: str) -> tuple[int, int, int | None]:

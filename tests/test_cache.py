@@ -1,7 +1,7 @@
 """The content-addressed artifact cache (``repro.cache``).
 
-Covers the store primitives (atomic publish, mmap open, checksum
-verification), key derivation (canonical encoding, cross-process
+Covers the store primitives (atomic publish, checksum verification),
+key derivation (canonical encoding, cross-process
 stability), the result codec's exactness, and the end-to-end discipline:
 cold, warm, ``--no-cache`` and ``--refresh`` runs of one experiment are
 byte-identical, and corrupted or version-mismatched entries are detected
@@ -28,30 +28,13 @@ except ImportError:
     HAS_HYPOTHESIS = False
 
 import repro.cache as cache
-import repro.cache.store as store_mod
 from repro.__main__ import main as cli
 from repro.cache import (ArtifactStore, UncacheableError, cache_key,
                          code_version, decode_result, encode_result,
-                         encode_value, keyed_content, resolve_content)
+                         encode_value)
 from repro.core.report import FigureResult, Series, TableResult
-from repro.fs.content import LineContent, MappedContent
 from repro.platform import CachePlan, Unit, run_suite, unit_cache_key
-from repro.sim.blocks import RecordBlock
 from repro.workloads.stackexchange import StackExchangeSpec
-
-
-@pytest.fixture
-def cache_store(tmp_path, monkeypatch):
-    """An active store under ``tmp_path``, hermetically torn down."""
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    prev_active = store_mod._active
-    prev_init = store_mod._initialized
-    store = cache.configure(tmp_path / "store")
-    yield store
-    cache.configure(None)  # fires invalidation hooks (generator memos)
-    store_mod._active = prev_active
-    store_mod._initialized = prev_init
 
 
 # ---------------------------------------------------------------------------
@@ -130,117 +113,107 @@ class TestKeys:
 # ---------------------------------------------------------------------------
 
 
-class TestStore:
-    def test_dataset_round_trip(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        key = cache_key("dataset", "t", 1)
-        store.publish_dataset(key, b"alpha\nbeta\n", meta={"name": "t"})
-        m = store.open_dataset(key)
-        assert isinstance(m, MappedContent)
-        assert m.read_all() == b"alpha\nbeta\n"
-        assert m.read(6, 4) == b"beta"
-        assert list(m.lines()) == ["alpha", "beta"]
-        assert store.entry_count("datasets") == 1
+#: a minimal encoded table result, the payload the store tests publish
+PAYLOAD = {"kind": "table", "table_id": "T", "title": "t",
+           "headers": ["h"], "rows": [["v"]]}
 
+
+class TestStore:
     def test_empty_payload(self, tmp_path):
+        """An empty (falsy) payload is still a stored entry, not a miss."""
         store = ArtifactStore(tmp_path)
-        store.publish_dataset("k" * 64, b"")
-        m = store.open_dataset("k" * 64)
-        assert m is not None and m.size == 0 and m.read_all() == b""
+        store.store_result("k" * 64, {})
+        entry = store.load_result("k" * 64)
+        assert entry is not None and entry["payload"] == {}
 
     def test_missing_store_is_all_misses(self, tmp_path):
         store = ArtifactStore(tmp_path / "never-created")
-        assert store.open_dataset("0" * 64) is None
         assert store.load_result("0" * 64) is None
-        assert store.entry_count("datasets") == 0
-        assert store.info()["planes"] == {"datasets": 0, "results": 0}
+        assert store.entry_count() == 0
+        store.drop("0" * 64)  # dropping a missing entry is fine
+        assert not (tmp_path / "never-created").exists()
 
     def test_corrupted_payload_rejected_and_dropped(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "a" * 64
-        store.publish_dataset(key, b"payload bytes here\n")
-        store._payload(key).write_bytes(b"payload bytes hXre\n")  # flip a byte
-        assert store.open_dataset(key) is None       # never served
-        assert store.entry_count("datasets") == 0    # dropped
-        assert not store._payload(key).exists()
+        store.store_result(key, PAYLOAD)
+        raw = store._entry(key).read_bytes()
+        at = raw.index(b'"v"') + 1
+        store._entry(key).write_bytes(                   # flip one byte
+            raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:])
+        assert store.load_result(key) is None            # never served
+        assert store.entry_count() == 0                  # dropped
+        assert not store._entry(key).exists()
 
     def test_truncated_payload_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "b" * 64
-        store.publish_dataset(key, b"0123456789\n")
-        store._payload(key).write_bytes(b"0123\n")
-        assert store.open_dataset(key) is None
+        store.store_result(key, PAYLOAD)
+        raw = store._entry(key).read_bytes()
+        store._entry(key).write_bytes(raw[: len(raw) // 2])
+        assert store.load_result(key) is None
+        assert store.entry_count() == 0
 
     def test_unparseable_sidecar_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "c" * 64
-        store.publish_dataset(key, b"data\n")
-        store._entry("datasets", key).write_text("{not json")
-        assert store.open_dataset(key) is None
-        assert store.entry_count("datasets") == 0
+        store.store_result(key, PAYLOAD)
+        store._entry(key).write_text("{not json")
+        assert store.load_result(key) is None
+        assert store.entry_count() == 0
+        store._entry(key).write_text("[1, 2]")  # JSON, but not an entry
+        assert store.load_result(key) is None
+        assert store.entry_count() == 0
 
     def test_format_version_mismatch_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "d" * 64
-        store.publish_dataset(key, b"data\n")
-        sidecar = json.loads(store._entry("datasets", key).read_text())
-        sidecar["format"] = cache.FORMAT_VERSION + 1
-        store._entry("datasets", key).write_text(json.dumps(sidecar))
-        assert store.open_dataset(key) is None
-        # regeneration works on the same key afterwards
-        store.publish_dataset(key, b"data\n")
-        assert store.open_dataset(key).read_all() == b"data\n"
+        store.store_result(key, PAYLOAD)
+        entry = json.loads(store._entry(key).read_text())
+        entry["format"] = cache.FORMAT_VERSION + 1
+        store._entry(key).write_text(json.dumps(entry))
+        assert store.load_result(key) is None
+        # storing works on the same key afterwards
+        store.store_result(key, PAYLOAD)
+        assert store.load_result(key)["payload"] == PAYLOAD
 
     def test_leftover_tmp_file_is_ignored(self, tmp_path):
         """A writer crash between tmp write and rename leaves only noise."""
         store = ArtifactStore(tmp_path)
         key = "e" * 64
-        store.publish_dataset(key, b"good\n")
+        store.store_result(key, PAYLOAD)
         # simulate a concurrent writer that died mid-publish
-        stray = store._entry("datasets", key).with_name(
-            f"{key}.json.tmp-99999")
+        stray = store._entry(key).with_name(f"{key}.json.tmp-99999")
         stray.write_text("partial garbage")
-        (tmp_path / "datasets" / f"{key}.bin.tmp-99999").write_bytes(b"par")
-        assert store.entry_count("datasets") == 1
-        assert store.open_dataset(key).read_all() == b"good\n"
+        assert store.entry_count() == 1
+        assert store.load_result(key)["payload"] == PAYLOAD
 
     def test_result_round_trip_and_corruption(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        payload = {"kind": "table", "table_id": "T", "title": "t",
-                   "headers": ["h"], "rows": [["v"]]}
-        store.store_result("f" * 64, payload, meta={"wall_s": 1.5})
+        store.store_result("f" * 64, PAYLOAD, meta={"wall_s": 1.5})
         entry = store.load_result("f" * 64)
-        assert entry["payload"] == payload
+        assert entry["payload"] == PAYLOAD
         assert entry["meta"]["wall_s"] == 1.5
         # tamper with the payload -> checksum mismatch -> miss + drop
-        raw = json.loads(store._entry("results", "f" * 64).read_text())
+        raw = json.loads(store._entry("f" * 64).read_text())
         raw["payload"]["rows"] = [["tampered"]]
-        store._entry("results", "f" * 64).write_text(json.dumps(raw))
+        store._entry("f" * 64).write_text(json.dumps(raw))
         assert store.load_result("f" * 64) is None
-        assert store.entry_count("results") == 0
+        assert store.entry_count() == 0
 
     def test_concurrent_publish_converges(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = "9" * 64
-        store.publish_dataset(key, b"same bytes\n")
-        store.publish_dataset(key, b"same bytes\n")  # racer, same content
-        assert store.entry_count("datasets") == 1
-        assert store.open_dataset(key).read_all() == b"same bytes\n"
+        store.store_result(key, PAYLOAD)
+        first = store._entry(key).read_bytes()
+        store.store_result(key, PAYLOAD)  # racer, same content
+        assert store.entry_count() == 1
+        assert store._entry(key).read_bytes() == first
+        assert store.load_result(key)["payload"] == PAYLOAD
 
 
 @pytest.mark.skipif(not HAS_HYPOTHESIS, reason="hypothesis not installed")
 class TestStoreProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(st.binary(max_size=4096))
-    def test_dataset_write_read_byte_identity(self, tmp_path_factory, data):
-        store = ArtifactStore(tmp_path_factory.mktemp("s"))
-        key = cache_key("prop", data)
-        store.publish_dataset(key, data)
-        m = store.open_dataset(key)
-        assert m is not None
-        assert m.read_all() == data
-        assert m.size == len(data)
-
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(
         st.integers(-2**31, 2**31),
@@ -311,114 +284,6 @@ class TestResultCodec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             decode_result({"kind": "mystery"})
-
-
-# ---------------------------------------------------------------------------
-# mapped content + record blocks over maps
-# ---------------------------------------------------------------------------
-
-
-class TestMappedContent:
-    def test_matches_line_content(self, cache_store):
-        lc = LineContent(lambda i: f"row-{i:04d}", 257)
-        mapped = keyed_content("t", ("rows", 257), lambda: lc)
-        assert isinstance(mapped, MappedContent)
-        assert mapped.size == lc.size
-        assert mapped.read_all() == lc.read_all()
-        assert mapped.read(10, 25) == lc.read(10, 25)
-        assert mapped.read(mapped.size - 3, 99) == lc.read(lc.size - 3, 99)
-        assert list(mapped.lines()) == list(lc.lines())
-
-    def test_view_is_zero_copy(self, cache_store):
-        mapped = keyed_content("t", ("v",),
-                               lambda: LineContent(lambda i: str(i), 10))
-        view = mapped.view()
-        assert isinstance(view, memoryview)
-        assert bytes(view) == mapped.read_all()
-
-    def test_record_block_over_map_equals_bytes(self, cache_store):
-        mapped = keyed_content("t", ("rb",),
-                               lambda: LineContent(lambda i: f"line{i}", 50))
-        data = mapped.read_all()
-        over_map = RecordBlock(mapped.buffer)
-        over_bytes = RecordBlock(data)
-        assert len(over_map) == len(over_bytes)
-        assert list(over_map) == list(over_bytes)
-        assert over_map.decode_all() == over_bytes.decode_all()
-        assert over_map[3] == over_bytes[3]
-        assert list(over_map[2:5]) == list(over_bytes[2:5])
-
-    def test_record_block_over_memoryview(self):
-        data = b"a\nbb\nccc"
-        mv = RecordBlock(memoryview(data))
-        assert list(mv) == [b"a", b"bb", b"ccc"]
-        assert all(type(r) is bytes for r in mv)
-
-
-# ---------------------------------------------------------------------------
-# dataset plane wiring
-# ---------------------------------------------------------------------------
-
-
-class TestDatasetPlane:
-    def test_keyed_content_miss_then_hit(self, cache_store):
-        built = []
-
-        def build():
-            built.append(1)
-            return LineContent(lambda i: f"x{i}", 20)
-
-        first = keyed_content("gen", ("a", 1), build)
-        second = keyed_content("gen", ("a", 1), build)
-        assert len(built) == 1  # second call served from the store
-        assert first.read_all() == second.read_all()
-        stats = cache.dataset_stats()
-        assert stats["hits"] >= 1 and stats["misses"] >= 1
-
-    def test_uncacheable_spec_falls_back_to_builder(self, cache_store):
-        content = keyed_content("gen", object(),
-                                lambda: LineContent(lambda i: str(i), 5))
-        assert isinstance(content, LineContent)
-
-    def test_no_store_tags_for_later_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        prev_active, prev_init = store_mod._active, store_mod._initialized
-        try:
-            cache.configure(None)
-            content = keyed_content("gen", ("tag",),
-                                    lambda: LineContent(lambda i: str(i), 7))
-            assert isinstance(content, LineContent)
-            assert content.cache_meta["name"] == "gen"
-            # a store configured later resolves the tagged content into it
-            cache.configure(tmp_path / "late")
-            resolved = resolve_content(content)
-            assert isinstance(resolved, MappedContent)
-            assert resolved.read_all() == content.read_all()
-        finally:
-            cache.configure(None)
-            store_mod._active, store_mod._initialized = prev_active, prev_init
-
-    def test_generator_content_identical_with_and_without_store(
-            self, cache_store):
-        from repro.workloads.stackexchange import stackexchange_content
-
-        spec = StackExchangeSpec(n_posts=300)
-        with_store = stackexchange_content(spec).read_all()
-        cache.configure(None)  # clears the generator memo via the hook
-        without_store = stackexchange_content(spec).read_all()
-        assert with_store == without_store
-
-    def test_session_stages_mapped_content(self, cache_store):
-        from repro.platform import Dataset, ScenarioSpec
-
-        content = keyed_content("stage", ("s",),
-                                lambda: LineContent(lambda i: f"l{i}", 64))
-        spec = ScenarioSpec(nodes=1, procs_per_node=2, datasets=(
-            Dataset("in.txt", content, scale=2, on=("local",)),))
-        session = spec.session()
-        staged = session.local.lookup("in.txt")
-        assert isinstance(staged.content, MappedContent)
-        assert staged.logical_size == 2 * content.size
 
 
 # ---------------------------------------------------------------------------
@@ -494,21 +359,29 @@ class TestResultPlane:
         again = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
         assert again.cache["hits"] == 2
 
-    def test_corrupted_dataset_entry_regenerates(self, tmp_path, monkeypatch):
+    def test_runs_touch_only_their_own_root(self, tmp_path, monkeypatch):
+        """No process-wide store: a run writes under the root it was given."""
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        store_dir = tmp_path / "store"
-        cold = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
-        bins = sorted((store_dir / "datasets").glob("*.bin"))
-        assert bins
-        for b in bins:
-            data = bytearray(b.read_bytes())
-            data[len(data) // 2] ^= 0xFF
-            b.write_bytes(bytes(data))
-        # --refresh re-executes units, so the dataset plane is exercised:
-        # every corrupted payload must be detected and regenerated
-        refresh = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir,
-                            refresh_cache=True)
-        assert refresh.fingerprints() == cold.fingerprints()
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        root_a, root_b = tmp_path / "a", tmp_path / "b"
+
+        def snapshot(root):
+            return {str(p.relative_to(root)): p.stat().st_mtime_ns
+                    for p in root.rglob("*") if p.is_file()}
+
+        run_suite(["fig4"], overrides=FIG4_MINI, cache=root_a)
+        files_a = snapshot(root_a)
+        assert len(files_a) == 2
+        assert all(name.startswith("results/") for name in files_a)
+        assert not root_b.exists()
+        run_suite(["fig4"], overrides=FIG4_MINI, cache=root_b)
+        files_b = snapshot(root_b)
+        assert sorted(files_b) == sorted(files_a)
+        assert snapshot(root_a) == files_a
+        # with no root given (and none in the environment) nothing is cached
+        off = run_suite(["fig4"], overrides=FIG4_MINI)
+        assert off.cache is None
+        assert snapshot(root_a) == files_a and snapshot(root_b) == files_b
 
     def test_unit_manifest_records_cache_provenance(self, tmp_path,
                                                     monkeypatch):
@@ -536,28 +409,22 @@ class TestCLI:
                                                       monkeypatch, capsys):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        try:
-            assert cli(["run", "table1", "--json"]) == 0
-            cold = json.loads(capsys.readouterr().out)
-            assert cold["cache"]["misses"] == 1
-            assert cli(["run", "table1", "--json"]) == 0
-            warm = json.loads(capsys.readouterr().out)
-            assert warm["cache"]["hits"] == 1
-            assert (warm["experiments"]["table1"]["fingerprint"]
-                    == cold["experiments"]["table1"]["fingerprint"])
-        finally:
-            cache.configure(None)
+        assert cli(["run", "table1", "--json"]) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["cache"]["misses"] == 1
+        assert cli(["run", "table1", "--json"]) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["cache"]["hits"] == 1
+        assert (warm["experiments"]["table1"]["fingerprint"]
+                == cold["experiments"]["table1"]["fingerprint"])
 
     def test_no_cache_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        try:
-            assert cli(["run", "table1", "--no-cache", "--json"]) == 0
-            manifest = json.loads(capsys.readouterr().out)
-            assert manifest["cache"] is None
-            assert not (tmp_path / "store").exists()
-        finally:
-            cache.configure(None)
+        assert cli(["run", "table1", "--no-cache", "--json"]) == 0
+        manifest = json.loads(capsys.readouterr().out)
+        assert manifest["cache"] is None
+        assert not (tmp_path / "store").exists()
 
     def test_conflicting_cache_flags_usage_error(self):
         assert cli(["run", "table1", "--no-cache", "--refresh"]) == 2
@@ -565,24 +432,19 @@ class TestCLI:
     def test_list_json_counts_entries(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
-        try:
-            assert cli(["run", "table1", "--json"]) == 0
-            capsys.readouterr()
-            assert cli(["list", "--json"]) == 0
-            listing = json.loads(capsys.readouterr().out)
-            assert listing["cache"]["enabled"] is True
-            assert listing["cache"]["planes"]["results"] == 1
-        finally:
-            cache.configure(None)
+        assert cli(["run", "table1", "--json"]) == 0
+        capsys.readouterr()
+        assert cli(["list", "--json"]) == 0
+        listing = json.loads(capsys.readouterr().out)
+        assert listing["cache"] == {"enabled": True,
+                                    "path": str(tmp_path / "store"),
+                                    "entries": 1}
 
     def test_report_shows_cache_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
         out = tmp_path / "results"
-        try:
-            assert cli(["run", "table1", "--out", str(out), "--json"]) == 0
-            capsys.readouterr()
-            assert cli(["report", str(out)]) == 0
-            assert "cache:" in capsys.readouterr().out
-        finally:
-            cache.configure(None)
+        assert cli(["run", "table1", "--out", str(out), "--json"]) == 0
+        capsys.readouterr()
+        assert cli(["report", str(out)]) == 0
+        assert "cache:" in capsys.readouterr().out

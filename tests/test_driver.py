@@ -138,6 +138,38 @@ class TestSuite:
         assert sharded.results[exp_id].render() == \
             serial.results[exp_id].render()
 
+    def test_repeated_id_runs_once(self, tmp_path):
+        once = run_suite(["table1"])
+        twice = run_suite(["table1", "table1"], out_dir=tmp_path)
+        assert twice.results["table1"].rows == once.results["table1"].rows
+        assert twice.fingerprints() == once.fingerprints()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["experiments"]["table1"]["units"] == 1
+
+    def test_pool_clamped_to_usable_cpus(self, monkeypatch):
+        """On one CPU a sharded + intra-sharded request runs in-process —
+        same plan, serial fingerprint — and the manifest keeps the request."""
+        import concurrent.futures
+
+        overrides = {"fig6": TINY_SHARDED["fig6"]}
+        serial = run_suite(["fig6"], overrides=overrides)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("spawned a pool on a one-CPU host")
+
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        said = []
+        clamped = run_suite(["fig6"], workers=2, intra_workers=3,
+                            overrides=overrides, progress=said.append)
+        assert "pool clamped to 1 usable CPU(s)" in said[0]
+        assert len(clamped.unit_results["fig6"]) == 6  # 2 points x 3 series
+        assert clamped.fingerprints() == serial.fingerprints()
+        manifest = clamped.manifest()
+        assert (manifest["workers"], manifest["intra_workers"]) == (2, 3)
+
     def test_every_registered_experiment_plans(self):
         for exp_id in _ensure_registry():
             units = plan_units(exp_id, quick=True)
@@ -194,8 +226,8 @@ class TestCLI:
         # the cache capability block reports a store (even when absent or
         # empty) without crashing the listing
         cache = listing["cache"]
-        assert set(cache["planes"]) == {"datasets", "results"}
-        assert all(n >= 0 for n in cache["planes"].values())
+        assert set(cache) == {"enabled", "path", "entries"}
+        assert cache["entries"] >= 0
 
     def test_old_style_invocation_still_runs(self, capsys):
         assert cli(["table1"]) == 0

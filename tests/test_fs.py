@@ -39,6 +39,12 @@ def run_in_proc(cl, fn, node_id=0):
     return out["res"], out["t"]
 
 
+class _SmallChunks(LineContent):
+    """Renders three records at a time, so short lists cross chunk edges."""
+
+    _RENDER_LINES = 3
+
+
 class TestContent:
     def test_bytes_content_roundtrip(self):
         c = BytesContent(b"hello world")
@@ -60,6 +66,36 @@ class TestContent:
     def test_line_with_newline_rejected(self):
         with pytest.raises(ValueError):
             LineContent(lambda i: "a\nb", 1)
+        # ...also past the first render chunk, naming the record
+        with pytest.raises(ValueError, match="line 5 "):
+            _SmallChunks(lambda i: "a\nb" if i == 5 else "ok", 8)
+
+    def test_negative_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            LineContent(lambda i: "x", -1)
+        c = LineContent(lambda i: "x", 2)
+        for offset, length in ((-1, 1), (0, -1)):
+            with pytest.raises(ValueError):
+                c.read(offset, length)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(st.text(st.characters(blacklist_characters="\n",
+                                             blacklist_categories=("Cs",)),
+                               max_size=8), max_size=10),
+        offset=st.integers(0, 120),
+        length=st.integers(0, 120),
+    )
+    def test_line_content_is_its_rendered_bytes(self, lines, offset, length):
+        """Any range — past the end included — reads as a slice of the
+        reference rendering, and the records round-trip."""
+        c = _SmallChunks(lambda i: lines[i], len(lines))
+        reference = "".join(line + "\n" for line in lines).encode()
+        assert c.n_lines == len(lines)
+        assert c.size == len(reference)
+        assert c.read_all() == reference
+        assert c.read(offset, length) == reference[offset:offset + length]
+        assert list(c.lines()) == lines
 
 
 class TestSimFile:

@@ -6,7 +6,7 @@ Covers the contracts :mod:`repro.cluster.machines` introduces:
 * ``machine="comet"`` being bit-identical to the pinned goldens (the
   refactor moved defaults behind the registry without changing them);
 * variant machines actually changing results;
-* cache keys (results *and* staged datasets) never crossing machines;
+* result cache keys never crossing machines;
 * the calibration harness staying inside its pinned bounds.
 """
 
@@ -18,8 +18,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.cache as cache
-import repro.cache.store as store_mod
 from repro.__main__ import main as cli
 from repro.cluster import (
     COMET,
@@ -53,20 +51,6 @@ GOLDEN = json.loads(
 
 #: small fig3 override shared by the cross-machine suite tests
 FIG3_MINI = {"sizes": [4, 1024], "nodes": 2, "iterations": 2}
-
-
-@pytest.fixture
-def cache_store(tmp_path, monkeypatch):
-    """An active store under ``tmp_path``, hermetically torn down."""
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    prev_active = store_mod._active
-    prev_init = store_mod._initialized
-    store = cache.configure(tmp_path / "store")
-    yield store
-    cache.configure(None)
-    store_mod._active = prev_active
-    store_mod._initialized = prev_init
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +239,8 @@ class TestCacheIsolation:
         finally:
             MACHINES["comet-nvme"] = nvme
 
-    def test_no_cross_machine_result_replay(self, cache_store, tmp_path):
+    def test_no_cross_machine_result_replay(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         store_dir = tmp_path / "store"
         comet = run_suite(["fig3"], overrides={"fig3": FIG3_MINI},
                           cache=store_dir)
@@ -273,32 +258,6 @@ class TestCacheIsolation:
             cache=store_dir)
         assert warm.cache["hits"] == 1
         assert warm.fingerprints() == variant.fingerprints()
-
-    def test_dataset_keys_scoped_per_machine(self, cache_store):
-        from repro.cache import keyed_content, resolve_content
-        from repro.fs.content import LineContent
-
-        def fresh():
-            return keyed_content(
-                "iso-test", ("v1",),
-                lambda: LineContent(lambda i: f"row-{i}", 64))
-
-        on_comet = resolve_content(fresh(), machine="comet")
-        unscoped = resolve_content(fresh())
-        on_eth = resolve_content(fresh(), machine="commodity-eth")
-        assert on_comet.cache_meta["key"] == unscoped.cache_meta["key"]
-        assert on_eth.cache_meta["key"] != on_comet.cache_meta["key"]
-        assert on_eth.cache_meta["machine"] == "commodity-eth"
-        # identical bytes either way — only the store identity differs
-        assert on_eth.read_all() == on_comet.read_all()
-        # re-staging an already-scoped provider is idempotent
-        again = resolve_content(on_eth, machine="commodity-eth")
-        assert again.cache_meta["key"] == on_eth.cache_meta["key"]
-        # ...and re-scoping for another machine derives from the base key
-        on_100g = resolve_content(on_eth, machine="comet-100gbe")
-        assert on_100g.cache_meta["machine"] == "comet-100gbe"
-        assert on_100g.cache_meta["base_key"] == on_eth.cache_meta["base_key"]
-        assert on_100g.cache_meta["key"] != on_eth.cache_meta["key"]
 
 
 # ---------------------------------------------------------------------------

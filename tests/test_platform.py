@@ -15,7 +15,6 @@ from repro.platform import (
     ScenarioSpec,
     Session,
     comet,
-    run_in,
     session_app,
 )
 from repro.tools import profile_session
@@ -154,10 +153,6 @@ class TestAdapters:
                                        2, 2, iterations=2)
         assert t > 0
         assert len(ranks) == graph.n_vertices
-
-    def test_module_level_run_in(self):
-        session = ScenarioSpec().session()
-        assert run_in(session, lambda cluster: cluster) is session.cluster
 
     def test_comet_constructor(self):
         cluster = comet(5)
