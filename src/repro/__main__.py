@@ -11,18 +11,18 @@ Subcommands::
     python -m repro analyze race fig3 --quick
 
 ``run`` executes experiments through the platform driver
-(:mod:`repro.platform.driver`): independent sweep points shard across
-``--workers`` subprocesses and the merged figures/tables are bit-identical
-to a serial run.  ``report`` summarises a results directory's manifests
+(:mod:`repro.platform.driver`): every (sweep point × framework series)
+cell is an independent unit, the units shard across ``--workers``
+subprocesses and the merged figures/tables are bit-identical to a serial
+run.  ``report`` summarises a results directory's manifests
 and, with ``--golden``, diffs its fingerprints against a checked-in golden
 file (exit code 1 on mismatch — the CI quick-suite gate).
 
 Exit codes: 0 success, 1 experiment failure or fingerprint mismatch,
-2 usage error (unknown experiment id / malformed arguments).
+2 usage error (unknown subcommand or experiment id / malformed arguments).
 
-For backwards compatibility, ``python -m repro <experiment-id>`` (the old
-single-experiment form) is treated as ``python -m repro run <experiment-id>``
-and a bare ``python -m repro`` lists the registry.
+``python -m repro run <id>...`` is the one command that runs an experiment;
+a bare ``python -m repro`` lists the registry.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-SUBCOMMANDS = ("run", "list", "report", "analyze")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,20 +46,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="run every registered experiment")
     p_run.add_argument("--quick", action="store_true",
                        help="use reduced, CI-sized parameters")
-    p_run.add_argument("--faults", action="store_true",
-                       help="enable fault injection for experiments that "
-                            "support it (currently fig8; see docs/faults.md)")
     p_run.add_argument("--machine", default=None, metavar="NAME",
                        help="run on a named machine model instead of the "
                             "default Comet (see `list --json` or "
                             "docs/hardware.md)")
     p_run.add_argument("--workers", type=int, default=1, metavar="N",
                        help="worker subprocesses (default: 1 = in-process)")
-    p_run.add_argument("--intra-workers", type=int, default=1, metavar="N",
-                       help="also split each figure point's independent "
-                            "framework runs across N workers (default: 1 = "
-                            "no intra-experiment sharding); results stay "
-                            "bit-identical to serial")
     p_run.add_argument("--out", type=Path, default=None, metavar="DIR",
                        help="write manifests + rendered results here")
     p_run.add_argument("--json", action="store_true",
@@ -117,21 +107,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         print("--workers must be >= 1", file=sys.stderr)
         return 2
-    if args.intra_workers < 1:
-        print("--intra-workers must be >= 1", file=sys.stderr)
-        return 2
 
     overrides: dict[str, dict] = {}
-    if args.faults:
-        from repro.core.experiment import supports_faults
-
-        for exp_id in ids:
-            if supports_faults(registry[exp_id]):
-                overrides[exp_id] = {"faults": True}
-            else:
-                print(f"note: {exp_id} does not take fault plans; "
-                      "--faults ignored for it", file=sys.stderr)
-
     if args.machine is not None:
         from repro.cluster import get_machine
         from repro.core.experiment import supports_machine
@@ -144,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         for exp_id in ids:
             if supports_machine(registry[exp_id]):
-                overrides.setdefault(exp_id, {})["machine"] = args.machine
+                overrides[exp_id] = {"machine": args.machine}
             else:
                 print(f"note: {exp_id} is machine-independent; "
                       "--machine ignored for it", file=sys.stderr)
@@ -162,7 +139,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     progress = None if args.json else lambda msg: print(msg, file=sys.stderr)
     suite = run_suite(ids, quick=args.quick, workers=args.workers,
-                      intra_workers=args.intra_workers,
                       out_dir=args.out, overrides=overrides or None,
                       progress=progress, cache=cache,
                       refresh_cache=args.refresh)
@@ -186,11 +162,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
     registry = _ensure_registry()
     if args.json:
-        from repro.core.experiment import (
-            supports_faults,
-            supports_machine,
-            supports_sched,
-        )
+        from repro.core.experiment import supports_machine, supports_sched
 
         def analysis_block(exp_id: str) -> dict:
             # the analysis layer is optional decoration on the listing: an
@@ -256,10 +228,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
                     "id": exp.exp_id,
                     "description": exp.description,
                     "shard_param": exp.shard_param,
-                    "intra_shard": exp.intra_param is not None,
-                    "intra_series": list(exp.intra_series),
+                    "series": list(exp.series),
                     "quick_params": sorted(exp.quick_params),
-                    "faults": supports_faults(exp),
                     "machine": supports_machine(exp),
                     "sched": supports_sched(exp),
                     "analysis": analysis_block(exp.exp_id),
@@ -271,8 +241,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
         for exp in registry.values():
             sharded = f"  [shards on {exp.shard_param}]" if exp.shard_param \
                 else ""
-            if exp.intra_param:
-                sharded += "  [intra-shards series]"
+            if exp.series:
+                sharded += f"  [{len(exp.series)} series]"
             print(f"{exp.exp_id:22s} {exp.description}{sharded}")
     return 0
 
@@ -341,9 +311,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
         argv = ["list"]
-    elif argv[0] not in SUBCOMMANDS and not argv[0].startswith("-"):
-        # old-style `python -m repro fig3 [--quick]`
-        argv = ["run", *argv]
     if argv[0] == "analyze":
         # forward everything after `analyze` to the analysis CLI so its
         # options don't have to be mirrored here

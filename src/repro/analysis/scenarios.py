@@ -356,24 +356,13 @@ def capabilities(exp_id: str) -> dict[str, bool]:
     entry exists for ``python -m repro analyze race <id>``.
     ``sanitize``: a :data:`SANITIZE_SCENARIOS` entry exists for
     ``python -m repro analyze sanitize <id>``.
-    ``fault_injection``: the experiment takes a ``faults`` knob, so
-    ``python -m repro run <id> --faults`` injects its fault plans
-    (:mod:`repro.faults`).
 
     Unknown ids get conservative flags rather than an error — callers
     (``python -m repro list --json``) enumerate registries that may be
     ahead of or behind this module.
     """
-    fault_injection = False
-    try:
-        from repro.core.experiment import get_experiment, supports_faults
-
-        fault_injection = supports_faults(get_experiment(exp_id))
-    except KeyError:
-        pass
     return {
         "trace": exp_id not in _UNTRACEABLE,
         "race_check": exp_id in RACE_SCENARIOS,
         "sanitize": exp_id in SANITIZE_SCENARIOS,
-        "fault_injection": fault_injection,
     }

@@ -1,6 +1,6 @@
 """The on-disk artifact store: one plane, atomic publish, verify-on-open.
 
-Layout (default ``.repro-cache/``, see :func:`default_root`)::
+Layout (default ``.repro-cache/``, see :func:`resolve_root`)::
 
     .repro-cache/
       results/<key>.json    # {"format", "sha256", "meta", "payload"}
@@ -21,8 +21,8 @@ There is no process-wide store: whoever needs one constructs
 
 This module is the registered home of the cache environment hatches
 (``repro.analysis.lint`` R006): ``REPRO_CACHE_DIR`` relocates the default
-store and ``REPRO_NO_CACHE=1`` disables caching globally.  No other
-module reads them.
+store and ``REPRO_NO_CACHE=1`` disables caching globally.
+:func:`resolve_root` is their one reader.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from repro.cache.keys import FORMAT_VERSION
 
 __all__ = [
     "ArtifactStore",
-    "default_root",
-    "env_root",
     "resolve_root",
     "store_info",
 ]
@@ -131,47 +129,21 @@ class ArtifactStore:
         return entry
 
 
-def env_root() -> Path | None:
-    """Store root the environment requests, or ``None`` (no implicit default).
-
-    ``REPRO_NO_CACHE=1`` wins over everything; otherwise ``REPRO_CACHE_DIR``
-    names the root.  An unset environment yields ``None`` — library and
-    test code never caches unless asked to.
-    """
-    if os.environ.get("REPRO_NO_CACHE", "") == "1":
-        return None
-    env = os.environ.get("REPRO_CACHE_DIR", "")
-    return Path(env) if env else None
-
-
-def default_root() -> Path | None:
-    """The CLI's default store root: env override, else ``.repro-cache``.
-
-    ``None`` only when ``REPRO_NO_CACHE=1`` — the global kill switch.
-    """
-    if os.environ.get("REPRO_NO_CACHE", "") == "1":
-        return None
-    env = os.environ.get("REPRO_CACHE_DIR", "")
-    return Path(env) if env else Path(".repro-cache")
-
-
 def resolve_root(cache: bool | str | Path | None) -> Path | None:
-    """Map a caller's ``cache`` argument to a store root, or ``None``.
+    """Map a caller's ``cache`` argument to a store root, or ``None`` (off).
 
-    ``None`` defers to the environment (:func:`env_root` — off unless
-    ``REPRO_CACHE_DIR`` is set), ``False`` disables caching, ``True``
-    selects the default root, and a path selects that root.  The
-    ``REPRO_NO_CACHE=1`` kill switch beats everything, including an
-    explicit path.
+    The ``REPRO_NO_CACHE=1`` kill switch beats everything, including an
+    explicit path.  Otherwise ``False`` is off; ``None`` (library and test
+    code, which never caches unless asked to) is ``REPRO_CACHE_DIR`` if
+    set, else off; ``True`` (what the CLI passes) is ``REPRO_CACHE_DIR``
+    if set, else ``.repro-cache``; and a path is that path.
     """
-    if cache is None:
-        return env_root()
-    if cache is False:
+    if cache is False or os.environ.get("REPRO_NO_CACHE", "") == "1":
         return None
-    if os.environ.get("REPRO_NO_CACHE", "") == "1":
-        return None
-    if cache is True:
-        return default_root()
+    if cache is None or cache is True:
+        env = os.environ.get("REPRO_CACHE_DIR", "")
+        default = Path(".repro-cache") if cache else None
+        return Path(env) if env else default
     return Path(cache)
 
 
@@ -181,7 +153,7 @@ def store_info() -> dict[str, Any]:
     Reports the store a default ``repro run`` would use.  A missing or
     empty store directory reports zero entries, not an error.
     """
-    root = default_root()
+    root = resolve_root(True)
     if root is None:
         return {"enabled": False, "path": None, "entries": 0}
     return {"enabled": True, "path": str(root),

@@ -4,8 +4,8 @@
 * :mod:`repro.core.metrics` — the Table III LoC/boilerplate analyser;
 * :mod:`repro.core.figures` — one function per paper table/figure that
   builds the cluster, runs every framework and returns the series/rows;
-* :mod:`repro.core.experiment` — registry + runner (also ``python -m
-  repro.core.experiment <id>``).
+* :mod:`repro.core.experiment` — registry + runner (run one from the
+  shell with ``python -m repro run <id>``).
 """
 
 from repro.core.experiment import EXPERIMENTS, get_experiment, run_experiment

@@ -8,15 +8,12 @@ checks on top)::
     python -m repro run fig3
     python -m repro run table2 --quick
 
-but the registry is also importable (:func:`run_experiment`) and this
-module remains directly runnable for a bare, single-process render::
-
-    python -m repro.core.experiment fig3 --quick
+and the registry is importable (:func:`run_experiment`,
+:func:`get_experiment`).
 """
 
 from __future__ import annotations
 
-import argparse
 import inspect
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -39,15 +36,12 @@ class Experiment:
     #: the per-point results bit-identically to a serial run
     #: (:mod:`repro.platform.driver`).
     shard_param: str | None = None
-    #: name of the keyword argument selecting a subset of the figure's
-    #: framework series (each provisions fresh sessions, so single-series
-    #: runs are bit-identical to the full figure), or ``None``.  Enables
-    #: *intra*-experiment sharding: one sweep point's independent framework
-    #: runs split across workers (``run_suite(..., intra_workers=N)``).
-    intra_param: str | None = None
-    #: the figure's series names in serial (canonical) order; the driver
-    #: plans intra units and merges their series back in this order.
-    intra_series: tuple[str, ...] = ()
+    #: the figure's framework series in serial (canonical) order, for a
+    #: figure whose ``series`` keyword selects a subset of them.  Each
+    #: series provisions fresh sessions, so a single-series run is
+    #: bit-identical to that series of the full figure; the driver plans
+    #: one unit per (sweep point x series) and merges in this order.
+    series: tuple[str, ...] = ()
 
 
 def _registry() -> dict[str, Experiment]:
@@ -73,24 +67,23 @@ def _registry() -> dict[str, Experiment]:
             figures.fig4,
             {"proc_counts": (8, 16), "logical_size": 4 * GiB,
              "spec": StackExchangeSpec(n_posts=4000)},
-            shard_param="proc_counts", intra_param="series",
-            intra_series=("OpenMP", "MPI", "Spark", "Hadoop")),
+            shard_param="proc_counts",
+            series=("OpenMP", "MPI", "Spark", "Hadoop")),
         "fig6": Experiment(
             "fig6", "BigDataBench PageRank (MPI vs Spark vs Spark-RDMA)",
             figures.fig6,
             {"node_counts": (1, 2), "procs_per_node": 4,
              "graph": GraphSpec(n_vertices=2000, out_degree=4),
              "iterations": 3},
-            shard_param="node_counts", intra_param="series",
-            intra_series=("MPI", "Spark", "Spark-RDMA")),
+            shard_param="node_counts",
+            series=("MPI", "Spark", "Spark-RDMA")),
         "fig7": Experiment(
             "fig7", "HiBench PageRank (Spark vs Spark-RDMA)",
             figures.fig7,
             {"node_counts": (1, 2), "procs_per_node": 4,
              "graph": GraphSpec(n_vertices=2000, out_degree=4),
              "iterations": 3},
-            shard_param="node_counts", intra_param="series",
-            intra_series=("Spark", "Spark-RDMA")),
+            shard_param="node_counts", series=("Spark", "Spark-RDMA")),
         "fig8": Experiment(
             "fig8", "Fault injection: recovery cost of one node crash",
             figures.fig8,
@@ -170,11 +163,6 @@ def get_experiment(exp_id: str) -> Experiment:
     return reg[exp_id]
 
 
-def supports_faults(exp: Experiment) -> bool:
-    """Whether an experiment takes a ``faults`` keyword (CLI ``--faults``)."""
-    return _takes_keyword(exp, "faults")
-
-
 def supports_machine(exp: Experiment) -> bool:
     """Whether an experiment takes a ``machine`` keyword (CLI ``--machine``).
 
@@ -211,25 +199,3 @@ def run_experiment(exp_id: str, *, quick: bool = False,
     params = dict(exp.quick_params) if quick else {}
     params.update(overrides)
     return exp.run(**params)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate a table/figure from the paper")
-    parser.add_argument("experiment", nargs="?", default=None,
-                        help="experiment id (omit to list)")
-    parser.add_argument("--quick", action="store_true",
-                        help="use reduced, CI-sized parameters")
-    args = parser.parse_args(argv)
-    reg = _ensure_registry()
-    if args.experiment is None:
-        for exp in reg.values():
-            print(f"{exp.exp_id:22s} {exp.description}")
-        return 0
-    result = run_experiment(args.experiment, quick=args.quick)
-    print(result.render())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

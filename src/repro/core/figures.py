@@ -180,7 +180,7 @@ def _select_series(available: tuple[str, ...],
     ``None`` selects everything.  Each framework run provisions its own
     :class:`~repro.platform.scenario.Session`, so running a subset leaves
     every selected point bit-identical to the full figure — the property
-    the driver's intra-experiment sharding relies on
+    the driver's (point × series) unit plan relies on
     (:mod:`repro.platform.driver`).
     """
     if series is None:
@@ -428,7 +428,6 @@ def fig8(
     graph: GraphSpec | None = None,
     iterations: int = 5,
     spark_physical_vertices: int = 16_000,
-    faults: bool = True,
     machine: str = "comet",
 ) -> TableResult:
     """Recovery cost of one injected node crash, per framework (Fig 8).
@@ -443,11 +442,6 @@ def fig8(
     recovery report the slowdown (and the run asserts the recovered result
     is bit-identical to the fault-free one); MPI and OpenSHMEM report the
     launcher's abort diagnostic.
-
-    Injection defaults on (the figure is *about* faults), so plain
-    ``python -m repro run fig8`` and ``... --faults`` are equivalent;
-    ``faults=False`` is the explicit opt-out that produces only the
-    fault-free column.
     """
     from repro.errors import FaultAbortError
     from repro.faults import FaultPlan
@@ -467,10 +461,6 @@ def fig8(
     def measure(workload, framework, base_spec, run, *, start_offset=0.0):
         """Append one row: fault-free run, then the same run under a crash."""
         t_clean, v_clean = run(base_spec.session())
-        if not faults:
-            table.rows.append([workload, framework, fmt_seconds(t_clean),
-                               "-", "no fault injected"])
-            return
         # schedule the crash in absolute engine time, mid-way through the
         # work observed fault-free (identical platforms share the execution
         # prefix, so the job is provably still running at `at`)

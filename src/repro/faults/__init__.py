@@ -27,7 +27,7 @@ What each framework does about an injected fault:
   recovery story, which is the paper's point.
 
 See ``docs/faults.md`` for the full model and ``fig8`` (``python -m repro
-run fig8 --faults``) for the recovery-overhead experiment built on it.
+run fig8``) for the recovery-overhead experiment built on it.
 """
 
 from repro.errors import FaultAbortError, FaultError

@@ -1,9 +1,11 @@
 """Process-parallel experiment driver with a serial≡parallel guarantee.
 
-The registry's experiments decompose into *units*: an experiment whose
-sweep parameter (``Experiment.shard_param``) holds N independent points
-becomes N units, each provisioning its own sessions, so the whole suite —
-and the points inside one figure — shard across ``workers`` subprocesses.
+The registry's experiments decompose into *units*, one per (sweep point ×
+framework series): an experiment whose sweep parameter
+(``Experiment.shard_param``) holds N independent points and which declares
+M series (``Experiment.series``) becomes N × M units, each provisioning
+its own sessions, so the whole suite — and the cells inside one figure —
+shard across ``workers`` subprocesses.
 Each unit run emits a manifest (params, wall seconds, result fingerprint)
 into a results directory and a merge step reassembles
 :class:`~repro.core.report.FigureResult`/:class:`~repro.core.report.TableResult`
@@ -85,13 +87,15 @@ class Unit:
     """
 
     exp_id: str
+    #: position of this unit's sweep point among the experiment's ``total``
+    #: points (every series-unit of one point shares them)
     index: int
     total: int
     params: dict[str, Any] = field(default_factory=dict)
     #: x-value of the sharded sweep point, if this experiment shards
     point: Any = None
-    #: framework series this unit runs, if the experiment intra-shards
-    #: (``Experiment.intra_param``); ``None`` = all series
+    #: framework series this unit runs, if the experiment declares its
+    #: series (``Experiment.series``); ``None`` = the whole figure/table
     series: str | None = None
 
     @property
@@ -113,49 +117,49 @@ def _sweep_default(fn: Callable[..., Any], param: str) -> Any:
 
 
 def plan_units(exp_id: str, *, quick: bool = False,
-               overrides: dict[str, Any] | None = None,
-               intra: bool = False) -> list[Unit]:
-    """Decompose one experiment into independent units.
+               overrides: dict[str, Any] | None = None) -> list[Unit]:
+    """Decompose one experiment into its finest independent units.
 
-    An experiment with a ``shard_param`` naming a sweep tuple of N > 1
-    points yields N single-point units; anything else is one unit.  With
-    ``intra=True`` an experiment that also declares an ``intra_param``
-    splits each of those units further, one per framework series, so a
-    single sweep point's independent framework runs can spread across
-    workers.  The decomposition depends only on these flags — never on
-    worker count — so merged results cannot depend on scheduling.
+    One unit per (sweep point × series), point-major: a ``shard_param``
+    naming a sweep of N > 1 points gives N single-point slices (else one),
+    and an experiment that declares its ``series`` runs each slice once per
+    series, in canonical order.  A caller's own ``series`` override selects
+    the planned subset; an unknown name is a
+    :class:`~repro.errors.ConfigurationError` here, before anything runs.
+    The plan never depends on worker count, so merged results cannot
+    depend on scheduling.
     """
     from repro.core.experiment import get_experiment
+    from repro.errors import ConfigurationError
 
     exp = get_experiment(exp_id)
     params = dict(exp.quick_params) if quick else {}
     params.update(overrides or {})
-    sweep_name = exp.shard_param
-    if sweep_name is None:
-        units = [Unit(exp_id, 0, 1, params)]
-    else:
-        sweep = params.get(sweep_name)
+    slices: list[tuple[dict[str, Any], Any]] = [(params, None)]
+    if exp.shard_param is not None:
+        sweep = params.get(exp.shard_param)
         if sweep is None:
-            sweep = _sweep_default(exp.run, sweep_name)
+            sweep = _sweep_default(exp.run, exp.shard_param)
         points = list(sweep)
-        if len(points) <= 1:
-            units = [Unit(exp_id, 0, 1, params)]
-        else:
-            units = [
-                Unit(exp_id, i, len(points), {**params, sweep_name: (x,)},
-                     point=x)
-                for i, x in enumerate(points)
-            ]
-    if not intra or exp.intra_param is None or len(exp.intra_series) <= 1:
-        return units
-    # series are planned in the experiment's canonical (serial) order, so
-    # the union merge reassembles them exactly as a serial run would
+        if len(points) > 1:
+            slices = [({**params, exp.shard_param: (x,)}, x) for x in points]
+    names: tuple[str | None, ...] = (None,)
+    if exp.series:
+        asked = params.get("series")
+        asked = exp.series if asked is None else tuple(asked)
+        if not asked or any(name not in exp.series for name in asked):
+            raise ConfigurationError(
+                f"{exp_id}: series {list(asked)} must be a non-empty "
+                f"subset of {list(exp.series)}")
+        # canonical (serial) order, so the merge lists series as a serial
+        # run of the figure would
+        names = tuple(name for name in exp.series if name in asked)
     return [
-        Unit(u.exp_id, u.index, u.total,
-             {**u.params, exp.intra_param: (name,)},
-             point=u.point, series=name)
-        for u in units
-        for name in exp.intra_series
+        Unit(exp_id, i, len(slices),
+             p if name is None else {**p, "series": (name,)},
+             point=x, series=name)
+        for i, (p, x) in enumerate(slices)
+        for name in names
     ]
 
 
@@ -173,7 +177,7 @@ def merge_results(
     each series' points.  With the units planned by :func:`plan_units` —
     point-major, series in canonical order — this reproduces the serial
     result bit for bit: a point-shard extends every series with the same
-    points the serial loop appends, and an intra-shard's lone series lands
+    points the serial loop appends, and a series-unit's lone series lands
     (first occurrence) in the same position the serial figure lists it.
     """
     first = parts[0]
@@ -291,7 +295,6 @@ class SuiteResult:
     unit_results: dict[str, list[UnitResult]]
     workers: int
     quick: bool
-    intra_workers: int = 1
     #: artifact-cache provenance: ``None`` when caching was disabled, else
     #: ``{"path", "refresh", "hits", "misses"}`` (result-plane counts)
     cache: dict[str, Any] | None = None
@@ -303,7 +306,6 @@ class SuiteResult:
     def manifest(self) -> dict[str, Any]:
         return {
             "workers": self.workers,
-            "intra_workers": self.intra_workers,
             "quick": self.quick,
             "cache": self.cache,
             "python": sys.version.split()[0],
@@ -380,7 +382,6 @@ def run_suite(
     *,
     quick: bool = False,
     workers: int = 1,
-    intra_workers: int = 1,
     out_dir: Path | str | None = None,
     overrides: dict[str, dict[str, Any]] | None = None,
     progress: Callable[[str], None] | None = None,
@@ -395,17 +396,10 @@ def run_suite(
     results — and fingerprints — are identical.  A repeated experiment id
     runs once (first occurrence keeps its place).
 
-    ``intra_workers>1`` additionally splits each sweep point of an
-    experiment that declares an ``intra_param`` into one unit per
-    framework series, and widens the pool to at least that many workers —
-    the independent framework runs *inside* one figure point then execute
-    concurrently.  The plan changes but the merge reassembles the serial
-    result bit for bit, so fingerprints are still identical.
-
     The pool never exceeds the CPUs this process may use (its affinity
     mask): more spawn workers than CPUs only oversubscribe the host
     (DESIGN §4.5), so on one CPU every request runs in-process.  The
-    manifest records the requested numbers.
+    manifest records the requested number.
 
     ``overrides`` maps experiment id to parameter overrides (applied on
     top of quick params); ``out_dir`` enables manifests: one JSON per unit
@@ -429,19 +423,16 @@ def run_suite(
     units: list[Unit] = []
     for exp_id in exp_ids:
         units.extend(plan_units(exp_id, quick=quick,
-                                overrides=(overrides or {}).get(exp_id),
-                                intra=intra_workers > 1))
-    requested = max(workers, intra_workers)
-    pool_size = min(requested, _usable_cpus())
+                                overrides=(overrides or {}).get(exp_id)))
+    pool_size = min(workers, _usable_cpus())
 
     cache_root = resolve_root(cache)
     plan = (CachePlan(str(cache_root), code_version(), refresh_cache)
             if cache_root is not None else None)
     say(f"planned {len(units)} units over {len(exp_ids)} experiments "
         f"({workers} workers"
-        + (f", {intra_workers} intra-workers" if intra_workers > 1 else "")
         + (f", pool clamped to {pool_size} usable CPU(s)"
-           if pool_size < requested else "")
+           if pool_size < workers else "")
         + (f", cache {plan.root}" if plan is not None else "")
         + ")")
 
@@ -479,8 +470,7 @@ def run_suite(
             "misses": len(done) - hits,
         }
     suite = SuiteResult(results=results, unit_results=unit_results,
-                        workers=workers, quick=quick,
-                        intra_workers=intra_workers, cache=cache_block)
+                        workers=workers, quick=quick, cache=cache_block)
     if out_dir is not None:
         write_manifests(suite, Path(out_dir))
     return suite
@@ -496,6 +486,11 @@ def write_manifests(suite: SuiteResult, out_dir: Path) -> None:
     units_dir = out_dir / "units"
     units_dir.mkdir(parents=True, exist_ok=True)
     for exp_id, parts in suite.unit_results.items():
+        # a reused directory may hold this experiment's units from another
+        # plan (a longer sweep, other series); no manifest accounts for them
+        for stale in (units_dir / f"{exp_id}.json",
+                      *units_dir.glob(f"{exp_id}.*.json")):
+            stale.unlink(missing_ok=True)
         for ur in parts:
             path = units_dir / f"{ur.unit.key}.json"
             path.write_text(json.dumps(ur.manifest(quick=suite.quick),

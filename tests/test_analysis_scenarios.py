@@ -31,17 +31,12 @@ def test_unknown_scenario_raises():
 
 def test_capabilities_flags():
     assert capabilities("table1") == {
-        "trace": False, "race_check": False, "fault_injection": False,
-        "sanitize": False}
+        "trace": False, "race_check": False, "sanitize": False}
     assert capabilities("fig3") == {
-        "trace": True, "race_check": True, "fault_injection": False,
-        "sanitize": True}
+        "trace": True, "race_check": True, "sanitize": True}
     # simulated but without a dedicated scenario: traceable, not checkable
     assert capabilities("fig5") == {
-        "trace": True, "race_check": False, "fault_injection": False,
-        "sanitize": False}
-    # fig8 takes fault plans (python -m repro run fig8 --faults)
-    assert capabilities("fig8")["fault_injection"] is True
+        "trace": True, "race_check": False, "sanitize": False}
 
 
 def test_hb_instrumentation_does_not_change_results():

@@ -17,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,7 @@ import repro.cache as cache
 from repro.__main__ import main as cli
 from repro.cache import (ArtifactStore, UncacheableError, cache_key,
                          code_version, decode_result, encode_result,
-                         encode_value)
+                         encode_value, resolve_root, store_info)
 from repro.core.report import FigureResult, Series, TableResult
 from repro.platform import CachePlan, Unit, run_suite, unit_cache_key
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -293,6 +294,8 @@ class TestResultCodec:
 #: small fig4 so the differential runs in seconds
 FIG4_MINI = {"fig4": {"proc_counts": (8, 16), "logical_size": 10**8,
                       "spec": StackExchangeSpec(n_posts=1200)}}
+#: units it plans: 2 points x 4 series
+FIG4_UNITS = 8
 
 
 class TestResultPlane:
@@ -325,8 +328,8 @@ class TestResultPlane:
         fps = {s.fingerprints()["fig4"]
                for s in (cold, warm, off, refresh)}
         assert len(fps) == 1
-        assert cold.cache["misses"] == 2 and cold.cache["hits"] == 0
-        assert warm.cache["hits"] == 2 and warm.cache["misses"] == 0
+        assert cold.cache["misses"] == FIG4_UNITS and cold.cache["hits"] == 0
+        assert warm.cache["hits"] == FIG4_UNITS and warm.cache["misses"] == 0
         assert off.cache is None
         assert refresh.cache["hits"] == 0 and refresh.cache["refresh"]
         assert warm.results["fig4"].render() == cold.results["fig4"].render()
@@ -338,7 +341,7 @@ class TestResultPlane:
         cold = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
         warm = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir,
                          workers=2)
-        assert warm.cache["hits"] == 2
+        assert warm.cache["hits"] == FIG4_UNITS
         assert warm.fingerprints() == cold.fingerprints()
 
     def test_corrupted_result_entry_reexecutes(self, tmp_path, monkeypatch):
@@ -347,17 +350,18 @@ class TestResultPlane:
         cold = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
         store = ArtifactStore(store_dir)
         entries = sorted((store_dir / "results").glob("*.json"))
-        assert len(entries) == 2
+        assert len(entries) == FIG4_UNITS
         raw = json.loads(entries[0].read_text())
         raw["payload"]["series"][0]["points"][0][1]["v"] = "0x1.0p+3"
         entries[0].write_text(json.dumps(raw))
         warm = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
         # the corrupt entry missed and re-executed; the intact one hit
-        assert warm.cache["hits"] == 1 and warm.cache["misses"] == 1
+        assert warm.cache["hits"] == FIG4_UNITS - 1
+        assert warm.cache["misses"] == 1
         assert warm.fingerprints() == cold.fingerprints()
         # and the entry was regenerated: fully warm again
         again = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
-        assert again.cache["hits"] == 2
+        assert again.cache["hits"] == FIG4_UNITS
 
     def test_runs_touch_only_their_own_root(self, tmp_path, monkeypatch):
         """No process-wide store: a run writes under the root it was given."""
@@ -371,7 +375,7 @@ class TestResultPlane:
 
         run_suite(["fig4"], overrides=FIG4_MINI, cache=root_a)
         files_a = snapshot(root_a)
-        assert len(files_a) == 2
+        assert len(files_a) == FIG4_UNITS
         assert all(name.startswith("results/") for name in files_a)
         assert not root_b.exists()
         run_suite(["fig4"], overrides=FIG4_MINI, cache=root_b)
@@ -390,18 +394,44 @@ class TestResultPlane:
         out = tmp_path / "results"
         run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
         run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir, out_dir=out)
-        unit = json.loads((out / "units" / "fig4.1of2.json").read_text())
+        unit = json.loads((out / "units" / "fig4.1of2.spark.json").read_text())
         assert unit["cached"] is True
         assert len(unit["cache_key"]) == 64
         assert unit["stored_wall_s"] >= 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["cache"]["hits"] == 2
+        assert manifest["cache"]["hits"] == FIG4_UNITS
 
     def test_env_kill_switch_beats_explicit_path(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         suite = run_suite(["table1"], cache=tmp_path / "store")
         assert suite.cache is None
         assert not (tmp_path / "store").exists()
+
+    @pytest.mark.parametrize("kill", [False, True])
+    @pytest.mark.parametrize("env_dir, cache_arg, root", [
+        (None, None, None),
+        (None, False, None),
+        (None, True, ".repro-cache"),
+        (None, "given", "given"),
+        ("env", None, "env"),
+        ("env", False, None),
+        ("env", True, "env"),
+        ("env", "given", "given"),
+    ])
+    def test_resolve_root_table(self, monkeypatch, kill, env_dir, cache_arg,
+                                root):
+        """(REPRO_NO_CACHE, REPRO_CACHE_DIR, ``cache`` argument) -> root."""
+        for name, value in (("REPRO_NO_CACHE", "1" if kill else None),
+                            ("REPRO_CACHE_DIR", env_dir)):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        want = None if kill or root is None else Path(root)
+        assert resolve_root(cache_arg) == want
+        # `list --json` reports the store a default `repro run` would use
+        assert store_info()["path"] == (
+            None if kill else env_dir or ".repro-cache")
 
 
 class TestCLI:
@@ -417,6 +447,19 @@ class TestCLI:
         assert warm["cache"]["hits"] == 1
         assert (warm["experiments"]["table1"]["fingerprint"]
                 == cold["experiments"]["table1"]["fingerprint"])
+
+    def test_fig8_second_run_is_all_hits(self, tmp_path, monkeypatch, capsys):
+        """Fault injection has one spelling, so one set of entries."""
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        argv = ["run", "fig8", "--quick", "--cache-dir",
+                str(tmp_path / "store"), "--json"]
+        assert cli(argv) == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert (cold["cache"]["hits"], cold["cache"]["misses"]) == (0, 3)
+        assert cli(argv) == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert (warm["cache"]["hits"], warm["cache"]["misses"]) == (3, 0)
+        assert len(list((tmp_path / "store" / "results").iterdir())) == 3
 
     def test_no_cache_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+    HAS_HYPOTHESIS = True
+except ImportError:
+    HAS_HYPOTHESIS = False
+
 from repro.__main__ import main as cli
-from repro.core.experiment import _ensure_registry
+from repro.core.experiment import _ensure_registry, run_experiment
 from repro.core.report import FigureResult, Series, TableResult
+from repro.errors import ConfigurationError
 from repro.platform import (
     check_golden,
     fingerprint_result,
@@ -18,6 +25,7 @@ from repro.platform import (
     run_suite,
 )
 from repro.workloads.graphs import GraphSpec
+from repro.workloads.stackexchange import StackExchangeSpec
 
 #: tiny parameter overrides that keep the sharded-vs-serial comparison fast
 #: while still splitting each experiment into >= 2 units
@@ -30,6 +38,14 @@ TINY_SHARDED = {
     "extra-kmeans": {"node_counts": (1, 2), "n_points": 500,
                      "iterations": 2, "procs_per_node": 2},
 }
+#: the other two figures that declare series; fig4 at 32 processes has an
+#: absent (``None``) OpenMP point
+TINY_SERIES = {
+    "fig4": {"proc_counts": (8, 32), "logical_size": 10**8,
+             "spec": StackExchangeSpec(n_posts=1200)},
+    "fig7": TINY_SHARDED["fig6"],
+}
+TINY = {**TINY_SHARDED, **TINY_SERIES}
 
 
 class TestPlanUnits:
@@ -40,13 +56,37 @@ class TestPlanUnits:
         assert units[0].params["sizes"]  # quick params folded in
 
     def test_sharded_quick_sweep_splits(self):
-        units = plan_units("fig4", quick=True)
-        assert [u.key for u in units] == ["fig4.1of2", "fig4.2of2"]
-        assert units[0].params["proc_counts"] == (8,)
-        assert units[1].params["proc_counts"] == (16,)
-        assert [u.point for u in units] == [8, 16]
+        units = plan_units("extra-kmeans", quick=True)
+        assert [u.key for u in units] == ["extra-kmeans.1of2",
+                                          "extra-kmeans.2of2"]
+        assert units[0].params["node_counts"] == (1,)
+        assert units[1].params["node_counts"] == (2,)
+        assert [u.point for u in units] == [1, 2]
+        assert [u.series for u in units] == [None, None]
         # non-sweep quick params reach every unit
+        assert all("n_points" in u.params for u in units)
+
+    def test_declared_series_split_every_point(self):
+        units = plan_units("fig4", quick=True)
+        names = ["openmp", "mpi", "spark", "hadoop"]
+        assert [u.key for u in units] == [
+            f"fig4.{i}of2.{name}" for i in (1, 2) for name in names]
+        assert [u.point for u in units] == [8] * 4 + [16] * 4
+        assert units[0].params["proc_counts"] == (8,)
+        assert units[5].params["proc_counts"] == (16,)
+        assert units[5].series == "MPI"
+        assert units[5].params["series"] == ("MPI",)
         assert all("logical_size" in u.params for u in units)
+
+    def test_series_override_selects_in_canonical_order(self):
+        units = plan_units("fig6", quick=True,
+                           overrides={"series": ("Spark-RDMA", "MPI")})
+        assert [u.series for u in units] == ["MPI", "Spark-RDMA"] * 2
+
+    @pytest.mark.parametrize("series", [("Spark", "Flink"), ()])
+    def test_bad_series_override_rejected(self, series):
+        with pytest.raises(ConfigurationError, match="fig6: series"):
+            plan_units("fig6", quick=True, overrides={"series": series})
 
     def test_single_point_sweep_is_one_unit(self):
         units = plan_units("table2", quick=True)  # quick uses one size
@@ -60,7 +100,8 @@ class TestPlanUnits:
     def test_overrides_fold_on_top_of_quick(self):
         units = plan_units("fig6", quick=True,
                            overrides={"node_counts": (1, 2, 4)})
-        assert len(units) == 3
+        assert len(units) == 3 * 3  # points x series
+        assert [u.total for u in units] == [3] * 9
         assert units[0].params["iterations"] == 3  # quick param survives
 
     def test_unknown_experiment_rejected(self):
@@ -97,6 +138,39 @@ class TestMergeResults:
         ]
         assert fingerprint_result(merge_results(parts)) == \
             fingerprint_result(serial)
+
+    @pytest.mark.skipif(not HAS_HYPOTHESIS, reason="needs hypothesis")
+    def test_point_series_cells_merge_back(self):
+        """Any figure cut into (point x series) cells in planned order
+        merges back to itself — also when a declared series is absent (its
+        cells are empty figures, like ``Spark-RDMA`` on ``comet-100gbe``)
+        and when y-values are ``None``."""
+        ys = st.one_of(st.none(), st.floats(allow_nan=False))
+
+        @given(st.data())
+        @settings(max_examples=60, deadline=None)
+        def check(data):
+            declared = data.draw(st.lists(
+                st.sampled_from("abcdef"), min_size=1, unique=True))
+            present = data.draw(st.sets(st.sampled_from(declared)))
+            xs = data.draw(st.lists(st.integers(0, 99), min_size=1,
+                                    max_size=4, unique=True))
+            y = {(name, x): data.draw(ys) for name in declared for x in xs}
+
+            def figure(series):
+                return FigureResult("F", "t", "x", "y", series=series)
+
+            whole = figure([Series(name, [(x, y[name, x]) for x in xs])
+                            for name in declared if name in present])
+            cells = [figure([Series(name, [(x, y[name, x])])]
+                            if name in present else [])
+                     for x in xs for name in declared]
+            merged = merge_results(cells)
+            assert [s.name for s in merged.series] == \
+                [s.name for s in whole.series]
+            assert fingerprint_result(merged) == fingerprint_result(whole)
+
+        check()
 
 
 class TestFingerprint:
@@ -138,6 +212,53 @@ class TestSuite:
         assert sharded.results[exp_id].render() == \
             serial.results[exp_id].render()
 
+    @pytest.mark.parametrize("exp_id", sorted(TINY))
+    def test_merged_units_equal_undecomposed_figure(self, exp_id):
+        overrides = TINY[exp_id]
+        suite = run_suite([exp_id], overrides={exp_id: overrides})
+        assert len(suite.unit_results[exp_id]) >= 2
+        whole = run_experiment(exp_id, **overrides)
+        assert suite.fingerprints()[exp_id] == fingerprint_result(whole)
+        assert suite.results[exp_id].render() == whole.render()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_series_override_honoured(self, workers):
+        """A caller's ``series`` filter survives planning under every
+        ``workers`` value: the merged figure is the direct call's."""
+        tiny = {**TINY_SHARDED["fig6"], "series": ("MPI",)}
+        suite = run_suite(["fig6"], workers=workers,
+                          overrides={"fig6": tiny})
+        assert [s.name for s in suite.results["fig6"].series] == ["MPI"]
+        assert [u.unit.key for u in suite.unit_results["fig6"]] == [
+            "fig6.1of2.mpi", "fig6.2of2.mpi"]
+        assert suite.fingerprints()["fig6"] == \
+            fingerprint_result(run_experiment("fig6", **tiny))
+
+    def test_unknown_series_fails_before_anything_runs(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a unit ran before planning finished")
+
+        monkeypatch.setattr("repro.platform.driver._run_unit", no_run)
+        with pytest.raises(ConfigurationError, match="Flink"):
+            run_suite(["table1", "fig6"], quick=True,
+                      overrides={"fig6": {"series": ("Flink",)}})
+
+    def test_reused_out_dir_drops_the_experiments_stale_units(self, tmp_path):
+        """Unit manifests of an earlier plan of the *same* experiment (a
+        longer sweep, a single-point run) go; other experiments' stay."""
+        units = tmp_path / "units"
+        units.mkdir()
+        stale = ["table2.json", "table2.3of4.json", "table2.1of2.spark.json"]
+        kept = ["table20.json", "table1.json", "table2x.1of2.json"]
+        for name in stale + kept:
+            (units / name).write_text("{}\n")
+        run_suite(["table2"], overrides={"table2": TINY_SHARDED["table2"]},
+                  out_dir=tmp_path)
+        assert sorted(p.name for p in units.iterdir()) == sorted(
+            kept + ["table2.1of2.json", "table2.2of2.json"])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["experiments"]["table2"]["units"] == 2
+
     def test_repeated_id_runs_once(self, tmp_path):
         once = run_suite(["table1"])
         twice = run_suite(["table1", "table1"], out_dir=tmp_path)
@@ -147,8 +268,8 @@ class TestSuite:
         assert manifest["experiments"]["table1"]["units"] == 1
 
     def test_pool_clamped_to_usable_cpus(self, monkeypatch):
-        """On one CPU a sharded + intra-sharded request runs in-process —
-        same plan, serial fingerprint — and the manifest keeps the request."""
+        """On one CPU a ``workers=3`` request runs in-process — same plan,
+        serial fingerprint — and the manifest keeps the request."""
         import concurrent.futures
 
         overrides = {"fig6": TINY_SHARDED["fig6"]}
@@ -162,19 +283,19 @@ class TestSuite:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             no_pool)
         said = []
-        clamped = run_suite(["fig6"], workers=2, intra_workers=3,
-                            overrides=overrides, progress=said.append)
+        clamped = run_suite(["fig6"], workers=3, overrides=overrides,
+                            progress=said.append)
         assert "pool clamped to 1 usable CPU(s)" in said[0]
         assert len(clamped.unit_results["fig6"]) == 6  # 2 points x 3 series
         assert clamped.fingerprints() == serial.fingerprints()
-        manifest = clamped.manifest()
-        assert (manifest["workers"], manifest["intra_workers"]) == (2, 3)
+        assert clamped.manifest()["workers"] == 3
 
     def test_every_registered_experiment_plans(self):
         for exp_id in _ensure_registry():
             units = plan_units(exp_id, quick=True)
             assert units, exp_id
-            assert sum(1 for u in units if u.total != len(units)) == 0
+            assert len({u.key for u in units}) == len(units)
+            assert {u.index for u in units} == set(range(units[0].total))
 
     @pytest.mark.parametrize("exp_id", sorted(_ensure_registry()))
     def test_every_registered_experiment_runs_quick(self, exp_id):
@@ -223,15 +344,24 @@ class TestCLI:
         by_id = {e["id"]: e for e in listing["experiments"]}
         assert by_id["fig4"]["shard_param"] == "proc_counts"
         assert by_id["table1"]["shard_param"] is None
+        assert by_id["fig6"]["series"] == ["MPI", "Spark", "Spark-RDMA"]
+        assert by_id["table1"]["series"] == []
         # the cache capability block reports a store (even when absent or
         # empty) without crashing the listing
         cache = listing["cache"]
         assert set(cache) == {"enabled", "path", "entries"}
         assert cache["entries"] >= 0
 
-    def test_old_style_invocation_still_runs(self, capsys):
-        assert cli(["table1"]) == 0
-        assert "Comet" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["fig3"],  # the old `python -m repro <id>` form
+        ["run", "fig8", "--faults"],
+        ["run", "fig6", "--intra-workers", "2"],
+    ])
+    def test_removed_spellings_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_run_report_golden_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "results"
