@@ -11,8 +11,6 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.shmem import shmem_run
 
-WARMUP = 2
-
 
 def shmem_reduce_latency(
     cluster: Cluster,
@@ -29,8 +27,6 @@ def shmem_reduce_latency(
         for size in sizes:
             n = max(1, size // 4)
             sym = pe.alloc(n, dtype=np.float32)
-            for _ in range(WARMUP + iterations):
-                pass  # allocation is already synchronising
             pe.local(sym)[:] = 1.0
             pe.barrier_all()
             t0 = pe.wtime()

@@ -32,7 +32,7 @@ from typing import Any
 from typing import TYPE_CHECKING
 
 from repro.mpi import p2p
-from repro.mpi.datatypes import ReduceOp, SUM, nbytes_of
+from repro.mpi.datatypes import ReduceOp, SUM, combine, copy_payload, nbytes_of
 from repro.sim.engine import current_process
 from repro.sim.trace import call_site
 
@@ -57,6 +57,11 @@ def _charge_combine(comm: "Communicator", obj: Any) -> None:
     current_process().compute_bytes(
         max(8, nbytes_of(obj)), comm.env.costs.reduce_rate_native
     )
+
+
+def _private(acc: Any, obj: Any) -> Any:
+    """A result the caller exclusively owns: never its own input ``obj``."""
+    return copy_payload(acc) if acc is obj else acc
 
 
 #: sentinel distinguishing "no data argument" from a literal ``None`` payload
@@ -140,6 +145,7 @@ def reduce(
     _enter(comm, "reduce", p, root=root, obj=obj)
     vrank = (me - root) % p
     acc = obj
+    owned = False  # acc is a buffer this rank received, not the caller's
     mask = 1
     while mask < p:
         if vrank & mask == 0:
@@ -147,14 +153,15 @@ def reduce(
             if partner_v < p:
                 src = (partner_v + root) % p
                 data, _, _ = p2p.recv(comm, me, src, _T_REDUCE)
-                acc = op(acc, data)
+                acc = combine(op, acc, data, out=data)
+                owned = acc is data
                 _charge_combine(comm, acc)
         else:
             dest = ((vrank & ~mask) + root) % p
-            p2p.send(comm, me, dest, acc, _T_REDUCE)
+            p2p.send(comm, me, dest, acc, _T_REDUCE, move=owned)
             return None
         mask <<= 1
-    return acc if me == root else None
+    return _private(acc, obj) if me == root else None
 
 
 def allreduce(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> Any:
@@ -162,7 +169,7 @@ def allreduce(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> 
     _enter(comm, "allreduce", p, obj=obj)
     if p == 1:
         current_process().checkpoint()
-        return obj
+        return copy_payload(obj)
     p2 = 1
     while p2 * 2 <= p:
         p2 *= 2
@@ -176,7 +183,7 @@ def allreduce(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> 
             new_rank = None  # sits out the doubling phase
         else:
             data, _, _ = p2p.recv(comm, me, me - 1, _T_ALLREDUCE)
-            acc = op(acc, data)
+            acc = combine(op, acc, data, out=data)
             _charge_combine(comm, acc)
             new_rank = me // 2
     else:
@@ -189,7 +196,7 @@ def allreduce(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> 
                 partner_new * 2 + 1 if partner_new < rem else partner_new + rem
             )
             data = p2p.sendrecv(comm, me, partner, acc, partner, _T_ALLREDUCE)
-            acc = op(acc, data)
+            acc = combine(op, acc, data, out=data)
             _charge_combine(comm, acc)
             mask <<= 1
     # Deliver results back to the folded-out even ranks.
@@ -208,7 +215,7 @@ def gather(comm: "Communicator", me: int, p: int, obj: Any, root: int) -> list |
         p2p.send(comm, me, root, obj, _T_GATHER)
         return None
     out: list[Any] = [None] * p
-    out[me] = obj
+    out[me] = copy_payload(obj)
     for _ in range(p - 1):
         payload, src, _ = p2p.recv(comm, me, None, _T_GATHER)
         out[src] = payload
@@ -224,7 +231,7 @@ def scatter(comm: "Communicator", me: int, p: int, objs: list | None, root: int)
         for dest in range(p):
             if dest != me:
                 p2p.send(comm, me, dest, objs[dest], _T_SCATTER)
-        return objs[me]
+        return copy_payload(objs[me])
     payload, _, _ = p2p.recv(comm, me, root, _T_SCATTER)
     return payload
 
@@ -233,7 +240,7 @@ def allgather(comm: "Communicator", me: int, p: int, obj: Any) -> list:
     """Ring allgather: p-1 rounds, each forwarding the newest block."""
     _enter(comm, "allgather", p)
     out: list[Any] = [None] * p
-    out[me] = obj
+    out[me] = copy_payload(obj)
     if p == 1:
         current_process().checkpoint()
         return out
@@ -254,7 +261,7 @@ def alltoall(comm: "Communicator", me: int, p: int, objs: list) -> list:
     if len(objs) != p:
         raise ValueError(f"alltoall needs a list of length {p}")
     out: list[Any] = [None] * p
-    out[me] = objs[me]
+    out[me] = copy_payload(objs[me])
     for round_ in range(1, p):
         dest = (me + round_) % p
         src = (me - round_) % p
@@ -278,10 +285,10 @@ def scan(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> Any:
             p2p.send(comm, me, me + k, acc, _T_SCAN)
         if me - k >= 0:
             data, _, _ = p2p.recv(comm, me, me - k, _T_SCAN)
-            acc = op(data, acc)
+            acc = combine(op, data, acc, out=data)
             _charge_combine(comm, acc)
         k <<= 1
-    return acc
+    return _private(acc, obj)
 
 
 def exscan(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> Any:
@@ -307,9 +314,10 @@ def reduce_scatter_block(
     PageRank benchmark uses to exchange rank contributions.
     """
     _enter(comm, "reduce_scatter_block", p, obj=objs)
+    # every element is this rank's: received, or alltoall's copy of objs[me]
     mine = alltoall(comm, me, p, objs)
     acc = mine[0]
     for x in mine[1:]:
-        acc = op(acc, x)
+        acc = combine(op, acc, x, out=acc)
     _charge_combine(comm, acc)
     return acc

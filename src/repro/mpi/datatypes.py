@@ -100,17 +100,52 @@ def _nbytes_of_slow(obj: Any) -> int:
     return int(sys.getsizeof(obj))
 
 
-def copy_payload(obj: Any) -> Any:
-    """Defensive copy applied on delivery, mirroring MPI's copy semantics.
-
-    Mutable buffers (ndarrays, bytearrays) are copied so sender-side reuse
-    cannot corrupt received data; immutable payloads pass through.
-    """
+def _copy_buffer(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, bytearray):
         return bytearray(obj)
     return obj
+
+
+def _copy_element(obj: Any) -> Any:
+    # a read-only array that owns its data is the sender's promise that
+    # nobody writes it (a read-only *view* promises nothing about its base)
+    if (isinstance(obj, np.ndarray) and not obj.flags.writeable
+            and obj.flags.owndata):
+        return obj
+    return _copy_buffer(obj)
+
+
+def copy_payload(obj: Any) -> Any:
+    """Defensive copy applied on delivery, mirroring MPI's copy semantics.
+
+    Mutable buffers (ndarrays, bytearrays) are copied so sender-side reuse
+    cannot corrupt received data; immutable payloads pass through.  The
+    copy reaches one container level down — the elements of a list or
+    tuple and the values of a dict — which is as deep as the collectives
+    nest a caller's buffers; a container holding no such buffer passes
+    through as is.  Inside a container, a read-only array that owns its
+    data is shared with the receiver, zero-copy: freezing a buffer is how
+    a sender declares it safe to alias.
+    """
+    t = type(obj)
+    if t is list or t is tuple:
+        items: Any = enumerate(obj)
+    elif t is dict:
+        items = obj.items()
+    else:
+        return _copy_buffer(obj)
+    out = None
+    for k, v in items:
+        copied = _copy_element(v)
+        if copied is not v:
+            if out is None:
+                out = dict(obj) if t is dict else list(obj)
+            out[k] = copied
+    if out is None:
+        return obj
+    return tuple(out) if t is tuple else out
 
 
 # -- reduction operators ------------------------------------------------------
@@ -140,3 +175,26 @@ def MAX(a: Any, b: Any) -> Any:
 
 
 ReduceOp = Callable[[Any, Any], Any]
+
+# The ufunc twin of each built-in op takes the operands in the same order,
+# so ``twin(a, b, out=...)`` holds bit for bit what ``op(a, b)`` returns.
+SUM.ufunc = np.add
+PROD.ufunc = np.multiply
+MIN.ufunc = np.minimum
+MAX.ufunc = np.maximum
+
+
+def combine(op: ReduceOp, a: Any, b: Any, out: Any) -> Any:
+    """``op(a, b)``, written into ``out`` where that changes nothing else.
+
+    ``out`` is whichever operand the calling collective exclusively owns —
+    a buffer it has just received.  Only a built-in op on two plain arrays
+    of one shape and dtype is combined in place; user-defined ops,
+    scalars, sparse blocks and mismatched arrays see the plain call.
+    """
+    twin = getattr(op, "ufunc", None)
+    if (twin is not None and type(a) is np.ndarray and type(b) is np.ndarray
+            and a.ndim and a.shape == b.shape and a.dtype == b.dtype
+            and out.flags.writeable):
+        return twin(a, b, out=out)
+    return op(a, b)

@@ -91,8 +91,15 @@ def send(
     tag: int,
     *,
     nbytes: int | None = None,
+    move: bool = False,
 ) -> None:
-    """Blocking send from rank ``src`` (the calling process)."""
+    """Blocking send from rank ``src`` (the calling process).
+
+    ``move`` is the terminal send of a runtime temporary: a collective
+    passes it for a buffer it created itself and drops straight after, so
+    the receiver takes ownership of ``obj`` instead of a copy.  Never set
+    for a buffer the caller can still see.
+    """
     env = comm.env
     proc = current_process()
     size = nbytes_of(obj) if nbytes is None else nbytes
@@ -105,7 +112,7 @@ def send(
             proc, env.fabric, src_node, dst_node, size
         )
         box.post(
-            proc, copy_payload(obj), arrival=arrival,
+            proc, obj if move else copy_payload(obj), arrival=arrival,
             src=src, tag=tag, kind="eager", nbytes=size,
         )
         return
@@ -131,7 +138,8 @@ def send(
         proc, env.fabric, src_node, dst_node, size,
         label=f"mpi:{src}->{dest}",
     )
-    box.post(proc, copy_payload(obj), arrival=done, kind="data", msg_id=msg_id)
+    box.post(proc, obj if move else copy_payload(obj), arrival=done,
+             kind="data", msg_id=msg_id)
 
 
 def recv(

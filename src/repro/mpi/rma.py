@@ -80,7 +80,8 @@ class Window:
         target[target_offset : target_offset + data.size] = data
 
     def get(self, target_rank: int, offset: int = 0, count: int | None = None) -> np.ndarray:
-        """``MPI_Get``: read from the target's window buffer."""
+        """``MPI_Get``: read from the target's window buffer into a private
+        array — the caller may scribble on it, the window never sees that."""
         proc = current_process()
         env = self.comm.env
         proc.compute(env.costs.shmem_rma_overhead)

@@ -85,8 +85,7 @@ def broadcast(pe: "PE", sym: "SymmetricArray", root: int) -> None:
         if vrank & mask:
             parent = (pe.my_pe - mask) % p
             _wait_signal(pe, parent, "bcast", mask)
-            data = pe.get(sym, parent)
-            pe.local(sym)[:] = data
+            pe.local(sym)[:] = pe._fetch(sym, parent)
             break
         mask <<= 1
     mask >>= 1
@@ -112,9 +111,8 @@ def sum_to_all(pe: "PE", sym: "SymmetricArray") -> None:
             partner = pe.my_pe | mask
             if partner < p:
                 _wait_signal(pe, partner, "reduce", mask)
-                data = pe.get(sym, partner)
                 mine = pe.local(sym)
-                mine += data
+                mine += pe._fetch(sym, partner)
                 proc.compute_bytes(max(8, mine.nbytes),
                                    pe.env.costs.reduce_rate_native)
         else:
@@ -135,11 +133,10 @@ def collect(pe: "PE", sym: "SymmetricArray") -> "object":
     _enter(pe, "collect")
 
     barrier_all(pe)
-    parts = []
+    mine = pe.local(sym)
+    out = np.empty(pe.n_pes * mine.size, dtype=mine.dtype)
     for src in range(pe.n_pes):
-        if src == pe.my_pe:
-            parts.append(pe.local(sym).copy())
-        else:
-            parts.append(pe.get(sym, src))
+        part = mine if src == pe.my_pe else pe._fetch(sym, src)
+        out[src * mine.size:(src + 1) * mine.size] = part
     barrier_all(pe)
-    return np.concatenate(parts)
+    return out

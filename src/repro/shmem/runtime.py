@@ -116,7 +116,16 @@ class PE:
 
     def get(self, sym: SymmetricArray, pe: int, offset: int = 0,
             count: int | None = None) -> np.ndarray:
-        """``shmem_get``: read from ``pe``'s copy."""
+        """``shmem_get``: read from ``pe``'s copy into a private array."""
+        return self._fetch(sym, pe, offset, count).copy()
+
+    def _fetch(self, sym: SymmetricArray, pe: int, offset: int = 0,
+               count: int | None = None) -> np.ndarray:
+        """The transfer of :meth:`get`, returning a *view* of ``pe``'s copy.
+
+        For the collectives, which consume the view before their next
+        checkpoint — until then no other PE can run, let alone write it.
+        """
         proc = current_process()
         source = sym.local(pe)
         count = source.size - offset if count is None else count
@@ -135,7 +144,7 @@ class PE:
         self.env.cluster.trace.access(
             proc, "read", f"shmem.sym{sym.handle}@pe{pe}",
             start=offset, stop=offset + count)
-        return view.copy()
+        return view
 
     def quiet(self) -> None:
         """``shmem_quiet``: ensure outstanding puts completed.

@@ -9,6 +9,20 @@ deleting the variable and pointing an explicit store at ``tmp_path``.
 
 import pytest
 
+from repro.platform.scenario import sanitize_forced
+from repro.sim.trace import Trace
+
+
+def forced_trace() -> Trace | None:
+    """An hb-mode trace when ``REPRO_SANITIZE=1``, else ``None``.
+
+    The MPI/SHMEM/RMA modules build bare clusters, which the hatch does
+    not reach; passing this as ``Cluster(..., trace=forced_trace())`` lets
+    CI re-run them with the vector-clock branches of the message and
+    symmetric-heap paths live.
+    """
+    return Trace(hb=True) if sanitize_forced() else None
+
 
 @pytest.fixture(autouse=True)
 def _no_artifact_cache(monkeypatch):

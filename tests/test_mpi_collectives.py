@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.cluster.spec import TESTING, ClusterSpec, NodeSpec
 from repro.mpi import MAX, MIN, PROD, SUM, mpi_run
+from tests.conftest import forced_trace
 
 
 def big_cluster(nodes=4):
     # plenty of cores so any nprocs fits
-    return Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=64)))
+    return Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=64)),
+                   trace=forced_trace())
 
 
 def run(fn, nprocs, nodes=2, **kw):
@@ -262,3 +264,255 @@ class TestCollectiveCostShapes:
         t_big = max(mpi_run(big_cluster(), lambda c: main(c, 1024 * 256), 8,
                             charge_launch=False).returns)
         assert t_big > t_small * 5
+
+
+# ---------------------------------------------------------------------------
+# payload ownership: the runtime may move its own temporaries and combine
+# into buffers it received, but a caller never sees that
+# ---------------------------------------------------------------------------
+
+#: 8 KiB eager threshold: float64 lengths up to 1024 go eager, beyond that
+#: rendezvous — both protocols carry the moved and the copied buffers
+LENGTHS = st.one_of(st.integers(1, 64),
+                    st.sampled_from([1024, 1025, 5000, 70_000]))
+DTYPES = st.sampled_from([np.int32, np.int64, np.float32, np.float64])
+#: commutative ops whose results on small integers are exact in every dtype,
+#: so the NumPy reference matches bit for bit whatever the tree shape
+OPS = st.sampled_from([
+    (SUM, np.add), (PROD, np.multiply), (MIN, np.minimum), (MAX, np.maximum),
+    (lambda a, b: a + b, np.add),  # user-defined: never combined in place
+])
+
+
+def rank_input(rank, n, dtype, k=0):
+    """Small integers (1..3), distinct per rank, element and block ``k``."""
+    return ((np.arange(n) + 2 * rank + 5 * k) % 3 + 1).astype(dtype)
+
+
+def arrays_in(obj):
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        return [a for x in obj for a in arrays_in(x)]
+    return []
+
+
+def run_owned(p, call, make_input):
+    """Run ``call(comm, x)`` on ``p`` ranks; assert the ownership contract.
+
+    Returns the per-rank results.  Checked for every collective alike:
+    inputs come back untouched, and every array a rank gets back is
+    writeable and shares memory with no rank's input and no other result.
+    """
+    def main(comm):
+        x = make_input(comm.rank)
+        keep = [a.copy() for a in arrays_in(x)]
+        return x, keep, call(comm, x)
+
+    res = run(main, p, nodes=4)
+    inputs, results = [], []
+    for x, keep, out in res.returns:
+        for now, before in zip(arrays_in(x), keep):
+            assert now.tobytes() == before.tobytes(), "runtime wrote a user buffer"
+        inputs += arrays_in(x)
+        results += arrays_in(out)
+    for i, r in enumerate(results):
+        assert r.flags.writeable
+        assert not any(np.shares_memory(r, x) for x in inputs)
+        assert not any(np.shares_memory(r, o) for o in results[i + 1:])
+    return [out for _x, _keep, out in res.returns]
+
+
+def same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPayloadOwnership:
+    @given(p=st.integers(1, 9), root=st.integers(0, 8), n=LENGTHS,
+           dtype=DTYPES, op=OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_reduce(self, p, root, n, dtype, op):
+        root %= p
+        outs = run_owned(p, lambda comm, x: comm.reduce(x, op=op[0], root=root),
+                         lambda r: rank_input(r, n, dtype))
+        want = op[1].reduce([rank_input(r, n, dtype) for r in range(p)])
+        same_bits(outs[root], want.astype(dtype))
+        assert all(o is None for r, o in enumerate(outs) if r != root)
+
+    @given(p=st.integers(1, 9), n=LENGTHS, dtype=DTYPES, op=OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_allreduce(self, p, n, dtype, op):
+        outs = run_owned(p, lambda comm, x: comm.allreduce(x, op=op[0]),
+                         lambda r: rank_input(r, n, dtype))
+        want = op[1].reduce([rank_input(r, n, dtype) for r in range(p)])
+        for out in outs:
+            same_bits(out, want.astype(dtype))
+
+    @given(p=st.integers(1, 9), n=LENGTHS, dtype=DTYPES, op=OPS,
+           exclusive=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_scan_and_exscan(self, p, n, dtype, op, exclusive):
+        def call(comm, x):
+            return (comm.exscan if exclusive else comm.scan)(x, op=op[0])
+
+        outs = run_owned(p, call, lambda r: rank_input(r, n, dtype))
+        prefix = op[1].accumulate([rank_input(r, n, dtype) for r in range(p)])
+        for r, out in enumerate(outs):
+            if exclusive and r == 0:
+                assert out is None
+            else:
+                same_bits(out, prefix[r - 1 if exclusive else r].astype(dtype))
+
+    @given(p=st.integers(1, 9), n=LENGTHS, dtype=DTYPES, op=OPS)
+    @settings(max_examples=40, deadline=None)
+    def test_reduce_scatter_block(self, p, n, dtype, op):
+        n = min(n, 5000)  # p blocks per rank
+
+        def blocks(r):
+            return [rank_input(r, n, dtype, k) for k in range(p)]
+
+        outs = run_owned(
+            p, lambda comm, x: comm.reduce_scatter_block(x, op=op[0]), blocks)
+        for k, out in enumerate(outs):
+            want = op[1].reduce([blocks(r)[k] for r in range(p)])
+            same_bits(out, want.astype(dtype))
+
+    @given(p=st.integers(1, 9), root=st.integers(0, 8), n=LENGTHS, dtype=DTYPES,
+           coll=st.sampled_from(["gather", "allgather", "scatter", "alltoall",
+                                 "bcast"]))
+    @settings(max_examples=60, deadline=None)
+    def test_data_movement_collectives(self, p, root, n, dtype, coll):
+        root %= p
+        n = min(n, 5000)
+
+        def blocks(r):
+            return [rank_input(r, n, dtype, k) for k in range(p)]
+
+        if coll == "gather":
+            outs = run_owned(p, lambda comm, x: comm.gather(x, root=root),
+                             lambda r: rank_input(r, n, dtype))
+            want = [[rank_input(r, n, dtype) for r in range(p)]
+                    if me == root else None for me in range(p)]
+        elif coll == "allgather":
+            outs = run_owned(p, lambda comm, x: comm.allgather(x),
+                             lambda r: rank_input(r, n, dtype))
+            want = [[rank_input(r, n, dtype) for r in range(p)]] * p
+        elif coll == "scatter":
+            outs = run_owned(
+                p, lambda comm, x: comm.scatter(
+                    x if comm.rank == root else None, root=root), blocks)
+            want = [blocks(root)[me] for me in range(p)]
+        elif coll == "alltoall":
+            outs = run_owned(p, lambda comm, x: comm.alltoall(x), blocks)
+            want = [[blocks(src)[me] for src in range(p)] for me in range(p)]
+        else:
+            def bcast(comm, x):
+                out = comm.bcast(x if comm.rank == root else None, root=root)
+                # MPI_Bcast is in place at the root: its own buffer comes
+                # back as is, everyone else owns a copy
+                return None if comm.rank == root else out
+
+            outs = run_owned(p, bcast, lambda r: rank_input(r, n, dtype))
+            want = [None if me == root else rank_input(root, n, dtype)
+                    for me in range(p)]
+        for out, w in zip(outs, want):
+            assert len(arrays_in(out)) == len(arrays_in(w))
+            for got, ref in zip(arrays_in(out), arrays_in(w)):
+                same_bits(got, ref)
+
+    @given(n=LENGTHS, dtype=DTYPES, nested=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_sender_reuse_never_reaches_the_receiver(self, n, dtype, nested):
+        """Scribbling over the buffer right after ``send`` returns or
+        ``isend(...).wait()`` completes is legal MPI, also when the buffer
+        travels inside a list."""
+        def wrap(a):
+            return [a, 7] if nested else a
+
+        def main(comm):
+            if comm.rank == 0:
+                a, b = rank_input(0, n, dtype), rank_input(1, n, dtype)
+                comm.send(wrap(a), dest=1, tag=0)
+                a[:] = 0
+                comm.isend(wrap(b), dest=1, tag=1).wait()
+                b[:] = 0
+                return None
+            return comm.recv(source=0, tag=0), comm.recv(source=0, tag=1)
+
+        got = run(main, 2).returns[1]
+        for r, payload in enumerate(got):
+            (arr,) = arrays_in(payload)
+            same_bits(arr, rank_input(r, n, dtype))
+            assert arr.flags.writeable
+
+    def test_frozen_arrays_inside_a_container_are_shared_not_copied(self):
+        """The zero-copy convention ``mpi_pr.py`` relies on: a read-only
+        array that owns its data passes through a container as is; a
+        read-only *view* of a writeable buffer does not."""
+        def main(comm):
+            if comm.rank == 0:
+                frozen = np.arange(4.0)
+                frozen.setflags(write=False)
+                base = np.arange(4.0)
+                view = base[:]
+                view.setflags(write=False)
+                comm.send([frozen, view], dest=1)
+                return frozen, base
+            return comm.recv(source=0)
+
+        (frozen, base), (got_frozen, got_view) = run(main, 2).returns
+        assert got_frozen is frozen
+        assert not np.shares_memory(got_view, base)
+
+    @pytest.mark.parametrize("p,root", [(1, 0), (2, 1), (5, 3), (8, 0), (9, 4)])
+    def test_user_op_sees_the_same_operands_in_the_same_order(self, p, root):
+        """A non-commutative op pins both the tree shape and ``(acc, data)``
+        operand order of reduce and scan against a model of the algorithm."""
+        def op(a, b):
+            return 3 * a - b
+
+        def vals(r):
+            return rank_input(r, 7, np.int64)
+
+        outs = run_owned(p, lambda comm, x: (comm.reduce(x, op=op, root=root),
+                                             comm.scan(x, op=op)), vals)
+        acc = {v: vals((v + root) % p) for v in range(p)}  # binomial tree
+        mask = 1
+        while mask < p:
+            for v in range(0, p, 2 * mask):
+                if v + mask < p:
+                    acc[v] = op(acc[v], acc[v + mask])
+            mask <<= 1
+        same_bits(outs[root][0], acc[0])
+        run_ = [vals(r) for r in range(p)]  # Hillis-Steele doubling
+        k = 1
+        while k < p:
+            run_ = [op(run_[r - k], run_[r]) if r >= k else run_[r]
+                    for r in range(p)]
+            k <<= 1
+        for r in range(p):
+            same_bits(outs[r][1], run_[r])
+
+    def test_a_move_inside_sendrecv_is_caught(self, monkeypatch):
+        """Negative control: recursive doubling keeps using the buffer it
+        exchanges, so moving there is a data race — and the ownership
+        properties above must be able to see one."""
+        import sys
+
+        from repro.mpi import p2p
+
+        real = p2p.copy_payload
+
+        def planted(obj):
+            moving = sys._getframe(1).f_code.co_name == "sendrecv"
+            return obj if moving else real(obj)
+
+        def allreduce():
+            run_owned(4, lambda comm, x: comm.allreduce(x),
+                      lambda r: rank_input(r, 16, np.float64))
+
+        allreduce()
+        monkeypatch.setattr(p2p, "copy_payload", planted)
+        with pytest.raises(AssertionError):
+            allreduce()

@@ -12,10 +12,11 @@ from repro.fs import BytesContent, LocalFS
 from repro.mpi import MPIFile, Window, mpi_run
 from repro.mpi.io import chunk_for_rank
 from repro.units import GiB, INT_MAX, MiB
+from tests.conftest import forced_trace
 
 
 def make_env(nodes=2):
-    cl = Cluster(TESTING.with_nodes(nodes))
+    cl = Cluster(TESTING.with_nodes(nodes), trace=forced_trace())
     fs = LocalFS(cl)
     return cl, fs
 
@@ -111,7 +112,8 @@ class TestMPIFile:
 
 class TestRMA:
     def run(self, fn, nprocs=4, nodes=2):
-        cl = Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32)))
+        cl = Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32)),
+                     trace=forced_trace())
         return mpi_run(cl, fn, nprocs, charge_launch=False)
 
     def test_put_then_fence_then_read(self):
@@ -186,3 +188,32 @@ class TestRMA:
 
         res = self.run(main, nprocs=3)
         assert all(res.returns)
+
+    @pytest.mark.parametrize("n", [3, 70_000])
+    def test_get_returns_a_private_array(self, n):
+        """Scribbling over what ``get`` returned never reaches the window;
+        ``put`` copies out of the caller's buffer."""
+
+        def main(comm):
+            buf = np.full(n, float(comm.rank + 1))
+            win = Window.create(comm, buf)
+            win.fence()
+            target = (comm.rank + 1) % comm.size
+            got = win.get(target_rank=target, offset=1, count=n - 1)
+            shared = np.shares_memory(got, win.buffer(target))
+            got[:] = -1.0
+            win.fence()
+            if comm.rank == 0:
+                data = np.full(2, 9.0)
+                win.put(data, target_rank=1)
+                data[:] = -1.0
+            win.fence()
+            return shared, got.flags.writeable, buf
+
+        res = self.run(main, nprocs=3)
+        for me, (shared, writeable, buf) in enumerate(res.returns):
+            assert not shared and writeable
+            want = np.full(n, float(me + 1))
+            if me == 1:
+                want[:2] = 9.0
+            assert (buf == want).all()

@@ -10,10 +10,11 @@ from repro.cluster.spec import TESTING
 from repro.errors import DeadlockError, MPICommError, SimProcessError
 from repro.mpi import mpi_run
 from repro.units import KiB, MiB
+from tests.conftest import forced_trace
 
 
 def cluster(nodes=2):
-    return Cluster(TESTING.with_nodes(nodes))
+    return Cluster(TESTING.with_nodes(nodes), trace=forced_trace())
 
 
 def run(fn, nprocs=2, nodes=2, **kw):

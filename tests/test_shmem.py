@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.spec import ClusterSpec, NodeSpec, TESTING
 from repro.errors import DeadlockError, ShmemError, SimProcessError
 from repro.shmem import shmem_run
+from tests.conftest import forced_trace
 
 
 def cluster(nodes=2):
-    return Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32)))
+    return Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32)),
+                   trace=forced_trace())
 
 
 def run(fn, npes=4, nodes=2, **kw):
@@ -233,3 +237,68 @@ class TestCollectives:
 
         res = run(main, npes=3)
         assert res.returns == [[0.0, 0.0, 1.0, 1.0, 2.0, 2.0]] * 3
+
+
+class TestPayloadOwnership:
+    """The collectives consume remote memory through views; callers of
+    ``get`` and ``collect`` still get arrays nobody else can see."""
+
+    @given(p=st.integers(1, 9), root=st.integers(0, 8),
+           n=st.one_of(st.integers(1, 64), st.sampled_from([1025, 70_000])),
+           dtype=st.sampled_from([np.int64, np.float32, np.float64]))
+    @settings(max_examples=40, deadline=None)
+    def test_collectives_match_numpy_and_leak_no_views(self, p, root, n, dtype):
+        root %= p
+
+        def init(r):
+            return ((np.arange(n) + 2 * r) % 3 + 1).astype(dtype)
+
+        def main(pe):
+            s, b, c = (pe.alloc(n, dtype=dtype, init=init(pe.my_pe))
+                       for _ in range(3))
+            pe.sum_to_all(s)
+            pe.broadcast(b, root=root)
+            got = pe.collect(c)
+            return [pe.local(a) for a in (s, b, c)], got
+
+        res = run(main, npes=p, nodes=2)
+        total = np.add.reduce([init(r) for r in range(p)]).astype(dtype)
+        everyone = np.concatenate([init(r) for r in range(p)])
+        heap = [a for local, _ in res.returns for a in local]
+        for me, ((s, b, c), got) in enumerate(res.returns):
+            for arr, want in ((s, total), (b, init(root)), (c, init(me)),
+                              (got, everyone)):
+                assert arr.dtype == want.dtype
+                assert arr.tobytes() == want.tobytes()
+            assert got.flags.writeable
+            assert not any(np.shares_memory(got, a) for a in heap)
+
+    @pytest.mark.parametrize("n", [3, 70_000])
+    def test_get_returns_a_private_array(self, n):
+        def main(pe):
+            a = pe.alloc(n, init=float(pe.my_pe + 1))
+            pe.barrier_all()
+            target = (pe.my_pe + 1) % pe.n_pes
+            got = pe.get(a, target, offset=1, count=n - 1)
+            shared = np.shares_memory(got, a.local(target))
+            got[:] = -1.0  # must stay ours
+            pe.barrier_all()
+            return shared, got.flags.writeable, pe.local(a).copy()
+
+        for me, (shared, writeable, mine) in enumerate(run(main, npes=3).returns):
+            assert not shared and writeable
+            assert (mine == me + 1).all()
+
+
+def test_fig3_with_openshmem_series_fingerprint_is_pinned():
+    """``include_shmem`` defaults to False, so no golden executes the
+    OpenSHMEM series; this pin (computed at 49c912e, before the payload
+    ownership rule landed) is what holds its simulated numbers still."""
+    from repro.core.experiment import get_experiment
+    from repro.core.figures import fig3
+    from repro.platform import fingerprint_result
+
+    quick = get_experiment("fig3").quick_params
+    result = fig3(**quick, include_shmem=True)
+    assert result.series[-1].name == "OpenSHMEM"
+    assert fingerprint_result(result) == "4f683c1b79a2fd8c"

@@ -111,6 +111,28 @@ class TestNbytesOf:
         t = (1, 2)
         assert copy_payload(t) is t
 
+    @pytest.mark.parametrize("wrap,pick", [
+        (lambda a: [a, 1], lambda c: c[0]),
+        (lambda a: (1, a), lambda c: c[1]),
+        (lambda a: {"k": a, "n": 1}, lambda c: c["k"]),
+    ])
+    def test_copy_payload_protects_buffers_one_container_level_down(
+            self, wrap, pick):
+        for buf in (np.ones(3), bytearray(b"abc")):
+            sent = wrap(buf)
+            got = copy_payload(sent)
+            assert type(got) is type(sent) and len(got) == len(sent)
+            assert pick(got) is not buf and pick(got)[0] == buf[0]
+            buf[0] = 0
+            assert pick(got)[0] != 0
+
+    def test_copy_payload_shares_frozen_arrays_inside_containers(self):
+        frozen = np.ones(3)
+        frozen.setflags(write=False)
+        sent = [frozen, 1]
+        assert copy_payload(sent) is sent
+        assert copy_payload(frozen) is not frozen  # top level: always ours
+
 
 class TestReduceOps:
     def test_scalar_ops(self):
