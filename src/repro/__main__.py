@@ -82,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                "fingerprints instead of diffing")
 
     sub.add_parser("analyze", add_help=False,
-                   help="determinism linter + race checker "
-                        "(see `python -m repro.analysis --help`)")
+                   help="determinism linter + race checker + comm sanitizer "
+                        "(see `python -m repro analyze --help`)")
     return parser
 
 
@@ -162,23 +162,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
     registry = _ensure_registry()
     if args.json:
+        from repro.analysis.scenarios import capabilities
         from repro.core.experiment import supports_machine, supports_sched
 
-        def analysis_block(exp_id: str) -> dict:
-            # the analysis layer is optional decoration on the listing: an
-            # experiment without a scenario entry (or an analysis layer
-            # that fails to import) must not break `list --json`
-            try:
-                from repro.analysis.scenarios import capabilities
-
-                return capabilities(exp_id)
-            except Exception:
-                return {}
-
         def cache_block() -> dict:
-            # mirrors analysis_block: the cache is optional capability
-            # metadata, and a missing or empty store must report zero
-            # entries, never crash the listing
+            # the cache is optional capability metadata, and a missing or
+            # empty store must report zero entries, never crash the listing
             try:
                 from repro.cache import store_info
 
@@ -232,7 +221,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
                     "quick_params": sorted(exp.quick_params),
                     "machine": supports_machine(exp),
                     "sched": supports_sched(exp),
-                    "analysis": analysis_block(exp.exp_id),
+                    "analysis": capabilities(exp.exp_id),
                 }
                 for exp in registry.values()
             ],
@@ -248,11 +237,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.platform import check_golden, read_manifest
+    from repro.errors import ConfigurationError
+    from repro.platform import check_golden, read_golden, read_manifest
 
     try:
         manifest = read_manifest(args.results_dir)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ConfigurationError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
     if args.json:
@@ -293,9 +283,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"wrote {args.golden}", file=sys.stderr)
         return 0
     try:
-        golden = json.loads(args.golden.read_text())
+        golden = read_golden(args.golden)
     except FileNotFoundError:
         print(f"golden file {args.golden} not found", file=sys.stderr)
+        return 2
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
     problems = check_golden(manifest, golden)
     if problems:

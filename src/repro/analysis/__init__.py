@@ -10,15 +10,16 @@ three engines:
   linter with rules tuned to this codebase (wall-clock reads, unseeded
   randomness, unordered-collection iteration, ``id()``-keyed maps,
   swallowed errors, stray env escape hatches ...).  Run it with
-  ``python -m repro.analysis lint src/``.
+  ``python -m repro analyze lint src/``.
 
 * :mod:`repro.analysis.races` — a **happens-before race checker**: with
   ``Trace(hb=True)`` the engine threads vector clocks through simulated
   processes and the runtimes record shared-state accesses (SHMEM symmetric
   heap, Spark block store and accumulators, Hadoop map-output spills); the
   checker replays the event stream and reports unsynchronized conflicting
-  accesses — TSan for the simulated concurrency.  Run it with
-  ``python -m repro.analysis race fig3 --quick``.
+  accesses — TSan for the simulated concurrency.  Run it over any
+  registered experiment's own sessions with
+  ``python -m repro analyze race fig4 --quick``.
 
 * :mod:`repro.analysis.sanitize` — a **communication sanitizer** over the
   same hb traces: MUST-style collective matching (same sequence,
@@ -27,9 +28,7 @@ three engines:
   wait-for-graph deadlock diagnosis (the engine side names the actual
   cycle; the MPI p2p layer detects the classic large-payload send/send
   trap before it wedges).  Run it with
-  ``python -m repro.analysis sanitize fig3 --quick``.
-
-All are also reachable through ``python -m repro analyze ...``.
+  ``python -m repro analyze sanitize fig3 --quick``.
 """
 
 from repro.analysis.lint import (  # noqa: F401
@@ -55,8 +54,7 @@ from repro.analysis.sanitize import (  # noqa: F401
     check_traces,
 )
 from repro.analysis.scenarios import (  # noqa: F401
-    RACE_SCENARIOS,
-    SANITIZE_SCENARIOS,
+    PLANTED,
     capabilities,
     run_race_scenario,
     run_sanitize_scenario,

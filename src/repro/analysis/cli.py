@@ -2,12 +2,14 @@
 
 ::
 
-    python -m repro.analysis lint src/ [--format=text|json]
-    python -m repro.analysis race fig3 [--quick] [--format=text|json]
-    python -m repro.analysis sanitize fig3 [--quick] [--format=text|json]
+    python -m repro analyze lint src/ [--format=text|json]
+    python -m repro analyze race fig3 [--quick] [--format=text|json]
+    python -m repro analyze sanitize fig3 [--quick] [--format=text|json]
 
-Exit codes: 0 — clean; 1 — findings/races/violations reported; 2 — usage
-or analysis error.  ``python -m repro analyze ...`` forwards here.
+``race`` and ``sanitize`` run the registered experiment itself (``--quick``
+= its ``quick_params``, as for ``python -m repro run``) and check the
+traces of the sessions it provisions.  Exit codes: 0 — clean; 1 —
+findings/races/violations reported; 2 — usage or analysis error.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="python -m repro analyze",
         description="determinism linter + race checker + comm sanitizer")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -64,24 +66,25 @@ def build_parser(prog: str = "repro.analysis") -> argparse.ArgumentParser:
     lint.set_defaults(fn=_cmd_lint)
 
     race = sub.add_parser(
-        "race", help="run a traced scenario and check it for data races")
+        "race", help="run an experiment traced and check it for data races")
     race.add_argument("experiment",
-                      help="experiment id with a race scenario (e.g. fig3)")
+                      help="id of an experiment that provisions a session "
+                           "(see `python -m repro list --json`)")
     race.add_argument("--quick", action="store_true",
-                      help="CI-sized scenario parameters")
+                      help="the experiment's CI-sized quick_params")
     race.add_argument("--format", choices=("text", "json"), default="text")
     race.set_defaults(fn=_cmd_race)
 
     sanitize = sub.add_parser(
         "sanitize",
-        help="run a traced scenario through the communication sanitizer")
+        help="run an experiment traced through the communication sanitizer")
     sanitize.add_argument(
         "experiment",
-        help="experiment id with a sanitize scenario (e.g. fig3), or a "
+        help="id of an experiment that provisions a session, or a "
              "planted-bug fixture (planted-root, planted-barrier, "
              "planted-sendsend, planted-abba)")
     sanitize.add_argument("--quick", action="store_true",
-                          help="CI-sized scenario parameters")
+                          help="the experiment's CI-sized quick_params")
     sanitize.add_argument("--format", choices=("text", "json"),
                           default="text")
     sanitize.set_defaults(fn=_cmd_sanitize)
@@ -99,7 +102,3 @@ def main(argv: list[str] | None = None) -> int:
     except (AnalysisError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -134,10 +134,6 @@ class ClusterSpec:
         """A copy of this spec with a different node count."""
         return replace(self, num_nodes=num_nodes)
 
-    @property
-    def total_cores(self) -> int:
-        return self.num_nodes * self.node.cores
-
 
 #: The paper's platform: SDSC Comet (Table I).  The paper uses at most 8
 #: nodes of the 1,984; experiments size the cluster with ``with_nodes``.

@@ -98,8 +98,3 @@ class StorageDevice:
             self.trace.record(done, proc.name, "disk.write",
                               device=self.name, nbytes=int(nbytes))
         return done
-
-    @property
-    def active_readers(self) -> int:
-        """Number of in-flight read flows (for tests)."""
-        return len(self._read.flows)

@@ -37,10 +37,6 @@ class CodeMetrics:
     code_lines: int
     boilerplate_lines: int
 
-    @property
-    def algorithm_lines(self) -> int:
-        return self.code_lines - self.boilerplate_lines
-
 
 def _docstring_lines(source: str) -> set[int]:
     """Line numbers occupied by module/class/function docstrings."""

@@ -4,7 +4,7 @@ The foundation of the whole comparison is that the implementations being
 timed are *computing the same thing*.  This experiment runs each benchmark
 in every model on a shared small input and checks the results against the
 sequential reference — the research-hygiene step a reviewer would ask for
-first.  ``python -m repro validate`` prints the matrix.
+first.  ``python -m repro run validate`` prints the matrix.
 """
 
 from __future__ import annotations

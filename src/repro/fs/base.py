@@ -55,11 +55,6 @@ class SimFile:
         end = min(offset + length, self.logical_size) // self.scale
         return start, max(start, end)
 
-    def physical_read(self, offset: int, length: int) -> bytes:
-        """Untimed host-side read of the physical sample for a logical range."""
-        start, end = self.physical_range(offset, length)
-        return self.content.read(start, end - start)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SimFile {self.path!r} physical={self.physical_size}"

@@ -77,12 +77,6 @@ class MPIFile:
 
     # -- writes --------------------------------------------------------------------
 
-    def write_at(self, offset: int, count: int) -> None:
-        """Independent write of ``count`` bytes (payload is cost-only)."""
-        self._check_open()
-        _check_int(count)
-        self.fs.write(current_process(), self.path, count)
-
     def write_at_all(self, offset: int, count: int) -> None:
         """Collective write (``MPI_File_write_at_all``)."""
         self._check_open()

@@ -28,6 +28,7 @@ from repro.platform.driver import (
     fingerprint_result,
     merge_results,
     plan_units,
+    read_golden,
     read_manifest,
     run_suite,
     unit_cache_key,
@@ -38,6 +39,7 @@ from repro.platform.scenario import (
     HDFSSpec,
     ScenarioSpec,
     Session,
+    collect_traces,
     comet,
     session_app,
 )
@@ -48,6 +50,7 @@ __all__ = [
     "Dataset",
     "HDFSSpec",
     "comet",
+    "collect_traces",
     "session_app",
     "run_suite",
     "plan_units",
@@ -60,5 +63,6 @@ __all__ = [
     "unit_cache_key",
     "write_manifests",
     "read_manifest",
+    "read_golden",
     "check_golden",
 ]

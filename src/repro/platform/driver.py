@@ -501,12 +501,33 @@ def write_manifests(suite: SuiteResult, out_dir: Path) -> None:
         json.dumps(suite.manifest(), indent=1) + "\n")
 
 
+def _read_object(path: Path, what: str) -> dict[str, Any]:
+    """The JSON object in ``path``; anything else is a typed error."""
+    from repro.errors import ConfigurationError
+
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigurationError(
+            f"{what} {path} must hold a JSON object, "
+            f"not a {type(doc).__name__}")
+    return doc
+
+
 def read_manifest(results_dir: Path) -> dict[str, Any]:
     path = Path(results_dir) / "manifest.json"
     if not path.is_file():
         raise FileNotFoundError(
             f"{path} not found — was the suite run with --out?")
-    return json.loads(path.read_text())
+    return _read_object(path, "manifest")
+
+
+def read_golden(path: Path) -> dict[str, Any]:
+    """Load a golden fingerprint file for :func:`check_golden`."""
+    return _read_object(Path(path), "golden file")
 
 
 def check_golden(manifest: dict[str, Any],

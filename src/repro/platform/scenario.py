@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.cluster import (
     DEFAULT_MACHINE,
@@ -62,6 +63,31 @@ def sanitize_forced() -> bool:
     this).
     """
     return os.environ.get("REPRO_SANITIZE") == "1"
+
+
+#: where an armed :func:`collect_traces` block receives session traces
+_collected: list[Trace] | None = None
+
+
+@contextmanager
+def collect_traces() -> Iterator[list[Trace]]:
+    """Collect the hb trace of every session provisioned inside the block.
+
+    While armed, each :class:`Session` is built with hb instrumentation
+    on — exactly as under ``REPRO_SANITIZE=1`` — and appends its
+    :class:`~repro.sim.trace.Trace` to the yielded list in provisioning
+    order.  This is how the race checker and the communication sanitizer
+    read the registered experiments' own runs
+    (:mod:`repro.analysis.scenarios`).  Observational like the switch
+    above: fingerprints are identical armed or not.
+    """
+    global _collected
+    outer, traces = _collected, []
+    _collected = traces
+    try:
+        yield traces
+    finally:
+        _collected = outer
 
 
 @dataclass(frozen=True)
@@ -221,8 +247,10 @@ class Session:
                 f"scenario oversubscribes the node model: "
                 f"{spec.procs_per_node} processes/node on machine "
                 f"{self.machine.name!r} whose nodes have {node_cores} cores")
-        hb = spec.hb or sanitize_forced()
+        hb = spec.hb or sanitize_forced() or _collected is not None
         self.trace = Trace(hb=hb) if spec.trace or hb else None
+        if _collected is not None:
+            _collected.append(self.trace)
         self.cluster = Cluster(self.machine.with_nodes(spec.nodes),
                                trace=self.trace)
         # Arm fault plans before any datasets or runtimes exist so the

@@ -36,7 +36,6 @@ from repro.sched.jobs import Job, JobRecord
 from repro.sched.kinds import (
     JOB_KINDS,
     JobKind,
-    clear_runtime_memo,
     measure_runtimes,
 )
 from repro.sched.metrics import outcome_metrics
@@ -59,7 +58,6 @@ __all__ = [
     "JobKind",
     "JOB_KINDS",
     "measure_runtimes",
-    "clear_runtime_memo",
     "BatchScheduler",
     "SchedOutcome",
     "schedule",

@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError
 from repro.sched.jobs import Job
 from repro.units import KiB
 
-__all__ = ["JobKind", "JOB_KINDS", "measure_runtimes", "clear_runtime_memo"]
+__all__ = ["JobKind", "JOB_KINDS", "measure_runtimes"]
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,6 @@ JOB_KINDS: dict[str, JobKind] = {
 
 #: measured-runtime memo: (machine, kind, nodes_used, ppn, scale) -> seconds
 _RUNTIME_MEMO: dict[tuple, float] = {}
-
-
-def clear_runtime_memo() -> None:
-    """Drop every memoized runtime (tests that edit machines call this)."""
-    _RUNTIME_MEMO.clear()
 
 
 def _measure_one(kind: JobKind, job: Job,

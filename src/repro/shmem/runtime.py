@@ -91,7 +91,7 @@ class PE:
     def put(self, sym: SymmetricArray, data: np.ndarray | float, pe: int,
             offset: int = 0) -> None:
         """``shmem_put``: write into ``pe``'s copy; blocks until delivered
-        (our puts have ``shmem_quiet`` semantics — see :meth:`quiet`)."""
+        (our puts have ``shmem_quiet`` semantics)."""
         proc = current_process()
         data = np.atleast_1d(np.asarray(data, dtype=sym.dtype))
         target = sym.local(pe)
@@ -145,16 +145,6 @@ class PE:
             proc, "read", f"shmem.sym{sym.handle}@pe{pe}",
             start=offset, stop=offset + count)
         return view
-
-    def quiet(self) -> None:
-        """``shmem_quiet``: ensure outstanding puts completed.
-
-        Our put already blocks until remote completion (conservative), so
-        this only charges the call overhead — kept for API fidelity.
-        """
-        current_process().compute(self.env.costs.shmem_rma_overhead)
-
-    fence = quiet  # ordering is a weaker guarantee; same cost here
 
     # -- atomics -----------------------------------------------------------------------------
 

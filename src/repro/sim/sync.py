@@ -211,10 +211,6 @@ class SimLock:
         #: acquirer joins it, so critical sections are totally ordered.
         self._vc: dict[int, int] | None = None
 
-    @property
-    def held(self) -> bool:
-        return self._holder is not None
-
     def _holder_wakers(self, engine: Any, waiter: SimProcess) -> tuple:
         """The current holder is the only process that can release (diagnostics)."""
         return () if self._holder is None else (self._holder,)

@@ -234,13 +234,6 @@ class RDD:
             preserves_partitioning=True, cost=cost, name="mapValues",
             vector=None if vector is None else _values_twin(vector))
 
-    def flat_map_values(self, f: Callable[[Any], Iterable], *,
-                        cost: float = 0.0) -> "RDD":
-        """Expand values of (k, v) pairs; preserves partitioning."""
-        return self.map_partitions(
-            lambda _i, it: [(k, w) for k, v in it for w in f(v)],
-            preserves_partitioning=True, cost=cost, name="flatMapValues")
-
     def keys(self) -> "RDD":
         """First elements of (k, v) pairs."""
         return self.map_partitions(lambda _i, it: [k for k, _ in it],

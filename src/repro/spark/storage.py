@@ -106,9 +106,6 @@ class BlockManager:
             return blk.records
         return None
 
-    def contains(self, block_id: tuple) -> bool:
-        return block_id in self._mem or block_id in self._disk
-
     def drop_all(self) -> None:
         """Lose every block (executor failure)."""
         self._mem.clear()

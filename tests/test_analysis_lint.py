@@ -191,6 +191,6 @@ def test_syntax_error_raises_analysis_error():
 
 def test_linted_source_tree_is_clean():
     """The acceptance gate: the repo's own src/ has zero unsuppressed
-    findings (CI enforces the same via ``python -m repro.analysis lint``)."""
+    findings (CI enforces the same via ``python -m repro analyze lint``)."""
     src = Path(__file__).parent.parent / "src"
     assert lint_paths([src]) == []

@@ -14,12 +14,15 @@ import json
 import pytest
 
 from repro.analysis import (
+    PLANTED,
+    capabilities,
     check_collectives,
     check_lock_order,
     check_traces,
     run_sanitize_scenario,
 )
 from repro.analysis.cli import main as cli_main
+from repro.core.experiment import _ensure_registry
 from repro.errors import AnalysisError
 from repro.platform import ScenarioSpec
 from repro.sim.trace import Trace, TraceEvent
@@ -319,6 +322,14 @@ def test_figure_scenarios_are_clean():
     assert report.collectives > 0
 
 
+@pytest.mark.usefixtures("cold_sched_memo")
+@pytest.mark.parametrize(
+    "exp_id", [i for i in _ensure_registry() if capabilities(i)["sanitize"]])
+def test_every_traceable_experiment_sanitizes_clean(exp_id):
+    report = run_sanitize_scenario(exp_id, quick=True)
+    assert report.clean, report.describe()
+
+
 def test_unknown_scenario_raises():
     with pytest.raises(AnalysisError, match="table1"):
         run_sanitize_scenario("table1")
@@ -336,6 +347,20 @@ def test_cli_exit_codes(capsys):
     assert "ABBA" in capsys.readouterr().out
     assert cli_main(["sanitize", "no-such-experiment"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture", list(PLANTED))
+def test_cli_planted_fixtures_exit_1(fixture, capsys):
+    assert cli_main(["sanitize", fixture, "--quick"]) == 1
+    assert "violation" in capsys.readouterr().out
+
+
+def test_cli_race_exit_codes(capsys):
+    assert cli_main(["race", "fig4", "--quick"]) == 0
+    assert "no races" in capsys.readouterr().out
+    assert cli_main(["race", "table3", "--quick"]) == 2
+    assert "provisioned no session" in capsys.readouterr().err
+    assert cli_main(["race", "planted-abba"]) == 2     # sanitize-only ids
 
 
 def test_cli_json_format(capsys):

@@ -1,10 +1,11 @@
-"""Race scenarios: figure workloads are clean, planted races are not.
+"""Race checks of the registered experiments' own runs.
 
-Three invariants: (a) the quick scenarios produce real shared-state
-traffic and report no races, (b) hb instrumentation never changes app
-results (observational only), and (c) an actually-unsynchronized SHMEM
-program — two PEs putting to one copy with no ordering — is caught end
-to end through the same pipeline.
+Four invariants: (a) every experiment that provisions a session is race
+free, and the ones with shared-state traffic show it, (b) collecting the
+traces never changes a result (observational only) and leaves nothing
+armed behind, (c) host-side and unknown ids are typed errors, and (d) an
+actually-unsynchronized SHMEM program — two PEs putting to one copy with
+no ordering — is caught end to end through the same pipeline.
 """
 
 from __future__ import annotations
@@ -13,15 +14,49 @@ import numpy as np
 import pytest
 
 from repro.analysis import capabilities, check_trace, run_race_scenario
+from repro.core.experiment import Experiment, _ensure_registry, run_experiment
 from repro.errors import AnalysisError
-from repro.platform import ScenarioSpec
+from repro.platform import ScenarioSpec, collect_traces, fingerprint_result
+from repro.sim.engine import current_process
+
+#: every registered experiment that provisions a session
+TRACEABLE = [i for i in _ensure_registry() if capabilities(i)["trace"]]
+
+pytestmark = pytest.mark.usefixtures("cold_sched_memo")
 
 
 def test_fig3_quick_scenario_is_clean_with_traffic():
+    # the real fig3 (MPI + two Spark reduces) touches no shared location;
+    # traffic is asserted on fig4/fig8 below
     report = run_race_scenario("fig3", quick=True)
     assert report.clean, report.describe()
+
+
+@pytest.mark.parametrize("exp_id", TRACEABLE)
+def test_every_traceable_experiment_is_race_free(exp_id):
+    report = run_race_scenario(exp_id, quick=True)
+    assert report.clean, report.describe()
+
+
+@pytest.mark.parametrize("exp_id", ["fig4", "fig8"])
+def test_real_runs_have_shared_state_traffic(exp_id):
+    # fig4: Spark block store + Hadoop spills; fig8 adds the OpenSHMEM
+    # symmetric heap — a vacuous "no races" would have zero accesses
+    report = run_race_scenario(exp_id, quick=True)
     assert report.accesses > 0
     assert report.locations > 0
+
+
+@pytest.mark.parametrize("exp_id", list(_ensure_registry()))
+def test_collection_is_observational(exp_id):
+    with collect_traces() as traces:
+        collected = run_experiment(exp_id, quick=True)
+    # exactly the experiments `list --json` calls checkable provision
+    # sessions, and every collected trace is an hb trace
+    assert bool(traces) == capabilities(exp_id)["trace"]
+    assert all(t is not None and t.hb for t in traces)
+    plain = run_experiment(exp_id, quick=True)
+    assert fingerprint_result(collected) == fingerprint_result(plain)
 
 
 def test_unknown_scenario_raises():
@@ -29,14 +64,42 @@ def test_unknown_scenario_raises():
         run_race_scenario("table1")
 
 
+@pytest.mark.parametrize("exp_id", ["table3", "fig5"])
+def test_host_side_and_unregistered_ids_raise(exp_id):
+    with pytest.raises(AnalysisError, match=exp_id):
+        run_race_scenario(exp_id, quick=True)
+
+
 def test_capabilities_flags():
     assert capabilities("table1") == {
         "trace": False, "race_check": False, "sanitize": False}
     assert capabilities("fig3") == {
         "trace": True, "race_check": True, "sanitize": True}
-    # simulated but without a dedicated scenario: traceable, not checkable
+    # not a registered experiment: nothing to run, so nothing to check
     assert capabilities("fig5") == {
-        "trace": True, "race_check": False, "sanitize": False}
+        "trace": False, "race_check": False, "sanitize": False}
+    assert len(TRACEABLE) == len(_ensure_registry()) - 2 == 14
+
+
+def test_collector_is_disarmed_after_an_experiment_raises(monkeypatch):
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+
+    def pids():
+        session = ScenarioSpec(nodes=1, procs_per_node=2).session()
+        assert session.trace is None
+        return session.mpi(lambda comm: current_process().pid).returns
+
+    def boom():
+        ScenarioSpec(nodes=1, procs_per_node=2).session()
+        raise RuntimeError("boom")
+
+    before = pids()
+    monkeypatch.setitem(_ensure_registry(), "boom",
+                        Experiment("boom", "raises mid-run", boom, {}))
+    with pytest.raises(RuntimeError, match="boom"):
+        run_race_scenario("boom")
+    # nothing stays armed: the next session is untraced, same pid sequence
+    assert pids() == before
 
 
 def test_hb_instrumentation_does_not_change_results():

@@ -185,6 +185,30 @@ class TestAblationsTiny:
             assert float(row[3].rstrip("x")) >= 1.0
 
 
+class TestExtrasQuick:
+    """The related-work extensions at their registered quick size."""
+
+    def test_extra_kmeans_mpi_far_below_spark(self):
+        fig = run_experiment("extra-kmeans", quick=True)
+        mpi, spark = fig.series
+        assert fig.xs() == [1, 2]
+        for nodes in fig.xs():
+            # compute-light iterative kernel: the HPC profile wins throughout
+            assert mpi.y_for(nodes) < spark.y_for(nodes) / 10
+
+    def test_extra_mapreduce_engine_ordering(self):
+        table = run_experiment("extra-mapreduce", quick=True)
+
+        def seconds(row):
+            value, unit = row[1].split()
+            return float(value) * {"s": 1, "ms": 1e-3, "us": 1e-6,
+                                   "min": 60}[unit]
+
+        hadoop, mpi, spark = (seconds(r) for r in table.rows)
+        assert mpi < spark < hadoop          # the [36]/[37] ordering
+        assert hadoop > 20 * mpi             # "more than 100x" territory
+
+
 class TestValidate:
     def test_validation_matrix_all_ok(self):
         table = run_experiment("validate", n_posts=1200, n_vertices=150,

@@ -346,6 +346,12 @@ class TestCLI:
         assert by_id["table1"]["shard_param"] is None
         assert by_id["fig6"]["series"] == ["MPI", "Spark", "Spark-RDMA"]
         assert by_id["table1"]["series"] == []
+        # the analysers can check exactly the experiments that provision a
+        # session; CI takes its id list from these flags
+        uncheckable = {i for i, e in by_id.items()
+                       if not (e["analysis"]["race_check"]
+                               and e["analysis"]["sanitize"])}
+        assert uncheckable == {"table1", "table3"}
         # the cache capability block reports a store (even when absent or
         # empty) without crashing the listing
         cache = listing["cache"]
@@ -387,3 +393,32 @@ class TestCLI:
 
     def test_report_missing_dir_is_usage_error(self, tmp_path):
         assert cli(["report", str(tmp_path / "nope")]) == 2
+
+    def test_report_truncated_manifest_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"experiments": {"fig3"')
+        assert cli(["report", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "is not valid JSON" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+
+    def test_report_non_object_golden_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert cli(["run", "table1", "--out", str(out), "--json"]) == 0
+        golden = tmp_path / "golden.json"
+        golden.write_text("[]")
+        capsys.readouterr()
+        assert cli(["report", str(out), "--golden", str(golden)]) == 2
+        err = capsys.readouterr().err
+        assert "must hold a JSON object, not a list" in err
+        assert len(err.splitlines()) == 1
+
+    def test_analysis_has_no_second_entry_module(self):
+        # `python -m repro analyze ...` is the one spelling; without a
+        # repro/analysis/__main__.py, `python -m repro.analysis` cannot run
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.analysis.__main__") is None
+
+    def test_analyze_usage_names_the_one_spelling(self, capsys):
+        assert cli(["analyze"]) == 2
+        assert "usage: python -m repro analyze" in capsys.readouterr().err

@@ -9,6 +9,7 @@ from repro.cluster import Cluster
 from repro.cluster.spec import TESTING
 from repro.errors import DeadlockError, MPICommError, SimProcessError
 from repro.mpi import mpi_run
+from repro.sim.engine import current_process
 from repro.units import KiB, MiB
 from tests.conftest import forced_trace
 
@@ -272,6 +273,21 @@ class TestNonBlocking:
 
         res = run(main)
         assert res.returns[1] == 1
+
+    def test_request_test_tracks_a_rendezvous_send(self):
+        big = np.zeros(64 * KiB, dtype=np.uint8)
+
+        def main(comm):
+            if comm.rank == 0:
+                req = comm.isend(big, dest=1)
+                pending = req.test()    # no receive posted yet: no CTS
+                req.wait()
+                return pending, req.test()
+            current_process().compute(1.0)
+            return comm.recv(source=0).nbytes
+
+        res = run(main)
+        assert res.returns == [(False, True), 64 * KiB]
 
 
 class TestTiming:
