@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.cluster import MachineSpec, resolve_machine
-from repro.costs import SoftwareCosts
 from repro.platform import ScenarioSpec
 from repro.units import MiB
 
@@ -106,17 +105,15 @@ ANCHORS: tuple[Anchor, ...] = (
 CHECK_BOUNDS: dict[str, float] = {"fig3": 0.10, "table2": 0.36}
 
 
-def evaluate(machine: str | MachineSpec = "comet",
-             costs: SoftwareCosts | None = None) -> dict:
+def evaluate(machine: str | MachineSpec = "comet") -> dict:
     """Run every anchor on ``machine`` and report log10 residuals.
 
-    ``costs`` overrides the machine's cost model (the knob :func:`fit`
-    turns).  Returns a JSON-ready dict: per-anchor model/target/residual,
-    RMS per figure, and the overall RMS.
+    A different cost model is a different machine:
+    ``evaluate(m.with_(costs=...))`` (what :func:`fit` does).  Returns a
+    JSON-ready dict: per-anchor model/target/residual, RMS per figure, and
+    the overall RMS.
     """
     m = resolve_machine(machine)
-    if costs is not None:
-        m = m.with_(costs=costs)
     anchors = []
     by_figure: dict[str, list[float]] = {}
     for a in ANCHORS:
@@ -159,7 +156,7 @@ def fit(machine: str | MachineSpec = "comet",
     """
     m = resolve_machine(machine)
     costs = m.costs
-    baseline = evaluate(m, costs)
+    baseline = evaluate(m)
     best = baseline
     for _ in range(passes):
         for name in params:
@@ -168,7 +165,7 @@ def fit(machine: str | MachineSpec = "comet",
                 if factor == 1.0:
                     continue
                 candidate = replace(costs, **{name: current * factor})
-                result = evaluate(m, candidate)
+                result = evaluate(m.with_(costs=candidate))
                 if result["overall_rms_log10"] < best["overall_rms_log10"]:
                     best, costs = result, candidate
     return {

@@ -25,12 +25,8 @@ def mpi_reduce_latency(
     procs_per_node: int,
     *,
     iterations: int = ITERATIONS,
-    fabric: str | None = None,
 ) -> dict[int, float]:
-    """Average reduce latency (seconds) per message size in bytes.
-
-    ``fabric`` defaults to the cluster's machine (``hpc_fabric``).
-    """
+    """Average reduce latency (seconds) per message size in bytes."""
 
     def bench(comm) -> dict[int, float]:
         out: dict[int, float] = {}
@@ -51,6 +47,6 @@ def mpi_reduce_latency(
 
     # <boilerplate>
     res = mpi_run(cluster, bench, nprocs, procs_per_node=procs_per_node,
-                  fabric=fabric, charge_launch=False)
+                  charge_launch=False)
     return res.returns[0]
     # </boilerplate>

@@ -9,6 +9,7 @@ against.
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.machines import (
+    COMET_MACHINE,
     DEFAULT_MACHINE,
     MACHINES,
     MachineSpec,
@@ -41,6 +42,7 @@ __all__ = [
     "FabricSpec",
     "MachineSpec",
     "MACHINES",
+    "COMET_MACHINE",
     "DEFAULT_MACHINE",
     "get_machine",
     "machine_names",

@@ -1,14 +1,13 @@
 """The simulated cluster: engine + nodes + network + shared storage.
 
 A :class:`Cluster` is the root object of every experiment: build one from a
-:class:`~repro.cluster.spec.ClusterSpec`, launch runtimes against it, then
-read virtual timings off the engine.
+:class:`~repro.cluster.machines.MachineSpec`, launch runtimes against it,
+then read virtual timings off the engine.
 
 Example
 -------
->>> from repro.cluster import Cluster
->>> from repro.cluster.spec import COMET
->>> cl = Cluster(COMET.with_nodes(2))
+>>> from repro.cluster import Cluster, get_machine
+>>> cl = Cluster(get_machine("comet").with_nodes(2))
 >>> def hello():
 ...     from repro.sim import current_process
 ...     current_process().compute(1.0)
@@ -21,10 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.cluster.machines import MachineSpec, _adhoc
+from repro.cluster.machines import MachineSpec
 from repro.cluster.network import Network
 from repro.cluster.node import Node
-from repro.cluster.spec import ClusterSpec
 from repro.cluster.storage import StorageDevice
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
@@ -38,28 +36,26 @@ class Cluster:
 
     Parameters
     ----------
-    spec:
-        Hardware description (node count, node spec, fabrics, NFS) — or a
-        :class:`~repro.cluster.machines.MachineSpec`, in which case the
-        cluster also carries that machine's software costs and fabric
-        routing and every runtime launched against it resolves its
-        defaults from ``cluster.machine``.  A bare :class:`ClusterSpec`
-        is wrapped in an ad-hoc machine with the stock Comet-era costs
-        and InfiniBand routing, so direct construction behaves exactly
-        as it did before the machine axis existed.
+    machine:
+        The :class:`~repro.cluster.machines.MachineSpec` to instantiate:
+        hardware (``machine.cluster``: node count, node spec, fabrics,
+        NFS), software costs and fabric routing.  Every runtime launched
+        against the cluster reads its fabric and cost constants from
+        ``cluster.machine`` — the one place hardware is selected.
     trace:
         Pass a :class:`~repro.sim.Trace` with ``enabled=True`` to record
         structured events (tests do; benchmarks don't, for speed).
     """
 
-    def __init__(self, spec: ClusterSpec | MachineSpec, *,
+    def __init__(self, machine: MachineSpec, *,
                  trace: Trace | None = None) -> None:
-        if isinstance(spec, MachineSpec):
-            self.machine = spec
-            spec = spec.cluster
-        else:
-            self.machine = _adhoc(spec)
-        self.spec = spec
+        if not isinstance(machine, MachineSpec):
+            raise ConfigurationError(
+                f"Cluster takes a MachineSpec, got "
+                f"{type(machine).__name__}; wrap hardware as "
+                f"MachineSpec(name, description, cluster=spec)")
+        self.machine = machine
+        self.spec = spec = machine.cluster
         self.trace = trace if trace is not None else Trace(enabled=False)
         self.engine = Engine(trace=self.trace)
         self.flows = FlowSystem()

@@ -113,19 +113,6 @@ class MachineSpec:
         return self
 
 
-def _adhoc(spec: ClusterSpec) -> MachineSpec:
-    """Wrap a bare :class:`ClusterSpec` in an unregistered machine.
-
-    Direct ``Cluster(ClusterSpec(...))`` construction (tests, examples)
-    keeps today's implicit defaults: stock costs, InfiniBand routing.
-    Deliberately *not* checked — a custom spec without an ``ipoib``
-    fabric should fail at transfer time, exactly as it always has, not
-    at construction.
-    """
-    return MachineSpec(name=spec.name, description="ad-hoc cluster spec",
-                       cluster=spec)
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ class Network:
             done = proc.clock
         if self.trace.enabled:
             self.trace.record(done, proc.name, "net.transmit",
-                              fabric=fabric, src=src, dst=dst, nbytes=int(nbytes))
+                              fabric=fabric, src=src, dst=dst,
+                              nbytes=int(nbytes), label=label)
         return done
 
     def msg_arrival(

@@ -14,7 +14,7 @@ from repro.apps.pagerank import (
 from repro.core.report import TableResult
 from repro.fs import LineContent
 from repro.platform import Dataset, HDFSSpec, ScenarioSpec, Session
-from repro.units import GiB, MiB, fmt_seconds
+from repro.units import GiB, MiB, fmt_bytes, fmt_seconds
 from repro.workloads.graphs import GraphSpec, with_ring
 
 
@@ -73,25 +73,16 @@ def ablation_replication(
     for repl in replication_factors:
         session = ScenarioSpec(
             nodes=nodes, procs_per_node=executors_per_node, machine=machine,
-            hdfs=HDFSSpec(replication=repl),
+            hdfs=HDFSSpec(replication=repl), trace=True,
             datasets=(Dataset("input.dat", content, scale=scale,
                               on=("hdfs",)),)).session()
-        cl = session.cluster
-        moved = {"n": 0.0}
-        orig = cl.network.transmit
-
-        def spy(proc, fabric, src, dst, nbytes, **kw):
-            if kw.get("label", "").startswith("hdfs:"):
-                moved["n"] += nbytes
-            return orig(proc, fabric, src, dst, nbytes, **kw)
-
-        cl.network.transmit = spy
         sc = session.spark(executor_nodes=list(range(executor_nodes)))
         result = sc.run(lambda sc: sc.text_file("hdfs://input.dat").count())
-        from repro.units import fmt_bytes
-
+        moved = sum(ev.detail["nbytes"]
+                    for ev in session.trace.filter(kind="net.transmit")
+                    if ev.detail["label"].startswith("hdfs:"))
         rows.append([str(repl), fmt_seconds(result.app_elapsed),
-                     fmt_bytes(moved["n"])])
+                     fmt_bytes(moved)])
     return TableResult(
         "Ablation: replication",
         f"HDFS replication vs executor locality ({executor_nodes} executor "

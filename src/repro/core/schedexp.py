@@ -43,11 +43,14 @@ DEFAULT_SEEDS: tuple[int, ...] = (11, 12, 13)
 
 def sched_trace_metrics(seed: int, *, machine: str | MachineSpec = "comet",
                         n_jobs: int = 120, pool_nodes: int = 8,
-                        backfill: bool = True) -> dict:
+                        backfill: bool = True,
+                        memo: dict[tuple, float] | None = None) -> dict:
     """Metrics dict for one seed's trace (the unit the table rows render).
 
-    Generates the seed's trace, measures runtimes on ``machine``,
-    schedules it (recording ``job.*`` lifecycle events on a validated
+    Generates the seed's trace, measures runtimes on ``machine``
+    (remembered in ``memo``, see
+    :func:`~repro.sched.kinds.measure_runtimes`), schedules it (recording
+    ``job.*`` lifecycle events on a validated
     :class:`~repro.sim.trace.Trace`), and returns the
     :func:`~repro.sched.metrics.outcome_metrics` dict plus a
     ``fcfs_mean_wait_s`` entry from re-scheduling the identical trace
@@ -56,7 +59,7 @@ def sched_trace_metrics(seed: int, *, machine: str | MachineSpec = "comet",
     """
     profile = TraceProfile(n_jobs=n_jobs, seed=seed, pool_nodes=pool_nodes)
     jobs = generate_jobs(profile)
-    runtimes = measure_runtimes(jobs, machine)
+    runtimes = measure_runtimes(jobs, machine, memo)
     trace = Trace()
     outcome = schedule(jobs, runtimes, pool_nodes=pool_nodes,
                        backfill=backfill, trace=trace)
@@ -90,9 +93,11 @@ def sched_trace(seeds: tuple[int, ...] = DEFAULT_SEEDS, *,
     """
     m = resolve_machine(machine)
     rows = []
+    memo: dict[tuple, float] = {}  # seeds share measured configurations
     for seed in seeds:
         met = sched_trace_metrics(seed, machine=machine, n_jobs=n_jobs,
-                                  pool_nodes=pool_nodes, backfill=backfill)
+                                  pool_nodes=pool_nodes, backfill=backfill,
+                                  memo=memo)
         alt_key = "fcfs_mean_wait_s" if backfill else "backfill_mean_wait_s"
         rows.append([
             str(seed),

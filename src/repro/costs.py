@@ -23,6 +23,15 @@ from dataclasses import dataclass
 
 from repro.units import KiB, MB, US
 
+# ---- HDFS (not machine-dependent: one value is in use) -----------------------
+#: bytes/s of the client+datanode software path (checksum verify,
+#: DataXceiver copies) charged per byte read on top of the device — the
+#: source of the "25% overhead in using HDFS compared to the local
+#: filesystem" the paper measures in Table II.
+HDFS_CLIENT_RATE = 0.5e9
+#: namenode metadata round-trip charged once per block access
+HDFS_NAMENODE_LOOKUP = 250e-6
+
 
 @dataclass(frozen=True)
 class SoftwareCosts:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.cluster.cluster import Cluster
+from repro.costs import HDFS_CLIENT_RATE, HDFS_NAMENODE_LOOKUP
 from repro.errors import BlockUnavailableError, ConfigurationError, HDFSError
 from repro.fs.base import FileSystem, SimFile
 from repro.fs.content import BytesContent, ContentProvider
@@ -34,9 +35,6 @@ from repro.sim.process import SimProcess
 from repro.units import MB
 
 DEFAULT_BLOCK_SIZE = 128 * MB
-
-#: Namenode metadata round-trip charged once per block access.
-NAMENODE_LOOKUP = 250e-6
 
 
 @dataclass
@@ -64,10 +62,10 @@ class HDFS(FileSystem):
         Logical block size in bytes.
     replication:
         Default replica count for new files (clamped to the node count).
-    fabric:
-        Fabric name remote block fetches travel over; defaults to the
-        cluster's machine (``cluster.machine.bigdata_fabric`` — IPoIB on
-        Comet, matching default Spark/Hadoop).
+
+    Remote block fetches travel over the machine's Big Data fabric
+    (``cluster.machine.bigdata_fabric`` — IPoIB on Comet, matching default
+    Spark/Hadoop).
     """
 
     scheme = "hdfs"
@@ -78,8 +76,6 @@ class HDFS(FileSystem):
         *,
         block_size: int = DEFAULT_BLOCK_SIZE,
         replication: int = 3,
-        fabric: str | None = None,
-        client_rate: float = 0.5e9,
     ) -> None:
         if block_size < 1:
             raise ConfigurationError("block_size must be >= 1")
@@ -88,13 +84,7 @@ class HDFS(FileSystem):
         self.cluster = cluster
         self.block_size = block_size
         self.replication = replication
-        self.fabric = fabric if fabric is not None \
-            else cluster.machine.bigdata_fabric
-        #: bytes/s of the client+datanode software path (checksum verify,
-        #: DataXceiver copies) charged per byte read on top of the device —
-        #: the source of the "25% overhead in using HDFS compared to the
-        #: local filesystem" the paper measures in Table II.
-        self.client_rate = client_rate
+        self.fabric = cluster.machine.bigdata_fabric
         self._files: dict[str, SimFile] = {}
         self._blocks: dict[str, list[Block]] = {}
         self._dead: set[int] = set()
@@ -240,13 +230,13 @@ class HDFS(FileSystem):
             take = min(hi, b.end) - max(lo, b.start)
             if take <= 0:
                 break
-            proc.compute(NAMENODE_LOOKUP)
+            proc.compute(HDFS_NAMENODE_LOOKUP)
             src = self._pick_replica(b, node.id)
             self.cluster.trace.access(proc, "read", f"hdfs:{path}",
                                       start=max(lo, b.start),
                                       stop=min(hi, b.end))
             self.cluster.nodes[src].ssd.read(proc, take, label=f"hdfs:{path}#{b.index}")
-            proc.compute_bytes(take, self.client_rate)
+            proc.compute_bytes(take, HDFS_CLIENT_RATE)
             if src != node.id:
                 self.cluster.network.transmit(
                     proc, self.fabric, src, node.id, take,

@@ -24,7 +24,6 @@ from collections import deque
 from typing import Any
 
 from repro.cluster.cluster import Cluster
-from repro.costs import SoftwareCosts
 from repro.errors import BlockUnavailableError, MapReduceError, TaskFailedError
 from repro.fs.hdfs import HDFS
 from repro.fs.records import read_split_records
@@ -42,12 +41,12 @@ class _InjectedFault(MapReduceError):
 class _JobState:
     """Shared state of one running job."""
 
-    def __init__(self, cluster: Cluster, conf: JobConf, costs: SoftwareCosts,
-                 fabric: str, fault_injector: FaultInjector | None) -> None:
+    def __init__(self, cluster: Cluster, conf: JobConf,
+                 fault_injector: FaultInjector | None) -> None:
         self.cluster = cluster
         self.conf = conf
-        self.costs = costs
-        self.fabric = fabric
+        self.costs = cluster.machine.costs
+        self.fabric = cluster.machine.bigdata_fabric
         self.fault_injector = fault_injector
         self.counters = JobCounters()
         self.driver_box = Mailbox("mr:driver")
@@ -78,22 +77,16 @@ def run_job(
     *,
     map_slots_per_node: int = 8,
     reduce_slots_per_node: int = 8,
-    fabric: str | None = None,
-    costs: SoftwareCosts | None = None,
     fault_injector: FaultInjector | None = None,
 ) -> JobResult:
     """Run one MapReduce job to completion on the cluster's engine.
 
-    ``fabric`` and ``costs`` default to the cluster's machine
+    Fabric and cost constants come from the cluster's machine
     (``cluster.machine.bigdata_fabric`` / ``.costs``).
     """
-    if fabric is None:
-        fabric = cluster.machine.bigdata_fabric
-    if costs is None:
-        costs = cluster.machine.costs
     if conf.num_reduces < 1:
         raise MapReduceError("num_reduces must be >= 1")
-    state = _JobState(cluster, conf, costs, fabric, fault_injector)
+    state = _JobState(cluster, conf, fault_injector)
     driver = cluster.spawn(_driver_main, state, map_slots_per_node,
                            reduce_slots_per_node, node_id=0, name="mr:driver")
     elapsed = cluster.run()

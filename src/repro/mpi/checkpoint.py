@@ -124,7 +124,6 @@ def run_with_restart(
     procs_per_node: int | None = None,
     max_restarts: int = 3,
     store: CheckpointStore | None = None,
-    **mpi_kwargs: Any,
 ) -> RestartResult:
     """Run ``fn(comm, ckpt)`` with restart-from-checkpoint on rank failure.
 
@@ -146,7 +145,7 @@ def run_with_restart(
 
         try:
             result = mpi_run(cluster, rank_main, nprocs,
-                             procs_per_node=procs_per_node, **mpi_kwargs)
+                             procs_per_node=procs_per_node)
             return RestartResult(
                 result=result,
                 attempts=attempt + 1,

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.cluster.cluster import Cluster
-from repro.costs import SoftwareCosts
 from repro.errors import ConfigurationError, MPICommError
 from repro.sim.engine import current_process
 from repro.sim.process import SimProcess
@@ -22,14 +21,12 @@ class MPIEnv:
         cluster: Cluster,
         nprocs: int,
         placement: Sequence[int],
-        fabric: str,
-        costs: SoftwareCosts,
     ) -> None:
         self.cluster = cluster
         self.nprocs = nprocs
         self.placement = list(placement)
-        self.fabric = fabric
-        self.costs = costs
+        self.fabric = cluster.machine.hpc_fabric
+        self.costs = cluster.machine.costs
         self._ctx_counter = itertools.count()
         self._msg_counter = itertools.count()
         self._split_calls: dict[int, int] = {}
@@ -101,8 +98,6 @@ def mpi_run(
     nprocs: int,
     *,
     procs_per_node: int | None = None,
-    fabric: str | None = None,
-    costs: SoftwareCosts | None = None,
     args: tuple = (),
     charge_launch: bool = True,
 ) -> MPIResult:
@@ -117,19 +112,16 @@ def mpi_run(
 
     Set ``charge_launch=False`` to skip mpirun/MPI_Init costs (used by
     microbenchmarks that, like OSU's, time only the measured loop).
-    ``fabric`` and ``costs`` default to the cluster's machine
+    Fabric and cost constants come from the cluster's machine
     (``cluster.machine.hpc_fabric`` / ``.costs``).
     """
-    if fabric is None:
-        fabric = cluster.machine.hpc_fabric
-    if costs is None:
-        costs = cluster.machine.costs
     if nprocs < 1:
         raise ConfigurationError("nprocs must be >= 1")
     if procs_per_node is None:
         procs_per_node = -(-nprocs // len(cluster.nodes))
     placement = cluster.placement(nprocs, procs_per_node)
-    env = MPIEnv(cluster, nprocs, placement, fabric, costs)
+    env = MPIEnv(cluster, nprocs, placement)
+    costs = env.costs
 
     from repro.mpi.comm import Communicator  # late import: comm builds on env
 

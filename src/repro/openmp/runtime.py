@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.cluster.cluster import Cluster
-from repro.costs import SoftwareCosts
 from repro.errors import ConfigurationError, OpenMPError
 from repro.openmp.loops import ChunkDispenser, Schedule, iterate, split_static
 from repro.sim.engine import current_process
@@ -27,12 +26,11 @@ class OMPResult:
 class _Team:
     """Shared state of one thread team (one parallel region)."""
 
-    def __init__(self, cluster: Cluster, node_id: int, nthreads: int,
-                 costs: SoftwareCosts) -> None:
+    def __init__(self, cluster: Cluster, node_id: int, nthreads: int) -> None:
         self.cluster = cluster
         self.node = cluster.nodes[node_id]
         self.nthreads = nthreads
-        self.costs = costs
+        self.costs = cluster.machine.costs
         self.locks: dict[str, SimLock] = {}
         self.tasks: deque[tuple[Callable, tuple]] = deque()
         self.dispensers: dict[int, ChunkDispenser] = {}
@@ -294,7 +292,6 @@ def omp_run(
     num_threads: int,
     *,
     node_id: int = 0,
-    costs: SoftwareCosts | None = None,
     args: tuple = (),
 ) -> OMPResult:
     """Execute ``fn(omp, *args)`` as a parallel region of ``num_threads``.
@@ -302,10 +299,8 @@ def omp_run(
     Threads are pinned to ``node_id`` — OpenMP is a single-node model, so
     asking for more threads than the node has cores raises
     :class:`~repro.errors.ConfigurationError` (the simulator does not model
-    oversubscription).  ``costs`` defaults to the cluster's machine.
+    oversubscription).  Cost constants are ``cluster.machine.costs``.
     """
-    if costs is None:
-        costs = cluster.machine.costs
     if num_threads < 1:
         raise ConfigurationError("num_threads must be >= 1")
     node = cluster.nodes[node_id]
@@ -313,8 +308,9 @@ def omp_run(
         raise ConfigurationError(
             f"{num_threads} threads exceed the node's {node.spec.cores} cores"
         )
-    team = _Team(cluster, node_id, num_threads, costs)
+    team = _Team(cluster, node_id, num_threads)
     procs = team.procs
+    costs = team.costs
 
     def thread_main(tid: int) -> Any:
         proc = current_process()

@@ -40,7 +40,6 @@ from repro.platform.scenario import (
     ScenarioSpec,
     Session,
     collect_traces,
-    comet,
     session_app,
 )
 
@@ -49,7 +48,6 @@ __all__ = [
     "Session",
     "Dataset",
     "HDFSSpec",
-    "comet",
     "collect_traces",
     "session_app",
     "run_suite",

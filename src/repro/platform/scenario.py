@@ -10,7 +10,7 @@ deterministic order.
 
 Every entry layer (figures, ablations, extras, validation, examples,
 profiler) consumes sessions instead of hand-wiring
-``Cluster(COMET.with_nodes(n))`` + filesystem + staging calls, so the
+``Cluster(machine.with_nodes(n))`` + filesystem + staging calls, so the
 provisioning logic exists in one place and the provisioned platform is
 identical everywhere — the "same platform" discipline, enforced by
 construction.
@@ -44,7 +44,6 @@ from typing import Any, Callable, Iterator
 from repro.cluster import (
     DEFAULT_MACHINE,
     Cluster,
-    ClusterSpec,
     MachineSpec,
     resolve_machine,
 )
@@ -139,11 +138,9 @@ class ScenarioSpec:
         (``"comet"``, ``"commodity-eth"``, …) or a full
         :class:`~repro.cluster.MachineSpec`.  Defaults to the simulated
         SDSC Comet; see :mod:`repro.cluster.machines` and
-        ``docs/hardware.md``.
-    base:
-        Optional :class:`~repro.cluster.ClusterSpec` override replacing
-        the machine's cluster shape while keeping its costs and fabric
-        routing (rarely needed — prefer a machine variant).
+        ``docs/hardware.md``.  The one place a scenario's hardware,
+        cost constants and fabric routing are chosen: a variant is a
+        ``machine.with_(...)`` value, not a per-call override.
     hdfs, datasets:
         HDFS mount parameters, and input files staged before the run in
         declaration order.
@@ -172,10 +169,6 @@ class ScenarioSpec:
     #: :class:`~repro.cluster.MachineSpec`; defaults to the simulated
     #: SDSC Comet (see :mod:`repro.cluster.machines`)
     machine: str | MachineSpec = DEFAULT_MACHINE
-    #: optional hardware override: replaces the machine's cluster spec
-    #: while keeping its costs and fabric routing (rarely needed — prefer
-    #: a machine variant)
-    base: ClusterSpec | None = None
     #: HDFS mount parameters (replication, block size)
     hdfs: HDFSSpec = field(default_factory=HDFSSpec)
     #: input files staged before the run, in declaration order
@@ -201,11 +194,8 @@ class ScenarioSpec:
 
     @property
     def machine_spec(self) -> MachineSpec:
-        """The resolved machine, with ``base`` applied if set."""
-        machine = resolve_machine(self.machine)
-        if self.base is not None:
-            machine = machine.with_(cluster=self.base)
-        return machine
+        """The resolved :class:`~repro.cluster.MachineSpec`."""
+        return resolve_machine(self.machine)
 
     def with_(self, **changes: Any) -> "ScenarioSpec":
         """A copy of this spec with fields replaced.
@@ -378,9 +368,3 @@ def session_app(fn: Callable[..., Any]) -> Callable[..., Any]:
 
     fn.run_in = _run_in  # type: ignore[attr-defined]
     return fn
-
-
-def comet(nodes: int, *, trace: Trace | None = None) -> Cluster:
-    """A bare simulated Comet slice — the one place this is constructed."""
-    return Cluster(resolve_machine(DEFAULT_MACHINE).with_nodes(nodes),
-                   trace=trace)

@@ -137,9 +137,6 @@ JOB_KINDS: dict[str, JobKind] = {
     )
 }
 
-#: measured-runtime memo: (machine, kind, nodes_used, ppn, scale) -> seconds
-_RUNTIME_MEMO: dict[tuple, float] = {}
-
 
 def _measure_one(kind: JobKind, job: Job,
                  machine: str | MachineSpec) -> float:
@@ -149,16 +146,21 @@ def _measure_one(kind: JobKind, job: Job,
 
 
 def measure_runtimes(jobs: Iterable[Job],
-                     machine: str | MachineSpec = "comet"
+                     machine: str | MachineSpec = "comet",
+                     memo: dict[tuple, float] | None = None
                      ) -> Mapping[int, float]:
     """Measure every job's runtime on ``machine``; returns ``{job_id: s}``.
 
-    Each distinct ``(kind, nodes_used, procs_per_node, scale)``
+    Each distinct ``(machine, kind, nodes_used, procs_per_node, scale)``
     configuration provisions one fresh session and runs its application
-    once (memoized per resolved machine).  Raises
+    once.  Measurements are remembered in ``memo``; pass one dict to
+    several calls (as :func:`repro.core.schedexp.sched_trace` does across
+    its seeds) to share them — nothing outlives the caller's dict.  Raises
     :class:`~repro.errors.ConfigurationError` for unknown kinds.
     """
     resolved = resolve_machine(machine)
+    if memo is None:
+        memo = {}
     out: dict[int, float] = {}
     for job in sorted(jobs, key=lambda j: j.job_id):
         kind = JOB_KINDS.get(job.kind)
@@ -168,7 +170,7 @@ def measure_runtimes(jobs: Iterable[Job],
                 f"have {list(JOB_KINDS)}")
         key = (resolved, kind.name, job.nodes_used, job.procs_per_node,
                job.scale)
-        if key not in _RUNTIME_MEMO:
-            _RUNTIME_MEMO[key] = _measure_one(kind, job, machine)
-        out[job.job_id] = _RUNTIME_MEMO[key]
+        if key not in memo:
+            memo[key] = _measure_one(kind, job, machine)
+        out[job.job_id] = memo[key]
     return out

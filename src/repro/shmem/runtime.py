@@ -8,7 +8,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.costs import SoftwareCosts
 from repro.errors import ConfigurationError, ShmemError
 from repro.shmem.heap import SymmetricArray, SymmetricHeap
 from repro.sim.engine import current_process
@@ -20,13 +19,13 @@ from repro.spark.partitioner import stable_hash
 class ShmemEnv:
     """Shared state of one SHMEM job."""
 
-    def __init__(self, cluster: Cluster, npes: int, placement: list[int],
-                 fabric: str, costs: SoftwareCosts) -> None:
+    def __init__(self, cluster: Cluster, npes: int,
+                 placement: list[int]) -> None:
         self.cluster = cluster
         self.npes = npes
         self.placement = placement
-        self.fabric = fabric
-        self.costs = costs
+        self.fabric = cluster.machine.hpc_fabric
+        self.costs = cluster.machine.costs
         self.heap = SymmetricHeap(npes)
         self.signals = [Mailbox(f"shmem:pe{i}") for i in range(npes)]
         self.locks: dict[Any, SimLock] = {}
@@ -325,25 +324,19 @@ def shmem_run(
     npes: int,
     *,
     pes_per_node: int | None = None,
-    fabric: str | None = None,
-    costs: SoftwareCosts | None = None,
     args: tuple = (),
 ) -> ShmemResult:
     """Launch ``fn(pe, *args)`` as an SPMD SHMEM job of ``npes`` PEs.
 
-    ``fabric`` and ``costs`` default to the cluster's machine
+    Fabric and cost constants come from the cluster's machine
     (``cluster.machine.hpc_fabric`` / ``.costs``).
     """
-    if fabric is None:
-        fabric = cluster.machine.hpc_fabric
-    if costs is None:
-        costs = cluster.machine.costs
     if npes < 1:
         raise ConfigurationError("npes must be >= 1")
     if pes_per_node is None:
         pes_per_node = -(-npes // len(cluster.nodes))
     placement = cluster.placement(npes, pes_per_node)
-    env = ShmemEnv(cluster, npes, placement, fabric, costs)
+    env = ShmemEnv(cluster, npes, placement)
     procs = env.procs
 
     def pe_main(idx: int) -> Any:

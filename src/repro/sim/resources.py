@@ -21,7 +21,6 @@ scheduling invariant, so both models are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable
 
 from repro.errors import SimulationError
@@ -81,10 +80,8 @@ class FluidResource:
 class Flow:
     """One in-progress bulk transfer across a set of fluid resources."""
 
-    __slots__ = ("id", "owner", "resources", "remaining", "rate_cap",
+    __slots__ = ("owner", "resources", "remaining", "rate_cap",
                  "label", "rate", "finish")
-
-    _ids = itertools.count()
 
     def __init__(
         self,
@@ -94,7 +91,6 @@ class Flow:
         rate_cap: float | None,
         label: str,
     ) -> None:
-        self.id = next(Flow._ids)
         self.owner = owner
         self.resources = resources
         self.remaining = float(nbytes)
@@ -105,7 +101,7 @@ class Flow:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Flow {self.id} {self.label!r} rem={self.remaining:.3g}"
+            f"<Flow {self.label!r} rem={self.remaining:.3g}"
             f" rate={self.rate:.3g} fin={self.finish:.6g}>"
         )
 
@@ -165,7 +161,7 @@ class FlowSystem:
         while flow.remaining > eps:
             if flow.finish <= proc.clock:
                 break  # residual is pure drift; the flow is done
-            proc.park_until(flow.finish, reason=f"flow:{label or flow.id}")
+            proc.park_until(flow.finish, reason=f"flow:{label}")
             self._advance_to(proc.clock)
         self._remove(flow, proc.clock)
         return proc.clock

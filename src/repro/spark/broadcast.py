@@ -5,7 +5,6 @@ such as Accumulators and Broadcast variables")."""
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.engine import current_process
@@ -25,10 +24,8 @@ class Broadcast:
     closure capture.
     """
 
-    _ids = itertools.count()
-
     def __init__(self, sc: "SparkContext", value: Any) -> None:
-        self.id = next(Broadcast._ids)
+        self.id = sc._next_broadcast_id()
         self._value = value
         env = sc.env
         proc = current_process()

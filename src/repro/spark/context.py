@@ -58,24 +58,21 @@ class Executor:
 class SparkEnv:
     """Shared runtime state of one Spark application."""
 
-    def __init__(self, cluster: Cluster, costs: SoftwareCosts,
-                 shuffle_transport: str, control_fabric: str,
-                 driver_node: Node, record_scale: int = 1,
-                 shuffle_fabric: str | None = None) -> None:
+    def __init__(self, cluster: Cluster, shuffle_transport: str,
+                 driver_node: Node, record_scale: int = 1) -> None:
+        machine = cluster.machine
         self.cluster = cluster
-        self.costs = costs
+        self.costs = machine.costs
         #: logical records per physical record (the Spark twin of the
         #: filesystem ``scale``): multiplies per-record CPU charges, shuffle
         #: byte estimates and cache block sizes so a scaled-down dataset is
         #: *timed* as the paper-sized one.  Data values are untouched.
         self.record_scale = record_scale
         self.shuffle_transport = shuffle_transport
-        #: fabric the shuffle transport rides (resolved from the cluster's
-        #: machine by the SparkContext; overridable for direct env builds)
-        self.shuffle_fabric = (shuffle_fabric if shuffle_fabric is not None
-                               else cluster.machine.shuffle_fabric(
-                                   shuffle_transport))
-        self.control_fabric = control_fabric
+        #: fabric the shuffle transport rides; raises ConfigurationError
+        #: (listing this machine's transports) for an unsupported one
+        self.shuffle_fabric = machine.shuffle_fabric(shuffle_transport)
+        self.control_fabric = machine.bigdata_fabric
         self.driver_node = driver_node
         self.driver_mailbox = Mailbox("spark:driver")
         self.tracker = MapOutputTracker()
@@ -151,24 +148,13 @@ class SparkContext:
         executor_nodes: list[int] | None = None,
         executor_memory: int | None = None,
         shuffle_transport: str = "socket",
-        control_fabric: str | None = None,
         driver_node: int = 0,
-        costs: SoftwareCosts | None = None,
         default_parallelism: int | None = None,
         app_startup: float = DEFAULT_APP_STARTUP,
         record_scale: int = 1,
     ) -> None:
-        machine = cluster.machine
-        # resolves the transport -> fabric routing and raises
-        # ConfigurationError (listing this machine's transports) if the
-        # machine doesn't support the requested one
-        shuffle_fabric = machine.shuffle_fabric(shuffle_transport)
-        if control_fabric is None:
-            control_fabric = machine.bigdata_fabric
-        if costs is None:
-            costs = machine.costs
         self.cluster = cluster
-        self.costs = costs
+        self.costs = cluster.machine.costs
         nodes = executor_nodes if executor_nodes is not None else list(
             range(len(cluster.nodes)))
         for n in nodes:
@@ -187,14 +173,15 @@ class SparkContext:
         self.executor_memory = executor_memory
         if record_scale < 1:
             raise ConfigurationError("record_scale must be >= 1")
-        self.env = SparkEnv(cluster, costs, shuffle_transport, control_fabric,
-                            cluster.nodes[driver_node], record_scale,
-                            shuffle_fabric=shuffle_fabric)
+        self.env = SparkEnv(cluster, shuffle_transport,
+                            cluster.nodes[driver_node], record_scale)
         self._scheduler = sched.DAGScheduler(self.env)
         self.default_parallelism = default_parallelism or len(
             self._executor_placement)
         self.app_startup = app_startup
         self._rdd_ids = itertools.count()
+        self._shuffle_ids = itertools.count()
+        self._broadcast_ids = itertools.count()
         self._accum_ids = itertools.count()
         self._ran = False
 
@@ -387,6 +374,12 @@ class SparkContext:
 
     def _next_rdd_id(self) -> int:
         return next(self._rdd_ids)
+
+    def _next_shuffle_id(self) -> int:
+        return next(self._shuffle_ids)
+
+    def _next_broadcast_id(self) -> int:
+        return next(self._broadcast_ids)
 
     def _unpersist(self, rdd_id: int) -> None:
         for ex in self.env.executors:

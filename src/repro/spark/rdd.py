@@ -15,7 +15,6 @@ explicit about where time goes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -92,12 +91,10 @@ class NarrowDependency(Dependency):
 class ShuffleDependency(Dependency):
     """Child partitions depend on *all* parent partitions (a stage cut)."""
 
-    _shuffle_ids = itertools.count()
-
     def __init__(self, parent: "RDD", partitioner: Partitioner) -> None:
         super().__init__(parent)
         self.partitioner = partitioner
-        self.shuffle_id = next(ShuffleDependency._shuffle_ids)
+        self.shuffle_id = parent.sc._next_shuffle_id()
         #: ``(create, merge_value)`` of a map-side-combining aggregator
         #: (reduceByKey), set by the consuming ShuffledRDD: the shuffle
         #: write folds the combine into its partitioning pass

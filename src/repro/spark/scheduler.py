@@ -49,10 +49,9 @@ class FetchFailedError(SparkError):
 class Stage:
     """A pipeline of narrow transformations ending at a shuffle or action."""
 
-    _ids = itertools.count()
-
-    def __init__(self, rdd: RDD, shuffle_dep: ShuffleDependency | None) -> None:
-        self.id = next(Stage._ids)
+    def __init__(self, stage_id: int, rdd: RDD,
+                 shuffle_dep: ShuffleDependency | None) -> None:
+        self.id = stage_id
         self.rdd = rdd
         self.shuffle_dep = shuffle_dep  # None => result stage
         self.parents: list[Stage] = []
@@ -178,6 +177,7 @@ class DAGScheduler:
         self.env = env
         #: shuffle_id -> producing ShuffleDependency (for recovery reruns)
         self._shuffle_deps: dict[int, ShuffleDependency] = {}
+        self._stage_ids = itertools.count()
 
     # -- stage graph -----------------------------------------------------------------
 
@@ -188,7 +188,7 @@ class DAGScheduler:
         def stage_for_shuffle(dep: ShuffleDependency) -> Stage:
             st = shuffle_stages.get(dep.shuffle_id)
             if st is None:
-                st = Stage(dep.parent, dep)
+                st = Stage(next(self._stage_ids), dep.parent, dep)
                 shuffle_stages[dep.shuffle_id] = st
                 self._shuffle_deps[dep.shuffle_id] = dep
                 st.parents = parent_stages(dep.parent)
@@ -210,7 +210,7 @@ class DAGScheduler:
                         stack.append(dep.parent)
             return out
 
-        result = Stage(rdd, None)
+        result = Stage(next(self._stage_ids), rdd, None)
         result.parents = parent_stages(rdd)
         return result
 

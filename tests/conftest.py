@@ -9,8 +9,14 @@ deleting the variable and pointing an explicit store at ``tmp_path``.
 
 import pytest
 
+from repro.cluster import MachineSpec
+from repro.cluster.spec import TESTING
 from repro.platform.scenario import sanitize_forced
 from repro.sim.trace import Trace
+
+#: the tiny test hardware as a machine: stock costs, InfiniBand routing
+TESTING_MACHINE = MachineSpec("testing", "tiny unit-test cluster",
+                              cluster=TESTING)
 
 
 def forced_trace() -> Trace | None:
@@ -27,14 +33,3 @@ def forced_trace() -> Trace | None:
 @pytest.fixture(autouse=True)
 def _no_artifact_cache(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-
-
-@pytest.fixture
-def cold_sched_memo(monkeypatch):
-    """Empty ``repro.sched``'s per-process measured-runtime memo.
-
-    ``sched-trace`` provisions a session only for configurations it has not
-    measured yet in this process, so a test that needs its sessions (the
-    trace collector) must not inherit another test's warm memo.
-    """
-    monkeypatch.setattr("repro.sched.kinds._RUNTIME_MEMO", {})

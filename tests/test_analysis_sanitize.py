@@ -322,7 +322,6 @@ def test_figure_scenarios_are_clean():
     assert report.collectives > 0
 
 
-@pytest.mark.usefixtures("cold_sched_memo")
 @pytest.mark.parametrize(
     "exp_id", [i for i in _ensure_registry() if capabilities(i)["sanitize"]])
 def test_every_traceable_experiment_sanitizes_clean(exp_id):

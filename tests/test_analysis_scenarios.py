@@ -22,8 +22,6 @@ from repro.sim.engine import current_process
 #: every registered experiment that provisions a session
 TRACEABLE = [i for i in _ensure_registry() if capabilities(i)["trace"]]
 
-pytestmark = pytest.mark.usefixtures("cold_sched_memo")
-
 
 def test_fig3_quick_scenario_is_clean_with_traffic():
     # the real fig3 (MPI + two Spark reduces) touches no shared location;
@@ -57,6 +55,20 @@ def test_collection_is_observational(exp_id):
     assert all(t is not None and t.hb for t in traces)
     plain = run_experiment(exp_id, quick=True)
     assert fingerprint_result(collected) == fingerprint_result(plain)
+
+
+@pytest.mark.parametrize(
+    "exp_id", ["fig4", "fig6", "fig7", "fig8", "extra-mapreduce"])
+def test_equal_specs_give_equal_traces(exp_id):
+    # shuffle / stage / broadcast ids are per SparkContext, not per process:
+    # a second run in the same interpreter names the same locations
+    def events():
+        with collect_traces() as traces:
+            run_experiment(exp_id, quick=True)
+        return [(ev.time, ev.proc, ev.kind, ev.detail)
+                for trace in traces for ev in trace.events]
+
+    assert events() == events()
 
 
 def test_unknown_scenario_raises():

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import COMET, Cluster
-from repro.cluster.spec import TESTING
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.mpi import mpi_run
 from repro.openmp import omp_run
 from repro.shmem import shmem_run
 from repro.spark import SparkContext
+from tests.conftest import TESTING_MACHINE
 
 
 def comet(nodes=2):
-    return Cluster(COMET.with_nodes(nodes))
+    return Cluster(COMET_MACHINE.with_nodes(nodes))
 
 
 class TestMPIScan:
@@ -82,7 +82,7 @@ class TestOpenMPSections:
                 lambda: calls.append("c") or "rc",
             )
 
-        res = omp_run(Cluster(TESTING), region, 2)
+        res = omp_run(Cluster(TESTING_MACHINE), region, 2)
         assert sorted(calls) == ["a", "b", "c"]
         for r in res.returns:
             assert r == ["ra", "rb", "rc"]
@@ -97,7 +97,7 @@ class TestOpenMPSections:
             )
             return omp.wtime()
 
-        res = omp_run(Cluster(TESTING), region, 4)
+        res = omp_run(Cluster(TESTING_MACHINE), region, 4)
         assert max(res.returns) < 2.0  # 4 x 1s over 4 threads
 
     def test_consecutive_sections_blocks(self):
@@ -106,7 +106,7 @@ class TestOpenMPSections:
             second = omp.sections(lambda: 3)
             return (first, second)
 
-        res = omp_run(Cluster(TESTING), region, 2)
+        res = omp_run(Cluster(TESTING_MACHINE), region, 2)
         assert res.returns == [([1, 2], [3])] * 2
 
 
@@ -163,7 +163,7 @@ class TestShmemSwapAtomics:
 
 class TestSparkOrderedAndStats:
     def run_app(self, app):
-        sc = SparkContext(Cluster(TESTING), executors_per_node=2,
+        sc = SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
                           app_startup=0.1)
         return sc.run(app).value
 

@@ -22,8 +22,7 @@ from repro.apps.reduce_bench import (
     shmem_reduce_latency,
     spark_reduce_latency,
 )
-from repro.cluster import Cluster
-from repro.cluster.spec import COMET
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.errors import MPIIntOverflowError, SimProcessError
 from repro.fs import HDFS, LocalFS
 from repro.units import GiB, KiB, MiB
@@ -40,7 +39,7 @@ from repro.workloads.stackexchange import (
 
 
 def comet(nodes=2):
-    return Cluster(COMET.with_nodes(nodes))
+    return Cluster(COMET_MACHINE.with_nodes(nodes))
 
 
 class TestReduceBench:

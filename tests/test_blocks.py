@@ -313,7 +313,7 @@ class TestHashJoin:
         consumers (plain cogroup, outer join, a lambda after the join) and
         an ineligible one agree with the scalar plane."""
         from repro.cluster import Cluster
-        from repro.cluster.spec import TESTING
+        from tests.conftest import TESTING_MACHINE
         from repro.spark import SparkContext
 
         edges = [(i % 7, (i * 5) % 11) for i in range(60)]
@@ -329,7 +329,7 @@ class TestHashJoin:
                                4).collect())
 
         def run():
-            sc = SparkContext(Cluster(TESTING.with_nodes(2)),
+            sc = SparkContext(Cluster(TESTING_MACHINE.with_nodes(2)),
                               executors_per_node=2, app_startup=0.1)
             res = sc.run(app)
             return res.app_elapsed, res.value

@@ -6,11 +6,12 @@ import pytest
 
 from repro.cluster import COMET, Cluster
 from repro.cluster.network import BULK_THRESHOLD
-from repro.cluster.spec import ETH_10G, IB_FDR_RDMA, IPOIB, TESTING, ClusterSpec
+from repro.cluster.spec import ETH_10G, IB_FDR_RDMA, IPOIB, ClusterSpec
 from repro.cluster.storage import ssd_read_efficiency
 from repro.errors import ConfigurationError, SimProcessError
 from repro.sim import current_process
 from repro.units import GiB, MiB
+from tests.conftest import TESTING_MACHINE
 
 
 class TestSpecs:
@@ -46,23 +47,23 @@ class TestSpecs:
 
 class TestPlacement:
     def test_block_placement(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         assert cl.placement(4, 2) == [0, 0, 1, 1]
 
     def test_placement_too_big_rejected(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         with pytest.raises(ConfigurationError):
             cl.placement(100, 2)
 
     def test_spawn_requires_valid_node(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         with pytest.raises(ConfigurationError):
             cl.spawn(lambda: None, node_id=99, name="x")
 
 
 class TestNetwork:
     def _transfer_time(self, fabric: str, nbytes: int) -> float:
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         out = {}
 
         def sender():
@@ -89,7 +90,7 @@ class TestNetwork:
                                   rel=1e-6)
 
     def test_loopback_cheaper_than_network(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         out = {}
 
         def sender():
@@ -110,7 +111,7 @@ class TestNetwork:
         nbytes = 32 * MiB
         solo = self._transfer_time("ipoib", nbytes)
 
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         done = []
 
         def sender():
@@ -126,7 +127,7 @@ class TestNetwork:
         assert max(done) == pytest.approx(solo + wire, rel=0.02)
 
     def test_invalid_node_raises(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
 
         def sender():
             cl.network.transmit(current_process(), "ipoib", 0, 99, 10)
@@ -137,7 +138,7 @@ class TestNetwork:
         assert isinstance(ei.value.__cause__, ConfigurationError)
 
     def test_msg_arrival_does_not_block(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         out = {}
 
         def sender():
@@ -158,7 +159,7 @@ class TestNetwork:
 
 class TestStorage:
     def test_ssd_read_faster_than_write(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         out = {}
 
         def proc():
@@ -178,7 +179,7 @@ class TestStorage:
         nbytes = 100 * MiB
 
         def run(nreaders):
-            cl = Cluster(TESTING)
+            cl = Cluster(TESTING_MACHINE)
             done = []
 
             def reader():
@@ -202,7 +203,7 @@ class TestStorage:
         assert ssd_read_efficiency(100) == pytest.approx(0.75)
 
     def test_nfs_is_shared_across_nodes(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         done = []
 
         def reader():
@@ -216,7 +217,7 @@ class TestStorage:
         assert max(done) > 1.9 * solo
 
     def test_node_memory_stream_contention(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         done = []
 
         def streamer():
@@ -239,7 +240,7 @@ class TestTraceGating:
     """
 
     def _workload(self, trace):
-        cl = Cluster(TESTING, trace=trace)
+        cl = Cluster(TESTING_MACHINE, trace=trace)
         out = {}
 
         def proc():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING
 from repro.errors import (
     ConfigurationError,
     HDFSError,
@@ -21,6 +20,7 @@ from repro.sim import current_process
 from repro.spark import SparkContext
 from repro.spark.partitioner import HashPartitioner, RangePartitioner
 from repro.spark.shuffle import estimate_nbytes
+from tests.conftest import TESTING_MACHINE
 
 
 class TestPartitioners:
@@ -68,7 +68,7 @@ class TestEstimateNbytes:
 
 class TestFsEdges:
     def test_zero_length_file(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         fs = LocalFS(cl)
         fs.create("empty", BytesContent(b""), node_id=0)
         out = {}
@@ -81,7 +81,7 @@ class TestFsEdges:
         assert out["data"] == b""
 
     def test_read_past_eof_clamps(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         fs = LocalFS(cl)
         fs.create("f", BytesContent(b"abc"), node_id=0)
         out = {}
@@ -94,14 +94,14 @@ class TestFsEdges:
         assert out["data"] == b"c"
 
     def test_hdfs_zero_byte_file_has_one_block(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         h = HDFS(cl)
         h.create("z", BytesContent(b""))
         assert len(h.blocks("z")) == 1
         assert h.size("z") == 0
 
     def test_hdfs_write_with_all_nodes_dead(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         h = HDFS(cl, replication=2)
         h.kill_datanode(0)
         h.kill_datanode(1)
@@ -116,7 +116,7 @@ class TestFsEdges:
 
     def test_bad_block_size_rejected(self):
         with pytest.raises(ConfigurationError):
-            HDFS(Cluster(TESTING), block_size=0)
+            HDFS(Cluster(TESTING_MACHINE), block_size=0)
 
 
 class TestMPIEdges:
@@ -125,7 +125,7 @@ class TestMPIEdges:
             comm.send(1, dest=99)
 
         with pytest.raises(SimProcessError) as ei:
-            mpi_run(Cluster(TESTING), job, 2, procs_per_node=1,
+            mpi_run(Cluster(TESTING_MACHINE), job, 2, procs_per_node=1,
                     charge_launch=False)
         assert isinstance(ei.value.__cause__, MPICommError)
 
@@ -134,7 +134,7 @@ class TestMPIEdges:
             comm.bcast(1, root=5)
 
         with pytest.raises(SimProcessError) as ei:
-            mpi_run(Cluster(TESTING), job, 2, procs_per_node=1,
+            mpi_run(Cluster(TESTING_MACHINE), job, 2, procs_per_node=1,
                     charge_launch=False)
         assert isinstance(ei.value.__cause__, MPICommError)
 
@@ -145,7 +145,7 @@ class TestMPIEdges:
             comm.send("me", dest=comm.rank)
             return comm.recv(source=comm.rank)
 
-        res = mpi_run(Cluster(TESTING), job, 2, procs_per_node=1,
+        res = mpi_run(Cluster(TESTING_MACHINE), job, 2, procs_per_node=1,
                       charge_launch=False)
         assert res.returns == ["me", "me"]
 
@@ -153,14 +153,14 @@ class TestMPIEdges:
         def job(comm):
             return comm.allreduce(np.empty(0))
 
-        res = mpi_run(Cluster(TESTING), job, 4, procs_per_node=2,
+        res = mpi_run(Cluster(TESTING_MACHINE), job, 4, procs_per_node=2,
                       charge_launch=False)
         assert all(len(r) == 0 for r in res.returns)
 
 
 class TestSparkEdges:
     def run_app(self, app, **kw):
-        sc = SparkContext(Cluster(TESTING), executors_per_node=2,
+        sc = SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
                           app_startup=0.1, **kw)
         return sc.run(app).value
 

@@ -11,7 +11,7 @@ from repro.apps.kmeans import (
     reference_kmeans,
     spark_kmeans,
 )
-from repro.cluster import COMET, Cluster
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.fs import HDFS, LineContent, LocalFS
 from repro.mapreduce import JobConf, run_job
 from repro.mpi import mpi_run
@@ -19,7 +19,7 @@ from repro.mpi.mapreduce import mapreduce, run_mpi_mapreduce
 
 
 def comet(nodes=2):
-    return Cluster(COMET.with_nodes(nodes))
+    return Cluster(COMET_MACHINE.with_nodes(nodes))
 
 
 def wordcount_mapper(line):

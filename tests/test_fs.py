@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING
 from repro.errors import (
     BlockUnavailableError,
     FileExistsInSim,
@@ -19,10 +18,11 @@ from repro.fs.base import SimFile
 from repro.fs.records import iter_all_records, read_split_records
 from repro.sim import current_process
 from repro.units import MB, MiB
+from tests.conftest import TESTING_MACHINE
 
 
 def make_cluster(nodes=2):
-    return Cluster(TESTING.with_nodes(nodes))
+    return Cluster(TESTING_MACHINE.with_nodes(nodes))
 
 
 def run_in_proc(cl, fn, node_id=0):

@@ -24,7 +24,6 @@ from repro.cluster import (
     DEFAULT_MACHINE,
     MACHINES,
     Cluster,
-    MachineSpec,
     get_machine,
     machine_names,
     register_machine,
@@ -107,11 +106,9 @@ class TestRegistry:
         for name in ("comet-100gbe", "commodity-eth"):
             assert get_machine(name).shuffle_transports() == ("socket",)
 
-    def test_bare_clusterspec_wraps_adhoc(self):
-        cluster = Cluster(COMET.with_nodes(2))
-        assert isinstance(cluster.machine, MachineSpec)
-        assert cluster.machine.name == COMET.name
-        assert cluster.machine.cluster.num_nodes == 2
+    def test_bare_clusterspec_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="MachineSpec"):
+            Cluster(COMET.with_nodes(2))
 
     def test_machine_spec_provisions_cluster(self):
         cluster = Cluster(get_machine("commodity-eth"))
@@ -146,12 +143,6 @@ class TestScenarioThreading:
         with pytest.raises(ConfigurationError) as exc:
             bad.session()
         assert "commodity-eth" in str(exc.value) and "16" in str(exc.value)
-
-    def test_base_override_still_works(self):
-        spec = ScenarioSpec(nodes=2, procs_per_node=4,
-                            base=replace(COMET, nfs_bandwidth=1.0))
-        assert spec.machine_spec.cluster.nfs_bandwidth == 1.0
-        assert spec.machine_spec.name == "comet"
 
     def test_unknown_machine_in_scenario(self):
         with pytest.raises(ConfigurationError):
@@ -318,8 +309,9 @@ class TestCalibration:
         from repro.analysis.calibrate import evaluate
 
         base = evaluate("comet")
-        slow = evaluate("comet", costs=replace(
-            get_machine("comet").costs, spark_job_overhead=10.0))
+        comet = get_machine("comet")
+        slow = evaluate(comet.with_(costs=replace(
+            comet.costs, spark_job_overhead=10.0)))
         assert slow["overall_rms_log10"] > base["overall_rms_log10"]
 
     def test_check_cli_passes(self, capsys):

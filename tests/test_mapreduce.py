@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING
 from repro.errors import SimProcessError, TaskFailedError
 from repro.fs import HDFS, LineContent, LocalFS, NFSFileSystem
 from repro.mapreduce import JobConf, run_job
+from tests.conftest import TESTING_MACHINE
 
 
 def wordcount_conf(**kw):
@@ -23,7 +23,7 @@ def wordcount_conf(**kw):
 
 
 def make_cluster(lines=300, block_size=2000, nodes=2, line_fn=None):
-    cl = Cluster(TESTING.with_nodes(nodes))
+    cl = Cluster(TESTING_MACHINE.with_nodes(nodes))
     h = HDFS(cl, block_size=block_size, replication=2)
     line_fn = line_fn or (lambda i: f"alpha beta gamma{i % 4}")
     h.create("corpus.txt", LineContent(line_fn, lines))
@@ -52,7 +52,7 @@ class TestCorrectness:
     @given(nlines=st.integers(1, 120), nred=st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
     def test_identity_job_preserves_records(self, nlines, nred):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         h = HDFS(cl, block_size=500, replication=2)
         h.create("in.txt", LineContent(lambda i: f"k{i} v{i}", nlines))
         conf = JobConf(
@@ -87,7 +87,7 @@ class TestCorrectness:
         assert len(res.output) > 0
 
     def test_works_on_nfs_input(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         nfs = NFSFileSystem(cl)
         nfs.create("data.txt", LineContent(lambda i: "x y", 40))
         conf = wordcount_conf(input_url="nfs://data.txt", split_size=200)
@@ -175,7 +175,7 @@ class TestCostShape:
     def test_job_submission_dominates_small_jobs(self):
         """Even a trivial job pays ~10s of framework overhead — why Hadoop
         is never competitive on small inputs."""
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         h = HDFS(cl)
         h.create("tiny.txt", LineContent(lambda i: "a", 5))
         res = run_job(cl, wordcount_conf(input_url="hdfs://tiny.txt",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import COMET, Cluster
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.errors import MPIError
 from repro.mpi.checkpoint import (
     CheckpointStore,
@@ -16,7 +16,7 @@ from repro.mpi.checkpoint import (
 
 
 def make_cluster():
-    return Cluster(COMET.with_nodes(2))
+    return Cluster(COMET_MACHINE.with_nodes(2))
 
 
 def iterative_job(total_steps: int, fail_plan: dict[int, int] | None = None):

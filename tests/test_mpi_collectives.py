@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster
-from repro.cluster.spec import TESTING, ClusterSpec, NodeSpec
+from repro.cluster import Cluster, MachineSpec
+from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.mpi import MAX, MIN, PROD, SUM, mpi_run
 from tests.conftest import forced_trace
 
 
 def big_cluster(nodes=4):
     # plenty of cores so any nprocs fits
-    return Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=64)),
+    spec = ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=64))
+    return Cluster(MachineSpec("t", "wide test nodes", cluster=spec),
                    trace=forced_trace())
 
 

@@ -5,18 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import Cluster
-from repro.cluster.spec import TESTING, ClusterSpec, NodeSpec
+from repro.cluster import Cluster, MachineSpec
+from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.errors import MPIIntOverflowError, SimProcessError
 from repro.fs import BytesContent, LocalFS
 from repro.mpi import MPIFile, Window, mpi_run
 from repro.mpi.io import chunk_for_rank
 from repro.units import GiB, INT_MAX, MiB
-from tests.conftest import forced_trace
+from tests.conftest import TESTING_MACHINE, forced_trace
 
 
 def make_env(nodes=2):
-    cl = Cluster(TESTING.with_nodes(nodes), trace=forced_trace())
+    cl = Cluster(TESTING_MACHINE.with_nodes(nodes), trace=forced_trace())
     fs = LocalFS(cl)
     return cl, fs
 
@@ -112,7 +112,8 @@ class TestMPIFile:
 
 class TestRMA:
     def run(self, fn, nprocs=4, nodes=2):
-        cl = Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32)),
+        spec = ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32))
+        cl = Cluster(MachineSpec("t", "wide test nodes", cluster=spec),
                      trace=forced_trace())
         return mpi_run(cl, fn, nprocs, charge_launch=False)
 

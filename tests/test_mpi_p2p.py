@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING
 from repro.errors import DeadlockError, MPICommError, SimProcessError
 from repro.mpi import mpi_run
 from repro.sim.engine import current_process
 from repro.units import KiB, MiB
-from tests.conftest import forced_trace
+from tests.conftest import TESTING_MACHINE, forced_trace
 
 
 def cluster(nodes=2):
-    return Cluster(TESTING.with_nodes(nodes), trace=forced_trace())
+    return Cluster(TESTING_MACHINE.with_nodes(nodes), trace=forced_trace())
 
 
 def run(fn, nprocs=2, nodes=2, **kw):
@@ -319,6 +318,8 @@ class TestTiming:
             comm.recv(source=0)
             return comm.wtime()
 
-        t_rdma = run(main, fabric="ib-fdr-rdma").returns[1]
-        t_ipoib = run(main, fabric="ipoib").returns[1]
+        t_rdma = run(main).returns[1]
+        ipoib = Cluster(TESTING_MACHINE.with_(hpc_fabric="ipoib"),
+                        trace=forced_trace())
+        t_ipoib = mpi_run(ipoib, main, 2, charge_launch=False).returns[1]
         assert t_rdma < t_ipoib

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import Cluster
-from repro.cluster.spec import COMET, TESTING
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.errors import ConfigurationError, SimProcessError
 from repro.openmp import omp_run
 from repro.openmp.loops import Schedule, split_static
 from repro.units import GiB
+from tests.conftest import TESTING_MACHINE
 
 
 def cluster():
-    return Cluster(TESTING)  # 4-core nodes
+    return Cluster(TESTING_MACHINE)  # 4-core nodes
 
 
 def comet():
-    return Cluster(COMET.with_nodes(1))  # 24-core node
+    return Cluster(COMET_MACHINE.with_nodes(1))  # 24-core node
 
 
 class TestRegion:

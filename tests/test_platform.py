@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps import mpi_pagerank
-from repro.cluster import Cluster
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.errors import ConfigurationError
 from repro.fs import LineContent
 from repro.mapreduce import JobConf
@@ -14,7 +14,6 @@ from repro.platform import (
     HDFSSpec,
     ScenarioSpec,
     Session,
-    comet,
     session_app,
 )
 from repro.tools import profile_session
@@ -155,8 +154,8 @@ class TestAdapters:
         assert len(ranks) == graph.n_vertices
 
     def test_comet_constructor(self):
-        cluster = comet(5)
-        assert isinstance(cluster, Cluster)
+        cluster = Cluster(COMET_MACHINE.with_nodes(5))
+        assert cluster.machine.name == "comet"
         assert len(cluster.nodes) == 5
 
 

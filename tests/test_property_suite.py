@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import COMET, Cluster
+from repro.cluster import COMET_MACHINE, Cluster, MachineSpec
 from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.mpi import MAX, MIN, SUM, mpi_run
 from repro.shmem import shmem_run
@@ -21,8 +21,8 @@ from repro.workloads.stackexchange import StackExchangeSpec, se_line, parse_post
 
 
 def big_cluster(nodes=3):
-    return Cluster(ClusterSpec(name="t", num_nodes=nodes,
-                               node=NodeSpec(cores=64)))
+    spec = ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=64))
+    return Cluster(MachineSpec("t", "wide test nodes", cluster=spec))
 
 
 payloads = st.one_of(
@@ -101,7 +101,7 @@ class TestSparkProperties:
            nparts=st.integers(1, 6))
     @settings(max_examples=15, deadline=None)
     def test_collect_preserves_order_and_content(self, data, nparts):
-        sc = SparkContext(Cluster(COMET.with_nodes(2)), executors_per_node=2,
+        sc = SparkContext(Cluster(COMET_MACHINE.with_nodes(2)), executors_per_node=2,
                           app_startup=0.1)
         got = sc.run(lambda sc: sc.parallelize(data, nparts).collect()).value
         assert got == data
@@ -111,7 +111,7 @@ class TestSparkProperties:
            nparts=st.integers(1, 4))
     @settings(max_examples=10, deadline=None)
     def test_group_by_key_partitions_values(self, data, nparts):
-        sc = SparkContext(Cluster(COMET.with_nodes(2)), executors_per_node=2,
+        sc = SparkContext(Cluster(COMET_MACHINE.with_nodes(2)), executors_per_node=2,
                           app_startup=0.1)
 
         def app(sc):

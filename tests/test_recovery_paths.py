@@ -5,20 +5,20 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING
 from repro.fs import LocalFS
 from repro.fs.content import BytesContent
 from repro.fs.records import read_split_records
 from repro.sim import current_process
 from repro.spark import SparkContext
 from repro.spark import scheduler as sched
+from tests.conftest import TESTING_MACHINE
 
 
 class TestMidJobFetchFailure:
     def test_lost_map_outputs_mid_stage_recovered(self):
         """A reduce stage finds map outputs gone *while running*: the job
         retries, re-runs the holes, and still produces the right answer."""
-        sc = SparkContext(Cluster(TESTING), executors_per_node=2,
+        sc = SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
                           app_startup=0.1)
         stage_runs = []
         orig = sched.DAGScheduler._run_stage
@@ -60,7 +60,7 @@ class TestMidJobFetchFailure:
     def test_job_aborts_after_retry_budget(self):
         from repro.errors import JobAbortedError, SimProcessError
 
-        sc = SparkContext(Cluster(TESTING), executors_per_node=2,
+        sc = SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
                           app_startup=0.1)
 
         def app(sc):
@@ -86,7 +86,7 @@ class TestOversizedRecords:
         together exactly once."""
         big = b"B" * 5000
         payload = b"head\n" + big + b"\ntail\n"
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         fs = LocalFS(cl)
         fs.create_replicated("big.txt", BytesContent(payload))
         out = {}
@@ -107,7 +107,7 @@ class TestOversizedRecords:
     def test_split_entirely_inside_one_record(self):
         big = b"X" * 2000
         payload = b"first\n" + big + b"\nlast\n"
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         fs = LocalFS(cl)
         fs.create_replicated("f.txt", BytesContent(payload))
         collected = []
@@ -126,7 +126,7 @@ class TestOversizedRecords:
 
 class TestRDDCheckpoint:
     def make_sc(self):
-        return SparkContext(Cluster(TESTING), executors_per_node=2,
+        return SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
                             app_startup=0.1)
 
     def test_checkpoint_survives_total_executor_loss(self):

@@ -5,18 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING
 from repro.errors import SimProcessError
 from repro.fs import HDFS, BytesContent
 from repro.sim import current_process
 from repro.spark import SparkContext
 from repro.spark.rdd import NarrowDependency, ShuffleDependency
 from repro.units import MiB
+from tests.conftest import TESTING_MACHINE
 
 
 def make_sc(**kw):
     kw.setdefault("app_startup", 0.1)
-    return SparkContext(Cluster(TESTING), executors_per_node=2, **kw)
+    return SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2, **kw)
 
 
 class TestStageConstruction:
@@ -101,7 +101,7 @@ class TestTaskPayload:
 
 class TestHDFSRepair:
     def test_repair_restores_replication(self):
-        cl = Cluster(TESTING.with_nodes(3))
+        cl = Cluster(TESTING_MACHINE.with_nodes(3))
         h = HDFS(cl, replication=2, block_size=1 * MiB)
         h.create("f", BytesContent(bytes(512)), scale=4 * 1024 * 4)
         h.kill_datanode(0)
@@ -117,7 +117,7 @@ class TestHDFSRepair:
         assert h.under_replicated("f") == []
 
     def test_repair_is_timed(self):
-        cl = Cluster(TESTING.with_nodes(3))
+        cl = Cluster(TESTING_MACHINE.with_nodes(3))
         h = HDFS(cl, replication=2, block_size=1 * MiB)
         h.create("f", BytesContent(bytes(1024)), scale=8 * 1024)  # 8 MiB
         h.kill_datanode(0)
@@ -135,7 +135,7 @@ class TestHDFSRepair:
     def test_repair_impossible_when_no_source(self):
         from repro.errors import BlockUnavailableError
 
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         h = HDFS(cl, replication=1)
         h.create("f", BytesContent(b"x"))
         dead = h.blocks("f")[0].replicas[0]
@@ -150,7 +150,7 @@ class TestHDFSRepair:
         assert isinstance(ei.value.__cause__, BlockUnavailableError)
 
     def test_reads_after_repair_use_new_replica(self):
-        cl = Cluster(TESTING.with_nodes(3))
+        cl = Cluster(TESTING_MACHINE.with_nodes(3))
         h = HDFS(cl, replication=1, block_size=1 * MiB)
         payload = bytes(range(256))
         h.create("f", BytesContent(payload))

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster
-from repro.cluster.spec import ClusterSpec, NodeSpec, TESTING
+from repro.cluster import Cluster, MachineSpec
+from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.errors import DeadlockError, ShmemError, SimProcessError
 from repro.shmem import shmem_run
 from tests.conftest import forced_trace
 
 
 def cluster(nodes=2):
-    return Cluster(ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32)),
+    spec = ClusterSpec(name="t", num_nodes=nodes, node=NodeSpec(cores=32))
+    return Cluster(MachineSpec("t", "wide test nodes", cluster=spec),
                    trace=forced_trace())
 
 

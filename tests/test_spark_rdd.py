@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING
 from repro.errors import SimProcessError, SparkError
 from repro.fs import HDFS, LineContent, LocalFS
 from repro.spark import SparkContext, StorageLevel
+from tests.conftest import TESTING_MACHINE
 
 
 def make_sc(nodes=2, executors_per_node=2, **kw):
-    cl = Cluster(TESTING.with_nodes(nodes))
+    cl = Cluster(TESTING_MACHINE.with_nodes(nodes))
     kw.setdefault("app_startup", 0.1)
     return SparkContext(cl, executors_per_node=executors_per_node, **kw)
 
@@ -296,7 +296,7 @@ class TestShuffles:
 
 class TestTextFile:
     def test_hdfs_partitions_follow_blocks(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         h = HDFS(cl, block_size=1000, replication=2)
         h.create("t.txt", LineContent(lambda i: f"line-{i:03d}", 200))
         sc = SparkContext(cl, executors_per_node=2, app_startup=0.1)
@@ -310,7 +310,7 @@ class TestTextFile:
         assert lines == [f"line-{i:03d}" for i in range(200)]
 
     def test_local_file_read(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         fs = LocalFS(cl)
         fs.create_replicated("l.txt", LineContent(lambda i: str(i), 50))
         sc = SparkContext(cl, executors_per_node=2, app_startup=0.1)
@@ -318,7 +318,7 @@ class TestTextFile:
         assert got == [str(i) for i in range(50)]
 
     def test_save_as_text_file(self):
-        cl = Cluster(TESTING)
+        cl = Cluster(TESTING_MACHINE)
         h = HDFS(cl, replication=2)
         sc = SparkContext(cl, executors_per_node=2, app_startup=0.1)
 

@@ -5,15 +5,16 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster
-from repro.cluster.spec import TESTING, ClusterSpec, NodeSpec
+from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.errors import JobAbortedError, SimProcessError
 from repro.fs import HDFS, BytesContent, LineContent, LocalFS
 from repro.spark import SparkContext, StorageLevel
 from repro.units import MiB
+from tests.conftest import TESTING_MACHINE
 
 
 def make_sc(nodes=2, executors_per_node=2, **kw):
-    cl = Cluster(TESTING.with_nodes(nodes))
+    cl = Cluster(TESTING_MACHINE.with_nodes(nodes))
     kw.setdefault("app_startup", 0.1)
     return SparkContext(cl, executors_per_node=executors_per_node, **kw)
 
@@ -155,7 +156,7 @@ class TestFaultTolerance:
 class TestLocality:
     def _remote_bytes(self, executor_nodes, replication):
         """HDFS read job; returns bytes that crossed the network."""
-        cl = Cluster(TESTING.with_nodes(4))
+        cl = Cluster(TESTING_MACHINE.with_nodes(4))
         h = HDFS(cl, block_size=200 * 1024, replication=replication)
         h.create("big.txt", LineContent(lambda i: "x" * 99, 20_000))
         moved = {"n": 0.0}
@@ -190,7 +191,7 @@ class TestEmptyInput:
     @pytest.mark.parametrize("scheme", ["hdfs", "local"])
     @pytest.mark.parametrize("min_partitions", [None, 4])
     def test_empty_text_file_collects_nothing(self, scheme, min_partitions):
-        cl = Cluster(TESTING.with_nodes(2))
+        cl = Cluster(TESTING_MACHINE.with_nodes(2))
         if scheme == "hdfs":
             HDFS(cl).create("empty.txt", BytesContent(b""))
         else:
@@ -206,7 +207,7 @@ class TestEmptyInput:
 
 class TestShuffleTransport:
     def _shuffle_time(self, transport, nodes=2):
-        cl = Cluster(TESTING.with_nodes(nodes))
+        cl = Cluster(TESTING_MACHINE.with_nodes(nodes))
         sc = SparkContext(cl, executors_per_node=2, app_startup=0.1,
                           shuffle_transport=transport)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster import COMET, Cluster
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.fs import HDFS, LineContent, LocalFS
 from repro.mpi import mpi_run
 from repro.sim import Trace, current_process
@@ -16,7 +16,7 @@ from repro.units import KiB, MiB
 
 def traced_cluster(nodes=2):
     trace = Trace()
-    return Cluster(COMET.with_nodes(nodes), trace=trace), trace
+    return Cluster(COMET_MACHINE.with_nodes(nodes), trace=trace), trace
 
 
 class TestNetworkAccounting:
@@ -135,7 +135,7 @@ class TestDiskAccounting:
         assert "written" in text
 
     def test_disabled_trace_yields_empty_report(self):
-        cl = Cluster(COMET.with_nodes(2))  # tracing off by default
+        cl = Cluster(COMET_MACHINE.with_nodes(2))  # tracing off by default
 
         def job(comm):
             comm.allreduce(np.ones(1 * MiB // 8))

@@ -166,10 +166,10 @@ class TestTrace:
 
     def test_trace_threads_through_engine_runs(self):
         from repro.cluster import Cluster
-        from repro.cluster.spec import TESTING
+        from tests.conftest import TESTING_MACHINE
 
         trace = Trace()
-        cl = Cluster(TESTING, trace=trace)
+        cl = Cluster(TESTING_MACHINE, trace=trace)
 
         def worker():
             p = current_process()
