@@ -8,7 +8,7 @@ Subcommands::
     python -m repro list --json
     python -m repro report results/ [--golden benchmarks/golden_fingerprints.json]
     python -m repro analyze lint src/ [--format=json]
-    python -m repro analyze race fig3 --quick
+    python -m repro analyze check fig3 --quick
 
 ``run`` executes experiments through the platform driver
 (:mod:`repro.platform.driver`): every (sweep point × framework series)
@@ -88,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.cache import default_root
     from repro.core.experiment import _ensure_registry
     from repro.platform import run_suite
 
@@ -130,12 +131,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print("--no-cache conflicts with --cache-dir/--refresh",
               file=sys.stderr)
         return 2
-    # the CLI caches by default (unlike programmatic run_suite, which
-    # defers to the environment): False kills it, a dir pins it, True
-    # selects .repro-cache/$REPRO_CACHE_DIR
-    cache: bool | Path = (False if args.no_cache
-                          else args.cache_dir if args.cache_dir is not None
-                          else True)
+    # the CLI caches by default (unlike programmatic run_suite)
+    cache = None if args.no_cache else args.cache_dir or default_root()
 
     progress = None if args.json else lambda msg: print(msg, file=sys.stderr)
     suite = run_suite(ids, quick=args.quick, workers=args.workers,
@@ -162,7 +159,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
     registry = _ensure_registry()
     if args.json:
-        from repro.analysis.scenarios import capabilities
+        from repro.analysis.scenarios import checkable
         from repro.core.experiment import supports_machine, supports_sched
 
         def cache_block() -> dict:
@@ -221,7 +218,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
                     "quick_params": sorted(exp.quick_params),
                     "machine": supports_machine(exp),
                     "sched": supports_sched(exp),
-                    "analysis": capabilities(exp.exp_id),
+                    "checkable": checkable(exp.exp_id),
                 }
                 for exp in registry.values()
             ],

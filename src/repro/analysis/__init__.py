@@ -17,9 +17,7 @@ three engines:
   processes and the runtimes record shared-state accesses (SHMEM symmetric
   heap, Spark block store and accumulators, Hadoop map-output spills); the
   checker replays the event stream and reports unsynchronized conflicting
-  accesses — TSan for the simulated concurrency.  Run it over any
-  registered experiment's own sessions with
-  ``python -m repro analyze race fig4 --quick``.
+  accesses — TSan for the simulated concurrency.
 
 * :mod:`repro.analysis.sanitize` — a **communication sanitizer** over the
   same hb traces: MUST-style collective matching (same sequence,
@@ -27,8 +25,11 @@ three engines:
   analysis (potential ABBA inversions, not just manifested ones) and
   wait-for-graph deadlock diagnosis (the engine side names the actual
   cycle; the MPI p2p layer detects the classic large-payload send/send
-  trap before it wedges).  Run it with
-  ``python -m repro analyze sanitize fig3 --quick``.
+  trap before it wedges).
+
+``python -m repro analyze check fig4 --quick`` runs a registered
+experiment once, traced, and puts every session's trace through both
+dynamic engines (:func:`repro.analysis.scenarios.check_experiment`).
 """
 
 from repro.analysis.lint import (  # noqa: F401
@@ -55,7 +56,7 @@ from repro.analysis.sanitize import (  # noqa: F401
 )
 from repro.analysis.scenarios import (  # noqa: F401
     PLANTED,
-    capabilities,
-    run_race_scenario,
-    run_sanitize_scenario,
+    CheckReport,
+    check_experiment,
+    checkable,
 )

@@ -3,13 +3,13 @@
 ::
 
     python -m repro analyze lint src/ [--format=text|json]
-    python -m repro analyze race fig3 [--quick] [--format=text|json]
-    python -m repro analyze sanitize fig3 [--quick] [--format=text|json]
+    python -m repro analyze check fig3 [--quick] [--format=text|json]
 
-``race`` and ``sanitize`` run the registered experiment itself (``--quick``
-= its ``quick_params``, as for ``python -m repro run``) and check the
-traces of the sessions it provisions.  Exit codes: 0 — clean; 1 —
-findings/races/violations reported; 2 — usage or analysis error.
+``check`` runs the registered experiment itself once (``--quick`` = its
+``quick_params``, as for ``python -m repro run``) and puts the traces of
+the sessions it provisions through the race checker and the communication
+sanitizer.  Exit codes: 0 — clean; 1 — findings/races/violations
+reported; 2 — usage or analysis error.
 """
 
 from __future__ import annotations
@@ -30,21 +30,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _cmd_race(args: argparse.Namespace) -> int:
-    from repro.analysis.scenarios import run_race_scenario
+def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.analysis.scenarios import check_experiment
 
-    report = run_race_scenario(args.experiment, quick=args.quick)
-    if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(report.describe())
-    return 0 if report.clean else 1
-
-
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from repro.analysis.scenarios import run_sanitize_scenario
-
-    report = run_sanitize_scenario(args.experiment, quick=args.quick)
+    report = check_experiment(args.experiment, quick=args.quick)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
@@ -65,29 +54,20 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", choices=("text", "json"), default="text")
     lint.set_defaults(fn=_cmd_lint)
 
-    race = sub.add_parser(
-        "race", help="run an experiment traced and check it for data races")
-    race.add_argument("experiment",
-                      help="id of an experiment that provisions a session "
-                           "(see `python -m repro list --json`)")
-    race.add_argument("--quick", action="store_true",
-                      help="the experiment's CI-sized quick_params")
-    race.add_argument("--format", choices=("text", "json"), default="text")
-    race.set_defaults(fn=_cmd_race)
-
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="run an experiment traced through the communication sanitizer")
-    sanitize.add_argument(
+    check = sub.add_parser(
+        "check",
+        help="run an experiment once, traced, and check it for data races "
+             "and communication violations")
+    check.add_argument(
         "experiment",
-        help="id of an experiment that provisions a session, or a "
-             "planted-bug fixture (planted-root, planted-barrier, "
-             "planted-sendsend, planted-abba)")
-    sanitize.add_argument("--quick", action="store_true",
-                          help="the experiment's CI-sized quick_params")
-    sanitize.add_argument("--format", choices=("text", "json"),
-                          default="text")
-    sanitize.set_defaults(fn=_cmd_sanitize)
+        help="id of an experiment that provisions a session (see `python "
+             "-m repro list --json`), or a planted-bug fixture "
+             "(planted-root, planted-barrier, planted-sendsend, "
+             "planted-abba)")
+    check.add_argument("--quick", action="store_true",
+                       help="the experiment's CI-sized quick_params")
+    check.add_argument("--format", choices=("text", "json"), default="text")
+    check.set_defaults(fn=_cmd_check)
     return parser
 
 

@@ -116,7 +116,6 @@ DETERMINISTIC_PACKAGES = frozenset({
 ENV_REGISTRY: dict[str, str] = {
     "REPRO_CACHE_DIR": "repro/cache/store.py",
     "REPRO_NO_CACHE": "repro/cache/store.py",
-    "REPRO_SANITIZE": "repro/platform/scenario.py",
 }
 
 # Dotted call names that read the wall clock (R001).

@@ -28,7 +28,7 @@ observational checkers over ``hb=True`` traces:
 All instrumentation is gated exactly like the race checker's
 (``trace.enabled and trace.hb``), so golden fingerprints are byte-identical
 with sanitizing on or off.  Run it with
-``python -m repro analyze sanitize fig3 --quick``.
+``python -m repro analyze check fig3 --quick``.
 """
 
 from __future__ import annotations

@@ -1,19 +1,22 @@
 """What the dynamic analysers run: the registered experiments themselves.
 
-``python -m repro analyze race|sanitize <id> [--quick]`` runs
-``run_experiment(id, quick=...)`` — the same call ``python -m repro run``
-makes, ``--quick`` meaning the registry's ``quick_params`` — inside
+``python -m repro analyze check <id> [--quick]`` calls
+:func:`check_experiment`, which runs ``run_experiment(id, quick=...)`` —
+the same call ``python -m repro run`` makes, ``--quick`` meaning the
+registry's ``quick_params`` — **once**, inside
 :func:`repro.platform.collect_traces`, which turns hb instrumentation on
 for every session the experiment provisions and hands back their traces.
 Each trace (one session = one engine = one pid space, so races across
-sessions cannot exist by construction) goes through
-:func:`repro.analysis.races.check_trace` or
-:func:`repro.analysis.sanitize.check_traces`; the report is therefore a
-statement about the run the figure reports, not about a stand-in.
+sessions cannot exist by construction) goes through all four checkers:
+:func:`repro.analysis.races.check_trace` for data races and
+:func:`repro.analysis.sanitize.check_traces` for collective matching,
+lock order and the engine's deadlock diagnosis.  The :class:`CheckReport`
+is therefore a statement about the run the figure reports, not about a
+stand-in.
 
 An experiment that provisions no session (``table1`` and ``table3`` are
-host-side computations) has nothing to check — :func:`capabilities`
-reports that per experiment for ``python -m repro list --json``.
+host-side computations) has nothing to check — :func:`checkable` reports
+that per experiment for ``python -m repro list --json``.
 
 The only hand-written scenarios are the four ``planted-*`` fixtures:
 deliberate bugs proving each sanitizer checker still bites.
@@ -21,55 +24,20 @@ deliberate bugs proving each sanitizer checker still bites.
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable
 
+from repro.analysis.races import RaceReport, check_trace
+from repro.analysis.sanitize import SanitizeReport, check_traces
 from repro.errors import AnalysisError, DeadlockError
 from repro.platform import ScenarioSpec, collect_traces
-from repro.sim.trace import Trace
 from repro.units import KiB
 
-__all__ = ["PLANTED", "run_race_scenario", "run_sanitize_scenario",
-           "capabilities"]
+__all__ = ["PLANTED", "CheckReport", "check_experiment", "checkable"]
 
 #: registered experiments that provision no session (host-side computations)
 _HOST_SIDE = frozenset({"table1", "table3"})
-
-
-def _experiment_traces(exp_id: str, quick: bool) -> list[Trace]:
-    """Run one registered experiment with the trace collector armed."""
-    from repro.core.experiment import get_experiment, run_experiment
-
-    try:
-        get_experiment(exp_id)
-    except KeyError as exc:
-        raise AnalysisError(exc.args[0]) from None
-    with collect_traces() as traces:
-        run_experiment(exp_id, quick=quick)
-    if not traces:
-        raise AnalysisError(
-            f"{exp_id!r} provisioned no session, so there is no trace to "
-            "check (host-side experiments like table1/table3 run no "
-            "simulated processes)")
-    return traces
-
-
-def run_race_scenario(exp_id: str, *, quick: bool = False):
-    """Run one experiment under hb tracing and race-check its traces.
-
-    Each session's run is checked against its own trace; the per-session
-    reports are merged into a single
-    :class:`~repro.analysis.races.RaceReport` (``locations`` sums the
-    per-session distinct location counts).
-    """
-    from repro.analysis.races import RaceReport, check_trace
-
-    merged = RaceReport()
-    for trace in _experiment_traces(exp_id, quick):
-        report = check_trace(trace)
-        merged.races.extend(report.races)
-        merged.accesses += report.accesses
-        merged.locations += report.locations
-    return merged
 
 
 def _planted_root() -> None:
@@ -165,37 +133,70 @@ PLANTED: dict[str, Callable[[], None]] = {
 }
 
 
-def run_sanitize_scenario(exp_id: str, *, quick: bool = False):
-    """Run one experiment (or planted fixture) and sanitize its traces.
+@dataclass
+class CheckReport:
+    """What one instrumented run showed: data races and comm violations."""
 
-    Returns a :class:`~repro.analysis.sanitize.SanitizeReport` merging the
-    collective-matching and lock-order checkers over every session's
-    trace, plus the deadlock diagnostic of a planted fixture that wedged.
+    races: RaceReport
+    sanitize: SanitizeReport
+
+    @property
+    def clean(self) -> bool:
+        return self.races.clean and self.sanitize.clean
+
+    def describe(self) -> str:
+        return f"{self.races.describe()}\n{self.sanitize.describe()}"
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"races": self.races.to_dict(),
+                "sanitize": self.sanitize.to_dict()}
+
+
+def check_experiment(exp_id: str, *, quick: bool = False) -> CheckReport:
+    """Run one experiment (or planted fixture) once, traced, and check it.
+
+    Every session's trace is race-checked on its own (``locations`` sums
+    the per-session distinct location counts) and sanitized; a run that
+    wedges still yields its partial traces, and its
+    :class:`~repro.errors.DeadlockError` diagnosis becomes a
+    ``"deadlock"`` violation.
     """
-    from repro.analysis.sanitize import check_traces
+    from repro.core.experiment import get_experiment, run_experiment
 
-    planted = PLANTED.get(exp_id)
-    if planted is None:
-        return check_traces(_experiment_traces(exp_id, quick))
+    run = PLANTED.get(exp_id)
+    if run is None:
+        try:
+            get_experiment(exp_id)
+        except KeyError as exc:
+            raise AnalysisError(exc.args[0]) from None
+        run = partial(run_experiment, exp_id, quick=quick)
+
     deadlocks = []
     with collect_traces() as traces:
         try:
-            planted()
+            run()
         except DeadlockError as exc:
             deadlocks.append(str(exc))
-    return check_traces(traces, deadlocks=deadlocks)
+    if not traces:
+        raise AnalysisError(
+            f"{exp_id!r} provisioned no session, so there is no trace to "
+            "check (host-side experiments like table1/table3 run no "
+            "simulated processes)")
+    races = RaceReport()
+    for trace in traces:
+        report = check_trace(trace)
+        races.races.extend(report.races)
+        races.accesses += report.accesses
+        races.locations += report.locations
+    return CheckReport(races, check_traces(traces, deadlocks=deadlocks))
 
 
-def capabilities(exp_id: str) -> dict[str, bool]:
-    """Analysis capability flags for one experiment id.
+def checkable(exp_id: str) -> bool:
+    """Whether ``python -m repro analyze check <id>`` has a trace to read.
 
-    One fact decides all three: a registered experiment that provisions a
-    session has a trace (``trace``), so ``python -m repro analyze race
-    <id>`` (``race_check``) and ``... sanitize <id>`` (``sanitize``) can
-    check it.  Host-side experiments and unregistered ids have none.
+    True for a registered experiment that provisions a session; host-side
+    experiments and unregistered ids have nothing to check.
     """
     from repro.core.experiment import _ensure_registry
 
-    checkable = exp_id in _ensure_registry() and exp_id not in _HOST_SIDE
-    return {"trace": checkable, "race_check": checkable,
-            "sanitize": checkable}
+    return exp_id in _ensure_registry() and exp_id not in _HOST_SIDE

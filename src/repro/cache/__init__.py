@@ -15,7 +15,8 @@ process-wide state: a run opens ``ArtifactStore(root)`` where it needs it.
 from repro.cache.keys import (FORMAT_VERSION, UncacheableError, cache_key,
                               code_version, encode_value)
 from repro.cache.results import decode_result, encode_result, try_encode_result
-from repro.cache.store import ArtifactStore, resolve_root, store_info
+from repro.cache.store import (ArtifactStore, default_root, resolve_root,
+                               store_info)
 
 __all__ = [
     "FORMAT_VERSION",
@@ -24,6 +25,7 @@ __all__ = [
     "cache_key",
     "code_version",
     "ArtifactStore",
+    "default_root",
     "resolve_root",
     "store_info",
     "encode_result",

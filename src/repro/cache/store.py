@@ -21,8 +21,8 @@ There is no process-wide store: whoever needs one constructs
 
 This module is the registered home of the cache environment hatches
 (``repro.analysis.lint`` R006): ``REPRO_CACHE_DIR`` relocates the default
-store and ``REPRO_NO_CACHE=1`` disables caching globally.
-:func:`resolve_root` is their one reader.
+store (:func:`default_root` reads it) and ``REPRO_NO_CACHE=1`` disables
+caching globally (:func:`resolve_root` reads it).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from repro.cache.keys import FORMAT_VERSION
 
 __all__ = [
     "ArtifactStore",
+    "default_root",
     "resolve_root",
     "store_info",
 ]
@@ -129,21 +130,21 @@ class ArtifactStore:
         return entry
 
 
-def resolve_root(cache: bool | str | Path | None) -> Path | None:
+def default_root() -> Path:
+    """The store a default ``repro run`` uses: ``$REPRO_CACHE_DIR``, else
+    ``.repro-cache``."""
+    return Path(os.environ.get("REPRO_CACHE_DIR", "") or ".repro-cache")
+
+
+def resolve_root(cache: str | Path | None) -> Path | None:
     """Map a caller's ``cache`` argument to a store root, or ``None`` (off).
 
-    The ``REPRO_NO_CACHE=1`` kill switch beats everything, including an
-    explicit path.  Otherwise ``False`` is off; ``None`` (library and test
-    code, which never caches unless asked to) is ``REPRO_CACHE_DIR`` if
-    set, else off; ``True`` (what the CLI passes) is ``REPRO_CACHE_DIR``
-    if set, else ``.repro-cache``; and a path is that path.
+    ``None`` (or anything falsy) is off and a path is that path, unless
+    the ``REPRO_NO_CACHE=1`` kill switch is set, which beats even an
+    explicit path.
     """
-    if cache is False or os.environ.get("REPRO_NO_CACHE", "") == "1":
+    if not cache or os.environ.get("REPRO_NO_CACHE", "") == "1":
         return None
-    if cache is None or cache is True:
-        env = os.environ.get("REPRO_CACHE_DIR", "")
-        default = Path(".repro-cache") if cache else None
-        return Path(env) if env else default
     return Path(cache)
 
 
@@ -153,7 +154,7 @@ def store_info() -> dict[str, Any]:
     Reports the store a default ``repro run`` would use.  A missing or
     empty store directory reports zero entries, not an error.
     """
-    root = resolve_root(True)
+    root = resolve_root(default_root())
     if root is None:
         return {"enabled": False, "path": None, "entries": 0}
     return {"enabled": True, "path": str(root),

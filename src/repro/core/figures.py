@@ -33,7 +33,7 @@ from repro.apps import (
 from repro.cluster import resolve_machine
 from repro.core.metrics import TABLE3_CORPUS, measure_module
 from repro.core.report import FigureResult, Series, TableResult
-from repro.errors import SimProcessError
+from repro.errors import ConfigurationError, SimProcessError
 from repro.fs.content import LineContent
 from repro.platform import Dataset, ScenarioSpec, Session
 from repro.units import GiB, KiB, MiB, fmt_bytes, fmt_rate
@@ -177,7 +177,9 @@ def _select_series(available: tuple[str, ...],
                    series: tuple[str, ...] | None) -> frozenset[str]:
     """Resolve a figure's ``series`` filter against its framework list.
 
-    ``None`` selects everything.  Each framework run provisions its own
+    ``None`` selects everything; anything else must be a non-empty subset
+    (a :class:`~repro.errors.ConfigurationError` otherwise, worded as the
+    driver's plan words it).  Each framework run provisions its own
     :class:`~repro.platform.scenario.Session`, so running a subset leaves
     every selected point bit-identical to the full figure — the property
     the driver's (point × series) unit plan relies on
@@ -185,9 +187,10 @@ def _select_series(available: tuple[str, ...],
     """
     if series is None:
         return frozenset(available)
-    unknown = [s for s in series if s not in available]
-    if unknown:
-        raise ValueError(f"unknown series {unknown}; have {list(available)}")
+    if not series or any(s not in available for s in series):
+        raise ConfigurationError(
+            f"series {list(series)} must be a non-empty subset of "
+            f"{list(available)}")
     return frozenset(series)
 
 

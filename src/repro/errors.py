@@ -132,10 +132,6 @@ class SparkError(ReproError):
     """Base class for errors raised by the Spark-like engine."""
 
 
-class ExecutorLostError(SparkError):
-    """An executor died while running tasks; the scheduler may retry."""
-
-
 class JobAbortedError(SparkError):
     """A job failed permanently (e.g. too many task retries)."""
 

@@ -83,20 +83,3 @@ class LineContent(BytesContent):
     def lines(self) -> Iterator[str]:
         """Iterate records (host-side convenience for references/tests)."""
         return iter(self._data.decode().split("\n")[:-1])
-
-
-def split_records(chunk: bytes, *, first: bool) -> list[bytes]:
-    """Record-boundary handling for a chunk of a newline-delimited file.
-
-    Mirrors what Hadoop's ``TextInputFormat`` and hand-written MPI readers
-    do: a reader owning byte range ``[s, e)`` processes every record that
-    *starts* inside its range.  Callers pass a chunk extended past ``e`` to
-    the end of the last overlapping record; this helper drops the partial
-    leading record for every chunk except the first.
-    """
-    lines = chunk.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    if not first and lines:
-        lines = lines[1:]
-    return lines

@@ -385,7 +385,7 @@ def run_suite(
     out_dir: Path | str | None = None,
     overrides: dict[str, dict[str, Any]] | None = None,
     progress: Callable[[str], None] | None = None,
-    cache: bool | str | Path | None = None,
+    cache: str | Path | None = None,
     refresh_cache: bool = False,
 ) -> SuiteResult:
     """Run a set of experiments, sharded across ``workers`` subprocesses.
@@ -406,15 +406,14 @@ def run_suite(
     under ``units/``, a rendered ``<exp_id>.txt`` per experiment, and the
     merged ``manifest.json``.
 
-    ``cache`` selects the artifact store: ``None`` (default) defers to the
-    environment — off unless ``REPRO_CACHE_DIR`` is set — so programmatic
-    and test runs are unaffected; ``True`` uses the default
-    ``.repro-cache/`` (what the CLI passes), ``False`` disables caching,
-    and a path uses that store.  ``refresh_cache=True`` re-executes every
-    unit and overwrites its result entry.  Caching never changes results:
-    a replayed unit's decoded result is the byte-exact result the
-    producing run computed, so fingerprints are identical across cold,
-    warm and uncached runs.
+    ``cache`` selects the artifact store: ``None`` (default) is off, so
+    programmatic and test runs never cache unless asked to, and a path
+    uses that store (the CLI passes :func:`repro.cache.default_root`);
+    ``REPRO_NO_CACHE=1`` turns even a path off.  ``refresh_cache=True``
+    re-executes every unit and overwrites its result entry.  Caching
+    never changes results: a replayed unit's decoded result is the
+    byte-exact result the producing run computed, so fingerprints are
+    identical across cold, warm and uncached runs.
     """
     from repro.cache import code_version, resolve_root
 

@@ -36,7 +36,6 @@ again for the next measurement — the spec is the reusable artifact.
 from __future__ import annotations
 
 import dataclasses
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -51,19 +50,6 @@ from repro.errors import ConfigurationError
 from repro.sim.trace import Trace
 
 
-def sanitize_forced() -> bool:
-    """Resolved ``REPRO_SANITIZE`` hatch (this module is its home).
-
-    ``REPRO_SANITIZE=1`` forces hb instrumentation onto every session built
-    from a :class:`ScenarioSpec`, so the communication sanitizer's event
-    streams exist for any run without editing its spec.  Observational
-    only: the instrumentation never touches virtual time, so golden
-    fingerprints are byte-identical with the flag on or off (CI asserts
-    this).
-    """
-    return os.environ.get("REPRO_SANITIZE") == "1"
-
-
 #: where an armed :func:`collect_traces` block receives session traces
 _collected: list[Trace] | None = None
 
@@ -73,12 +59,14 @@ def collect_traces() -> Iterator[list[Trace]]:
     """Collect the hb trace of every session provisioned inside the block.
 
     While armed, each :class:`Session` is built with hb instrumentation
-    on — exactly as under ``REPRO_SANITIZE=1`` — and appends its
+    on — exactly as if its spec said ``hb=True`` — and appends its
     :class:`~repro.sim.trace.Trace` to the yielded list in provisioning
-    order.  This is how the race checker and the communication sanitizer
-    read the registered experiments' own runs
-    (:mod:`repro.analysis.scenarios`).  Observational like the switch
-    above: fingerprints are identical armed or not.
+    order.  This is how ``python -m repro analyze check`` reads the
+    registered experiments' own runs (:mod:`repro.analysis.scenarios`).
+    A session reads no environment: hb is on iff ``spec.hb`` or an armed
+    collector.  Observational only — the instrumentation never touches
+    virtual time, so fingerprints are identical armed or not
+    (``tests/test_analysis_scenarios.py::test_collection_is_observational``).
     """
     global _collected
     outer, traces = _collected, []
@@ -237,7 +225,7 @@ class Session:
                 f"scenario oversubscribes the node model: "
                 f"{spec.procs_per_node} processes/node on machine "
                 f"{self.machine.name!r} whose nodes have {node_cores} cores")
-        hb = spec.hb or sanitize_forced() or _collected is not None
+        hb = spec.hb or _collected is not None
         self.trace = Trace(hb=hb) if spec.trace or hb else None
         if _collected is not None:
             _collected.append(self.trace)

@@ -146,14 +146,7 @@ class FlowSystem:
         self.flows.add(flow)
         for r in res:
             r.flows.add(flow)
-        if len(self.flows) == 1:
-            # Uncontended fast path: the new flow is the only one anywhere,
-            # so the global recompute degenerates to pricing it alone.  The
-            # flow is still registered above — a competitor starting during
-            # our park must see it (and will trigger the full recompute).
-            self._recompute(proc.clock, (flow,))
-        else:
-            self._recompute(proc.clock)
+        self._recompute(proc.clock)
         # Relative epsilon: repeated rate recomputations accumulate float
         # drift proportional to the transfer size; without this a large
         # flow can livelock on zero-length parks at its own finish time.
@@ -214,19 +207,16 @@ class FlowSystem:
         if self.flows:
             self._recompute(t)
 
-    def _recompute(self, t: float, flows: Iterable[Flow] | None = None) -> None:
+    def _recompute(self, t: float) -> None:
         """Re-derive every flow's rate and projected finish at time ``t``.
 
         Rate = min over the flow's resources of the resource's fair share,
         additionally clamped by the flow's own ``rate_cap``.  Owners parked on
-        a projected finish get their wake time revised.  ``flows`` restricts
-        the pass; callers may only pass a subset when it provably equals the
-        set of flows whose rate can have changed (today: the whole system
-        holds exactly that subset).
+        a projected finish get their wake time revised.
         """
         shares: dict[FluidResource, float] = {}
         get_share = shares.get
-        for f in self.flows if flows is None else flows:
+        for f in self.flows:
             # fair_share() is pure within one pass (flow membership is fixed
             # here), so compute it once per resource; min over the same
             # float values is bit-identical to the uncached expression.

@@ -3,11 +3,11 @@ import os
 
 
 def bad():
-    a = os.environ.get("REPRO_SANITIZE")         # finding: R006 (not home)
+    a = os.environ.get("REPRO_NO_CACHE")         # finding: R006 (not home)
     b = os.getenv("REPRO_UNREGISTERED_FLAG")     # finding: R006 (unregistered)
     c = os.environ["SOME_HOST_VAR"]              # finding: R006 (det package)
     return a, b, c
 
 
 def suppressed():
-    return os.getenv("REPRO_SANITIZE")  # reprolint: disable=env-hatch
+    return os.getenv("REPRO_NO_CACHE")  # reprolint: disable=env-hatch

@@ -75,19 +75,19 @@ def test_raw_park_rule():
 
 
 def test_env_hatch_rule():
-    # linted as a spark module: the platform's switch is foreign, REPRO_*
+    # linted as a spark module: the cache's switch is foreign, REPRO_*
     # must be registered, and host-env reads are flagged in deterministic
     # packages
     findings = lint_fixture("env_hatch.py", "repro/spark/fixture.py")
     assert codes(findings) == ["R006"] * 3
     messages = " ".join(f.message for f in findings)
-    assert "repro/platform/scenario.py" in messages  # points at the home
+    assert "repro/cache/store.py" in messages  # points at the home
     assert "unregistered" in messages
 
 
 def test_env_hatch_home_module_is_allowed():
-    src = 'import os\nFLAG = os.environ.get("REPRO_SANITIZE") == "1"\n'
-    assert lint_source(src, "repro/platform/scenario.py") == []
+    src = 'import os\nFLAG = os.environ.get("REPRO_NO_CACHE") == "1"\n'
+    assert lint_source(src, "repro/cache/store.py") == []
     assert codes(lint_source(src, "repro/platform/driver.py")) == ["R006"]
 
 

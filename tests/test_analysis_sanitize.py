@@ -3,8 +3,12 @@
 Four layers: (a) checker units over hand-built event streams, (b) the
 planted-bug fixtures detected end to end through the real runtimes with
 rank/primitive/source-location detail, (c) CLI exit codes, and (d) the
-observational contract — forcing sanitizing on via ``REPRO_SANITIZE``
-changes no application result.
+argument is the only switch — no environment variable instruments a
+session.
+
+``checked`` (``tests/conftest.py``) is ``check_experiment`` memoised per
+module, so each experiment and fixture runs once for the library-level
+assertions below.
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ import pytest
 
 from repro.analysis import (
     PLANTED,
-    capabilities,
     check_collectives,
+    check_experiment,
     check_lock_order,
     check_traces,
-    run_sanitize_scenario,
+    checkable,
 )
 from repro.analysis.cli import main as cli_main
 from repro.core.experiment import _ensure_registry
@@ -262,8 +266,8 @@ def test_coll_is_noop_without_hb():
 # ---------------------------------------------------------------------------
 
 
-def test_planted_root_mismatch_detected():
-    report = run_sanitize_scenario("planted-root", quick=True)
+def test_planted_root_mismatch_detected(checked):
+    report = checked("planted-root").sanitize
     assert not report.clean
     roots = [v for v in report.violations
              if v.checker == "collective" and "root mismatch" in v.message]
@@ -277,8 +281,8 @@ def test_planted_root_mismatch_detected():
     assert "mpi:rank0" in cycle[0].message
 
 
-def test_planted_barrier_drift_detected():
-    report = run_sanitize_scenario("planted-barrier", quick=True)
+def test_planted_barrier_drift_detected(checked):
+    report = checked("planted-barrier").sanitize
     drift = [v for v in report.violations
              if "party-count drift" in v.message]
     assert drift, report.describe()
@@ -289,8 +293,8 @@ def test_planted_barrier_drift_detected():
     assert "repro/analysis/scenarios.py" in msg
 
 
-def test_planted_sendsend_cycle_detected_before_wedging():
-    report = run_sanitize_scenario("planted-sendsend", quick=True)
+def test_planted_sendsend_cycle_detected_before_wedging(checked):
+    report = checked("planted-sendsend").sanitize
     dead = [v for v in report.violations if v.checker == "deadlock"]
     assert dead, report.describe()
     msg = dead[0].message
@@ -301,8 +305,8 @@ def test_planted_sendsend_cycle_detected_before_wedging():
     assert "repro/analysis/scenarios.py" in msg        # blames the call site
 
 
-def test_planted_abba_detected_despite_clean_completion():
-    report = run_sanitize_scenario("planted-abba", quick=True)
+def test_planted_abba_detected_despite_clean_completion(checked):
+    report = checked("planted-abba").sanitize
     # the fixture's interleaving completes without deadlocking ...
     assert report.deadlocks == 0
     # ... yet the order graph has the cycle
@@ -313,25 +317,25 @@ def test_planted_abba_detected_despite_clean_completion():
     assert "repro/analysis/scenarios.py" in msg
 
 
-def test_figure_scenarios_are_clean():
-    report = run_sanitize_scenario("fig3", quick=True)
+def test_figure_scenarios_are_clean(checked):
+    report = checked("fig3").sanitize
     assert report.clean, report.describe()
     assert report.collectives > 0       # real collective traffic examined
-    report = run_sanitize_scenario("table2", quick=True)
+    report = checked("table2").sanitize
     assert report.clean, report.describe()
     assert report.collectives > 0
 
 
 @pytest.mark.parametrize(
-    "exp_id", [i for i in _ensure_registry() if capabilities(i)["sanitize"]])
-def test_every_traceable_experiment_sanitizes_clean(exp_id):
-    report = run_sanitize_scenario(exp_id, quick=True)
+    "exp_id", [i for i in _ensure_registry() if checkable(i)])
+def test_every_traceable_experiment_sanitizes_clean(exp_id, checked):
+    report = checked(exp_id).sanitize
     assert report.clean, report.describe()
 
 
 def test_unknown_scenario_raises():
     with pytest.raises(AnalysisError, match="table1"):
-        run_sanitize_scenario("table1")
+        check_experiment("table1")
 
 
 # ---------------------------------------------------------------------------
@@ -340,59 +344,64 @@ def test_unknown_scenario_raises():
 
 
 def test_cli_exit_codes(capsys):
-    assert cli_main(["sanitize", "fig3", "--quick"]) == 0
-    assert "no violations" in capsys.readouterr().out
-    assert cli_main(["sanitize", "planted-abba", "--quick"]) == 1
+    assert cli_main(["check", "fig3", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert "no races" in out and "no violations" in out
+    assert cli_main(["check", "planted-abba", "--quick"]) == 1
     assert "ABBA" in capsys.readouterr().out
-    assert cli_main(["sanitize", "no-such-experiment"]) == 2
+    assert cli_main(["check", "no-such-experiment"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+#: fixture id -> the rank / primitive / call-site detail its report names
+PLANTED_DETAIL = {
+    "planted-root": ("root mismatch", "reduce", "mpi:rank0"),
+    "planted-barrier": ("party-count drift", "party0 (pid 0)"),
+    "planted-sendsend": ("send/send cycle", "rank 0", "rank 1", "sendrecv"),
+    "planted-abba": ("lock-order", "A -> B -> A"),
+}
 
 
 @pytest.mark.parametrize("fixture", list(PLANTED))
 def test_cli_planted_fixtures_exit_1(fixture, capsys):
-    assert cli_main(["sanitize", fixture, "--quick"]) == 1
-    assert "violation" in capsys.readouterr().out
+    assert cli_main(["check", fixture, "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "violation" in out
+    assert "repro/analysis/scenarios.py" in out
+    for detail in PLANTED_DETAIL[fixture]:
+        assert detail in out
 
 
 def test_cli_race_exit_codes(capsys):
-    assert cli_main(["race", "fig4", "--quick"]) == 0
+    assert cli_main(["check", "fig4", "--quick"]) == 0
     assert "no races" in capsys.readouterr().out
-    assert cli_main(["race", "table3", "--quick"]) == 2
+    assert cli_main(["check", "table3", "--quick"]) == 2
     assert "provisioned no session" in capsys.readouterr().err
-    assert cli_main(["race", "planted-abba"]) == 2     # sanitize-only ids
+
+
+@pytest.mark.parametrize("command", ["race", "sanitize"])
+def test_cli_replaced_subcommands_are_usage_errors(command, capsys):
+    assert cli_main([command, "fig3"]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid choice" in err
 
 
 def test_cli_json_format(capsys):
-    assert cli_main(["sanitize", "planted-barrier", "--quick",
+    assert cli_main(["check", "planted-barrier", "--quick",
                      "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["deadlocks"] >= 1
+    assert sorted(doc) == ["races", "sanitize"]
+    assert doc["races"] == {"accesses": 0, "locations": 0, "races": []}
+    assert doc["sanitize"]["deadlocks"] >= 1
     assert any("party-count drift" in v["message"]
-               for v in doc["violations"])
+               for v in doc["sanitize"]["violations"])
 
 
 # ---------------------------------------------------------------------------
-# observational contract: REPRO_SANITIZE changes no result
+# the argument is the only switch
 # ---------------------------------------------------------------------------
 
 
-def test_repro_sanitize_env_forces_hb(monkeypatch):
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+def test_repro_sanitize_env_is_inert(monkeypatch):
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert ScenarioSpec(nodes=1, procs_per_node=2).session().trace is None
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    session = ScenarioSpec(nodes=1, procs_per_node=2).session()
-    assert session.trace is not None and session.trace.hb
-
-
-def test_repro_sanitize_does_not_change_results(monkeypatch):
-    from repro.apps import shmem_reduce_latency
-
-    def run():
-        session = ScenarioSpec(nodes=2, procs_per_node=2).session()
-        return shmem_reduce_latency.run_in(session, [4, 64], 4, 2,
-                                           iterations=2)
-
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-    plain = run()
-    monkeypatch.setenv("REPRO_SANITIZE", "1")
-    assert run() == plain

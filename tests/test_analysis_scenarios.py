@@ -1,11 +1,16 @@
 """Race checks of the registered experiments' own runs.
 
-Four invariants: (a) every experiment that provisions a session is race
+Five invariants: (a) every experiment that provisions a session is race
 free, and the ones with shared-state traffic show it, (b) collecting the
 traces never changes a result (observational only) and leaves nothing
-armed behind, (c) host-side and unknown ids are typed errors, and (d) an
+armed behind, (c) host-side and unknown ids are typed errors, (d) an
 actually-unsynchronized SHMEM program — two PEs putting to one copy with
-no ordering — is caught end to end through the same pipeline.
+no ordering — is caught end to end through the same pipeline, and (e)
+``check_experiment`` runs the experiment exactly once and reports what the
+separate race and sanitize entry points it replaced reported.
+
+``checked`` (``tests/conftest.py``) is ``check_experiment`` memoised per
+module, so each experiment runs once for all the assertions below.
 """
 
 from __future__ import annotations
@@ -13,34 +18,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis import capabilities, check_trace, run_race_scenario
+from repro.analysis import check_experiment, check_trace, checkable
 from repro.core.experiment import Experiment, _ensure_registry, run_experiment
 from repro.errors import AnalysisError
 from repro.platform import ScenarioSpec, collect_traces, fingerprint_result
 from repro.sim.engine import current_process
 
 #: every registered experiment that provisions a session
-TRACEABLE = [i for i in _ensure_registry() if capabilities(i)["trace"]]
+TRACEABLE = [i for i in _ensure_registry() if checkable(i)]
 
 
-def test_fig3_quick_scenario_is_clean_with_traffic():
+def test_fig3_quick_scenario_is_clean_with_traffic(checked):
     # the real fig3 (MPI + two Spark reduces) touches no shared location;
     # traffic is asserted on fig4/fig8 below
-    report = run_race_scenario("fig3", quick=True)
+    report = checked("fig3").races
     assert report.clean, report.describe()
 
 
 @pytest.mark.parametrize("exp_id", TRACEABLE)
-def test_every_traceable_experiment_is_race_free(exp_id):
-    report = run_race_scenario(exp_id, quick=True)
+def test_every_traceable_experiment_is_race_free(exp_id, checked):
+    report = checked(exp_id).races
     assert report.clean, report.describe()
 
 
 @pytest.mark.parametrize("exp_id", ["fig4", "fig8"])
-def test_real_runs_have_shared_state_traffic(exp_id):
+def test_real_runs_have_shared_state_traffic(exp_id, checked):
     # fig4: Spark block store + Hadoop spills; fig8 adds the OpenSHMEM
     # symmetric heap — a vacuous "no races" would have zero accesses
-    report = run_race_scenario(exp_id, quick=True)
+    report = checked(exp_id).races
     assert report.accesses > 0
     assert report.locations > 0
 
@@ -51,7 +56,7 @@ def test_collection_is_observational(exp_id):
         collected = run_experiment(exp_id, quick=True)
     # exactly the experiments `list --json` calls checkable provision
     # sessions, and every collected trace is an hb trace
-    assert bool(traces) == capabilities(exp_id)["trace"]
+    assert bool(traces) == checkable(exp_id)
     assert all(t is not None and t.hb for t in traces)
     plain = run_experiment(exp_id, quick=True)
     assert fingerprint_result(collected) == fingerprint_result(plain)
@@ -73,29 +78,57 @@ def test_equal_specs_give_equal_traces(exp_id):
 
 def test_unknown_scenario_raises():
     with pytest.raises(AnalysisError, match="table1"):
-        run_race_scenario("table1")
+        check_experiment("table1")
 
 
 @pytest.mark.parametrize("exp_id", ["table3", "fig5"])
 def test_host_side_and_unregistered_ids_raise(exp_id):
     with pytest.raises(AnalysisError, match=exp_id):
-        run_race_scenario(exp_id, quick=True)
+        check_experiment(exp_id, quick=True)
 
 
 def test_capabilities_flags():
-    assert capabilities("table1") == {
-        "trace": False, "race_check": False, "sanitize": False}
-    assert capabilities("fig3") == {
-        "trace": True, "race_check": True, "sanitize": True}
+    assert not checkable("table1")
+    assert checkable("fig3")
     # not a registered experiment: nothing to run, so nothing to check
-    assert capabilities("fig5") == {
-        "trace": False, "race_check": False, "sanitize": False}
+    assert not checkable("fig5")
     assert len(TRACEABLE) == len(_ensure_registry()) - 2 == 14
 
 
-def test_collector_is_disarmed_after_an_experiment_raises(monkeypatch):
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+#: what the separate race and sanitize entry points returned at quick size
+#: on the commit before `check_experiment` replaced them
+REPLACED_ENTRY_POINTS = {
+    "fig4": {
+        "races": {"accesses": 2678, "locations": 77, "races": []},
+        "sanitize": {"collectives": 192, "comms": 2, "deadlocks": 0,
+                     "lock_events": 0, "locks": 0, "violations": []}},
+    "fig8": {
+        "races": {"accesses": 1552, "locations": 620, "races": []},
+        "sanitize": {"collectives": 330, "comms": 6, "deadlocks": 0,
+                     "lock_events": 0, "locks": 0, "violations": []}},
+    "table2": {
+        "races": {"accesses": 59, "locations": 5, "races": []},
+        "sanitize": {"collectives": 112, "comms": 1, "deadlocks": 0,
+                     "lock_events": 0, "locks": 0, "violations": []}},
+}
 
+
+@pytest.mark.parametrize("exp_id", list(REPLACED_ENTRY_POINTS))
+def test_check_runs_the_experiment_once(exp_id, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr("repro.core.experiment.run_experiment", spy)
+    report = check_experiment(exp_id, quick=True)
+    assert calls == [((exp_id,), {"quick": True})]
+    assert report.clean
+    assert report.to_dict() == REPLACED_ENTRY_POINTS[exp_id]
+
+
+def test_collector_is_disarmed_after_an_experiment_raises(monkeypatch):
     def pids():
         session = ScenarioSpec(nodes=1, procs_per_node=2).session()
         assert session.trace is None
@@ -109,7 +142,7 @@ def test_collector_is_disarmed_after_an_experiment_raises(monkeypatch):
     monkeypatch.setitem(_ensure_registry(), "boom",
                         Experiment("boom", "raises mid-run", boom, {}))
     with pytest.raises(RuntimeError, match="boom"):
-        run_race_scenario("boom")
+        check_experiment("boom")
     # nothing stays armed: the next session is untraced, same pid sequence
     assert pids() == before
 

@@ -32,7 +32,8 @@ import repro.cache as cache
 from repro.__main__ import main as cli
 from repro.cache import (ArtifactStore, UncacheableError, cache_key,
                          code_version, decode_result, encode_result,
-                         encode_value, resolve_root, store_info)
+                         encode_value, default_root, resolve_root,
+                         store_info)
 from repro.core.report import FigureResult, Series, TableResult
 from repro.platform import CachePlan, Unit, run_suite, unit_cache_key
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -322,7 +323,7 @@ class TestResultPlane:
         store_dir = tmp_path / "store"
         cold = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
         warm = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir)
-        off = run_suite(["fig4"], overrides=FIG4_MINI, cache=False)
+        off = run_suite(["fig4"], overrides=FIG4_MINI)
         refresh = run_suite(["fig4"], overrides=FIG4_MINI, cache=store_dir,
                             refresh_cache=True)
         fps = {s.fingerprints()["fig4"]
@@ -411,16 +412,19 @@ class TestResultPlane:
     @pytest.mark.parametrize("env_dir, cache_arg, root", [
         (None, None, None),
         (None, False, None),
-        (None, True, ".repro-cache"),
         (None, "given", "given"),
-        ("env", None, "env"),
+        ("env", None, None),
         ("env", False, None),
-        ("env", True, "env"),
         ("env", "given", "given"),
     ])
     def test_resolve_root_table(self, monkeypatch, kill, env_dir, cache_arg,
                                 root):
-        """(REPRO_NO_CACHE, REPRO_CACHE_DIR, ``cache`` argument) -> root."""
+        """(REPRO_NO_CACHE) x (nothing | a path) -> root.
+
+        ``REPRO_CACHE_DIR`` moves only the CLI's default store, never a
+        caller's argument; ``False`` is the falsy value
+        ``benchmarks/perf/probes.py`` passes for "off".
+        """
         for name, value in (("REPRO_NO_CACHE", "1" if kill else None),
                             ("REPRO_CACHE_DIR", env_dir)):
             if value is None:
@@ -429,7 +433,8 @@ class TestResultPlane:
                 monkeypatch.setenv(name, value)
         want = None if kill or root is None else Path(root)
         assert resolve_root(cache_arg) == want
-        # `list --json` reports the store a default `repro run` would use
+        # the CLI default, and `list --json` reporting the store it gives
+        assert default_root() == Path(env_dir or ".repro-cache")
         assert store_info()["path"] == (
             None if kill else env_dir or ".repro-cache")
 

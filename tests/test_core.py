@@ -11,6 +11,7 @@ from repro.core.metrics import (
     measure_source,
 )
 from repro.core.report import FigureResult, Series, TableResult
+from repro.errors import ConfigurationError
 from repro.units import GiB, KiB
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -160,6 +161,17 @@ class TestFiguresTiny:
             spark_physical_vertices=600)
         spark, rdma = fig.series
         assert rdma.y_for(2) <= spark.y_for(2) * 1.05
+
+    @pytest.mark.parametrize("exp_id, series", [
+        ("fig4", ("X",)),   # unknown name
+        ("fig6", ()),       # empty selection
+    ])
+    def test_bad_series_selection_is_a_configuration_error(self, exp_id,
+                                                           series):
+        # the same wording whether the figure or the driver's plan rejects it
+        with pytest.raises(ConfigurationError,
+                           match="must be a non-empty subset"):
+            run_experiment(exp_id, series=series)
 
 
 class TestAblationsTiny:

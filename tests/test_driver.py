@@ -347,11 +347,10 @@ class TestCLI:
         assert by_id["fig6"]["series"] == ["MPI", "Spark", "Spark-RDMA"]
         assert by_id["table1"]["series"] == []
         # the analysers can check exactly the experiments that provision a
-        # session; CI takes its id list from these flags
-        uncheckable = {i for i, e in by_id.items()
-                       if not (e["analysis"]["race_check"]
-                               and e["analysis"]["sanitize"])}
+        # session; CI takes its id list from this flag
+        uncheckable = {i for i, e in by_id.items() if e["checkable"] is not True}
         assert uncheckable == {"table1", "table3"}
+        assert "analysis" not in by_id["fig4"]
         # the cache capability block reports a store (even when absent or
         # empty) without crashing the listing
         cache = listing["cache"]
