@@ -19,6 +19,7 @@ accelerate.
 from __future__ import annotations
 
 from repro.cluster.cluster import Cluster
+from repro.sim.blocks import parse_int_pairs
 from repro.spark import SparkContext, StorageLevel
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
@@ -63,7 +64,8 @@ def spark_pagerank_bigdatabench(
     def app(sc: SparkContext):
         links = (
             sc.text_file(edges_url, num_parts)
-            .map(lambda line: tuple(map(int, line.split())), cost=PARSE_COST)
+            .map(lambda line: tuple(map(int, line.split())), cost=PARSE_COST,
+                 vector=parse_int_pairs)
             .group_by_key(num_parts)            # (src, [dst, ...])
             .partition_by(num_parts)
             .persist(StorageLevel.MEMORY_AND_DISK)

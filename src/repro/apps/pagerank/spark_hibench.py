@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.sim.blocks import PairBlock
+from repro.sim.blocks import PairBlock, parse_int_pairs
 from repro.spark import SparkContext
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
@@ -49,7 +49,8 @@ def spark_pagerank_hibench(
     def app(sc: SparkContext):
         links = (
             sc.text_file(edges_url, num_parts)
-            .map(lambda line: tuple(map(int, line.split())), cost=PARSE_COST)
+            .map(lambda line: tuple(map(int, line.split())), cost=PARSE_COST,
+                 vector=parse_int_pairs)
             .cache()                            # raw pairs: no partitioner
         )
         degrees = sc.broadcast(links.count_by_key())
@@ -69,7 +70,13 @@ def spark_pagerank_hibench(
         def contrib_block(joined, _deg=deg_col):
             return PairBlock(joined.left, joined.right / _deg[joined.keys])
 
-        ranks = links.map(lambda e: (e[0], 1.0)).distinct(num_parts)
+        # Columnar twin of the rank seed over a parsed block of edges: the
+        # source column beside a column of 1.0.
+        def seed_block(edges):
+            return PairBlock(edges.keys, np.ones(len(edges)))
+
+        ranks = links.map(lambda e: (e[0], 1.0),
+                          vector=seed_block).distinct(num_parts)
         for _ in range(iterations):
             contribs = links.join(ranks, num_parts).map(
                 contrib, cost=EDGE_COST_JVM, vector=contrib_block)

@@ -18,12 +18,14 @@ values.  Anything observable in virtual time — event order, clock
 values, fingerprints — is then unchanged by construction.
 
 A block kernel runs only on input it can verify is eligible — exact
-``(int, float)`` pairs, a plain ``HashPartitioner``, a unique-keyed join
-side — and every caller keeps the scalar loop for everything else, so
-the scalar kernels are production code, selected by the data.  The tests
-reach them the same way: ``tests/test_blocks.py`` makes every record list
-ineligible (it patches :func:`pair_columns`, the one list→columns
-converter) and asserts byte-equal fingerprints and traces.
+``(int, float)`` pairs, a text split whose every byte it has checked, a
+plain ``HashPartitioner``, a unique-keyed join side — and every caller
+keeps the scalar loop for everything else, so the scalar kernels are
+production code, selected by the data.  The tests reach them the same
+way: ``tests/test_blocks.py`` makes every input ineligible (it patches
+:func:`pair_columns`, the one list→columns converter, and the line
+pattern of :func:`parse_int_pairs`, the one text→columns converter) and
+asserts byte-equal fingerprints and traces.
 
 Block types
 -----------
@@ -34,9 +36,14 @@ Block types
     per-record.  Behaves as a ``Sequence[bytes]`` equal to the list of
     its lines.
 ``PairBlock``
-    An ``(int64 keys, float64 values)`` column pair for Spark shuffle
-    output of numeric aggregations.  Behaves as a ``Sequence`` of
-    ``(int, float)`` tuples; slicing is zero-copy.
+    An ``int64`` key column beside an ``int64`` **or** ``float64`` value
+    column: a parsed edge-list split (:func:`parse_int_pairs`) and the
+    shuffle buckets / cached partitions it flows through carry ints,
+    numeric aggregations carry floats.  Behaves as a ``Sequence`` of
+    ``(int, int)`` or ``(int, float)`` tuples; slicing is zero-copy.  The
+    float-only kernels (:func:`sum_by_key`, ``map_values`` twins, the
+    right side of :func:`hash_join`) check the value dtype and leave an
+    int-valued block to the scalar loop.
 ``JoinedBlock`` / ``CoGroupBlock``
     The ``(k, (v, w))`` output of an inner join against a unique-keyed
     side as three columns, and the two-sided cogroup result that carries
@@ -51,6 +58,7 @@ Block types
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from typing import Callable, Iterator
 
@@ -66,6 +74,7 @@ __all__ = [
     "sum_by_key",
     "as_pair_block",
     "pair_columns",
+    "parse_int_pairs",
     "partition_pairs",
     "join_prepare",
     "hash_join",
@@ -187,8 +196,9 @@ class RecordBlock(Sequence):
         decoder resets at it, so splitting before or after decoding
         yields the same strings.
         """
-        if self._starts is not None and self._lines is None:
-            # A sliced view: decode only the covered records.
+        if self._starts is not None:
+            # Possibly a sliced view (its buffer is the parent's): decode
+            # only the records the offsets cover.
             return [r.decode(encoding, errors) for r in self._materialize()]
         text = self._buf.decode(encoding, errors)
         out = text.split("\n")
@@ -198,35 +208,28 @@ class RecordBlock(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# PairBlock: (int64 key, float64 value) columns for numeric shuffles
+# PairBlock: (int64 key, int64 | float64 value) columns for numeric pairs
 # ---------------------------------------------------------------------------
 
 
 class PairBlock(Sequence):
-    """A Spark partition of ``(int key, float value)`` pairs, columnar.
+    """A Spark partition of ``(int key, int | float value)`` pairs, columnar.
 
-    Iteration and indexing yield plain Python ``(int, float)`` tuples so
-    every scalar consumer (cogroup, collect, user lambdas) sees exactly
-    what the list-of-tuples path produced.  Slicing returns a zero-copy
-    column view.
+    ``keys`` is ``int64``; ``values`` is ``int64`` (parsed edges) or
+    ``float64`` (ranks, contributions).  Iteration and indexing yield
+    plain Python ``(int, int)`` / ``(int, float)`` tuples so every scalar
+    consumer (cogroup, collect, user lambdas) sees exactly what the
+    list-of-tuples path produced.  Slicing returns a zero-copy column
+    view.
     """
 
     __slots__ = ("keys", "values")
 
     def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
-        assert keys.dtype == np.int64 and values.dtype == np.float64
+        assert keys.dtype == np.int64
+        assert values.dtype == np.int64 or values.dtype == np.float64
         self.keys = keys
         self.values = values
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PairBlock":
-        n = len(pairs)
-        keys = np.empty(n, dtype=np.int64)
-        values = np.empty(n, dtype=np.float64)
-        for i, (k, v) in enumerate(pairs):
-            keys[i] = k
-            values[i] = v
-        return cls(keys, values)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -234,17 +237,18 @@ class PairBlock(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return PairBlock(self.keys[i], self.values[i])
-        return (int(self.keys[i]), float(self.values[i]))
+        return (self.keys[i].item(), self.values[i].item())
 
     def __iter__(self):
         return iter(zip(self.keys.tolist(), self.values.tolist()))
 
-    def to_pairs(self) -> list[tuple[int, float]]:
+    def to_pairs(self) -> "list[tuple[int, int | float]]":
         return list(zip(self.keys.tolist(), self.values.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PairBlock):
-            return (np.array_equal(self.keys, other.keys)
+            return (self.values.dtype == other.values.dtype
+                    and np.array_equal(self.keys, other.keys)
                     and np.array_equal(self.values, other.values))
         if isinstance(other, list):
             return self.to_pairs() == other
@@ -261,13 +265,14 @@ def as_pair_block(records) -> "PairBlock | None":
 
     Converts a non-empty list of ``(int, float)`` pairs (the shape a
     declared ``vector="sum"`` aggregation asserts for its input) into a
-    :class:`PairBlock`; returns ``None`` for anything else — see
+    :class:`PairBlock`; returns ``None`` for anything else (an
+    int-valued block included: the scalar sum of ints is an int) — see
     :func:`pair_columns` for the per-record check (mixed key types such
     as ``bool`` would serialize to different sizes, and a float64 detour
     would merge int keys past 2**53).
     """
     if isinstance(records, PairBlock):
-        return records
+        return records if records.values.dtype == np.float64 else None
     cols = pair_columns(records) if records else None
     if cols is None or cols[1].dtype != np.float64:
         return None
@@ -303,6 +308,38 @@ def pair_columns(records) -> "tuple[np.ndarray, np.ndarray] | None":
                          else np.float64))
     except OverflowError:
         return None
+
+
+#: what :func:`parse_int_pairs` accepts: records of exactly two ASCII
+#: decimal integers joined by one 0x20, newline-separated, the last newline
+#: optional.  18 digits keep every value inside ``int64`` (the C parser
+#: saturates silently beyond it); a bytes pattern's ``[0-9]`` is ASCII-only.
+_INT_PAIR_LINES = re.compile(
+    rb"(?:-?[0-9]{1,18} -?[0-9]{1,18}\n)*(?:-?[0-9]{1,18} -?[0-9]{1,18})?")
+
+
+def parse_int_pairs(block: RecordBlock) -> "PairBlock | None":
+    """Columnar twin of ``tuple(map(int, line.split()))`` over a text split.
+
+    Trusts no declaration: one C-level pass proves every byte of the
+    buffer fits :data:`_INT_PAIR_LINES`, and only then is the buffer
+    parsed (also in C).  On such input ``int`` and the C parser agree
+    digit for digit, so the block's records are exactly the tuples the
+    scalar lambda yields.  Anything else — a sign ``+``, ``_``, a tab, a
+    second space, ``\\r``, a non-ASCII digit, a third field, a value that
+    might leave ``int64``, an empty line, an empty split — answers
+    ``None`` and the scalar lambda runs.  So does a block whose offsets
+    exist (it may be a sliced view: ``buffer`` is then the parent's).
+    """
+    if not isinstance(block, RecordBlock) or block._starts is not None:
+        return None
+    buf = block.buffer
+    n = len(block)
+    if n == 0 or _INT_PAIR_LINES.fullmatch(buf) is None:
+        return None
+    flat = np.fromstring(buf, dtype=np.int64, sep=" ")
+    cols = flat.reshape(n, 2).T.copy()  # two contiguous columns
+    return PairBlock(cols[0], cols[1])
 
 
 def partition_pairs(block: PairBlock, nparts: int) -> "list[PairBlock]":

@@ -246,10 +246,15 @@ class Engine:
             raise SimulationError("Engine.run() is not reentrant")
         self._running = True
         # Host-side tuning, invisible to virtual time.  The data plane
-        # allocates container objects by the million while memo caches keep
-        # a large live heap, so periodic cyclic-GC scans dominate wall
-        # clock (~40% on PageRank figures); pause the collector for the
-        # run and do one collection at the end.  The long switch interval
+        # allocates container objects by the hundred thousand while memo
+        # caches keep a large live heap, so periodic cyclic-GC scans would
+        # re-walk it all run long; pause the collector for the run and do
+        # one collection at the end.  That collection is paid per young
+        # tracked object: on the benchmark's ``pagerank_shuffle`` it was
+        # 0.14 s per repetition (two runs, 271 k young objects each,
+        # 210 k of them ``(src, dst)`` tuples) until PR 23 kept the edge
+        # list in columns, and is 0.08 s (95 k) since; dropping it was
+        # measured at +33 % peak RSS (ISSUE 22).  The long switch interval
         # stops the GIL from preempting compute mid-slice — processes
         # hand off deterministically through locks, never via preemption.
         gc_was_enabled = gc.isenabled()

@@ -15,13 +15,16 @@ explicit about where time goes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+import numpy as np
+
 from repro.errors import SparkError
 from repro.sim.blocks import (CoGroupBlock, JoinedBlock, JoinLeft, PairBlock,
-                              hash_join, join_prepare, pair_columns,
-                              sum_by_key)
+                              RecordBlock, hash_join, join_prepare,
+                              pair_columns, sum_by_key)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.storage import StorageLevel
 
@@ -59,14 +62,46 @@ def _join_expand(_i: int, it: list) -> list:
 def _values_twin(vector: Callable) -> Callable:
     """Lift ``map_values``' twin over a values array to a twin over blocks.
 
-    Defined on a :class:`PairBlock` only — a :class:`JoinedBlock`'s values
-    are ``(v, w)`` pairs, not one column — so anything else stays scalar.
+    Defined on a float-valued :class:`PairBlock` only — a
+    :class:`JoinedBlock`'s values are ``(v, w)`` pairs, not one column,
+    and ``vector`` is declared over ``float64`` — so anything else stays
+    scalar.
     """
     def twin(block):
-        if isinstance(block, PairBlock):
+        if isinstance(block, PairBlock) and block.values.dtype == np.float64:
             return PairBlock(block.keys, vector(block.values))
         return None
     return twin
+
+
+class _TextPartition(Sequence):
+    """A text split as the ``Sequence[str]`` of its lines, decoded lazily.
+
+    ``len`` counts newlines and a declared twin reads ``block`` (the raw
+    :class:`~repro.sim.blocks.RecordBlock`), so neither decodes; every
+    scalar consumer iterates, indexes or slices the ``list[str]`` that one
+    ``decode_all`` gives — the list this partition used to be.
+    """
+
+    __slots__ = ("block", "_lines")
+
+    def __init__(self, block: RecordBlock) -> None:
+        self.block = block
+        self._lines: list[str] | None = None
+
+    def _decoded(self) -> list[str]:
+        if self._lines is None:
+            self._lines = self.block.decode_all()
+        return self._lines
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, i):
+        return self._decoded()[i]
+
+    def __iter__(self):
+        return iter(self._decoded())
 
 
 class Dependency:
@@ -193,9 +228,11 @@ class RDD:
         ``vector`` optionally supplies the columnar twin of ``f``: a
         function from the partition's block
         (:class:`~repro.sim.blocks.JoinedBlock` after a block join,
-        :class:`~repro.sim.blocks.PairBlock` after a numeric shuffle) to
-        a block whose records the caller asserts are *bitwise* those of
-        mapping ``f``.  Same promise, same scope as ``map_values``'s:
+        :class:`~repro.sim.blocks.PairBlock` after a numeric shuffle or a
+        columnar parse, :class:`~repro.sim.blocks.RecordBlock` straight
+        off ``text_file``) to a block whose records the caller asserts are
+        *bitwise* those of mapping ``f`` — or ``None`` where it is not
+        defined.  Same promise, same scope as ``map_values``'s:
         used only when the partition arrives columnar, charges
         identical, the scalar ``f`` authoritative everywhere else.
         """
@@ -355,7 +392,8 @@ class RDD:
     def distinct(self, num_partitions: int | None = None) -> "RDD":
         """Deduplicate via a keyed shuffle."""
         return (
-            self.map(lambda x: (x, None))
+            self.map_partitions(lambda _i, it: [(x, None) for x in it],
+                                name="map")
             .reduce_by_key(lambda a, _b: a, num_partitions)
             .keys()
         )
@@ -633,6 +671,13 @@ def _fold_list(zero: Any, f: Callable, it: list) -> Any:
 
 
 def _count_keys(_i: int, it: list) -> dict:
+    if isinstance(it, PairBlock):
+        # columnar twin of the loop below: Python-int keys in
+        # first-occurrence order, Python-int counts
+        uniq, first_idx, counts = np.unique(
+            it.keys, return_index=True, return_counts=True)
+        order = np.argsort(first_idx, kind="stable")
+        return dict(zip(uniq[order].tolist(), counts[order].tolist()))
     out: dict = {}
     for k, _v in it:
         out[k] = out.get(k, 0) + 1
@@ -722,9 +767,10 @@ class TextFileRDD(RDD):
         ctx.charge_records(len(raw))
         # decode cost is part of the JVM text-parsing rate
         ctx.charge_bytes(max(1, end - start), ctx.costs.parse_rate_jvm)
-        # one C-level decode of the split buffer; string-equal to the
-        # per-record decode (see RecordBlock.decode_all)
-        return raw.decode_all()
+        # decoded on first use, by one C-level pass over the split buffer
+        # (string-equal to the per-record decode, see
+        # RecordBlock.decode_all); a count or a columnar parse never is
+        return _TextPartition(raw)
 
     def preferred_nodes(self, index: int) -> list[int]:
         return list(self._preferred[index])
@@ -752,11 +798,13 @@ class MapPartitionsRDD(RDD):
     def compute(self, index: int, ctx: "TaskContext") -> list:
         records = ctx.iterator(self.deps[0].parent, index)
         # A declared twin applies only to a partition that arrives
-        # columnar; the charge is the same either way.
+        # columnar (a text split as its raw RecordBlock); the charge is
+        # the same either way.
+        block = records.block if type(records) is _TextPartition else records
         out = None
         if (self.vector is not None
-                and isinstance(records, (PairBlock, JoinedBlock))):
-            out = self.vector(records)
+                and isinstance(block, (PairBlock, JoinedBlock, RecordBlock))):
+            out = self.vector(block)
         ctx.charge_records(len(records), extra=self.cost_per_record)
         return self.f(index, records) if out is None else out
 
@@ -850,7 +898,8 @@ class ShuffledRDD(RDD):
             return records
         create, merge_value, merge_combiners = self.aggregator
         if (self.vector == "sum" and self.map_side_combine
-                and isinstance(records, PairBlock)):
+                and isinstance(records, PairBlock)
+                and records.values.dtype == np.float64):
             # Columnar twin of the dict merge below: first-occurrence
             # key order, per-key left-to-right addition (sum_by_key's
             # charge-replay argument); same reduce-side charge.

@@ -36,8 +36,9 @@ from repro.spark.partitioner import HashPartitioner
 _SAMPLE = 20
 
 #: what :func:`estimate_nbytes` comes to per record of a ``PairBlock``: a
-#: record is always an ``(int, float)`` tuple, which ``nbytes_of`` prices
-#: at 8 + 2 * (8 + 8) = 40, plus the estimate's 8 bytes of framing.  Both
+#: record is always an ``(int, float)`` or ``(int, int)`` tuple, either of
+#: which ``nbytes_of`` prices at 8 + 2 * (8 + 8) = 40 (``int`` as a JVM
+#: boxed long, like ``float``), plus the estimate's 8 bytes of framing.  Both
 #: of its branches reduce to exactly ``48 * n`` (the sample mean is exactly
 #: ``40.0``, and ``48.0 * n`` is exact in a double below 2**53 / 48).
 _PAIR_RECORD_NBYTES = 48
@@ -77,28 +78,25 @@ class MapOutputTracker:
     """Driver-side registry of where every shuffle bucket lives."""
 
     def __init__(self) -> None:
-        #: (shuffle_id, map_id) -> (executor_id, [bucket_nbytes per reduce])
-        self._outputs: dict[tuple[int, int], tuple[int, list[int]]] = {}
-        #: actual bucket payloads: (shuffle_id, map_id, reduce_id) -> records
-        self._data: dict[tuple[int, int, int], list] = {}
+        #: (shuffle_id, map_id) -> (executor_id, [bucket_nbytes per reduce],
+        #: {reduce_id: records} of the non-empty buckets) — one entry per
+        #: map output, not one per bucket: 32 k fewer keys for the
+        #: end-of-run collection to visit on a 64 x 64 shuffle
+        self._outputs: dict[tuple[int, int],
+                            tuple[int, list[int], dict[int, list]]] = {}
 
     def register(self, shuffle_id: int, map_id: int, executor_id: int,
                  sizes: list[int], buckets: dict[int, list]) -> None:
-        self._outputs[(shuffle_id, map_id)] = (executor_id, sizes)
-        for reduce_id, records in buckets.items():
-            self._data[(shuffle_id, map_id, reduce_id)] = records
+        self._outputs[(shuffle_id, map_id)] = (executor_id, sizes, buckets)
 
     def unregister_executor(self, shuffle_ids: Iterable[int], executor_id: int) -> list[tuple[int, int]]:
         """Drop all outputs an executor held; returns the lost (shuffle, map) pairs."""
         lost = [
-            key for key, (ex, _s) in self._outputs.items()
+            key for key, (ex, _s, _b) in self._outputs.items()
             if ex == executor_id
         ]
         for key in lost:
             del self._outputs[key]
-            shuffle_id, map_id = key
-            for k in [k for k in self._data if k[0] == shuffle_id and k[1] == map_id]:
-                del self._data[k]
         return lost
 
     def missing_maps(self, shuffle_id: int, n_maps: int) -> list[int]:
@@ -114,23 +112,19 @@ class MapOutputTracker:
         iteration; BigDataBench shows it once).
         """
         stats: dict[int, dict[str, int]] = {}
-        for (shuffle_id, _map_id), (_ex, sizes) in self._outputs.items():
+        for (shuffle_id, _map_id), (_ex, sizes, buckets) in \
+                self._outputs.items():
             s = stats.setdefault(
                 shuffle_id, {"maps": 0, "records": 0, "nbytes": 0})
             s["maps"] += 1
             s["nbytes"] += sum(sizes)
-        for (shuffle_id, _m, _r), records in self._data.items():
-            s = stats.get(shuffle_id)
-            if s is not None:
-                s["records"] += len(records)
+            s["records"] += sum(map(len, buckets.values()))
         return stats
 
     def bucket(self, shuffle_id: int, map_id: int, reduce_id: int) -> tuple[int, int, list]:
         """``(executor_id, nbytes, records)`` of one bucket."""
-        ex, sizes = self._outputs[(shuffle_id, map_id)]
-        records = self._data.get((shuffle_id, map_id, reduce_id),
-                                 _EMPTY_BUCKET)
-        return ex, sizes[reduce_id], records
+        ex, sizes, buckets = self._outputs[(shuffle_id, map_id)]
+        return ex, sizes[reduce_id], buckets.get(reduce_id, _EMPTY_BUCKET)
 
 
 class ShuffleWriter:
@@ -359,9 +353,11 @@ class ShuffleReader:
             cache.move_to_end(key)
         else:
             filled = [p for p in parts if len(p)]
-            if filled and all(isinstance(p, PairBlock) for p in filled):
+            if (filled and all(isinstance(p, PairBlock) for p in filled)
+                    and len({p.values.dtype for p in filled}) == 1):
                 # columnar concatenation in map order — element-equal to
-                # extending a list bucket by bucket
+                # extending a list bucket by bucket (mixed value dtypes
+                # would promote the ints, so those extend the list)
                 out = PairBlock(
                     np.concatenate([p.keys for p in filled]),
                     np.concatenate([p.values for p in filled]))

@@ -16,6 +16,7 @@ Two halves:
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
 
 import numpy as np
@@ -35,10 +36,11 @@ from repro.sim.blocks import (
     hash_join,
     join_prepare,
     pair_columns,
+    parse_int_pairs,
     partition_pairs,
     sum_by_key,
 )
-from repro.spark.rdd import _cogroup_pairs, _join_expand
+from repro.spark.rdd import _cogroup_pairs, _count_keys, _join_expand
 from repro.spark.shuffle import ShuffleWriter, estimate_nbytes
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -50,18 +52,24 @@ from repro.workloads.stackexchange import StackExchangeSpec
 
 @contextmanager
 def ineligible_inputs():
-    """Make every record list ineligible for the Spark block kernels.
+    """Make every input ineligible for the Spark block kernels.
 
-    ``pair_columns`` is the one list→columns converter: with it answering
-    ``None`` no ``PairBlock`` / ``JoinedBlock`` is ever built, so the
-    combining write, the reduce-side merge, the cogroup and every declared
-    twin run their scalar loops — exactly as they do in production for
-    records that are not exact ``(int, float)`` pairs.
+    ``pair_columns`` is the one list→columns converter and
+    ``parse_int_pairs`` the one text→columns converter: with the first
+    answering ``None`` and the second's line pattern matching nothing, no
+    ``PairBlock`` / ``JoinedBlock`` is ever built, so
+    the parse, the bucketing and combining writes, the reduce-side merge,
+    the cogroup and every declared twin run their scalar loops — exactly
+    as they do in production for a malformed line or for records that are
+    not exact numeric pairs.
     """
     with pytest.MonkeyPatch.context() as patch:
         for module in ("repro.sim.blocks", "repro.spark.rdd"):
             patch.setattr(f"{module}.pair_columns", lambda records: None)
+        # whoever imported the kernel: no split fits a pattern nothing fits
+        patch.setattr("repro.sim.blocks._INT_PAIR_LINES", re.compile(rb"(?!)"))
         assert as_pair_block([(1, 2.0)]) is None
+        assert parse_int_pairs(RecordBlock(b"1 2\n")) is None
         yield
 
 
@@ -109,9 +117,94 @@ class TestRecordBlock:
         block = RecordBlock(b"a\nbb\nccc\n")[1:]
         assert block.decode_all() == ["bb", "ccc"]
 
+    def test_decode_all_on_slice_of_iterated_block(self):
+        # the view inherits the parent's materialized lines; it must still
+        # decode its own two records, not the shared buffer
+        block = RecordBlock(b"a\nb\nc\nd\n")
+        list(block)
+        view = block[1:3]
+        assert len(view) == 2
+        assert view.decode_all() == ["b", "c"]
+
     def test_multibyte_utf8_survives_batch_decode(self):
         buf = "héllo\nwörld\n".encode()
         assert RecordBlock(buf).decode_all() == ["héllo", "wörld"]
+
+
+# ---------------------------------------------------------------------------
+# parse_int_pairs: the verified columnar parse of an edge-list split
+# ---------------------------------------------------------------------------
+
+
+def scalar_parse(block: RecordBlock) -> list:
+    """What the apps' parse lambda yields for the split."""
+    return [tuple(map(int, line.split())) for line in block.decode_all()]
+
+
+#: lines the kernel must refuse — whether the scalar parse reads them as a
+#: pair ("+5 3", "1  2", "1 2\r", "１ ２"), as something else ("1 2 3", "7",
+#: "") or not at all ("1_0 2" parses, "1.5 2" raises)
+_HOSTILE = ["+5 3", "1_0 2", "1\t2", "1  2", "1 2\r", "１ ２", "1 2 3", "7",
+            "", " 1 2", "1 2 ", "9223372036854775808 1",
+            "1 -9223372036854775809", "0x1 2", "1.5 2", "- 1", "1 -"]
+_INTS = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-50, 50))
+_EDGE_LINES = st.builds("{} {}".format, _INTS, _INTS)
+
+
+class TestParseIntPairs:
+    @given(lines=st.lists(_EDGE_LINES, min_size=1, max_size=30),
+           hostile=st.lists(st.tuples(st.integers(0, 30),
+                                      st.sampled_from(_HOSTILE)), max_size=2),
+           trailing_newline=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_none_or_exactly_the_scalar_tuples(self, lines, hostile,
+                                               trailing_newline):
+        for at, line in hostile:
+            lines.insert(min(at, len(lines)), line)
+        buf = "\n".join(lines).encode() + (b"\n" if trailing_newline else b"")
+        block = RecordBlock(buf)
+        got = parse_int_pairs(block)
+        if got is None:
+            return
+        want = scalar_parse(RecordBlock(buf))  # hostile lines may raise here
+        assert got.keys.dtype == got.values.dtype == np.int64
+        assert _bits(got) == _bits(want)
+        assert len(got) == len(block)
+
+    @given(lines=st.lists(st.builds("{} {}".format,
+                                    st.integers(-10**18 + 1, 10**18 - 1),
+                                    st.integers(-10**18 + 1, 10**18 - 1)),
+                          min_size=1, max_size=30),
+           trailing_newline=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_well_formed_lines_take_the_block_path(self, lines,
+                                                   trailing_newline):
+        buf = "\n".join(lines).encode() + (b"\n" if trailing_newline else b"")
+        got = parse_int_pairs(RecordBlock(buf))
+        assert got is not None
+        assert _bits(got) == _bits(scalar_parse(RecordBlock(buf)))
+
+    @pytest.mark.parametrize("line", _HOSTILE)
+    def test_each_hostile_line_is_refused(self, line):
+        buf = ("3 4\n" + line + "\n5 6\n").encode()
+        assert parse_int_pairs(RecordBlock(buf)) is None
+
+    def test_leading_zeros_and_negative_zero_parse_as_int_does(self):
+        block = parse_int_pairs(RecordBlock(b"007 -0\n-12 000\n"))
+        assert _bits(block) == _bits([(7, 0), (-12, 0)])
+
+    def test_refuses_a_sliced_view_and_other_inputs(self):
+        # a view's ``buffer`` is the parent's: parsing it would yield the
+        # parent's records
+        parent = RecordBlock(b"1 2\n3 4\n5 6\n")
+        view = parent[1:]
+        assert parse_int_pairs(view) is None
+        assert scalar_parse(view) == [(3, 4), (5, 6)]
+        assert parse_int_pairs(RecordBlock(b"")) is None
+        assert parse_int_pairs(RecordBlock(b"\n")) is None
+        assert parse_int_pairs(["1 2"]) is None
+        assert parse_int_pairs(RecordBlock(b"1 2\n3 4\n5 6\n")) == \
+            [(1, 2), (3, 4), (5, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +215,25 @@ class TestRecordBlock:
 class TestPairBlock:
     def test_roundtrip_and_scalar_types(self):
         pairs = [(3, 1.5), (-1, 2.0), (3, 0.25)]
-        block = PairBlock.from_pairs(pairs)
+        block = PairBlock(*pair_columns(pairs))
         assert block.to_pairs() == pairs
         assert block == pairs
         k, v = block[1]
         assert type(k) is int and type(v) is float
         assert all(type(k) is int and type(v) is float for k, v in block)
 
+    def test_int_values_stay_ints(self):
+        pairs = [(3, 7), (-1, 2**62), (3, -5)]
+        block = PairBlock(*pair_columns(pairs))
+        assert block.values.dtype == np.int64
+        assert _bits(block) == _bits(pairs) == _bits(block.to_pairs())
+        assert _bits(block[i] for i in range(3)) == _bits(pairs)
+        assert _bits(block[1:]) == _bits(pairs[1:])
+        # equal numbers of another type are another partition
+        assert block != PairBlock(block.keys, block.values.astype(np.float64))
+
     def test_slice_is_zero_copy_view(self):
-        block = PairBlock.from_pairs([(i, float(i)) for i in range(6)])
+        block = PairBlock(*pair_columns([(i, float(i)) for i in range(6)]))
         view = block[2:5]
         assert isinstance(view, PairBlock)
         assert view.keys.base is not None  # numpy view, not a copy
@@ -144,8 +247,12 @@ class TestAsPairBlock:
         assert block.to_pairs() == [(1, 2.0), (2, 3.5)]
 
     def test_passthrough_for_existing_block(self):
-        block = PairBlock.from_pairs([(1, 1.0)])
+        block = PairBlock(*pair_columns([(1, 1.0)]))
         assert as_pair_block(block) is block
+
+    def test_int_valued_block_is_not_a_sum_input(self):
+        # sum_by_key allocates float64: ints must take the scalar combine
+        assert as_pair_block(PairBlock(*pair_columns([(1, 1)]))) is None
 
     def test_large_int_keys_stay_exact(self):
         # a float64 detour would silently round 2**53 + 1 onto 2**53,
@@ -178,10 +285,21 @@ class TestPartitionPairs:
         buckets = [[] for _ in range(nparts)]
         for k, v in pairs:  # the scalar writer's append loop
             buckets[(k & 0x7FFFFFFF) % nparts].append((k, v))
-        out = partition_pairs(PairBlock.from_pairs(pairs), nparts)
+        out = partition_pairs(PairBlock(*pair_columns(pairs)), nparts)
         assert len(out) == nparts
         for got, want in zip(out, buckets):
             assert got.to_pairs() == want
+
+
+class TestCountKeys:
+    @given(pairs=st.lists(st.tuples(st.sampled_from([0, 1, 5, -7, 2**62]),
+                                    st.integers(-3, 3)), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_block_counts_equal_the_scalar_loop(self, pairs):
+        want = _count_keys(0, pairs)
+        got = _count_keys(0, PairBlock(*pair_columns(pairs)))
+        # same dict, same (first-occurrence) order, Python ints throughout
+        assert _bits(got.items()) == _bits(want.items())
 
 
 class TestSumByKey:
@@ -197,7 +315,7 @@ class TestSumByKey:
         pairs = [(int(k), float(v)) for k, v in
                  zip(rng.integers(0, 40, size=300),
                      rng.standard_normal(300))]
-        block = PairBlock.from_pairs(pairs)
+        block = PairBlock(*pair_columns(pairs))
         got = sum_by_key(block.keys, block.values)
         want = self.dict_merge(pairs)
         # first-occurrence key order and bit-exact sums
@@ -207,7 +325,7 @@ class TestSumByKey:
 
     def test_negative_zero_and_nan_survive(self):
         pairs = [(5, -0.0), (3, math.nan), (7, 1.0)]
-        block = PairBlock.from_pairs(pairs)
+        block = PairBlock(*pair_columns(pairs))
         got = sum_by_key(block.keys, block.values)
         assert got.keys.tolist() == [5, 3, 7]
         assert math.copysign(1.0, got.values[0]) == -1.0  # -0.0 assigned
@@ -217,7 +335,7 @@ class TestSumByKey:
         # 0.1 + 0.2 + 0.3 != 0.1 + (0.2 + 0.3) in float64: the kernel must
         # add left-to-right like the dict loop, not in any other order
         pairs = [(1, 0.1), (1, 0.2), (1, 0.3)]
-        block = PairBlock.from_pairs(pairs)
+        block = PairBlock(*pair_columns(pairs))
         got = sum_by_key(block.keys, block.values)
         assert got.values[0].hex() == ((0.1 + 0.2) + 0.3).hex()
 
@@ -246,7 +364,7 @@ def _unique_rights():
 def _bits(records):
     """Records with every float spelled out, so ``-0.0`` and NaN compare."""
     def bits(x):
-        if type(x) is tuple:
+        if type(x) in (tuple, list):
             return tuple(bits(y) for y in x)
         return x.hex() if type(x) is float else (type(x).__name__, x)
     return [bits(r) for r in records]
@@ -260,7 +378,7 @@ class TestHashJoin:
                                                right_as_block):
         groups = list(_cogroup_pairs(left, right).items())
         want = _join_expand(0, groups)
-        rside = PairBlock.from_pairs(right) if right_as_block else right
+        rside = PairBlock(*pair_columns(right)) if right_as_block else right
         got = hash_join(join_prepare(*pair_columns(left)), rside)
         assert got is not None
         joined, n_groups = got
@@ -339,18 +457,107 @@ class TestHashJoin:
         assert run() == scalar
 
 
+class TestTextPipeline:
+    """End to end through the RDD API: a text split parsed by the verified
+    kernel, then every consumer an int-valued block can reach."""
+
+    #: 160 six-byte lines: four 40-line local splits, the first all
+    #: negative keys
+    LINES = ([f"-{1 + i % 9} {10 + i}" for i in range(40)]
+             + [f"{10 + i % 13} {10 + i % 90}" for i in range(120)])
+
+    @staticmethod
+    def halve_negatives(kv):
+        return (kv[0], kv[1] * 0.5) if kv[0] < 0 else kv
+
+    @staticmethod
+    def halve_negatives_block(block):
+        # defined where one branch covers the partition: the map output is
+        # float-valued for split 0 and int-valued for the others
+        if (block.keys < 0).all():
+            return PairBlock(block.keys, block.values * 0.5)
+        return block if (block.keys >= 0).all() else None
+
+    def run(self, twins: bool):
+        from repro.fs.content import BytesContent
+
+        def twin(fn):
+            return fn if twins else None
+
+        def app(sc):
+            text = sc.text_file("local://pairs.txt", 4)
+            parsed = text.map(lambda line: tuple(map(int, line.split())),
+                              vector=twin(parse_int_pairs)).cache()
+            mixed = parsed.map(self.halve_negatives,
+                               vector=twin(self.halve_negatives_block))
+            return (
+                text.count(), text.collect()[38:42], text.map(len).sum(),
+                parsed.count_by_key(), parsed.collect(),
+                # float-only kernels must leave an int-valued block alone:
+                # the int sum stays an int, and int64 would wrap here
+                parsed.reduce_by_key(lambda a, b: a + b, 3,
+                                     vector="sum").collect(),
+                parsed.map_values(lambda v: v * 2**62,
+                                  vector=twin(lambda v: v * 2**62)).collect(),
+                parsed.group_by_key(3).collect(),
+                parsed.join(parsed.map_values(lambda v: v + 1), 3).count(),
+                parsed.map(lambda e: (e[0], 1.0), vector=twin(
+                    lambda b: PairBlock(b.keys, np.ones(len(b))))
+                ).distinct(3).collect(),
+                # one reduce partition fed int- and float-valued buckets
+                mixed.partition_by(3).collect(),
+                mixed.reduce_by_key(lambda a, b: a + b, 3,
+                                    vector="sum").collect(),
+            )
+
+        session = ScenarioSpec(
+            nodes=2, procs_per_node=2,
+            datasets=(Dataset("pairs.txt", BytesContent(
+                "\n".join(self.LINES).encode() + b"\n"), on=("local",)),),
+        ).session()
+        res = session.spark(app_startup=0.1).run(app)
+        return res.app_elapsed, [
+            _bits(v.items() if type(v) is dict
+                  else v if type(v) is list else [v]) for v in res.value]
+
+    def test_scalar_and_columnar_agree(self):
+        with ineligible_inputs():
+            scalar = self.run(twins=False)
+        assert self.run(twins=True) == scalar
+
+    def test_count_of_a_text_file_decodes_nothing(self, monkeypatch):
+        def no_decode(self, *args):
+            raise AssertionError("count() decoded the split")
+
+        monkeypatch.setattr(RecordBlock, "decode_all", no_decode)
+        from repro.fs.content import BytesContent
+
+        session = ScenarioSpec(
+            nodes=1, procs_per_node=2,
+            datasets=(Dataset("pairs.txt", BytesContent(b"a b\nc d\ne f\n"),
+                              on=("local",)),),
+        ).session()
+        n = session.spark(app_startup=0.1).run(
+            lambda sc: sc.text_file("local://pairs.txt", 2).count()).value
+        assert n == 3
+
+
 class TestClosedFormSizing:
     @given(n=st.integers(0, 200), scale=st.sampled_from([1, 7, 62]),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_equals_the_sampled_estimate(self, n, scale, seed):
         rng = np.random.default_rng(seed)
-        block = PairBlock(rng.integers(-2**62, 2**62, size=n),
-                          rng.standard_normal(n))
-        sizes, total, buckets = ShuffleWriter._sizes([block, []], scale)
-        assert sizes == [estimate_nbytes(block) * scale, 0]
-        assert total == sizes[0]
-        assert list(buckets) == ([0] if n else [])
+        keys = rng.integers(-2**62, 2**62, size=n)
+        for values in (rng.standard_normal(n),              # (int, float)
+                       rng.integers(-2**62, 2**62, size=n)):  # (int, int)
+            block = PairBlock(keys, values)
+            sizes, total, buckets = ShuffleWriter._sizes([block, []], scale)
+            # the block's sampled estimate, and the tuple list's
+            assert sizes == [estimate_nbytes(block) * scale, 0]
+            assert sizes[0] == estimate_nbytes(block.to_pairs()) * scale
+            assert total == sizes[0]
+            assert list(buckets) == ([0] if n else [])
 
 
 # ---------------------------------------------------------------------------
@@ -426,19 +633,24 @@ class TestDifferentialFingerprints:
         assert fingerprint_result(MINI[fig]()) == scalar_fp
 
 
-def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench") -> list:
-    """One traced Spark PageRank run's events (PairBlock-heavy)."""
+def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench",
+                     edit=lambda edges: edges, **kwargs) -> list:
+    """One traced Spark PageRank run's events (PairBlock-heavy);
+    ``edit`` rewrites the edge-list bytes before they are staged."""
     import repro.apps
+    from repro.fs.content import BytesContent
     from repro.workloads.graphs import ring_edge_list_content
 
     graph = GraphSpec(n_vertices=200, out_degree=4)
+    content = ring_edge_list_content(graph)
     session = ScenarioSpec(
         nodes=2, procs_per_node=4, hb=True,
-        datasets=(Dataset("edges.txt", ring_edge_list_content(graph),
-                          on=("hdfs",)),)).session()
-    getattr(repro.apps, app_name).run_in(session, "hdfs://edges.txt",
-                                         graph.n_vertices, 4, iterations=2)
-    return session.trace.events
+        datasets=(Dataset("edges.txt", BytesContent(
+            edit(content.read(0, content.size))), on=("hdfs",)),)).session()
+    result = getattr(repro.apps, app_name).run_in(
+        session, "hdfs://edges.txt", graph.n_vertices, 4, iterations=2,
+        **kwargs)
+    return [(e.time, e.proc, e.kind) for e in session.trace.events], result
 
 
 def _traced_hibench() -> list:
@@ -455,9 +667,9 @@ def _traced_answers_count() -> list:
     session = ScenarioSpec(
         nodes=2, procs_per_node=4, hb=True,
         datasets=(Dataset("posts.txt", content),)).session()
-    spark_answers_count.run_in(session, "hdfs://posts.txt", 4,
-                               executor_nodes=[0, 1])
-    return session.trace.events
+    result = spark_answers_count.run_in(session, "hdfs://posts.txt", 4,
+                                        executor_nodes=[0, 1])
+    return [(e.time, e.proc, e.kind) for e in session.trace.events], result
 
 
 class TestDifferentialTraces:
@@ -467,8 +679,37 @@ class TestDifferentialTraces:
     def test_event_streams_identical_scalar_vs_blocks(self, traced):
         with ineligible_inputs():
             scalar = traced()
-        blocks = traced()
-        assert len(blocks) == len(scalar)
-        # same events at the same (bit-exact) virtual times, same owners
-        assert [(e.time, e.proc, e.kind) for e in blocks] == \
-            [(e.time, e.proc, e.kind) for e in scalar]
+        # same events at the same (bit-exact) virtual times, same owners,
+        # and the same result
+        assert traced() == scalar
+
+    def test_one_malformed_line_sends_only_its_split_to_the_scalar_parse(
+            self, monkeypatch):
+        """HiBench over a file with one line the text twin refuses (a
+        second space — the scalar parse reads the same edge): that split
+        is parsed per record, the others stay columnar, and the mixed
+        list / block buckets give the all-scalar run's events and ranks."""
+        import repro.apps.pagerank.spark_hibench as hibench
+
+        def edit(edges: bytes) -> bytes:
+            lines = edges.split(b"\n")
+            lines[len(lines) // 2] = lines[len(lines) // 2].replace(
+                b" ", b"  ")
+            return b"\n".join(lines)
+
+        def run():
+            return _traced_pagerank("spark_pagerank_hibench", edit,
+                                    collect_ranks=True)
+
+        with ineligible_inputs():
+            scalar = run()
+        answers = []
+
+        def recording(block):
+            answers.append(parse_int_pairs(block))
+            return answers[-1]
+
+        monkeypatch.setattr(hibench, "parse_int_pairs", recording)
+        assert run() == scalar
+        refused = [a for a in answers if a is None]
+        assert len(refused) == 1 and len(answers) > 1
