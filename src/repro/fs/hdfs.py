@@ -45,6 +45,7 @@ class Block:
     start: int              # logical offset of first byte
     end: int                # logical offset one past last byte
     replicas: list[int] = field(default_factory=list)
+    label: str = ""         # "hdfs:<path>#<index>", names its transfers
 
     @property
     def size(self) -> int:
@@ -87,6 +88,8 @@ class HDFS(FileSystem):
         self.fabric = cluster.machine.bigdata_fabric
         self._files: dict[str, SimFile] = {}
         self._blocks: dict[str, list[Block]] = {}
+        #: ``Block.end`` of every block per file, the key ``read`` bisects
+        self._ends: dict[str, list[int]] = {}
         self._dead: set[int] = set()
         cluster.filesystems[self.scheme] = self
 
@@ -124,10 +127,13 @@ class HDFS(FileSystem):
         self._check_new(self._files, path)
         f = SimFile(path, content, scale)
         self._files[path] = f
-        self._blocks[path] = self._place(f.logical_size, replication)
+        blocks = self._place(path, f.logical_size, replication)
+        self._blocks[path] = blocks
+        self._ends[path] = [b.end for b in blocks]
         return f
 
-    def _place(self, logical_size: int, replication: int | None) -> list[Block]:
+    def _place(self, path: str, logical_size: int,
+               replication: int | None) -> list[Block]:
         n = len(self.cluster.nodes)
         repl = min(replication if replication is not None else self.replication, n)
         blocks = []
@@ -136,7 +142,8 @@ class HDFS(FileSystem):
         while offset < logical_size or (logical_size == 0 and index == 0):
             end = min(offset + self.block_size, logical_size)
             replicas = [(index + j) % n for j in range(repl)]
-            blocks.append(Block(index, offset, end, replicas))
+            blocks.append(Block(index, offset, end, replicas,
+                                f"hdfs:{path}#{index}"))
             index += 1
             offset = end
             if logical_size == 0:
@@ -147,6 +154,7 @@ class HDFS(FileSystem):
         self._check_have(self._files, path)
         del self._files[path]
         del self._blocks[path]
+        del self._ends[path]
 
     # -- failure injection -----------------------------------------------------------------
 
@@ -221,27 +229,26 @@ class HDFS(FileSystem):
         hi = min(offset + length, f.logical_size)
         node = self.cluster.node_of(proc)
         blocks = self._blocks[path]
+        trace = self.cluster.trace
         # Blocks are contiguous and sorted; binary-search the first one
         # overlapping [lo, hi) instead of scanning the whole list.  Skipped
         # blocks would have contributed nothing (take <= 0), so the charge
         # sequence is unchanged.
-        first = bisect_right(blocks, lo, key=lambda blk: blk.end)
+        first = bisect_right(self._ends[path], lo)
         for b in blocks[first:]:
             take = min(hi, b.end) - max(lo, b.start)
             if take <= 0:
                 break
             proc.compute(HDFS_NAMENODE_LOOKUP)
             src = self._pick_replica(b, node.id)
-            self.cluster.trace.access(proc, "read", f"hdfs:{path}",
-                                      start=max(lo, b.start),
-                                      stop=min(hi, b.end))
-            self.cluster.nodes[src].ssd.read(proc, take, label=f"hdfs:{path}#{b.index}")
+            if trace.hb:
+                trace.access(proc, "read", f"hdfs:{path}",
+                             start=max(lo, b.start), stop=min(hi, b.end))
+            self.cluster.nodes[src].ssd.read(proc, take, label=b.label)
             proc.compute_bytes(take, HDFS_CLIENT_RATE)
             if src != node.id:
                 self.cluster.network.transmit(
-                    proc, self.fabric, src, node.id, take,
-                    label=f"hdfs:{path}#{b.index}",
-                )
+                    proc, self.fabric, src, node.id, take, label=b.label)
         return f.content.read(start, end - start)
 
     def _pick_replica(self, block: Block, reader_node: int) -> int:
@@ -267,7 +274,9 @@ class HDFS(FileSystem):
         if path not in self._files:
             self._files[path] = SimFile(path, BytesContent(b""), 1)
             self._blocks[path] = []
+            self._ends[path] = []
         blocks = self._blocks[path]
+        ends = self._ends[path]
         n = len(self.cluster.nodes)
         repl = min(self.replication, n)
         written = 0
@@ -291,5 +300,7 @@ class HDFS(FileSystem):
                     self.cluster.network.transmit(
                         proc, self.fabric, node.id, r, take, label=f"hdfs:{path}"
                     )
-            blocks.append(Block(index, base + written, base + written + take, replicas))
+            blocks.append(Block(index, base + written, base + written + take,
+                                replicas, f"hdfs:{path}#{index}"))
+            ends.append(base + written + take)
             written += take

@@ -18,10 +18,21 @@ Execution model
 The scheduling decision ("which runnable process has the smallest
 ``(clock, pid)``?") is answered by a lazy-deletion binary heap
 (:attr:`Engine._heap`).  Every transition *into* the RUNNABLE state pushes a
-``(clock, pid, seq, proc)`` entry; a revision of a parked process's wake
-time pushes a fresh entry and bumps the per-process sequence number so the
-stale entry is discarded when it reaches the top.  Selecting the next
-process is therefore O(log n) instead of the O(n) scan a list would need.
+``(clock, pid, seq, proc)`` entry; bumping the per-process sequence number
+turns an entry stale, and a stale entry is discarded when it reaches the
+top.  Selecting the next process is therefore O(log n) instead of the O(n)
+scan a list would need.  One kind of RUNNABLE process may be *without* a
+live entry: the owner of a fluid flow that is not the earliest-finishing
+parked owner of its flow system, which re-keys such owners in place and
+queues only the minimum (the queue-one-owner invariant, stated in
+``sim/resources.py``) — so the heap top is still the global minimum.
+
+A parked process may carry one **continuation**
+(:meth:`SimProcess.checkpoint`'s ``_then``).  The token holder — a process
+thread releasing the token, or the supervisor — pops that entry at the
+owner's ``(clock, pid)`` turn, runs the continuation in place and keeps
+popping; the owner's thread is not woken.  The continuation must not park,
+and one that raises fails its owner, not the thread that ran it.
 
 Three cooperating optimisations make the hot path (a checkpoint that does
 not change the schedule order) switch-free:
@@ -192,7 +203,7 @@ class Engine:
     # -- run queue ------------------------------------------------------------
 
     def _push(self, proc: SimProcess) -> None:
-        """Enqueue a process that just became RUNNABLE (or was revised).
+        """Enqueue a process that just became RUNNABLE (or was re-keyed).
 
         Bumps the process's heap sequence number so any earlier entry for it
         still in the heap is recognised as stale and skipped on pop.
@@ -295,21 +306,23 @@ class Engine:
                 raise SimProcessError(failed.name) from failed.exception
             proc = self._pop_min()
             if proc is None:
-                blocked = [
-                    p for p in self.processes if p.state is ProcState.BLOCKED
+                # BLOCKED: nobody left to wake it.  RUNNABLE: parked with no
+                # live run-queue entry, i.e. behind a continuation or a flow
+                # that never re-queued it — wedged just the same.
+                stuck = [
+                    p for p in self.processes
+                    if p.state in (ProcState.BLOCKED, ProcState.RUNNABLE)
                 ]
-                if blocked:
-                    # Diagnose before aborting: the abort unwinds the blocked
+                if stuck:
+                    # Diagnose before aborting: the abort unwinds the parked
                     # threads, destroying the frames the diagnosis inspects.
-                    msg = self._deadlock_message(blocked)
+                    msg = self._deadlock_message(stuck)
                     self._abort()
                     raise DeadlockError(msg)
                 break  # everything DONE/FAILED
-            if proc.clock > self.now:
-                self.now = proc.clock
             self._yield_evt.clear()
-            proc._grant()
-            self._yield_evt.wait()
+            if self._dispatch(proc):
+                self._yield_evt.wait()
         return self.makespan()
 
     def makespan(self) -> float:
@@ -334,13 +347,36 @@ class Engine:
         if self._aborting or proc.state is ProcState.FAILED:
             self._yield_evt.set()
             return
-        nxt = self._pop_min()
-        if nxt is None:
-            self._yield_evt.set()
-            return
-        if nxt.clock > self.now:
-            self.now = nxt.clock
-        nxt._grant()
+        while True:
+            nxt = self._pop_min()
+            if nxt is None:
+                self._yield_evt.set()
+                return
+            if self._dispatch(nxt):
+                return
+
+    def _dispatch(self, proc: SimProcess) -> bool:
+        """Give ``proc`` its turn; return whether the token went to its thread.
+
+        A process carrying a continuation gets that run here, on the calling
+        thread, and stays parked (``False``: the caller still holds the token
+        and picks the next minimum).  A continuation that raises is the
+        owner's failure: the exception is handed to the owner's thread, which
+        is granted the token and re-raises it from its own ``checkpoint``.
+        """
+        if proc.clock > self.now:
+            self.now = proc.clock
+        then = proc._then
+        if then is not None:
+            proc._then = None
+            try:
+                then()
+            except Exception as exc:  # noqa: BLE001 - re-raised by the owner
+                proc._then_error = exc
+            else:
+                return False
+        proc._grant()
+        return True
 
     def _abort(self) -> None:
         """Unwind every parked process by injecting ``SimKilled``."""

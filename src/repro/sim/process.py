@@ -81,8 +81,9 @@ class SimProcess:
         self.state = ProcState.NEW
         self.result: Any = None
         self.exception: BaseException | None = None
-        #: set when the process is blocked; shown in deadlock dumps
-        self.waiting_on: str | None = None
+        #: set while the process is parked on something; shown (through
+        #: ``str()``, so a lazily-formatted object is fine) in deadlock dumps
+        self.waiting_on: Any = None
         #: blocking-edge metadata for the wait-for-graph deadlock diagnosis
         #: (set by :meth:`block`, cleared on wake).  Pure diagnostics: never
         #: read on the scheduling path, so filling it cannot change outputs.
@@ -104,6 +105,12 @@ class SimProcess:
         self._go = threading.Lock()
         self._go.acquire()
         self._killed = False
+        #: continuation carried while parked RUNNABLE (see :meth:`checkpoint`);
+        #: whichever thread holds the token runs it at this process's
+        #: ``(clock, pid)`` turn, and if it raised, the exception waits in
+        #: ``_then_error`` for this process's own thread to re-raise.
+        self._then: Callable[[], None] | None = None
+        self._then_error: BaseException | None = None
         #: heap sequence number; bumped by ``Engine._push`` so stale run
         #: queue entries for this process can be recognised and skipped.
         self._hseq = 0
@@ -161,7 +168,7 @@ class SimProcess:
             raise SimulationError(f"non-positive rate: {rate_bytes_per_s}")
         self.compute(nbytes / rate_bytes_per_s)
 
-    def checkpoint(self) -> None:
+    def checkpoint(self, *, _then: Callable[[], None] | None = None) -> bool:
         """Yield to the engine so interactions occur in virtual-time order.
 
         Every primitive that touches shared simulation state (resources,
@@ -172,7 +179,18 @@ class SimProcess:
         Run-ahead token retention: when this process is still the minimum
         runnable ``(clock, pid)``, parking would re-grant it immediately
         with no intervening execution, so it keeps the token and returns
-        inline — no context switch.
+        inline — no context switch.  Returns whether the process parked.
+
+        ``_then`` is runtime-internal (the flow system's park-once rule).  A
+        process that parks may carry this one continuation: at the process's
+        ``(clock, pid)`` turn the thread holding the token runs it *in place
+        of* waking the process, which stays RUNNABLE and parked.  The
+        continuation therefore owns the process's next wake (it re-keys
+        ``clock`` and sees that the run queue has an entry when due), must
+        not park, and must not rely on ``current_process()``.  If it raises,
+        the exception is re-raised here, on this process's own thread.  When
+        the caller keeps the token, ``_then`` is dropped unrun — the caller
+        does the work inline.
         """
         self._assert_current()
         eng = self.engine
@@ -180,20 +198,22 @@ class SimProcess:
         if top is None or (self.clock, self.pid) < top:
             if self.clock > eng.now:
                 eng.now = self.clock
-            return
+            return False
+        self._then = _then
         self._park(ProcState.RUNNABLE)
+        return True
 
     def sleep(self, seconds: float) -> None:
         """Advance the clock by ``seconds`` and yield (an ordered delay)."""
         self.compute(seconds)
         self.checkpoint()
 
-    def park_until(self, wake_time: float, *, reason: str = "timer") -> None:
+    def park_until(self, wake_time: float, *, reason: Any = "timer") -> None:
         """Park until virtual time ``wake_time`` (revisable by resources).
 
-        The process is RUNNABLE with ``clock = wake_time``; another process
-        acting at an earlier virtual time may revise the wake time with
-        :meth:`_revise_wake` before it fires.
+        The process is RUNNABLE with ``clock = wake_time``; the flow system,
+        acting for another process at an earlier virtual time, may re-key a
+        flow owner's wake time before it fires (``sim/resources.py``).
         """
         self._assert_current()
         if wake_time < self.clock:
@@ -281,15 +301,6 @@ class SimProcess:
         self.state = ProcState.RUNNABLE
         self.engine._push(self)
 
-    def _revise_wake(self, wake_time: float) -> None:
-        """Revise the wake time of a process parked via :meth:`park_until`."""
-        if self.state is not ProcState.RUNNABLE:
-            raise SimulationError(
-                f"cannot revise wake of {self.name}: state is {self.state.value}"
-            )
-        self.clock = wake_time
-        self.engine._push(self)
-
     def _park(self, state: ProcState) -> None:
         """Release the token and wait to be rescheduled.
 
@@ -304,6 +315,10 @@ class SimProcess:
         self._go.acquire()
         if self._killed:
             raise SimKilled()
+        exc = self._then_error
+        if exc is not None:
+            self._then_error = None
+            raise exc
 
     def _grant(self) -> None:
         """Engine-side: give this process the execution token."""

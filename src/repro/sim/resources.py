@@ -17,18 +17,50 @@ Two contention models are provided:
 
 All state changes happen in global virtual-time order thanks to the engine's
 scheduling invariant, so both models are deterministic.
+
+How flow owners are scheduled
+-----------------------------
+
+Every event (a flow arriving or finishing, a capacity change) advances and
+re-prices *every* flow — ``finish = t + remaining / rate`` drifts by ulps
+that the goldens pin, so the arithmetic is never skipped — but the run queue
+is touched at most once per event:
+
+* **Queue one owner.**  An owner parked on its flow (``owner.state is
+  RUNNABLE``) has its revised finish written straight into ``owner.clock``,
+  and the run-queue entry it had, if any, is invalidated rather than
+  replaced.  Only the smallest ``(finish, pid)`` among the parked owners is
+  pushed, and only if it has no live entry.  Invariant, after every
+  :meth:`FlowSystem._recompute`: *every live heap entry of a flow-parked
+  process carries its current clock, the minimum flow-parked process always
+  has one, and every RUNNABLE owner's* ``clock`` *equals its flow's*
+  ``finish``.  The engine's heap top is therefore the same global minimum a
+  scan over all clocks finds; when the minimum owner wakes and unregisters,
+  the re-pricing it triggers queues the next one.
+
+* **Park once.**  A transfer whose caller must wait its turn parks a single
+  time, carrying its registration as a continuation
+  (:meth:`SimProcess.checkpoint`): the token holder runs it at the owner's
+  ``(clock, pid)`` turn — register, re-price, which re-keys the still-parked
+  owner to its projected finish — and the owner's thread wakes only when
+  its flow is due.  A parked process may carry one continuation; the token
+  holder runs it at the owner's turn; it must not park.
+
+The algorithm these two rules replaced (a separate advance pass, a fresh
+heap entry for every revised owner, two parks per transfer) is kept as
+``tests/sim_oracle.py::ReferenceFlowSystem``; completion times are
+bit-identical between the two.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Iterable
 
 from repro.errors import SimulationError
-from repro.sim.process import SimProcess
+from repro.sim.process import ProcState, SimProcess
 
-#: Residual byte count below which a flow counts as finished (absorbs float
-#: drift from repeated rate recomputations).
-_EPS_BYTES = 1e-6
+_RUNNABLE = ProcState.RUNNABLE
 
 
 class FluidResource:
@@ -81,7 +113,7 @@ class Flow:
     """One in-progress bulk transfer across a set of fluid resources."""
 
     __slots__ = ("owner", "resources", "remaining", "rate_cap",
-                 "label", "rate", "finish")
+                 "label", "rate", "finish", "queued")
 
     def __init__(
         self,
@@ -98,6 +130,12 @@ class Flow:
         self.label = label
         self.rate = 0.0
         self.finish = owner.clock  # projected completion (revised on changes)
+        #: the parked owner has a live run-queue entry at ``finish``
+        self.queued = False
+
+    def __str__(self) -> str:
+        # What the owner is ``waiting_on``; formatted only if a dump asks.
+        return f"flow:{self.label}"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -135,28 +173,33 @@ class FlowSystem:
         the fair-share rule; the caller's projected completion is revised
         on-the-fly as competing flows come and go.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
+        if not 0 <= nbytes < inf:
+            raise SimulationError(
+                f"transfer size must be finite and >= 0, got {nbytes!r}")
+        if rate_cap is not None and not 0 < rate_cap < inf:
+            raise SimulationError(
+                f"rate_cap must be finite and > 0, got {rate_cap!r}")
         res = tuple(resources)
         if nbytes == 0 or not res:
             return proc.clock
-        proc.checkpoint()  # establish global virtual-time order
-        self._advance_to(proc.clock)
         flow = Flow(proc, res, nbytes, rate_cap, label)
-        self.flows.add(flow)
-        for r in res:
-            r.flows.add(flow)
+        # Establish global virtual-time order, then register.  Not our turn:
+        # park once, the registration rides along and re-keys us to the
+        # flow's finish.  Our turn already: register inline, then park.
+        proc.waiting_on = flow
+        try:
+            if not proc.checkpoint(_then=lambda: self._register(flow)):
+                self._register(flow)
+                flow.queued = True  # park_until pushes us if it has to park
+                proc.park_until(flow.finish, reason=flow)
+        finally:
+            proc.waiting_on = None
+        if proc.clock != flow.finish:
+            raise SimulationError(
+                f"{proc.name} woke at {proc.clock!r}, not at the finish "
+                f"{flow.finish!r} of {flow!r}")
+        self._unregister(flow)
         self._recompute(proc.clock)
-        # Relative epsilon: repeated rate recomputations accumulate float
-        # drift proportional to the transfer size; without this a large
-        # flow can livelock on zero-length parks at its own finish time.
-        eps = max(_EPS_BYTES, 1e-12 * nbytes)
-        while flow.remaining > eps:
-            if flow.finish <= proc.clock:
-                break  # residual is pure drift; the flow is done
-            proc.park_until(flow.finish, reason=f"flow:{label}")
-            self._advance_to(proc.clock)
-        self._remove(flow, proc.clock)
         return proc.clock
 
     @property
@@ -178,45 +221,69 @@ class FlowSystem:
             raise SimulationError(
                 f"resource {resource.name!r}: new capacity must be finite "
                 f"and > 0, got {capacity!r}")
-        self._advance_to(t)
         resource.capacity = float(capacity)
-        if self.flows:
-            self._recompute(t)
+        self._recompute(t)
 
     # -- internals -------------------------------------------------------------
 
-    def _advance_to(self, t: float) -> None:
-        """Integrate progress of every active flow up to virtual time ``t``."""
-        if t < self.now - 1e-9:
-            raise SimulationError(
-                f"flow system time went backwards: {self.now} -> {t}"
-            )
-        dt = max(0.0, t - self.now)
-        if dt > 0.0:
-            for f in self.flows:
-                rem = f.remaining - f.rate * dt
-                f.remaining = rem if rem > 0.0 else 0.0
-            self.now = t
-        elif t > self.now:
-            self.now = t
+    def _register(self, flow: Flow) -> None:
+        """Add ``flow`` at its owner's clock and re-price everything.
 
-    def _remove(self, flow: Flow, t: float) -> None:
+        Only the new flow's resources change their head count, so theirs are
+        the only fair shares that can newly be rejected (an efficiency curve
+        out of ``(0, 1]``): price them first and back the flow out if one
+        is, before any other flow has been touched.
+        """
+        for r in flow.resources:
+            r.flows.add(flow)
+        try:
+            shares = {r: r.fair_share() for r in flow.resources}
+        except BaseException:
+            self._unregister(flow)
+            raise
+        self.flows.add(flow)
+        self._recompute(flow.owner.clock, shares)
+
+    def _unregister(self, flow: Flow) -> None:
         self.flows.discard(flow)
         for r in flow.resources:
             r.flows.discard(flow)
-        if self.flows:
-            self._recompute(t)
 
-    def _recompute(self, t: float) -> None:
-        """Re-derive every flow's rate and projected finish at time ``t``.
+    def _recompute(
+        self, t: float, shares: dict[FluidResource, float] | None = None
+    ) -> None:
+        """Advance every flow to ``t``, then re-price it — one pass per event.
 
-        Rate = min over the flow's resources of the resource's fair share,
-        additionally clamped by the flow's own ``rate_cap``.  Owners parked on
-        a projected finish get their wake time revised.
+        Per flow, in this order (the float operations and their order are
+        what the goldens pin): integrate progress since the last event at
+        the *old* rate; rate = min over the flow's resources of the
+        resource's fair share, clamped by the flow's own ``rate_cap``;
+        ``finish = t + remaining / rate``.  Parked owners are re-keyed and
+        at most one is pushed (queue one owner, see the module docstring).
+        ``shares`` carries fair shares the caller has already priced.
         """
-        shares: dict[FluidResource, float] = {}
+        now = self.now
+        if t > now:
+            dt = t - now
+            self.now = t
+        elif t < now - 1e-9:
+            raise SimulationError(
+                f"flow system time went backwards: {now} -> {t}"
+            )
+        else:
+            dt = 0.0
+        if shares is None:
+            shares = {}
         get_share = shares.get
+        first = None  # the parked owner's flow with the smallest (finish, pid)
+        first_finish = first_pid = 0
         for f in self.flows:
+            rem = f.remaining
+            if dt > 0.0:
+                rem -= f.rate * dt
+                if not rem > 0.0:
+                    rem = 0.0
+                f.remaining = rem
             # fair_share() is pure within one pass (flow membership is fixed
             # here), so compute it once per resource; min over the same
             # float values is bit-identical to the uncached expression.
@@ -228,25 +295,38 @@ class FlowSystem:
             for r in f.resources:
                 s = get_share(r)
                 if s is None:
-                    eff_fn = r.efficiency
-                    if eff_fn is None:
+                    if r.efficiency is None:
                         s = r.capacity / len(r.flows)
                     else:
                         s = r.fair_share()
                     shares[r] = s
                 if rate is None or s < rate:
                     rate = s
-            if f.rate_cap is not None:
-                rate = min(rate, f.rate_cap)
+            cap = f.rate_cap
+            if cap is not None and cap < rate:
+                rate = cap
             if rate <= 0:
                 raise SimulationError(f"flow {f!r}: computed non-positive rate")
             f.rate = rate
-            finish = t + f.remaining / rate
-            if finish != f.finish:
+            finish = t + rem / rate
+            owner = f.owner
+            if owner.state is _RUNNABLE:
+                if finish != f.finish:
+                    f.finish = finish
+                    owner.clock = finish
+                    if f.queued:
+                        owner._hseq += 1  # its run-queue entry is now stale
+                        f.queued = False
+                pid = owner.pid
+                if first is None or finish < first_finish or (
+                        finish == first_finish and pid < first_pid):
+                    first, first_finish, first_pid = f, finish, pid
+            else:
                 f.finish = finish
-                owner_waiting = f.owner.waiting_on
-                if owner_waiting is not None and owner_waiting.startswith("flow:"):
-                    f.owner._revise_wake(finish)
+        if first is not None and not first.queued:
+            first.queued = True
+            owner = first.owner
+            owner.engine._push(owner)
 
 
 class FifoResource:

@@ -1,12 +1,18 @@
-"""The reference scheduler: a test-side oracle for :class:`repro.sim.Engine`.
+"""Test-side oracles for :class:`repro.sim.Engine` and the fluid flow model.
 
 The production engine answers "who runs next?" with a lazy-deletion heap,
 lets a process keep the token while it is still the minimum, and hands the
-token from thread to thread without waking the engine.  This subclass does
-none of that: every yield goes back to the engine thread, which picks
-``min(runnable, key=(clock, pid))`` by a linear scan.  It is slow and
-obviously correct, and the determinism suite asserts that both produce
-byte-identical traces.
+token from thread to thread without waking the engine.
+:class:`ReferenceEngine` does none of that: every yield goes back to the
+engine thread, which picks ``min(runnable, key=(clock, pid))`` by a linear
+scan.  It is slow and obviously correct, and the determinism suite asserts
+that both produce byte-identical traces.
+
+The production :class:`~repro.sim.resources.FlowSystem` queues one flow
+owner per event and parks a transfer once.  :class:`ReferenceFlowSystem` is
+the algorithm it replaced — a separate advance pass, a fresh run-queue entry
+for every revised owner, two parks per transfer — and a property test
+asserts bit-identical completion times between the two under both engines.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 from repro.errors import DeadlockError, SimProcessError
 from repro.sim import Engine
 from repro.sim.process import ProcState
+from repro.sim.resources import Flow
 
 
 class ReferenceEngine(Engine):
@@ -41,12 +48,81 @@ class ReferenceEngine(Engine):
                     raise DeadlockError(msg)
                 return self.makespan()
             proc = min(runnable, key=lambda p: (p.clock, p.pid))
-            self.now = max(self.now, proc.clock)
             self._yield_evt.clear()
-            proc._grant()
+            if not self._dispatch(proc):
+                continue  # ran its continuation; it stays parked
             self._yield_evt.wait()
             if proc.state is ProcState.FAILED and proc.exception is not None:
                 self._abort()
                 if isinstance(proc.exception, DeadlockError):
                     raise proc.exception
                 raise SimProcessError(proc.name) from proc.exception
+
+
+class ReferenceFlowSystem:
+    """Fair-share fluid flows, one obvious step at a time.
+
+    Same public surface as ``FlowSystem`` (``transfer``, ``set_capacity``,
+    ``active_count``) over the same ``FluidResource``/``Flow`` objects; no
+    input validation — it is only fed valid programs.
+    """
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.flows: set[Flow] = set()
+
+    @property
+    def active_count(self) -> int:
+        return len(self.flows)
+
+    def transfer(self, proc, resources, nbytes, *, rate_cap=None, label=""):
+        res = tuple(resources)
+        if nbytes == 0 or not res:
+            return proc.clock
+        proc.checkpoint()  # first park: wait for our turn to register
+        self._advance_to(proc.clock)
+        flow = Flow(proc, res, nbytes, rate_cap, label)
+        self.flows.add(flow)
+        for r in res:
+            r.flows.add(flow)
+        self._recompute(proc.clock)
+        eps = max(1e-6, 1e-12 * nbytes)
+        while flow.remaining > eps:
+            if flow.finish <= proc.clock:
+                break  # residual is pure drift; the flow is done
+            proc.park_until(flow.finish, reason=f"flow:{label}")  # second
+            self._advance_to(proc.clock)
+        self.flows.discard(flow)
+        for r in res:
+            r.flows.discard(flow)
+        if self.flows:
+            self._recompute(proc.clock)
+        return proc.clock
+
+    def set_capacity(self, resource, capacity, t):
+        self._advance_to(t)
+        resource.capacity = float(capacity)
+        if self.flows:
+            self._recompute(t)
+
+    def _advance_to(self, t):
+        dt = max(0.0, t - self.now)
+        if dt > 0.0:
+            for f in self.flows:
+                rem = f.remaining - f.rate * dt
+                f.remaining = rem if rem > 0.0 else 0.0
+            self.now = t
+
+    def _recompute(self, t):
+        for f in self.flows:
+            rate = min(r.fair_share() for r in f.resources)
+            if f.rate_cap is not None:
+                rate = min(rate, f.rate_cap)
+            f.rate = rate
+            finish = t + f.remaining / rate
+            if finish != f.finish:
+                f.finish = finish
+                owner = f.owner
+                if owner.state is ProcState.RUNNABLE:  # parked on this flow
+                    owner.clock = finish
+                    owner.engine._push(owner)  # supersedes its older entry

@@ -11,7 +11,7 @@ from repro.cluster.storage import ssd_read_efficiency
 from repro.errors import ConfigurationError, SimProcessError
 from repro.sim import current_process
 from repro.units import GiB, MiB
-from tests.conftest import TESTING_MACHINE
+from tests.conftest import TESTING_MACHINE, forced_trace
 
 
 class TestSpecs:
@@ -47,23 +47,23 @@ class TestSpecs:
 
 class TestPlacement:
     def test_block_placement(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         assert cl.placement(4, 2) == [0, 0, 1, 1]
 
     def test_placement_too_big_rejected(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         with pytest.raises(ConfigurationError):
             cl.placement(100, 2)
 
     def test_spawn_requires_valid_node(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         with pytest.raises(ConfigurationError):
             cl.spawn(lambda: None, node_id=99, name="x")
 
 
 class TestNetwork:
     def _transfer_time(self, fabric: str, nbytes: int) -> float:
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         out = {}
 
         def sender():
@@ -90,7 +90,7 @@ class TestNetwork:
                                   rel=1e-6)
 
     def test_loopback_cheaper_than_network(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         out = {}
 
         def sender():
@@ -111,7 +111,7 @@ class TestNetwork:
         nbytes = 32 * MiB
         solo = self._transfer_time("ipoib", nbytes)
 
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         done = []
 
         def sender():
@@ -127,7 +127,7 @@ class TestNetwork:
         assert max(done) == pytest.approx(solo + wire, rel=0.02)
 
     def test_invalid_node_raises(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
 
         def sender():
             cl.network.transmit(current_process(), "ipoib", 0, 99, 10)
@@ -138,7 +138,7 @@ class TestNetwork:
         assert isinstance(ei.value.__cause__, ConfigurationError)
 
     def test_msg_arrival_does_not_block(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         out = {}
 
         def sender():
@@ -159,7 +159,7 @@ class TestNetwork:
 
 class TestStorage:
     def test_ssd_read_faster_than_write(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         out = {}
 
         def proc():
@@ -179,7 +179,7 @@ class TestStorage:
         nbytes = 100 * MiB
 
         def run(nreaders):
-            cl = Cluster(TESTING_MACHINE)
+            cl = Cluster(TESTING_MACHINE, trace=forced_trace())
             done = []
 
             def reader():
@@ -203,7 +203,7 @@ class TestStorage:
         assert ssd_read_efficiency(100) == pytest.approx(0.75)
 
     def test_nfs_is_shared_across_nodes(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         done = []
 
         def reader():
@@ -217,7 +217,7 @@ class TestStorage:
         assert max(done) > 1.9 * solo
 
     def test_node_memory_stream_contention(self):
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         done = []
 
         def streamer():

@@ -18,11 +18,11 @@ from repro.fs.base import SimFile
 from repro.fs.records import iter_all_records, read_split_records
 from repro.sim import current_process
 from repro.units import MB, MiB
-from tests.conftest import TESTING_MACHINE
+from tests.conftest import TESTING_MACHINE, forced_trace
 
 
 def make_cluster(nodes=2):
-    return Cluster(TESTING_MACHINE.with_nodes(nodes))
+    return Cluster(TESTING_MACHINE.with_nodes(nodes), trace=forced_trace())
 
 
 def run_in_proc(cl, fn, node_id=0):
