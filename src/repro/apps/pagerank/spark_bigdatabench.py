@@ -18,8 +18,10 @@ accelerate.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.cluster.cluster import Cluster
-from repro.sim.blocks import parse_int_pairs
+from repro.sim.blocks import GroupBlock, PairBlock, parse_int_pairs
 from repro.spark import SparkContext, StorageLevel
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
@@ -33,6 +35,23 @@ def _contrib(urls_rank):
     urls, rank = urls_rank
     c = rank / len(urls)
     return [(url, c) for url in urls]
+
+
+def _contrib_block(joined):
+    """Columnar twin of ``flat_map(_contrib)`` over the ``(urls, rank)``
+    columns a grouped join's ``values()`` leaves: each rank divided by
+    its out-degree — the same IEEE division as ``rank / len(urls)``,
+    degrees being exact in ``float64`` — repeated beside the flat
+    destination column.  Not defined on float destinations or an empty
+    list (the scalar division raises there)."""
+    urls = joined.left
+    if (joined.keys is not None or type(urls) is not GroupBlock
+            or urls.values.dtype != np.int64):
+        return None
+    degrees = np.diff(urls.offsets)
+    if not degrees.all():
+        return None
+    return PairBlock(urls.values, np.repeat(joined.right / degrees, degrees))
 
 
 def spark_pagerank_bigdatabench(
@@ -75,7 +94,8 @@ def spark_pagerank_bigdatabench(
             contribs = (
                 links.join(ranks)               # narrow: co-partitioned
                 .values()
-                .flat_map(_contrib, cost=EDGE_COST_JVM)
+                .flat_map(_contrib, cost=EDGE_COST_JVM,
+                          vector=_contrib_block)
                 .persist(StorageLevel.MEMORY_AND_DISK)
             )
             ranks = contribs.reduce_by_key(

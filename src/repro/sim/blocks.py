@@ -44,11 +44,19 @@ Block types
     float-only kernels (:func:`sum_by_key`, ``map_values`` twins, the
     right side of :func:`hash_join`) check the value dtype and leave an
     int-valued block to the scalar loop.
+``GroupBlock``
+    The ``(k, [v, ...])`` groups of ``group_by_key`` as a key column, CSR
+    offsets and one flat value column (:func:`group_pairs`, the same
+    first-occurrence regroup as :func:`join_prepare`).  Iterates with a
+    fresh list per group, so it is sized and consumed as the scalar
+    groups are.
 ``JoinedBlock`` / ``CoGroupBlock``
     The ``(k, (v, w))`` output of an inner join against a unique-keyed
     side as three columns, and the two-sided cogroup result that carries
     it (:func:`join_prepare` + :func:`hash_join`).  Both iterate as
-    exactly the scalar records.
+    exactly the scalar records.  A grouped left side makes the ``v``
+    column ragged (a ``GroupBlock``); after ``values()`` the key column
+    is dropped and the block iterates as the ``(v, w)`` records.
 ``ContribBlock``
     A sparse per-destination-rank PageRank contribution vector
     (indices + values + logical dense length).  Sized and summed as if
@@ -67,6 +75,7 @@ import numpy as np
 __all__ = [
     "RecordBlock",
     "PairBlock",
+    "GroupBlock",
     "JoinedBlock",
     "CoGroupBlock",
     "JoinLeft",
@@ -76,6 +85,7 @@ __all__ = [
     "pair_columns",
     "parse_int_pairs",
     "partition_pairs",
+    "group_pairs",
     "join_prepare",
     "hash_join",
 ]
@@ -152,8 +162,9 @@ class RecordBlock(Sequence):
         if self._lines is not None:
             return self._lines[i]
         starts, ends = self._offsets()
-        if i < 0:
-            i += len(starts)
+        # numpy wraps a negative index itself; only the range is ours to check
+        if not -len(starts) <= i < len(starts):
+            raise IndexError("RecordBlock index out of range")
         return self._buf[starts[i]:ends[i]]
 
     def _materialize(self) -> list[bytes]:
@@ -393,36 +404,121 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray) -> PairBlock:
 # ---------------------------------------------------------------------------
 
 
+class GroupBlock(Sequence):
+    """``group_by_key`` output ``(k, [v, ...])`` as ragged (CSR) columns.
+
+    ``keys`` is ``int64``, one per group, in first-occurrence order;
+    group ``g``'s values are ``values[offsets[g]:offsets[g + 1]]``
+    (``int64`` or ``float64``), and ``values`` is exactly the groups
+    concatenated (``offsets[0] == 0``, ``offsets[-1] == len(values)``).
+    Iteration and indexing yield ``(int, [v, ...])`` with a fresh Python
+    list per group — what the scalar dict merge's ``list(out.items())``
+    holds — so sampled sizing and every scalar consumer see no
+    difference.  Any slice, a boolean mask or an index array selects
+    groups and returns a compacted block.
+    """
+
+    __slots__ = ("keys", "offsets", "values")
+
+    def __init__(self, keys: np.ndarray, offsets: np.ndarray,
+                 values: np.ndarray) -> None:
+        self.keys = keys
+        self.offsets = offsets
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def lists(self) -> list[list]:
+        """Every group's values, each as a fresh Python list."""
+        flat = self.values.tolist()
+        bounds = self.offsets.tolist()
+        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def __getitem__(self, i):
+        if isinstance(i, (slice, np.ndarray)):
+            return self._take(i)
+        n = len(self.keys)
+        if not -n <= i < n:
+            raise IndexError("GroupBlock index out of range")
+        i %= n
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return (self.keys[i].item(), self.values[a:b].tolist())
+
+    def _take(self, i) -> "GroupBlock":
+        offsets = self.offsets
+        if isinstance(i, slice) and i.step in (None, 1):
+            a, b, _ = i.indices(len(self.keys))
+            sub = offsets[a:max(a, b) + 1]
+            return GroupBlock(self.keys[a:max(a, b)], sub - sub[0],
+                              self.values[sub[0]:sub[-1]])
+        idx = np.arange(len(self.keys))[i]
+        starts = offsets[idx]
+        lengths = offsets[idx + 1] - starts
+        out = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=out[1:])
+        pos = np.repeat(starts - out[:-1], lengths) + np.arange(out[-1])
+        return GroupBlock(self.keys[idx], out, self.values[pos])
+
+    def __iter__(self):
+        return iter(zip(self.keys.tolist(), self.lists()))
+
+    def __repr__(self) -> str:
+        return f"GroupBlock({len(self)} groups, {len(self.values)} values)"
+
+
+def group_pairs(block: PairBlock) -> GroupBlock:
+    """Columnar twin of ``group_by_key``'s dict merge over a pair block.
+
+    The merge inserts keys in first-occurrence order and appends each
+    key's values in record order: the stable first-occurrence regroup
+    :func:`join_prepare` computes, cut at the group boundaries.
+    """
+    uniq, _, slot, perm = _regroup(block.keys)
+    offsets = np.zeros(len(uniq) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(slot, minlength=len(uniq)), out=offsets[1:])
+    keys = block.keys[perm]
+    return GroupBlock(keys[offsets[:-1]], offsets, block.values[perm])
+
+
 class JoinedBlock(Sequence):
     """Inner-join output ``(k, (v, w))`` as three aligned columns.
 
-    ``keys`` is ``int64``, ``left`` is ``int64`` or ``float64`` (the left
-    side's value type) and ``right`` is ``float64``.  Iteration and
-    indexing yield plain Python ``(int, (int | float, float))`` tuples —
-    exactly what the scalar ``_join_expand`` emits — so a consumer without
-    a declared columnar twin sees no difference.
+    ``keys`` is ``int64``; ``left`` is the left side's value column —
+    ``int64`` or ``float64``, or a :class:`GroupBlock` whose groups are
+    the ``v`` lists when the left side was grouped — and ``right`` is
+    ``float64``.  ``keys`` is ``None`` for the keyless ``(v, w)`` records
+    ``values()`` leaves.  Iteration and indexing yield plain Python
+    ``(int, (v, float))`` (or ``(v, float)``) tuples — exactly what the
+    scalar ``_join_expand`` (and ``values()``) emit — so a consumer
+    without a declared columnar twin sees no difference.
     """
 
     __slots__ = ("keys", "left", "right")
 
-    def __init__(self, keys: np.ndarray, left: np.ndarray,
-                 right: np.ndarray) -> None:
+    def __init__(self, keys: "np.ndarray | None",
+                 left: "np.ndarray | GroupBlock", right: np.ndarray) -> None:
         self.keys = keys
         self.left = left
         self.right = right
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.right)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return JoinedBlock(self.keys[i], self.left[i], self.right[i])
-        return (self.keys[i].item(),
-                (self.left[i].item(), self.right[i].item()))
+            return JoinedBlock(None if self.keys is None else self.keys[i],
+                               self.left[i], self.right[i])
+        v = self.left[i]
+        vw = (v[1] if type(self.left) is GroupBlock else v.item(),
+              self.right[i].item())
+        return vw if self.keys is None else (self.keys[i].item(), vw)
 
     def __iter__(self):
-        return iter(zip(self.keys.tolist(),
-                        zip(self.left.tolist(), self.right.tolist())))
+        left = self.left
+        vws = zip(left.lists() if type(left) is GroupBlock else left.tolist(),
+                  self.right.tolist())
+        return vws if self.keys is None else zip(self.keys.tolist(), vws)
 
     def __repr__(self) -> str:
         return f"JoinedBlock({len(self)} records)"
@@ -476,11 +572,29 @@ class JoinLeft:
                  values: np.ndarray, uniq_idx: np.ndarray) -> None:
         self.uniq = uniq          # sorted distinct left keys
         self.keys = keys          # left keys, in output (group) order
-        self.values = values      # left values, same order
+        self.values = values      # left values (or GroupBlock), same order
         self.uniq_idx = uniq_idx  # per output record: index into ``uniq``
 
 
-def join_prepare(keys: np.ndarray, values: np.ndarray) -> JoinLeft:
+def _regroup(keys: np.ndarray):
+    """The stable first-occurrence regroup of a key column.
+
+    Returns ``(uniq, inverse, slot, perm)``: the sorted distinct keys,
+    each record's index into them, each record's group number (the rank
+    of its key's first occurrence) and the stable permutation that lists
+    the records group by group, each group in record order.
+    """
+    uniq, first_idx, inverse = np.unique(
+        keys, return_index=True, return_inverse=True)
+    rank_of = np.empty(len(uniq), dtype=np.int64)
+    rank_of[np.argsort(first_idx, kind="stable")] = np.arange(
+        len(uniq), dtype=np.int64)
+    slot = rank_of[inverse]
+    return uniq, inverse, slot, np.argsort(slot, kind="stable")
+
+
+def join_prepare(keys: np.ndarray,
+                 values: "np.ndarray | GroupBlock") -> JoinLeft:
     """Regroup a left side into the order a cogroup + join emits it.
 
     The scalar cogroup inserts keys in first-occurrence order and appends
@@ -488,13 +602,13 @@ def join_prepare(keys: np.ndarray, values: np.ndarray) -> JoinLeft:
     groups in that order.  So the joined output is the left side stably
     sorted by the rank of each key's first occurrence — computed here
     once, because iterative joins feed the same left side every time.
+    ``values`` is a column, or a :class:`GroupBlock` keyed by ``keys``
+    (a grouped left side: each group is one ``v``).  When no key repeats
+    the regroup is the identity and the side is used as it is.
     """
-    uniq, first_idx, inverse = np.unique(
-        keys, return_index=True, return_inverse=True)
-    rank_of = np.empty(len(uniq), dtype=np.int64)
-    rank_of[np.argsort(first_idx, kind="stable")] = np.arange(
-        len(uniq), dtype=np.int64)
-    perm = np.argsort(rank_of[inverse], kind="stable")
+    uniq, inverse, _, perm = _regroup(keys)
+    if len(uniq) == len(keys):
+        return JoinLeft(uniq, keys, values, inverse)
     return JoinLeft(uniq, keys[perm], values[perm], inverse[perm])
 
 
@@ -510,7 +624,9 @@ def hash_join(left: JoinLeft, right) -> "tuple[JoinedBlock, int] | None":
     longer a filter of the left side); the scalar loop handles those.
     With unique right keys every left record whose key is present pairs
     with exactly one ``w``, so the output is the prepared left order
-    filtered by presence: the scalar order.
+    filtered by presence: the scalar order.  A grouped left side stays
+    grouped: the joined ``left`` column is its :class:`GroupBlock`,
+    filtered the same way.
     """
     cols = pair_columns(right)
     if cols is None or cols[1].dtype != np.float64:

@@ -263,9 +263,13 @@ class Engine:
         # one collection at the end.  That collection is paid per young
         # tracked object: on the benchmark's ``pagerank_shuffle`` it was
         # 0.14 s per repetition (two runs, 271 k young objects each,
-        # 210 k of them ``(src, dst)`` tuples) until PR 23 kept the edge
-        # list in columns, and is 0.08 s (95 k) since; dropping it was
-        # measured at +33 % peak RSS (ISSUE 22).  The long switch interval
+        # 210 k of them ``(src, dst)`` tuples) until the edge list was kept
+        # in columns, and is 0.08 s (95 k) since.  On
+        # ``pagerank_persist`` each Spark run left 516 k young objects
+        # (0.12-0.13 s: the persisted adjacency lists, join rows and
+        # per-edge contribution tuples) until BigDataBench's loop went
+        # columnar, and leaves 20 k since.  Dropping the collection was
+        # measured at +33 % peak RSS.  The long switch interval
         # stops the GIL from preempting compute mid-slice — processes
         # hand off deterministically through locks, never via preemption.
         gc_was_enabled = gc.isenabled()

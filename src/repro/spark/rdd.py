@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import SparkError
-from repro.sim.blocks import (CoGroupBlock, JoinedBlock, JoinLeft, PairBlock,
-                              RecordBlock, hash_join, join_prepare,
-                              pair_columns, sum_by_key)
+from repro.sim.blocks import (CoGroupBlock, GroupBlock, JoinedBlock, JoinLeft,
+                              PairBlock, RecordBlock, group_pairs, hash_join,
+                              join_prepare, pair_columns, sum_by_key)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.storage import StorageLevel
 
@@ -72,6 +72,21 @@ def _values_twin(vector: Callable) -> Callable:
             return PairBlock(block.keys, vector(block.values))
         return None
     return twin
+
+
+def _join_values(block):
+    """``values()``' twin over a join's columns: the same block without
+    its key column, which iterates as the ``(v, w)`` records."""
+    if isinstance(block, JoinedBlock) and block.keys is not None:
+        return JoinedBlock(None, block.left, block.right)
+    return None
+
+
+def _append(acc: list, v: Any) -> list:
+    """``group_by_key``'s merge: append in place, as Spark's
+    ``CompactBuffer`` does (``create`` gives every key its own list)."""
+    acc.append(v)
+    return acc
 
 
 class _TextPartition(Sequence):
@@ -240,11 +255,17 @@ class RDD:
             lambda _i, it: [f(x) for x in it], cost=cost, name="map",
             vector=vector)
 
-    def flat_map(self, f: Callable[[Any], Iterable], *, cost: float = 0.0) -> "RDD":
-        """Apply ``f`` and flatten the results."""
+    def flat_map(self, f: Callable[[Any], Iterable], *, cost: float = 0.0,
+                 vector: Callable | None = None) -> "RDD":
+        """Apply ``f`` and flatten the results.
+
+        ``vector`` is the declared columnar twin of the flattening, with
+        :meth:`map`'s contract: block in, a block whose records are
+        *bitwise* the flattened ``f`` outputs out, or ``None``.
+        """
         return self.map_partitions(
             lambda _i, it: [y for x in it for y in f(x)], cost=cost,
-            name="flatMap")
+            name="flatMap", vector=vector)
 
     def filter(self, pred: Callable[[Any], bool], *, cost: float = 0.0) -> "RDD":
         """Keep records satisfying ``pred``."""
@@ -276,7 +297,7 @@ class RDD:
     def values(self) -> "RDD":
         """Second elements of (k, v) pairs."""
         return self.map_partitions(lambda _i, it: [v for _, v in it],
-                                   name="values")
+                                   name="values", vector=_join_values)
 
     def key_by(self, f: Callable[[Any], Any], *, cost: float = 0.0) -> "RDD":
         """Pair every record with ``f(record)`` as its key."""
@@ -355,8 +376,11 @@ class RDD:
         ``vector="sum"`` declares that ``create`` is the identity and both
         merge functions are numeric addition, allowing the columnar
         group-sum kernel (:func:`repro.sim.blocks.sum_by_key`) on numeric
-        pair partitions.  The scalar functions stay authoritative for
-        every other record shape.
+        pair partitions; ``vector="group"`` declares ``group_by_key``'s
+        list building, allowing the grouping kernel
+        (:func:`repro.sim.blocks.group_pairs`) on a fetched pair block.
+        The scalar functions stay authoritative for every other record
+        shape.
         """
         part = HashPartitioner(num_partitions or self.num_partitions)
         return ShuffledRDD(
@@ -377,10 +401,11 @@ class RDD:
         """All values per key (no map-side combine — same caveat as Spark)."""
         return self.combine_by_key(
             lambda v: [v],
-            lambda acc, v: acc + [v],
+            _append,
             lambda a, b: a + b,
             num_partitions,
             map_side_combine=False,
+            vector="group",
         )
 
     def aggregate_by_key(self, zero: Any, seq: Callable, comb: Callable,
@@ -790,7 +815,8 @@ class MapPartitionsRDD(RDD):
         self.f = f
         self.cost_per_record = cost
         self.name = name
-        #: declared columnar twin of ``f`` (``map`` / ``map_values``)
+        #: declared columnar twin of ``f`` (``map``, ``map_values``,
+        #: ``flat_map``, ``values``)
         self.vector = vector
         if preserves_partitioning:
             self.partitioner = parent.partitioner
@@ -897,15 +923,20 @@ class ShuffledRDD(RDD):
         if self.aggregator is None:
             return records
         create, merge_value, merge_combiners = self.aggregator
-        if (self.vector == "sum" and self.map_side_combine
-                and isinstance(records, PairBlock)
-                and records.values.dtype == np.float64):
-            # Columnar twin of the dict merge below: first-occurrence
-            # key order, per-key left-to-right addition (sum_by_key's
-            # charge-replay argument); same reduce-side charge.
-            out_block = sum_by_key(records.keys, records.values)
-            ctx.charge_records(len(records))
-            return out_block
+        if isinstance(records, PairBlock):
+            # Columnar twins of the dict merges below: first-occurrence
+            # key order, each key's values in record order (sum_by_key's
+            # and group_pairs' charge-replay arguments); same reduce-side
+            # charge.
+            out_block = None
+            if (self.vector == "sum" and self.map_side_combine
+                    and records.values.dtype == np.float64):
+                out_block = sum_by_key(records.keys, records.values)
+            elif self.vector == "group" and not self.map_side_combine:
+                out_block = group_pairs(records)
+            if out_block is not None:
+                ctx.charge_records(len(records))
+                return out_block
         out: dict = {}
         get = out.get
         if self.map_side_combine:
@@ -986,10 +1017,11 @@ class CoGroupedRDD(RDD):
         # Iterative joins feed the same left-side object every iteration
         # (cached partitions / memoised shuffle reads), so what is derived
         # from it alone is memoised per identity: the columnar join
-        # preparation when every record is an exact numeric pair, else its
-        # per-key grouping (replaying grouped pairs inserts keys in the
-        # same first-occurrence order and values in the same record order
-        # as the per-record loop).  The id-key pragmas below are safe
+        # preparation when every record is an exact numeric pair or the
+        # side is a GroupBlock (unique keys: it prepares as itself), else
+        # its per-key grouping (replaying grouped pairs inserts keys in
+        # the same first-occurrence order and values in the same record
+        # order as the per-record loop).  The id-key pragmas below are safe
         # because the cache holds the referent (no id recycling) and every
         # hit is re-checked with ``is`` before use — a false miss merely
         # recomputes.
@@ -1001,7 +1033,8 @@ class CoGroupedRDD(RDD):
         if not fresh:
             cache.move_to_end(key)
         elif type(self.partitioner) is HashPartitioner:
-            cols = pair_columns(left)
+            cols = ((left.keys, left) if type(left) is GroupBlock
+                    else pair_columns(left))
             if cols is not None:
                 memo = join_prepare(*cols)
         out = None

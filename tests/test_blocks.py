@@ -24,15 +24,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.pagerank.spark_bigdatabench import _contrib, _contrib_block
 from repro.core import figures
 from repro.platform import Dataset, ScenarioSpec, fingerprint_result
 from repro.sim.blocks import (
     CoGroupBlock,
     ContribBlock,
+    GroupBlock,
     JoinedBlock,
     PairBlock,
     RecordBlock,
     as_pair_block,
+    group_pairs,
     hash_join,
     join_prepare,
     pair_columns,
@@ -40,7 +43,8 @@ from repro.sim.blocks import (
     partition_pairs,
     sum_by_key,
 )
-from repro.spark.rdd import _cogroup_pairs, _count_keys, _join_expand
+from repro.spark.rdd import (_append, _cogroup_pairs, _count_keys,
+                             _join_expand, _join_values)
 from repro.spark.shuffle import ShuffleWriter, estimate_nbytes
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -101,11 +105,24 @@ class TestRecordBlock:
         block = RecordBlock(buf)
         ref = scalar_lines(buf)
         assert block[0] == b"a" and block[-1] == b"dddd"
+        assert block[-4] == ref[-4] == b"a"
         view = block[1:3]
         assert isinstance(view, RecordBlock)
         assert view == ref[1:3]
         assert view.buffer is buf  # zero-copy: shares the split buffer
         assert list(block[::2]) == ref[::2]
+        # out of range raises as the list does, before and after the
+        # block materialises its lines (a negative index is wrapped once)
+        for i in (-5, 4, -9):
+            with pytest.raises(IndexError):
+                ref[i]
+            with pytest.raises(IndexError):
+                block[i]
+        assert list(block) == ref
+        with pytest.raises(IndexError):
+            block[-5]
+        with pytest.raises(IndexError):
+            RecordBlock(b"a\nb\nc\n")[-5]
 
     @pytest.mark.parametrize("buf", BUFS)
     def test_decode_all_matches_per_record(self, buf):
@@ -457,6 +474,172 @@ class TestHashJoin:
         assert run() == scalar
 
 
+# ---------------------------------------------------------------------------
+# grouping kernel, ragged join and the BigDataBench contribution twin
+# ---------------------------------------------------------------------------
+
+
+def scalar_groups(pairs) -> list:
+    """``group_by_key``'s reduce-side dict merge, as ``ShuffledRDD`` runs it."""
+    out: dict = {}
+    for k, v in pairs:
+        prev = out.get(k)
+        out[k] = [v] if prev is None else _append(prev, v)
+    return list(out.items())
+
+
+@st.composite
+def _int_pair_lists(draw, values=None):
+    """Exact int-keyed pairs over a few keys — negative ones, ones beyond
+    2**53, often a single key, often none — with all-int64 or all-float
+    values."""
+    pool = draw(st.lists(st.one_of(_KEYS, st.integers(-2**63, 2**63 - 1)),
+                         min_size=1, max_size=6))
+    if values is None:
+        values = draw(st.sampled_from([st.integers(-2**63, 2**63 - 1),
+                                       _FLOATS]))
+    return draw(st.lists(st.tuples(st.sampled_from(pool), values),
+                         max_size=40))
+
+
+def _grouped(pairs) -> GroupBlock:
+    return group_pairs(PairBlock(*pair_columns(pairs)))
+
+
+def count_group_blocks(monkeypatch) -> list:
+    """A list that grows by one per ``GroupBlock`` built from now on."""
+    built: list = []
+    init = GroupBlock.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(GroupBlock, "__init__", counting_init)
+    return built
+
+
+class TestGroupPairs:
+    @given(pairs=_int_pair_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_iterates_indexes_and_slices_as_the_dict_merge(self, pairs):
+        want = scalar_groups(pairs)
+        got = _grouped(pairs)
+        assert len(got) == len(want)
+        assert _bits(got) == _bits(want)
+        n = len(want)
+        assert _bits(got[i] for i in range(-n, n)) == _bits(want + want)
+        for s in (slice(None, None, 2), slice(1, None, 3), slice(-3, None),
+                  slice(None, None, -1), slice(3, 1), slice(1, -1)):
+            assert _bits(got[s]) == _bits(want[s])
+        assert estimate_nbytes(got) == estimate_nbytes(want)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                got[i]
+
+    @pytest.mark.parametrize("n_keys", [0, 1, 19, 21, 500, 4321])
+    def test_sampled_size_equals_the_lists(self, n_keys):
+        # past 20 groups estimate_nbytes samples records[::step][:20]
+        rng = np.random.default_rng(n_keys)
+        keys = rng.integers(-2**62, 2**62, size=n_keys)
+        picks = rng.integers(0, max(n_keys, 1), size=3 * n_keys)
+        pairs = [(int(keys[j]), int(v)) for j, v in
+                 zip(picks, rng.integers(-9, 9, size=3 * n_keys))]
+        want = scalar_groups(pairs)
+        got = _grouped(pairs)
+        assert estimate_nbytes(got) == estimate_nbytes(want)
+        step = max(1, n_keys // 20)
+        assert _bits(got[::step][:20]) == _bits(want[::step][:20])
+
+    def test_groups_are_fresh_lists_and_selections_compact(self):
+        pairs = [(5, 1), (-2, 2), (5, 3), (2**53 + 1, 4), (-2, 5)]
+        got = _grouped(pairs)
+        assert list(got) == [(5, [1, 3]), (-2, [2, 5]), (2**53 + 1, [4])]
+        first = list(got)
+        first[0][1].append(99)
+        got[0][1].append(99)
+        assert list(got) == scalar_groups(pairs)
+        picked = got[np.array([2, 0])]
+        assert list(picked) == [(2**53 + 1, [4]), (5, [1, 3])]
+        assert picked.offsets.tolist() == [0, 1, 3]
+        assert list(got[np.array([False, True, True])]) == list(got)[1:]
+        assert got.values.dtype == np.int64
+        assert _grouped([(1, 0.5), (1, -0.0)]).values.dtype == np.float64
+        assert list(_grouped([])) == []
+
+
+class TestRaggedJoin:
+    @given(pairs=_int_pair_lists(), right=_unique_rights(),
+           right_as_block=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_cogroup_and_expand(self, pairs, right,
+                                               right_as_block):
+        grouped = _grouped(pairs)
+        groups = list(_cogroup_pairs(list(grouped), right).items())
+        want = _join_expand(0, groups)
+        rside = PairBlock(*pair_columns(right)) if right_as_block else right
+        joined, n_groups = hash_join(join_prepare(grouped.keys, grouped),
+                                     rside)
+        assert n_groups == len(groups)
+        assert len(joined) == len(want)
+        assert _bits(joined) == _bits(want)
+        assert _bits(joined[i] for i in range(len(joined))) == _bits(want)
+        assert _bits(joined[1::2]) == _bits(want[1::2])
+        # values(): the keyless twin iterates as the scalar comprehension
+        values = _join_values(joined)
+        want_values = [v for _, v in want]
+        assert len(values) == len(want_values)
+        assert _bits(values) == _bits(want_values)
+        assert _bits(values[i] for i in range(len(values))) == \
+            _bits(want_values)
+        assert _bits(values[::-1]) == _bits(want_values[::-1])
+
+    def test_a_grouped_side_prepares_as_itself(self):
+        grouped = _grouped([(3, 1), (-1, 2), (3, 4)])
+        prepared = join_prepare(grouped.keys, grouped)
+        assert prepared.values is grouped and prepared.keys is grouped.keys
+
+    def test_values_twin_is_defined_on_keyed_joins_only(self):
+        assert _join_values(PairBlock(*pair_columns([(1, 1.0)]))) is None
+        joined, _ = hash_join(join_prepare(*pair_columns([(1, 2)])),
+                              [(1, 0.5)])
+        keyless = _join_values(joined)
+        assert list(keyless) == [(2, 0.5)]
+        assert _join_values(keyless) is None
+
+
+class TestContribTwin:
+    @given(pairs=_int_pair_lists(values=st.integers(-2**63, 2**63 - 1)),
+           right=_unique_rights())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_the_flat_map(self, pairs, right):
+        # int64 columns even when empty (pair_columns types [] as floats)
+        grouped = group_pairs(PairBlock(
+            *(np.array([r[i] for r in pairs], dtype=np.int64)
+              for i in (0, 1))))
+        joined, _ = hash_join(join_prepare(grouped.keys, grouped), right)
+        values = _join_values(joined)
+        want = [y for x in values for y in _contrib(x)]
+        got = _contrib_block(values)
+        assert type(got) is PairBlock and got.values.dtype == np.float64
+        assert _bits(got) == _bits(want)  # floats compared by float.hex
+
+    def test_undefined_blocks_stay_scalar(self):
+        joined, _ = hash_join(join_prepare(*pair_columns([(1, 2)])),
+                              [(1, 0.5)])
+        assert _contrib_block(_join_values(joined)) is None  # not grouped
+        floats = _grouped([(1, 2.5)])
+        joined, _ = hash_join(join_prepare(floats.keys, floats), [(1, 0.5)])
+        assert _contrib_block(joined) is None                # keyed
+        assert _contrib_block(_join_values(joined)) is None  # float urls
+        empty = GroupBlock(np.array([1]), np.array([0, 0]),
+                           np.empty(0, dtype=np.int64))
+        joined, _ = hash_join(join_prepare(empty.keys, empty), [(1, 0.5)])
+        with pytest.raises(ZeroDivisionError):
+            [y for x in _join_values(joined) for y in _contrib(x)]
+        assert _contrib_block(_join_values(joined)) is None
+
+
 class TestTextPipeline:
     """End to end through the RDD API: a text split parsed by the verified
     kernel, then every consumer an int-valued block can reach."""
@@ -632,6 +815,26 @@ class TestDifferentialFingerprints:
             scalar_fp = fingerprint_result(MINI[fig]())
         assert fingerprint_result(MINI[fig]()) == scalar_fp
 
+    def test_fig6_groups_columnar_only_when_eligible(self, monkeypatch):
+        """The fig6 fingerprint differential above compares the grouped
+        path with the scalar one: ineligible inputs build no GroupBlock
+        and never answer the contribution twin, eligible ones do both."""
+        import repro.apps.pagerank.spark_bigdatabench as bigdatabench
+
+        built, answered = count_group_blocks(monkeypatch), []
+
+        def counting_twin(block):
+            out = _contrib_block(block)
+            answered.append(out is not None)
+            return out
+
+        monkeypatch.setattr(bigdatabench, "_contrib_block", counting_twin)
+        with ineligible_inputs():
+            MINI["fig6"]()
+        assert not built and not any(answered)
+        MINI["fig6"]()
+        assert built and any(answered)
+
 
 def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench",
                      edit=lambda edges: edges, **kwargs) -> list:
@@ -683,14 +886,12 @@ class TestDifferentialTraces:
         # and the same result
         assert traced() == scalar
 
-    def test_one_malformed_line_sends_only_its_split_to_the_scalar_parse(
-            self, monkeypatch):
-        """HiBench over a file with one line the text twin refuses (a
+    @staticmethod
+    def malformed_line_run(monkeypatch, app_name: str, module) -> None:
+        """``app_name`` over a file with one line the text twin refuses (a
         second space — the scalar parse reads the same edge): that split
         is parsed per record, the others stay columnar, and the mixed
         list / block buckets give the all-scalar run's events and ranks."""
-        import repro.apps.pagerank.spark_hibench as hibench
-
         def edit(edges: bytes) -> bytes:
             lines = edges.split(b"\n")
             lines[len(lines) // 2] = lines[len(lines) // 2].replace(
@@ -698,8 +899,7 @@ class TestDifferentialTraces:
             return b"\n".join(lines)
 
         def run():
-            return _traced_pagerank("spark_pagerank_hibench", edit,
-                                    collect_ranks=True)
+            return _traced_pagerank(app_name, edit, collect_ranks=True)
 
         with ineligible_inputs():
             scalar = run()
@@ -709,7 +909,26 @@ class TestDifferentialTraces:
             answers.append(parse_int_pairs(block))
             return answers[-1]
 
-        monkeypatch.setattr(hibench, "parse_int_pairs", recording)
+        monkeypatch.setattr(module, "parse_int_pairs", recording)
         assert run() == scalar
         refused = [a for a in answers if a is None]
         assert len(refused) == 1 and len(answers) > 1
+
+    def test_one_malformed_line_sends_only_its_split_to_the_scalar_parse(
+            self, monkeypatch):
+        import repro.apps.pagerank.spark_hibench as hibench
+
+        self.malformed_line_run(monkeypatch, "spark_pagerank_hibench",
+                                hibench)
+
+    def test_one_malformed_line_in_bigdatabench_reaches_the_scalar_group(
+            self, monkeypatch):
+        # the refused split's list buckets reach every reduce partition,
+        # so the grouping, the join, values() and flat_map(_contrib) all
+        # run their scalar loops on this file
+        import repro.apps.pagerank.spark_bigdatabench as bigdatabench
+
+        built = count_group_blocks(monkeypatch)
+        self.malformed_line_run(monkeypatch, "spark_pagerank_bigdatabench",
+                                bigdatabench)
+        assert not built

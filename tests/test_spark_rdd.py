@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +196,22 @@ class TestShuffles:
             return {k: sorted(v) for k, v in pairs.group_by_key(2).collect()}
 
         assert run_app(app) == {"a": [1, 3], "b": [2]}
+
+    def test_group_by_key_is_linear_in_one_keys_values(self):
+        # a str key takes the scalar merge; copying the accumulator per
+        # value made it quadratic (100 k values: 13.6 s), appending in
+        # place takes well under a second
+        n = 120_000
+
+        def app(sc):
+            pairs = sc.parallelize([("hot", i) for i in range(n)], 4)
+            return pairs.group_by_key(2).collect()
+
+        start = time.perf_counter()
+        [(key, values)] = run_app(app)
+        elapsed = time.perf_counter() - start
+        assert key == "hot" and values == list(range(n))
+        assert elapsed < 6.0, f"group_by_key took {elapsed:.1f} s"
 
     def test_aggregate_by_key(self):
         def app(sc):
