@@ -21,7 +21,7 @@ code        name              flags
 ``R003``    unordered-iter    iterating a ``set``/``frozenset`` where order can
                               escape (``for``, comprehensions, ``list()`` ...)
 ``R004``    id-key            ``id()`` results flowing into maps/keys — memory-
-                              layout dependent unless carefully guarded
+                              layout dependent; ``src/`` sanctions none
 ``R005``    swallowed-error   bare ``except:``, and ``except Exception: pass``
                               style handlers that swallow ``repro.errors``
 ``R006``    env-hatch         env escape hatches read outside their one home
@@ -441,8 +441,7 @@ class _Linter:
                     self._flag("R004", arg,
                                "id passed as a function reference produces "
                                "memory-layout-dependent values; key by a "
-                               "stable identifier or suppress with a pragma "
-                               "after review")
+                               "stable identifier")
             if fname in _ORDER_EXPOSING_CALLS and node.args \
                     and self._is_set_expr(node.args[0]):
                 self._flag("R003", node,
@@ -468,16 +467,15 @@ class _Linter:
         Any escaping ``id()`` value is memory-layout dependent, and the
         common laundering path — ``key = (id(x), n)`` assigned once, used
         as a map key later — is invisible to local pattern matching.  So
-        the rule is intentionally blunt; the rare legitimate use (an
-        identity-keyed cache guarded by an ``is`` check that keeps the
-        referent alive) carries a pragma documenting that review.
+        the rule is intentionally blunt, and ``src/`` has no sanctioned
+        ``id()`` key: state derived from an object belongs on the object
+        (as a ``PairBlock`` keeps its buckets), not in a map beside it.
         """
         child: ast.AST = node
         parent = self._parents.get(child)
         detail = ("id() values depend on memory layout and may be recycled "
-                  "after gc; key by a stable identifier, or guard with an "
-                  "`is` check that keeps the referent alive and suppress "
-                  "with a pragma")
+                  "after gc; key by a stable identifier, or keep what is "
+                  "derived from an object on the object itself")
         while parent is not None and not isinstance(parent, ast.stmt):
             if isinstance(parent, ast.Subscript):
                 self._flag("R004", node, f"id()-keyed map: {detail}")

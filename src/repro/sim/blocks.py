@@ -43,17 +43,19 @@ Block types
     ``(int, int)`` or ``(int, float)`` tuples; slicing is zero-copy.  The
     float-only kernels (:func:`sum_by_key`, ``map_values`` twins, the
     right side of :func:`hash_join`) check the value dtype and leave an
-    int-valued block to the scalar loop.
+    int-valued block to the scalar loop.  Its columns are never written
+    after construction, so a block keeps the buckets
+    :func:`partition_pairs` cut from it.
 ``GroupBlock``
     The ``(k, [v, ...])`` groups of ``group_by_key`` as a key column, CSR
     offsets and one flat value column (:func:`group_pairs`, the same
-    first-occurrence regroup as :func:`join_prepare`).  Iterates with a
-    fresh list per group, so it is sized and consumed as the scalar
-    groups are.
+    first-occurrence regroup :func:`hash_join` applies to its left side).
+    Iterates with a fresh list per group, so it is sized and consumed as
+    the scalar groups are.
 ``JoinedBlock`` / ``CoGroupBlock``
     The ``(k, (v, w))`` output of an inner join against a unique-keyed
     side as three columns, and the two-sided cogroup result that carries
-    it (:func:`join_prepare` + :func:`hash_join`).  Both iterate as
+    it (:func:`hash_join`).  Both iterate as
     exactly the scalar records.  A grouped left side makes the ``v``
     column ragged (a ``GroupBlock``); after ``values()`` the key column
     is dropped and the block iterates as the ``(v, w)`` records.
@@ -78,7 +80,6 @@ __all__ = [
     "GroupBlock",
     "JoinedBlock",
     "CoGroupBlock",
-    "JoinLeft",
     "ContribBlock",
     "sum_by_key",
     "as_pair_block",
@@ -86,7 +87,6 @@ __all__ = [
     "parse_int_pairs",
     "partition_pairs",
     "group_pairs",
-    "join_prepare",
     "hash_join",
 ]
 
@@ -231,16 +231,19 @@ class PairBlock(Sequence):
     plain Python ``(int, int)`` / ``(int, float)`` tuples so every scalar
     consumer (cogroup, collect, user lambdas) sees exactly what the
     list-of-tuples path produced.  Slicing returns a zero-copy column
-    view.
+    view.  The columns are never written after construction, which is
+    what lets ``_buckets`` hold :func:`partition_pairs`' last answer.
     """
 
-    __slots__ = ("keys", "values")
+    __slots__ = ("keys", "values", "_buckets")
 
     def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
         assert keys.dtype == np.int64
         assert values.dtype == np.int64 or values.dtype == np.float64
         self.keys = keys
         self.values = values
+        #: ``(nparts, buckets)`` of the last :func:`partition_pairs` call
+        self._buckets: "tuple[int, list[PairBlock]] | None" = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -360,14 +363,24 @@ def partition_pairs(block: PairBlock, nparts: int) -> "list[PairBlock]":
     ``HashPartitioner`` is ``(key & 0x7FFFFFFF) % nparts`` (the int64
     bitwise AND agrees with Python's on two's-complement), and the stable
     argsort keeps each bucket's records in input order, as appending did.
+
+    The block keeps the answer for its last ``nparts``: an iterative app
+    re-shuffles the same cached block every iteration, and the buckets
+    of columns that are never written cannot go stale.  Callers must not
+    mutate the returned list.
     """
+    memo = block._buckets
+    if memo is not None and memo[0] == nparts:
+        return memo[1]
     bucket_ids = (block.keys & 0x7FFFFFFF) % nparts
     order = np.argsort(bucket_ids, kind="stable")
     sk = block.keys[order]
     sv = block.values[order]
     starts = np.searchsorted(bucket_ids[order], np.arange(nparts + 1))
-    return [PairBlock(sk[starts[b]:starts[b + 1]], sv[starts[b]:starts[b + 1]])
-            for b in range(nparts)]
+    buckets = [PairBlock(sk[starts[b]:starts[b + 1]],
+                         sv[starts[b]:starts[b + 1]]) for b in range(nparts)]
+    block._buckets = (nparts, buckets)
+    return buckets
 
 
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> PairBlock:
@@ -472,7 +485,8 @@ def group_pairs(block: PairBlock) -> GroupBlock:
 
     The merge inserts keys in first-occurrence order and appends each
     key's values in record order: the stable first-occurrence regroup
-    :func:`join_prepare` computes, cut at the group boundaries.
+    :func:`hash_join` applies to its left side, cut at the group
+    boundaries.
     """
     uniq, _, slot, perm = _regroup(block.keys)
     offsets = np.zeros(len(uniq) + 1, dtype=np.int64)
@@ -561,21 +575,6 @@ class CoGroupBlock(Sequence):
                 f"{len(self.joined)} joined)")
 
 
-class JoinLeft:
-    """The right-side-independent half of a block join (see
-    :func:`join_prepare`): the left records stably regrouped by each
-    key's first occurrence, plus the sorted distinct keys to probe."""
-
-    __slots__ = ("uniq", "keys", "values", "uniq_idx")
-
-    def __init__(self, uniq: np.ndarray, keys: np.ndarray,
-                 values: np.ndarray, uniq_idx: np.ndarray) -> None:
-        self.uniq = uniq          # sorted distinct left keys
-        self.keys = keys          # left keys, in output (group) order
-        self.values = values      # left values (or GroupBlock), same order
-        self.uniq_idx = uniq_idx  # per output record: index into ``uniq``
-
-
 def _regroup(keys: np.ndarray):
     """The stable first-occurrence regroup of a key column.
 
@@ -593,40 +592,30 @@ def _regroup(keys: np.ndarray):
     return uniq, inverse, slot, np.argsort(slot, kind="stable")
 
 
-def join_prepare(keys: np.ndarray,
-                 values: "np.ndarray | GroupBlock") -> JoinLeft:
-    """Regroup a left side into the order a cogroup + join emits it.
+def hash_join(keys: np.ndarray, values: "np.ndarray | GroupBlock",
+              right) -> "tuple[JoinedBlock, int] | None":
+    """Inner-join a columnar left side against a unique-keyed right side.
+
+    ``keys``/``values`` are the left side's columns; ``values`` may be a
+    :class:`GroupBlock` keyed by ``keys`` (a grouped left side: each
+    group is one ``v``).  ``right`` is a partition of ``(int, float)``
+    pairs (a :class:`PairBlock` or a list, checked by
+    :func:`pair_columns`).  Returns ``(joined, n_groups)`` —
+    ``n_groups`` is ``|keys(L) ∪ keys(R)|``, the length of the cogroup's
+    group list — or ``None`` when the right side is not such a partition
+    or one of its keys repeats (then ``ws`` has several entries and the
+    output is no longer a filter of the left side); the scalar loop
+    handles those.  The right side is checked first, so refusing it
+    costs no regroup of the left.
 
     The scalar cogroup inserts keys in first-occurrence order and appends
     each key's values in record order; ``_join_expand`` then walks the
-    groups in that order.  So the joined output is the left side stably
-    sorted by the rank of each key's first occurrence — computed here
-    once, because iterative joins feed the same left side every time.
-    ``values`` is a column, or a :class:`GroupBlock` keyed by ``keys``
-    (a grouped left side: each group is one ``v``).  When no key repeats
-    the regroup is the identity and the side is used as it is.
-    """
-    uniq, inverse, _, perm = _regroup(keys)
-    if len(uniq) == len(keys):
-        return JoinLeft(uniq, keys, values, inverse)
-    return JoinLeft(uniq, keys[perm], values[perm], inverse[perm])
-
-
-def hash_join(left: JoinLeft, right) -> "tuple[JoinedBlock, int] | None":
-    """Inner-join a prepared left side against a unique-keyed right side.
-
-    ``right`` is a partition of ``(int, float)`` pairs (a
-    :class:`PairBlock` or a list, checked by :func:`pair_columns`).
-    Returns ``(joined, n_groups)`` — ``n_groups`` is
-    ``|keys(L) ∪ keys(R)|``, the length of the cogroup's group list — or
-    ``None`` when the right side is not such a partition or one of its
-    keys repeats (then ``ws`` has several entries and the output is no
-    longer a filter of the left side); the scalar loop handles those.
-    With unique right keys every left record whose key is present pairs
-    with exactly one ``w``, so the output is the prepared left order
-    filtered by presence: the scalar order.  A grouped left side stays
-    grouped: the joined ``left`` column is its :class:`GroupBlock`,
-    filtered the same way.
+    groups in that order.  With unique right keys every left record
+    whose key is present pairs with exactly one ``w``, so the output is
+    the left side stably sorted by the rank of each key's first
+    occurrence, filtered by presence: the scalar order.  When no left key
+    repeats (always, for a grouped side) that sort is the identity; a
+    grouped left side stays grouped, its :class:`GroupBlock` filtered.
     """
     cols = pair_columns(right)
     if cols is None or cols[1].dtype != np.float64:
@@ -637,15 +626,15 @@ def hash_join(left: JoinLeft, right) -> "tuple[JoinedBlock, int] | None":
     sorted_keys = rkeys[order]
     if not (sorted_keys[1:] != sorted_keys[:-1]).all():
         return None
-    uniq = left.uniq
+    uniq, idx, _, perm = _regroup(keys)
+    if len(uniq) < len(keys):
+        keys, values, idx = keys[perm], values[perm], idx[perm]
     if nr == 0:  # nothing to probe: every left key is unmatched
-        return (JoinedBlock(left.keys[:0], left.values[:0], rvalues),
-                len(uniq))
+        return JoinedBlock(keys[:0], values[:0], rvalues), len(uniq)
     pos = np.minimum(np.searchsorted(sorted_keys, uniq), nr - 1)
     found = sorted_keys[pos] == uniq
     n_common = int(np.count_nonzero(found))
     w_of_uniq = rvalues[order[pos]]  # meaningful where ``found``
-    keys, values, idx = left.keys, left.values, left.uniq_idx
     if n_common < len(uniq):  # drop left records whose key has no match
         keep = found[idx]
         keys, values, idx = keys[keep], values[keep], idx[keep]

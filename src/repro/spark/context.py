@@ -12,7 +12,6 @@ cluster machines for execution").
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -84,16 +83,6 @@ class SparkEnv:
         self.accumulators: dict[int, Accumulator] = {}
         #: TaskContext of the task currently running on each process
         self.active_ctx: dict[int, Any] = {}
-        # Identity memos for iterative apps, which feed the same partition
-        # objects through the same stages every iteration.  Each entry
-        # holds its referents (no id recycling) and is re-checked with
-        # ``is`` at the use site; LRU, capped at 128 entries there.
-        #: (id(records), nparts) -> buckets + sizes of a non-combining write
-        self.shuffle_write_cache: OrderedDict = OrderedDict()
-        #: ids of a reduce partition's buckets -> their concatenation
-        self.shuffle_read_cache: OrderedDict = OrderedDict()
-        #: id(left side of a cogroup) -> its join preparation or grouping
-        self.cogroup_cache: OrderedDict = OrderedDict()
         self._epoch = itertools.count()
         cluster.spark_envs.append(self)
 

@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import SparkError
-from repro.sim.blocks import (CoGroupBlock, GroupBlock, JoinedBlock, JoinLeft,
-                              PairBlock, RecordBlock, group_pairs, hash_join,
-                              join_prepare, pair_columns, sum_by_key)
+from repro.sim.blocks import (CoGroupBlock, GroupBlock, JoinedBlock, PairBlock,
+                              RecordBlock, group_pairs, hash_join,
+                              pair_columns, sum_by_key)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.storage import StorageLevel
 
@@ -427,7 +427,7 @@ class RDD:
         """``(k, (values_self, values_other))`` — narrow when co-partitioned."""
         part = HashPartitioner(num_partitions or max(self.num_partitions,
                                                      other.num_partitions))
-        return CoGroupedRDD(self.sc, [self, other], part)
+        return CoGroupedRDD(self.sc, self, other, part)
 
     def join(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
         """Inner join; a narrow operation when both sides share the target
@@ -956,17 +956,13 @@ class ShuffledRDD(RDD):
         return "Shuffled" + ("+combine" if self.aggregator else "")
 
 
-def _cogroup_pairs(left, right, grouped_left: list | None = None) -> dict:
+def _cogroup_pairs(left, right) -> dict:
     """Scalar two-sided cogroup: ``{k: (vs, ws)}`` with keys in
     first-occurrence order over ``left``, then ``right``.  The reference
-    the block join replays; ``grouped_left`` is ``left`` already grouped
-    (``[(k, vs), ...]`` in that order), copied instead of re-derived."""
-    groups: dict[Any, tuple[list, list]] = (
-        {} if grouped_left is None
-        else {k: (list(vs), []) for k, vs in grouped_left})
+    the block join replays."""
+    groups: dict[Any, tuple[list, list]] = {}
     get = groups.get
-    for side, records in enumerate(
-            (left if grouped_left is None else (), right)):
+    for side, records in enumerate((left, right)):
         for k, v in records:
             g = get(k)
             if g is None:
@@ -976,7 +972,7 @@ def _cogroup_pairs(left, right, grouped_left: list | None = None) -> dict:
 
 
 class CoGroupedRDD(RDD):
-    """Groups values of several keyed parents by key.
+    """Groups the values of two keyed parents by key.
 
     For each parent: if it is already partitioned by the target partitioner,
     the dependency is **narrow** (read the co-located partition directly —
@@ -984,79 +980,34 @@ class CoGroupedRDD(RDD):
     decides, and it is the mechanism the tuned PageRank exploits.
     """
 
-    def __init__(self, sc: "SparkContext", parents: list[RDD],
+    def __init__(self, sc: "SparkContext", left: RDD, right: RDD,
                  partitioner: Partitioner) -> None:
-        deps: list[Dependency] = []
-        for p in parents:
-            if p.partitioner == partitioner:
-                deps.append(NarrowDependency(p))
-            else:
-                deps.append(ShuffleDependency(p, partitioner))
+        deps: list[Dependency] = [
+            NarrowDependency(p) if p.partitioner == partitioner
+            else ShuffleDependency(p, partitioner) for p in (left, right)]
         super().__init__(sc, deps, partitioner.num_partitions)
         self.partitioner = partitioner
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
-        sides = [
+        left, right = (
             ctx.shuffle_read(dep.shuffle_id, index, dep.parent.num_partitions)
             if isinstance(dep, ShuffleDependency)
             else ctx.iterator(dep.parent, index)
-            for dep in self.deps
-        ]
-        if len(sides) != 2:
-            groups: dict[Any, tuple[list, ...]] = {}
-            get = groups.get
-            for side, records in enumerate(sides):
-                for k, v in records:
-                    g = get(k)
-                    if g is None:
-                        g = groups[k] = tuple([] for _ in sides)
-                    g[side].append(v)
-            ctx.charge_records(len(groups))
-            return list(groups.items())
-        left, right = sides
-        # Iterative joins feed the same left-side object every iteration
-        # (cached partitions / memoised shuffle reads), so what is derived
-        # from it alone is memoised per identity: the columnar join
-        # preparation when every record is an exact numeric pair or the
-        # side is a GroupBlock (unique keys: it prepares as itself), else
-        # its per-key grouping (replaying grouped pairs inserts keys in
-        # the same first-occurrence order and values in the same record
-        # order as the per-record loop).  The id-key pragmas below are safe
-        # because the cache holds the referent (no id recycling) and every
-        # hit is re-checked with ``is`` before use — a false miss merely
-        # recomputes.
-        cache = ctx.env.cogroup_cache
-        key = id(left)  # reprolint: disable=id-key
-        hit = cache.get(key)
-        memo = hit[1] if hit is not None and hit[0] is left else None
-        fresh = memo is None
-        if not fresh:
-            cache.move_to_end(key)
-        elif type(self.partitioner) is HashPartitioner:
+            for dep in self.deps)
+        out = None
+        if type(self.partitioner) is HashPartitioner:
+            # the columnar join, when the left side is exact numeric pairs
+            # or a GroupBlock (unique keys) and the right side is unique
             cols = ((left.keys, left) if type(left) is GroupBlock
                     else pair_columns(left))
-            if cols is not None:
-                memo = join_prepare(*cols)
-        out = None
-        if type(memo) is JoinLeft:
-            joined = hash_join(memo, right)
+            joined = None if cols is None else hash_join(*cols, right)
             if joined is not None:
                 out = CoGroupBlock(
                     *joined, lambda: list(_cogroup_pairs(left, right).items()))
         if out is None:
-            groups = _cogroup_pairs(left, right,
-                                    memo if type(memo) is list else None)
-            out = list(groups.items())
-            if memo is None:
-                # the left-only view of the grouping: right-only keys sit
-                # later in the dict and have an empty left list
-                memo = [(k, g[0]) for k, g in groups.items() if g[0]]
-        if fresh:
-            cache[key] = (left, memo)
-            if len(cache) > 128:
-                cache.popitem(last=False)
-        # two-sided: every input record lands in exactly one group list, so
-        # the old sum over group sizes equals the record count
+            out = list(_cogroup_pairs(left, right).items())
+        # every input record lands in exactly one group list, so the sum
+        # over group sizes equals the record count
         ctx.charge_records(len(left) + len(right))
         return out
 

@@ -21,6 +21,7 @@ fabric each transport rides comes from the cluster's machine
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any, Iterable
 
 import numpy as np
@@ -45,11 +46,6 @@ _PAIR_RECORD_NBYTES = 48
 
 #: sentinel distinguishing "key absent" from any stored value
 _MISSING = object()
-
-#: shared empty bucket — lets reads of the same bucket set stay
-#: identity-stable across calls (read-only by convention, like cached
-#: partitions)
-_EMPTY_BUCKET: list = []
 
 
 def estimate_nbytes(records: list) -> int:
@@ -121,10 +117,12 @@ class MapOutputTracker:
             s["records"] += sum(map(len, buckets.values()))
         return stats
 
-    def bucket(self, shuffle_id: int, map_id: int, reduce_id: int) -> tuple[int, int, list]:
-        """``(executor_id, nbytes, records)`` of one bucket."""
+    def bucket(self, shuffle_id: int, map_id: int,
+               reduce_id: int) -> tuple[int, int, Sequence]:
+        """``(executor_id, nbytes, records)`` of one bucket (``()`` when
+        empty)."""
         ex, sizes, buckets = self._outputs[(shuffle_id, map_id)]
-        return ex, sizes[reduce_id], buckets.get(reduce_id, _EMPTY_BUCKET)
+        return ex, sizes[reduce_id], buckets.get(reduce_id, ())
 
 
 class ShuffleWriter:
@@ -162,16 +160,19 @@ class ShuffleWriter:
               vector: str | None = None) -> None:
         """Partition ``records`` into buckets, spill to local disk, register.
 
-        Single pass over preallocated buckets.  When ``combiner`` is given
-        (``(create, merge_value)`` of a map-side-combining aggregator), the
-        combine happens *during* partitioning.  It is charged as the two
-        passes Spark runs: the combine's per-record charge (input length)
-        followed by the write's (output length).
+        Optionally combine, then bucket, then size and charge.  When
+        ``combiner`` is given (``(create, merge_value)`` of a
+        map-side-combining aggregator), the records are first combined into
+        one dict and only its items are bucketed (one hash per distinct
+        key, not per input record).  It is charged as the two passes Spark
+        runs: the combine's per-record charge (input length) followed by
+        the write's (output length).
 
         ``vector="sum"`` (the consuming RDD's declaration) enables the
-        columnar combine + partition kernels on numeric pair partitions;
-        bucket contents, per-bucket order and every charge are identical
-        to the scalar pass (see :mod:`repro.sim.blocks`).
+        columnar combine kernel on numeric pair partitions, and a
+        ``PairBlock`` under a plain ``HashPartitioner`` is bucketed
+        columnar; bucket contents, per-bucket order and every charge are
+        identical to the scalar pass (see :mod:`repro.sim.blocks`).
         """
         costs = self.env.costs
         scale = self.env.record_scale
@@ -187,99 +188,57 @@ class ShuffleWriter:
                 raise SparkError(
                     f"shuffle input must be (key, value) pairs; got {rec!r}"
                 ) from None
-        if combiner is None:
-            # Iterative apps (HiBench PageRank) re-shuffle the *same cached
-            # partition list* every iteration: same list object, same
-            # partitioner, so the bucketing and size estimates are
-            # identical.  Memoise them per (list identity, nparts) — the
-            # held reference keeps the id from being recycled, and the
-            # ``is`` check makes a stale hit impossible.  Charges are still
-            # issued per call; only redundant host-side work is skipped.
-            # Only the default HashPartitioner takes part (range bounds may
-            # be unhashable, and a different partitioner kind with the same
-            # nparts must not reuse these buckets).
-            int_hash = type(partitioner) is HashPartitioner
-            cache = hit = None
-            if int_hash:
-                cache = self.env.shuffle_write_cache
-                key = (id(records), nparts)  # reprolint: disable=id-key
-                hit = cache.get(key)
-                if hit is not None and hit[0] is not records:
-                    hit = None
-            if hit is not None:
-                _, bucket_lists, sizes, total, buckets = hit
-                cache.move_to_end(key)
-            elif int_hash and isinstance(records, PairBlock):
-                # columnar bucketing: same buckets, same order, same sizes
-                bucket_lists = partition_pairs(records, nparts)
-                sizes, total, buckets = self._sizes(bucket_lists, scale)
-                if cache is not None:
-                    cache[key] = (records, bucket_lists, sizes, total,
-                                  buckets)
-                    if len(cache) > 128:
-                        cache.popitem(last=False)
-            else:
-                bucket_lists = [[] for _ in range(nparts)]
-                # For exact-int keys under a HashPartitioner the hash is
-                # the key itself masked to 31 bits — inline it and skip two
-                # function calls per record on the dominant shuffle path.
-                try:
-                    for rec in records:
-                        k = rec[0]
-                        if int_hash and type(k) is int:
-                            bucket_lists[(k & 0x7FFFFFFF) % nparts].append(rec)
-                        else:
-                            bucket_lists[part(k)].append(rec)
-                except (TypeError, IndexError):
-                    raise SparkError(
-                        f"shuffle input must be (key, value) pairs; "
-                        f"got {rec!r}"
-                    ) from None
-                sizes, total, buckets = self._sizes(bucket_lists, scale)
-                if cache is not None:
-                    cache[key] = (records, bucket_lists, sizes, total,
-                                  buckets)
-                    if len(cache) > 128:
-                        cache.popitem(last=False)
-            proc.compute(len(records) * scale * costs.spark_record_overhead)
-        else:
-            int_hash = type(partitioner) is HashPartitioner
-            pair_block = None
-            if vector == "sum" and int_hash:
-                pair_block = as_pair_block(records)
+        # Only the default HashPartitioner has the inline int hash and the
+        # columnar bucketing (a different partitioner kind with the same
+        # nparts places keys elsewhere).
+        int_hash = type(partitioner) is HashPartitioner
+        if combiner is not None:
+            pair_block = (as_pair_block(records)
+                          if vector == "sum" and int_hash else None)
             if pair_block is not None:
-                # Columnar combining write: group-sum in first-occurrence
-                # order (bitwise the dict combine, see sum_by_key), then
-                # columnar bucketing.
+                # group-sum in first-occurrence order: bitwise the dict
+                # combine (see sum_by_key)
                 combined = sum_by_key(pair_block.keys, pair_block.values)
-                bucket_lists = partition_pairs(combined, nparts)
             else:
                 create, merge_value = combiner
-                combined: dict = {}
-                get = combined.get
+                acc: dict = {}
+                get = acc.get
                 try:
                     for k, v in records:
                         prev = get(k, _MISSING)
-                        combined[k] = (create(v) if prev is _MISSING
-                                       else merge_value(prev, v))
+                        acc[k] = (create(v) if prev is _MISSING
+                                  else merge_value(prev, v))
                 except TypeError as exc:
                     raise SparkError(
                         f"keyed operation over non-pair records: {exc}"
                     ) from exc
-                # Partition the combined output (one hash per distinct key,
-                # not per input record); per-bucket order is the dict's
-                # first-occurrence order.
-                bucket_lists = [[] for _ in range(nparts)]
-                for kv in combined.items():
-                    k = kv[0]
-                    if int_hash and type(k) is int:
-                        bucket_lists[(k & 0x7FFFFFFF) % nparts].append(kv)
-                    else:
-                        bucket_lists[part(k)].append(kv)
-            # combine charge (input length), then write charge (combined)
+                # per-bucket order is the dict's first-occurrence order
+                combined = acc.items()
+            # the combine's charge (input length)
             proc.compute(len(records) * scale * costs.spark_record_overhead)
-            proc.compute(len(combined) * scale * costs.spark_record_overhead)
-            sizes, total, buckets = self._sizes(bucket_lists, scale)
+            records = combined
+        if int_hash and isinstance(records, PairBlock):
+            # columnar bucketing: same buckets, same order, same sizes
+            bucket_lists = partition_pairs(records, nparts)
+        else:
+            bucket_lists = [[] for _ in range(nparts)]
+            # For exact-int keys under a HashPartitioner the hash is the
+            # key itself masked to 31 bits — inline it and skip two
+            # function calls per record on the dominant shuffle path.
+            try:
+                for rec in records:
+                    k = rec[0]
+                    if int_hash and type(k) is int:
+                        bucket_lists[(k & 0x7FFFFFFF) % nparts].append(rec)
+                    else:
+                        bucket_lists[part(k)].append(rec)
+            except (TypeError, IndexError):
+                raise SparkError(
+                    f"shuffle input must be (key, value) pairs; got {rec!r}"
+                ) from None
+        # the write's charge (output length)
+        proc.compute(len(records) * scale * costs.spark_record_overhead)
+        sizes, total, buckets = self._sizes(bucket_lists, scale)
         proc.compute_bytes(max(1, total), costs.ser_rate_jvm)  # serialise
         # Shuffle files land in the OS page cache (Spark 1.5 writes them
         # without sync); charge the memory-system stream, not the SSD.
@@ -337,37 +296,20 @@ class ShuffleReader:
                 trace.access(
                     proc, "read",
                     f"spark.shuffle{shuffle_id}[{map_id},{reduce_id}]")
-        # Iterative apps re-fetch byte-identical bucket sets (the write
-        # side memoises its buckets per cached input list), so the
-        # concatenation is identical across iterations.  Returning the
-        # *same* list object lets per-partition consumers key their own
-        # memos on list identity; like cached partitions, reduce inputs
-        # are read-only by convention.
-        cache = self.env.shuffle_read_cache
-        # Safe id-keying: ``parts`` (the referents) are stored in the hit
-        # alongside the key and re-checked with ``is`` before use.
-        key = tuple(map(id, parts))  # reprolint: disable=id-key
-        hit = cache.get(key)
-        if hit is not None and all(a is b for a, b in zip(hit[0], parts)):
-            out = hit[1]
-            cache.move_to_end(key)
+        # A fresh reduce input per fetch, as deserialising one is: what a
+        # consumer does to it never reaches the buckets or a later action.
+        filled = [p for p in parts if len(p)]
+        if (filled and all(isinstance(p, PairBlock) for p in filled)
+                and len({p.values.dtype for p in filled}) == 1):
+            # columnar concatenation in map order — element-equal to
+            # extending a list bucket by bucket (mixed value dtypes would
+            # promote the ints, so those extend the list)
+            out = PairBlock(np.concatenate([p.keys for p in filled]),
+                            np.concatenate([p.values for p in filled]))
         else:
-            filled = [p for p in parts if len(p)]
-            if (filled and all(isinstance(p, PairBlock) for p in filled)
-                    and len({p.values.dtype for p in filled}) == 1):
-                # columnar concatenation in map order — element-equal to
-                # extending a list bucket by bucket (mixed value dtypes
-                # would promote the ints, so those extend the list)
-                out = PairBlock(
-                    np.concatenate([p.keys for p in filled]),
-                    np.concatenate([p.values for p in filled]))
-            else:
-                out = []
-                for records in parts:
-                    out.extend(records)
-            cache[key] = (parts, out)
-            if len(cache) > 128:
-                cache.popitem(last=False)
+            out = []
+            for records in parts:
+                out.extend(records)
         for src_id in sorted(per_node):
             nbytes = max(1, per_node[src_id])
             if src_id == executor.node.id:

@@ -37,7 +37,6 @@ from repro.sim.blocks import (
     as_pair_block,
     group_pairs,
     hash_join,
-    join_prepare,
     pair_columns,
     parse_int_pairs,
     partition_pairs,
@@ -307,6 +306,22 @@ class TestPartitionPairs:
         for got, want in zip(out, buckets):
             assert got.to_pairs() == want
 
+    def test_a_block_keeps_its_buckets_per_width(self):
+        keys = np.arange(-40, 60, 3, dtype=np.int64)
+        block = PairBlock(keys, keys * 0.5)
+
+        def fresh(nparts):
+            return partition_pairs(PairBlock(keys.copy(), keys * 0.5), nparts)
+
+        out = partition_pairs(block, 4)
+        assert partition_pairs(block, 4) is out
+        # another width is cut afresh, from the same columns
+        assert partition_pairs(block, 3) == fresh(3)
+        assert partition_pairs(block, 4) == fresh(4)
+        # a slice is a new block with no buckets of its own yet
+        assert partition_pairs(block[1:], 4) == partition_pairs(
+            PairBlock(keys[1:].copy(), keys[1:] * 0.5), 4)
+
 
 class TestCountKeys:
     @given(pairs=st.lists(st.tuples(st.sampled_from([0, 1, 5, -7, 2**62]),
@@ -396,7 +411,7 @@ class TestHashJoin:
         groups = list(_cogroup_pairs(left, right).items())
         want = _join_expand(0, groups)
         rside = PairBlock(*pair_columns(right)) if right_as_block else right
-        got = hash_join(join_prepare(*pair_columns(left)), rside)
+        got = hash_join(*pair_columns(left), rside)
         assert got is not None
         joined, n_groups = got
         # the three numbers the charges are made of, then every record
@@ -415,9 +430,14 @@ class TestHashJoin:
         [(1, 1.0), [2, 2.0]],             # a list record
         ((1, 1.0),),                      # not a list
     ])
-    def test_other_right_sides_take_the_scalar_path(self, right):
-        left = join_prepare(*pair_columns([(1, 10), (2, 20), (1, 11)]))
-        assert hash_join(left, right) is None
+    def test_other_right_sides_take_the_scalar_path(self, right, monkeypatch):
+        # refused before the left side is regrouped
+        def no_regroup(keys):
+            raise AssertionError("regrouped the left side")
+
+        monkeypatch.setattr("repro.sim.blocks._regroup", no_regroup)
+        left = pair_columns([(1, 10), (2, 20), (1, 11)])
+        assert hash_join(*left, right) is None
 
     @pytest.mark.parametrize("left", [
         [(True, 1)],                      # bool key
@@ -436,7 +456,7 @@ class TestHashJoin:
         left, right = [(1, 10), (2, 20), (1, 11)], [(1, 0.5), (3, 1.5)]
         rows = lambda: list(_cogroup_pairs(left, right).items())  # noqa: E731
         block = CoGroupBlock(
-            *hash_join(join_prepare(*pair_columns(left)), right), rows)
+            *hash_join(*pair_columns(left), right), rows)
         assert len(block) == 3
         assert list(block) == rows() and block[0] == (1, ([10, 11], [0.5]))
         assert _join_expand(0, block) is block.joined
@@ -578,8 +598,7 @@ class TestRaggedJoin:
         groups = list(_cogroup_pairs(list(grouped), right).items())
         want = _join_expand(0, groups)
         rside = PairBlock(*pair_columns(right)) if right_as_block else right
-        joined, n_groups = hash_join(join_prepare(grouped.keys, grouped),
-                                     rside)
+        joined, n_groups = hash_join(grouped.keys, grouped, rside)
         assert n_groups == len(groups)
         assert len(joined) == len(want)
         assert _bits(joined) == _bits(want)
@@ -595,14 +614,15 @@ class TestRaggedJoin:
         assert _bits(values[::-1]) == _bits(want_values[::-1])
 
     def test_a_grouped_side_prepares_as_itself(self):
+        # unique keys: the regroup is the identity, and with every key
+        # matched nothing is filtered either
         grouped = _grouped([(3, 1), (-1, 2), (3, 4)])
-        prepared = join_prepare(grouped.keys, grouped)
-        assert prepared.values is grouped and prepared.keys is grouped.keys
+        joined, _ = hash_join(grouped.keys, grouped, [(-1, 0.5), (3, 1.5)])
+        assert joined.left is grouped and joined.keys is grouped.keys
 
     def test_values_twin_is_defined_on_keyed_joins_only(self):
         assert _join_values(PairBlock(*pair_columns([(1, 1.0)]))) is None
-        joined, _ = hash_join(join_prepare(*pair_columns([(1, 2)])),
-                              [(1, 0.5)])
+        joined, _ = hash_join(*pair_columns([(1, 2)]), [(1, 0.5)])
         keyless = _join_values(joined)
         assert list(keyless) == [(2, 0.5)]
         assert _join_values(keyless) is None
@@ -617,7 +637,7 @@ class TestContribTwin:
         grouped = group_pairs(PairBlock(
             *(np.array([r[i] for r in pairs], dtype=np.int64)
               for i in (0, 1))))
-        joined, _ = hash_join(join_prepare(grouped.keys, grouped), right)
+        joined, _ = hash_join(grouped.keys, grouped, right)
         values = _join_values(joined)
         want = [y for x in values for y in _contrib(x)]
         got = _contrib_block(values)
@@ -625,16 +645,15 @@ class TestContribTwin:
         assert _bits(got) == _bits(want)  # floats compared by float.hex
 
     def test_undefined_blocks_stay_scalar(self):
-        joined, _ = hash_join(join_prepare(*pair_columns([(1, 2)])),
-                              [(1, 0.5)])
+        joined, _ = hash_join(*pair_columns([(1, 2)]), [(1, 0.5)])
         assert _contrib_block(_join_values(joined)) is None  # not grouped
         floats = _grouped([(1, 2.5)])
-        joined, _ = hash_join(join_prepare(floats.keys, floats), [(1, 0.5)])
+        joined, _ = hash_join(floats.keys, floats, [(1, 0.5)])
         assert _contrib_block(joined) is None                # keyed
         assert _contrib_block(_join_values(joined)) is None  # float urls
         empty = GroupBlock(np.array([1]), np.array([0, 0]),
                            np.empty(0, dtype=np.int64))
-        joined, _ = hash_join(join_prepare(empty.keys, empty), [(1, 0.5)])
+        joined, _ = hash_join(empty.keys, empty, [(1, 0.5)])
         with pytest.raises(ZeroDivisionError):
             [y for x in _join_values(joined) for y in _contrib(x)]
         assert _contrib_block(_join_values(joined)) is None
@@ -687,6 +706,9 @@ class TestTextPipeline:
                 parsed.map(lambda e: (e[0], 1.0), vector=twin(
                     lambda b: PairBlock(b.keys, np.ones(len(b))))
                 ).distinct(3).collect(),
+                # the cached block's buckets, cut at one width, then another
+                parsed.partition_by(2).collect(),
+                parsed.partition_by(3).collect(),
                 # one reduce partition fed int- and float-valued buckets
                 mixed.partition_by(3).collect(),
                 mixed.reduce_by_key(lambda a, b: a + b, 3,
@@ -834,6 +856,31 @@ class TestDifferentialFingerprints:
         assert not built and not any(answered)
         MINI["fig6"]()
         assert built and any(answered)
+
+    def test_fig7_buckets_each_cached_block_once(self, monkeypatch):
+        """HiBench re-shuffles its cached ``links`` blocks every iteration;
+        each is bucketed once, and the later iterations reuse the buckets
+        the block keeps."""
+        import repro.spark.shuffle as shuffle
+
+        partition = shuffle.partition_pairs
+        seen: list = []  # [block, nparts, every bucket list it answered]
+
+        def counting(block, nparts):
+            entry = next((e for e in seen
+                          if e[0] is block and e[1] == nparts), None)
+            if entry is None:
+                entry = [block, nparts, []]
+                seen.append(entry)
+            entry[2].append(partition(block, nparts))
+            return entry[2][-1]
+
+        monkeypatch.setattr(shuffle, "partition_pairs", counting)
+        MINI["fig7"]()  # 3 iterations
+        reshuffled = [answers for _, _, answers in seen if len(answers) > 1]
+        assert reshuffled and all(len(a) == 3 for a in reshuffled)
+        # built once: every later answer is the first bucket list itself
+        assert all(b is a[0] for a in reshuffled for b in a)
 
 
 def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench",

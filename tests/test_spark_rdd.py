@@ -272,6 +272,48 @@ class TestShuffles:
 
         assert run_app(app) == [1, 2, 3, 5, 7, 8, 9]
 
+    @staticmethod
+    def _reverse_each_group(_i, it):
+        """A consumer that reverses every group's value list in place."""
+        out = []
+        for k, vs in it:
+            vs = vs[0] if type(vs) is tuple else vs  # a cogroup's (vs, ws)
+            vs.reverse()
+            out.append((k, tuple(vs)))
+        return out
+
+    #: name -> the RDD one action runs twice; each consumer mutates the
+    #: records it is handed, as a Spark task may mutate what it fetched
+    REPEATED = {
+        "partition_by": lambda sc: sc.parallelize(
+            [(3, "a"), (1, "b"), (2, "c"), (5, "d")], 2).partition_by(2)
+        .map_partitions(lambda _i, it: (it.reverse(), it)[1]),
+        "cogroup": lambda sc: sc.parallelize(
+            [(1, "a"), (2, "b"), (1, "c"), (2, "d"), (1, "e")], 2)
+        .partition_by(2).cache()
+        .cogroup(sc.parallelize([(1, "x"), (2, "y")], 2).partition_by(2), 2)
+        .map_partitions(TestShuffles._reverse_each_group),
+        "join": lambda sc: sc.parallelize(
+            [(1, "a"), (2, "b"), (1, "c"), (2, "d")], 2)
+        .partition_by(2).cache()
+        .join(sc.parallelize([(1, "x"), (2, "y")], 2).partition_by(2), 2)
+        .map_partitions(lambda _i, it: (it.reverse(), it)[1]),
+        "group_by_key": lambda sc: sc.parallelize(
+            [(1, "a"), (2, "b"), (1, "c"), (2, "d"), (1, "e")], 2)
+        .group_by_key(2).map_partitions(TestShuffles._reverse_each_group),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPEATED))
+    def test_an_action_run_twice_sees_the_same_records(self, name):
+        """A second action recomputes from fresh shuffle records: what the
+        first action's consumer did to its input does not leak into it."""
+        def app(sc):
+            rdd = self.REPEATED[name](sc)
+            return rdd.collect(), rdd.collect()
+
+        first, second = run_app(app)
+        assert first and second == first
+
     @given(data=st.lists(st.tuples(st.integers(0, 10), st.integers(-5, 5)),
                          max_size=60),
            nparts=st.integers(1, 5))
