@@ -33,7 +33,9 @@ code        name              flags
                               (``os.listdir``, ``Path.iterdir``, ``glob`` ...)
 ``R010``    raw-thread        real ``threading``/``multiprocessing``/``asyncio``
                               concurrency outside ``repro/sim``
-``R011``    raw-park          direct ``proc.block()``/``park_until()`` outside
+``R011``    raw-park          direct ``proc.block()``/``park_until()``, or a
+                              ``yield`` of a raw step request
+                              (``TURN``/``BLOCK``/``QUEUED``), outside
                               ``repro/sim`` — bypasses wait-metadata bookkeeping
 ==========  ================  ====================================================
 
@@ -165,6 +167,9 @@ _RAW_CONCURRENCY = {
     "threading", "_thread", "multiprocessing", "asyncio",
     "concurrent", "concurrent.futures",
 }
+
+# The requests a ``SimProcess.run_steps`` generator yields (R011).
+_STEP_REQUESTS = {"TURN", "BLOCK", "QUEUED"}
 
 # Mapping method names that take a key argument (R004).
 _KEYED_METHODS = {"get", "setdefault", "pop", "move_to_end"}
@@ -338,6 +343,8 @@ class _Linter:
             self._check_iteration(node.iter, node)
         if isinstance(node, ast.comprehension):
             self._check_iteration(node.iter, node.iter)
+        if isinstance(node, ast.Yield):
+            self._check_raw_step(node)
 
     # -- R003 helpers ----------------------------------------------------------
 
@@ -451,6 +458,23 @@ class _Linter:
         # R006: os.environ.get / os.getenv
         if dotted in ("os.environ.get", "os.getenv") and node.args:
             self._check_env_read(node, node.args[0])
+
+    def _check_raw_step(self, node: ast.Yield) -> None:
+        """R011, step form: a ``SimProcess.run_steps`` request yielded
+        directly.  The sim primitives' step forms set the wait metadata
+        around their requests; protocol code composes them with
+        ``yield from`` instead of yielding ``TURN``/``BLOCK``/``QUEUED``."""
+        if not self.deterministic or self.relpath.startswith("repro/sim/"):
+            return
+        value = node.value
+        name = (value.id if isinstance(value, ast.Name)
+                else value.attr if isinstance(value, ast.Attribute) else None)
+        if name in _STEP_REQUESTS:
+            self._flag("R011", node,
+                       f"yield {name} parks a simulated process directly; "
+                       "outside repro/sim compose the primitives' step forms "
+                       "(Mailbox.recv_steps, Future.wait_steps, "
+                       "SimProcess.checkpoint_steps ...) with `yield from`")
 
     def _order_erased(self, node: ast.Call) -> bool:
         """True when the call's result feeds directly into sorted() et al."""

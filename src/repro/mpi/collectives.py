@@ -21,19 +21,24 @@ these run over the simulated network, collective timing *emerges* from the
 same mechanisms as on the real machine — the log-p scaling of the Fig 3
 MPI reduce line is produced, not asserted.
 
+Every algorithm is written once, as steps (``SimProcess.run_steps``) that
+compose the point-to-point step forms of :mod:`repro.mpi.p2p` with
+``yield from``; each public function records the sanitizer entry and runs
+them.  Between the rounds of a collective the rank's thread sleeps: each
+round resumes at the rank's turn on whichever thread holds the token.
+
 All reduction operators are assumed commutative+associative (true for the
 built-ins in :mod:`repro.mpi.datatypes`).
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.mpi import p2p
 from repro.mpi.datatypes import ReduceOp, SUM, combine, copy_payload, nbytes_of
 from repro.sim.engine import current_process
+from repro.sim.process import SimProcess, Steps
 from repro.sim.trace import call_site
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,11 +57,9 @@ _T_SCAN = -9
 _T_EXSCAN = -10
 
 
-def _charge_combine(comm: "Communicator", obj: Any) -> None:
+def _charge_combine(comm: "Communicator", proc: SimProcess, obj: Any) -> None:
     """CPU cost of applying a reduction op to one buffer."""
-    current_process().compute_bytes(
-        max(8, nbytes_of(obj)), comm.env.costs.reduce_rate_native
-    )
+    proc.compute_bytes(max(8, nbytes_of(obj)), comm.env.costs.reduce_rate_native)
 
 
 def _private(acc: Any, obj: Any) -> Any:
@@ -82,50 +85,67 @@ def _dtype_of(obj: Any) -> str:
     return type(obj).__name__
 
 
-def _enter(comm: "Communicator", op: str, p: int, *, root: int | None = None,
-           obj: Any = _NO_DATA) -> None:
+def _enter(comm: "Communicator", proc: SimProcess, op: str, p: int, *,
+           root: int | None = None, obj: Any = _NO_DATA,
+           site: str | None = None) -> str | None:
     """Record this rank's collective entry for the sanitizer (hb mode only).
 
     ``root`` and ``obj`` (-> datatype) are passed only where the matching
     contract constrains them: broadcast-shaped collectives legitimately
-    take data at the root only, so no dtype is recorded for them.
+    take data at the root only, so no dtype is recorded for them.  Returns
+    the user's call site (``None`` outside hb mode): a collective built on
+    another (exscan on scan) passes it to the nested entry, which may run
+    on another thread, so the site is found once, on the rank's own.
     """
-    proc = current_process()
     trace = proc.engine.trace
     if not (trace.enabled and trace.hb):
-        return
+        return None
+    if site is None:
+        site = call_site(("repro/sim/", "repro/mpi/"))
     trace.coll(
         proc, op, f"mpi:ctx{comm.ctx}", parties=p, root=root,
-        dtype=None if obj is _NO_DATA else _dtype_of(obj),
-        site=call_site(("repro/sim/", "repro/mpi/")),
+        dtype=None if obj is _NO_DATA else _dtype_of(obj), site=site,
     )
+    return site
 
 
 def barrier(comm: "Communicator", me: int, p: int) -> None:
     """Dissemination barrier: ceil(log2 p) rounds of pairwise notifications."""
-    _enter(comm, "barrier", p)
+    proc = current_process()
+    _enter(comm, proc, "barrier", p)
+    proc.run_steps(_barrier_steps(comm, proc, me, p))
+
+
+def _barrier_steps(comm: "Communicator", proc: SimProcess, me: int,
+                   p: int) -> Steps[None]:
     if p == 1:
-        current_process().checkpoint()
+        yield from proc.checkpoint_steps()
         return
     k = 1
     while k < p:
         dest = (me + k) % p
         src = (me - k) % p
-        p2p.send(comm, me, dest, None, _T_BARRIER)
-        p2p.recv(comm, me, src, _T_BARRIER)
+        yield from p2p._send_steps(comm, proc, me, dest, None, _T_BARRIER)
+        yield from p2p._recv_steps(comm, proc, me, src, _T_BARRIER)
         k <<= 1
 
 
 def bcast(comm: "Communicator", me: int, p: int, obj: Any, root: int) -> Any:
     """Binomial-tree broadcast; returns the object on every rank."""
-    _enter(comm, "bcast", p, root=root)
+    proc = current_process()
+    _enter(comm, proc, "bcast", p, root=root)
+    return proc.run_steps(_bcast_steps(comm, proc, me, p, obj, root))
+
+
+def _bcast_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                 obj: Any, root: int) -> Steps[Any]:
     vrank = (me - root) % p
     # receive phase: wait for the parent in the binomial tree
     mask = 1
     while mask < p:
         if vrank & mask:
             src = (me - mask) % p
-            obj, _, _ = p2p.recv(comm, me, src, _T_BCAST)
+            obj, _, _ = yield from p2p._recv_steps(comm, proc, me, src, _T_BCAST)
             break
         mask <<= 1
     # forward phase: relay to children
@@ -133,7 +153,7 @@ def bcast(comm: "Communicator", me: int, p: int, obj: Any, root: int) -> Any:
     while mask > 0:
         if vrank + mask < p:
             dest = (me + mask) % p
-            p2p.send(comm, me, dest, obj, _T_BCAST)
+            yield from p2p._send_steps(comm, proc, me, dest, obj, _T_BCAST)
         mask >>= 1
     return obj
 
@@ -142,7 +162,13 @@ def reduce(
     comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp, root: int
 ) -> Any:
     """Binomial-tree reduction; result is returned at ``root`` (None elsewhere)."""
-    _enter(comm, "reduce", p, root=root, obj=obj)
+    proc = current_process()
+    _enter(comm, proc, "reduce", p, root=root, obj=obj)
+    return proc.run_steps(_reduce_steps(comm, proc, me, p, obj, op, root))
+
+
+def _reduce_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                  obj: Any, op: ReduceOp, root: int) -> Steps[Any]:
     vrank = (me - root) % p
     acc = obj
     owned = False  # acc is a buffer this rank received, not the caller's
@@ -152,13 +178,15 @@ def reduce(
             partner_v = vrank | mask
             if partner_v < p:
                 src = (partner_v + root) % p
-                data, _, _ = p2p.recv(comm, me, src, _T_REDUCE)
+                data, _, _ = yield from p2p._recv_steps(
+                    comm, proc, me, src, _T_REDUCE)
                 acc = combine(op, acc, data, out=data)
                 owned = acc is data
-                _charge_combine(comm, acc)
+                _charge_combine(comm, proc, acc)
         else:
             dest = ((vrank & ~mask) + root) % p
-            p2p.send(comm, me, dest, acc, _T_REDUCE, move=owned)
+            yield from p2p._send_steps(comm, proc, me, dest, acc, _T_REDUCE,
+                                       move=owned)
             return None
         mask <<= 1
     return _private(acc, obj) if me == root else None
@@ -166,9 +194,15 @@ def reduce(
 
 def allreduce(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> Any:
     """Recursive-doubling allreduce with pre/post folding for non-powers of 2."""
-    _enter(comm, "allreduce", p, obj=obj)
+    proc = current_process()
+    _enter(comm, proc, "allreduce", p, obj=obj)
+    return proc.run_steps(_allreduce_steps(comm, proc, me, p, obj, op))
+
+
+def _allreduce_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                     obj: Any, op: ReduceOp) -> Steps[Any]:
     if p == 1:
-        current_process().checkpoint()
+        yield from proc.checkpoint_steps()
         return copy_payload(obj)
     p2 = 1
     while p2 * 2 <= p:
@@ -179,12 +213,13 @@ def allreduce(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> 
     # Fold the first 2*rem ranks pairwise so a power-of-2 subgroup remains.
     if me < 2 * rem:
         if me % 2 == 0:
-            p2p.send(comm, me, me + 1, acc, _T_ALLREDUCE)
+            yield from p2p._send_steps(comm, proc, me, me + 1, acc, _T_ALLREDUCE)
             new_rank = None  # sits out the doubling phase
         else:
-            data, _, _ = p2p.recv(comm, me, me - 1, _T_ALLREDUCE)
+            data, _, _ = yield from p2p._recv_steps(
+                comm, proc, me, me - 1, _T_ALLREDUCE)
             acc = combine(op, acc, data, out=data)
-            _charge_combine(comm, acc)
+            _charge_combine(comm, proc, acc)
             new_rank = me // 2
     else:
         new_rank = me - rem
@@ -195,61 +230,84 @@ def allreduce(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> 
             partner = (
                 partner_new * 2 + 1 if partner_new < rem else partner_new + rem
             )
-            data = p2p.sendrecv(comm, me, partner, acc, partner, _T_ALLREDUCE)
+            data = yield from p2p._sendrecv_steps(
+                comm, proc, me, partner, acc, partner, _T_ALLREDUCE)
             acc = combine(op, acc, data, out=data)
-            _charge_combine(comm, acc)
+            _charge_combine(comm, proc, acc)
             mask <<= 1
     # Deliver results back to the folded-out even ranks.
     if me < 2 * rem:
         if me % 2 == 1:
-            p2p.send(comm, me, me - 1, acc, _T_ALLREDUCE)
+            yield from p2p._send_steps(comm, proc, me, me - 1, acc, _T_ALLREDUCE)
         else:
-            acc, _, _ = p2p.recv(comm, me, me + 1, _T_ALLREDUCE)
+            acc, _, _ = yield from p2p._recv_steps(
+                comm, proc, me, me + 1, _T_ALLREDUCE)
     return acc
 
 
 def gather(comm: "Communicator", me: int, p: int, obj: Any, root: int) -> list | None:
     """Linear gather; returns the rank-ordered list at ``root``."""
-    _enter(comm, "gather", p, root=root)
+    proc = current_process()
+    _enter(comm, proc, "gather", p, root=root)
+    return proc.run_steps(_gather_steps(comm, proc, me, p, obj, root))
+
+
+def _gather_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                  obj: Any, root: int) -> Steps[list | None]:
     if me != root:
-        p2p.send(comm, me, root, obj, _T_GATHER)
+        yield from p2p._send_steps(comm, proc, me, root, obj, _T_GATHER)
         return None
     out: list[Any] = [None] * p
     out[me] = copy_payload(obj)
     for _ in range(p - 1):
-        payload, src, _ = p2p.recv(comm, me, None, _T_GATHER)
+        payload, src, _ = yield from p2p._recv_steps(
+            comm, proc, me, None, _T_GATHER)
         out[src] = payload
     return out
 
 
 def scatter(comm: "Communicator", me: int, p: int, objs: list | None, root: int) -> Any:
     """Linear scatter of ``objs[i]`` to rank ``i``."""
-    _enter(comm, "scatter", p, root=root)
+    proc = current_process()
+    _enter(comm, proc, "scatter", p, root=root)
+    if me == root and (objs is None or len(objs) != p):
+        raise ValueError(f"scatter at root needs a list of length {p}")
+    return proc.run_steps(_scatter_steps(comm, proc, me, p, objs, root))
+
+
+def _scatter_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                   objs: list | None, root: int) -> Steps[Any]:
     if me == root:
-        if objs is None or len(objs) != p:
-            raise ValueError(f"scatter at root needs a list of length {p}")
         for dest in range(p):
             if dest != me:
-                p2p.send(comm, me, dest, objs[dest], _T_SCATTER)
+                yield from p2p._send_steps(comm, proc, me, dest, objs[dest],
+                                           _T_SCATTER)
         return copy_payload(objs[me])
-    payload, _, _ = p2p.recv(comm, me, root, _T_SCATTER)
+    payload, _, _ = yield from p2p._recv_steps(comm, proc, me, root, _T_SCATTER)
     return payload
 
 
 def allgather(comm: "Communicator", me: int, p: int, obj: Any) -> list:
     """Ring allgather: p-1 rounds, each forwarding the newest block."""
-    _enter(comm, "allgather", p)
+    proc = current_process()
+    _enter(comm, proc, "allgather", p)
+    return proc.run_steps(_allgather_steps(comm, proc, me, p, obj))
+
+
+def _allgather_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                     obj: Any) -> Steps[list]:
     out: list[Any] = [None] * p
     out[me] = copy_payload(obj)
     if p == 1:
-        current_process().checkpoint()
+        yield from proc.checkpoint_steps()
         return out
     right = (me + 1) % p
     left = (me - 1) % p
     carry_idx = me
     for _ in range(p - 1):
-        idx, payload = p2p.sendrecv(
-            comm, me, right, (carry_idx, out[carry_idx]), left, _T_ALLGATHER)
+        idx, payload = yield from p2p._sendrecv_steps(
+            comm, proc, me, right, (carry_idx, out[carry_idx]), left,
+            _T_ALLGATHER)
         out[idx] = payload
         carry_idx = idx
     return out
@@ -257,15 +315,22 @@ def allgather(comm: "Communicator", me: int, p: int, obj: Any) -> list:
 
 def alltoall(comm: "Communicator", me: int, p: int, objs: list) -> list:
     """Pairwise-exchange alltoall: ``objs[i]`` goes to rank ``i``."""
-    _enter(comm, "alltoall", p)
+    proc = current_process()
+    _enter(comm, proc, "alltoall", p)
     if len(objs) != p:
         raise ValueError(f"alltoall needs a list of length {p}")
+    return proc.run_steps(_alltoall_steps(comm, proc, me, p, objs))
+
+
+def _alltoall_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                    objs: list) -> Steps[list]:
     out: list[Any] = [None] * p
     out[me] = copy_payload(objs[me])
     for round_ in range(1, p):
         dest = (me + round_) % p
         src = (me - round_) % p
-        out[src] = p2p.sendrecv(comm, me, dest, objs[dest], src, _T_ALLTOALL)
+        out[src] = yield from p2p._sendrecv_steps(
+            comm, proc, me, dest, objs[dest], src, _T_ALLTOALL)
     return out
 
 
@@ -277,16 +342,23 @@ def scan(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> Any:
     rank sends its running value to ``me + 2^k`` and folds in the value
     from ``me - 2^k`` — the standard implementation shape.
     """
-    _enter(comm, "scan", p, obj=obj)
+    proc = current_process()
+    _enter(comm, proc, "scan", p, obj=obj)
+    return proc.run_steps(_scan_steps(comm, proc, me, p, obj, op))
+
+
+def _scan_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                obj: Any, op: ReduceOp) -> Steps[Any]:
     acc = obj
     k = 1
     while k < p:
         if me + k < p:
-            p2p.send(comm, me, me + k, acc, _T_SCAN)
+            yield from p2p._send_steps(comm, proc, me, me + k, acc, _T_SCAN)
         if me - k >= 0:
-            data, _, _ = p2p.recv(comm, me, me - k, _T_SCAN)
+            data, _, _ = yield from p2p._recv_steps(
+                comm, proc, me, me - k, _T_SCAN)
             acc = combine(op, data, acc, out=data)
-            _charge_combine(comm, acc)
+            _charge_combine(comm, proc, acc)
         k <<= 1
     return _private(acc, obj)
 
@@ -294,14 +366,21 @@ def scan(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> Any:
 def exscan(comm: "Communicator", me: int, p: int, obj: Any, op: ReduceOp) -> Any:
     """Exclusive prefix reduction (``MPI_Exscan``): rank ``i`` receives
     ``op(obj_0, ..., obj_{i-1})``; rank 0 receives ``None``."""
-    _enter(comm, "exscan", p, obj=obj)
-    inclusive = scan(comm, me, p, obj, op)
+    proc = current_process()
+    site = _enter(comm, proc, "exscan", p, obj=obj)
+    return proc.run_steps(_exscan_steps(comm, proc, me, p, obj, op, site))
+
+
+def _exscan_steps(comm: "Communicator", proc: SimProcess, me: int, p: int,
+                  obj: Any, op: ReduceOp, site: str | None) -> Steps[Any]:
+    _enter(comm, proc, "scan", p, obj=obj, site=site)
+    inclusive = yield from _scan_steps(comm, proc, me, p, obj, op)
     # shift right by one rank: rank i hands its inclusive value to i+1
     if me + 1 < p:
-        p2p.send(comm, me, me + 1, inclusive, _T_EXSCAN)
+        yield from p2p._send_steps(comm, proc, me, me + 1, inclusive, _T_EXSCAN)
     if me == 0:
         return None
-    data, _, _ = p2p.recv(comm, me, me - 1, _T_EXSCAN)
+    data, _, _ = yield from p2p._recv_steps(comm, proc, me, me - 1, _T_EXSCAN)
     return data
 
 
@@ -313,11 +392,22 @@ def reduce_scatter_block(
     Implemented as pairwise alltoall + local combine — the pattern the MPI
     PageRank benchmark uses to exchange rank contributions.
     """
-    _enter(comm, "reduce_scatter_block", p, obj=objs)
+    proc = current_process()
+    site = _enter(comm, proc, "reduce_scatter_block", p, obj=objs)
+    _enter(comm, proc, "alltoall", p, site=site)
+    if len(objs) != p:
+        raise ValueError(f"alltoall needs a list of length {p}")
+    return proc.run_steps(
+        _reduce_scatter_block_steps(comm, proc, me, p, objs, op))
+
+
+def _reduce_scatter_block_steps(comm: "Communicator", proc: SimProcess,
+                                me: int, p: int, objs: list,
+                                op: ReduceOp) -> Steps[Any]:
     # every element is this rank's: received, or alltoall's copy of objs[me]
-    mine = alltoall(comm, me, p, objs)
+    mine = yield from _alltoall_steps(comm, proc, me, p, objs)
     acc = mine[0]
     for x in mine[1:]:
         acc = combine(op, acc, x, out=acc)
-    _charge_combine(comm, acc)
+    _charge_combine(comm, proc, acc)
     return acc

@@ -12,6 +12,11 @@ blocking sends at each other — which surfaces here as a
 All functions take the communicator plus an **explicit calling rank** (local
 to that communicator), so helper processes that implement non-blocking
 requests can drive the protocol on a rank's behalf.
+
+Each protocol has one body, written as steps (``_send_steps``,
+``_recv_steps``, ``_sendrecv_steps``; see ``SimProcess.run_steps``).  The
+blocking functions run it for the calling process; the collectives compose
+it with ``yield from``, so a whole collective wakes the rank's thread once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import DeadlockError
 from repro.mpi.datatypes import copy_payload, nbytes_of
 from repro.sim.engine import current_process
-from repro.sim.process import ProcState, SimProcess
+from repro.sim.process import ProcState, SimProcess, Steps
 from repro.sim.sync import Future, Message
 from repro.sim.trace import call_site
 
@@ -73,7 +78,7 @@ def _check_sendsend(
     raise DeadlockError(
         "MPI send/send cycle: two blocking rendezvous sends at each other\n"
         f"  - rank {src} ({proc.name}) sends {size} B to rank {dest} "
-        f"at {call_site(('repro/sim/', 'repro/mpi/'))}\n"
+        f"at {call_site(('repro/sim/', 'repro/mpi/'), proc)}\n"
         f"  - rank {dest} ({dest_proc.name}) sends "
         f"{pending.meta.get('nbytes')} B to rank {src} "
         "and is already waiting for our clear-to-send\n"
@@ -100,8 +105,16 @@ def send(
     the receiver takes ownership of ``obj`` instead of a copy.  Never set
     for a buffer the caller can still see.
     """
-    env = comm.env
     proc = current_process()
+    proc.run_steps(_send_steps(comm, proc, src, dest, obj, tag, nbytes, move))
+
+
+def _send_steps(
+    comm: "Communicator", proc: SimProcess, src: int, dest: int, obj: Any,
+    tag: int, nbytes: int | None = None, move: bool = False,
+) -> Steps[None]:
+    """:func:`send` as steps (``SimProcess.run_steps``): eager or rendezvous."""
+    env = comm.env
     size = nbytes_of(obj) if nbytes is None else nbytes
     proc.compute(env.costs.mpi_per_call)
     src_node = _node(comm, src)
@@ -111,7 +124,7 @@ def send(
         arrival = env.cluster.network.msg_arrival(
             proc, env.fabric, src_node, dst_node, size
         )
-        box.post(
+        yield from box.post_steps(
             proc, obj if move else copy_payload(obj), arrival=arrival,
             src=src, tag=tag, kind="eager", nbytes=size,
         )
@@ -128,18 +141,18 @@ def send(
     arrival = env.cluster.network.msg_arrival(
         proc, env.fabric, src_node, dst_node, _RTS_BYTES
     )
-    box.post(
+    yield from box.post_steps(
         proc, cts, arrival=arrival,
         src=src, tag=tag, kind="rts", msg_id=msg_id, nbytes=size,
     )
     _check_sendsend(comm, proc, src, dest, size, dest_proc)
-    cts.wait(proc)
-    done = env.cluster.network.transmit(
+    yield from cts.wait_steps(proc)
+    done = yield from env.cluster.network.transmit_steps(
         proc, env.fabric, src_node, dst_node, size,
         label=f"mpi:{src}->{dest}",
     )
-    box.post(proc, obj if move else copy_payload(obj), arrival=done,
-             kind="data", msg_id=msg_id)
+    yield from box.post_steps(proc, obj if move else copy_payload(obj),
+                              arrival=done, kind="data", msg_id=msg_id)
 
 
 def recv(
@@ -153,8 +166,16 @@ def recv(
     ``source``/``tag`` of ``None`` mean ``MPI_ANY_SOURCE``/``MPI_ANY_TAG``.
     Returns ``(payload, actual_source, actual_tag)``.
     """
-    env = comm.env
     proc = current_process()
+    return proc.run_steps(_recv_steps(comm, proc, me, source, tag))
+
+
+def _recv_steps(
+    comm: "Communicator", proc: SimProcess, me: int, source: int | None,
+    tag: int | None,
+) -> Steps[tuple[Any, int, int]]:
+    """:func:`recv` as steps (``SimProcess.run_steps``)."""
+    env = comm.env
     box = env.mailbox(comm.ctx, me)
 
     def match(m: Message) -> bool:
@@ -167,7 +188,7 @@ def recv(
             return m.meta["tag"] >= 0
         return m.meta["tag"] == tag
 
-    msg = box.recv(
+    msg = yield from box.recv_steps(
         proc, match,
         reason=f"mpi.recv(rank={me},src={source},tag={tag})",
         waker=None if source is None else _rank_proc(comm, source),
@@ -177,9 +198,9 @@ def recv(
     if msg.meta["kind"] == "eager":
         return msg.payload, msg.meta["src"], msg.meta["tag"]
     # rendezvous: grant clear-to-send, then take the data message
-    msg.payload.set(proc)
+    yield from msg.payload.set_steps(proc)
     msg_id = msg.meta["msg_id"]
-    data = box.recv(
+    data = yield from box.recv_steps(
         proc,
         lambda m: m.meta.get("kind") == "data" and m.meta.get("msg_id") == msg_id,
         reason=f"mpi.recv-data(rank={me})",
@@ -261,8 +282,17 @@ def sendrecv(
     exchanges collectives perform, without needing a progress helper
     process per large message.
     """
-    env = comm.env
     proc = current_process()
+    return proc.run_steps(
+        _sendrecv_steps(comm, proc, me, dest, send_obj, source, tag))
+
+
+def _sendrecv_steps(
+    comm: "Communicator", proc: SimProcess, me: int, dest: int,
+    send_obj: Any, source: int | None, tag: int,
+) -> Steps[Any]:
+    """:func:`sendrecv` as steps (``SimProcess.run_steps``)."""
+    env = comm.env
     size = nbytes_of(send_obj)
     proc.compute(env.costs.mpi_per_call)
     src_node = _node(comm, me)
@@ -271,7 +301,7 @@ def sendrecv(
     arrival = env.cluster.network.msg_arrival(
         proc, env.fabric, src_node, dst_node, _RTS_BYTES
     )
-    box.post(
+    yield from box.post_steps(
         proc, copy_payload(send_obj), arrival=arrival,
         src=me, tag=tag, kind="xdesc", nbytes=size,
     )
@@ -284,14 +314,14 @@ def sendrecv(
             and m.meta["tag"] == tag
         )
 
-    msg = my_box.recv(
+    msg = yield from my_box.recv_steps(
         proc, match, reason=f"mpi.sendrecv(rank={me})",
         waker=None if source is None else _rank_proc(comm, source),
     )
     fab = env.cluster.spec.fabric(env.fabric)
     proc.compute(env.costs.mpi_per_call + fab.sw_overhead(msg.meta["nbytes"]))
     if msg.meta["nbytes"] > env.costs.mpi_eager_threshold:
-        env.cluster.network.transmit(
+        yield from env.cluster.network.transmit_steps(
             proc, env.fabric, _node(comm, msg.meta["src"]), src_node,
             msg.meta["nbytes"], label=f"mpi:xchg{msg.meta['src']}->{me}",
         )

@@ -11,7 +11,7 @@ from repro.cluster.cluster import Cluster
 from repro.errors import ConfigurationError, ShmemError
 from repro.shmem.heap import SymmetricArray, SymmetricHeap
 from repro.sim.engine import current_process
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.sim.sync import Mailbox, SimLock
 from repro.spark.partitioner import stable_hash
 
@@ -116,16 +116,19 @@ class PE:
     def get(self, sym: SymmetricArray, pe: int, offset: int = 0,
             count: int | None = None) -> np.ndarray:
         """``shmem_get``: read from ``pe``'s copy into a private array."""
-        return self._fetch(sym, pe, offset, count).copy()
+        proc = current_process()
+        return proc.run_steps(
+            self._fetch_steps(proc, sym, pe, offset, count)).copy()
 
-    def _fetch(self, sym: SymmetricArray, pe: int, offset: int = 0,
-               count: int | None = None) -> np.ndarray:
-        """The transfer of :meth:`get`, returning a *view* of ``pe``'s copy.
+    def _fetch_steps(self, proc: SimProcess, sym: SymmetricArray, pe: int,
+                     offset: int = 0,
+                     count: int | None = None) -> Steps[np.ndarray]:
+        """The transfer of :meth:`get` as steps, returning a *view* of
+        ``pe``'s copy.
 
         For the collectives, which consume the view before their next
         checkpoint — until then no other PE can run, let alone write it.
         """
-        proc = current_process()
         source = sym.local(pe)
         count = source.size - offset if count is None else count
         if offset + count > source.size:
@@ -136,7 +139,7 @@ class PE:
         proc.compute(self.env.costs.shmem_rma_overhead)
         src_node, dst_node = self._rma_nodes(pe)
         view = source[offset : offset + count]
-        self.env.cluster.network.transmit(
+        yield from self.env.cluster.network.transmit_steps(
             proc, self.env.fabric, dst_node, src_node, view.nbytes,
             label=f"shmem.get<-{pe}",
         )

@@ -34,8 +34,8 @@ owner's ``(clock, pid)`` turn, runs the continuation in place and keeps
 popping; the owner's thread is not woken.  The continuation must not park,
 and one that raises fails its owner, not the thread that ran it.
 
-Three cooperating optimisations make the hot path (a checkpoint that does
-not change the schedule order) switch-free:
+Four cooperating optimisations make the hot path (a checkpoint that does
+not change the schedule order, a protocol round) switch-free:
 
 1. **Run-ahead token retention** — at a checkpoint (or a ``park_until``
    whose wake time is already due) the running process peeks at the heap
@@ -58,6 +58,20 @@ not change the schedule order) switch-free:
    process threads cannot decide locally: a process failed (abort + raise),
    or no process is runnable (termination vs deadlock detection).
 
+4. **Step continuations** — a protocol written as a generator
+   (:meth:`SimProcess.run_steps`: the MPI point-to-point and collective
+   algorithms, the OpenSHMEM collectives) parks carrying the generator
+   instead of its thread.  At the owner's turn :meth:`_dispatch` runs the
+   next segment on the thread that holds the token, with
+   :func:`current_process` bound to the owner, and keeps popping; the
+   owner's thread is granted once, when the generator returns.  A segment
+   starts at exactly the ``(clock, pid)`` turn at which the blocking form
+   would have resumed — the same retention test, the same push, the same
+   BLOCKED state — so the interleaving is unchanged; only the thread
+   executing it differs.  Invariants: a step never parks (``_park`` raises
+   while one runs), a raising step fails its owner on the owner's thread,
+   and a wake or clock edge made by a step belongs to the owner.
+
 Determinism is unaffected: the successor chosen by the heap is exactly the
 ``min(runnable, key=(clock, pid))`` of a linear scan, and token retention
 only happens when that minimum is the yielding process itself.  That
@@ -65,11 +79,22 @@ obviously-correct scheduler — O(n) scan, every yield through the engine
 thread, no retention — lives in ``tests/sim_oracle.py`` as an
 :class:`Engine` subclass; the determinism suite asserts byte-identical
 traces between it and this engine on golden scenarios and on generated
-process programs.
+process programs.  ``tests/test_sim_steps.py`` runs generated programs with
+their operations as blocking calls and as steps, on both schedulers, and
+requires the same clocks, results and traces.
+
+Measured on one pinned CPU of the 2-core benchmark host: a forced hand-off
+between two process threads costs 5.5-6.4 µs, the same step run as a
+continuation on the thread already holding the token 1.8-2.2 µs; on the
+benchmark's ``reduce_latency`` (64-rank MPI and OpenSHMEM reduces, mostly
+dissemination-barrier rounds) thread grants per repetition fell from
+61,202 to 12,346.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import gc
 import sys
 import threading
@@ -81,6 +106,34 @@ from repro.sim.process import ProcState, SimProcess
 from repro.sim.trace import Trace, anchored_path
 
 _current: threading.local = threading.local()
+
+#: glibc's ``mallopt`` parameter number for the arena cap
+_M_ARENA_MAX = -8
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Cap glibc's malloc at one arena, once per interpreter (host tuning).
+
+    glibc gives threads their own arenas (up to eight per core) so threads
+    running at once do not contend for one heap.  Simulated processes never
+    run at once, and a step runs on whichever thread holds the token, so a
+    payload is often allocated on one thread and freed on another: the
+    extra arenas only keep fragments resident.  Peak RSS of the benchmark's
+    ``reduce_latency`` (64-rank MPI and OpenSHMEM reduces of up to 1 MiB):
+    242 MiB with per-thread arenas before the protocols ran as steps, 265
+    MiB after, 217 MiB with one arena.  glibc fixes its arena limit the
+    first time a thread needs a ninth arena, so the cap holds when set
+    before that (any interpreter that has not yet run many threads) and
+    cannot be undone; elsewhere than glibc this is a no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def current_process() -> SimProcess:
@@ -272,6 +325,7 @@ class Engine:
         # measured at +33 % peak RSS.  The long switch interval
         # stops the GIL from preempting compute mid-slice — processes
         # hand off deterministically through locks, never via preemption.
+        _one_malloc_arena()
         gc_was_enabled = gc.isenabled()
         old_switch = sys.getswitchinterval()
         gc.disable()
@@ -364,9 +418,12 @@ class Engine:
 
         A process carrying a continuation gets that run here, on the calling
         thread, and stays parked (``False``: the caller still holds the token
-        and picks the next minimum).  A continuation that raises is the
-        owner's failure: the exception is handed to the owner's thread, which
-        is granted the token and re-raises it from its own ``checkpoint``.
+        and picks the next minimum).  A process parked in ``run_steps`` gets
+        its next segment run here and its thread granted only when the steps
+        are over.  A continuation or step that raises is the owner's
+        failure: the exception is handed to the owner's thread, which is
+        granted the token and re-raises it from its own ``checkpoint`` or
+        ``run_steps``.
         """
         if proc.clock > self.now:
             self.now = proc.clock
@@ -379,8 +436,26 @@ class Engine:
                 proc._then_error = exc
             else:
                 return False
+        elif proc._steps is not None and not self._resume(proc):
+            return False
         proc._grant()
         return True
+
+    def _resume(self, proc: SimProcess) -> bool:
+        """Run ``proc``'s parked steps here, as ``proc``; ``True`` once over.
+
+        For the segment's duration ``proc`` is RUNNING and is what
+        :func:`current_process` answers on this thread, so ``compute()``
+        charges it and a ``_wake`` it makes attributes the vector-clock edge
+        to it, not to the thread's own process.
+        """
+        prev = getattr(_current, "proc", None)
+        _current.proc = proc
+        proc.state = ProcState.RUNNING
+        try:
+            return proc._advance()
+        finally:
+            _current.proc = prev
 
     def _abort(self) -> None:
         """Unwind every parked process by injecting ``SimKilled``."""
@@ -412,16 +487,28 @@ class Engine:
         Walks the blocked thread's live frame stack past simulator-internal
         and threading frames to the runtime/user frame that issued the wait.
         The thread is parked in its hand-off lock's ``acquire`` while we
-        look, so the stack is stable.  Returns ``None`` when no frame can
-        be attributed.
+        look, so the stack is stable.  A process parked in ``run_steps`` is
+        in the middle of a protocol whose frames are not on the stack; the
+        frames above it belong to the runtime the protocol comes from, so
+        those are skipped too and the site is the call into that runtime
+        (the user's ``comm.barrier()``), if there is one.  Returns ``None``
+        when no frame can be attributed.
         """
+        code = getattr(proc._steps, "gi_code", None)
+        runtime = None
+        if code is not None:
+            runtime = anchored_path(code.co_filename).rpartition("/")[0]
         frame = sys._current_frames().get(proc._thread.ident)
+        site = None
         while frame is not None:
             path = anchored_path(frame.f_code.co_filename)
             if not path.startswith("repro/sim/") and "threading" not in path:
-                return f"{path}:{frame.f_lineno}"
+                here = f"{path}:{frame.f_lineno}"
+                if not runtime or not path.startswith(runtime + "/"):
+                    return here
+                site = site or here
             frame = frame.f_back
-        return None
+        return site
 
     def _wait_edges(
         self, blocked: list[SimProcess]

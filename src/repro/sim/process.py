@@ -14,6 +14,16 @@ Time advances only through the explicit API:
 * :meth:`SimProcess.block` / :meth:`SimProcess.park_until` — wait for another
   process or for a scheduled virtual instant.
 
+A protocol that waits several times (an MPI collective, a rendezvous send)
+can instead be written as **steps** and run by :meth:`SimProcess.run_steps`:
+a generator that yields one :class:`Step` request wherever the blocking form
+would wait.  Every segment after the first runs at the owner's turn on
+whichever thread holds the token, so the owner's own thread is woken once,
+when the protocol returns.  The sim primitives offer step forms
+(``Mailbox.recv_steps``, ``Future.wait_steps``, ``FlowSystem.transfer_steps``
+...); runtime code composes them with ``yield from`` and never yields a
+request itself.
+
 All methods prefixed with an underscore are engine/runtime internals.
 """
 
@@ -21,12 +31,32 @@ from __future__ import annotations
 
 import enum
 import threading
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Generator, TypeVar
 
 from repro.errors import SimKilled, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.engine import Engine
+
+T = TypeVar("T")
+
+
+class Step(enum.Enum):
+    """What a step generator waits for (see :meth:`SimProcess.run_steps`)."""
+
+    #: resume me at my ``(clock, pid)`` turn — a checkpoint, or with the
+    #: clock already moved forward, a ``park_until``
+    TURN = "turn"
+    #: I registered myself as a waiter; resume me after ``_wake``
+    BLOCK = "block"
+    #: I am parked RUNNABLE and the flow system owns my run-queue entry
+    QUEUED = "queued"
+
+
+TURN, BLOCK, QUEUED = Step.TURN, Step.BLOCK, Step.QUEUED
+
+#: a protocol written as steps: yields requests, returns its result
+Steps = Generator[Step, None, T]
 
 
 class ProcState(enum.Enum):
@@ -111,6 +141,15 @@ class SimProcess:
         #: ``_then_error`` for this process's own thread to re-raise.
         self._then: Callable[[], None] | None = None
         self._then_error: BaseException | None = None
+        #: the step generator :meth:`run_steps` is driving while this
+        #: process is parked in it; the token holder resumes it at this
+        #: process's turn (``Engine._dispatch``) and grants the process
+        #: only once it has returned, its value kept in ``_step_result``.
+        self._steps: Steps[Any] | None = None
+        self._step_result: Any = None
+        #: true while a step generator runs: a step must never park the
+        #: thread it runs on, which may belong to another process
+        self._stepping = False
         #: heap sequence number; bumped by ``Engine._push`` so stale run
         #: queue entries for this process can be recognised and skipped.
         self._hseq = 0
@@ -181,8 +220,9 @@ class SimProcess:
         with no intervening execution, so it keeps the token and returns
         inline — no context switch.  Returns whether the process parked.
 
-        ``_then`` is runtime-internal (the flow system's park-once rule).  A
-        process that parks may carry this one continuation: at the process's
+        ``_then`` is runtime-internal (the flow system's park-once rule; the
+        resumable generalisation is :meth:`run_steps`).  A process that
+        parks may carry this one continuation: at the process's
         ``(clock, pid)`` turn the thread holding the token runs it *in place
         of* waking the process, which stays RUNNABLE and parked.  The
         continuation therefore owns the process's next wake (it re-keys
@@ -199,8 +239,7 @@ class SimProcess:
             if self.clock > eng.now:
                 eng.now = self.clock
             return False
-        self._then = _then
-        self._park(ProcState.RUNNABLE)
+        self._park(ProcState.RUNNABLE, _then)
         return True
 
     def sleep(self, seconds: float) -> None:
@@ -216,11 +255,7 @@ class SimProcess:
         flow owner's wake time before it fires (``sim/resources.py``).
         """
         self._assert_current()
-        if wake_time < self.clock:
-            raise SimulationError(
-                f"{self.name}: wake time {wake_time} precedes clock {self.clock}"
-            )
-        self.clock = wake_time
+        self._set_wake(wake_time)
         eng = self.engine
         # Run-ahead retention: if no other runnable precedes the wake
         # time, nothing can run (and hence revise it) before it fires.
@@ -243,15 +278,109 @@ class SimProcess:
         and are otherwise unused.
         """
         self._assert_current()
-        self.waiting_on = reason
-        self.waiting_since = self.clock
-        self.wait_obj = obj
-        self.wait_wakers = wakers
+        self._await(reason, obj, wakers)
         self._park(ProcState.BLOCKED)
+        self._awoken()
+
+    # -- steps ----------------------------------------------------------------
+
+    def run_steps(self, steps: Steps[T]) -> T:
+        """Run a protocol written as steps; return what the generator returns.
+
+        ``steps`` yields one :class:`Step` request wherever the blocking
+        form would wait, and this drives it with the same rules: a
+        ``TURN`` while this process is still the minimum runnable
+        ``(clock, pid)`` continues inline (run-ahead retention), otherwise
+        the process parks carrying the generator.  The first segment runs
+        here; every later one runs in ``Engine._dispatch`` at this
+        process's turn, on whichever thread holds the token, with
+        :func:`~repro.sim.engine.current_process` bound to this process and
+        :meth:`compute` allowed.  This thread is granted once, when the
+        generator returns; an exception it raised is re-raised here.
+
+        A step must not park: calling a blocking primitive from one raises
+        :class:`SimulationError` (its thread may be another process's), so
+        steps compose the step forms of the sim primitives with
+        ``yield from``.  Virtual time, event order and the wait metadata
+        are those of the blocking form, since each segment runs at exactly
+        the scheduling point the blocking form would resume at.
+        """
+        self._assert_current()
+        if self._stepping:
+            raise SimulationError(
+                f"{self.name}: run_steps called from inside a step; compose "
+                "step forms with `yield from` instead")
+        self._steps = steps
+        if self._advance():
+            self.state = ProcState.RUNNING  # a raising step may have parked it
+            self._raise_then_error()
+        else:
+            self._wait_for_grant()
+        result, self._step_result = self._step_result, None
+        return result
+
+    def checkpoint_steps(self) -> Steps[None]:
+        """Step form of :meth:`checkpoint`."""
+        yield TURN
+
+    def park_until_steps(self, wake_time: float, *,
+                         reason: Any = "timer") -> Steps[None]:
+        """Step form of :meth:`park_until`."""
+        self._set_wake(wake_time)
+        self.waiting_on = reason
+        yield TURN
         self.waiting_on = None
-        self.waiting_since = None
-        self.wait_obj = None
-        self.wait_wakers = None
+
+    def block_steps(self, *, reason: str, obj: Any = None,
+                    wakers: Any = None) -> Steps[None]:
+        """Step form of :meth:`block`: the caller registered as a waiter."""
+        self._await(reason, obj, wakers)
+        yield BLOCK
+        self._awoken()
+
+    def _advance(self) -> bool:
+        """Run ``_steps`` until they must wait; ``True`` once they are over.
+
+        Waiting leaves the process parked as the request says — RUNNABLE
+        and pushed (``TURN`` not retained), BLOCKED (``BLOCK``), RUNNABLE
+        and unqueued (``QUEUED``) — and returns ``False``.  Over means
+        returned (value in ``_step_result``) or raised (exception in
+        ``_then_error``, for the owner's thread to re-raise).  Called on the
+        owner's thread for the first segment, by ``Engine._dispatch`` for
+        every later one.
+        """
+        steps = self._steps
+        eng = self.engine
+        self._stepping = True
+        try:
+            req = steps.send(None)
+            while True:
+                if req is TURN:
+                    top = eng._peek_min()
+                    if top is None or (self.clock, self.pid) < top:
+                        if self.clock > eng.now:
+                            eng.now = self.clock
+                        req = steps.send(None)
+                        continue
+                    self.state = ProcState.RUNNABLE
+                    eng._push(self)
+                elif req is BLOCK:
+                    self.state = ProcState.BLOCKED
+                elif req is QUEUED:
+                    self.state = ProcState.RUNNABLE
+                else:
+                    raise SimulationError(
+                        f"{self.name}: a step yielded {req!r}; steps yield "
+                        "TURN, BLOCK or QUEUED")
+                return False
+        except StopIteration as stop:
+            self._step_result = stop.value
+        except Exception as exc:  # noqa: BLE001 - re-raised by the owner
+            self._then_error = exc
+        finally:
+            self._stepping = False
+        self._steps = None
+        return True
 
     # -- happens-before bookkeeping (hb mode only) ---------------------------
 
@@ -301,20 +430,53 @@ class SimProcess:
         self.state = ProcState.RUNNABLE
         self.engine._push(self)
 
-    def _park(self, state: ProcState) -> None:
+    def _set_wake(self, wake_time: float) -> None:
+        """Move the clock forward to a timed park's wake time."""
+        if wake_time < self.clock:
+            raise SimulationError(
+                f"{self.name}: wake time {wake_time} precedes clock {self.clock}"
+            )
+        self.clock = wake_time
+
+    def _await(self, reason: str, obj: Any, wakers: Any) -> None:
+        """Record the blocking-edge metadata of a wait (see ``__init__``)."""
+        self.waiting_on = reason
+        self.waiting_since = self.clock
+        self.wait_obj = obj
+        self.wait_wakers = wakers
+
+    def _awoken(self) -> None:
+        self.waiting_on = None
+        self.waiting_since = None
+        self.wait_obj = None
+        self.wait_wakers = None
+
+    def _park(self, state: ProcState,
+              then: Callable[[], None] | None = None) -> None:
         """Release the token and wait to be rescheduled.
 
         The successor is granted directly from this thread (or the engine is
         woken when there is none) — see ``Engine._release_token``.
         """
+        if self._stepping:
+            raise SimulationError(
+                f"{self.name}: a step called a blocking primitive; steps must "
+                "not park (compose the primitive's step form with `yield from`)")
+        self._then = then
         self.state = state
-        eng = self.engine
         if state is ProcState.RUNNABLE:
-            eng._push(self)
-        eng._release_token(self)
+            self.engine._push(self)
+        self._wait_for_grant()
+
+    def _wait_for_grant(self) -> None:
+        """Hand the token on and block this thread until it is granted back."""
+        self.engine._release_token(self)
         self._go.acquire()
         if self._killed:
             raise SimKilled()
+        self._raise_then_error()
+
+    def _raise_then_error(self) -> None:
         exc = self._then_error
         if exc is not None:
             self._then_error = None

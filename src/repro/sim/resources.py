@@ -44,7 +44,9 @@ is touched at most once per event:
   ``(clock, pid)`` turn — register, re-price, which re-keys the still-parked
   owner to its projected finish — and the owner's thread wakes only when
   its flow is due.  A parked process may carry one continuation; the token
-  holder runs it at the owner's turn; it must not park.
+  holder runs it at the owner's turn; it must not park.  The step form,
+  :meth:`FlowSystem.transfer_steps`, always takes that path: at its turn the
+  owner registers while already RUNNABLE, then yields ``QUEUED``.
 
 The algorithm these two rules replaced (a separate advance pass, a fresh
 heap entry for every revised owner, two parks per transfer) is kept as
@@ -58,7 +60,7 @@ from math import inf
 from typing import Callable, Iterable
 
 from repro.errors import SimulationError
-from repro.sim.process import ProcState, SimProcess
+from repro.sim.process import QUEUED, TURN, ProcState, SimProcess, Steps
 
 _RUNNABLE = ProcState.RUNNABLE
 
@@ -173,16 +175,9 @@ class FlowSystem:
         the fair-share rule; the caller's projected completion is revised
         on-the-fly as competing flows come and go.
         """
-        if not 0 <= nbytes < inf:
-            raise SimulationError(
-                f"transfer size must be finite and >= 0, got {nbytes!r}")
-        if rate_cap is not None and not 0 < rate_cap < inf:
-            raise SimulationError(
-                f"rate_cap must be finite and > 0, got {rate_cap!r}")
-        res = tuple(resources)
-        if nbytes == 0 or not res:
+        flow = self._flow(proc, resources, nbytes, rate_cap, label)
+        if flow is None:
             return proc.clock
-        flow = Flow(proc, res, nbytes, rate_cap, label)
         # Establish global virtual-time order, then register.  Not our turn:
         # park once, the registration rides along and re-keys us to the
         # flow's finish.  Our turn already: register inline, then park.
@@ -194,13 +189,36 @@ class FlowSystem:
                 proc.park_until(flow.finish, reason=flow)
         finally:
             proc.waiting_on = None
-        if proc.clock != flow.finish:
-            raise SimulationError(
-                f"{proc.name} woke at {proc.clock!r}, not at the finish "
-                f"{flow.finish!r} of {flow!r}")
-        self._unregister(flow)
-        self._recompute(proc.clock)
-        return proc.clock
+        return self._finish(proc, flow)
+
+    def transfer_steps(
+        self,
+        proc: SimProcess,
+        resources: Iterable[FluidResource],
+        nbytes: float,
+        *,
+        rate_cap: float | None = None,
+        label: str = "",
+    ) -> Steps[float]:
+        """Step form of :meth:`transfer` (see ``SimProcess.run_steps``).
+
+        At its turn the owner registers already parked (RUNNABLE), so the
+        re-pricing keys it to the flow's finish and queues it only if it is
+        the earliest parked owner — the continuation path of
+        :meth:`transfer`, taken whether or not the turn was retained.
+        """
+        flow = self._flow(proc, resources, nbytes, rate_cap, label)
+        if flow is None:
+            return proc.clock
+        proc.waiting_on = flow
+        try:
+            yield TURN
+            proc.state = _RUNNABLE
+            self._register(flow)
+            yield QUEUED
+        finally:
+            proc.waiting_on = None
+        return self._finish(proc, flow)
 
     @property
     def active_count(self) -> int:
@@ -225,6 +243,31 @@ class FlowSystem:
         self._recompute(t)
 
     # -- internals -------------------------------------------------------------
+
+    @staticmethod
+    def _flow(proc: SimProcess, resources: Iterable[FluidResource],
+              nbytes: float, rate_cap: float | None, label: str) -> Flow | None:
+        """Validate a transfer; its flow, or ``None`` when it moves nothing."""
+        if not 0 <= nbytes < inf:
+            raise SimulationError(
+                f"transfer size must be finite and >= 0, got {nbytes!r}")
+        if rate_cap is not None and not 0 < rate_cap < inf:
+            raise SimulationError(
+                f"rate_cap must be finite and > 0, got {rate_cap!r}")
+        res = tuple(resources)
+        if nbytes == 0 or not res:
+            return None
+        return Flow(proc, res, nbytes, rate_cap, label)
+
+    def _finish(self, proc: SimProcess, flow: Flow) -> float:
+        """The owner woke for ``flow``: retire it and re-price the rest."""
+        if proc.clock != flow.finish:
+            raise SimulationError(
+                f"{proc.name} woke at {proc.clock!r}, not at the finish "
+                f"{flow.finish!r} of {flow!r}")
+        self._unregister(flow)
+        self._recompute(proc.clock)
+        return proc.clock
 
     def _register(self, flow: Flow) -> None:
         """Add ``flow`` at its owner's clock and re-price everything.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.process import ProcState, SimProcess
+from repro.sim.process import TURN, ProcState, SimProcess, Steps
 from repro.sim.trace import call_site
 
 
@@ -32,6 +32,10 @@ class Message:
     payload: Any
     meta: dict[str, Any] = field(default_factory=dict)
     vc: dict[int, int] | None = None
+
+
+def _any_message(_msg: Message) -> bool:
+    return True
 
 
 class Mailbox:
@@ -56,6 +60,16 @@ class Mailbox:
         the transfer completion time instead.
         """
         sender.checkpoint()  # interactions execute in virtual-time order
+        self._deposit(sender, payload, arrival, meta)
+
+    def post_steps(self, sender: SimProcess, payload: Any, *,
+                   arrival: float | None = None, **meta: Any) -> Steps[None]:
+        """Step form of :meth:`post` (see ``SimProcess.run_steps``)."""
+        yield TURN
+        self._deposit(sender, payload, arrival, meta)
+
+    def _deposit(self, sender: SimProcess, payload: Any,
+                 arrival: float | None, meta: dict[str, Any]) -> None:
         msg = Message(arrival if arrival is not None else sender.clock, payload, meta)
         if sender.vc is not None:
             msg.vc = sender._hb_release()
@@ -82,19 +96,57 @@ class Mailbox:
         analysis, never consulted on the happy path.
         """
         proc.checkpoint()
-        if match is None:
-            match = lambda _m: True  # noqa: E731
-        for i, msg in enumerate(self._queue):
-            if match(msg):
-                del self._queue[i]
-                proc._hb_join(msg.vc)
-                if msg.arrival > proc.clock:
-                    proc.park_until(msg.arrival, reason="recv-arrival")
-                return msg
-        slot: list[Message] = []
-        self._waiters.append((proc, match, slot))
+        msg = self._take(proc, match)
+        if msg is not None:
+            if msg.arrival > proc.clock:
+                proc.park_until(msg.arrival, reason="recv-arrival")
+            return msg
+        slot = self._register(proc, match)
         proc.block(reason=reason or f"recv:{self.name}", obj=self,
                    wakers=(waker,) if waker is not None else None)
+        return self._claim(proc, slot)
+
+    def recv_steps(
+        self,
+        proc: SimProcess,
+        match: Callable[[Message], bool] | None = None,
+        *,
+        reason: str | None = None,
+        waker: SimProcess | None = None,
+    ) -> Steps[Message]:
+        """Step form of :meth:`recv` (see ``SimProcess.run_steps``)."""
+        yield TURN
+        msg = self._take(proc, match)
+        if msg is not None:
+            if msg.arrival > proc.clock:
+                yield from proc.park_until_steps(msg.arrival,
+                                                 reason="recv-arrival")
+            return msg
+        slot = self._register(proc, match)
+        yield from proc.block_steps(
+            reason=reason or f"recv:{self.name}", obj=self,
+            wakers=(waker,) if waker is not None else None)
+        return self._claim(proc, slot)
+
+    def _take(self, proc: SimProcess,
+              match: Callable[[Message], bool] | None) -> Message | None:
+        """Dequeue the oldest queued message ``match`` accepts, if any."""
+        for i, msg in enumerate(self._queue):
+            if match is None or match(msg):
+                del self._queue[i]
+                proc._hb_join(msg.vc)
+                return msg
+        return None
+
+    def _register(self, proc: SimProcess,
+                  match: Callable[[Message], bool] | None) -> list[Message]:
+        """Queue ``proc`` as a receiver; a post fills the returned slot."""
+        slot: list[Message] = []
+        self._waiters.append((proc, match or _any_message, slot))
+        return slot
+
+    @staticmethod
+    def _claim(proc: SimProcess, slot: list[Message]) -> Message:
         if not slot:
             raise SimulationError(f"{proc.name}: woken without a message")
         proc._hb_join(slot[0].vc)
@@ -115,7 +167,7 @@ class Mailbox:
         """Non-blocking probe: a matching message *already arrived*, or None."""
         proc.checkpoint()
         if match is None:
-            match = lambda _m: True  # noqa: E731
+            match = _any_message
         for i, msg in enumerate(self._queue):
             if match(msg) and msg.arrival <= proc.clock:
                 del self._queue[i]
@@ -285,23 +337,24 @@ class Future:
     def set(self, proc: SimProcess, value: Any = None) -> None:
         """Resolve the future at ``proc``'s current time; wakes all waiters."""
         proc.checkpoint()  # earlier-time waiters must register before we fire
-        if self._done:
-            raise SimulationError(f"future {self.name!r} set twice")
-        self._done = True
-        self._value = value
-        self._set_time = proc.clock
-        if proc.vc is not None:
-            self._vc = proc._hb_release()
-        waiters, self._waiters = self._waiters, []
-        for p in waiters:
-            p._wake(self._set_time)
+        self._resolve(proc, value, None)
+
+    def set_steps(self, proc: SimProcess, value: Any = None) -> Steps[None]:
+        """Step form of :meth:`set` (see ``SimProcess.run_steps``)."""
+        yield TURN
+        self._resolve(proc, value, None)
 
     def set_exception(self, proc: SimProcess, exc: BaseException) -> None:
         """Resolve the future with an error; waiters re-raise it."""
         proc.checkpoint()
+        self._resolve(proc, None, exc)
+
+    def _resolve(self, proc: SimProcess, value: Any,
+                 exc: BaseException | None) -> None:
         if self._done:
             raise SimulationError(f"future {self.name!r} set twice")
         self._done = True
+        self._value = value
         self._exception = exc
         self._set_time = proc.clock
         if proc.vc is not None:
@@ -319,6 +372,21 @@ class Future:
                        wakers=self._waker_wakers)
         elif self._set_time > proc.clock:
             proc.park_until(self._set_time, reason=f"future:{self.name}")
+        return self._outcome(proc)
+
+    def wait_steps(self, proc: SimProcess) -> Steps[Any]:
+        """Step form of :meth:`wait` (see ``SimProcess.run_steps``)."""
+        yield TURN
+        if not self._done:
+            self._waiters.append(proc)
+            yield from proc.block_steps(reason=f"future:{self.name}", obj=self,
+                                        wakers=self._waker_wakers)
+        elif self._set_time > proc.clock:
+            yield from proc.park_until_steps(self._set_time,
+                                             reason=f"future:{self.name}")
+        return self._outcome(proc)
+
+    def _outcome(self, proc: SimProcess) -> Any:
         proc._hb_join(self._vc)
         if self._exception is not None:
             raise self._exception

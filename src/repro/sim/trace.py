@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -65,15 +66,22 @@ def anchored_path(path: str) -> str:
     return parts[-1]
 
 
-def call_site(skip: tuple[str, ...] = ("repro/sim/",)) -> str:
+def call_site(skip: tuple[str, ...] = ("repro/sim/",),
+              proc: "SimProcess | None" = None) -> str:
     """``path:line`` of the nearest caller outside the ``skip`` prefixes.
 
     Used by the sanitizer's instrumentation points to attribute an event
     (a collective entry, a lock acquisition) to the runtime or user frame
     that issued it, rather than to the primitive's own implementation.
     Frame walking is deterministic — it reads only code-object metadata.
+
+    From a step (``SimProcess.run_steps``) pass the owner as ``proc``: a
+    step may run on another process's thread, and then the owner's call
+    is on its own thread's stack, where it waits in ``run_steps``.
     """
     frame = sys._getframe(1)
+    if proc is not None and proc._thread.ident != threading.get_ident():
+        frame = sys._current_frames().get(proc._thread.ident)
     while frame is not None:
         path = anchored_path(frame.f_code.co_filename)
         if not path.startswith(skip):

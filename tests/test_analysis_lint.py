@@ -74,6 +74,17 @@ def test_raw_park_rule():
     assert lint_fixture("raw_park.py", "repro/sim/sync.py") == []
 
 
+def test_raw_step_request_rule():
+    """R011 also fires on a step generator that yields TURN/BLOCK/QUEUED
+    itself outside repro/sim; protocol code composes the primitives' step
+    forms with ``yield from``, and the sim primitives yield them legitimately."""
+    findings = lint_fixture("raw_step.py", "repro/mpi/fixture.py")
+    assert codes(findings) == ["R011"] * 3
+    assert [f.line for f in findings] == [7, 9, 10]
+    assert "yield from" in findings[0].message
+    assert lint_fixture("raw_step.py", "repro/sim/sync.py") == []
+
+
 def test_env_hatch_rule():
     # linted as a spark module: the cache's switch is foreign, REPRO_*
     # must be registered, and host-env reads are flagged in deterministic

@@ -506,7 +506,7 @@ class TestPayloadOwnership:
         real = p2p.copy_payload
 
         def planted(obj):
-            moving = sys._getframe(1).f_code.co_name == "sendrecv"
+            moving = sys._getframe(1).f_code.co_name == "_sendrecv_steps"
             return obj if moving else real(obj)
 
         def allreduce():

@@ -1,0 +1,387 @@
+"""Protocols written as steps (``SimProcess.run_steps``).
+
+A step generator must be indistinguishable from the blocking calls it
+replaces — same virtual times, same event order, same results — while the
+owner's thread sleeps through it.  The equivalence net below runs
+generated programs both ways on the production engine and on the
+reference scheduler of ``tests/sim_oracle.py``; the guard tests pin what
+the step form buys (one wake per collective) and what it must not lose
+(failures on the owner, deadlock diagnosis, happens-before edges).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import inspect
+import threading
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cluster import Cluster
+from repro.errors import DeadlockError, SimProcessError, SimulationError
+from repro.mpi import mpi_run
+from repro.shmem import shmem_run
+from repro.sim import Engine, Mailbox, current_process
+from repro.sim.process import SimProcess
+from repro.sim.resources import FlowSystem, FluidResource
+from repro.sim.sync import Future
+from repro.sim.trace import Trace
+from tests.conftest import TESTING_MACHINE, forced_trace
+from tests.sim_oracle import ReferenceEngine
+
+BOTH_SCHEDULERS = pytest.mark.parametrize(
+    "engine_cls", [Engine, ReferenceEngine], ids=["fast", "reference"])
+
+
+def _digest(trace: Trace) -> str:
+    h = hashlib.sha256()
+    for ev in trace:
+        h.update(f"{ev.time.hex()}|{ev.proc}|{ev.kind}|"
+                 f"{sorted(ev.detail.items())!r}\n".encode())
+    return h.hexdigest()
+
+
+# -- the equivalence net ------------------------------------------------------
+
+def _actions(me, n_procs, script):
+    """``(step, op, peer, amount)`` for each step process ``me`` takes part in.
+
+    A ``msg`` step makes ``a`` post to ``b`` and ``b`` receive it; a
+    ``future`` step makes ``a`` set future ``step`` and ``b`` wait on it;
+    every other step is ``a``'s alone.  Each process takes its steps in
+    script order, so the earliest unfinished step can always complete and
+    no generated program deadlocks.
+    """
+    for i, (kind, a, b, amount) in enumerate(script):
+        a, b = a % n_procs, b % n_procs
+        if kind in ("msg", "future"):
+            if me == a:
+                yield i, f"{kind}.give", b, amount
+            if me == b:
+                yield i, f"{kind}.take", a, amount
+        elif me == a:
+            yield i, kind, b, amount
+
+
+def _run_program(engine_cls, mode, n_procs, script):
+    """Run one program; ``(trace digest, final clocks, per-process logs)``.
+
+    ``mode``: ``"blocking"`` calls the primitives; ``"per-op"`` runs each
+    one's step form in its own ``run_steps``; ``"whole"`` runs a process's
+    entire body as one step generator.
+    """
+    tr = forced_trace() or Trace(enabled=True)
+    eng = engine_cls(trace=tr)
+    fs = FlowSystem()
+    nics = [FluidResource(f"nic{i}", 100.0) for i in range(2)]
+    boxes = [Mailbox(f"b{i}") for i in range(n_procs)]
+    futures = [Future(f"f{i}") for i in range(len(script))]
+
+    def blocking_op(p, me, i, op, peer, amount):
+        if op == "compute":
+            p.compute(amount / 1000)
+        elif op == "checkpoint":
+            p.checkpoint()
+        elif op == "msg.give":
+            boxes[peer].post(p, i, arrival=p.clock + amount / 1000)
+        elif op == "msg.take":
+            return boxes[me].recv(p, lambda m: m.payload == i).payload
+        elif op == "future.give":
+            futures[i].set(p, i * 10)
+        elif op == "future.take":
+            return futures[i].wait(p)
+        else:
+            return fs.transfer(p, (nics[peer % 2],), (amount + 1) * 10.0,
+                               label=f"x{i}")
+        return None
+
+    def op_steps(p, me, i, op, peer, amount):
+        if op == "compute":
+            p.compute(amount / 1000)
+        elif op == "checkpoint":
+            yield from p.checkpoint_steps()
+        elif op == "msg.give":
+            yield from boxes[peer].post_steps(
+                p, i, arrival=p.clock + amount / 1000)
+        elif op == "msg.take":
+            msg = yield from boxes[me].recv_steps(
+                p, lambda m: m.payload == i)
+            return msg.payload
+        elif op == "future.give":
+            yield from futures[i].set_steps(p, i * 10)
+        elif op == "future.take":
+            return (yield from futures[i].wait_steps(p))
+        else:
+            return (yield from fs.transfer_steps(
+                p, (nics[peer % 2],), (amount + 1) * 10.0, label=f"x{i}"))
+        return None
+
+    def note(p, log, i, op, got):
+        tr.record(p.clock, p.name, f"step.{op}", step=i, now=eng.now)
+        log.append((i, p.clock.hex(), got))
+
+    def body(me):
+        p = current_process()
+        log = []
+        for i, op, peer, amount in _actions(me, n_procs, script):
+            if mode == "blocking":
+                got = blocking_op(p, me, i, op, peer, amount)
+            else:
+                got = p.run_steps(op_steps(p, me, i, op, peer, amount))
+            note(p, log, i, op, got)
+        return log
+
+    def whole_steps(p, me):
+        log = []
+        for i, op, peer, amount in _actions(me, n_procs, script):
+            got = yield from op_steps(p, me, i, op, peer, amount)
+            assert current_process() is p  # on whichever thread runs this
+            note(p, log, i, op, got)
+        return log
+
+    def whole(me):
+        p = current_process()
+        return p.run_steps(whole_steps(p, me))
+
+    procs = [eng.spawn(whole if mode == "whole" else body, i, name=f"p{i}")
+             for i in range(n_procs)]
+    eng.run()
+    assert fs.active_count == 0
+    return (_digest(tr), [p.clock.hex() for p in procs],
+            [p.result for p in procs])
+
+
+@given(
+    n_procs=st.integers(2, 6),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["compute", "checkpoint", "msg", "future", "transfer"]),
+            st.integers(0, 5), st.integers(0, 5), st.integers(0, 20)),
+        max_size=24),
+)
+@settings(max_examples=40, deadline=None)
+def test_steps_match_blocking_calls_on_generated_programs(n_procs, script):
+    want = _run_program(Engine, "blocking", n_procs, script)
+    assert want == _run_program(ReferenceEngine, "blocking", n_procs, script)
+    for engine_cls in (Engine, ReferenceEngine):
+        for mode in ("per-op", "whole"):
+            got = _run_program(engine_cls, mode, n_procs, script)
+            assert got == want, (engine_cls.__name__, mode)
+
+
+def test_a_contended_transfer_run_as_steps_keeps_its_finish():
+    # Three owners on one NIC, arriving while the others are parked on it:
+    # registrations re-key parked owners of both kinds.
+    script = [("transfer", 0, 0, 20), ("compute", 1, 0, 5),
+              ("transfer", 1, 0, 10), ("checkpoint", 2, 0, 0),
+              ("transfer", 2, 0, 3), ("msg", 0, 2, 7), ("future", 2, 1, 0)]
+    want = _run_program(Engine, "blocking", 3, script)
+    for engine_cls in (Engine, ReferenceEngine):
+        for mode in ("per-op", "whole"):
+            assert _run_program(engine_cls, mode, 3, script) == want
+
+
+# -- what a collective costs the rank's thread ---------------------------------
+
+@pytest.fixture
+def grants(monkeypatch):
+    """Count ``SimProcess._grant`` calls per pid."""
+    counts: Counter = Counter()
+    real = SimProcess._grant
+
+    def counting(self):
+        counts[self.pid] += 1
+        real(self)
+
+    monkeypatch.setattr(SimProcess, "_grant", counting)
+    return counts
+
+
+def _grants_during(grants, call):
+    """Grants of the calling process while ``call()`` runs, and its value."""
+    pid = current_process().pid
+    before = grants[pid]
+    value = call()
+    return grants[pid] - before, value
+
+
+def test_an_mpi_collective_wakes_each_rank_at_most_twice(grants):
+    # The blocking rounds granted 2 per message round: ~12 per barrier here.
+    def main(comm):
+        woke = {}
+        woke["barrier"], _ = _grants_during(grants, comm.barrier)
+        woke["reduce"], total = _grants_during(
+            grants, lambda: comm.reduce(comm.rank, root=0))
+        return woke, total
+
+    res = mpi_run(Cluster(TESTING_MACHINE, trace=forced_trace()), main, 64,
+                  charge_launch=False)
+    assert res.returns[0][1] == sum(range(64))
+    for woke, _ in res.returns:
+        assert max(woke.values()) <= 2, woke
+
+
+def test_an_shmem_collective_wakes_each_pe_at_most_twice(grants):
+    def main(pe):
+        sym = pe.alloc(4, init=float(pe.my_pe))
+        woke, _ = _grants_during(grants, lambda: pe.sum_to_all(sym))
+        return woke, pe.local(sym).tolist()
+
+    res = shmem_run(Cluster(TESTING_MACHINE, trace=forced_trace()), main, 64)
+    for woke, values in res.returns:
+        assert woke <= 2
+        assert values == [float(sum(range(64)))] * 4
+
+
+# -- failures stay the owner's ---------------------------------------------------
+
+def _victim_beside_a_bystander(engine_cls, steps):
+    """``victim`` runs ``steps`` while a bystander holds the token, so its
+    second segment runs on the bystander's thread (or the supervisor's)."""
+    eng = engine_cls(trace=forced_trace())
+
+    def victim():
+        p = current_process()
+        p.compute(1.0)
+        p.run_steps(steps(p))
+
+    def bystander():
+        current_process().sleep(5.0)
+        current_process().sleep(5.0)
+
+    procs = [eng.spawn(victim, name="victim"),
+             eng.spawn(bystander, name="bystander")]
+    outcome = {}
+
+    def drive():
+        try:
+            eng.run()
+        except BaseException as exc:  # noqa: BLE001 - inspected below
+            outcome["exc"] = exc
+
+    runner = threading.Thread(target=drive, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the run hung"
+    exc = outcome.get("exc")
+    assert isinstance(exc, SimProcessError) and "victim" in str(exc), exc
+    for proc in procs:
+        proc._thread.join(timeout=10)
+        assert not proc._thread.is_alive()
+    return exc.__cause__
+
+
+@BOTH_SCHEDULERS
+def test_a_step_that_calls_a_blocking_primitive_fails_its_owner(engine_cls):
+    box = Mailbox("never")
+
+    def steps(p):
+        yield from p.checkpoint_steps()
+        box.recv(p)  # a blocking call: would park someone else's thread
+
+    cause = _victim_beside_a_bystander(engine_cls, steps)
+    assert isinstance(cause, SimulationError)
+    assert "victim" in str(cause) and "step" in str(cause)
+
+
+@BOTH_SCHEDULERS
+def test_a_raising_step_fails_its_owner_and_every_thread_exits(engine_cls):
+    def steps(p):
+        yield from p.checkpoint_steps()
+        raise ValueError("kaput")
+
+    cause = _victim_beside_a_bystander(engine_cls, steps)
+    assert isinstance(cause, ValueError) and str(cause) == "kaput"
+
+
+# -- diagnostics and hb mode -----------------------------------------------------
+
+def _line_of(fn, needle):
+    lines, first = inspect.getsourcelines(fn)
+    return first + next(i for i, line in enumerate(lines) if needle in line)
+
+
+def test_a_barrier_missing_a_rank_names_the_cycle_and_the_users_call():
+    def main(comm):
+        if comm.rank == 0:
+            return comm.recv(source=1)  # never enters the barrier
+        comm.barrier()
+        return None
+
+    with pytest.raises(DeadlockError) as ei:
+        mpi_run(Cluster(TESTING_MACHINE), main, 64, charge_launch=False)
+    msg = str(ei.value)
+    assert ("wait-for cycle: mpi:rank0 [mpi.recv(rank=0,src=1,tag=None)]"
+            " -> mpi:rank1 [mpi.recv(rank=1,src=0,tag=-1)] -> mpi:rank0") in msg
+    lines = msg.splitlines()
+    rank1 = next(line for line in lines if line.startswith("  - mpi:rank1 "))
+    assert rank1.endswith(
+        f" at test_sim_steps.py:{_line_of(main, 'comm.barrier()')}")
+    rank0 = next(line for line in lines if line.startswith("  - mpi:rank0 "))
+    assert rank0.endswith(
+        f" at test_sim_steps.py:{_line_of(main, 'comm.recv(source=1)')}")
+
+
+def test_nested_collective_entries_record_the_users_call_site():
+    tr = Trace(hb=True)
+
+    def job(comm):
+        comm.exscan(np.full(3, comm.rank + 1.0))
+        comm.reduce_scatter_block([float(comm.rank)] * comm.size)
+
+    mpi_run(Cluster(TESTING_MACHINE, trace=tr), job, 8, charge_launch=False)
+    sites = {}
+    for ev in tr.filter("coll.enter"):
+        sites.setdefault(ev.detail["op"], set()).add(ev.detail["site"])
+    here = "test_sim_steps.py:{}".format
+    assert sites == {
+        "exscan": {here(_line_of(job, "exscan"))},
+        "scan": {here(_line_of(job, "exscan"))},
+        "reduce_scatter_block": {here(_line_of(job, "reduce_scatter"))},
+        "alltoall": {here(_line_of(job, "reduce_scatter"))},
+    }
+
+    tr = Trace(hb=True)
+
+    def main(pe):
+        sym = pe.alloc(2, init=float(pe.my_pe))
+        pe.sum_to_all(sym)
+
+    shmem_run(Cluster(TESTING_MACHINE, trace=tr), main, 8)
+    user = here(_line_of(main, "sum_to_all"))
+    by_op = Counter(ev.detail["op"] for ev in tr.filter("coll.enter")
+                    if ev.detail["site"] == user)
+    # sum_to_all -> broadcast -> barrier_all, once per PE each
+    assert by_op == {"sum_to_all": 8, "broadcast": 8, "barrier_all": 8}
+
+
+def test_a_wake_made_from_a_step_is_the_owners_edge():
+    # ``poster`` deposits from a step that runs on ``bystander``'s thread;
+    # the receiver must acquire the poster's clock, never the bystander's.
+    eng = Engine(trace=Trace(hb=True))
+    box = Mailbox("m")
+
+    def poster():
+        p = current_process()
+        p.compute(1.0)
+        p.run_steps(box.post_steps(p, "x"))
+
+    def receiver():
+        return box.recv(current_process()).payload
+
+    def bystander():
+        current_process().sleep(0.5)
+        current_process().sleep(10.0)  # parks: poster's turn runs here
+
+    post = eng.spawn(poster, name="poster")
+    recv = eng.spawn(receiver, name="receiver")
+    by = eng.spawn(bystander, name="bystander")
+    eng.run()
+    assert recv.result == "x"
+    assert recv.vc.get(post.pid, 0) >= 1
+    assert by.pid not in recv.vc
