@@ -99,11 +99,8 @@ class Network:
         both directions: a push (sender calls) and a pull (receiver calls)
         cost the same end-to-end.
         """
-        nics = self._send_path(proc, fabric, src, dst, nbytes)
-        if nics is not None:
-            self.flows.transfer(proc, nics, nbytes,
-                                label=label or f"{fabric}:{src}->{dst}")
-        return self._delivered(proc, fabric, src, dst, nbytes, label)
+        return proc.run_steps(
+            self.transmit_steps(proc, fabric, src, dst, nbytes, label=label))
 
     def transmit_steps(
         self,
@@ -116,42 +113,26 @@ class Network:
         label: str = "",
     ) -> Steps[float]:
         """Step form of :meth:`transmit` (see ``SimProcess.run_steps``)."""
-        nics = self._send_path(proc, fabric, src, dst, nbytes)
-        if nics is not None:
-            yield from self.flows.transfer_steps(
-                proc, nics, nbytes, label=label or f"{fabric}:{src}->{dst}")
-        return self._delivered(proc, fabric, src, dst, nbytes, label)
-
-    def _send_path(self, proc: SimProcess, fabric: str, src: int, dst: int,
-                   nbytes: float) -> tuple[FluidResource, ...] | None:
-        """Charge a transmit's local costs; the NIC pair a bulk one crosses.
-
-        ``None`` when the payload is delivered already: node-local, or small
-        enough to be priced without a flow.
-        """
         fab = self._check(fabric, src, dst)
         proc.compute(fab.sw_overhead(nbytes))
         if src == dst:
             proc.compute(LOOPBACK_LATENCY)
             proc.compute_bytes(nbytes, LOOPBACK_RATE)
-            return None
-        proc.compute(fab.latency)
-        if nbytes >= BULK_THRESHOLD:
-            return (self._tx[fabric][src], self._rx[fabric][dst])
-        proc.compute_bytes(nbytes, fab.bandwidth)
-        return None
-
-    def _delivered(self, proc: SimProcess, fabric: str, src: int, dst: int,
-                   nbytes: float, label: str) -> float:
-        """Trace a finished transmit; its delivery time."""
-        if self.trace.enabled:
-            if src == dst:
+            if self.trace.enabled:
                 self.trace.record(proc.clock, proc.name, "net.loopback",
                                   fabric=fabric, node=src, nbytes=int(nbytes))
-            else:
-                self.trace.record(proc.clock, proc.name, "net.transmit",
-                                  fabric=fabric, src=src, dst=dst,
-                                  nbytes=int(nbytes), label=label)
+            return proc.clock
+        proc.compute(fab.latency)
+        if nbytes >= BULK_THRESHOLD:
+            yield from self.flows.transfer_steps(
+                proc, (self._tx[fabric][src], self._rx[fabric][dst]), nbytes,
+                label=label or f"{fabric}:{src}->{dst}")
+        else:
+            proc.compute_bytes(nbytes, fab.bandwidth)
+        if self.trace.enabled:
+            self.trace.record(proc.clock, proc.name, "net.transmit",
+                              fabric=fabric, src=src, dst=dst,
+                              nbytes=int(nbytes), label=label)
         return proc.clock
 
     def msg_arrival(

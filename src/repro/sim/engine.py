@@ -27,15 +27,8 @@ parked owner of its flow system, which re-keys such owners in place and
 queues only the minimum (the queue-one-owner invariant, stated in
 ``sim/resources.py``) — so the heap top is still the global minimum.
 
-A parked process may carry one **continuation**
-(:meth:`SimProcess.checkpoint`'s ``_then``).  The token holder — a process
-thread releasing the token, or the supervisor — pops that entry at the
-owner's ``(clock, pid)`` turn, runs the continuation in place and keeps
-popping; the owner's thread is not woken.  The continuation must not park,
-and one that raises fails its owner, not the thread that ran it.
-
 Four cooperating optimisations make the hot path (a checkpoint that does
-not change the schedule order, a protocol round) switch-free:
+not change the schedule order, a transfer, a protocol round) switch-free:
 
 1. **Run-ahead token retention** — at a checkpoint (or a ``park_until``
    whose wake time is already due) the running process peeks at the heap
@@ -58,19 +51,21 @@ not change the schedule order, a protocol round) switch-free:
    process threads cannot decide locally: a process failed (abort + raise),
    or no process is runnable (termination vs deadlock detection).
 
-4. **Step continuations** — a protocol written as a generator
-   (:meth:`SimProcess.run_steps`: the MPI point-to-point and collective
-   algorithms, the OpenSHMEM collectives) parks carrying the generator
-   instead of its thread.  At the owner's turn :meth:`_dispatch` runs the
-   next segment on the thread that holds the token, with
-   :func:`current_process` bound to the owner, and keeps popping; the
-   owner's thread is granted once, when the generator returns.  A segment
-   starts at exactly the ``(clock, pid)`` turn at which the blocking form
-   would have resumed — the same retention test, the same push, the same
-   BLOCKED state — so the interleaving is unchanged; only the thread
-   executing it differs.  Invariants: a step never parks (``_park`` raises
-   while one runs), a raising step fails its owner on the owner's thread,
-   and a wake or clock edge made by a step belongs to the owner.
+4. **Step continuations** — everything that waits more than once is a
+   generator run by :meth:`SimProcess.run_steps`: the sim primitives
+   (a transfer, a mailbox post or receive, a future), the MPI
+   point-to-point and collective algorithms, the OpenSHMEM collectives.
+   It parks carrying the generator instead of its thread.  At the owner's
+   turn :meth:`_dispatch` runs the next segment on the thread that holds
+   the token, with :func:`current_process` bound to the owner, and keeps
+   popping; the owner's thread is granted once, when the generator
+   returns.  A segment starts at exactly the ``(clock, pid)`` turn at
+   which a thread parked at that request would have resumed — the same
+   retention test, the same push, the same BLOCKED state — so the
+   interleaving is that of parked threads; only the thread executing it
+   differs.  Invariants: a step never parks (``_park`` raises while one
+   runs), a raising step fails its owner on the owner's thread, and a
+   wake or clock edge made by a step belongs to the owner.
 
 Determinism is unaffected: the successor chosen by the heap is exactly the
 ``min(runnable, key=(clock, pid))`` of a linear scan, and token retention
@@ -80,8 +75,9 @@ thread, no retention — lives in ``tests/sim_oracle.py`` as an
 :class:`Engine` subclass; the determinism suite asserts byte-identical
 traces between it and this engine on golden scenarios and on generated
 process programs.  ``tests/test_sim_steps.py`` runs generated programs with
-their operations as blocking calls and as steps, on both schedulers, and
-requires the same clocks, results and traces.
+their operations as steps and as the thread-parking reference primitives
+of ``tests/sim_oracle.py``, on both schedulers, and requires the same
+clocks, results and traces.
 
 Measured on one pinned CPU of the 2-core benchmark host: a forced hand-off
 between two process threads costs 5.5-6.4 µs, the same step run as a
@@ -365,8 +361,8 @@ class Engine:
             proc = self._pop_min()
             if proc is None:
                 # BLOCKED: nobody left to wake it.  RUNNABLE: parked with no
-                # live run-queue entry, i.e. behind a continuation or a flow
-                # that never re-queued it — wedged just the same.
+                # live run-queue entry, i.e. on a flow that never re-queued
+                # it — wedged just the same.
                 stuck = [
                     p for p in self.processes
                     if p.state in (ProcState.BLOCKED, ProcState.RUNNABLE)
@@ -416,27 +412,16 @@ class Engine:
     def _dispatch(self, proc: SimProcess) -> bool:
         """Give ``proc`` its turn; return whether the token went to its thread.
 
-        A process carrying a continuation gets that run here, on the calling
-        thread, and stays parked (``False``: the caller still holds the token
-        and picks the next minimum).  A process parked in ``run_steps`` gets
-        its next segment run here and its thread granted only when the steps
-        are over.  A continuation or step that raises is the owner's
-        failure: the exception is handed to the owner's thread, which is
-        granted the token and re-raises it from its own ``checkpoint`` or
-        ``run_steps``.
+        A process parked in ``run_steps`` gets its next segment run here, on
+        the calling thread, and its own thread granted only when the steps
+        are over; until then it stays parked (``False``: the caller still
+        holds the token and picks the next minimum).  A step that raises is
+        the owner's failure: the exception is handed to the owner's thread,
+        which is granted the token and re-raises it from its ``run_steps``.
         """
         if proc.clock > self.now:
             self.now = proc.clock
-        then = proc._then
-        if then is not None:
-            proc._then = None
-            try:
-                then()
-            except Exception as exc:  # noqa: BLE001 - re-raised by the owner
-                proc._then_error = exc
-            else:
-                return False
-        elif proc._steps is not None and not self._resume(proc):
+        if proc._steps is not None and not self._resume(proc):
             return False
         proc._grant()
         return True

@@ -38,15 +38,15 @@ is touched at most once per event:
   scan over all clocks finds; when the minimum owner wakes and unregisters,
   the re-pricing it triggers queues the next one.
 
-* **Park once.**  A transfer whose caller must wait its turn parks a single
-  time, carrying its registration as a continuation
-  (:meth:`SimProcess.checkpoint`): the token holder runs it at the owner's
-  ``(clock, pid)`` turn — register, re-price, which re-keys the still-parked
-  owner to its projected finish — and the owner's thread wakes only when
-  its flow is due.  A parked process may carry one continuation; the token
-  holder runs it at the owner's turn; it must not park.  The step form,
-  :meth:`FlowSystem.transfer_steps`, always takes that path: at its turn the
-  owner registers while already RUNNABLE, then yields ``QUEUED``.
+* **Park once.**  A transfer is one body, :meth:`FlowSystem.transfer_steps`
+  (``transfer`` runs it under :meth:`SimProcess.run_steps`).  At the
+  owner's ``(clock, pid)`` turn it registers while already RUNNABLE, so the
+  re-pricing keys the owner to its projected finish and queues it only if
+  it is the earliest parked owner, then yields ``QUEUED``.  A caller that
+  must wait its turn therefore parks a single time — the token holder runs
+  the registration — and its thread wakes only when the flow is due; one
+  whose own entry is then the minimum (an uncontended transfer) keeps the
+  token and never parks at all.
 
 The algorithm these two rules replaced (a separate advance pass, a fresh
 heap entry for every revised owner, two parks per transfer) is kept as
@@ -63,6 +63,15 @@ from repro.errors import SimulationError
 from repro.sim.process import QUEUED, TURN, ProcState, SimProcess, Steps
 
 _RUNNABLE = ProcState.RUNNABLE
+
+
+def _capacity(name: str, capacity: float) -> float:
+    """``capacity`` of resource ``name`` as a float, if finite and > 0."""
+    if not 0 < capacity < inf:
+        raise SimulationError(
+            f"resource {name!r}: capacity must be finite and > 0, "
+            f"got {capacity!r}")
+    return float(capacity)
 
 
 class FluidResource:
@@ -88,10 +97,8 @@ class FluidResource:
         *,
         efficiency: Callable[[int], float] | None = None,
     ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"resource {name!r}: capacity must be > 0")
         self.name = name
-        self.capacity = float(capacity)
+        self.capacity = _capacity(name, capacity)
         self.efficiency = efficiency
         self.flows: set["Flow"] = set()
 
@@ -175,21 +182,8 @@ class FlowSystem:
         the fair-share rule; the caller's projected completion is revised
         on-the-fly as competing flows come and go.
         """
-        flow = self._flow(proc, resources, nbytes, rate_cap, label)
-        if flow is None:
-            return proc.clock
-        # Establish global virtual-time order, then register.  Not our turn:
-        # park once, the registration rides along and re-keys us to the
-        # flow's finish.  Our turn already: register inline, then park.
-        proc.waiting_on = flow
-        try:
-            if not proc.checkpoint(_then=lambda: self._register(flow)):
-                self._register(flow)
-                flow.queued = True  # park_until pushes us if it has to park
-                proc.park_until(flow.finish, reason=flow)
-        finally:
-            proc.waiting_on = None
-        return self._finish(proc, flow)
+        return proc.run_steps(self.transfer_steps(
+            proc, resources, nbytes, rate_cap=rate_cap, label=label))
 
     def transfer_steps(
         self,
@@ -204,12 +198,18 @@ class FlowSystem:
 
         At its turn the owner registers already parked (RUNNABLE), so the
         re-pricing keys it to the flow's finish and queues it only if it is
-        the earliest parked owner — the continuation path of
-        :meth:`transfer`, taken whether or not the turn was retained.
+        the earliest parked owner (park once, see the module docstring).
         """
-        flow = self._flow(proc, resources, nbytes, rate_cap, label)
-        if flow is None:
+        if not 0 <= nbytes < inf:
+            raise SimulationError(
+                f"transfer size must be finite and >= 0, got {nbytes!r}")
+        if rate_cap is not None and not 0 < rate_cap < inf:
+            raise SimulationError(
+                f"rate_cap must be finite and > 0, got {rate_cap!r}")
+        res = tuple(resources)
+        if nbytes == 0 or not res:
             return proc.clock
+        flow = Flow(proc, res, nbytes, rate_cap, label)
         proc.waiting_on = flow
         try:
             yield TURN
@@ -218,7 +218,13 @@ class FlowSystem:
             yield QUEUED
         finally:
             proc.waiting_on = None
-        return self._finish(proc, flow)
+        if proc.clock != flow.finish:
+            raise SimulationError(
+                f"{proc.name} woke at {proc.clock!r}, not at the finish "
+                f"{flow.finish!r} of {flow!r}")
+        self._unregister(flow)
+        self._recompute(proc.clock)
+        return proc.clock
 
     @property
     def active_count(self) -> int:
@@ -235,39 +241,10 @@ class FlowSystem:
         and parked owners get their projected finish revised — the same
         sequence a competing flow arriving at ``t`` would trigger.
         """
-        if capacity <= 0 or capacity != capacity:
-            raise SimulationError(
-                f"resource {resource.name!r}: new capacity must be finite "
-                f"and > 0, got {capacity!r}")
-        resource.capacity = float(capacity)
+        resource.capacity = _capacity(resource.name, capacity)
         self._recompute(t)
 
     # -- internals -------------------------------------------------------------
-
-    @staticmethod
-    def _flow(proc: SimProcess, resources: Iterable[FluidResource],
-              nbytes: float, rate_cap: float | None, label: str) -> Flow | None:
-        """Validate a transfer; its flow, or ``None`` when it moves nothing."""
-        if not 0 <= nbytes < inf:
-            raise SimulationError(
-                f"transfer size must be finite and >= 0, got {nbytes!r}")
-        if rate_cap is not None and not 0 < rate_cap < inf:
-            raise SimulationError(
-                f"rate_cap must be finite and > 0, got {rate_cap!r}")
-        res = tuple(resources)
-        if nbytes == 0 or not res:
-            return None
-        return Flow(proc, res, nbytes, rate_cap, label)
-
-    def _finish(self, proc: SimProcess, flow: Flow) -> float:
-        """The owner woke for ``flow``: retire it and re-price the rest."""
-        if proc.clock != flow.finish:
-            raise SimulationError(
-                f"{proc.name} woke at {proc.clock!r}, not at the finish "
-                f"{flow.finish!r} of {flow!r}")
-        self._unregister(flow)
-        self._recompute(proc.clock)
-        return proc.clock
 
     def _register(self, flow: Flow) -> None:
         """Add ``flow`` at its owner's clock and re-price everything.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import SimulationError
-from repro.sim.process import TURN, ProcState, SimProcess, Steps
+from repro.sim.process import TURN, SimProcess, Steps
 from repro.sim.trace import call_site
 
 
@@ -59,17 +59,13 @@ class Mailbox:
         is visible immediately); transports that model latency/bandwidth pass
         the transfer completion time instead.
         """
-        sender.checkpoint()  # interactions execute in virtual-time order
-        self._deposit(sender, payload, arrival, meta)
+        sender.run_steps(
+            self.post_steps(sender, payload, arrival=arrival, **meta))
 
     def post_steps(self, sender: SimProcess, payload: Any, *,
                    arrival: float | None = None, **meta: Any) -> Steps[None]:
         """Step form of :meth:`post` (see ``SimProcess.run_steps``)."""
-        yield TURN
-        self._deposit(sender, payload, arrival, meta)
-
-    def _deposit(self, sender: SimProcess, payload: Any,
-                 arrival: float | None, meta: dict[str, Any]) -> None:
+        yield TURN  # interactions execute in virtual-time order
         msg = Message(arrival if arrival is not None else sender.clock, payload, meta)
         if sender.vc is not None:
             msg.vc = sender._hb_release()
@@ -95,16 +91,8 @@ class Mailbox:
         matching message — a diagnostic hint for the wait-for-graph deadlock
         analysis, never consulted on the happy path.
         """
-        proc.checkpoint()
-        msg = self._take(proc, match)
-        if msg is not None:
-            if msg.arrival > proc.clock:
-                proc.park_until(msg.arrival, reason="recv-arrival")
-            return msg
-        slot = self._register(proc, match)
-        proc.block(reason=reason or f"recv:{self.name}", obj=self,
-                   wakers=(waker,) if waker is not None else None)
-        return self._claim(proc, slot)
+        return proc.run_steps(
+            self.recv_steps(proc, match, reason=reason, waker=waker))
 
     def recv_steps(
         self,
@@ -116,37 +104,19 @@ class Mailbox:
     ) -> Steps[Message]:
         """Step form of :meth:`recv` (see ``SimProcess.run_steps``)."""
         yield TURN
-        msg = self._take(proc, match)
-        if msg is not None:
-            if msg.arrival > proc.clock:
-                yield from proc.park_until_steps(msg.arrival,
-                                                 reason="recv-arrival")
-            return msg
-        slot = self._register(proc, match)
-        yield from proc.block_steps(
-            reason=reason or f"recv:{self.name}", obj=self,
-            wakers=(waker,) if waker is not None else None)
-        return self._claim(proc, slot)
-
-    def _take(self, proc: SimProcess,
-              match: Callable[[Message], bool] | None) -> Message | None:
-        """Dequeue the oldest queued message ``match`` accepts, if any."""
         for i, msg in enumerate(self._queue):
             if match is None or match(msg):
                 del self._queue[i]
                 proc._hb_join(msg.vc)
+                if msg.arrival > proc.clock:
+                    yield from proc.park_until_steps(msg.arrival,
+                                                     reason="recv-arrival")
                 return msg
-        return None
-
-    def _register(self, proc: SimProcess,
-                  match: Callable[[Message], bool] | None) -> list[Message]:
-        """Queue ``proc`` as a receiver; a post fills the returned slot."""
-        slot: list[Message] = []
+        slot: list[Message] = []  # a post fills it
         self._waiters.append((proc, match or _any_message, slot))
-        return slot
-
-    @staticmethod
-    def _claim(proc: SimProcess, slot: list[Message]) -> Message:
+        yield from proc.block_steps(
+            reason=reason or f"recv:{self.name}", obj=self,
+            wakers=(waker,) if waker is not None else None)
         if not slot:
             raise SimulationError(f"{proc.name}: woken without a message")
         proc._hb_join(slot[0].vc)
@@ -316,7 +286,6 @@ class Future:
         self._done = False
         self._value: Any = None
         self._set_time = 0.0
-        self._exception: BaseException | None = None
         self._waiters: list[SimProcess] = []
         #: resolver's release snapshot (hb mode); waiters join it
         self._vc: dict[int, int] | None = None
@@ -336,26 +305,15 @@ class Future:
 
     def set(self, proc: SimProcess, value: Any = None) -> None:
         """Resolve the future at ``proc``'s current time; wakes all waiters."""
-        proc.checkpoint()  # earlier-time waiters must register before we fire
-        self._resolve(proc, value, None)
+        proc.run_steps(self.set_steps(proc, value))
 
     def set_steps(self, proc: SimProcess, value: Any = None) -> Steps[None]:
         """Step form of :meth:`set` (see ``SimProcess.run_steps``)."""
-        yield TURN
-        self._resolve(proc, value, None)
-
-    def set_exception(self, proc: SimProcess, exc: BaseException) -> None:
-        """Resolve the future with an error; waiters re-raise it."""
-        proc.checkpoint()
-        self._resolve(proc, None, exc)
-
-    def _resolve(self, proc: SimProcess, value: Any,
-                 exc: BaseException | None) -> None:
+        yield TURN  # earlier-time waiters must register before we fire
         if self._done:
             raise SimulationError(f"future {self.name!r} set twice")
         self._done = True
         self._value = value
-        self._exception = exc
         self._set_time = proc.clock
         if proc.vc is not None:
             self._vc = proc._hb_release()
@@ -364,15 +322,8 @@ class Future:
             p._wake(self._set_time)
 
     def wait(self, proc: SimProcess) -> Any:
-        """Block until resolved; returns the value (or raises the error)."""
-        proc.checkpoint()
-        if not self._done:
-            self._waiters.append(proc)
-            proc.block(reason=f"future:{self.name}", obj=self,
-                       wakers=self._waker_wakers)
-        elif self._set_time > proc.clock:
-            proc.park_until(self._set_time, reason=f"future:{self.name}")
-        return self._outcome(proc)
+        """Block until resolved; returns the value."""
+        return proc.run_steps(self.wait_steps(proc))
 
     def wait_steps(self, proc: SimProcess) -> Steps[Any]:
         """Step form of :meth:`wait` (see ``SimProcess.run_steps``)."""
@@ -384,10 +335,5 @@ class Future:
         elif self._set_time > proc.clock:
             yield from proc.park_until_steps(self._set_time,
                                              reason=f"future:{self.name}")
-        return self._outcome(proc)
-
-    def _outcome(self, proc: SimProcess) -> Any:
         proc._hb_join(self._vc)
-        if self._exception is not None:
-            raise self._exception
         return self._value

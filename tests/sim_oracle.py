@@ -13,14 +13,24 @@ owner per event and parks a transfer once.  :class:`ReferenceFlowSystem` is
 the algorithm it replaced — a separate advance pass, a fresh run-queue entry
 for every revised owner, two parks per transfer — and a property test
 asserts bit-identical completion times between the two under both engines.
+
+Every production primitive that waits is one step body run by
+``SimProcess.run_steps``.  :class:`ReferenceMailbox` and
+:class:`ReferenceFuture` are the thread-parking bodies those replaced —
+``checkpoint``, then ``park_until`` or ``block`` on the caller's own thread
+— and the step suite requires the same clocks, results and traces from
+both.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from repro.errors import DeadlockError, SimProcessError
 from repro.sim import Engine
 from repro.sim.process import ProcState
 from repro.sim.resources import Flow
+from repro.sim.sync import Message
 
 
 class ReferenceEngine(Engine):
@@ -50,7 +60,7 @@ class ReferenceEngine(Engine):
             proc = min(runnable, key=lambda p: (p.clock, p.pid))
             self._yield_evt.clear()
             if not self._dispatch(proc):
-                continue  # ran its continuation; it stays parked
+                continue  # ran a step segment; it stays parked
             self._yield_evt.wait()
             if proc.state is ProcState.FAILED and proc.exception is not None:
                 self._abort()
@@ -126,3 +136,74 @@ class ReferenceFlowSystem:
                 if owner.state is ProcState.RUNNABLE:  # parked on this flow
                     owner.clock = finish
                     owner.engine._push(owner)  # supersedes its older entry
+
+
+class ReferenceMailbox:
+    """``Mailbox.post``/``recv`` parking the caller's thread at each wait."""
+
+    def __init__(self, name="mailbox"):
+        self.name = name
+        self._queue = deque()
+        self._waiters = deque()
+
+    def post(self, sender, payload, *, arrival=None, **meta):
+        sender.checkpoint()
+        msg = Message(arrival if arrival is not None else sender.clock,
+                      payload, meta)
+        if sender.vc is not None:
+            msg.vc = sender._hb_release()
+        for i, (proc, match, slot) in enumerate(self._waiters):
+            if match is None or match(msg):
+                del self._waiters[i]
+                slot.append(msg)
+                proc._wake(max(proc.clock, msg.arrival))
+                return
+        self._queue.append(msg)
+
+    def recv(self, proc, match=None):
+        proc.checkpoint()
+        for i, msg in enumerate(self._queue):
+            if match is None or match(msg):
+                del self._queue[i]
+                proc._hb_join(msg.vc)
+                if msg.arrival > proc.clock:
+                    proc.park_until(msg.arrival, reason="recv-arrival")
+                return msg
+        slot = []
+        self._waiters.append((proc, match, slot))
+        proc.block(reason=f"recv:{self.name}", obj=self)
+        proc._hb_join(slot[0].vc)
+        return slot[0]
+
+
+class ReferenceFuture:
+    """``Future.set``/``wait`` parking the caller's thread at each wait."""
+
+    def __init__(self, name="future"):
+        self.name = name
+        self._done = False
+        self._value = None
+        self._set_time = 0.0
+        self._waiters = []
+        self._vc = None
+
+    def set(self, proc, value=None):
+        proc.checkpoint()
+        self._done = True
+        self._value = value
+        self._set_time = proc.clock
+        if proc.vc is not None:
+            self._vc = proc._hb_release()
+        waiters, self._waiters = self._waiters, []
+        for p in waiters:
+            p._wake(self._set_time)
+
+    def wait(self, proc):
+        proc.checkpoint()
+        if not self._done:
+            self._waiters.append(proc)
+            proc.block(reason=f"future:{self.name}", obj=self)
+        elif self._set_time > proc.clock:
+            proc.park_until(self._set_time, reason=f"future:{self.name}")
+        proc._hb_join(self._vc)
+        return self._value

@@ -567,23 +567,3 @@ class TestFuture:
         with pytest.raises(SimProcessError):
             eng.run()
 
-    def test_exception_propagates_to_waiter(self):
-        eng = Engine()
-        fut = Future()
-        got = {}
-
-        def setter():
-            fut.set_exception(current_process(), KeyError("boom"))
-
-        def waiter():
-            p = current_process()
-            p.compute(1.0)
-            try:
-                fut.wait(p)
-            except KeyError as e:
-                got["exc"] = e
-
-        eng.spawn(setter, name="s")
-        eng.spawn(waiter, name="w")
-        eng.run()
-        assert "boom" in str(got["exc"])

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import Cluster
+from repro.cluster.spec import TESTING
 from repro.cluster.storage import StorageDevice
 from repro.errors import DeadlockError, SimProcessError, SimulationError
 from repro.sim import Engine, FifoResource, FluidResource, current_process
 from repro.sim.process import ProcState
 from repro.sim.resources import FlowSystem
 from repro.sim.sync import Future
-from tests.conftest import forced_trace
+from tests.conftest import TESTING_MACHINE, forced_trace
 from tests.sim_oracle import ReferenceEngine, ReferenceFlowSystem
 
 
@@ -277,8 +280,8 @@ class TestRejectedTransfers:
 
     def test_bad_efficiency_backs_the_arrival_out(self):
         # Fine alone, out of (0, 1] for two: the second arrival is refused,
-        # in its continuation (it is not the minimum when it arrives), and
-        # the flow already in flight must not notice.
+        # in a step the token holder runs (it is not the minimum when it
+        # arrives), and the flow already in flight must not notice.
         eng = Engine(trace=forced_trace())
         fs = FlowSystem()
         res = FluidResource("r", 100.0,
@@ -303,6 +306,26 @@ class TestRejectedTransfers:
         eng.run()
         assert done == {"first": 10.0, "refused_at": 2.0, "second": 23.0}
         assert fs.active_count == 0
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("entry", ["constructor", "set_capacity"])
+    def test_capacity_must_be_finite_and_positive(self, entry, capacity):
+        res = FluidResource("disk", 100.0)
+        make = {
+            "constructor": lambda: FluidResource("disk", capacity),
+            "set_capacity": lambda: FlowSystem().set_capacity(
+                res, capacity, 0.0),
+        }[entry]
+        with pytest.raises(SimulationError, match="'disk'.*finite and > 0"):
+            make()
+        assert res.capacity == 100.0
+
+    def test_a_nan_bandwidth_machine_fails_at_cluster(self):
+        fab = dataclasses.replace(TESTING.fabrics[0], bandwidth=math.nan)
+        machine = TESTING_MACHINE.with_(cluster=dataclasses.replace(
+            TESTING, fabrics=(fab, *TESTING.fabrics[1:])))
+        with pytest.raises(SimulationError, match=f"'{fab.name}:tx"):
+            Cluster(machine)
 
     @pytest.mark.parametrize("nbytes", [math.nan, math.inf, -math.inf, -5.0])
     def test_non_finite_sizes_are_not_free(self, nbytes):
@@ -468,7 +491,7 @@ class TestQueueOneOwner:
         monkeypatch.setattr(FlowSystem, "_recompute", recompute_and_check)
         self._stream(eng, fs, FluidResource("ssd", 1000.0))
         eng.run()
-        # all sixteen at once: an arrival's continuation runs while its own
+        # all sixteen at once: an arrival's registration runs while its own
         # owner is parked too
         assert max(checked) == 16
 
@@ -503,32 +526,3 @@ class TestQueueOneOwner:
         assert " at test_sim_resources.py:" in wedged  # the transfer call
         assert any("behind" in line and "copied" in line for line in lines)
 
-
-@pytest.mark.parametrize("engine_cls", [Engine, ReferenceEngine],
-                         ids=["fast", "reference"])
-def test_raising_continuation_fails_its_owner(engine_cls):
-    # "late" parks behind "early" carrying a continuation; early's thread
-    # (or the supervisor) runs it, but the failure is late's.
-    eng = engine_cls(trace=forced_trace())
-
-    def boom():
-        raise ValueError("kaput")
-
-    def late():
-        p = current_process()
-        p.compute(5.0)
-        p.checkpoint(_then=boom)
-
-    def early():
-        current_process().sleep(1.0)   # late arrives at 5 meanwhile
-        current_process().sleep(10.0)  # parks at 11: late's turn comes up
-
-    e = eng.spawn(early, name="early")
-    owner = eng.spawn(late, name="late")
-    with pytest.raises(SimProcessError, match="late") as ei:
-        eng.run()
-    assert isinstance(ei.value.__cause__, ValueError)
-    assert owner.state is ProcState.FAILED and owner.exception is not None
-    e._thread.join(timeout=10)
-    assert not e._thread.is_alive()
-    assert e.state is ProcState.FAILED and e.exception is None  # unwound

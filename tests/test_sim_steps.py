@@ -1,11 +1,12 @@
 """Protocols written as steps (``SimProcess.run_steps``).
 
-A step generator must be indistinguishable from the blocking calls it
-replaces — same virtual times, same event order, same results — while the
-owner's thread sleeps through it.  The equivalence net below runs
-generated programs both ways on the production engine and on the
-reference scheduler of ``tests/sim_oracle.py``; the guard tests pin what
-the step form buys (one wake per collective) and what it must not lose
+A step generator must be indistinguishable from thread-parking calls —
+same virtual times, same event order, same results — while the owner's
+thread sleeps through it.  The equivalence net below runs generated
+programs as steps and as the thread-parking reference primitives of
+``tests/sim_oracle.py``, on the production engine and on the reference
+scheduler; the guard tests pin what the step form buys (one wake per
+collective, none per uncontended transfer) and what it must not lose
 (failures on the owner, deadlock diagnosis, happens-before edges).
 """
 
@@ -31,7 +32,8 @@ from repro.sim.resources import FlowSystem, FluidResource
 from repro.sim.sync import Future
 from repro.sim.trace import Trace
 from tests.conftest import TESTING_MACHINE, forced_trace
-from tests.sim_oracle import ReferenceEngine
+from tests.sim_oracle import (ReferenceEngine, ReferenceFlowSystem,
+                              ReferenceFuture, ReferenceMailbox)
 
 BOTH_SCHEDULERS = pytest.mark.parametrize(
     "engine_cls", [Engine, ReferenceEngine], ids=["fast", "reference"])
@@ -70,16 +72,20 @@ def _actions(me, n_procs, script):
 def _run_program(engine_cls, mode, n_procs, script):
     """Run one program; ``(trace digest, final clocks, per-process logs)``.
 
-    ``mode``: ``"blocking"`` calls the primitives; ``"per-op"`` runs each
-    one's step form in its own ``run_steps``; ``"whole"`` runs a process's
-    entire body as one step generator.
+    ``mode``: ``"blocking"`` calls the thread-parking reference primitives
+    of ``tests/sim_oracle.py``; ``"per-op"`` runs each production
+    primitive's step form in its own ``run_steps``; ``"whole"`` runs a
+    process's entire body as one step generator.
     """
     tr = forced_trace() or Trace(enabled=True)
     eng = engine_cls(trace=tr)
-    fs = FlowSystem()
+    blocking = mode == "blocking"
+    fs = ReferenceFlowSystem() if blocking else FlowSystem()
     nics = [FluidResource(f"nic{i}", 100.0) for i in range(2)]
-    boxes = [Mailbox(f"b{i}") for i in range(n_procs)]
-    futures = [Future(f"f{i}") for i in range(len(script))]
+    boxes = [(ReferenceMailbox if blocking else Mailbox)(f"b{i}")
+             for i in range(n_procs)]
+    futures = [(ReferenceFuture if blocking else Future)(f"f{i}")
+               for i in range(len(script))]
 
     def blocking_op(p, me, i, op, peer, amount):
         if op == "compute":
@@ -128,7 +134,7 @@ def _run_program(engine_cls, mode, n_procs, script):
         p = current_process()
         log = []
         for i, op, peer, amount in _actions(me, n_procs, script):
-            if mode == "blocking":
+            if blocking:
                 got = blocking_op(p, me, i, op, peer, amount)
             else:
                 got = p.run_steps(op_steps(p, me, i, op, peer, amount))
@@ -238,6 +244,25 @@ def test_an_shmem_collective_wakes_each_pe_at_most_twice(grants):
         assert values == [float(sum(range(64)))] * 4
 
 
+def test_uncontended_transfers_keep_the_owners_thread(grants):
+    # QUEUED obeys TURN's retention rule: an owner whose own run-queue entry
+    # is the minimum keeps the token, so its thread is granted once, to start.
+    eng = Engine(trace=forced_trace())
+    fs = FlowSystem()
+    ssd = FluidResource("ssd", 1000.0)
+
+    def stream():
+        p = current_process()
+        for _ in range(1000):
+            fs.transfer(p, (ssd,), 100.0)
+        return p.clock
+
+    proc = eng.spawn(stream, name="stream")
+    eng.run()
+    assert proc.result == pytest.approx(100.0)
+    assert grants == {proc.pid: 1}
+
+
 # -- failures stay the owner's ---------------------------------------------------
 
 def _victim_beside_a_bystander(engine_cls, steps):
@@ -282,11 +307,22 @@ def test_a_step_that_calls_a_blocking_primitive_fails_its_owner(engine_cls):
 
     def steps(p):
         yield from p.checkpoint_steps()
-        box.recv(p)  # a blocking call: would park someone else's thread
+        box.recv(p)  # a blocking name: run_steps nested inside a step
 
     cause = _victim_beside_a_bystander(engine_cls, steps)
     assert isinstance(cause, SimulationError)
     assert "victim" in str(cause) and "step" in str(cause)
+
+
+@BOTH_SCHEDULERS
+def test_a_step_that_parks_its_thread_fails_its_owner(engine_cls):
+    def steps(p):
+        yield from p.checkpoint_steps()
+        p.sleep(100.0)  # parks the thread, which may be someone else's
+
+    cause = _victim_beside_a_bystander(engine_cls, steps)
+    assert isinstance(cause, SimulationError)
+    assert "victim" in str(cause) and "must not park" in str(cause)
 
 
 @BOTH_SCHEDULERS
