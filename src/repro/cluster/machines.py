@@ -34,6 +34,7 @@ with :meth:`MachineSpec.with_` + :func:`register_machine` (see
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from repro.cluster.spec import (
@@ -99,7 +100,21 @@ class MachineSpec:
             self, cluster=self.cluster.with_nodes(num_nodes))
 
     def check(self) -> "MachineSpec":
-        """Validate that every routing entry names a fabric on ``cluster``."""
+        """Validate the costs and that every routing entry names a fabric
+        on ``cluster``.
+
+        Every cost must be finite and ``>= 0``, and every ``*rate*`` field
+        ``> 0``: a NaN charge would otherwise poison the clocks it reaches
+        while the times around it still look plausible.
+        """
+        for f in dataclasses.fields(self.costs):
+            value = getattr(self.costs, f.name)
+            is_rate = "rate" in f.name
+            if not (math.isfinite(value)
+                    and (value > 0 if is_rate else value >= 0)):
+                raise ConfigurationError(
+                    f"machine {self.name!r}: costs.{f.name} must be finite "
+                    f"and {'> 0' if is_rate else '>= 0'}, got {value!r}")
         for label, fabric in (("hpc_fabric", self.hpc_fabric),
                               ("bigdata_fabric", self.bigdata_fabric),
                               *(("shuffle_fabrics", f)

@@ -49,7 +49,17 @@ def _container_nbytes(obj) -> int:
     return total
 
 
+#: the exact types ``nbytes_of`` prices at 8 bytes with no recursion
+_SCALAR_TYPES = {int, float}
+
+
 def _dict_nbytes(obj: dict) -> int:
+    # a dict of plain ints and floats (count_by_key's replies, a broadcast
+    # degree table) is priced 8 + 8 + overhead per entry: two C-level type
+    # scans instead of the loop; bool and int subclasses fail the scan
+    if (set(map(type, obj)) <= _SCALAR_TYPES
+            and set(map(type, obj.values())) <= _SCALAR_TYPES):
+        return _ELEM_OVERHEAD + (16 + _ELEM_OVERHEAD) * len(obj)
     total = _ELEM_OVERHEAD
     for k, v in obj.items():
         total += nbytes_of(k) + nbytes_of(v) + _ELEM_OVERHEAD

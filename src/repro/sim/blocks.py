@@ -46,6 +46,13 @@ Block types
     int-valued block to the scalar loop.  Its columns are never written
     after construction, so a block keeps the buckets
     :func:`partition_pairs` cut from it.
+``PairKeyBlock``
+    ``distinct``'s shuffle records ``((k, v), None)`` over a
+    :class:`PairBlock`'s two columns (:func:`as_pair_key_block`): merged
+    first-occurrence-wins (:func:`first_occurrences`), bucketed by the
+    hash of each ``(k, v)`` tuple (:func:`partition_pair_keys`) and sized
+    in closed form, so ``keys()`` hands the distinct pairs on as a
+    :class:`PairBlock`.  It never holds a NaN value.
 ``GroupBlock``
     The ``(k, [v, ...])`` groups of ``group_by_key`` as a key column, CSR
     offsets and one flat value column (:func:`group_pairs`, the same
@@ -70,22 +77,28 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
+from itertools import repeat
 from typing import Callable, Iterator
+from zlib import crc32
 
 import numpy as np
 
 __all__ = [
     "RecordBlock",
     "PairBlock",
+    "PairKeyBlock",
     "GroupBlock",
     "JoinedBlock",
     "CoGroupBlock",
     "ContribBlock",
     "sum_by_key",
     "as_pair_block",
+    "as_pair_key_block",
+    "first_occurrences",
     "pair_columns",
     "parse_int_pairs",
     "partition_pairs",
+    "partition_pair_keys",
     "group_pairs",
     "hash_join",
 ]
@@ -274,6 +287,54 @@ class PairBlock(Sequence):
         return f"PairBlock({len(self)} pairs)"
 
 
+class PairKeyBlock(Sequence):
+    """``distinct``'s shuffle records ``((k, v), None)``, columnar.
+
+    The two columns of a :class:`PairBlock` (``int64`` keys beside
+    ``int64`` or ``float64`` values), iterated and indexed as the records
+    ``distinct``'s map side builds: each ``(k, v)`` pair is the key of a
+    ``None`` value.  Every one descends from :func:`as_pair_key_block`,
+    so no value is NaN.  Slicing is zero-copy.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
+        assert keys.dtype == np.int64
+        assert values.dtype == np.int64 or values.dtype == np.float64
+        self.keys = keys
+        self.values = values
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return PairKeyBlock(self.keys[i], self.values[i])
+        return ((self.keys[i].item(), self.values[i].item()), None)
+
+    def __iter__(self):
+        return zip(zip(self.keys.tolist(), self.values.tolist()), repeat(None))
+
+    def __repr__(self) -> str:
+        return f"PairKeyBlock({len(self)} records)"
+
+
+def as_pair_key_block(block) -> "PairKeyBlock | None":
+    """``distinct``'s records over a pair block's columns, or ``None``.
+
+    Defined on a :class:`PairBlock` with no NaN value.  A NaN is equal to
+    nothing, itself included, so the scalar merge keeps every NaN row;
+    such a partition, and anything that is not a pair block, stays on the
+    scalar path.
+    """
+    if type(block) is not PairBlock or (
+            block.values.dtype == np.float64
+            and np.isnan(block.values).any()):
+        return None
+    return PairKeyBlock(block.keys, block.values)
+
+
 def as_pair_block(records) -> "PairBlock | None":
     """Columnar view of a numeric pair partition, or ``None``.
 
@@ -372,15 +433,58 @@ def partition_pairs(block: PairBlock, nparts: int) -> "list[PairBlock]":
     memo = block._buckets
     if memo is not None and memo[0] == nparts:
         return memo[1]
-    bucket_ids = (block.keys & 0x7FFFFFFF) % nparts
+    buckets = _cut(block, (block.keys & 0x7FFFFFFF) % nparts, nparts)
+    block._buckets = (nparts, buckets)
+    return buckets
+
+
+def partition_pair_keys(block: PairKeyBlock,
+                        nparts: int) -> "list[PairKeyBlock]":
+    """Hash-partition ``distinct``'s records by their ``(k, v)`` keys.
+
+    Replays the scalar loop exactly: a tuple key under a
+    ``HashPartitioner`` goes to ``stable_hash((k, v)) % nparts``, the
+    ``crc32`` of the tuple's ``repr``.  The tuples are built from the
+    Python ``int``/``float`` values ``tolist`` gives, the objects the
+    scalar records hold (a numpy scalar's ``repr`` differs), and the
+    hashing runs as C-level ``map`` chains.  Buckets keep record order.
+    """
+    reprs = map(repr, zip(block.keys.tolist(), block.values.tolist()))
+    hashes = np.fromiter(map(crc32, map(str.encode, reprs)),
+                         dtype=np.int64, count=len(block))
+    return _cut(block, hashes % nparts, nparts)
+
+
+def _cut(block, bucket_ids: np.ndarray, nparts: int) -> list:
+    """``block``'s records split by ``bucket_ids`` into ``nparts`` blocks
+    of its own type, each in record order (the stable argsort keeps it,
+    as appending did)."""
     order = np.argsort(bucket_ids, kind="stable")
     sk = block.keys[order]
     sv = block.values[order]
-    starts = np.searchsorted(bucket_ids[order], np.arange(nparts + 1))
-    buckets = [PairBlock(sk[starts[b]:starts[b + 1]],
-                         sv[starts[b]:starts[b + 1]]) for b in range(nparts)]
-    block._buckets = (nparts, buckets)
-    return buckets
+    starts = np.searchsorted(bucket_ids[order],
+                             np.arange(nparts + 1)).tolist()
+    make = type(block)
+    return [make(sk[a:b], sv[a:b]) for a, b in zip(starts, starts[1:])]
+
+
+def first_occurrences(block: PairKeyBlock) -> PairKeyBlock:
+    """Each distinct ``(k, v)`` row's first occurrence, in that order.
+
+    The columnar twin of ``distinct``'s first-wins dict merge: the dict
+    inserts keys in first-occurrence order and keeps the first key object
+    it was given.  Rows compare as Python tuples do, so ``-0.0`` equals
+    ``0.0`` and the first occurrence's bits survive.  The stable
+    ``lexsort`` puts equal rows next to each other in record order; the
+    first of each run is the row's first occurrence.
+    """
+    keys, values = block.keys, block.values
+    order = np.lexsort((values, keys))
+    sk, sv = keys[order], values[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (sk[1:] != sk[:-1]) | (sv[1:] != sv[:-1])
+    first = np.sort(order[starts])
+    return PairKeyBlock(keys[first], values[first])
 
 
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> PairBlock:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Generator, TypeVar
 
 from repro.errors import SimKilled, SimulationError
@@ -177,9 +178,11 @@ class SimProcess:
 
         Pure local computation does not interact with shared simulation
         state, so no context switch is needed: the clock simply advances.
+        A NaN, infinite or negative duration raises.
         """
-        if seconds < 0:
-            raise SimulationError(f"negative compute time: {seconds}")
+        if not 0 <= seconds < inf:
+            raise SimulationError(f"compute time must be finite and >= 0: "
+                                  f"{seconds}")
         self._assert_current()
         self.clock += seconds
 
@@ -192,9 +195,10 @@ class SimProcess:
         update.  Bit-identical to the unfolded sequence by construction.
         """
         self._assert_current()
-        if t < self.clock:
+        if not self.clock <= t < inf:
             raise SimulationError(
-                f"{self.name}: clock cannot go backwards: {self.clock} -> {t}"
+                f"{self.name}: clock must move forward to a finite time: "
+                f"{self.clock} -> {t}"
             )
         self.clock = t
 
@@ -433,9 +437,10 @@ class SimProcess:
 
     def _set_wake(self, wake_time: float) -> None:
         """Move the clock forward to a timed park's wake time."""
-        if wake_time < self.clock:
+        if not self.clock <= wake_time < inf:
             raise SimulationError(
-                f"{self.name}: wake time {wake_time} precedes clock {self.clock}"
+                f"{self.name}: wake time {wake_time} precedes clock "
+                f"{self.clock} or is not finite"
             )
         self.clock = wake_time
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.errors import SparkError
 from repro.sim.blocks import (CoGroupBlock, GroupBlock, JoinedBlock, PairBlock,
-                              RecordBlock, group_pairs, hash_join,
+                              PairKeyBlock, RecordBlock, as_pair_key_block,
+                              first_occurrences, group_pairs, hash_join,
                               pair_columns, sum_by_key)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.storage import StorageLevel
@@ -79,6 +80,14 @@ def _join_values(block):
     its key column, which iterates as the ``(v, w)`` records."""
     if isinstance(block, JoinedBlock) and block.keys is not None:
         return JoinedBlock(None, block.left, block.right)
+    return None
+
+
+def _pair_keys(block):
+    """``keys()``' twin over ``distinct``'s records: the ``(k, v)`` keys
+    of a :class:`PairKeyBlock` are the pair block of its two columns."""
+    if type(block) is PairKeyBlock:
+        return PairBlock(block.keys, block.values)
     return None
 
 
@@ -292,7 +301,7 @@ class RDD:
     def keys(self) -> "RDD":
         """First elements of (k, v) pairs."""
         return self.map_partitions(lambda _i, it: [k for k, _ in it],
-                                   name="keys")
+                                   name="keys", vector=_pair_keys)
 
     def values(self) -> "RDD":
         """Second elements of (k, v) pairs."""
@@ -378,9 +387,12 @@ class RDD:
         group-sum kernel (:func:`repro.sim.blocks.sum_by_key`) on numeric
         pair partitions; ``vector="group"`` declares ``group_by_key``'s
         list building, allowing the grouping kernel
-        (:func:`repro.sim.blocks.group_pairs`) on a fetched pair block.
-        The scalar functions stay authoritative for every other record
-        shape.
+        (:func:`repro.sim.blocks.group_pairs`) on a fetched pair block;
+        ``vector="first"`` declares a merge that keeps the first value,
+        allowing the first-occurrence kernel
+        (:func:`repro.sim.blocks.first_occurrences`) on ``distinct``'s
+        :class:`~repro.sim.blocks.PairKeyBlock`.  The scalar functions stay
+        authoritative for every other record shape.
         """
         part = HashPartitioner(num_partitions or self.num_partitions)
         return ShuffledRDD(
@@ -415,11 +427,18 @@ class RDD:
             lambda v: seq(zero, v), seq, comb, num_partitions)
 
     def distinct(self, num_partitions: int | None = None) -> "RDD":
-        """Deduplicate via a keyed shuffle."""
+        """Deduplicate via a keyed shuffle.
+
+        A partition that arrives as a NaN-free
+        :class:`~repro.sim.blocks.PairBlock` stays columnar throughout:
+        its ``((k, v), None)`` records are a
+        :class:`~repro.sim.blocks.PairKeyBlock`, merged first-wins on both
+        sides of the shuffle, and ``keys()`` hands on a ``PairBlock``.
+        """
         return (
             self.map_partitions(lambda _i, it: [(x, None) for x in it],
-                                name="map")
-            .reduce_by_key(lambda a, _b: a, num_partitions)
+                                name="map", vector=as_pair_key_block)
+            .reduce_by_key(lambda a, _b: a, num_partitions, vector="first")
             .keys()
         )
 
@@ -828,8 +847,8 @@ class MapPartitionsRDD(RDD):
         # the same either way.
         block = records.block if type(records) is _TextPartition else records
         out = None
-        if (self.vector is not None
-                and isinstance(block, (PairBlock, JoinedBlock, RecordBlock))):
+        if self.vector is not None and isinstance(
+                block, (PairBlock, PairKeyBlock, JoinedBlock, RecordBlock)):
             out = self.vector(block)
         ctx.charge_records(len(records), extra=self.cost_per_record)
         return self.f(index, records) if out is None else out
@@ -923,20 +942,23 @@ class ShuffledRDD(RDD):
         if self.aggregator is None:
             return records
         create, merge_value, merge_combiners = self.aggregator
-        if isinstance(records, PairBlock):
-            # Columnar twins of the dict merges below: first-occurrence
-            # key order, each key's values in record order (sum_by_key's
-            # and group_pairs' charge-replay arguments); same reduce-side
-            # charge.
-            out_block = None
+        # Columnar twins of the dict merges below: first-occurrence key
+        # order, each key's values in record order (sum_by_key's,
+        # group_pairs' and first_occurrences' charge-replay arguments);
+        # same reduce-side charge.
+        out_block = None
+        if type(records) is PairBlock:
             if (self.vector == "sum" and self.map_side_combine
                     and records.values.dtype == np.float64):
                 out_block = sum_by_key(records.keys, records.values)
             elif self.vector == "group" and not self.map_side_combine:
                 out_block = group_pairs(records)
-            if out_block is not None:
-                ctx.charge_records(len(records))
-                return out_block
+        elif (type(records) is PairKeyBlock and self.vector == "first"
+              and self.map_side_combine):
+            out_block = first_occurrences(records)
+        if out_block is not None:
+            ctx.charge_records(len(records))
+            return out_block
         out: dict = {}
         get = out.get
         if self.map_side_combine:

@@ -28,21 +28,24 @@ import numpy as np
 
 from repro.errors import SparkError
 from repro.mpi.datatypes import nbytes_of
-from repro.sim.blocks import (PairBlock, as_pair_block, partition_pairs,
-                              sum_by_key)
+from repro.sim.blocks import (PairBlock, PairKeyBlock, as_pair_block,
+                              first_occurrences, partition_pair_keys,
+                              partition_pairs, sum_by_key)
 from repro.sim.process import SimProcess
 from repro.spark.partitioner import HashPartitioner
 
 #: sample size for record-size estimation
 _SAMPLE = 20
 
-#: what :func:`estimate_nbytes` comes to per record of a ``PairBlock``: a
-#: record is always an ``(int, float)`` or ``(int, int)`` tuple, either of
-#: which ``nbytes_of`` prices at 8 + 2 * (8 + 8) = 40 (``int`` as a JVM
-#: boxed long, like ``float``), plus the estimate's 8 bytes of framing.  Both
-#: of its branches reduce to exactly ``48 * n`` (the sample mean is exactly
-#: ``40.0``, and ``48.0 * n`` is exact in a double below 2**53 / 48).
-_PAIR_RECORD_NBYTES = 48
+#: what :func:`estimate_nbytes` comes to per record of a block bucket.  A
+#: ``PairBlock`` record is always an ``(int, float)`` or ``(int, int)``
+#: tuple, either of which ``nbytes_of`` prices at 8 + 2 * (8 + 8) = 40
+#: (``int`` as a JVM boxed long, like ``float``); a ``PairKeyBlock`` record
+#: ``((k, v), None)`` at 8 + (40 + 8) + (1 + 8) = 65.  Add the estimate's 8
+#: bytes of framing: both of its branches reduce to exactly ``48 * n`` and
+#: ``73 * n`` (the sample mean is exactly ``40.0`` or ``65.0``, and the
+#: product is exact in a double below 2**53 / 73).
+_BLOCK_RECORD_NBYTES = {PairBlock: 48, PairKeyBlock: 73}
 
 #: sentinel distinguishing "key absent" from any stored value
 _MISSING = object()
@@ -145,8 +148,9 @@ class ShuffleWriter:
         for reduce_id, bucket in enumerate(bucket_lists):
             if not bucket:
                 continue
-            if type(bucket) is PairBlock:
-                nbytes = _PAIR_RECORD_NBYTES * len(bucket) * scale
+            per_record = _BLOCK_RECORD_NBYTES.get(type(bucket))
+            if per_record is not None:
+                nbytes = per_record * len(bucket) * scale
             else:
                 nbytes = estimate_nbytes(bucket) * scale
             sizes[reduce_id] = nbytes
@@ -169,10 +173,12 @@ class ShuffleWriter:
         the write's (output length).
 
         ``vector="sum"`` (the consuming RDD's declaration) enables the
-        columnar combine kernel on numeric pair partitions, and a
-        ``PairBlock`` under a plain ``HashPartitioner`` is bucketed
-        columnar; bucket contents, per-bucket order and every charge are
-        identical to the scalar pass (see :mod:`repro.sim.blocks`).
+        columnar combine kernel on numeric pair partitions, and
+        ``vector="first"`` the first-occurrence merge on ``distinct``'s
+        ``PairKeyBlock``; a ``PairBlock`` or ``PairKeyBlock`` under a plain
+        ``HashPartitioner`` is bucketed columnar.  Bucket contents,
+        per-bucket order and every charge are identical to the scalar pass
+        (see :mod:`repro.sim.blocks`).
         """
         costs = self.env.costs
         scale = self.env.record_scale
@@ -193,13 +199,17 @@ class ShuffleWriter:
         # nparts places keys elsewhere).
         int_hash = type(partitioner) is HashPartitioner
         if combiner is not None:
-            pair_block = (as_pair_block(records)
-                          if vector == "sum" and int_hash else None)
-            if pair_block is not None:
-                # group-sum in first-occurrence order: bitwise the dict
-                # combine (see sum_by_key)
-                combined = sum_by_key(pair_block.keys, pair_block.values)
-            else:
+            combined = None
+            if int_hash and vector == "sum":
+                pair_block = as_pair_block(records)
+                if pair_block is not None:
+                    # group-sum in first-occurrence order: bitwise the dict
+                    # combine (see sum_by_key)
+                    combined = sum_by_key(pair_block.keys, pair_block.values)
+            elif (int_hash and vector == "first"
+                  and type(records) is PairKeyBlock):
+                combined = first_occurrences(records)
+            if combined is None:
                 create, merge_value = combiner
                 acc: dict = {}
                 get = acc.get
@@ -217,9 +227,11 @@ class ShuffleWriter:
             # the combine's charge (input length)
             proc.compute(len(records) * scale * costs.spark_record_overhead)
             records = combined
-        if int_hash and isinstance(records, PairBlock):
-            # columnar bucketing: same buckets, same order, same sizes
+        # columnar bucketing: same buckets, same order, same sizes
+        if int_hash and type(records) is PairBlock:
             bucket_lists = partition_pairs(records, nparts)
+        elif int_hash and type(records) is PairKeyBlock:
+            bucket_lists = partition_pair_keys(records, nparts)
         else:
             bucket_lists = [[] for _ in range(nparts)]
             # For exact-int keys under a HashPartitioner the hash is the
@@ -299,13 +311,15 @@ class ShuffleReader:
         # A fresh reduce input per fetch, as deserialising one is: what a
         # consumer does to it never reaches the buckets or a later action.
         filled = [p for p in parts if len(p)]
-        if (filled and all(isinstance(p, PairBlock) for p in filled)
+        kind = type(filled[0]) if filled else None
+        if (kind in _BLOCK_RECORD_NBYTES
+                and all(type(p) is kind for p in filled)
                 and len({p.values.dtype for p in filled}) == 1):
             # columnar concatenation in map order — element-equal to
             # extending a list bucket by bucket (mixed value dtypes would
             # promote the ints, so those extend the list)
-            out = PairBlock(np.concatenate([p.keys for p in filled]),
-                            np.concatenate([p.values for p in filled]))
+            out = kind(np.concatenate([p.keys for p in filled]),
+                       np.concatenate([p.values for p in filled]))
         else:
             out = []
             for records in parts:

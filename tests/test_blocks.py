@@ -15,6 +15,7 @@ Two halves:
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from contextlib import contextmanager
@@ -27,23 +28,29 @@ from hypothesis import strategies as st
 from repro.apps.pagerank.spark_bigdatabench import _contrib, _contrib_block
 from repro.core import figures
 from repro.platform import Dataset, ScenarioSpec, fingerprint_result
+import repro.sim.blocks as blocks
 from repro.sim.blocks import (
     CoGroupBlock,
     ContribBlock,
     GroupBlock,
     JoinedBlock,
     PairBlock,
+    PairKeyBlock,
     RecordBlock,
     as_pair_block,
+    as_pair_key_block,
+    first_occurrences,
     group_pairs,
     hash_join,
     pair_columns,
     parse_int_pairs,
+    partition_pair_keys,
     partition_pairs,
     sum_by_key,
 )
 from repro.spark.rdd import (_append, _cogroup_pairs, _count_keys,
                              _join_expand, _join_values)
+from repro.spark.partitioner import HashPartitioner
 from repro.spark.shuffle import ShuffleWriter, estimate_nbytes
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -332,6 +339,83 @@ class TestCountKeys:
         got = _count_keys(0, PairBlock(*pair_columns(pairs)))
         # same dict, same (first-occurrence) order, Python ints throughout
         assert _bits(got.items()) == _bits(want.items())
+
+
+#: ``distinct``'s inputs: few keys (duplicate-heavy) plus keys near
+#: +-2**62 and the int64 ends; values with both zeros and ``int64`` ends
+_DKEYS = st.one_of(st.integers(0, 4), st.sampled_from(
+    [2**62 - 1, 2**62, -2**62, -2**62 - 1, 2**63 - 1, -2**63]))
+_DFLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5, math.inf]),
+                     st.floats(allow_nan=False))
+_DINTS = st.one_of(st.integers(0, 3), st.integers(-2**63, 2**63 - 1))
+
+
+@st.composite
+def _distinct_partition(draw):
+    """One partition of ``(int, int)`` or ``(int, float)`` pairs; a float
+    partition sometimes holds a NaN."""
+    values = draw(st.sampled_from([_DFLOATS, _DINTS]))
+    pairs = draw(st.lists(st.tuples(_DKEYS, values), max_size=30))
+    if values is _DFLOATS and pairs and draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(pairs) - 1))
+        pairs[at] = (pairs[at][0], math.nan)
+    return pairs
+
+
+class TestPairKeyBlock:
+    @staticmethod
+    def dict_merge(pairs):
+        """``distinct``'s first-wins merge: a dict keeps the first key
+        object it was given."""
+        return list(dict.fromkeys(pairs))
+
+    def test_iterates_indexes_and_slices_as_the_records(self):
+        pairs = [(3, 1.5), (-1, -0.0), (3, 1.5)]
+        block = as_pair_key_block(PairBlock(*pair_columns(pairs)))
+        want = [(kv, None) for kv in pairs]
+        assert _bits(block) == _bits(want)
+        assert _bits(block[i] for i in range(3)) == _bits(want)
+        assert _bits(block[1:]) == _bits(want[1:])
+        assert block[1:].keys.base is not None  # zero-copy view
+
+    @pytest.mark.parametrize("records", [
+        PairBlock(np.array([1, 2]), np.array([0.5, math.nan])),  # a NaN
+        [(1, 0.5)],                                              # a list
+        GroupBlock(np.array([1]), np.array([0, 1]), np.array([2])),
+    ])
+    def test_defined_on_nan_free_pair_blocks_only(self, records):
+        assert as_pair_key_block(records) is None
+
+    @given(pairs=_distinct_partition().filter(
+        lambda ps: not any(v != v for _, v in ps)))
+    @settings(max_examples=200, deadline=None)
+    def test_first_occurrences_equal_the_dict_merge(self, pairs):
+        block = as_pair_key_block(PairBlock(*pair_columns(pairs)))
+        got = first_occurrences(block)
+        assert type(got) is PairKeyBlock
+        assert _bits(k for k, _ in got) == _bits(self.dict_merge(pairs))
+
+    def test_the_first_zero_survives(self):
+        pairs = [(1, -0.0), (2, 0.0), (1, 0.0), (2, -0.0), (1, -0.0)]
+        got = first_occurrences(
+            as_pair_key_block(PairBlock(*pair_columns(pairs))))
+        assert [(k, v.hex()) for (k, v), _ in got] == [
+            (1, "-0x0.0p+0"), (2, "0x0.0p+0")]
+
+    @given(pairs=_distinct_partition().filter(
+        lambda ps: not any(v != v for _, v in ps)),
+        nparts=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_partition_pair_keys_matches_the_scalar_hash(self, pairs,
+                                                          nparts):
+        block = as_pair_key_block(PairBlock(*pair_columns(pairs)))
+        buckets = [[] for _ in range(nparts)]
+        part = HashPartitioner(nparts).partition
+        for rec in block:  # the scalar writer's append loop
+            buckets[part(rec[0])].append(rec)
+        out = partition_pair_keys(block, nparts)
+        assert all(type(b) is PairKeyBlock for b in out)
+        assert [_bits(b) for b in out] == [_bits(b) for b in buckets]
 
 
 class TestSumByKey:
@@ -747,6 +831,61 @@ class TestTextPipeline:
         assert n == 3
 
 
+class TestDistinctOverPairBlocks:
+    """``distinct`` over pair-block partitions: the columnar shuffle
+    (``PairKeyBlock`` both sides, a ``PairBlock`` out) against the scalar
+    one, by records, app time and trace."""
+
+    @staticmethod
+    def run(parts, nparts: int, scale: int):
+        def partition(i, _it):
+            # a pair block where ``pair_columns`` takes the partition (so
+            # a list under ineligible_inputs), else the list itself
+            cols = blocks.pair_columns(parts[i])
+            return list(parts[i]) if cols is None else PairBlock(*cols)
+
+        session = ScenarioSpec(nodes=2, procs_per_node=2, hb=True).session()
+        res = session.spark(app_startup=0.1, record_scale=scale).run(
+            lambda sc: sc.parallelize(list(range(len(parts))), len(parts))
+            .map_partitions(partition).distinct(nparts).collect())
+        digest = hashlib.sha256()
+        for ev in session.trace.events:
+            digest.update(f"{ev.time.hex()}|{ev.proc}|{ev.kind}|"
+                          f"{sorted(ev.detail.items())!r}\n".encode())
+        return _bits(res.value), res.app_elapsed.hex(), digest.hexdigest()
+
+    @given(parts=st.lists(_distinct_partition(), min_size=1, max_size=5),
+           nparts=st.integers(1, 5), scale=st.sampled_from([1, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_columnar_equals_scalar(self, parts, nparts, scale):
+        with ineligible_inputs():
+            scalar = self.run(parts, nparts, scale)
+        assert self.run(parts, nparts, scale) == scalar
+
+    def test_only_nan_partitions_stay_scalar(self, monkeypatch):
+        import repro.spark.shuffle as shuffle
+
+        merged = []
+
+        def counting(block):
+            merged.append(len(block))
+            return first_occurrences(block)
+
+        monkeypatch.setattr(shuffle, "first_occurrences", counting)
+        parts = [[(1, -0.0), (1, 0.0), (2, 1.0)], [(1, math.nan), (1, 0.0)],
+                 [], [(1, 0.0), (3, 2.0)]]
+        with ineligible_inputs():
+            scalar = self.run(parts, 2, 1)
+        assert not merged
+        assert self.run(parts, 2, 1) == scalar
+        # the NaN partition's combine ran the dict loop; the empty one and
+        # the two others the kernel
+        assert sorted(merged) == [0, 2, 3]
+        # the first zero's bits survive the map side, and the NaN row
+        assert (("int", 1), "-0x0.0p+0") in scalar[0]
+        assert (("int", 1), "nan") in scalar[0]
+
+
 class TestClosedFormSizing:
     @given(n=st.integers(0, 200), scale=st.sampled_from([1, 7, 62]),
            seed=st.integers(0, 2**32 - 1))
@@ -756,13 +895,16 @@ class TestClosedFormSizing:
         keys = rng.integers(-2**62, 2**62, size=n)
         for values in (rng.standard_normal(n),              # (int, float)
                        rng.integers(-2**62, 2**62, size=n)):  # (int, int)
-            block = PairBlock(keys, values)
-            sizes, total, buckets = ShuffleWriter._sizes([block, []], scale)
-            # the block's sampled estimate, and the tuple list's
-            assert sizes == [estimate_nbytes(block) * scale, 0]
-            assert sizes[0] == estimate_nbytes(block.to_pairs()) * scale
-            assert total == sizes[0]
-            assert list(buckets) == ([0] if n else [])
+            # the pairs, and distinct's ((k, v), None) records over them
+            for block in (PairBlock(keys, values),
+                          PairKeyBlock(keys, values)):
+                sizes, total, buckets = ShuffleWriter._sizes([block, []],
+                                                             scale)
+                # the block's sampled estimate, and the tuple list's
+                assert sizes == [estimate_nbytes(block) * scale, 0]
+                assert sizes[0] == estimate_nbytes(list(block)) * scale
+                assert total == sizes[0]
+                assert list(buckets) == ([0] if n else [])
 
 
 # ---------------------------------------------------------------------------

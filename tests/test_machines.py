@@ -13,6 +13,7 @@ Covers the contracts :mod:`repro.cluster.machines` introduces:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from repro.core.experiment import (
     run_experiment,
     supports_machine,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimProcessError, SimulationError
 from repro.platform import (
     CachePlan,
     ScenarioSpec,
@@ -95,6 +96,38 @@ class TestRegistry:
         # fabric errors must list what the cluster actually has
         assert "warp-drive" in str(exc.value)
         assert "ib-fdr-rdma" in str(exc.value)
+
+    def test_registered_machines_have_finite_costs(self):
+        for machine in MACHINES.values():
+            assert machine.check() is machine
+
+    @pytest.mark.parametrize("field,value", [
+        ("spark_record_overhead", math.nan),
+        ("spark_record_overhead", math.inf),
+        ("spark_record_overhead", -1e-9),
+        ("mpi_eager_threshold", -1),
+        ("ser_rate_jvm", 0.0),
+        ("hadoop_sort_rate", math.nan),
+        ("spark_shuffle_rdma_rate", math.inf),
+    ])
+    def test_check_rejects_a_non_finite_or_negative_cost(self, field, value):
+        comet = get_machine("comet")
+        bad = comet.with_(costs=replace(comet.costs, **{field: value}))
+        with pytest.raises(ConfigurationError, match=f"costs.{field}"):
+            bad.check()
+
+    def test_a_nan_cost_fails_the_run_instead_of_its_time(self):
+        # an unchecked machine still cannot report a plausible app time
+        # beside a NaN clock: the first NaN charge raises
+        comet = get_machine("comet")
+        bad = comet.with_(name="nan-costs", costs=replace(
+            comet.costs, spark_record_overhead=math.nan))
+        session = ScenarioSpec(nodes=2, procs_per_node=2,
+                               machine=bad).session()
+        with pytest.raises(SimProcessError) as exc:
+            session.spark(app_startup=0.1).run(
+                lambda sc: sc.parallelize(list(range(10)), 2).count())
+        assert isinstance(exc.value.__cause__, SimulationError)
 
     def test_unknown_shuffle_transport_lists_transports(self):
         with pytest.raises(ConfigurationError) as exc:

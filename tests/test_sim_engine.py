@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import DeadlockError, SimProcessError, SimulationError
@@ -37,6 +39,33 @@ def test_compute_rejects_negative_time():
     with pytest.raises(SimProcessError) as ei:
         eng.run()
     assert isinstance(ei.value.__cause__, SimulationError)
+
+
+#: each way a process charges or sets its own clock
+_CLOCK_ENTRY_POINTS = {
+    "compute": lambda p, x: p.compute(x),
+    "compute_bytes": lambda p, x: p.compute_bytes(x, 1.0),
+    "advance_clock_to": lambda p, x: p.advance_clock_to(x),
+    "park_until": lambda p, x: p.park_until(x),
+    "park_until_steps": lambda p, x: p.run_steps(p.park_until_steps(x)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", sorted(_CLOCK_ENTRY_POINTS))
+def test_non_finite_time_is_rejected(entry, bad):
+    eng = Engine()
+
+    def work():
+        p = current_process()
+        p.compute(1.0)
+        _CLOCK_ENTRY_POINTS[entry](p, bad)
+
+    proc = eng.spawn(work, name="w")
+    with pytest.raises(SimProcessError) as ei:
+        eng.run()
+    assert isinstance(ei.value.__cause__, SimulationError)
+    assert proc.clock == 1.0
 
 
 def test_compute_bytes_divides_by_rate():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpi import datatypes
 from repro.mpi.datatypes import MAX, MIN, PROD, SUM, copy_payload, nbytes_of
 from repro.sim import Engine, Trace, current_process
 from repro.units import (
@@ -73,6 +74,29 @@ class TestUnits:
         assert any(text.endswith(u) for u in (" B", " KB", " MB", " GB", " TB"))
 
 
+class _Int(int):
+    """An ``int`` subclass: sized like an int, but not by the type scan."""
+
+
+_SCALARS = st.one_of(st.integers(-2**70, 2**70), st.floats())
+_ANY_KEYS = st.one_of(_SCALARS, st.booleans(), st.text(max_size=4),
+                      st.builds(_Int, st.integers()))
+_ANY_VALUES = st.recursive(
+    st.one_of(_ANY_KEYS, st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(_SCALARS, children, max_size=3)),
+    max_leaves=8)
+
+
+def _loop_dict_nbytes(d: dict) -> int:
+    """The per-entry price the dict sizer's type scan stands in for."""
+    total = 8
+    for k, v in d.items():
+        total += nbytes_of(k) + nbytes_of(v) + 8
+    return total
+
+
 class TestNbytesOf:
     def test_numpy_exact(self):
         assert nbytes_of(np.zeros(100, np.float32)) == 400
@@ -100,6 +124,36 @@ class TestNbytesOf:
     @settings(max_examples=40, deadline=None)
     def test_always_positive(self, data):
         assert nbytes_of(data) >= 0
+
+    @given(d=st.one_of(
+        st.dictionaries(_SCALARS, _SCALARS, max_size=20),
+        st.dictionaries(_ANY_KEYS, _ANY_VALUES, max_size=8)))
+    @settings(max_examples=200, deadline=None)
+    def test_dict_type_scan_equals_the_entry_loop(self, d):
+        assert datatypes._dict_nbytes(d) == _loop_dict_nbytes(d)
+
+    @pytest.mark.parametrize("d,scanned", [
+        ({}, True),
+        ({1: 2, -2**70: 0.5, 3.5: float("nan")}, True),
+        ({1: True}, False),               # bool is 1 byte, not 8
+        ({True: 1}, False),
+        ({_Int(1): 2}, False),            # an int subclass
+        ({1: _Int(2)}, False),
+        ({"k": 1}, False),
+        ({1: [2, 3]}, False),
+        ({1: {2: 3.0}}, False),
+    ])
+    def test_only_exact_ints_and_floats_skip_the_entry_loop(
+            self, d, scanned, monkeypatch):
+        calls = []
+
+        def counting(obj):
+            calls.append(obj)
+            return nbytes_of(obj)
+
+        monkeypatch.setattr(datatypes, "nbytes_of", counting)
+        assert datatypes._dict_nbytes(d) == _loop_dict_nbytes(d)
+        assert (not calls) == scanned
 
     def test_copy_payload_protects_arrays(self):
         a = np.ones(3)
