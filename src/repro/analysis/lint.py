@@ -426,10 +426,11 @@ class _Linter:
                                      for kw in node.keywords))):
                 self._flag("R011", node,
                            f".{attr}() parks a simulated process directly; "
-                           "outside repro/sim use the synchronization "
-                           "primitives (Mailbox/Future/SimBarrier/SimLock) "
-                           "or pass wait metadata and suppress with a "
-                           "pragma after review")
+                           "outside repro/sim compose the primitives' step "
+                           "forms (SimProcess.block_steps, "
+                           "SimLock.acquire_steps, Mailbox.recv_steps ...) "
+                           "with `yield from`, or pass wait metadata and "
+                           "suppress with a pragma after review")
 
         if self.deterministic and isinstance(node.func, ast.Name):
             fname = node.func.id

@@ -177,9 +177,10 @@ class OMP:
                     w._wake(team.release_time)
                 break
             if team.arrived == team.nthreads:
-                # everyone arrived but a later arrival exists: wait for it
-                # (timed park, not a blocking wait — the task-aware barrier
-                # owns its protocol and parks directly)
+                # everyone arrived but a later arrival exists: wait for it.
+                # The task-aware barrier owns its protocol and parks through
+                # the blocking names, not step forms: its waits run user task
+                # closures (``fn(*args)`` above), and those may wait too.
                 proc.park_until(  # reprolint: disable=raw-park
                     team.max_arrival, reason="omp.barrier-exit")
                 continue

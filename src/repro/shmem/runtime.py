@@ -255,20 +255,22 @@ class PE:
         """``shmem_wait_until``: block until a remote update makes ``pred``
         true of *this PE's* copy."""
         proc = current_process()
-        proc.checkpoint()
-        if pred(self.local(sym)):
-            # The flag was already set: acquire the writers' accumulated
-            # release clock — the non-blocking path has no _wake edge.
-            proc._hb_join(sym.sync_vc(self.my_pe))
-            return
-        sym.add_waiter(self.my_pe, proc, pred)
-        # Any other PE's put/atomic may satisfy the predicate, hence the
-        # broad waker set.  This primitive owns its blocking protocol
-        # (symmetric-heap waiter lists), so it parks directly.
-        proc.block(  # reprolint: disable=raw-park
-            reason=f"shmem.wait_until(pe={self.my_pe})", obj=sym,
-            wakers=lambda eng, waiter: [p for p in self.env.procs
-                                        if p is not waiter])
+        proc.run_steps(self.wait_until_steps(proc, sym, pred))
+
+    def wait_until_steps(self, proc: SimProcess, sym: SymmetricArray,
+                         pred: Callable[[np.ndarray], bool]) -> Steps[None]:
+        """Step form of :meth:`wait_until` (see ``SimProcess.run_steps``)."""
+        yield from proc.checkpoint_steps()
+        if not pred(self.local(sym)):
+            sym.add_waiter(self.my_pe, proc, pred)
+            # Any other PE's put/atomic may satisfy the predicate, hence
+            # the broad waker set.
+            yield from proc.block_steps(
+                reason=f"shmem.wait_until(pe={self.my_pe})", obj=sym,
+                wakers=lambda eng, waiter: [p for p in self.env.procs
+                                            if p is not waiter])
+        # Woken by a writer, or the flag was already set (no _wake edge):
+        # either way acquire the writers' accumulated release clock.
         proc._hb_join(sym.sync_vc(self.my_pe))
 
     # -- locks -----------------------------------------------------------------------------------

@@ -51,10 +51,11 @@ not change the schedule order, a transfer, a protocol round) switch-free:
    process threads cannot decide locally: a process failed (abort + raise),
    or no process is runnable (termination vs deadlock detection).
 
-4. **Step continuations** — everything that waits more than once is a
-   generator run by :meth:`SimProcess.run_steps`: the sim primitives
-   (a transfer, a mailbox post or receive, a future), the MPI
-   point-to-point and collective algorithms, the OpenSHMEM collectives.
+4. **Step continuations** — every wait is a generator run by
+   :meth:`SimProcess.run_steps`, the one place a thread parks: the sim
+   primitives (a checkpoint, a timed park, a block, a transfer, a mailbox,
+   a future, a barrier, a lock), the MPI point-to-point and collective
+   algorithms, the OpenSHMEM collectives and ``wait_until``.
    It parks carrying the generator instead of its thread.  At the owner's
    turn :meth:`_dispatch` runs the next segment on the thread that holds
    the token, with :func:`current_process` bound to the owner, and keeps
@@ -63,9 +64,9 @@ not change the schedule order, a transfer, a protocol round) switch-free:
    which a thread parked at that request would have resumed — the same
    retention test, the same push, the same BLOCKED state — so the
    interleaving is that of parked threads; only the thread executing it
-   differs.  Invariants: a step never parks (``_park`` raises while one
-   runs), a raising step fails its owner on the owner's thread, and a
-   wake or clock edge made by a step belongs to the owner.
+   differs.  Invariants: a step never parks (``run_steps`` raises when a
+   step calls it), a raising step fails its owner on the owner's thread,
+   and a wake or clock edge made by a step belongs to the owner.
 
 Determinism is unaffected: the successor chosen by the heap is exactly the
 ``min(runnable, key=(clock, pid))`` of a linear scan, and token retention

@@ -14,15 +14,16 @@ Time advances only through the explicit API:
 * :meth:`SimProcess.block` / :meth:`SimProcess.park_until` — wait for another
   process or for a scheduled virtual instant.
 
-Anything that waits more than once — a transfer, a receive, an MPI
-collective — is written as **steps** and run by :meth:`SimProcess.run_steps`:
+Every wait is written as **steps** and run by :meth:`SimProcess.run_steps`:
 a generator that yields one :class:`Step` request wherever it waits.  Every
 segment after the first runs at the owner's turn on whichever thread holds
 the token, so the owner's own thread is woken once, when the steps return.
-The sim primitives have one body each, their step form
-(``Mailbox.recv_steps``, ``Future.wait_steps``, ``FlowSystem.transfer_steps``
-...); the blocking name is ``run_steps`` over it.  Runtime code composes the
-step forms with ``yield from`` and never yields a request itself.
+``run_steps`` is the only place a thread parks.  Each primitive that waits
+has one body, its step form (``checkpoint_steps``, ``block_steps``,
+``Mailbox.recv_steps``, ``SimBarrier.wait_steps``,
+``FlowSystem.transfer_steps`` ...); the blocking name is ``run_steps`` over
+it.  Runtime code composes the step forms with ``yield from`` and never
+yields a request itself.
 
 All methods prefixed with an underscore are engine/runtime internals.
 """
@@ -145,9 +146,6 @@ class SimProcess:
         self._steps: Steps[Any] | None = None
         self._step_result: Any = None
         self._step_error: BaseException | None = None
-        #: true while a step generator runs: a step must never park the
-        #: thread it runs on, which may belong to another process
-        self._stepping = False
         #: heap sequence number; bumped by ``Engine._push`` so stale run
         #: queue entries for this process can be recognised and skipped.
         self._hseq = 0
@@ -221,9 +219,7 @@ class SimProcess:
         with no intervening execution, so it keeps the token and returns
         inline — no context switch.
         """
-        self._assert_current()
-        if not self._keeps_turn():
-            self._park(ProcState.RUNNABLE)
+        self.run_steps(self.checkpoint_steps())
 
     def sleep(self, seconds: float) -> None:
         """Advance the clock by ``seconds`` and yield (an ordered delay)."""
@@ -237,15 +233,7 @@ class SimProcess:
         acting for another process at an earlier virtual time, may re-key a
         flow owner's wake time before it fires (``sim/resources.py``).
         """
-        self._assert_current()
-        self._set_wake(wake_time)
-        # Run-ahead retention: if no other runnable precedes the wake
-        # time, nothing can run (and hence revise it) before it fires.
-        if self._keeps_turn():
-            return
-        self.waiting_on = reason
-        self._park(ProcState.RUNNABLE)
-        self.waiting_on = None
+        self.run_steps(self.park_until_steps(wake_time, reason=reason))
 
     def block(self, *, reason: str, obj: Any = None, wakers: Any = None) -> None:
         """Park with no scheduled wake; another process must call :meth:`_wake`.
@@ -256,20 +244,18 @@ class SimProcess:
         ``__init__``) — both feed the wait-for-graph deadlock diagnosis
         and are otherwise unused.
         """
-        self._assert_current()
-        self._await(reason, obj, wakers)
-        self._park(ProcState.BLOCKED)
-        self._awoken()
+        self.run_steps(self.block_steps(reason=reason, obj=obj,
+                                        wakers=wakers))
 
     # -- steps ----------------------------------------------------------------
 
     def run_steps(self, steps: Steps[T]) -> T:
         """Run a protocol written as steps; return what the generator returns.
 
-        ``steps`` yields one :class:`Step` request wherever it waits, and
-        this drives it with the rules of :meth:`checkpoint`: a ``TURN``
-        while this process is still the minimum runnable ``(clock, pid)``
-        continues inline (run-ahead retention), and so does a ``QUEUED``
+        ``steps`` yields one :class:`Step` request wherever it waits: a
+        ``TURN`` while this process is still the minimum runnable
+        ``(clock, pid)`` continues inline (run-ahead retention, see
+        :meth:`checkpoint`), and so does a ``QUEUED``
         whose own run-queue entry is the minimum; otherwise the process
         parks carrying the generator.  The first segment runs
         here; every later one runs in ``Engine._dispatch`` at this
@@ -278,18 +264,21 @@ class SimProcess:
         :meth:`compute` allowed.  This thread is granted once, when the
         generator returns; an exception it raised is re-raised here.
 
-        A step must not park: calling a blocking primitive from one raises
-        :class:`SimulationError` (its thread may be another process's), so
-        steps compose the step forms of the sim primitives with
-        ``yield from``.  Virtual time and event order are those of a thread
-        that parked at each request, since each segment runs at exactly the
-        scheduling point that thread would resume at.
+        This is the one place a thread parks, and a step must not park:
+        calling a blocking primitive from one raises
+        :class:`SimulationError` on every schedule (its thread may be
+        another process's), so steps compose the step forms of the sim
+        primitives with ``yield from``.  ``_steps`` is set exactly while
+        steps are running or parked, and a parked owner cannot call this.
+        Virtual time and event order are those of a thread that parked at
+        each request, since each segment runs at exactly the scheduling
+        point that thread would resume at.
         """
         self._assert_current()
-        if self._stepping:
+        if self._steps is not None:
             raise SimulationError(
-                f"{self.name}: run_steps called from inside a step; compose "
-                "step forms with `yield from` instead")
+                f"{self.name}: a step must not park; compose the step forms "
+                "of the sim primitives with `yield from`")
         self._steps = steps
         if self._advance():
             self.state = ProcState.RUNNING  # a raising step may have parked it
@@ -333,7 +322,6 @@ class SimProcess:
         :meth:`_keeps_turn` says so.
         """
         steps = self._steps
-        self._stepping = True
         try:
             req = steps.send(None)
             while True:
@@ -359,8 +347,6 @@ class SimProcess:
             self._step_result = stop.value
         except Exception as exc:  # noqa: BLE001 - re-raised by the owner
             self._step_error = exc
-        finally:
-            self._stepping = False
         self._steps = None
         return True
 
@@ -457,23 +443,12 @@ class SimProcess:
         self.wait_obj = None
         self.wait_wakers = None
 
-    def _park(self, state: ProcState) -> None:
-        """Release the token and wait to be rescheduled.
+    def _wait_for_grant(self) -> None:
+        """Hand the token on and block this thread until it is granted back.
 
         The successor is granted directly from this thread (or the engine is
         woken when there is none) — see ``Engine._release_token``.
         """
-        if self._stepping:
-            raise SimulationError(
-                f"{self.name}: a step called a blocking primitive; steps must "
-                "not park (compose the primitive's step form with `yield from`)")
-        self.state = state
-        if state is ProcState.RUNNABLE:
-            self.engine._push(self)
-        self._wait_for_grant()
-
-    def _wait_for_grant(self) -> None:
-        """Hand the token on and block this thread until it is granted back."""
         self.engine._release_token(self)
         self._go.acquire()
         if self._killed:

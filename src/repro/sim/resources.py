@@ -385,6 +385,10 @@ class FifoResource:
 
     def use(self, proc: SimProcess, duration: float) -> None:
         """Acquire on behalf of ``proc`` and advance its clock to the end."""
-        proc.checkpoint()
+        proc.run_steps(self.use_steps(proc, duration))
+
+    def use_steps(self, proc: SimProcess, duration: float) -> Steps[None]:
+        """Step form of :meth:`use` (see ``SimProcess.run_steps``)."""
+        yield TURN
         _, end = self.acquire(proc.clock, duration)
-        proc.park_until(end, reason=f"fifo:{self.name}")
+        yield from proc.park_until_steps(end, reason=f"fifo:{self.name}")

@@ -152,10 +152,10 @@ class Mailbox:
 class SimBarrier:
     """A reusable n-party barrier; all parties leave at the latest arrival.
 
-    This is the *zero-cost* synchronisation primitive (used e.g. for OpenMP's
-    intra-node barrier, where the hardware cost is folded into the runtime's
-    own constants).  MPI's barrier is built from messages instead, so its
-    cost scales with ``log p`` as on a real machine.
+    This is the *zero-cost* synchronisation primitive; its one runtime user
+    is the planted barrier of ``analysis/scenarios.py``.  OpenMP's barrier
+    is task-aware and has its own protocol, and MPI's is built from
+    messages, so its cost scales with ``log p`` as on a real machine.
     """
 
     def __init__(self, parties: int, name: str = "barrier") -> None:
@@ -178,23 +178,24 @@ class SimBarrier:
         return [p for p in engine.processes
                 if p.alive and not any(p is a for a in self._arrived)]
 
-    def wait(self, proc: SimProcess, extra_cost: float = 0.0) -> int:
-        """Enter the barrier; returns the barrier generation just completed.
+    def wait(self, proc: SimProcess) -> int:
+        """Enter the barrier; returns the barrier generation just completed."""
+        return proc.run_steps(self.wait_steps(proc))
 
-        ``extra_cost`` is added to the release time (per-barrier overhead).
-        """
-        proc.checkpoint()
+    def wait_steps(self, proc: SimProcess) -> Steps[int]:
+        """Step form of :meth:`wait` (see ``SimProcess.run_steps``)."""
+        yield TURN
         trace = proc.engine.trace
         if trace is not None and trace.enabled and trace.hb:
             if self._uid is None:
                 self._uid = proc.engine._next_barrier_uid
                 proc.engine._next_barrier_uid += 1
             trace.coll(proc, "barrier", f"barrier:{self.name}#{self._uid}",
-                       parties=self.parties, site=call_site())
+                       parties=self.parties, site=call_site(proc=proc))
         gen = self._generation
         self._arrived.append(proc)
         if len(self._arrived) == self.parties:
-            release = max(p.clock for p in self._arrived) + extra_cost
+            release = max(p.clock for p in self._arrived)
             self._generation += 1
             waiters, self._arrived = self._arrived[:-1], []
             if proc.vc is not None:
@@ -204,14 +205,15 @@ class SimBarrier:
             for p in waiters:
                 p._wake(release)
             if release > proc.clock:
-                proc.park_until(release, reason=f"barrier:{self.name}")
+                yield from proc.park_until_steps(
+                    release, reason=f"barrier:{self.name}")
             return gen
         if proc.vc is not None:
             snap = proc._hb_release()
             if snap is not None:
                 self._vcs.append(snap)
-        proc.block(reason=f"barrier:{self.name}", obj=self,
-                   wakers=self._pending_wakers)
+        yield from proc.block_steps(reason=f"barrier:{self.name}", obj=self,
+                                    wakers=self._pending_wakers)
         return gen
 
 
@@ -242,11 +244,16 @@ class SimLock:
         trace = proc.engine.trace
         if trace is not None and trace.enabled and trace.hb:
             trace.record(proc.clock, proc.name, f"lock.{op}",
-                         lock=self.name, pid=proc.pid, site=call_site())
+                         lock=self.name, pid=proc.pid,
+                         site=call_site(proc=proc))
 
     def acquire(self, proc: SimProcess) -> None:
         """Block until the lock is free, then take it."""
-        proc.checkpoint()
+        proc.run_steps(self.acquire_steps(proc))
+
+    def acquire_steps(self, proc: SimProcess) -> Steps[None]:
+        """Step form of :meth:`acquire` (see ``SimProcess.run_steps``)."""
+        yield TURN
         if self._holder is None:
             self._holder = proc
             proc._hb_join(self._vc)
@@ -255,14 +262,18 @@ class SimLock:
         if self._holder is proc:
             raise SimulationError(f"{proc.name}: lock {self.name!r} is not reentrant")
         self._waiters.append(proc)
-        proc.block(reason=f"lock:{self.name}", obj=self,
-                   wakers=self._holder_wakers)
+        yield from proc.block_steps(reason=f"lock:{self.name}", obj=self,
+                                    wakers=self._holder_wakers)
         proc._hb_join(self._vc)
         self._trace_lock(proc, "acquire")
 
     def release(self, proc: SimProcess) -> None:
         """Release; the longest-waiting process acquires at this instant."""
-        proc.checkpoint()  # contenders at earlier virtual times queue first
+        proc.run_steps(self.release_steps(proc))
+
+    def release_steps(self, proc: SimProcess) -> Steps[None]:
+        """Step form of :meth:`release` (see ``SimProcess.run_steps``)."""
+        yield TURN  # contenders at earlier virtual times queue first
         if self._holder is not proc:
             raise SimulationError(
                 f"{proc.name}: releasing lock {self.name!r} it does not hold"

@@ -15,8 +15,9 @@ for every revised owner, two parks per transfer — and a property test
 asserts bit-identical completion times between the two under both engines.
 
 Every production primitive that waits is one step body run by
-``SimProcess.run_steps``.  :class:`ReferenceMailbox` and
-:class:`ReferenceFuture` are the thread-parking bodies those replaced —
+``SimProcess.run_steps``.  :class:`ReferenceMailbox`,
+:class:`ReferenceFuture`, :class:`ReferenceBarrier` and
+:class:`ReferenceLock` are the thread-parking bodies those replaced —
 ``checkpoint``, then ``park_until`` or ``block`` on the caller's own thread
 — and the step suite requires the same clocks, results and traces from
 both.
@@ -31,6 +32,7 @@ from repro.sim import Engine
 from repro.sim.process import ProcState
 from repro.sim.resources import Flow
 from repro.sim.sync import Message
+from repro.sim.trace import call_site
 
 
 class ReferenceEngine(Engine):
@@ -207,3 +209,81 @@ class ReferenceFuture:
             proc.park_until(self._set_time, reason=f"future:{self.name}")
         proc._hb_join(self._vc)
         return self._value
+
+
+class ReferenceBarrier:
+    """``SimBarrier.wait`` parking the caller's thread at each wait."""
+
+    def __init__(self, parties, name="barrier"):
+        self.parties = parties
+        self.name = name
+        self._arrived = []
+        self._generation = 0
+        self._uid = None
+        self._vcs = []
+
+    def wait(self, proc):
+        proc.checkpoint()
+        trace = proc.engine.trace
+        if trace is not None and trace.enabled and trace.hb:
+            if self._uid is None:
+                self._uid = proc.engine._next_barrier_uid
+                proc.engine._next_barrier_uid += 1
+            trace.coll(proc, "barrier", f"barrier:{self.name}#{self._uid}",
+                       parties=self.parties, site=call_site())
+        gen = self._generation
+        self._arrived.append(proc)
+        if len(self._arrived) == self.parties:
+            release = max(p.clock for p in self._arrived)
+            self._generation += 1
+            waiters, self._arrived = self._arrived[:-1], []
+            for snap in self._vcs:
+                proc._hb_join(snap)
+            self._vcs = []
+            for p in waiters:
+                p._wake(release)
+            if release > proc.clock:
+                proc.park_until(release, reason=f"barrier:{self.name}")
+            return gen
+        snap = proc._hb_release()
+        if snap is not None:
+            self._vcs.append(snap)
+        proc.block(reason=f"barrier:{self.name}", obj=self)
+        return gen
+
+
+class ReferenceLock:
+    """``SimLock.acquire``/``release`` parking the caller's thread."""
+
+    def __init__(self, name="lock"):
+        self.name = name
+        self._holder = None
+        self._waiters = deque()
+        self._vc = None
+
+    def _trace_lock(self, proc, op):
+        trace = proc.engine.trace
+        if trace is not None and trace.enabled and trace.hb:
+            trace.record(proc.clock, proc.name, f"lock.{op}",
+                         lock=self.name, pid=proc.pid, site=call_site())
+
+    def acquire(self, proc):
+        proc.checkpoint()
+        if self._holder is not None:
+            self._waiters.append(proc)
+            proc.block(reason=f"lock:{self.name}", obj=self)
+        else:
+            self._holder = proc
+        proc._hb_join(self._vc)
+        self._trace_lock(proc, "acquire")
+
+    def release(self, proc):
+        proc.checkpoint()
+        self._trace_lock(proc, "release")
+        if proc.vc is not None:
+            self._vc = proc._hb_release()
+        if self._waiters:
+            self._holder = self._waiters.popleft()
+            self._holder._wake(proc.clock)
+        else:
+            self._holder = None

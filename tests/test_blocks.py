@@ -358,7 +358,11 @@ def _distinct_partition(draw):
     pairs = draw(st.lists(st.tuples(_DKEYS, values), max_size=30))
     if values is _DFLOATS and pairs and draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(pairs) - 1))
-        pairs[at] = (pairs[at][0], math.nan)
+        # a fresh NaN object, as a block's records materialise: tuple
+        # equality matches one NaN *object* to itself, so a shared
+        # ``math.nan`` would give the list input an identity the block
+        # input cannot carry
+        pairs[at] = (pairs[at][0], float("nan"))
     return pairs
 
 

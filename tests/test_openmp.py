@@ -9,15 +9,16 @@ from repro.errors import ConfigurationError, SimProcessError
 from repro.openmp import omp_run
 from repro.openmp.loops import Schedule, split_static
 from repro.units import GiB
-from tests.conftest import TESTING_MACHINE
+from tests.conftest import TESTING_MACHINE, forced_trace
 
 
 def cluster():
-    return Cluster(TESTING_MACHINE)  # 4-core nodes
+    return Cluster(TESTING_MACHINE, trace=forced_trace())  # 4-core nodes
 
 
 def comet():
-    return Cluster(COMET_MACHINE.with_nodes(1))  # 24-core node
+    return Cluster(COMET_MACHINE.with_nodes(1),
+                   trace=forced_trace())  # 24-core node
 
 
 class TestRegion:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,8 +181,13 @@ class TestSync:
                 pe.wait_until(flag, lambda a: a[0] == 99.0)
             return None
 
-        with pytest.raises(DeadlockError):
+        with pytest.raises(DeadlockError) as ei:
             run(main, npes=2)
+        # the dump names the user's call, not the runtime's park
+        lines, first = inspect.getsourcelines(main)
+        line = first + next(i for i, text in enumerate(lines)
+                            if "wait_until" in text)
+        assert f"at test_shmem.py:{line}" in str(ei.value)
 
     def test_distributed_lock_serialises(self):
         def main(pe):

@@ -166,7 +166,7 @@ def _run_program(engine_cls, n_procs, steps):
         for i, (kind, a, b, amount) in enumerate(steps):
             a, b = a % n_procs, b % n_procs
             if kind == "barrier":
-                barrier.wait(p, extra_cost=amount / 1000)
+                barrier.wait(p)
             elif kind == "msg":
                 if me == a:
                     boxes[b].post(p, i, arrival=p.clock + amount / 1000)

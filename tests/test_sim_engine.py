@@ -430,21 +430,6 @@ class TestBarrier:
         eng.run()
         assert sorted(gens) == [0, 0, 1, 1, 2, 2]
 
-    def test_extra_cost_delays_release(self):
-        eng = Engine()
-        bar = SimBarrier(2)
-        leave = []
-
-        def party():
-            p = current_process()
-            bar.wait(p, extra_cost=0.25)
-            leave.append(p.clock)
-
-        eng.spawn(party, name="a")
-        eng.spawn(party, name="b")
-        eng.run()
-        assert leave == [pytest.approx(0.25)] * 2
-
 
 @BOTH_SCHEDULERS
 class TestDeadlockDiagnosis:

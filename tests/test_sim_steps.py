@@ -29,21 +29,27 @@ from repro.shmem import shmem_run
 from repro.sim import Engine, Mailbox, current_process
 from repro.sim.process import SimProcess
 from repro.sim.resources import FlowSystem, FluidResource
-from repro.sim.sync import Future
+from repro.sim.sync import Future, SimBarrier, SimLock
 from repro.sim.trace import Trace
 from tests.conftest import TESTING_MACHINE, forced_trace
-from tests.sim_oracle import (ReferenceEngine, ReferenceFlowSystem,
-                              ReferenceFuture, ReferenceMailbox)
+from tests.sim_oracle import (ReferenceBarrier, ReferenceEngine,
+                              ReferenceFlowSystem, ReferenceFuture,
+                              ReferenceLock, ReferenceMailbox)
 
 BOTH_SCHEDULERS = pytest.mark.parametrize(
     "engine_cls", [Engine, ReferenceEngine], ids=["fast", "reference"])
 
 
 def _digest(trace: Trace) -> str:
+    # Every event field but the call site a barrier or lock records in hb
+    # mode: composed from a test's own step generator, that site is the
+    # generator's line on the owner's thread and the owner's ``run_steps``
+    # line on any other, so it names the thread, not the schedule.
     h = hashlib.sha256()
     for ev in trace:
-        h.update(f"{ev.time.hex()}|{ev.proc}|{ev.kind}|"
-                 f"{sorted(ev.detail.items())!r}\n".encode())
+        detail = sorted((k, v) for k, v in ev.detail.items() if k != "site")
+        h.update(f"{ev.time.hex()}|{ev.proc}|{ev.kind}|{detail!r}\n"
+                 .encode())
     return h.hexdigest()
 
 
@@ -54,13 +60,17 @@ def _actions(me, n_procs, script):
 
     A ``msg`` step makes ``a`` post to ``b`` and ``b`` receive it; a
     ``future`` step makes ``a`` set future ``step`` and ``b`` wait on it;
-    every other step is ``a``'s alone.  Each process takes its steps in
-    script order, so the earliest unfinished step can always complete and
-    no generated program deadlocks.
+    every process enters a ``barrier`` step; every other step is ``a``'s
+    alone (a ``lock`` step acquires lock ``b % 2``, computes, releases).
+    Each process takes its steps in script order, so the earliest
+    unfinished step can always complete and no generated program
+    deadlocks.
     """
     for i, (kind, a, b, amount) in enumerate(script):
         a, b = a % n_procs, b % n_procs
-        if kind in ("msg", "future"):
+        if kind == "barrier":
+            yield i, kind, b, amount
+        elif kind in ("msg", "future"):
             if me == a:
                 yield i, f"{kind}.give", b, amount
             if me == b:
@@ -77,7 +87,9 @@ def _run_program(engine_cls, mode, n_procs, script):
     primitive's step form in its own ``run_steps``; ``"whole"`` runs a
     process's entire body as one step generator.
     """
-    tr = forced_trace() or Trace(enabled=True)
+    tr = forced_trace()
+    if tr is None:  # not ``or``: an empty trace is falsy
+        tr = Trace(enabled=True)
     eng = engine_cls(trace=tr)
     blocking = mode == "blocking"
     fs = ReferenceFlowSystem() if blocking else FlowSystem()
@@ -86,6 +98,9 @@ def _run_program(engine_cls, mode, n_procs, script):
              for i in range(n_procs)]
     futures = [(ReferenceFuture if blocking else Future)(f"f{i}")
                for i in range(len(script))]
+    barrier = (ReferenceBarrier if blocking else SimBarrier)(n_procs)
+    locks = [(ReferenceLock if blocking else SimLock)(f"l{i}")
+             for i in range(2)]
 
     def blocking_op(p, me, i, op, peer, amount):
         if op == "compute":
@@ -100,6 +115,12 @@ def _run_program(engine_cls, mode, n_procs, script):
             futures[i].set(p, i * 10)
         elif op == "future.take":
             return futures[i].wait(p)
+        elif op == "barrier":
+            return barrier.wait(p)
+        elif op == "lock":
+            locks[peer % 2].acquire(p)
+            p.compute(amount / 1000)
+            locks[peer % 2].release(p)
         else:
             return fs.transfer(p, (nics[peer % 2],), (amount + 1) * 10.0,
                                label=f"x{i}")
@@ -121,6 +142,12 @@ def _run_program(engine_cls, mode, n_procs, script):
             yield from futures[i].set_steps(p, i * 10)
         elif op == "future.take":
             return (yield from futures[i].wait_steps(p))
+        elif op == "barrier":
+            return (yield from barrier.wait_steps(p))
+        elif op == "lock":
+            yield from locks[peer % 2].acquire_steps(p)
+            p.compute(amount / 1000)
+            yield from locks[peer % 2].release_steps(p)
         else:
             return (yield from fs.transfer_steps(
                 p, (nics[peer % 2],), (amount + 1) * 10.0, label=f"x{i}"))
@@ -165,8 +192,8 @@ def _run_program(engine_cls, mode, n_procs, script):
     n_procs=st.integers(2, 6),
     script=st.lists(
         st.tuples(
-            st.sampled_from(
-                ["compute", "checkpoint", "msg", "future", "transfer"]),
+            st.sampled_from(["compute", "checkpoint", "msg", "future",
+                             "transfer", "barrier", "lock"]),
             st.integers(0, 5), st.integers(0, 5), st.integers(0, 20)),
         max_size=24),
 )
@@ -187,6 +214,19 @@ def test_a_contended_transfer_run_as_steps_keeps_its_finish():
               ("transfer", 1, 0, 10), ("checkpoint", 2, 0, 0),
               ("transfer", 2, 0, 3), ("msg", 0, 2, 7), ("future", 2, 1, 0)]
     want = _run_program(Engine, "blocking", 3, script)
+    for engine_cls in (Engine, ReferenceEngine):
+        for mode in ("per-op", "whole"):
+            assert _run_program(engine_cls, mode, 3, script) == want
+
+
+def test_contended_locks_and_barriers_run_as_steps_keep_their_times():
+    # Holders' sections overlap in virtual time, so acquires block and
+    # releases hand the lock on; the barriers release at the latest arrival.
+    script = [("lock", 0, 0, 20), ("compute", 1, 0, 5), ("lock", 1, 0, 10),
+              ("lock", 2, 0, 3), ("barrier", 0, 0, 0), ("lock", 2, 1, 7),
+              ("compute", 0, 0, 9), ("barrier", 1, 0, 0), ("lock", 0, 1, 1)]
+    want = _run_program(Engine, "blocking", 3, script)
+    assert want == _run_program(ReferenceEngine, "blocking", 3, script)
     for engine_cls in (Engine, ReferenceEngine):
         for mode in ("per-op", "whole"):
             assert _run_program(engine_cls, mode, 3, script) == want
@@ -323,6 +363,35 @@ def test_a_step_that_parks_its_thread_fails_its_owner(engine_cls):
     cause = _victim_beside_a_bystander(engine_cls, steps)
     assert isinstance(cause, SimulationError)
     assert "victim" in str(cause) and "must not park" in str(cause)
+
+
+@BOTH_SCHEDULERS
+@pytest.mark.parametrize("park", ["checkpoint", "sleep", "park_until"])
+def test_a_step_that_parks_fails_even_when_it_would_keep_the_turn(
+        engine_cls, park):
+    # A lone process is the minimum at every request, so nothing about the
+    # schedule would stop a nested park; the step guard alone must.
+    eng = engine_cls(trace=forced_trace())
+
+    def steps(p):
+        yield from p.checkpoint_steps()
+        if park == "checkpoint":
+            p.checkpoint()
+        elif park == "sleep":
+            p.sleep(1.0)
+        else:
+            p.park_until(p.clock + 1.0)
+
+    def lone():
+        p = current_process()
+        p.run_steps(steps(p))
+
+    eng.spawn(lone, name="lone")
+    with pytest.raises(SimProcessError) as ei:
+        eng.run()
+    cause = ei.value.__cause__
+    assert isinstance(cause, SimulationError)
+    assert "lone" in str(cause) and "must not park" in str(cause)
 
 
 @BOTH_SCHEDULERS
