@@ -10,6 +10,10 @@ from __future__ import annotations
 import zlib
 from typing import Any
 
+from repro.errors import SparkError
+from repro.sim.blocks import (PairBlock, PairKeyBlock, partition_pair_keys,
+                              partition_pairs)
+
 
 def stable_hash(key: Any) -> int:
     """Deterministic 32-bit hash of a key (crc32 of its repr).
@@ -17,16 +21,22 @@ def stable_hash(key: Any) -> int:
     Stable across runs and processes, unlike ``hash(str)``.  Integers hash
     to themselves (keeps small-int keys well spread under modulo).
     """
-    t = type(key)
-    if t is int:  # exact type: cannot shadow the bool case below
-        return key & 0x7FFFFFFF
-    if isinstance(key, bool):
-        return int(key)
-    if isinstance(key, int):
+    if isinstance(key, int):  # a bool too: ``True & mask == int(True)``
         return key & 0x7FFFFFFF
     if isinstance(key, bytes):
         return zlib.crc32(key)
     return zlib.crc32(repr(key).encode())
+
+
+def require_pair(record: Any) -> None:
+    """Raise a keyed shuffle's one shape error unless ``record`` unpacks
+    as ``(key, value)`` (on error paths: is it the record or user code?)."""
+    try:
+        _key, _value = record
+    except (TypeError, ValueError):
+        raise SparkError(
+            f"keyed shuffle record is not a (key, value) pair: {record!r}"
+        ) from None
 
 
 class Partitioner:
@@ -39,6 +49,19 @@ class Partitioner:
 
     def partition(self, key: Any) -> int:  # pragma: no cover - abstract-ish
         raise NotImplementedError
+
+    def buckets(self, records) -> list:
+        """``records`` cut into one bucket per partition by their keys
+        (``record[0]``), each bucket in record order."""
+        part = self.partition
+        out: list[list] = [[] for _ in range(self.num_partitions)]
+        try:
+            for rec in records:
+                out[part(rec[0])].append(rec)
+        except (TypeError, IndexError):
+            require_pair(rec)
+            raise
+        return out
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -55,6 +78,29 @@ class HashPartitioner(Partitioner):
 
     def partition(self, key: Any) -> int:
         return stable_hash(key) % self.num_partitions
+
+    def buckets(self, records) -> list:
+        """The generic cut with :func:`stable_hash` inlined for exact-int
+        keys (the dominant shuffle path), and a ``PairBlock`` /
+        ``PairKeyBlock`` cut columnar into the same buckets in the same
+        order (see :mod:`repro.sim.blocks`)."""
+        nparts = self.num_partitions
+        if type(records) is PairBlock:
+            return partition_pairs(records, nparts)
+        if type(records) is PairKeyBlock:
+            return partition_pair_keys(records, nparts)
+        out: list[list] = [[] for _ in range(nparts)]
+        try:
+            for rec in records:
+                k = rec[0]
+                if type(k) is int:
+                    out[(k & 0x7FFFFFFF) % nparts].append(rec)
+                else:
+                    out[stable_hash(k) % nparts].append(rec)
+        except (TypeError, IndexError):
+            require_pair(rec)
+            raise
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashPartitioner({self.num_partitions})"

@@ -24,9 +24,9 @@ import numpy as np
 from repro.errors import SparkError
 from repro.sim.blocks import (CoGroupBlock, GroupBlock, JoinedBlock, PairBlock,
                               PairKeyBlock, RecordBlock, as_pair_key_block,
-                              first_occurrences, group_pairs, hash_join,
-                              pair_columns, sum_by_key)
+                              hash_join, pair_columns)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.spark.shuffle import merge_by_key
 from repro.spark.storage import StorageLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -91,6 +91,10 @@ def _pair_keys(block):
     return None
 
 
+def _identity(v: Any) -> Any:
+    return v
+
+
 def _append(acc: list, v: Any) -> list:
     """``group_by_key``'s merge: append in place, as Spark's
     ``CompactBuffer`` does (``create`` gives every key its own list)."""
@@ -147,21 +151,31 @@ class NarrowDependency(Dependency):
         return self._parents(index)
 
 
-class ShuffleDependency(Dependency):
-    """Child partitions depend on *all* parent partitions (a stage cut)."""
+@dataclass(frozen=True)
+class Aggregator:
+    """How a keyed shuffle merges values (Spark's ``Aggregator``), with
+    the ``vector`` semantics its functions declare (see
+    :meth:`RDD.combine_by_key`)."""
 
-    def __init__(self, parent: "RDD", partitioner: Partitioner) -> None:
+    create: Callable
+    merge_value: Callable
+    merge_combiners: Callable
+    vector: str | None = None
+
+
+class ShuffleDependency(Dependency):
+    """Child partitions depend on *all* parent partitions (a stage cut);
+    with an ``aggregator`` the reduce side merges by key, and with
+    ``map_side_combine`` the shuffle write merges first."""
+
+    def __init__(self, parent: "RDD", partitioner: Partitioner,
+                 aggregator: Aggregator | None = None,
+                 map_side_combine: bool = False) -> None:
         super().__init__(parent)
         self.partitioner = partitioner
+        self.aggregator = aggregator
+        self.map_side_combine = map_side_combine
         self.shuffle_id = parent.sc._next_shuffle_id()
-        #: ``(create, merge_value)`` of a map-side-combining aggregator
-        #: (reduceByKey), set by the consuming ShuffledRDD: the shuffle
-        #: write folds the combine into its partitioning pass
-        self.combiner: tuple[Callable, Callable] | None = None
-        #: declared columnar semantics of the combiner (``"sum"``), set by
-        #: the consuming ShuffledRDD; lets the writer use the vectorized
-        #: combining kernel on numeric pair partitions
-        self.vector: str | None = None
 
 
 class RDD:
@@ -382,31 +396,25 @@ class RDD:
                        vector: str | None = None) -> "RDD":
         """The general keyed aggregation (Spark's ``combineByKey``).
 
-        ``vector="sum"`` declares that ``create`` is the identity and both
-        merge functions are numeric addition, allowing the columnar
-        group-sum kernel (:func:`repro.sim.blocks.sum_by_key`) on numeric
-        pair partitions; ``vector="group"`` declares ``group_by_key``'s
-        list building, allowing the grouping kernel
-        (:func:`repro.sim.blocks.group_pairs`) on a fetched pair block;
-        ``vector="first"`` declares a merge that keeps the first value,
-        allowing the first-occurrence kernel
-        (:func:`repro.sim.blocks.first_occurrences`) on ``distinct``'s
-        :class:`~repro.sim.blocks.PairKeyBlock`.  The scalar functions stay
-        authoritative for every other record shape.
+        ``vector`` declares what the functions compute, so that
+        :func:`~repro.spark.shuffle.merge_by_key` may replay them with a
+        columnar kernel: ``"sum"`` (``create`` is the identity and both
+        merges are numeric addition), ``"group"`` (``group_by_key``'s list
+        building) or ``"first"`` (both merges keep the first value, as
+        ``distinct``'s do).  The scalar functions stay authoritative for
+        every other record shape.
         """
         part = HashPartitioner(num_partitions or self.num_partitions)
         return ShuffledRDD(
             self, part,
-            aggregator=(create, merge_value, merge_combiners),
-            map_side_combine=map_side_combine,
-            vector=vector,
-        )
+            Aggregator(create, merge_value, merge_combiners, vector),
+            map_side_combine)
 
     def reduce_by_key(self, f: Callable[[Any, Any], Any],
                       num_partitions: int | None = None, *,
                       vector: str | None = None) -> "RDD":
         """Merge values per key with map-side combining."""
-        return self.combine_by_key(lambda v: v, f, f, num_partitions,
+        return self.combine_by_key(_identity, f, f, num_partitions,
                                    vector=vector)
 
     def group_by_key(self, num_partitions: int | None = None) -> "RDD":
@@ -917,65 +925,35 @@ class ShuffledRDD(RDD):
     """Post-shuffle dataset, optionally aggregating (reduceByKey et al.)."""
 
     def __init__(self, parent: RDD, partitioner: Partitioner,
-                 aggregator: tuple[Callable, Callable, Callable] | None = None,
-                 map_side_combine: bool = False,
-                 vector: str | None = None) -> None:
-        dep = ShuffleDependency(parent, partitioner)
+                 aggregator: Aggregator | None = None,
+                 map_side_combine: bool = False) -> None:
+        dep = ShuffleDependency(parent, partitioner, aggregator,
+                                map_side_combine)
         super().__init__(parent.sc, [dep], partitioner.num_partitions)
         self.partitioner = partitioner
-        self.aggregator = aggregator
-        self.vector = vector if aggregator is not None else None
-        self.map_side_combine = map_side_combine and aggregator is not None
-        if self.map_side_combine:
-            dep.combiner = (aggregator[0], aggregator[1])
-            dep.vector = self.vector
 
     @property
     def shuffle_dep(self) -> ShuffleDependency:
         return self.deps[0]  # type: ignore[return-value]
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
-        records = ctx.shuffle_read(
-            self.shuffle_dep.shuffle_id, index,
-            self.shuffle_dep.parent.num_partitions,
-        )
-        if self.aggregator is None:
+        dep = self.shuffle_dep
+        records = ctx.shuffle_read(dep.shuffle_id, index,
+                                   dep.parent.num_partitions)
+        agg = dep.aggregator
+        if agg is None:
             return records
-        create, merge_value, merge_combiners = self.aggregator
-        # Columnar twins of the dict merges below: first-occurrence key
-        # order, each key's values in record order (sum_by_key's,
-        # group_pairs' and first_occurrences' charge-replay arguments);
-        # same reduce-side charge.
-        out_block = None
-        if type(records) is PairBlock:
-            if (self.vector == "sum" and self.map_side_combine
-                    and records.values.dtype == np.float64):
-                out_block = sum_by_key(records.keys, records.values)
-            elif self.vector == "group" and not self.map_side_combine:
-                out_block = group_pairs(records)
-        elif (type(records) is PairKeyBlock and self.vector == "first"
-              and self.map_side_combine):
-            out_block = first_occurrences(records)
-        if out_block is not None:
-            ctx.charge_records(len(records))
-            return out_block
-        out: dict = {}
-        get = out.get
-        if self.map_side_combine:
-            # values arriving are already combiners
-            for k, v in records:
-                prev = get(k, _MISSING)
-                out[k] = v if prev is _MISSING else merge_combiners(prev, v)
-        else:
-            for k, v in records:
-                prev = get(k, _MISSING)
-                out[k] = (create(v) if prev is _MISSING
-                          else merge_value(prev, v))
+        # after a map-side combine the values arriving are combiners
+        create, merge = ((_identity, agg.merge_combiners)
+                         if dep.map_side_combine
+                         else (agg.create, agg.merge_value))
+        out = merge_by_key(records, create, merge, agg.vector)
         ctx.charge_records(len(records))
-        return list(out.items())
+        return out
 
     def _op_name(self) -> str:
-        return "Shuffled" + ("+combine" if self.aggregator else "")
+        return "Shuffled" + ("+combine" if self.shuffle_dep.aggregator
+                             else "")
 
 
 def _cogroup_pairs(left, right) -> dict:
@@ -1016,17 +994,15 @@ class CoGroupedRDD(RDD):
             if isinstance(dep, ShuffleDependency)
             else ctx.iterator(dep.parent, index)
             for dep in self.deps)
-        out = None
-        if type(self.partitioner) is HashPartitioner:
-            # the columnar join, when the left side is exact numeric pairs
-            # or a GroupBlock (unique keys) and the right side is unique
-            cols = ((left.keys, left) if type(left) is GroupBlock
-                    else pair_columns(left))
-            joined = None if cols is None else hash_join(*cols, right)
-            if joined is not None:
-                out = CoGroupBlock(
-                    *joined, lambda: list(_cogroup_pairs(left, right).items()))
-        if out is None:
+        # the columnar join, when the left side is exact numeric pairs or
+        # a GroupBlock (unique keys) and the right side is unique
+        cols = ((left.keys, left) if type(left) is GroupBlock
+                else pair_columns(left))
+        joined = None if cols is None else hash_join(*cols, right)
+        if joined is not None:
+            out = CoGroupBlock(
+                *joined, lambda: list(_cogroup_pairs(left, right).items()))
+        else:
             out = list(_cogroup_pairs(left, right).items())
         # every input record lands in exactly one group list, so the sum
         # over group sizes equals the record count

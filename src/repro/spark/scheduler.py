@@ -153,9 +153,7 @@ def run_shuffle_map_task(env: "SparkEnv", executor: "Executor",
     ctx = TaskContext(env, executor)
     records = ctx.iterator(dep.parent, partition)
     # a combining dependency's map-side combine happens inside the write
-    ShuffleWriter(env).write(
-        ctx.proc, executor, dep.shuffle_id, partition, dep.partitioner,
-        records, combiner=dep.combiner, vector=dep.vector)
+    ShuffleWriter(env).write(ctx.proc, executor, dep, partition, records)
     return ctx
 
 

@@ -22,17 +22,19 @@ fabric each transport rides comes from the cluster's machine
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any, Iterable
+from operator import length_hint
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from repro.errors import SparkError
 from repro.mpi.datatypes import nbytes_of
 from repro.sim.blocks import (PairBlock, PairKeyBlock, as_pair_block,
-                              first_occurrences, partition_pair_keys,
-                              partition_pairs, sum_by_key)
+                              first_occurrences, group_pairs, sum_by_key)
 from repro.sim.process import SimProcess
-from repro.spark.partitioner import HashPartitioner
+from repro.spark.partitioner import require_pair
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.spark.rdd import ShuffleDependency
 
 #: sample size for record-size estimation
 _SAMPLE = 20
@@ -49,6 +51,41 @@ _BLOCK_RECORD_NBYTES = {PairBlock: 48, PairKeyBlock: 73}
 
 #: sentinel distinguishing "key absent" from any stored value
 _MISSING = object()
+
+
+def merge_by_key(records, create: Callable, merge: Callable,
+                 vector: str | None):
+    """The keyed merge of both shuffle sides: per key, ``create`` of the
+    first value, then ``merge(acc, v)`` of each later one; keys in
+    first-occurrence order.
+
+    The declared ``vector`` (:meth:`~repro.spark.rdd.RDD.combine_by_key`)
+    lets a kernel replay the loop on a block: ``"sum"`` :func:`sum_by_key`
+    on numeric pairs, ``"group"`` :func:`group_pairs` on a ``PairBlock``,
+    ``"first"`` :func:`first_occurrences` on a ``PairKeyBlock``.  A
+    record that is not a ``(key, value)`` pair raises ``SparkError``; an
+    exception of ``create`` or ``merge`` propagates unchanged.
+    """
+    if vector == "sum":
+        block = as_pair_block(records)
+        if block is not None:
+            return sum_by_key(block.keys, block.values)
+    elif vector == "group" and type(records) is PairBlock:
+        return group_pairs(records)
+    elif vector == "first" and type(records) is PairKeyBlock:
+        return first_occurrences(records)
+    acc: dict = {}
+    get = acc.get
+    it = iter(records)
+    try:
+        for k, v in it:
+            prev = get(k, _MISSING)
+            acc[k] = create(v) if prev is _MISSING else merge(prev, v)
+    except (TypeError, ValueError):
+        # the loop stopped at the record before the ones ``it`` has left
+        require_pair(records[len(records) - length_hint(it) - 1])
+        raise
+    return list(acc.items())
 
 
 def estimate_nbytes(records: list) -> int:
@@ -158,96 +195,27 @@ class ShuffleWriter:
             buckets[reduce_id] = bucket
         return sizes, total, buckets
 
-    def write(self, proc: SimProcess, executor: "Any", shuffle_id: int,
-              map_id: int, partitioner: "Any", records: list, *,
-              combiner: tuple | None = None,
-              vector: str | None = None) -> None:
-        """Partition ``records`` into buckets, spill to local disk, register.
+    def write(self, proc: SimProcess, executor: "Any",
+              dep: "ShuffleDependency", map_id: int, records: list) -> None:
+        """Bucket ``records`` by ``dep``'s partitioner, spill to local
+        disk, register.
 
-        Optionally combine, then bucket, then size and charge.  When
-        ``combiner`` is given (``(create, merge_value)`` of a
-        map-side-combining aggregator), the records are first combined into
-        one dict and only its items are bucketed (one hash per distinct
-        key, not per input record).  It is charged as the two passes Spark
-        runs: the combine's per-record charge (input length) followed by
-        the write's (output length).
-
-        ``vector="sum"`` (the consuming RDD's declaration) enables the
-        columnar combine kernel on numeric pair partitions, and
-        ``vector="first"`` the first-occurrence merge on ``distinct``'s
-        ``PairKeyBlock``; a ``PairBlock`` or ``PairKeyBlock`` under a plain
-        ``HashPartitioner`` is bucketed columnar.  Bucket contents,
-        per-bucket order and every charge are identical to the scalar pass
-        (see :mod:`repro.sim.blocks`).
+        A map-side-combining ``dep`` first folds the records with its
+        aggregator's ``(create, merge_value)`` (:func:`merge_by_key`), so
+        only the combined items are bucketed.  It is charged as the two
+        passes Spark runs: the combine's per-record charge (input length)
+        followed by the write's (output length).
         """
         costs = self.env.costs
         scale = self.env.record_scale
-        part = partitioner.partition
-        nparts = partitioner.num_partitions
-        # Validate record shape once up front: a non-pair input fails here,
-        # before any bucket is built, instead of mid-partitioning.
-        if records:
-            rec = records[0]
-            try:
-                rec[0]
-            except (TypeError, IndexError):
-                raise SparkError(
-                    f"shuffle input must be (key, value) pairs; got {rec!r}"
-                ) from None
-        # Only the default HashPartitioner has the inline int hash and the
-        # columnar bucketing (a different partitioner kind with the same
-        # nparts places keys elsewhere).
-        int_hash = type(partitioner) is HashPartitioner
-        if combiner is not None:
-            combined = None
-            if int_hash and vector == "sum":
-                pair_block = as_pair_block(records)
-                if pair_block is not None:
-                    # group-sum in first-occurrence order: bitwise the dict
-                    # combine (see sum_by_key)
-                    combined = sum_by_key(pair_block.keys, pair_block.values)
-            elif (int_hash and vector == "first"
-                  and type(records) is PairKeyBlock):
-                combined = first_occurrences(records)
-            if combined is None:
-                create, merge_value = combiner
-                acc: dict = {}
-                get = acc.get
-                try:
-                    for k, v in records:
-                        prev = get(k, _MISSING)
-                        acc[k] = (create(v) if prev is _MISSING
-                                  else merge_value(prev, v))
-                except TypeError as exc:
-                    raise SparkError(
-                        f"keyed operation over non-pair records: {exc}"
-                    ) from exc
-                # per-bucket order is the dict's first-occurrence order
-                combined = acc.items()
+        if dep.map_side_combine:
+            agg = dep.aggregator
+            combined = merge_by_key(records, agg.create, agg.merge_value,
+                                    agg.vector)
             # the combine's charge (input length)
             proc.compute(len(records) * scale * costs.spark_record_overhead)
             records = combined
-        # columnar bucketing: same buckets, same order, same sizes
-        if int_hash and type(records) is PairBlock:
-            bucket_lists = partition_pairs(records, nparts)
-        elif int_hash and type(records) is PairKeyBlock:
-            bucket_lists = partition_pair_keys(records, nparts)
-        else:
-            bucket_lists = [[] for _ in range(nparts)]
-            # For exact-int keys under a HashPartitioner the hash is the
-            # key itself masked to 31 bits — inline it and skip two
-            # function calls per record on the dominant shuffle path.
-            try:
-                for rec in records:
-                    k = rec[0]
-                    if int_hash and type(k) is int:
-                        bucket_lists[(k & 0x7FFFFFFF) % nparts].append(rec)
-                    else:
-                        bucket_lists[part(k)].append(rec)
-            except (TypeError, IndexError):
-                raise SparkError(
-                    f"shuffle input must be (key, value) pairs; got {rec!r}"
-                ) from None
+        bucket_lists = dep.partitioner.buckets(records)
         # the write's charge (output length)
         proc.compute(len(records) * scale * costs.spark_record_overhead)
         sizes, total, buckets = self._sizes(bucket_lists, scale)
@@ -260,9 +228,9 @@ class ShuffleWriter:
             for reduce_id in buckets:
                 trace.access(
                     proc, "write",
-                    f"spark.shuffle{shuffle_id}[{map_id},{reduce_id}]")
-        self.env.tracker.register(shuffle_id, map_id, executor.executor_id,
-                                  sizes, buckets)
+                    f"spark.shuffle{dep.shuffle_id}[{map_id},{reduce_id}]")
+        self.env.tracker.register(dep.shuffle_id, map_id,
+                                  executor.executor_id, sizes, buckets)
 
 
 class ShuffleReader:

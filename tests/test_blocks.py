@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import re
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -60,19 +62,26 @@ from repro.workloads.stackexchange import StackExchangeSpec
 # ---------------------------------------------------------------------------
 
 
+#: the blocks the Spark kernels build; none may exist under
+#: :func:`ineligible_inputs`
+_KERNEL_BLOCKS = (PairBlock, PairKeyBlock, GroupBlock, JoinedBlock,
+                  CoGroupBlock)
+
+
 @contextmanager
 def ineligible_inputs():
     """Make every input ineligible for the Spark block kernels.
 
     ``pair_columns`` is the one list→columns converter and
     ``parse_int_pairs`` the one text→columns converter: with the first
-    answering ``None`` and the second's line pattern matching nothing, no
-    ``PairBlock`` / ``JoinedBlock`` is ever built, so
-    the parse, the bucketing and combining writes, the reduce-side merge,
+    answering ``None`` and the second's line pattern matching nothing, the
+    parse, the bucketing and combining writes, the reduce-side merge,
     the cogroup and every declared twin run their scalar loops — exactly
     as they do in production for a malformed line or for records that are
-    not exact numeric pairs.
+    not exact numeric pairs.  The patch proves itself: a ``with`` body
+    that constructs any of :data:`_KERNEL_BLOCKS` fails.
     """
+    built: Counter[str] = Counter()
     with pytest.MonkeyPatch.context() as patch:
         for module in ("repro.sim.blocks", "repro.spark.rdd"):
             patch.setattr(f"{module}.pair_columns", lambda records: None)
@@ -80,7 +89,13 @@ def ineligible_inputs():
         patch.setattr("repro.sim.blocks._INT_PAIR_LINES", re.compile(rb"(?!)"))
         assert as_pair_block([(1, 2.0)]) is None
         assert parse_int_pairs(RecordBlock(b"1 2\n")) is None
+        for cls in _KERNEL_BLOCKS:
+            def recording_init(self, *args, _init=cls.__init__):
+                built[type(self).__name__] += 1
+                _init(self, *args)
+            patch.setattr(cls, "__init__", recording_init)
         yield
+    assert not built, f"blocks built from ineligible inputs: {dict(built)}"
 
 
 def scalar_lines(buf: bytes) -> list[bytes]:
@@ -835,6 +850,26 @@ class TestTextPipeline:
         assert n == 3
 
 
+def run_keyed_program(parts, program, scale: int):
+    """``program(sc, rdd)`` over an RDD whose partitions are ``parts``:
+    its collected records (as :func:`_bits`), the app time and the trace
+    digest.  A partition is a pair block where ``pair_columns`` takes it
+    (so a list under :func:`ineligible_inputs`), else the list itself."""
+    def partition(i, _it):
+        cols = blocks.pair_columns(parts[i])
+        return list(parts[i]) if cols is None else PairBlock(*cols)
+
+    session = ScenarioSpec(nodes=2, procs_per_node=2, hb=True).session()
+    res = session.spark(app_startup=0.1, record_scale=scale).run(
+        lambda sc: program(sc, sc.parallelize(
+            list(range(len(parts))), len(parts)).map_partitions(partition)))
+    digest = hashlib.sha256()
+    for ev in session.trace.events:
+        digest.update(f"{ev.time.hex()}|{ev.proc}|{ev.kind}|"
+                      f"{sorted(ev.detail.items())!r}\n".encode())
+    return _bits(res.value), res.app_elapsed.hex(), digest.hexdigest()
+
+
 class TestDistinctOverPairBlocks:
     """``distinct`` over pair-block partitions: the columnar shuffle
     (``PairKeyBlock`` both sides, a ``PairBlock`` out) against the scalar
@@ -842,21 +877,8 @@ class TestDistinctOverPairBlocks:
 
     @staticmethod
     def run(parts, nparts: int, scale: int):
-        def partition(i, _it):
-            # a pair block where ``pair_columns`` takes the partition (so
-            # a list under ineligible_inputs), else the list itself
-            cols = blocks.pair_columns(parts[i])
-            return list(parts[i]) if cols is None else PairBlock(*cols)
-
-        session = ScenarioSpec(nodes=2, procs_per_node=2, hb=True).session()
-        res = session.spark(app_startup=0.1, record_scale=scale).run(
-            lambda sc: sc.parallelize(list(range(len(parts))), len(parts))
-            .map_partitions(partition).distinct(nparts).collect())
-        digest = hashlib.sha256()
-        for ev in session.trace.events:
-            digest.update(f"{ev.time.hex()}|{ev.proc}|{ev.kind}|"
-                          f"{sorted(ev.detail.items())!r}\n".encode())
-        return _bits(res.value), res.app_elapsed.hex(), digest.hexdigest()
+        return run_keyed_program(
+            parts, lambda _sc, rdd: rdd.distinct(nparts).collect(), scale)
 
     @given(parts=st.lists(_distinct_partition(), min_size=1, max_size=5),
            nparts=st.integers(1, 5), scale=st.sampled_from([1, 3]))
@@ -883,11 +905,95 @@ class TestDistinctOverPairBlocks:
         assert not merged
         assert self.run(parts, 2, 1) == scalar
         # the NaN partition's combine ran the dict loop; the empty one and
-        # the two others the kernel
+        # the two others the kernel.  Every record hashes to reduce
+        # partition 1, whose input holds the NaN partition's list, so the
+        # reduce side merges with the dict loop
         assert sorted(merged) == [0, 2, 3]
         # the first zero's bits survive the map side, and the NaN row
         assert (("int", 1), "-0x0.0p+0") in scalar[0]
         assert (("int", 1), "nan") in scalar[0]
+
+
+#: generated keyed programs' keys: a few small ones, so that keys repeat
+#: and merge, and ones at and past 2**53 (a float64 detour would merge
+#: them) and past int64 (no column holds them)
+_PKEYS = st.one_of(st.integers(-2, 5), st.sampled_from(
+    [2**53, 2**53 + 1, 2**62, -2**63, 2**64]))
+_PINTS = st.one_of(st.integers(-3, 3), st.sampled_from([2**62, -2**63, 2**63]))
+_PFLOATS = st.one_of(st.sampled_from(
+    [0.0, -0.0, 1.5, math.inf, -math.inf, math.nan]), st.floats())
+
+
+@st.composite
+def _keyed_partition(draw):
+    """One partition of ``(int, int)`` or ``(int, float)`` pairs, or of
+    both mixed.  Every float is a fresh object, as a block's records
+    materialise (see :func:`_distinct_partition` on NaN identity)."""
+    values = draw(st.sampled_from([_PINTS, _PFLOATS, _PINTS | _PFLOATS]))
+    pairs = draw(st.lists(st.tuples(_PKEYS, values), max_size=12))
+    return [(k, np.float64(v).item() if type(v) is float else v)
+            for k, v in pairs]
+
+
+def _num(v):
+    """A group's values summed, any other value as it is."""
+    return sum(v) if type(v) is list else v
+
+
+#: the right side every generated ``join`` meets: unique keys
+_RIGHT = [(k, k / 4) for k in (-2, 0, 1, 3, 5, 2**53)]
+
+#: name -> the keyed op ``(sc, rdd, nparts) -> rdd``
+KEYED_OPS = {
+    "reduce_by_key": lambda sc, rdd, n: rdd.reduce_by_key(operator.add, n),
+    "reduce_by_key(sum)": lambda sc, rdd, n: rdd.reduce_by_key(
+        operator.add, n, vector="sum"),
+    "group_by_key": lambda sc, rdd, n: rdd.group_by_key(n),
+    "distinct": lambda sc, rdd, n: rdd.distinct(n),
+    "aggregate_by_key": lambda sc, rdd, n: rdd.aggregate_by_key(
+        0, operator.add, operator.add, n),
+    "join": lambda sc, rdd, n: rdd.join(sc.parallelize(_RIGHT, 2), n)
+    .map_values(lambda vw: _num(vw[0]) * vw[1]),
+    "map_values": lambda sc, rdd, n: rdd.map_values(
+        lambda v: v * 0.5, vector=lambda a: a * 0.5),
+    "count_by_key": lambda sc, rdd, n: sc.parallelize(
+        list(rdd.count_by_key().items()), n),
+    "persist": lambda sc, rdd, n: (rdd.persist(), rdd.count())[0],
+}
+
+#: the ops that take a group's list values as they are
+_TAKE_GROUPS = {"join", "count_by_key", "persist"}
+
+
+class TestGeneratedKeyedPrograms:
+    """Generated programs of 1-3 keyed ops over generated pair partitions
+    give the same records (float bits included), app time and trace with
+    and without :func:`ineligible_inputs`: every merge kernel, block cut,
+    block join and twin against its scalar loop."""
+
+    @staticmethod
+    def program(ops, nparts: int):
+        def run(sc, rdd):
+            grouped = False
+            for op in ops:
+                if grouped and op not in _TAKE_GROUPS:
+                    rdd = rdd.map_values(sum)
+                rdd = KEYED_OPS[op](sc, rdd, nparts)
+                grouped = (op == "group_by_key"
+                           or (grouped and op == "persist"))
+            return rdd.collect()
+        return run
+
+    @given(parts=st.lists(_keyed_partition(), min_size=1, max_size=4),
+           ops=st.lists(st.sampled_from(sorted(KEYED_OPS)), min_size=1,
+                        max_size=3),
+           nparts=st.integers(1, 4), scale=st.sampled_from([1, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_columnar_equals_scalar(self, parts, ops, nparts, scale):
+        program = self.program(ops, nparts)
+        with ineligible_inputs():
+            scalar = run_keyed_program(parts, program, scale)
+        assert run_keyed_program(parts, program, scale) == scalar
 
 
 class TestClosedFormSizing:
@@ -1007,9 +1113,9 @@ class TestDifferentialFingerprints:
         """HiBench re-shuffles its cached ``links`` blocks every iteration;
         each is bucketed once, and the later iterations reuse the buckets
         the block keeps."""
-        import repro.spark.shuffle as shuffle
+        import repro.spark.partitioner as partitioner
 
-        partition = shuffle.partition_pairs
+        partition = partitioner.partition_pairs
         seen: list = []  # [block, nparts, every bucket list it answered]
 
         def counting(block, nparts):
@@ -1021,7 +1127,7 @@ class TestDifferentialFingerprints:
             entry[2].append(partition(block, nparts))
             return entry[2][-1]
 
-        monkeypatch.setattr(shuffle, "partition_pairs", counting)
+        monkeypatch.setattr(partitioner, "partition_pairs", counting)
         MINI["fig7"]()  # 3 iterations
         reshuffled = [answers for _, _, answers in seen if len(answers) > 1]
         assert reshuffled and all(len(a) == 3 for a in reshuffled)

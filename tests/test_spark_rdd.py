@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import time
 
 import pytest
@@ -352,6 +353,76 @@ class TestShuffles:
         for op in chain:
             ref = ops[op][1](ref)
         assert run_app(app) == ref
+
+
+class TestKeyedErrors:
+    """A keyed shuffle's record that does not unpack as ``(key, value)``
+    raises one ``SparkError`` naming it, on whichever side of the shuffle
+    meets it; an exception of the user's own functions reaches the driver
+    unchanged."""
+
+    #: name -> (the malformed record, the keyed op meeting it): the
+    #: map-side combine, the bucketing, or the reduce-side merge
+    SHAPES = {
+        "reduce_by_key over triples": (
+            (1, 2, 3), lambda rdd: rdd.reduce_by_key(operator.add)),
+        "reduce_by_key(sum) over triples": (
+            (1, 2, 3),
+            lambda rdd: rdd.reduce_by_key(operator.add, vector="sum")),
+        "group_by_key over triples": (
+            (1, 2, 3), lambda rdd: rdd.group_by_key()),
+        "reduce_by_key over ints": (
+            7, lambda rdd: rdd.reduce_by_key(operator.add)),
+        "group_by_key over ints": (7, lambda rdd: rdd.group_by_key()),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_a_non_pair_record_raises_one_spark_error(self, name):
+        bad, op = self.SHAPES[name]
+        with pytest.raises(SimProcessError) as ei:
+            run_app(lambda sc: op(
+                sc.parallelize([(1, 2.0), bad, (2, 3.0)], 2)).collect())
+        cause = ei.value.__cause__
+        assert type(cause) is SparkError
+        assert str(cause) == (
+            f"keyed shuffle record is not a (key, value) pair: {bad!r}")
+
+    #: key 1 twice in map partition 0 and once in partition 1
+    PAIRS = [(1, 2), (1, 3), (1, 4), (2, 5)]
+
+    #: name -> (records, partitions, the op with ``boom`` as one function)
+    USER = {
+        "create on the map side": (PAIRS, 2, lambda rdd, boom: rdd
+                                   .combine_by_key(boom, operator.add,
+                                                   operator.add)),
+        "merge_value on the map side": (PAIRS, 2, lambda rdd, boom: rdd
+                                        .reduce_by_key(boom)),
+        "merge_combiners on the reduce side": (
+            PAIRS, 2, lambda rdd, boom: rdd.combine_by_key(
+                lambda v: v, operator.add, boom)),
+        "merge_value on the reduce side": (
+            PAIRS, 2, lambda rdd, boom: rdd.combine_by_key(
+                lambda v: v, boom, operator.add, map_side_combine=False)),
+        "a merge failing before a malformed record": (
+            [(1, 2), (1, 3), (1, 2, 3)], 1,
+            lambda rdd, boom: rdd.reduce_by_key(boom)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(USER))
+    def test_a_user_error_reaches_the_driver_unchanged(self, name):
+        records, nparts, op = self.USER[name]
+        raised: list[TypeError] = []
+
+        def boom(*args):
+            raised.append(TypeError(f"boom{args!r}"))
+            raise raised[-1]
+
+        with pytest.raises(SimProcessError) as ei:
+            run_app(lambda sc: op(sc.parallelize(records, nparts),
+                                  boom).collect())
+        # reported by the task, not crashing its executor
+        assert ei.value.process_name == "spark:driver"
+        assert any(ei.value.__cause__ is exc for exc in raised)
 
 
 class TestTextFile:
