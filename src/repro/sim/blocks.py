@@ -44,8 +44,8 @@ Block types
     float-only kernels (:func:`sum_by_key`, ``map_values`` twins, the
     right side of :func:`hash_join`) check the value dtype and leave an
     int-valued block to the scalar loop.  Its columns are never written
-    after construction, so a block keeps the buckets
-    :func:`partition_pairs` cut from it.
+    after construction, so a block keeps the bucket cut
+    :func:`partition_pairs` made of it.
 ``PairKeyBlock``
     ``distinct``'s shuffle records ``((k, v), None)`` over a
     :class:`PairBlock`'s two columns (:func:`as_pair_key_block`): merged
@@ -255,8 +255,9 @@ class PairBlock(Sequence):
         assert values.dtype == np.int64 or values.dtype == np.float64
         self.keys = keys
         self.values = values
-        #: ``(nparts, buckets)`` of the last :func:`partition_pairs` call
-        self._buckets: "tuple[int, list[PairBlock]] | None" = None
+        #: ``(nparts, (records in bucket order, offsets))`` of the last
+        #: :func:`partition_pairs` call
+        self._buckets: "tuple[int, tuple[PairBlock, np.ndarray]] | None" = None
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -417,29 +418,32 @@ def parse_int_pairs(block: RecordBlock) -> "PairBlock | None":
     return PairBlock(cols[0], cols[1])
 
 
-def partition_pairs(block: PairBlock, nparts: int) -> "list[PairBlock]":
-    """Hash-partition a PairBlock into per-reduce blocks, order-preserving.
+def partition_pairs(block: PairBlock,
+                    nparts: int) -> "tuple[PairBlock, np.ndarray]":
+    """Hash-partition a PairBlock for ``nparts`` reducers, order-preserving.
 
-    Replays the scalar loop exactly: bucket of an exact-int key under a
-    ``HashPartitioner`` is ``(key & 0x7FFFFFFF) % nparts`` (the int64
-    bitwise AND agrees with Python's on two's-complement), and the stable
-    argsort keeps each bucket's records in input order, as appending did.
+    Returns the records in bucket order and the ``nparts + 1`` offsets
+    where each bucket starts (see :func:`_cut`).  Replays the scalar loop
+    exactly: bucket of an exact-int key under a ``HashPartitioner`` is
+    ``(key & 0x7FFFFFFF) % nparts`` (the int64 bitwise AND agrees with
+    Python's on two's-complement), and each bucket keeps its records in
+    input order, as appending did.
 
     The block keeps the answer for its last ``nparts``: an iterative app
-    re-shuffles the same cached block every iteration, and the buckets
-    of columns that are never written cannot go stale.  Callers must not
-    mutate the returned list.
+    re-shuffles the same cached block every iteration, and the cut of
+    columns that are never written cannot go stale.  Callers must not
+    write into the returned arrays.
     """
     memo = block._buckets
     if memo is not None and memo[0] == nparts:
         return memo[1]
-    buckets = _cut(block, (block.keys & 0x7FFFFFFF) % nparts, nparts)
-    block._buckets = (nparts, buckets)
-    return buckets
+    cut = _cut(block, (block.keys & 0x7FFFFFFF) % nparts, nparts)
+    block._buckets = (nparts, cut)
+    return cut
 
 
-def partition_pair_keys(block: PairKeyBlock,
-                        nparts: int) -> "list[PairKeyBlock]":
+def partition_pair_keys(block: PairKeyBlock, nparts: int
+                        ) -> "tuple[PairKeyBlock, np.ndarray]":
     """Hash-partition ``distinct``'s records by their ``(k, v)`` keys.
 
     Replays the scalar loop exactly: a tuple key under a
@@ -447,7 +451,8 @@ def partition_pair_keys(block: PairKeyBlock,
     ``crc32`` of the tuple's ``repr``.  The tuples are built from the
     Python ``int``/``float`` values ``tolist`` gives, the objects the
     scalar records hold (a numpy scalar's ``repr`` differs), and the
-    hashing runs as C-level ``map`` chains.  Buckets keep record order.
+    hashing runs as C-level ``map`` chains.  Returns the records in
+    bucket order and the bucket offsets, as :func:`_cut` does.
     """
     reprs = map(repr, zip(block.keys.tolist(), block.values.tolist()))
     hashes = np.fromiter(map(crc32, map(str.encode, reprs)),
@@ -455,17 +460,16 @@ def partition_pair_keys(block: PairKeyBlock,
     return _cut(block, hashes % nparts, nparts)
 
 
-def _cut(block, bucket_ids: np.ndarray, nparts: int) -> list:
-    """``block``'s records split by ``bucket_ids`` into ``nparts`` blocks
-    of its own type, each in record order (the stable argsort keeps it,
-    as appending did)."""
+def _cut(block, bucket_ids: np.ndarray, nparts: int) -> tuple:
+    """A map output the way Spark's sort shuffle writes one: ``block``'s
+    records in bucket order, as one block of its own type, and the
+    ``nparts + 1`` offsets where each bucket starts, so bucket ``r`` is
+    records ``offsets[r]:offsets[r + 1]``.  The stable argsort keeps each
+    bucket in record order, as appending did."""
     order = np.argsort(bucket_ids, kind="stable")
-    sk = block.keys[order]
-    sv = block.values[order]
-    starts = np.searchsorted(bucket_ids[order],
-                             np.arange(nparts + 1)).tolist()
-    make = type(block)
-    return [make(sk[a:b], sv[a:b]) for a, b in zip(starts, starts[1:])]
+    offsets = np.zeros(nparts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(bucket_ids, minlength=nparts), out=offsets[1:])
+    return type(block)(block.keys[order], block.values[order]), offsets
 
 
 def first_occurrences(block: PairKeyBlock) -> PairKeyBlock:

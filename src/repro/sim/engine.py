@@ -310,18 +310,19 @@ class Engine:
         # allocates container objects by the hundred thousand while memo
         # caches keep a large live heap, so periodic cyclic-GC scans would
         # re-walk it all run long; pause the collector for the run and do
-        # one collection at the end.  That collection is paid per young
-        # tracked object: on the benchmark's ``pagerank_shuffle`` it was
-        # 0.14 s per repetition (two runs, 271 k young objects each,
-        # 210 k of them ``(src, dst)`` tuples) until the edge list was kept
-        # in columns, and is 0.08 s (95 k) since.  On
-        # ``pagerank_persist`` each Spark run left 516 k young objects
-        # (0.12-0.13 s: the persisted adjacency lists, join rows and
-        # per-edge contribution tuples) until BigDataBench's loop went
-        # columnar, and leaves 20 k since.  Dropping the collection was
-        # measured at +33 % peak RSS.  The long switch interval
-        # stops the GIL from preempting compute mid-slice — processes
-        # hand off deterministically through locks, never via preemption.
+        # one collection at the end.  ``gc.collect()`` is a full
+        # collection: it walks every tracked object of all three
+        # generations, the long-lived ones included, so its cost follows
+        # the whole tracked heap, not the objects the run made.  On the
+        # benchmark's ``pagerank_shuffle`` (seed 42, pinned to one CPU of
+        # the 2-core benchmark host) each of the two per-repetition
+        # collections walks ~34 k objects (29 k in generation 2), frees
+        # ~3.6 k and takes 6-10 ms, 4-5 % of ``wall_s``; on
+        # ``pagerank_persist`` each of three takes 7-9 ms, 3-4 %.
+        # Dropping the collection was measured at +33 % peak RSS.  The
+        # long switch interval stops the GIL from preempting compute
+        # mid-slice — processes hand off deterministically through locks,
+        # never via preemption.
         _one_malloc_arena()
         gc_was_enabled = gc.isenabled()
         old_switch = sys.getswitchinterval()

@@ -8,7 +8,10 @@ hashing here goes through :func:`stable_hash` instead.
 from __future__ import annotations
 
 import zlib
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from repro.errors import SparkError
 from repro.sim.blocks import (PairBlock, PairKeyBlock, partition_pair_keys,
@@ -39,6 +42,14 @@ def require_pair(record: Any) -> None:
         ) from None
 
 
+def _concat(buckets: list[list]) -> tuple[list, np.ndarray]:
+    """Bucket lists as one map output: their records in bucket order and
+    the offsets where each bucket starts."""
+    offsets = np.zeros(len(buckets) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, buckets)), out=offsets[1:])
+    return list(chain.from_iterable(buckets)), offsets
+
+
 class Partitioner:
     """Maps keys to partition ids in ``[0, num_partitions)``."""
 
@@ -50,9 +61,11 @@ class Partitioner:
     def partition(self, key: Any) -> int:  # pragma: no cover - abstract-ish
         raise NotImplementedError
 
-    def buckets(self, records) -> list:
-        """``records`` cut into one bucket per partition by their keys
-        (``record[0]``), each bucket in record order."""
+    def buckets(self, records) -> tuple:
+        """``records`` cut by their keys (``record[0]``) into one bucket
+        per partition, as a map output: the records in bucket order, each
+        bucket in record order, and the ``num_partitions + 1`` offsets
+        where each bucket starts."""
         part = self.partition
         out: list[list] = [[] for _ in range(self.num_partitions)]
         try:
@@ -61,7 +74,7 @@ class Partitioner:
         except (TypeError, IndexError):
             require_pair(rec)
             raise
-        return out
+        return _concat(out)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -79,7 +92,7 @@ class HashPartitioner(Partitioner):
     def partition(self, key: Any) -> int:
         return stable_hash(key) % self.num_partitions
 
-    def buckets(self, records) -> list:
+    def buckets(self, records) -> tuple:
         """The generic cut with :func:`stable_hash` inlined for exact-int
         keys (the dominant shuffle path), and a ``PairBlock`` /
         ``PairKeyBlock`` cut columnar into the same buckets in the same
@@ -100,7 +113,7 @@ class HashPartitioner(Partitioner):
         except (TypeError, IndexError):
             require_pair(rec)
             raise
-        return out
+        return _concat(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"HashPartitioner({self.num_partitions})"

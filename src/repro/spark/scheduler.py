@@ -138,7 +138,7 @@ class TaskContext:
 
     def shuffle_read(self, shuffle_id: int, reduce_id: int, n_maps: int) -> list:
         """Fetch one reduce partition; raises FetchFailed on missing outputs."""
-        if self.env.tracker.missing_maps(shuffle_id, n_maps):
+        if not self.env.tracker.complete(shuffle_id, n_maps):
             raise FetchFailedError(shuffle_id)
         return ShuffleReader(self.env).read(
             self.proc, self.executor, shuffle_id, reduce_id, n_maps)
@@ -173,8 +173,6 @@ class DAGScheduler:
 
     def __init__(self, env: "SparkEnv") -> None:
         self.env = env
-        #: shuffle_id -> producing ShuffleDependency (for recovery reruns)
-        self._shuffle_deps: dict[int, ShuffleDependency] = {}
         self._stage_ids = itertools.count()
 
     # -- stage graph -----------------------------------------------------------------
@@ -188,7 +186,6 @@ class DAGScheduler:
             if st is None:
                 st = Stage(next(self._stage_ids), dep.parent, dep)
                 shuffle_stages[dep.shuffle_id] = st
-                self._shuffle_deps[dep.shuffle_id] = dep
                 st.parents = parent_stages(dep.parent)
             return st
 
@@ -466,7 +463,7 @@ class DAGScheduler:
         env = self.env
         env.executors[eid].dead = True
         env.executors[eid].block_manager.drop_all()
-        env.tracker.unregister_executor(list(self._shuffle_deps), eid)
+        env.tracker.unregister_executor(eid)
         for key, locs in list(env.cache_locations.items()):
             locs.discard(eid)
             if not locs:

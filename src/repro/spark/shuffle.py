@@ -10,6 +10,11 @@ Spark 1.5's hash shuffle, as the paper ran it:
   from every map task — local buckets come off the disk, remote ones over
   the network.
 
+That is what the simulation charges.  How the host holds the data is
+separate: a map output is its records in bucket order plus the bucket
+offsets, and a reduce fetch is one slice of the shuffle's reduce-major
+layout (:class:`MapOutputTracker`, :class:`ShuffleLayout`).
+
 The transport is pluggable, mirroring Lu et al.'s RDMA-Spark (paper
 Section VII): ``"socket"`` sends buckets over IPoIB with per-message CPU and
 copy costs; ``"rdma"`` moves *shuffle payloads only* over the native
@@ -21,9 +26,11 @@ fabric each transport rides comes from the cluster's machine
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from operator import length_hint
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from collections.abc import Iterator, Sequence
+from functools import reduce
+from itertools import chain, repeat
+from operator import add, itemgetter, length_hint
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -110,35 +117,216 @@ def estimate_nbytes(records: list) -> int:
     return int((total / len(sample) + 8) * n)
 
 
+def _reduce_major(counts: np.ndarray) -> np.ndarray:
+    """The gather that turns map outputs reduce-major.
+
+    ``counts[m, r]`` is the length of map ``m``'s bucket for reducer
+    ``r``; the maps' records, concatenated map by map in bucket order,
+    are ``flat``.  Returns ``idx`` with ``flat[idx]`` listing them reducer
+    by reducer, each reducer's buckets in map order, each bucket in
+    record order.
+    """
+    lens = counts.ravel()
+    src = np.zeros(lens.size, dtype=np.int64)
+    np.cumsum(lens[:-1], out=src[1:])
+    lens = counts.T.ravel()
+    src = src.reshape(counts.shape).T.ravel()
+    dst = np.zeros(lens.size, dtype=np.int64)
+    np.cumsum(lens[:-1], out=dst[1:])
+    return np.repeat(src - dst, lens) + np.arange(lens.sum())
+
+
+class _Group:
+    """The maps of one shuffle whose outputs share a record kind (a
+    block type and value dtype, or ``list``), held reduce-major:
+    reducer ``r``'s buckets, in map order, are ``records[starts[r]:
+    starts[r + 1]]``, and ``counts[i, r]`` is the length of the bucket of
+    ``maps[i]``."""
+
+    __slots__ = ("kind", "maps", "counts", "records", "starts")
+
+    def __init__(self, maps: list[int], outputs: list,
+                 counts: np.ndarray) -> None:
+        kind = type(outputs[0])
+        idx = _reduce_major(counts)
+        if kind is list:
+            flat = list(chain.from_iterable(outputs))
+            self.records = list(map(flat.__getitem__, idx.tolist()))
+        else:
+            # read-only columns: every block a fetch hands out is a view
+            # of them, so none may be written through
+            keys = np.concatenate([o.keys for o in outputs])[idx]
+            values = np.concatenate([o.values for o in outputs])[idx]
+            keys.setflags(write=False)
+            values.setflags(write=False)
+            self.records = kind(keys, values)
+        self.kind = kind
+        self.maps = maps
+        self.counts = counts
+        starts = np.zeros(counts.shape[1] + 1, dtype=np.int64)
+        np.cumsum(counts.sum(axis=0), out=starts[1:])
+        self.starts = starts.tolist()
+
+    def split(self) -> Iterator[tuple[int, Any]]:
+        """``(map_id, records in bucket order)`` of each map, as it was
+        registered."""
+        counts = self.counts
+        idx = _reduce_major(counts)
+        if self.kind is list:
+            back = np.empty_like(idx)
+            back[idx] = np.arange(len(idx))
+            flat = list(map(self.records.__getitem__, back.tolist()))
+        else:
+            keys = np.empty_like(self.records.keys)
+            values = np.empty_like(self.records.values)
+            keys[idx] = self.records.keys
+            values[idx] = self.records.values
+            flat = self.kind(keys, values)
+        bounds = np.zeros(len(self.maps) + 1, dtype=np.int64)
+        np.cumsum(counts.sum(axis=1), out=bounds[1:])
+        bounds = bounds.tolist()
+        for map_id, a, b in zip(self.maps, bounds, bounds[1:]):
+            yield map_id, flat[a:b]
+
+
+class ShuffleLayout:
+    """A complete shuffle's map outputs, reduce-major, so that a reduce
+    fetch is one slice.
+
+    Maps whose records share a kind form one :class:`_Group` (a
+    columnar one for blocks).  ``nodes`` are the source nodes in sorted
+    order and ``node_bytes[r]`` what each holds for reducer ``r``: the
+    sum of its maps' bucket sizes, 0 included.
+    """
+
+    __slots__ = ("groups", "nodes", "node_bytes")
+
+    def __init__(self, records: list, offsets: np.ndarray,
+                 sizes: np.ndarray, nodes: list[int]) -> None:
+        counts = np.diff(offsets, axis=1)
+        uniq, at = np.unique(np.array(nodes, dtype=np.int64),
+                             return_inverse=True)
+        node_bytes = np.zeros((len(uniq), counts.shape[1]), dtype=np.int64)
+        np.add.at(node_bytes, at, sizes)
+        self.nodes = uniq.tolist()
+        self.node_bytes = node_bytes.T.tolist()
+        kinds: dict[tuple, list[int]] = {}
+        for map_id, recs in enumerate(records):
+            if len(recs):  # an empty map output is in no reduce's input
+                kinds.setdefault(_kind(recs), []).append(map_id)
+        self.groups = [_Group(maps, [records[m] for m in maps], counts[maps])
+                       for maps in kinds.values()]
+
+    def fetch(self, reduce_id: int):
+        """Reducer ``reduce_id``'s input: a block of the one kind when its
+        non-empty buckets all share one, else a list of their records in
+        map order (``[]`` when every bucket is empty)."""
+        r = reduce_id
+        present = [g for g in self.groups if g.starts[r + 1] > g.starts[r]]
+        if len(present) == 1:
+            g = present[0]
+            return g.records[g.starts[r]:g.starts[r + 1]]
+        # mixed kinds: each bucket's records, in map order
+        runs = []
+        for g in present:
+            lens = g.counts[:, r]
+            at = g.starts[r] + np.cumsum(lens) - lens
+            runs += [(m, g.records, a, a + n) for m, a, n in
+                     zip(g.maps, at.tolist(), lens.tolist()) if n]
+        out: list = []
+        for _m, records, a, b in sorted(runs, key=itemgetter(0)):
+            out.extend(records[a:b])
+        return out
+
+    def split(self) -> Iterator[tuple[int, Any]]:
+        """``(map_id, records in bucket order)`` of every non-empty map."""
+        for g in self.groups:
+            yield from g.split()
+
+
+def _kind(records) -> tuple:
+    """What a reduce input may concatenate columnar: a block's type and
+    value dtype; a list is ``(list, None)``."""
+    if type(records) is list:
+        return list, None
+    return type(records), records.values.dtype
+
+
 class MapOutputTracker:
-    """Driver-side registry of where every shuffle bucket lives."""
+    """Driver-side registry of every map output of every shuffle.
+
+    A map output is what Spark's sort shuffle writes: the map's records
+    in bucket order plus the offsets where each reducer's bucket starts.
+    A shuffle's first fetch lays all its outputs out reduce-major
+    (:class:`ShuffleLayout`) and the layout then holds the records: the
+    outputs keep only their index until it is dropped, which happens when
+    an output of the shuffle is registered again or lost with its
+    executor.
+    """
 
     def __init__(self) -> None:
-        #: (shuffle_id, map_id) -> (executor_id, [bucket_nbytes per reduce],
-        #: {reduce_id: records} of the non-empty buckets) — one entry per
-        #: map output, not one per bucket: 32 k fewer keys for the
-        #: end-of-run collection to visit on a 64 x 64 shuffle
-        self._outputs: dict[tuple[int, int],
-                            tuple[int, list[int], dict[int, list]]] = {}
+        #: (shuffle_id, map_id) -> [executor_id, records, offsets, sizes]:
+        #: the records in bucket order (a block or a list; ``None`` while
+        #: the shuffle's layout holds them), the ``nparts + 1`` bucket
+        #: offsets and the int64 nbytes of each bucket
+        self._outputs: dict[tuple[int, int], list] = {}
+        #: shuffle_id -> how many of its map outputs are registered
+        self._registered: dict[int, int] = {}
+        #: shuffle_id -> its layout, from its first fetch on
+        self._layouts: dict[int, ShuffleLayout] = {}
 
     def register(self, shuffle_id: int, map_id: int, executor_id: int,
-                 sizes: list[int], buckets: dict[int, list]) -> None:
-        self._outputs[(shuffle_id, map_id)] = (executor_id, sizes, buckets)
+                 records, offsets: np.ndarray, sizes: np.ndarray) -> None:
+        self._drop_layout(shuffle_id)
+        key = (shuffle_id, map_id)
+        if key not in self._outputs:
+            self._registered[shuffle_id] = (
+                self._registered.get(shuffle_id, 0) + 1)
+        self._outputs[key] = [executor_id, records, offsets, sizes]
 
-    def unregister_executor(self, shuffle_ids: Iterable[int], executor_id: int) -> list[tuple[int, int]]:
-        """Drop all outputs an executor held; returns the lost (shuffle, map) pairs."""
-        lost = [
-            key for key, (ex, _s, _b) in self._outputs.items()
-            if ex == executor_id
-        ]
+    def unregister_executor(self, executor_id: int) -> list[tuple[int, int]]:
+        """Drop all outputs an executor held; returns the lost
+        ``(shuffle_id, map_id)`` pairs."""
+        lost = [key for key, out in self._outputs.items()
+                if out[0] == executor_id]
+        for shuffle_id in dict.fromkeys(shuffle_id for shuffle_id, _ in lost):
+            self._drop_layout(shuffle_id)
         for key in lost:
             del self._outputs[key]
+            self._registered[key[0]] -= 1
         return lost
 
     def missing_maps(self, shuffle_id: int, n_maps: int) -> list[int]:
         return [
             m for m in range(n_maps) if (shuffle_id, m) not in self._outputs
         ]
+
+    def complete(self, shuffle_id: int, n_maps: int) -> bool:
+        """Whether all ``n_maps`` outputs of the shuffle are registered."""
+        return self._registered.get(shuffle_id, 0) == n_maps
+
+    def layout(self, shuffle_id: int, n_maps: int,
+               executors: Sequence) -> ShuffleLayout:
+        """The complete shuffle's reduce-major layout, built on first use."""
+        layout = self._layouts.get(shuffle_id)
+        if layout is None:
+            outs = [self._outputs[(shuffle_id, m)] for m in range(n_maps)]
+            layout = ShuffleLayout(
+                [o[1] for o in outs], np.stack([o[2] for o in outs]),
+                np.stack([o[3] for o in outs]),
+                [executors[o[0]].node.id for o in outs])
+            for g in layout.groups:
+                for map_id in g.maps:
+                    outs[map_id][1] = None  # the layout holds them now
+            self._layouts[shuffle_id] = layout
+        return layout
+
+    def _drop_layout(self, shuffle_id: int) -> None:
+        """Hand a layout's records back to the map outputs they came from."""
+        layout = self._layouts.pop(shuffle_id, None)
+        if layout is not None:
+            for map_id, records in layout.split():
+                self._outputs[(shuffle_id, map_id)][1] = records
 
     def shuffle_stats(self) -> dict[int, dict[str, int]]:
         """Write-side aggregates per shuffle: map count, records, bytes.
@@ -148,21 +336,14 @@ class MapOutputTracker:
         iteration; BigDataBench shows it once).
         """
         stats: dict[int, dict[str, int]] = {}
-        for (shuffle_id, _map_id), (_ex, sizes, buckets) in \
+        for (shuffle_id, _map_id), (_ex, _records, offsets, sizes) in \
                 self._outputs.items():
             s = stats.setdefault(
                 shuffle_id, {"maps": 0, "records": 0, "nbytes": 0})
             s["maps"] += 1
-            s["nbytes"] += sum(sizes)
-            s["records"] += sum(map(len, buckets.values()))
+            s["nbytes"] += int(sizes.sum())
+            s["records"] += int(offsets[-1])
         return stats
-
-    def bucket(self, shuffle_id: int, map_id: int,
-               reduce_id: int) -> tuple[int, int, Sequence]:
-        """``(executor_id, nbytes, records)`` of one bucket (``()`` when
-        empty)."""
-        ex, sizes, buckets = self._outputs[(shuffle_id, map_id)]
-        return ex, sizes[reduce_id], buckets.get(reduce_id, ())
 
 
 class ShuffleWriter:
@@ -172,28 +353,20 @@ class ShuffleWriter:
         self.env = env
 
     @staticmethod
-    def _sizes(bucket_lists: list[list], scale: int
-               ) -> tuple[list[int], int, dict[int, list]]:
-        """Per-reduce sizes, their total, and the non-empty buckets.
+    def _sizes(records, offsets: np.ndarray, scale: int) -> np.ndarray:
+        """The int64 nbytes of each bucket of a map output.
 
-        Block buckets are sized in closed form — equal to the sampled
-        estimate, without boxing 20 records per bucket to learn a constant.
+        Block buckets are sized in closed form, all in one vector op —
+        equal to the sampled estimate, without boxing 20 records per
+        bucket to learn a constant.
         """
-        sizes = [0] * len(bucket_lists)
-        total = 0
-        buckets: dict[int, list] = {}
-        for reduce_id, bucket in enumerate(bucket_lists):
-            if not bucket:
-                continue
-            per_record = _BLOCK_RECORD_NBYTES.get(type(bucket))
-            if per_record is not None:
-                nbytes = per_record * len(bucket) * scale
-            else:
-                nbytes = estimate_nbytes(bucket) * scale
-            sizes[reduce_id] = nbytes
-            total += nbytes
-            buckets[reduce_id] = bucket
-        return sizes, total, buckets
+        per_record = _BLOCK_RECORD_NBYTES.get(type(records))
+        if per_record is not None:
+            return np.diff(offsets) * (per_record * scale)
+        bounds = offsets.tolist()
+        return np.array([estimate_nbytes(records[a:b]) * scale
+                         for a, b in zip(bounds, bounds[1:])],
+                        dtype=np.int64)
 
     def write(self, proc: SimProcess, executor: "Any",
               dep: "ShuffleDependency", map_id: int, records: list) -> None:
@@ -215,22 +388,23 @@ class ShuffleWriter:
             # the combine's charge (input length)
             proc.compute(len(records) * scale * costs.spark_record_overhead)
             records = combined
-        bucket_lists = dep.partitioner.buckets(records)
+        cut, offsets = dep.partitioner.buckets(records)
         # the write's charge (output length)
         proc.compute(len(records) * scale * costs.spark_record_overhead)
-        sizes, total, buckets = self._sizes(bucket_lists, scale)
+        sizes = self._sizes(cut, offsets, scale)
+        total = int(sizes.sum())
         proc.compute_bytes(max(1, total), costs.ser_rate_jvm)  # serialise
         # Shuffle files land in the OS page cache (Spark 1.5 writes them
         # without sync); charge the memory-system stream, not the SSD.
         executor.node.stream_bytes(proc, max(1, total), label="shuffle.write")
         trace = executor.node.trace
         if trace.hb:
-            for reduce_id in buckets:
+            for reduce_id in np.flatnonzero(np.diff(offsets)).tolist():
                 trace.access(
                     proc, "write",
                     f"spark.shuffle{dep.shuffle_id}[{map_id},{reduce_id}]")
         self.env.tracker.register(dep.shuffle_id, map_id,
-                                  executor.executor_id, sizes, buckets)
+                                  executor.executor_id, cut, offsets, sizes)
 
 
 class ShuffleReader:
@@ -240,60 +414,37 @@ class ShuffleReader:
         self.env = env
 
     def read(self, proc: SimProcess, executor: "Any", shuffle_id: int,
-             reduce_id: int, n_maps: int) -> list:
-        """Fetch this reduce partition's bucket from every map output."""
+             reduce_id: int, n_maps: int):
+        """Fetch this reduce partition's bucket from every map output:
+        one slice of the shuffle's reduce-major layout."""
         costs = self.env.costs
         transport = self.env.shuffle_transport
         fabric = self.env.shuffle_fabric
         fetch_overhead = (costs.spark_shuffle_fetch_overhead
                           if transport == "socket"
                           else costs.spark_shuffle_fetch_overhead_rdma)
-        # Fetches are batched per source node (as Netty/SEDA engines do):
-        # one wire transfer per (reducer, remote node), so transfers stay
-        # bulk-sized and contend for the NICs realistically.
-        per_node: dict[int, int] = {}
-        total = 0
-        # The per-map fetch bookkeeping is host-side except the per-fetch
-        # overhead charge; fold those clock additions locally (same float
-        # adds, same order) and apply them as one equal-total advance.
-        bucket = self.env.tracker.bucket
-        executors = self.env.executors
-        parts: list[list] = []
-        clk = proc.clock
-        for map_id in range(n_maps):
-            src_executor, nbytes, records = bucket(
-                shuffle_id, map_id, reduce_id
-            )
-            clk += fetch_overhead
-            src_id = executors[src_executor].node.id
-            per_node[src_id] = per_node.get(src_id, 0) + nbytes
-            total += nbytes
-            parts.append(records)
-        proc.advance_clock_to(clk)
+        layout = self.env.tracker.layout(shuffle_id, n_maps,
+                                         self.env.executors)
+        # One fetch per map output, each charged its overhead: fold those
+        # clock additions locally (the same n_maps float adds, in order)
+        # and apply them as one equal-total advance.
+        proc.advance_clock_to(
+            reduce(add, repeat(fetch_overhead, n_maps), proc.clock))
         trace = executor.node.trace
         if trace.hb:
             for map_id in range(n_maps):
                 trace.access(
                     proc, "read",
                     f"spark.shuffle{shuffle_id}[{map_id},{reduce_id}]")
-        # A fresh reduce input per fetch, as deserialising one is: what a
-        # consumer does to it never reaches the buckets or a later action.
-        filled = [p for p in parts if len(p)]
-        kind = type(filled[0]) if filled else None
-        if (kind in _BLOCK_RECORD_NBYTES
-                and all(type(p) is kind for p in filled)
-                and len({p.values.dtype for p in filled}) == 1):
-            # columnar concatenation in map order — element-equal to
-            # extending a list bucket by bucket (mixed value dtypes would
-            # promote the ints, so those extend the list)
-            out = kind(np.concatenate([p.keys for p in filled]),
-                       np.concatenate([p.values for p in filled]))
-        else:
-            out = []
-            for records in parts:
-                out.extend(records)
-        for src_id in sorted(per_node):
-            nbytes = max(1, per_node[src_id])
+        out = layout.fetch(reduce_id)
+        # Fetches are batched per source node (as Netty/SEDA engines do):
+        # one wire transfer per (reducer, source node) — at least a byte,
+        # even when the node's buckets for this reducer are all empty —
+        # so transfers stay bulk-sized and contend for the NICs
+        # realistically.
+        node_bytes = layout.node_bytes[reduce_id]
+        for src_id, nbytes in zip(layout.nodes, node_bytes):
+            nbytes = max(1, nbytes)
             if src_id == executor.node.id:
                 # buckets are in the node's page cache: memory-speed copy,
                 # no socket path involved
@@ -308,5 +459,6 @@ class ShuffleReader:
                         if transport == "socket"
                         else costs.spark_shuffle_rdma_rate)
                 proc.compute_bytes(nbytes, rate)
-        proc.compute_bytes(max(1, total), costs.ser_rate_jvm)  # deserialise
+        # deserialise
+        proc.compute_bytes(max(1, sum(node_bytes)), costs.ser_rate_jvm)
         return out

@@ -52,7 +52,7 @@ from repro.sim.blocks import (
 )
 from repro.spark.rdd import (_append, _cogroup_pairs, _count_keys,
                              _join_expand, _join_values)
-from repro.spark.partitioner import HashPartitioner
+from repro.spark.partitioner import HashPartitioner, RangePartitioner
 from repro.spark.shuffle import ShuffleWriter, estimate_nbytes
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -314,6 +314,12 @@ class TestAsPairBlock:
         assert as_pair_block(records) is None
 
 
+def _buckets(records, offsets) -> list:
+    """A map output (records in bucket order, offsets) as its buckets."""
+    bounds = offsets.tolist()
+    return [records[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
 class TestPartitionPairs:
     def test_matches_scalar_hash_partitioning(self):
         rng = np.random.default_rng(7)
@@ -323,7 +329,8 @@ class TestPartitionPairs:
         buckets = [[] for _ in range(nparts)]
         for k, v in pairs:  # the scalar writer's append loop
             buckets[(k & 0x7FFFFFFF) % nparts].append((k, v))
-        out = partition_pairs(PairBlock(*pair_columns(pairs)), nparts)
+        out = _buckets(*partition_pairs(PairBlock(*pair_columns(pairs)),
+                                        nparts))
         assert len(out) == nparts
         for got, want in zip(out, buckets):
             assert got.to_pairs() == want
@@ -332,16 +339,19 @@ class TestPartitionPairs:
         keys = np.arange(-40, 60, 3, dtype=np.int64)
         block = PairBlock(keys, keys * 0.5)
 
+        def cut(block, nparts):
+            return _buckets(*partition_pairs(block, nparts))
+
         def fresh(nparts):
-            return partition_pairs(PairBlock(keys.copy(), keys * 0.5), nparts)
+            return cut(PairBlock(keys.copy(), keys * 0.5), nparts)
 
         out = partition_pairs(block, 4)
         assert partition_pairs(block, 4) is out
         # another width is cut afresh, from the same columns
-        assert partition_pairs(block, 3) == fresh(3)
-        assert partition_pairs(block, 4) == fresh(4)
+        assert cut(block, 3) == fresh(3)
+        assert cut(block, 4) == fresh(4)
         # a slice is a new block with no buckets of its own yet
-        assert partition_pairs(block[1:], 4) == partition_pairs(
+        assert cut(block[1:], 4) == cut(
             PairBlock(keys[1:].copy(), keys[1:] * 0.5), 4)
 
 
@@ -432,7 +442,7 @@ class TestPairKeyBlock:
         part = HashPartitioner(nparts).partition
         for rec in block:  # the scalar writer's append loop
             buckets[part(rec[0])].append(rec)
-        out = partition_pair_keys(block, nparts)
+        out = _buckets(*partition_pair_keys(block, nparts))
         assert all(type(b) is PairKeyBlock for b in out)
         assert [_bits(b) for b in out] == [_bits(b) for b in buckets]
 
@@ -571,7 +581,7 @@ class TestHashJoin:
         consumers (plain cogroup, outer join, a lambda after the join) and
         an ineligible one agree with the scalar plane."""
         from repro.cluster import Cluster
-        from tests.conftest import TESTING_MACHINE
+        from tests.conftest import TESTING_MACHINE, forced_trace
         from repro.spark import SparkContext
 
         edges = [(i % 7, (i * 5) % 11) for i in range(60)]
@@ -587,7 +597,8 @@ class TestHashJoin:
                                4).collect())
 
         def run():
-            sc = SparkContext(Cluster(TESTING_MACHINE.with_nodes(2)),
+            sc = SparkContext(Cluster(TESTING_MACHINE.with_nodes(2),
+                                      trace=forced_trace()),
                               executors_per_node=2, app_startup=0.1)
             res = sc.run(app)
             return res.app_elapsed, res.value
@@ -959,10 +970,17 @@ KEYED_OPS = {
     "count_by_key": lambda sc, rdd, n: sc.parallelize(
         list(rdd.count_by_key().items()), n),
     "persist": lambda sc, rdd, n: (rdd.persist(), rdd.count())[0],
+    # list-record map outputs: a range cut, and a cogroup's shuffled side
+    "partition_by(range)": lambda sc, rdd, n: rdd.partition_by(
+        RangePartitioner(list(range(n - 1)))),
+    "cogroup": lambda sc, rdd, n: rdd.cogroup(sc.parallelize(_RIGHT, 2), n)
+    .map_values(lambda vws: sum(vws[0]) + sum(vws[1])),
 }
 
+#: the ops that keep a group's list values as they are
+_KEEP_GROUPS = {"persist", "partition_by(range)"}
 #: the ops that take a group's list values as they are
-_TAKE_GROUPS = {"join", "count_by_key", "persist"}
+_TAKE_GROUPS = {"join", "count_by_key"} | _KEEP_GROUPS
 
 
 class TestGeneratedKeyedPrograms:
@@ -980,7 +998,7 @@ class TestGeneratedKeyedPrograms:
                     rdd = rdd.map_values(sum)
                 rdd = KEYED_OPS[op](sc, rdd, nparts)
                 grouped = (op == "group_by_key"
-                           or (grouped and op == "persist"))
+                           or (grouped and op in _KEEP_GROUPS))
             return rdd.collect()
         return run
 
@@ -1008,13 +1026,11 @@ class TestClosedFormSizing:
             # the pairs, and distinct's ((k, v), None) records over them
             for block in (PairBlock(keys, values),
                           PairKeyBlock(keys, values)):
-                sizes, total, buckets = ShuffleWriter._sizes([block, []],
-                                                             scale)
+                sizes = ShuffleWriter._sizes(
+                    block, np.array([0, n, n]), scale).tolist()
                 # the block's sampled estimate, and the tuple list's
                 assert sizes == [estimate_nbytes(block) * scale, 0]
                 assert sizes[0] == estimate_nbytes(list(block)) * scale
-                assert total == sizes[0]
-                assert list(buckets) == ([0] if n else [])
 
 
 # ---------------------------------------------------------------------------

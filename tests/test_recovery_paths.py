@@ -11,15 +11,16 @@ from repro.fs.records import read_split_records
 from repro.sim import current_process
 from repro.spark import SparkContext
 from repro.spark import scheduler as sched
-from tests.conftest import TESTING_MACHINE
+from tests.conftest import TESTING_MACHINE, forced_trace
 
 
 class TestMidJobFetchFailure:
     def test_lost_map_outputs_mid_stage_recovered(self):
         """A reduce stage finds map outputs gone *while running*: the job
         retries, re-runs the holes, and still produces the right answer."""
-        sc = SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
-                          app_startup=0.1)
+        sc = SparkContext(
+            Cluster(TESTING_MACHINE, trace=forced_trace()),
+            executors_per_node=2, app_startup=0.1)
         stage_runs = []
         orig = sched.DAGScheduler._run_stage
 
@@ -40,8 +41,7 @@ class TestMidJobFetchFailure:
                 # executor dying right after its map finished
                 if sabotage["armed"]:
                     sabotage["armed"] = False
-                    sc.env.tracker.unregister_executor(
-                        range(100), executor_id=0)
+                    sc.env.tracker.unregister_executor(executor_id=0)
                     raise sched.FetchFailedError(shuffle_id)
                 return kv
 
@@ -60,8 +60,9 @@ class TestMidJobFetchFailure:
     def test_job_aborts_after_retry_budget(self):
         from repro.errors import JobAbortedError, SimProcessError
 
-        sc = SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
-                          app_startup=0.1)
+        sc = SparkContext(
+            Cluster(TESTING_MACHINE, trace=forced_trace()),
+            executors_per_node=2, app_startup=0.1)
 
         def app(sc):
             counts = sc.parallelize([(1, 1)] * 10, 2)\
@@ -70,7 +71,7 @@ class TestMidJobFetchFailure:
 
             def always_poison(kv):
                 for eid in range(4):
-                    sc.env.tracker.unregister_executor(range(100), eid)
+                    sc.env.tracker.unregister_executor(eid)
                 raise sched.FetchFailedError(shuffle_id)
 
             return counts.map(always_poison).collect()
@@ -86,7 +87,7 @@ class TestOversizedRecords:
         together exactly once."""
         big = b"B" * 5000
         payload = b"head\n" + big + b"\ntail\n"
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         fs = LocalFS(cl)
         fs.create_replicated("big.txt", BytesContent(payload))
         out = {}
@@ -107,7 +108,7 @@ class TestOversizedRecords:
     def test_split_entirely_inside_one_record(self):
         big = b"X" * 2000
         payload = b"first\n" + big + b"\nlast\n"
-        cl = Cluster(TESTING_MACHINE)
+        cl = Cluster(TESTING_MACHINE, trace=forced_trace())
         fs = LocalFS(cl)
         fs.create_replicated("f.txt", BytesContent(payload))
         collected = []
@@ -126,8 +127,9 @@ class TestOversizedRecords:
 
 class TestRDDCheckpoint:
     def make_sc(self):
-        return SparkContext(Cluster(TESTING_MACHINE), executors_per_node=2,
-                            app_startup=0.1)
+        return SparkContext(
+            Cluster(TESTING_MACHINE, trace=forced_trace()),
+            executors_per_node=2, app_startup=0.1)
 
     def test_checkpoint_survives_total_executor_loss(self):
         """Unlike cache, a checkpointed RDD never recomputes — even when
