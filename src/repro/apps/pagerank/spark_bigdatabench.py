@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.sim.blocks import GroupBlock, PairBlock, parse_int_pairs
+from repro.sim.blocks import (GroupBlock, JoinedBlock, PairBlock,
+                              parse_int_pairs)
 from repro.spark import SparkContext, StorageLevel
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
@@ -43,10 +44,12 @@ def _contrib_block(joined):
     its out-degree — the same IEEE division as ``rank / len(urls)``,
     degrees being exact in ``float64`` — repeated beside the flat
     destination column.  Not defined on float destinations or an empty
-    list (the scalar division raises there)."""
+    list (the scalar division raises there), nor on anything but a
+    keyless ``JoinedBlock``."""
+    if type(joined) is not JoinedBlock or joined.keys is not None:
+        return None
     urls = joined.left
-    if (joined.keys is not None or type(urls) is not GroupBlock
-            or urls.values.dtype != np.int64):
+    if type(urls) is not GroupBlock or urls.values.dtype != np.int64:
         return None
     degrees = np.diff(urls.offsets)
     if not degrees.all():

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.sim.blocks import PairBlock, parse_int_pairs
+from repro.sim.blocks import JoinedBlock, PairBlock, parse_int_pairs
 from repro.spark import SparkContext
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
@@ -60,19 +60,25 @@ def spark_pagerank_hibench(
             src, (dst, rank) = src_dst_rank
             return (dst, rank / _deg[src])
 
-        # Columnar twin of ``contrib`` over a block join's output: the
-        # out-degrees as a dense column indexed by source vertex.  Degrees
-        # are far below 2**53, so int64 -> float64 is exact and numpy's
-        # division is the same IEEE operation as ``rank / _deg[src]``.
+        # Columnar twin of ``contrib`` over a block join's output (keyed,
+        # with the int64 destination column of ``links``' ungrouped
+        # pairs): the out-degrees as a dense column indexed by source
+        # vertex.  Degrees are far below 2**53, so int64 -> float64 is
+        # exact and numpy's division is the same IEEE operation as
+        # ``rank / _deg[src]``.
         deg_col = np.zeros(max(deg, default=-1) + 1, dtype=np.int64)
         deg_col[list(deg)] = list(deg.values())
 
         def contrib_block(joined, _deg=deg_col):
+            if type(joined) is not JoinedBlock:
+                return None
             return PairBlock(joined.left, joined.right / _deg[joined.keys])
 
         # Columnar twin of the rank seed over a parsed block of edges: the
         # source column beside a column of 1.0.
         def seed_block(edges):
+            if type(edges) is not PairBlock:
+                return None
             return PairBlock(edges.keys, np.ones(len(edges)))
 
         ranks = links.map(lambda e: (e[0], 1.0),

@@ -59,10 +59,10 @@ Block types
     first-occurrence regroup :func:`hash_join` applies to its left side).
     Iterates with a fresh list per group, so it is sized and consumed as
     the scalar groups are.
-``JoinedBlock`` / ``CoGroupBlock``
+``JoinedBlock``
     The ``(k, (v, w))`` output of an inner join against a unique-keyed
-    side as three columns, and the two-sided cogroup result that carries
-    it (:func:`hash_join`).  Both iterate as
+    side as three columns (:func:`hash_join`, which only ``join``
+    calls: a ``cogroup`` is always the scalar group list).  Iterates as
     exactly the scalar records.  A grouped left side makes the ``v``
     column ragged (a ``GroupBlock``); after ``values()`` the key column
     is dropped and the block iterates as the ``(v, w)`` records.
@@ -78,7 +78,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Iterator
 from zlib import crc32
 
 import numpy as np
@@ -89,7 +89,6 @@ __all__ = [
     "PairKeyBlock",
     "GroupBlock",
     "JoinedBlock",
-    "CoGroupBlock",
     "ContribBlock",
     "sum_by_key",
     "as_pair_block",
@@ -644,43 +643,6 @@ class JoinedBlock(Sequence):
 
     def __repr__(self) -> str:
         return f"JoinedBlock({len(self)} records)"
-
-
-class CoGroupBlock(Sequence):
-    """A two-sided cogroup whose inner join is already computed.
-
-    Stands in for the scalar ``[(k, (vs, ws)), ...]`` group list: ``len``
-    is the number of groups (what the next operator is charged on),
-    ``joined`` is the :class:`JoinedBlock` a ``join`` expands it to, and
-    any other consumer gets the scalar group list, built on first use by
-    ``rows`` (the scalar cogroup over the same two inputs).
-    """
-
-    __slots__ = ("joined", "n_groups", "_rows")
-
-    def __init__(self, joined: JoinedBlock, n_groups: int,
-                 rows: Callable[[], list]) -> None:
-        self.joined = joined
-        self.n_groups = n_groups
-        self._rows: "Callable[[], list] | list" = rows
-
-    def _materialize(self) -> list:
-        if not isinstance(self._rows, list):
-            self._rows = self._rows()
-        return self._rows
-
-    def __len__(self) -> int:
-        return self.n_groups
-
-    def __getitem__(self, i):
-        return self._materialize()[i]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __repr__(self) -> str:
-        return (f"CoGroupBlock({self.n_groups} groups, "
-                f"{len(self.joined)} joined)")
 
 
 def _regroup(keys: np.ndarray):

@@ -254,10 +254,6 @@ class SparkContext:
                 kind = msg.meta.get("kind")
                 if kind == "shutdown":
                     return
-                if kind == "kill":
-                    ex.dead = True
-                    ex.block_manager.drop_all()
-                    continue  # keep consuming; reply executor_lost to tasks
                 if kind != "task":
                     raise SparkError(f"executor got unknown message {kind!r}")
                 proc.compute(self.costs.spark_task_overhead)
@@ -336,9 +332,6 @@ class SparkContext:
         rescheduled.  Recovery is pure lineage recomputation — the DAG
         scheduler re-runs only the missing map partitions and resubmitted
         result tasks (Section VI-D)."""
-        ex = self.env.executors[executor_id]
-        ex.dead = True
-        ex.block_manager.drop_all()
         self._scheduler._on_executor_lost(executor_id)
 
     def _on_fault(self, plan: Any, t: float) -> None:

@@ -22,9 +22,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import SparkError
-from repro.sim.blocks import (CoGroupBlock, GroupBlock, JoinedBlock, PairBlock,
-                              PairKeyBlock, RecordBlock, as_pair_key_block,
-                              hash_join, pair_columns)
+from repro.sim.blocks import (GroupBlock, JoinedBlock, PairBlock, PairKeyBlock,
+                              RecordBlock, as_pair_key_block, hash_join,
+                              pair_columns)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.shuffle import merge_by_key
 from repro.spark.storage import StorageLevel
@@ -37,21 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _MISSING = object()
 
 
-def _join_expand(_i: int, it: list) -> list:
+def _join_expand(groups: list) -> list:
     """Cross product per cogrouped key, in ``(v, w)`` nesting order.
 
     Keyed joins against a unique-keyed side (PageRank's ranks) have
     single-element ``ws`` almost always; lift that case out of the nested
     comprehension so the inner loop runs per edge, not per pair of loops.
-    Output order matches the generic form: ``w`` varies fastest.  A
-    :class:`~repro.sim.blocks.CoGroupBlock` already carries this
-    expansion as columns.
+    Output order matches the generic form: ``w`` varies fastest.
     """
-    if isinstance(it, CoGroupBlock):
-        return it.joined
     out: list = []
     extend = out.extend
-    for k, (vs, ws) in it:
+    for k, (vs, ws) in groups:
         if len(ws) == 1:
             w = ws[0]
             extend([(k, (v, w)) for v in vs])
@@ -253,8 +249,10 @@ class RDD:
         """The primitive every narrow transformation lowers onto.
 
         ``vector`` is the declared columnar twin of ``f`` (see :meth:`map`
-        and :meth:`map_values`): block in, block out — or ``None`` for a
-        block it is not defined on.  ``f`` stays authoritative.
+        and :meth:`map_values`).  It is offered every partition — a list,
+        a block, a text split's raw block — and returns a block, or
+        ``None`` wherever it is not defined, so it checks its input's
+        type first.  ``f`` stays authoritative.
         """
         return MapPartitionsRDD(self, f, preserves_partitioning, cost, name,
                                 vector)
@@ -263,16 +261,17 @@ class RDD:
             vector: Callable | None = None) -> "RDD":
         """Apply ``f`` to every record.
 
-        ``vector`` optionally supplies the columnar twin of ``f``: a
-        function from the partition's block
+        ``vector`` optionally supplies the columnar twin of ``f``.  It is
+        offered every partition — a list, or a block
         (:class:`~repro.sim.blocks.JoinedBlock` after a block join,
         :class:`~repro.sim.blocks.PairBlock` after a numeric shuffle or a
-        columnar parse, :class:`~repro.sim.blocks.RecordBlock` straight
-        off ``text_file``) to a block whose records the caller asserts are
-        *bitwise* those of mapping ``f`` — or ``None`` where it is not
-        defined.  Same promise, same scope as ``map_values``'s:
-        used only when the partition arrives columnar, charges
-        identical, the scalar ``f`` authoritative everywhere else.
+        columnar parse, :class:`~repro.sim.blocks.GroupBlock` after a
+        grouping, :class:`~repro.sim.blocks.RecordBlock` straight off
+        ``text_file``) — and returns a block whose records the caller
+        asserts are *bitwise* those of mapping ``f``, or ``None`` wherever
+        it is not defined (a list, a block type it does not know).
+        Charges are identical, and the scalar ``f`` is authoritative
+        wherever the twin answers ``None``.
         """
         return self.map_partitions(
             lambda _i, it: [f(x) for x in it], cost=cost, name="map",
@@ -283,8 +282,9 @@ class RDD:
         """Apply ``f`` and flatten the results.
 
         ``vector`` is the declared columnar twin of the flattening, with
-        :meth:`map`'s contract: block in, a block whose records are
-        *bitwise* the flattened ``f`` outputs out, or ``None``.
+        :meth:`map`'s contract: offered every partition, it returns a
+        block whose records are *bitwise* the flattened ``f`` outputs, or
+        ``None`` wherever it is not defined.
         """
         return self.map_partitions(
             lambda _i, it: [y for x in it for y in f(x)], cost=cost,
@@ -452,18 +452,12 @@ class RDD:
 
     def cogroup(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
         """``(k, (values_self, values_other))`` — narrow when co-partitioned."""
-        part = HashPartitioner(num_partitions or max(self.num_partitions,
-                                                     other.num_partitions))
-        return CoGroupedRDD(self.sc, self, other, part)
+        return CoGroupedRDD(self, other, num_partitions)
 
     def join(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
         """Inner join; a narrow operation when both sides share the target
         partitioner (the mechanism behind Fig 6's shuffle avoidance)."""
-        return self.cogroup(other, num_partitions).map_partitions(
-            _join_expand,
-            preserves_partitioning=True,
-            name="join",
-        )
+        return JoinedRDD(self, other, num_partitions)
 
     def left_outer_join(self, other: "RDD",
                         num_partitions: int | None = None) -> "RDD":
@@ -850,14 +844,13 @@ class MapPartitionsRDD(RDD):
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
         records = ctx.iterator(self.deps[0].parent, index)
-        # A declared twin applies only to a partition that arrives
-        # columnar (a text split as its raw RecordBlock); the charge is
-        # the same either way.
-        block = records.block if type(records) is _TextPartition else records
+        # A declared twin is offered every partition (a text split as its
+        # raw RecordBlock) and answers None where it is not defined; the
+        # charge is the same either way.
         out = None
-        if self.vector is not None and isinstance(
-                block, (PairBlock, PairKeyBlock, JoinedBlock, RecordBlock)):
-            out = self.vector(block)
+        if self.vector is not None:
+            out = self.vector(records.block if type(records) is _TextPartition
+                              else records)
         ctx.charge_records(len(records), extra=self.cost_per_record)
         return self.f(index, records) if out is None else out
 
@@ -980,30 +973,30 @@ class CoGroupedRDD(RDD):
     decides, and it is the mechanism the tuned PageRank exploits.
     """
 
-    def __init__(self, sc: "SparkContext", left: RDD, right: RDD,
-                 partitioner: Partitioner) -> None:
+    _name = "CoGroup"
+
+    def __init__(self, left: RDD, right: RDD,
+                 num_partitions: int | None = None) -> None:
+        partitioner = HashPartitioner(
+            num_partitions or max(left.num_partitions, right.num_partitions))
         deps: list[Dependency] = [
             NarrowDependency(p) if p.partitioner == partitioner
             else ShuffleDependency(p, partitioner) for p in (left, right)]
-        super().__init__(sc, deps, partitioner.num_partitions)
+        super().__init__(left.sc, deps, partitioner.num_partitions)
         self.partitioner = partitioner
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
-        left, right = (
+    def _sides(self, index: int, ctx: "TaskContext") -> list:
+        """Both parents' records for partition ``index``: a co-partitioned
+        side read in place, the other fetched from its shuffle."""
+        return [
             ctx.shuffle_read(dep.shuffle_id, index, dep.parent.num_partitions)
             if isinstance(dep, ShuffleDependency)
             else ctx.iterator(dep.parent, index)
-            for dep in self.deps)
-        # the columnar join, when the left side is exact numeric pairs or
-        # a GroupBlock (unique keys) and the right side is unique
-        cols = ((left.keys, left) if type(left) is GroupBlock
-                else pair_columns(left))
-        joined = None if cols is None else hash_join(*cols, right)
-        if joined is not None:
-            out = CoGroupBlock(
-                *joined, lambda: list(_cogroup_pairs(left, right).items()))
-        else:
-            out = list(_cogroup_pairs(left, right).items())
+            for dep in self.deps]
+
+    def compute(self, index: int, ctx: "TaskContext") -> list:
+        left, right = self._sides(index, ctx)
+        out = list(_cogroup_pairs(left, right).items())
         # every input record lands in exactly one group list, so the sum
         # over group sizes equals the record count
         ctx.charge_records(len(left) + len(right))
@@ -1012,4 +1005,31 @@ class CoGroupedRDD(RDD):
     def _op_name(self) -> str:
         kinds = ["narrow" if isinstance(d, NarrowDependency) else "shuffle"
                  for d in self.deps]
-        return f"CoGroup[{','.join(kinds)}]"
+        return f"{self._name}[{','.join(kinds)}]"
+
+
+class JoinedRDD(CoGroupedRDD):
+    """``join``: the cogroup of both sides expanded to ``(k, (v, w))``.
+
+    A left side of exact numeric pairs or a ``GroupBlock`` (unique keys)
+    against a unique-keyed right side joins as columns
+    (:func:`~repro.sim.blocks.hash_join`, a ``JoinedBlock`` out); any
+    other partition takes the scalar cogroup and :func:`_join_expand`.
+    Charged as the cogroup and then its expansion: the records of both
+    sides, then one per group.
+    """
+
+    _name = "Join"
+
+    def compute(self, index: int, ctx: "TaskContext") -> list:
+        left, right = self._sides(index, ctx)
+        cols = ((left.keys, left) if type(left) is GroupBlock
+                else pair_columns(left))
+        joined = None if cols is None else hash_join(*cols, right)
+        if joined is None:
+            groups = list(_cogroup_pairs(left, right).items())
+            joined = _join_expand(groups), len(groups)
+        out, n_groups = joined
+        ctx.charge_records(len(left) + len(right))
+        ctx.charge_records(n_groups)
+        return out

@@ -375,8 +375,8 @@ class DAGScheduler:
         return total
 
     def _match_task(self, stage: Stage, queue: deque, free: deque,
-                    lineage_cacheable: bool = True,
-                    node_prefs: dict[int, set[int]] | None = None) -> tuple[int, int]:
+                    lineage_cacheable: bool,
+                    node_prefs: dict[int, set[int]]) -> tuple[int, int]:
         """Pick the next (partition, executor) pairing, locality first.
 
         A lightweight form of Spark's delay scheduling: prefer dispatching a
@@ -401,11 +401,9 @@ class DAGScheduler:
                     return part, hit
         # 2. a queued task with a free executor on a preferred node
         for qi, part in enumerate(queue):
-            nodes = node_prefs.get(part) if node_prefs is not None else None
+            nodes = node_prefs.get(part)
             if nodes is None:
-                nodes = set(stage.rdd.preferred_nodes(part))
-                if node_prefs is not None:
-                    node_prefs[part] = nodes
+                nodes = node_prefs[part] = set(stage.rdd.preferred_nodes(part))
             if not nodes:
                 continue
             hit = next(

@@ -32,7 +32,6 @@ from repro.core import figures
 from repro.platform import Dataset, ScenarioSpec, fingerprint_result
 import repro.sim.blocks as blocks
 from repro.sim.blocks import (
-    CoGroupBlock,
     ContribBlock,
     GroupBlock,
     JoinedBlock,
@@ -64,8 +63,7 @@ from repro.workloads.stackexchange import StackExchangeSpec
 
 #: the blocks the Spark kernels build; none may exist under
 #: :func:`ineligible_inputs`
-_KERNEL_BLOCKS = (PairBlock, PairKeyBlock, GroupBlock, JoinedBlock,
-                  CoGroupBlock)
+_KERNEL_BLOCKS = (PairBlock, PairKeyBlock, GroupBlock, JoinedBlock)
 
 
 @contextmanager
@@ -76,7 +74,7 @@ def ineligible_inputs():
     ``parse_int_pairs`` the one text→columns converter: with the first
     answering ``None`` and the second's line pattern matching nothing, the
     parse, the bucketing and combining writes, the reduce-side merge,
-    the cogroup and every declared twin run their scalar loops — exactly
+    the join and every declared twin run their scalar loops — exactly
     as they do in production for a malformed line or for records that are
     not exact numeric pairs.  The patch proves itself: a ``with`` body
     that constructs any of :data:`_KERNEL_BLOCKS` fails.
@@ -522,7 +520,7 @@ class TestHashJoin:
     def test_matches_scalar_cogroup_and_expand(self, left, right,
                                                right_as_block):
         groups = list(_cogroup_pairs(left, right).items())
-        want = _join_expand(0, groups)
+        want = _join_expand(groups)
         rside = PairBlock(*pair_columns(right)) if right_as_block else right
         got = hash_join(*pair_columns(left), rside)
         assert got is not None
@@ -564,48 +562,6 @@ class TestHashJoin:
     ])
     def test_other_left_sides_are_not_columnar(self, left):
         assert pair_columns(left) is None
-
-    def test_cogroup_block_iterates_as_the_scalar_groups(self):
-        left, right = [(1, 10), (2, 20), (1, 11)], [(1, 0.5), (3, 1.5)]
-        rows = lambda: list(_cogroup_pairs(left, right).items())  # noqa: E731
-        block = CoGroupBlock(
-            *hash_join(*pair_columns(left), right), rows)
-        assert len(block) == 3
-        assert list(block) == rows() and block[0] == (1, ([10, 11], [0.5]))
-        assert _join_expand(0, block) is block.joined
-        assert isinstance(block.joined, JoinedBlock)
-        assert list(block.joined) == [(1, (10, 0.5)), (1, (11, 0.5))]
-
-    def test_rdd_join_family_is_unchanged_by_the_block_path(self):
-        """End to end through the RDD API: an eligible join, its undeclared
-        consumers (plain cogroup, outer join, a lambda after the join) and
-        an ineligible one agree with the scalar plane."""
-        from repro.cluster import Cluster
-        from tests.conftest import TESTING_MACHINE, forced_trace
-        from repro.spark import SparkContext
-
-        edges = [(i % 7, (i * 5) % 11) for i in range(60)]
-        ranks = [(k, 1.0 + k / 4) for k in range(0, 9, 2)]
-
-        def app(sc):
-            links, rk = sc.parallelize(edges, 4), sc.parallelize(ranks, 3)
-            return (links.join(rk, 4).collect(),
-                    links.join(rk, 4).map(lambda r: r[1][1] * 2).collect(),
-                    links.cogroup(rk, 4).collect(),
-                    links.left_outer_join(rk, 4).collect(),
-                    links.join(sc.parallelize(ranks + [(2, 9.0)], 3),
-                               4).collect())
-
-        def run():
-            sc = SparkContext(Cluster(TESTING_MACHINE.with_nodes(2),
-                                      trace=forced_trace()),
-                              executors_per_node=2, app_startup=0.1)
-            res = sc.run(app)
-            return res.app_elapsed, res.value
-
-        with ineligible_inputs():
-            scalar = run()
-        assert run() == scalar
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +666,7 @@ class TestRaggedJoin:
                                                right_as_block):
         grouped = _grouped(pairs)
         groups = list(_cogroup_pairs(list(grouped), right).items())
-        want = _join_expand(0, groups)
+        want = _join_expand(groups)
         rside = PairBlock(*pair_columns(right)) if right_as_block else right
         joined, n_groups = hash_join(grouped.keys, grouped, rside)
         assert n_groups == len(groups)
@@ -788,11 +744,20 @@ class TestTextPipeline:
 
     @staticmethod
     def halve_negatives_block(block):
-        # defined where one branch covers the partition: the map output is
+        # defined where one branch covers a pair block: the map output is
         # float-valued for split 0 and int-valued for the others
+        if type(block) is not PairBlock:
+            return None
         if (block.keys < 0).all():
             return PairBlock(block.keys, block.values * 0.5)
         return block if (block.keys >= 0).all() else None
+
+    @staticmethod
+    def seed_block(block):
+        # the rank seed's twin, as HiBench declares it
+        if type(block) is not PairBlock:
+            return None
+        return PairBlock(block.keys, np.ones(len(block)))
 
     def run(self, twins: bool):
         from repro.fs.content import BytesContent
@@ -817,9 +782,8 @@ class TestTextPipeline:
                                   vector=twin(lambda v: v * 2**62)).collect(),
                 parsed.group_by_key(3).collect(),
                 parsed.join(parsed.map_values(lambda v: v + 1), 3).count(),
-                parsed.map(lambda e: (e[0], 1.0), vector=twin(
-                    lambda b: PairBlock(b.keys, np.ones(len(b))))
-                ).distinct(3).collect(),
+                parsed.map(lambda e: (e[0], 1.0),
+                           vector=twin(self.seed_block)).distinct(3).collect(),
                 # the cached block's buckets, cut at one width, then another
                 parsed.partition_by(2).collect(),
                 parsed.partition_by(3).collect(),
@@ -930,6 +894,9 @@ class TestDistinctOverPairBlocks:
 #: them) and past int64 (no column holds them)
 _PKEYS = st.one_of(st.integers(-2, 5), st.sampled_from(
     [2**53, 2**53 + 1, 2**62, -2**63, 2**64]))
+#: the float and str keys a quarter of the partitions mix in: no column
+#: takes them, and ``1.0`` merges with ``1``
+_PXKEYS = st.sampled_from([1.0, -0.0, 0.5, math.inf, "a", "b", ""])
 _PINTS = st.one_of(st.integers(-3, 3), st.sampled_from([2**62, -2**63, 2**63]))
 _PFLOATS = st.one_of(st.sampled_from(
     [0.0, -0.0, 1.5, math.inf, -math.inf, math.nan]), st.floats())
@@ -938,10 +905,12 @@ _PFLOATS = st.one_of(st.sampled_from(
 @st.composite
 def _keyed_partition(draw):
     """One partition of ``(int, int)`` or ``(int, float)`` pairs, or of
-    both mixed.  Every float is a fresh object, as a block's records
-    materialise (see :func:`_distinct_partition` on NaN identity)."""
+    both mixed, and now and then with float and str keys.  Every float
+    value is a fresh object, as a block's records materialise (see
+    :func:`_distinct_partition` on NaN identity)."""
+    keys = draw(st.sampled_from([_PKEYS] * 3 + [_PKEYS | _PXKEYS]))
     values = draw(st.sampled_from([_PINTS, _PFLOATS, _PINTS | _PFLOATS]))
-    pairs = draw(st.lists(st.tuples(_PKEYS, values), max_size=12))
+    pairs = draw(st.lists(st.tuples(keys, values), max_size=12))
     return [(k, np.float64(v).item() if type(v) is float else v)
             for k, v in pairs]
 
@@ -954,6 +923,29 @@ def _num(v):
 #: the right side every generated ``join`` meets: unique keys
 _RIGHT = [(k, k / 4) for k in (-2, 0, 1, 3, 5, 2**53)]
 
+
+class _Cut(int):
+    """A range bound every generated key compares with: a number as the
+    int it is, a str as lower than any bound."""
+
+    def __gt__(self, key):
+        return type(key) is str or int(self) > key
+
+
+def _first_value(kv):
+    """A record with its value, or its group's first value."""
+    k, v = kv
+    return k, v[0] if type(v) is list else v
+
+
+def _first_values(block):
+    """``map(_first_value)``'s twin: a pair block as it is and a group
+    block's first values; ``None`` on anything else."""
+    if type(block) is GroupBlock:
+        return PairBlock(block.keys, block.values[block.offsets[:-1]])
+    return block if type(block) is PairBlock else None
+
+
 #: name -> the keyed op ``(sc, rdd, nparts) -> rdd``
 KEYED_OPS = {
     "reduce_by_key": lambda sc, rdd, n: rdd.reduce_by_key(operator.add, n),
@@ -965,6 +957,20 @@ KEYED_OPS = {
         0, operator.add, operator.add, n),
     "join": lambda sc, rdd, n: rdd.join(sc.parallelize(_RIGHT, 2), n)
     .map_values(lambda vw: _num(vw[0]) * vw[1]),
+    # key 1 repeats on the right: the scalar join
+    "join(repeated key)": lambda sc, rdd, n: rdd.join(
+        sc.parallelize(_RIGHT + [(1, 0.75)], 2), n)
+    .map_values(lambda vw: _num(vw[0]) * vw[1]),
+    "join.values": lambda sc, rdd, n: rdd.join(sc.parallelize(_RIGHT, 2), n)
+    .values().map(lambda vw: (_num(vw[0]), vw[1])),
+    "left_outer_join": lambda sc, rdd, n: rdd.left_outer_join(
+        sc.parallelize(_RIGHT, 2), n)
+    .map_values(lambda vw: _num(vw[0]) * (2.0 if vw[1] is None else vw[1])),
+    "subtract_by_key": lambda sc, rdd, n: rdd.subtract_by_key(
+        sc.parallelize(_RIGHT, 2), n),
+    "keys": lambda sc, rdd, n: rdd.keys().map(lambda k: (k, 1)),
+    "map(twin)": lambda sc, rdd, n: rdd.map(_first_value,
+                                            vector=_first_values),
     "map_values": lambda sc, rdd, n: rdd.map_values(
         lambda v: v * 0.5, vector=lambda a: a * 0.5),
     "count_by_key": lambda sc, rdd, n: sc.parallelize(
@@ -972,22 +978,25 @@ KEYED_OPS = {
     "persist": lambda sc, rdd, n: (rdd.persist(), rdd.count())[0],
     # list-record map outputs: a range cut, and a cogroup's shuffled side
     "partition_by(range)": lambda sc, rdd, n: rdd.partition_by(
-        RangePartitioner(list(range(n - 1)))),
+        RangePartitioner([_Cut(i) for i in range(n - 1)])),
     "cogroup": lambda sc, rdd, n: rdd.cogroup(sc.parallelize(_RIGHT, 2), n)
     .map_values(lambda vws: sum(vws[0]) + sum(vws[1])),
 }
 
 #: the ops that keep a group's list values as they are
-_KEEP_GROUPS = {"persist", "partition_by(range)"}
+_KEEP_GROUPS = {"persist", "partition_by(range)", "subtract_by_key"}
 #: the ops that take a group's list values as they are
-_TAKE_GROUPS = {"join", "count_by_key"} | _KEEP_GROUPS
+_TAKE_GROUPS = {"join", "join(repeated key)", "join.values",
+                "left_outer_join", "keys", "map(twin)",
+                "count_by_key"} | _KEEP_GROUPS
 
 
 class TestGeneratedKeyedPrograms:
     """Generated programs of 1-3 keyed ops over generated pair partitions
     give the same records (float bits included), app time and trace with
     and without :func:`ineligible_inputs`: every merge kernel, block cut,
-    block join and twin against its scalar loop."""
+    block join and twin against its scalar loop, each twin offered lists
+    and blocks it is not defined on."""
 
     @staticmethod
     def program(ops, nparts: int):
@@ -1012,6 +1021,52 @@ class TestGeneratedKeyedPrograms:
         with ineligible_inputs():
             scalar = run_keyed_program(parts, program, scale)
         assert run_keyed_program(parts, program, scale) == scalar
+
+
+class TestBlockDispatch:
+    """Who takes a block path: only ``join`` joins columns, and a declared
+    twin is offered every partition."""
+
+    #: float-valued pair blocks; the right side is ``_RIGHT``
+    PARTS = [[(1, 0.5), (3, 1.5), (1, 2.0)], [(5, -0.0), (2, 4.0)]]
+
+    def test_only_join_calls_the_block_join(self, monkeypatch):
+        import repro.spark.rdd as rdd_module
+
+        calls: list = []
+
+        def counting(*args):
+            calls.append(1)
+            return hash_join(*args)
+
+        monkeypatch.setattr(rdd_module, "hash_join", counting)
+        ops = {"join": 3, "cogroup": 0, "left_outer_join": 0,
+               "subtract_by_key": 0}
+        got = {}
+        for op in ops:
+            calls.clear()
+            run_keyed_program(self.PARTS, lambda sc, rdd, op=op:
+                              KEYED_OPS[op](sc, rdd, 3).collect(), 1)
+            got[op] = len(calls)
+        # once per reduce partition, and only where the join is the output
+        assert got == ops
+
+    def test_a_twin_is_offered_the_groups(self):
+        offered: list = []
+
+        def twin(block):
+            offered.append(type(block))
+            return _first_values(block)
+
+        def program(_sc, rdd):
+            return rdd.group_by_key(2).map(_first_value, vector=twin).collect()
+
+        with ineligible_inputs():
+            scalar = run_keyed_program(self.PARTS, program, 1)
+        assert offered == [list, list]
+        offered.clear()
+        assert run_keyed_program(self.PARTS, program, 1) == scalar
+        assert offered == [GroupBlock, GroupBlock]
 
 
 class TestClosedFormSizing:

@@ -73,8 +73,7 @@ class TestStageConstruction:
         def app(sc):
             left = sc.parallelize([(1, 1)], 2).partition_by(2)
             joined = left.join(left.map_values(lambda v: v))
-            cg = joined.deps[0].parent  # the join's map sits on the cogroup
-            return [type(d).__name__ for d in cg.deps]
+            return [type(d).__name__ for d in joined.deps]
 
         assert sc.run(app).value == ["NarrowDependency", "NarrowDependency"]
 
