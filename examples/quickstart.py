@@ -56,9 +56,10 @@ def openmp_wordcount(session: Session) -> tuple[Counter, float]:
 
         local = Counter()
         for i in omp.for_range(n_chunks, schedule="dynamic"):
-            records = read_split_records(
-                fs, current_process(), "corpus.txt",
-                i * chunk, min(size, (i + 1) * chunk))
+            proc = current_process()
+            records = proc.run_steps(read_split_records(
+                fs, proc, "corpus.txt",
+                i * chunk, min(size, (i + 1) * chunk)))
             for line in records:
                 local.update(line.decode().split())
         total = omp.reduce(local, op=lambda a, b: a + b)
@@ -78,11 +79,11 @@ def mpi_wordcount(session: Session) -> tuple[Counter, float]:
     def main(comm):
         size = fs.size("corpus.txt")
         chunk = -(-size // comm.size)
-        records = read_split_records(
-            fs, __import__("repro.sim", fromlist=["current_process"])
-            .current_process(),
-            "corpus.txt", comm.rank * chunk,
-            min(size, (comm.rank + 1) * chunk))
+        proc = __import__("repro.sim",
+                          fromlist=["current_process"]).current_process()
+        records = proc.run_steps(read_split_records(
+            fs, proc, "corpus.txt", comm.rank * chunk,
+            min(size, (comm.rank + 1) * chunk)))
         local = Counter()
         for line in records:
             local.update(line.decode().split())
@@ -106,9 +107,10 @@ def shmem_wordcount(session: Session) -> tuple[Counter, float]:
         counts = pe.alloc(len(vocab), dtype=np.float64)
         size = fs.size("corpus.txt")
         chunk = -(-size // pe.n_pes)
-        records = read_split_records(
-            fs, current_process(), "corpus.txt",
-            pe.my_pe * chunk, min(size, (pe.my_pe + 1) * chunk))
+        proc = current_process()
+        records = proc.run_steps(read_split_records(
+            fs, proc, "corpus.txt",
+            pe.my_pe * chunk, min(size, (pe.my_pe + 1) * chunk)))
         local = pe.local(counts)
         for line in records:
             for w in line.decode().split():

@@ -34,13 +34,14 @@ def openmp_answers_count(
     def region(omp) -> tuple[float, float]:
         from repro.sim import current_process
 
+        proc = current_process()
         t0 = omp.wtime()
         questions = 0
         answers = 0
         for i in omp.for_range(n_chunks, schedule="dynamic"):
             start = i * CHUNK
-            records = read_split_records(
-                fs, current_process(), path, start, min(size, start + CHUNK))
+            records = proc.run_steps(read_split_records(
+                fs, proc, path, start, min(size, start + CHUNK)))
             # native-rate text scan of the chunk (logical bytes)
             omp.compute_bytes(
                 sum(len(r) + 1 for r in records) * scale,

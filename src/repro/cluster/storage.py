@@ -1,7 +1,8 @@
 """Storage devices: node-local SSD scratch and the shared NFS/Lustre front.
 
 Devices expose blocking ``read``/``write`` primitives that charge a
-per-request service latency plus a fluid-bandwidth term.  SSD *read
+per-request service latency plus a fluid-bandwidth term; each is
+``run_steps`` over its one body, ``read_steps``/``write_steps``.  SSD *read
 contention* — the effect Section III-C of the paper discusses (throughput
 degrading once too many processes read in parallel, cf. the threshold
 algorithm of reference [20]) — is modelled by a capacity-efficiency curve.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.sim.resources import FlowSystem, FluidResource
 from repro.sim.trace import Trace
 
@@ -79,8 +80,13 @@ class StorageDevice:
 
     def read(self, proc: SimProcess, nbytes: float, *, label: str = "") -> float:
         """Read ``nbytes``; blocks ``proc``; returns completion time."""
+        return proc.run_steps(self.read_steps(proc, nbytes, label=label))
+
+    def read_steps(self, proc: SimProcess, nbytes: float, *,
+                   label: str = "") -> Steps[float]:
+        """Step form of :meth:`read` (see ``SimProcess.run_steps``)."""
         proc.compute(self.latency)
-        done = self.flows.transfer(
+        done = yield from self.flows.transfer_steps(
             proc, (self._read,), nbytes, label=label or f"read:{self.name}"
         )
         if self.trace.enabled:
@@ -90,8 +96,13 @@ class StorageDevice:
 
     def write(self, proc: SimProcess, nbytes: float, *, label: str = "") -> float:
         """Write ``nbytes``; blocks ``proc``; returns completion time."""
+        return proc.run_steps(self.write_steps(proc, nbytes, label=label))
+
+    def write_steps(self, proc: SimProcess, nbytes: float, *,
+                    label: str = "") -> Steps[float]:
+        """Step form of :meth:`write` (see ``SimProcess.run_steps``)."""
         proc.compute(self.latency)
-        done = self.flows.transfer(
+        done = yield from self.flows.transfer_steps(
             proc, (self._write,), nbytes, label=label or f"write:{self.name}"
         )
         if self.trace.enabled:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from repro.errors import FileExistsInSim, FileNotFoundInSim
 from repro.fs.content import ContentProvider
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 
 
 class SimFile:
@@ -67,7 +67,10 @@ class FileSystem(ABC):
 
     Creation (:meth:`create`) is a host-side setup operation and is never
     timed; the timed surface is :meth:`read` and :meth:`write`, which must be
-    called from within a simulated process.
+    called from within a simulated process.  Each has one body, its step
+    form (:meth:`read_steps`, :meth:`write_steps`), which runtime code
+    composes with ``yield from``; the blocking name is
+    ``proc.run_steps(...)`` over it, kept in each filesystem's own class.
     """
 
     #: URL-ish scheme used in traces and experiment configs
@@ -111,7 +114,17 @@ class FileSystem(ABC):
         """Timed read of logical range ``[offset, offset+length)``.
 
         Blocks ``proc`` for the modelled I/O duration and returns the
-        physical sample bytes.
+        physical sample bytes: ``proc.run_steps(self.read_steps(...))``.
+        """
+
+    @abstractmethod
+    def read_steps(self, proc: SimProcess, path: str, offset: int,
+                   length: int) -> Steps[bytes]:
+        """Step form of :meth:`read` (see ``SimProcess.run_steps``).
+
+        Charges the same time in the same order as the blocking read, and
+        records the same race-checker accesses (``trace.access``), so a
+        reader written as steps is ordered like any other.
         """
 
     @abstractmethod
@@ -119,8 +132,14 @@ class FileSystem(ABC):
         """Timed write creating/extending ``path`` by ``nbytes`` logical bytes.
 
         Output files carry no payload (benchmark outputs are verified at the
-        application level); only the cost matters.
+        application level); only the cost matters.  Blocks ``proc``:
+        ``proc.run_steps(self.write_steps(...))``.
         """
+
+    @abstractmethod
+    def write_steps(self, proc: SimProcess, path: str,
+                    nbytes: int) -> Steps[None]:
+        """Step form of :meth:`write` (see ``SimProcess.run_steps``)."""
 
     # -- helpers -------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ from repro.costs import HDFS_CLIENT_RATE, HDFS_NAMENODE_LOOKUP
 from repro.errors import BlockUnavailableError, ConfigurationError, HDFSError
 from repro.fs.base import FileSystem, SimFile
 from repro.fs.content import BytesContent, ContentProvider
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.units import MB
 
 DEFAULT_BLOCK_SIZE = 128 * MB
@@ -223,6 +223,11 @@ class HDFS(FileSystem):
 
     def read(self, proc: SimProcess, path: str, offset: int, length: int) -> bytes:
         """Read a logical range, block by block, preferring local replicas."""
+        return proc.run_steps(self.read_steps(proc, path, offset, length))
+
+    def read_steps(self, proc: SimProcess, path: str, offset: int,
+                   length: int) -> Steps[bytes]:
+        """Step form of :meth:`read` (see ``SimProcess.run_steps``)."""
         f = self._check_have(self._files, path)
         start, end = f.physical_range(offset, length)
         lo = min(offset, f.logical_size)
@@ -244,10 +249,11 @@ class HDFS(FileSystem):
             if trace.hb:
                 trace.access(proc, "read", f"hdfs:{path}",
                              start=max(lo, b.start), stop=min(hi, b.end))
-            self.cluster.nodes[src].ssd.read(proc, take, label=b.label)
+            yield from self.cluster.nodes[src].ssd.read_steps(
+                proc, take, label=b.label)
             proc.compute_bytes(take, HDFS_CLIENT_RATE)
             if src != node.id:
-                self.cluster.network.transmit(
+                yield from self.cluster.network.transmit_steps(
                     proc, self.fabric, src, node.id, take, label=b.label)
         return f.content.read(start, end - start)
 
@@ -270,6 +276,11 @@ class HDFS(FileSystem):
         local write plus one network hop per remote replica (the pipeline's
         serialisation point).
         """
+        proc.run_steps(self.write_steps(proc, path, nbytes))
+
+    def write_steps(self, proc: SimProcess, path: str,
+                    nbytes: int) -> Steps[None]:
+        """Step form of :meth:`write` (see ``SimProcess.run_steps``)."""
         node = self.cluster.node_of(proc)
         if path not in self._files:
             self._files[path] = SimFile(path, BytesContent(b""), 1)
@@ -295,9 +306,10 @@ class HDFS(FileSystem):
                                       stop=base + written + take)
             for j, r in enumerate(replicas):
                 if r == node.id:
-                    self.cluster.nodes[r].ssd.write(proc, take, label=f"hdfs:{path}")
+                    yield from self.cluster.nodes[r].ssd.write_steps(
+                        proc, take, label=f"hdfs:{path}")
                 else:
-                    self.cluster.network.transmit(
+                    yield from self.cluster.network.transmit_steps(
                         proc, self.fabric, node.id, r, take, label=f"hdfs:{path}"
                     )
             blocks.append(Block(index, base + written, base + written + take,

@@ -16,7 +16,7 @@ from repro.cluster.cluster import Cluster
 from repro.errors import FileNotFoundInSim
 from repro.fs.base import FileSystem, SimFile
 from repro.fs.content import ContentProvider
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 
 
 class LocalFS(FileSystem):
@@ -90,6 +90,10 @@ class LocalFS(FileSystem):
     # -- timed I/O --------------------------------------------------------------------
 
     def read(self, proc: SimProcess, path: str, offset: int, length: int) -> bytes:
+        return proc.run_steps(self.read_steps(proc, path, offset, length))
+
+    def read_steps(self, proc: SimProcess, path: str, offset: int,
+                   length: int) -> Steps[bytes]:
         node = self.cluster.node_of(proc)
         f = self._check_have(self._files[node.id], path)
         start, end = f.physical_range(offset, length)
@@ -99,10 +103,14 @@ class LocalFS(FileSystem):
                 proc, "read", f"local:{path}@node{node.id}",
                 start=min(offset, f.logical_size),
                 stop=min(offset + length, f.logical_size))
-            node.ssd.read(proc, nbytes, label=f"local:{path}")
+            yield from node.ssd.read_steps(proc, nbytes, label=f"local:{path}")
         return f.content.read(start, end - start)
 
     def write(self, proc: SimProcess, path: str, nbytes: int) -> None:
+        proc.run_steps(self.write_steps(proc, path, nbytes))
+
+    def write_steps(self, proc: SimProcess, path: str,
+                    nbytes: int) -> Steps[None]:
         node = self.cluster.node_of(proc)
         files = self._files[node.id]
         if path not in files:
@@ -112,4 +120,4 @@ class LocalFS(FileSystem):
         # Appends don't track offsets, so the access covers the whole file:
         # any concurrent touch of the same node-local path is a real race.
         self.cluster.trace.access(proc, "write", f"local:{path}@node{node.id}")
-        node.ssd.write(proc, nbytes, label=f"local:{path}")
+        yield from node.ssd.write_steps(proc, nbytes, label=f"local:{path}")

@@ -13,7 +13,7 @@ from typing import Iterable
 from repro.cluster.cluster import Cluster
 from repro.fs.base import FileSystem, SimFile
 from repro.fs.content import BytesContent, ContentProvider
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 
 
 class NFSFileSystem(FileSystem):
@@ -43,14 +43,30 @@ class NFSFileSystem(FileSystem):
         del self._files[path]
 
     def read(self, proc: SimProcess, path: str, offset: int, length: int) -> bytes:
+        return proc.run_steps(self.read_steps(proc, path, offset, length))
+
+    def read_steps(self, proc: SimProcess, path: str, offset: int,
+                   length: int) -> Steps[bytes]:
         f = self._check_have(self._files, path)
         start, end = f.physical_range(offset, length)
         nbytes = min(offset + length, f.logical_size) - min(offset, f.logical_size)
         if nbytes > 0:
-            self.cluster.nfs_device.read(proc, nbytes, label=f"nfs:{path}")
+            self.cluster.trace.access(
+                proc, "read", f"nfs:{path}",
+                start=min(offset, f.logical_size),
+                stop=min(offset + length, f.logical_size))
+            yield from self.cluster.nfs_device.read_steps(
+                proc, nbytes, label=f"nfs:{path}")
         return f.content.read(start, end - start)
 
     def write(self, proc: SimProcess, path: str, nbytes: int) -> None:
+        proc.run_steps(self.write_steps(proc, path, nbytes))
+
+    def write_steps(self, proc: SimProcess, path: str,
+                    nbytes: int) -> Steps[None]:
         if path not in self._files:
             self._files[path] = SimFile(path, BytesContent(b""), 1)
-        self.cluster.nfs_device.write(proc, nbytes, label=f"nfs:{path}")
+        # Appends don't track offsets, so the access covers the whole file.
+        self.cluster.trace.access(proc, "write", f"nfs:{path}")
+        yield from self.cluster.nfs_device.write_steps(
+            proc, nbytes, label=f"nfs:{path}")

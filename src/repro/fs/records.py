@@ -21,7 +21,7 @@ from typing import Iterator
 
 from repro.fs.base import FileSystem
 from repro.sim.blocks import RecordBlock
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.units import KiB
 
 #: Bytes fetched per probe when finishing a record that crosses the split end.
@@ -36,8 +36,13 @@ def read_split_records(
     end: int,
     *,
     lookahead: int = LOOKAHEAD,
-) -> RecordBlock:
+) -> Steps[RecordBlock]:
     """Timed read of the records owned by logical split ``[start, end)``.
+
+    Written as steps: a thread runs it as ``proc.run_steps(
+    read_split_records(...))``, a step body composes it with ``yield
+    from``, and either way the split read and its boundary probes park the
+    owner's thread at most once.
 
     Returns the records as byte strings (no trailing newlines): a
     :class:`~repro.sim.blocks.RecordBlock` over the split's buffer
@@ -51,7 +56,7 @@ def read_split_records(
     end = max(start, min(end, lsize))
     if start == end:
         return RecordBlock(b"")
-    buf = fs.read(proc, path, start, end - start)
+    buf = yield from fs.read_steps(proc, path, start, end - start)
     pstart, pend = f.physical_range(start, end - start)
     psize = f.physical_size
 
@@ -62,7 +67,7 @@ def read_split_records(
         step = min(lookahead, lsize - probe_l)
         if step <= 0:
             break
-        more = fs.read(proc, path, probe_l, step)
+        more = yield from fs.read_steps(proc, path, probe_l, step)
         probe_l += step
         probe_p += len(more)
         nl = more.find(b"\n")

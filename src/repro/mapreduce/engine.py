@@ -7,7 +7,9 @@ Execution model (Hadoop 2.x, as the paper ran it):
   slots, preferring nodes that hold a replica of the split (locality);
 * each attempt is its own simulated process paying the **JVM start** cost —
   a dominant term for short tasks and a big part of why Hadoop sits above
-  Spark in Fig 4;
+  Spark in Fig 4.  An attempt's body is steps (a generator: its waits are
+  split reads, spills, fetches and reports; user mapper, combiner and
+  reducer closures never wait), so the engine runs it without a thread;
 * map output is combined (optionally), hash-partitioned, sorted and
   **spilled to the local SSD**;
 * reduce tasks start once every map finished (we do not model slow-start),
@@ -29,6 +31,7 @@ from repro.fs.hdfs import HDFS
 from repro.fs.records import read_split_records
 from repro.mapreduce.types import FaultInjector, JobConf, JobCounters, JobResult
 from repro.sim.engine import current_process
+from repro.sim.process import Steps
 from repro.sim.sync import Mailbox
 from repro.spark.partitioner import stable_hash
 from repro.spark.shuffle import estimate_nbytes
@@ -235,17 +238,18 @@ def _run_wave(state: _JobState, kind: str, task_ids: list[int], preferred,
 
 
 # ---------------------------------------------------------------------------
-# task attempts (each runs on its own simulated process)
+# task attempts (each a threadless simulated process: its body is steps)
 # ---------------------------------------------------------------------------
 
 
-def _report(state: _JobState, kind: str, tid: int, status: str, payload: Any) -> None:
+def _report(state: _JobState, kind: str, tid: int, status: str,
+            payload: Any) -> Steps[None]:
     proc = current_process()
     nbytes = 64 + (estimate_nbytes(payload) if isinstance(payload, list) else 0)
     arrival = state.cluster.network.msg_arrival(
         proc, state.fabric, state.cluster.node_of(proc).id, 0, nbytes)
-    state.driver_box.post(proc, payload, arrival=arrival, kind=kind,
-                          task=tid, status=status)
+    yield from state.driver_box.post_steps(proc, payload, arrival=arrival,
+                                           kind=kind, task=tid, status=status)
 
 
 def _maybe_fail(state: _JobState, kind: str, tid: int, attempt: int) -> None:
@@ -254,14 +258,14 @@ def _maybe_fail(state: _JobState, kind: str, tid: int, attempt: int) -> None:
 
 
 def _map_attempt(state: _JobState, tid: int, split: tuple[int, int],
-                 attempt: int) -> None:
+                 attempt: int) -> Steps[None]:
     proc = current_process()
     conf, costs = state.conf, state.costs
     try:
         proc.compute(costs.hadoop_task_jvm)
         _maybe_fail(state, "map", tid, attempt)
-        records = read_split_records(state.fs, proc, state.path,
-                                     split[0], split[1])
+        records = yield from read_split_records(state.fs, proc, state.path,
+                                                split[0], split[1])
         proc.compute_bytes(max(1, split[1] - split[0]), costs.parse_rate_jvm)
         out: list[tuple[Any, Any]] = []
         # one buffer-level decode (string-equal to per-record decode)
@@ -305,18 +309,20 @@ def _map_attempt(state: _JobState, tid: int, split: tuple[int, int],
             total += nbytes
         # sort + spill to local disk (the defining Hadoop cost)
         proc.compute_bytes(max(1, total), costs.hadoop_sort_rate)
-        node.ssd.write(proc, max(1, total), label=f"mr:spill{tid}")
+        yield from node.ssd.write_steps(proc, max(1, total),
+                                        label=f"mr:spill{tid}")
         state.counters.spilled_bytes += total
         state.map_node[tid] = node.id
-        _report(state, "map", tid, "ok", None)
+        yield from _report(state, "map", tid, "ok", None)
     except (_InjectedFault, BlockUnavailableError) as exc:
         # BlockUnavailable: the split's HDFS replicas all died (node crash
         # at replication=1); the attempt fails like any task failure and
         # the retry budget decides whether the job survives
-        _report(state, "map", tid, "failed", str(exc))
+        yield from _report(state, "map", tid, "failed", str(exc))
 
 
-def _reduce_attempt(state: _JobState, tid: int, n_maps: int, attempt: int) -> None:
+def _reduce_attempt(state: _JobState, tid: int, n_maps: int,
+                    attempt: int) -> Steps[None]:
     proc = current_process()
     conf, costs = state.conf, state.costs
     try:
@@ -333,13 +339,14 @@ def _reduce_attempt(state: _JobState, tid: int, n_maps: int, attempt: int) -> No
                 # re-executes the source maps before retrying this reduce
                 lost = [m for m in range(n_maps)
                         if state.map_node[m] in state.cluster.failed_nodes]
-                _report(state, "reduce", tid, "lost_maps", lost)
+                yield from _report(state, "reduce", tid, "lost_maps", lost)
                 return
             nbytes = max(1, state.map_output_sizes[(mid, tid)])
             src = state.map_node[mid]
-            state.cluster.nodes[src].ssd.read(proc, nbytes, label="mr:serve")
+            yield from state.cluster.nodes[src].ssd.read_steps(
+                proc, nbytes, label="mr:serve")
             if src != my_node.id:
-                state.cluster.network.transmit(
+                yield from state.cluster.network.transmit_steps(
                     proc, state.fabric, src, my_node.id, nbytes,
                     label=f"mr:fetch{mid}->{tid}")
                 state.counters.shuffled_bytes_remote += nbytes
@@ -368,8 +375,8 @@ def _reduce_attempt(state: _JobState, tid: int, n_maps: int, attempt: int) -> No
         if conf.output_url is not None:
             scheme, _, path = conf.output_url.partition("://")
             ofs = state.cluster.filesystems[scheme]
-            ofs.write(proc, f"{path}/part-r-{tid:05d}",
-                      max(1, estimate_nbytes(out)))
-        _report(state, "reduce", tid, "ok", out)
+            yield from ofs.write_steps(proc, f"{path}/part-r-{tid:05d}",
+                                       max(1, estimate_nbytes(out)))
+        yield from _report(state, "reduce", tid, "ok", out)
     except (_InjectedFault, BlockUnavailableError) as exc:
-        _report(state, "reduce", tid, "failed", str(exc))
+        yield from _report(state, "reduce", tid, "failed", str(exc))

@@ -105,9 +105,10 @@ def run_mpi_mapreduce(
         chunk = -(-size // comm.size)
         comm.barrier()
         t0 = comm.wtime()
-        raw = read_split_records(
-            fs, current_process(), path,
-            comm.rank * chunk, min(size, (comm.rank + 1) * chunk))
+        proc = current_process()
+        raw = proc.run_steps(read_split_records(
+            fs, proc, path,
+            comm.rank * chunk, min(size, (comm.rank + 1) * chunk)))
         records = [r.decode("utf-8", errors="replace") for r in raw]
         local = mapreduce(comm, records, mapper, reducer, combiner)
         gathered = comm.gather(local, root=0)

@@ -10,7 +10,9 @@ simulation is deterministic.
 
 The engine runs on the caller's thread; simulated processes each own a
 daemon thread that is parked except when granted the token, so at any moment
-at most one thread is doing work.
+at most one thread is doing work.  The exception is a process whose body is
+a generator function: it is all steps (point 4 below), so it owns no thread
+and the engine runs its body at its turns.
 
 Execution model
 ---------------
@@ -60,7 +62,10 @@ not change the schedule order, a transfer, a protocol round) switch-free:
    turn :meth:`_dispatch` runs the next segment on the thread that holds
    the token, with :func:`current_process` bound to the owner, and keeps
    popping; the owner's thread is granted once, when the generator
-   returns.  A segment starts at exactly the ``(clock, pid)`` turn at
+   returns — or never, for a threadless process, whose body is the
+   generator: it is DONE when the body returns and FAILED (the supervisor
+   woken) when it raises.  A Hadoop task attempt is such a body.  A
+   segment starts at exactly the ``(clock, pid)`` turn at
    which a thread parked at that request would have resumed — the same
    retention test, the same push, the same BLOCKED state — so the
    interleaving is that of parked threads; only the thread executing it
@@ -90,6 +95,7 @@ dissemination-barrier rounds) thread grants per repetition fell from
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import gc
@@ -209,7 +215,9 @@ class Engine:
         May be called before :meth:`run` or from *inside* a running process
         (dynamic spawning, used by the MapReduce engine to launch task
         attempts).  A dynamically spawned process starts at the spawner's
-        current virtual time unless ``start_time`` is given.
+        current virtual time unless ``start_time`` is given.  When ``fn``
+        (unwrapped) is a generator function, its body is steps and the
+        process gets no thread (see ``SimProcess._start``).
         """
         parent = getattr(_current, "proc", None)
         if start_time is None:
@@ -420,12 +428,32 @@ class Engine:
         holds the token and picks the next minimum).  A step that raises is
         the owner's failure: the exception is handed to the owner's thread,
         which is granted the token and re-raises it from its ``run_steps``.
+        A threadless process ends here instead (:meth:`_finish`).
         """
         if proc.clock > self.now:
             self.now = proc.clock
         if proc._steps is not None and not self._resume(proc):
             return False
+        if proc._thread is None:
+            return self._finish(proc)
         proc._grant()
+        return True
+
+    def _finish(self, proc: SimProcess) -> bool:
+        """A threadless process's body is over: DONE, or FAILED.
+
+        Returns ``False`` (the caller keeps the token) when the body
+        returned; when it raised, wakes the supervisor, which aborts the
+        run, and returns ``True``.
+        """
+        exc, proc._step_error = proc._step_error, None
+        if exc is None:
+            proc.result, proc._step_result = proc._step_result, None
+            proc.state = ProcState.DONE
+            return False
+        proc.state = ProcState.FAILED
+        proc.exception = exc
+        self._yield_evt.set()
         return True
 
     def _resume(self, proc: SimProcess) -> bool:
@@ -445,11 +473,21 @@ class Engine:
             _current.proc = prev
 
     def _abort(self) -> None:
-        """Unwind every parked process by injecting ``SimKilled``."""
+        """Unwind every parked process by injecting ``SimKilled``.
+
+        A parked threadless process has no thread to unwind: its body is
+        closed here, on the supervisor's thread.
+        """
         self._aborting = True
         try:
             for p in self.processes:
-                if p.state in (ProcState.RUNNABLE, ProcState.BLOCKED):
+                if p._thread is None and p.alive:
+                    p.state = ProcState.FAILED
+                    steps, p._steps = p._steps, None
+                    if steps is not None:
+                        with contextlib.suppress(Exception):
+                            steps.close()
+                elif p.state in (ProcState.RUNNABLE, ProcState.BLOCKED):
                     p._killed = True
                     self._yield_evt.clear()
                     p._go.release()
@@ -480,7 +518,13 @@ class Engine:
         those are skipped too and the site is the call into that runtime
         (the user's ``comm.barrier()``), if there is one.  Returns ``None``
         when no frame can be attributed.
+
+        A threadless process has no stack: its site is the innermost frame
+        outside ``repro/sim/`` in the chain of generators its body is
+        suspended in (``gi_yieldfrom``).
         """
+        if proc._thread is None:
+            return self._steps_site(proc._steps)
         code = getattr(proc._steps, "gi_code", None)
         runtime = None
         if code is not None:
@@ -495,6 +539,20 @@ class Engine:
                     return here
                 site = site or here
             frame = frame.f_back
+        return site
+
+    @staticmethod
+    def _steps_site(steps: Any) -> str | None:
+        """``path:line`` of the innermost suspended generator outside the sim."""
+        site = None
+        while steps is not None:
+            frame = getattr(steps, "gi_frame", None)
+            if frame is None:
+                break
+            path = anchored_path(frame.f_code.co_filename)
+            if not path.startswith("repro/sim/"):
+                site = f"{path}:{frame.f_lineno}"
+            steps = steps.gi_yieldfrom
         return site
 
     def _wait_edges(

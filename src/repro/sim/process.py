@@ -25,12 +25,18 @@ has one body, its step form (``checkpoint_steps``, ``block_steps``,
 it.  Runtime code composes the step forms with ``yield from`` and never
 yields a request itself.
 
+The exception to "its own OS thread": a process whose body is a generator
+function is all steps, so it gets no thread.  The engine runs the body as
+it runs parked steps, at each of the process's turns on whichever thread
+holds the token; the generator's return value is the process's result.
+
 All methods prefixed with an underscore are engine/runtime internals.
 """
 
 from __future__ import annotations
 
 import enum
+import inspect
 import threading
 from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Generator, TypeVar
@@ -155,9 +161,13 @@ class SimProcess:
         #: influences scheduling or virtual time, so enabling it cannot
         #: change simulation outputs.
         self.vc: dict[int, int] | None = None
-        self._thread = threading.Thread(
-            target=self._thread_main, name=f"sim:{name}", daemon=True
-        )
+        #: the backing thread, or ``None`` when ``fn`` is a generator
+        #: function: such a body is all steps, and the engine runs it at
+        #: this process's turns without a thread (see ``_start``)
+        self._thread: threading.Thread | None = None
+        if not inspect.isgeneratorfunction(inspect.unwrap(fn)):
+            self._thread = threading.Thread(
+                target=self._thread_main, name=f"sim:{name}", daemon=True)
 
     # -- introspection ------------------------------------------------------
 
@@ -467,12 +477,19 @@ class SimProcess:
         self._go.release()
 
     def _start(self) -> None:
-        """Engine-side: start the backing thread (parked immediately)."""
+        """Engine-side: start the backing thread (parked immediately).
+
+        A threadless process instead parks its body as steps: its first
+        segment runs at its first turn, like a first grant.
+        """
         if self.state is not ProcState.NEW:
             return
         self.state = ProcState.RUNNABLE
         self.engine._push(self)
-        self._thread.start()
+        if self._thread is None:
+            self._steps = self._fn(*self._args, **self._kwargs)
+        else:
+            self._thread.start()
 
     def _assert_current(self) -> None:
         if self.state is not ProcState.RUNNING:

@@ -77,11 +77,13 @@ def call_site(skip: tuple[str, ...] = ("repro/sim/",),
 
     From a step (``SimProcess.run_steps``) pass the owner as ``proc``: a
     step may run on another process's thread, and then the owner's call
-    is on its own thread's stack, where it waits in ``run_steps``.
+    is on its own thread's stack, where it waits in ``run_steps``.  A
+    threadless process's steps are its whole body, all on this stack.
     """
     frame = sys._getframe(1)
-    if proc is not None and proc._thread.ident != threading.get_ident():
-        frame = sys._current_frames().get(proc._thread.ident)
+    thread = proc._thread if proc is not None else None
+    if thread is not None and thread.ident != threading.get_ident():
+        frame = sys._current_frames().get(thread.ident)
     while frame is not None:
         path = anchored_path(frame.f_code.co_filename)
         if not path.startswith(skip):

@@ -809,7 +809,8 @@ class TextFileRDD(RDD):
         from repro.fs.records import read_split_records
 
         start, end = self._splits[index]
-        raw = read_split_records(self.fs, ctx.proc, self.path, start, end)
+        raw = ctx.proc.run_steps(
+            read_split_records(self.fs, ctx.proc, self.path, start, end))
         ctx.charge_records(len(raw))
         # decode cost is part of the JVM text-parsing rate
         ctx.charge_bytes(max(1, end - start), ctx.costs.parse_rate_jvm)

@@ -7,6 +7,7 @@ must never read results from — or leak entries into — a developer's
 deleting the variable and pointing an explicit store at ``tmp_path``.
 """
 
+import threading
 from functools import cache
 
 import pytest
@@ -56,3 +57,17 @@ def checked():
     from repro.analysis import check_experiment
 
     return cache(lambda exp_id: check_experiment(exp_id, quick=True))
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the OS threads started during the test."""
+    names = []
+    real = threading.Thread.start
+
+    def counting(self):
+        names.append(self.name)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return names

@@ -62,7 +62,7 @@ class ReferenceEngine(Engine):
             proc = min(runnable, key=lambda p: (p.clock, p.pid))
             self._yield_evt.clear()
             if not self._dispatch(proc):
-                continue  # ran a step segment; it stays parked
+                continue  # ran a step segment; parked again, or DONE
             self._yield_evt.wait()
             if proc.state is ProcState.FAILED and proc.exception is not None:
                 self._abort()

@@ -11,10 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import check_trace
+from repro.cluster import Cluster
 from repro.errors import TraceSchemaError
+from repro.fs import BytesContent, LocalFS, NFSFileSystem
 from repro.sim import Engine, Mailbox, SimBarrier, Trace, TraceEvent
 from repro.sim.sync import Future, SimLock
 from repro.sim.trace import validate_events
+from tests.conftest import TESTING_MACHINE
 
 
 def mem(t, proc, op, loc, pid, vc, **detail):
@@ -187,6 +190,28 @@ def test_live_planted_race_is_reported():
     report = check_trace(trace)
     assert len(report.races) == 1
     assert report.races[0].loc == "shared"
+
+
+@pytest.mark.parametrize("fs_cls", [NFSFileSystem, LocalFS])
+def test_live_unordered_file_write_and_read_race(fs_cls):
+    # an append covers the whole file (no offsets), so it meets any read
+    trace = Trace(hb=True)
+    cluster = Cluster(TESTING_MACHINE.with_nodes(1), trace=trace)
+    fs = fs_cls(cluster)
+    fs.create("shared.txt", BytesContent(b"x" * 100))
+
+    def writer():
+        fs.write(me(), "shared.txt", 100)
+
+    def reader():
+        fs.read(me(), "shared.txt", 0, 100)
+
+    cluster.spawn(writer, node_id=0, name="w")
+    cluster.spawn(reader, node_id=0, name="r")
+    cluster.run()
+    report = check_trace(trace)
+    assert len(report.races) == 1
+    assert report.races[0].loc.startswith(f"{fs.scheme}:shared.txt")
 
 
 def test_live_mailbox_edge_orders_accesses():

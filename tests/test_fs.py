@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from repro.fs import HDFS, BytesContent, LineContent, LocalFS, NFSFileSystem
 from repro.fs.base import SimFile
 from repro.fs.records import iter_all_records, read_split_records
 from repro.sim import current_process
+from repro.sim.process import SimProcess
 from repro.units import MB, MiB
 from tests.conftest import TESTING_MACHINE, forced_trace
 
@@ -342,13 +345,13 @@ class TestHDFS:
             h = HDFS(cl, block_size=1 * MB, replication=repl)
             h.create("f", BytesContent(bytes(1 * MB)), scale=16)  # 16 blocks
             remote = {"n": 0.0}
-            orig = cl.network.transmit
+            orig = cl.network.transmit_steps
 
             def spy(proc, fabric, src, dst, nbytes, **kw):
                 remote["n"] += nbytes
                 return orig(proc, fabric, src, dst, nbytes, **kw)
 
-            cl.network.transmit = spy
+            cl.network.transmit_steps = spy
             run_in_proc(cl, lambda p: h.read(p, "f", 0, 16 * MB), node_id=0)
             return remote["n"]
 
@@ -368,7 +371,8 @@ class TestRecordSplitting:
         cl, fs = self._fs_with_lines(10)
         size = fs.size("lines.txt")
         res, _ = run_in_proc(
-            cl, lambda p: read_split_records(fs, p, "lines.txt", 0, size)
+            cl, lambda p: p.run_steps(
+                read_split_records(fs, p, "lines.txt", 0, size))
         )
         assert res == [f"record-{i:04d}".encode() for i in range(10)]
 
@@ -398,9 +402,9 @@ class TestRecordSplitting:
         def body():
             p = current_process()
             for a, b in zip(points, points[1:]):
-                collected.extend(
+                collected.extend(p.run_steps(
                     read_split_records(fs, p, "lines.txt", a, b)
-                )
+                ))
 
         cl.spawn(body, node_id=0, name="splitter")
         cl.run()
@@ -418,15 +422,55 @@ class TestRecordSplitting:
         def body():
             p = current_process()
             for i in range(n_splits):
-                collected.extend(
+                collected.extend(p.run_steps(
                     read_split_records(
                         fs, p, "lines.txt", i * chunk, min(size, (i + 1) * chunk)
                     )
-                )
+                ))
 
         cl.spawn(body, node_id=0, name="splitter")
         cl.run()
         assert collected == list(iter_all_records(fs, "lines.txt"))
+
+    def test_a_split_read_parks_its_owner_at_most_once(self, monkeypatch):
+        big = b"B" * 500
+        cl = make_cluster()
+        fs = LocalFS(cl)
+        fs.create_replicated("big.txt", BytesContent(b"head\n" + big + b"\n"))
+        parks = Counter()
+        real_wait = SimProcess._wait_for_grant
+
+        def counting(self):
+            parks[self.name] += 1
+            real_wait(self)
+
+        monkeypatch.setattr(SimProcess, "_wait_for_grant", counting)
+        reads = []
+        real_read = fs.read_steps
+
+        def spy(proc, path, offset, length):
+            reads.append(offset)
+            return real_read(proc, path, offset, length)
+
+        monkeypatch.setattr(fs, "read_steps", spy)
+        done = []
+
+        def reader():
+            p = current_process()
+            done.append(p.run_steps(
+                read_split_records(fs, p, "big.txt", 0, 7, lookahead=64)))
+
+        def ticker():  # the reader is never the minimum at a wait
+            p = current_process()
+            while not done:
+                p.sleep(1e-6)
+
+        cl.spawn(reader, node_id=0, name="reader")
+        cl.spawn(ticker, node_id=1, name="ticker")
+        cl.run()
+        assert done == [[b"head", big]]
+        assert len(reads) >= 4  # the split read and its boundary probes
+        assert parks["reader"] <= 1
 
     def test_split_mid_record_belongs_to_previous(self):
         cl, fs = self._fs_with_lines(2)  # "record-0000\nrecord-0001\n"
@@ -434,8 +478,9 @@ class TestRecordSplitting:
 
         def body():
             p = current_process()
-            res["a"] = read_split_records(fs, p, "lines.txt", 0, 5)
-            res["b"] = read_split_records(fs, p, "lines.txt", 5, 26)
+            res["a"] = p.run_steps(read_split_records(fs, p, "lines.txt", 0, 5))
+            res["b"] = p.run_steps(
+                read_split_records(fs, p, "lines.txt", 5, 26))
 
         cl.spawn(body, node_id=0, name="s")
         cl.run()

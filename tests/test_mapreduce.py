@@ -30,6 +30,20 @@ def make_cluster(lines=300, block_size=2000, nodes=2, line_fn=None):
     return cl, h
 
 
+def test_task_attempts_run_without_threads(thread_starts):
+    cl = Cluster(TESTING_MACHINE.with_nodes(2))
+    h = HDFS(cl, block_size=125, replication=2)
+    h.create("corpus.txt", LineContent(lambda i: f"w{i % 7:03d}", 200))
+    assert len(h.blocks("corpus.txt")) == 8
+    res = run_job(cl, wordcount_conf())
+    assert res.counters.map_tasks == 8
+    assert sum(v for _k, v in res.output) == 200
+    assert thread_starts == ["sim:mr:driver"]
+    attempts = [p for p in cl.engine.processes if p.name != "mr:driver"]
+    assert len(attempts) == 8 + 3
+    assert all(p._thread is None for p in attempts)
+
+
 class TestCorrectness:
     def test_wordcount_matches_reference(self):
         cl, _ = make_cluster()

@@ -95,9 +95,10 @@ class TestOversizedRecords:
         def reader():
             p = current_process()
             # split boundary falls inside the big record; tiny lookahead
-            a = read_split_records(fs, p, "big.txt", 0, 7, lookahead=64)
-            b = read_split_records(fs, p, "big.txt", 7, len(payload),
-                                   lookahead=64)
+            a = p.run_steps(
+                read_split_records(fs, p, "big.txt", 0, 7, lookahead=64))
+            b = p.run_steps(read_split_records(fs, p, "big.txt", 7,
+                                               len(payload), lookahead=64))
             out["a"], out["b"] = a, b
 
         cl.spawn(reader, node_id=0, name="r")
@@ -117,8 +118,8 @@ class TestOversizedRecords:
             p = current_process()
             # three splits; the middle one starts and ends inside `big`
             for a, b in ((0, 10), (10, 1000), (1000, len(payload))):
-                collected.extend(
-                    read_split_records(fs, p, "f.txt", a, b, lookahead=128))
+                collected.extend(p.run_steps(
+                    read_split_records(fs, p, "f.txt", a, b, lookahead=128)))
 
         cl.spawn(reader, node_id=0, name="r")
         cl.run()

@@ -12,6 +12,7 @@ collective, none per uncontended transfer) and what it must not lose
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import threading
@@ -27,7 +28,7 @@ from repro.errors import DeadlockError, SimProcessError, SimulationError
 from repro.mpi import mpi_run
 from repro.shmem import shmem_run
 from repro.sim import Engine, Mailbox, current_process
-from repro.sim.process import SimProcess
+from repro.sim.process import ProcState, SimProcess
 from repro.sim.resources import FlowSystem, FluidResource
 from repro.sim.sync import Future, SimBarrier, SimLock
 from repro.sim.trace import Trace
@@ -85,7 +86,8 @@ def _run_program(engine_cls, mode, n_procs, script):
     ``mode``: ``"blocking"`` calls the thread-parking reference primitives
     of ``tests/sim_oracle.py``; ``"per-op"`` runs each production
     primitive's step form in its own ``run_steps``; ``"whole"`` runs a
-    process's entire body as one step generator.
+    process's entire body as one step generator; ``"threadless"`` spawns
+    that generator as the body itself, so the process has no thread.
     """
     tr = forced_trace()
     if tr is None:  # not ``or``: an empty trace is falsy
@@ -180,8 +182,11 @@ def _run_program(engine_cls, mode, n_procs, script):
         p = current_process()
         return p.run_steps(whole_steps(p, me))
 
-    procs = [eng.spawn(whole if mode == "whole" else body, i, name=f"p{i}")
-             for i in range(n_procs)]
+    def threadless(me):
+        return (yield from whole_steps(current_process(), me))
+
+    fn = {"whole": whole, "threadless": threadless}.get(mode, body)
+    procs = [eng.spawn(fn, i, name=f"p{i}") for i in range(n_procs)]
     eng.run()
     assert fs.active_count == 0
     return (_digest(tr), [p.clock.hex() for p in procs],
@@ -205,6 +210,23 @@ def test_steps_match_blocking_calls_on_generated_programs(n_procs, script):
         for mode in ("per-op", "whole"):
             got = _run_program(engine_cls, mode, n_procs, script)
             assert got == want, (engine_cls.__name__, mode)
+
+
+@given(
+    n_procs=st.integers(2, 6),
+    script=st.lists(
+        st.tuples(
+            st.sampled_from(["compute", "checkpoint", "msg", "future",
+                             "transfer", "barrier", "lock"]),
+            st.integers(0, 5), st.integers(0, 5), st.integers(0, 20)),
+        max_size=24),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_threadless_body_matches_a_threaded_run_steps_body(n_procs, script):
+    for engine_cls in (Engine, ReferenceEngine):
+        want = _run_program(engine_cls, "whole", n_procs, script)
+        got = _run_program(engine_cls, "threadless", n_procs, script)
+        assert got == want, engine_cls.__name__
 
 
 def test_a_contended_transfer_run_as_steps_keeps_its_finish():
@@ -305,22 +327,9 @@ def test_uncontended_transfers_keep_the_owners_thread(grants):
 
 # -- failures stay the owner's ---------------------------------------------------
 
-def _victim_beside_a_bystander(engine_cls, steps):
-    """``victim`` runs ``steps`` while a bystander holds the token, so its
-    second segment runs on the bystander's thread (or the supervisor's)."""
-    eng = engine_cls(trace=forced_trace())
-
-    def victim():
-        p = current_process()
-        p.compute(1.0)
-        p.run_steps(steps(p))
-
-    def bystander():
-        current_process().sleep(5.0)
-        current_process().sleep(5.0)
-
-    procs = [eng.spawn(victim, name="victim"),
-             eng.spawn(bystander, name="bystander")]
+def _run_failing(eng, procs, name):
+    """Run ``eng`` (which must not hang) to the failure of process ``name``;
+    every process thread must exit.  Returns the failure's cause."""
     outcome = {}
 
     def drive():
@@ -334,11 +343,38 @@ def _victim_beside_a_bystander(engine_cls, steps):
     runner.join(timeout=60)
     assert not runner.is_alive(), "the run hung"
     exc = outcome.get("exc")
-    assert isinstance(exc, SimProcessError) and "victim" in str(exc), exc
+    assert isinstance(exc, SimProcessError) and name in str(exc), exc
     for proc in procs:
-        proc._thread.join(timeout=10)
-        assert not proc._thread.is_alive()
+        if proc._thread is not None:
+            proc._thread.join(timeout=10)
+            assert not proc._thread.is_alive()
     return exc.__cause__
+
+
+def _victim_beside_a_bystander(engine_cls, steps, *, threadless=False):
+    """``victim`` runs ``steps`` while a bystander holds the token, so its
+    second segment runs on the bystander's thread (or the supervisor's).
+    ``threadless``: the victim's body is a generator, so it has no thread."""
+    eng = engine_cls(trace=forced_trace())
+
+    def victim():
+        p = current_process()
+        p.compute(1.0)
+        p.run_steps(steps(p))
+
+    def threadless_victim():
+        p = current_process()
+        p.compute(1.0)
+        yield from steps(p)
+
+    def bystander():
+        current_process().sleep(5.0)
+        current_process().sleep(5.0)
+
+    procs = [eng.spawn(threadless_victim if threadless else victim,
+                       name="victim"),
+             eng.spawn(bystander, name="bystander")]
+    return _run_failing(eng, procs, "victim")
 
 
 @BOTH_SCHEDULERS
@@ -490,3 +526,189 @@ def test_a_wake_made_from_a_step_is_the_owners_edge():
     assert recv.result == "x"
     assert recv.vc.get(post.pid, 0) >= 1
     assert by.pid not in recv.vc
+
+
+# -- threadless processes: a generator body is all steps ----------------------
+
+@BOTH_SCHEDULERS
+def test_a_generator_body_runs_without_a_thread(engine_cls, thread_starts):
+    eng = engine_cls(trace=forced_trace())
+    box = Mailbox("m")
+
+    def sender(n):
+        p = current_process()
+        for i in range(n):
+            p.compute(1.0)
+            yield from box.post_steps(p, i)
+        return "sent"
+
+    def receiver(n):
+        p = current_process()
+        got = []
+        for _ in range(n):
+            got.append((yield from box.recv_steps(p)).payload)
+        return got, p.clock
+
+    procs = [eng.spawn(sender, 3, name="s"), eng.spawn(receiver, 3, name="r")]
+    assert eng.run() == 3.0
+    assert [p.result for p in procs] == ["sent", ([0, 1, 2], 3.0)]
+    assert [p._thread for p in procs] == [None, None]
+    assert thread_starts == []
+
+
+def test_a_wrapped_generator_body_still_runs_without_a_thread(thread_starts):
+    def body(dt):
+        p = current_process()
+        yield from p.park_until_steps(p.clock + dt)
+        return p.clock
+
+    @functools.wraps(body)
+    def wrapped(*args):
+        return body(*args)
+
+    eng = Engine(trace=forced_trace())
+    proc = eng.spawn(wrapped, 2.5, name="w")
+    eng.run()
+    assert proc.result == 2.5 and proc._thread is None
+    assert thread_starts == []
+
+
+@BOTH_SCHEDULERS
+def test_a_raising_generator_body_fails_its_process(engine_cls):
+    def steps(p):
+        yield from p.checkpoint_steps()
+        raise ValueError("kaput")
+
+    cause = _victim_beside_a_bystander(engine_cls, steps, threadless=True)
+    assert isinstance(cause, ValueError) and str(cause) == "kaput"
+
+
+@BOTH_SCHEDULERS
+@pytest.mark.parametrize("park", ["recv", "sleep"])
+def test_a_generator_body_that_parks_fails_its_process(engine_cls, park):
+    box = Mailbox("never")
+
+    def steps(p):
+        yield from p.checkpoint_steps()
+        if park == "recv":
+            box.recv(p)
+        else:
+            p.sleep(100.0)
+
+    cause = _victim_beside_a_bystander(engine_cls, steps, threadless=True)
+    assert isinstance(cause, SimulationError)
+    assert "victim" in str(cause) and "must not park" in str(cause)
+
+
+@BOTH_SCHEDULERS
+def test_a_failure_elsewhere_unwinds_parked_generator_bodies(engine_cls):
+    eng = engine_cls(trace=forced_trace())
+    box = Mailbox("never")
+    unwound = []
+
+    def waiter():  # BLOCKED when the failure comes
+        p = current_process()
+        try:
+            yield from box.recv_steps(p, reason="never")
+        finally:
+            unwound.append(p.name)
+
+    def timer():  # RUNNABLE, parked until t=100
+        p = current_process()
+        try:
+            yield from p.park_until_steps(100.0)
+        finally:
+            unwound.append(p.name)
+
+    def boom():
+        current_process().sleep(1.0)
+        raise RuntimeError("x")
+
+    procs = [eng.spawn(waiter, name="waiter"), eng.spawn(timer, name="timer"),
+             eng.spawn(boom, name="boom")]
+    cause = _run_failing(eng, procs, "boom")
+    assert isinstance(cause, RuntimeError)
+    assert sorted(unwound) == ["timer", "waiter"]
+    for p in procs[:2]:
+        assert p.state is ProcState.FAILED and p.exception is None
+
+
+def test_a_threadless_spawn_keeps_the_fork_edge():
+    from repro.analysis import check_trace
+
+    trace = Trace(hb=True)
+    eng = Engine(trace=trace)
+
+    def child():
+        p = current_process()
+        trace.access(p, "read", "handoff")
+        yield from p.checkpoint_steps()
+        trace.access(p, "read", "later")
+
+    def parent():
+        p = current_process()
+        trace.access(p, "write", "handoff")
+        eng.spawn(child, name="child")
+        yield from p.checkpoint_steps()
+        trace.access(p, "write", "later")  # after the fork: unordered
+
+    def threaded_parent():
+        p = current_process()
+        p.compute(1.0)
+        trace.access(p, "write", "handoff2")
+        eng.spawn(child2, name="child2")
+
+    def child2():
+        trace.access(current_process(), "read", "handoff2")
+        yield from current_process().checkpoint_steps()
+
+    eng.spawn(parent, name="parent")
+    eng.spawn(threaded_parent, name="threaded")
+    eng.run()
+    assert [r.loc for r in check_trace(trace).races] == ["later"]
+
+
+@BOTH_SCHEDULERS
+def test_a_deadlocked_generator_body_is_named_at_its_wait(engine_cls):
+    eng = engine_cls(trace=forced_trace())
+    box = Mailbox("mr:driver")
+
+    def fetch(p):
+        msg = yield from box.recv_steps(p, reason="mr:wait-map")
+        return msg
+
+    def attempt(tid):  # Hadoop-shaped: charge, then a wait that never ends
+        p = current_process()
+        p.compute(2.5)
+        return (yield from fetch(p))
+
+    eng.spawn(attempt, 0, name="mr:map0.1")
+    with pytest.raises(DeadlockError) as ei:
+        eng.run()
+    (line,) = [ln for ln in str(ei.value).splitlines()
+               if ln.startswith("  - mr:map0.1 ")]
+    assert "waiting on mr:wait-map since t=2.5" in line
+    assert line.endswith(
+        f" at test_sim_steps.py:{_line_of(fetch, 'recv_steps')}")
+
+
+@BOTH_SCHEDULERS
+def test_a_deadlock_cycle_through_a_generator_body_names_it(engine_cls):
+    eng = engine_cls(trace=forced_trace())
+    box_a, box_b = Mailbox("a"), Mailbox("b")
+    procs = {}
+
+    def left():
+        box_a.recv(current_process(), reason="recv:a", waker=procs["right"])
+
+    def right():
+        yield from box_b.recv_steps(current_process(), reason="recv:b",
+                                    waker=procs["left"])
+
+    procs["left"] = eng.spawn(left, name="left")
+    procs["right"] = eng.spawn(right, name="right")
+    with pytest.raises(DeadlockError) as ei:
+        eng.run()
+    msg = str(ei.value)
+    assert "wait-for cycle: left [recv:a] -> right [recv:b] -> left" in msg
+    assert f"at test_sim_steps.py:{_line_of(right, 'recv_steps')}" in msg

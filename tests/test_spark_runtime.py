@@ -160,14 +160,14 @@ class TestLocality:
         h = HDFS(cl, block_size=200 * 1024, replication=replication)
         h.create("big.txt", LineContent(lambda i: "x" * 99, 20_000))
         moved = {"n": 0.0}
-        orig = cl.network.transmit
+        orig = cl.network.transmit_steps
 
         def spy(proc, fabric, src, dst, nbytes, **kw):
             if fabric == "ipoib" and src != dst:
                 moved["n"] += nbytes
             return orig(proc, fabric, src, dst, nbytes, **kw)
 
-        cl.network.transmit = spy
+        cl.network.transmit_steps = spy
         sc = SparkContext(cl, executors_per_node=2, app_startup=0.1,
                           executor_nodes=executor_nodes)
         sc.run(lambda sc: sc.text_file("hdfs://big.txt").count())
