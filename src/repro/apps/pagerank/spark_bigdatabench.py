@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.sim.blocks import (GroupBlock, JoinedBlock, PairBlock,
-                              parse_int_pairs)
+from repro.sim.blocks import PairBlock, parse_int_pairs
 from repro.spark import SparkContext, StorageLevel
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
@@ -44,17 +43,16 @@ def _contrib_block(joined):
     its out-degree — the same IEEE division as ``rank / len(urls)``,
     degrees being exact in ``float64`` — repeated beside the flat
     destination column.  Not defined on float destinations or an empty
-    list (the scalar division raises there), nor on anything but a
-    keyless ``JoinedBlock``."""
-    if type(joined) is not JoinedBlock or joined.keys is not None:
+    list (the scalar division raises there), nor on anything but the
+    keyless join of a grouped left side."""
+    if (type(joined) is not PairBlock or not joined.joined
+            or joined.keys is not None or joined.offsets is None
+            or joined.values.dtype != np.int64):
         return None
-    urls = joined.left
-    if type(urls) is not GroupBlock or urls.values.dtype != np.int64:
-        return None
-    degrees = np.diff(urls.offsets)
+    degrees = np.diff(joined.offsets)
     if not degrees.all():
         return None
-    return PairBlock(urls.values, np.repeat(joined.right / degrees, degrees))
+    return PairBlock(joined.values, np.repeat(joined.right / degrees, degrees))
 
 
 def spark_pagerank_bigdatabench(

@@ -18,12 +18,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.sim.blocks import JoinedBlock, PairBlock, parse_int_pairs
+from repro.sim.blocks import PairBlock, parse_int_pairs
 from repro.spark import SparkContext
 
 #: modelled JVM cost per record for parsing an edge line / iterating a tuple
 PARSE_COST = 0.3e-6
 EDGE_COST_JVM = 600e-9
+
+
+def _seed_block(edges):
+    """Columnar twin of the rank seed ``(src, 1.0)`` over a parsed block
+    of edges: the source column beside a column of 1.0."""
+    if type(edges) is not PairBlock or not edges.pairs:
+        return None
+    return PairBlock(edges.keys, np.ones(len(edges)))
+
+
+def _contrib_block(joined, degrees: np.ndarray):
+    """Columnar twin of ``contrib`` over a keyed block join of ``links``'
+    int64 destinations, ``degrees`` indexed by source vertex.  Degrees
+    are far below 2**53, so int64 -> float64 is exact and numpy's
+    division is the same IEEE operation as ``rank / _deg[src]``."""
+    if (type(joined) is not PairBlock or not joined.joined
+            or joined.keys is None or joined.offsets is not None
+            or joined.values.dtype != np.int64):
+        return None
+    return PairBlock(joined.values, joined.right / degrees[joined.keys])
 
 
 def spark_pagerank_hibench(
@@ -60,32 +80,15 @@ def spark_pagerank_hibench(
             src, (dst, rank) = src_dst_rank
             return (dst, rank / _deg[src])
 
-        # Columnar twin of ``contrib`` over a block join's output (keyed,
-        # with the int64 destination column of ``links``' ungrouped
-        # pairs): the out-degrees as a dense column indexed by source
-        # vertex.  Degrees are far below 2**53, so int64 -> float64 is
-        # exact and numpy's division is the same IEEE operation as
-        # ``rank / _deg[src]``.
         deg_col = np.zeros(max(deg, default=-1) + 1, dtype=np.int64)
         deg_col[list(deg)] = list(deg.values())
 
-        def contrib_block(joined, _deg=deg_col):
-            if type(joined) is not JoinedBlock:
-                return None
-            return PairBlock(joined.left, joined.right / _deg[joined.keys])
-
-        # Columnar twin of the rank seed over a parsed block of edges: the
-        # source column beside a column of 1.0.
-        def seed_block(edges):
-            if type(edges) is not PairBlock:
-                return None
-            return PairBlock(edges.keys, np.ones(len(edges)))
-
         ranks = links.map(lambda e: (e[0], 1.0),
-                          vector=seed_block).distinct(num_parts)
+                          vector=_seed_block).distinct(num_parts)
         for _ in range(iterations):
             contribs = links.join(ranks, num_parts).map(
-                contrib, cost=EDGE_COST_JVM, vector=contrib_block)
+                contrib, cost=EDGE_COST_JVM,
+                vector=lambda joined: _contrib_block(joined, deg_col))
             ranks = contribs.reduce_by_key(
                 lambda a, b: a + b, num_parts, vector="sum"
             ).map_values(lambda r: (1 - damping) + damping * r,

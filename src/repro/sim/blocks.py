@@ -1,4 +1,4 @@
-"""Columnar record blocks: the vectorized data plane (PR 6).
+"""Columnar record blocks: the vectorized data plane.
 
 The simulator's data plane historically moved Python objects one at a
 time: a text split became a ``list[bytes]``, a Spark partition a
@@ -36,36 +36,23 @@ Block types
     per-record.  Behaves as a ``Sequence[bytes]`` equal to the list of
     its lines.
 ``PairBlock``
-    An ``int64`` key column beside an ``int64`` **or** ``float64`` value
-    column: a parsed edge-list split (:func:`parse_int_pairs`) and the
-    shuffle buckets / cached partitions it flows through carry ints,
-    numeric aggregations carry floats.  Behaves as a ``Sequence`` of
-    ``(int, int)`` or ``(int, float)`` tuples; slicing is zero-copy.  The
-    float-only kernels (:func:`sum_by_key`, ``map_values`` twins, the
-    right side of :func:`hash_join`) check the value dtype and leave an
-    int-valued block to the scalar loop.  Its columns are never written
-    after construction, so a block keeps the bucket cut
-    :func:`partition_pairs` made of it.
-``PairKeyBlock``
-    ``distinct``'s shuffle records ``((k, v), None)`` over a
-    :class:`PairBlock`'s two columns (:func:`as_pair_key_block`): merged
-    first-occurrence-wins (:func:`first_occurrences`), bucketed by the
-    hash of each ``(k, v)`` tuple (:func:`partition_pair_keys`) and sized
-    in closed form, so ``keys()`` hands the distinct pairs on as a
-    :class:`PairBlock`.  It never holds a NaN value.
-``GroupBlock``
-    The ``(k, [v, ...])`` groups of ``group_by_key`` as a key column, CSR
-    offsets and one flat value column (:func:`group_pairs`, the same
-    first-occurrence regroup :func:`hash_join` applies to its left side).
-    Iterates with a fresh list per group, so it is sized and consumed as
-    the scalar groups are.
-``JoinedBlock``
-    The ``(k, (v, w))`` output of an inner join against a unique-keyed
-    side as three columns (:func:`hash_join`, which only ``join``
-    calls: a ``cogroup`` is always the scalar group list).  Iterates as
-    exactly the scalar records.  A grouped left side makes the ``v``
-    column ragged (a ``GroupBlock``); after ``values()`` the key column
-    is dropped and the block iterates as the ``(v, w)`` records.
+    The one keyed block: an ``int64`` key column beside an ``int64`` or
+    ``float64`` value column.  Optional columns shape record ``i``, built
+    from the inside out:
+
+    * ``v = values[i]``, or with CSR ``offsets`` the fresh list
+      ``values[offsets[i]:offsets[i + 1]]`` (:func:`group_pairs`);
+    * ``(v, right[i])`` with a ``float64`` ``right`` (:func:`hash_join`);
+    * ``(keys[i], ·)`` unless ``keys`` is ``None`` (a join's ``values()``);
+    * ``((k, v), None)`` when ``pair_keyed`` (``distinct``'s records,
+      :func:`as_pair_key_block`; never a NaN value).
+
+    A parsed split (:func:`parse_int_pairs`), a shuffle bucket, a cached
+    partition, a grouping and a join all iterate as exactly the scalar
+    records.  Kernels dispatch on the shape (``pairs``, ``groups``,
+    ``joined``, ``pair_keyed``), never on a class; the float-only ones
+    (:func:`sum_by_key`, ``map_values`` twins, :func:`hash_join`'s right
+    side) also check the value dtype.
 ``ContribBlock``
     A sparse per-destination-rank PageRank contribution vector
     (indices + values + logical dense length).  Sized and summed as if
@@ -86,18 +73,15 @@ import numpy as np
 __all__ = [
     "RecordBlock",
     "PairBlock",
-    "PairKeyBlock",
-    "GroupBlock",
-    "JoinedBlock",
     "ContribBlock",
     "sum_by_key",
     "as_pair_block",
     "as_pair_key_block",
     "first_occurrences",
+    "first_ranks",
     "pair_columns",
     "parse_int_pairs",
     "partition_pairs",
-    "partition_pair_keys",
     "group_pairs",
     "hash_join",
 ]
@@ -231,108 +215,147 @@ class RecordBlock(Sequence):
 
 
 # ---------------------------------------------------------------------------
-# PairBlock: (int64 key, int64 | float64 value) columns for numeric pairs
+# PairBlock: an int64 key column beside value columns, for keyed records
 # ---------------------------------------------------------------------------
 
 
 class PairBlock(Sequence):
-    """A Spark partition of ``(int key, int | float value)`` pairs, columnar.
+    """A Spark partition of keyed records, columnar (see the module
+    docstring for the record shapes).
 
-    ``keys`` is ``int64``; ``values`` is ``int64`` (parsed edges) or
-    ``float64`` (ranks, contributions).  Iteration and indexing yield
-    plain Python ``(int, int)`` / ``(int, float)`` tuples so every scalar
-    consumer (cogroup, collect, user lambdas) sees exactly what the
-    list-of-tuples path produced.  Slicing returns a zero-copy column
-    view.  The columns are never written after construction, which is
-    what lets ``_buckets`` hold :func:`partition_pairs`' last answer.
+    Iteration and indexing yield plain Python objects, exactly what the
+    list path held.  A step-1 slice is a zero-copy view; any other slice,
+    a boolean mask or an index array compacts the block.  The columns are
+    never written after construction, which is what lets ``_buckets``
+    hold :func:`partition_pairs`' last answer.
     """
 
-    __slots__ = ("keys", "values", "_buckets")
+    __slots__ = ("keys", "values", "offsets", "right", "pair_keyed",
+                 "_buckets")
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
-        assert keys.dtype == np.int64
+    def __init__(self, keys: "np.ndarray | None", values: np.ndarray, *,
+                 offsets: "np.ndarray | None" = None,
+                 right: "np.ndarray | None" = None,
+                 pair_keyed: bool = False) -> None:
+        assert keys is None or keys.dtype == np.int64
         assert values.dtype == np.int64 or values.dtype == np.float64
         self.keys = keys
         self.values = values
+        #: CSR group bounds: record ``i``'s value is the list
+        #: ``values[offsets[i]:offsets[i + 1]]``
+        self.offsets = offsets
+        #: a join's ``w`` column, paired with each record's value
+        self.right = right
+        #: whether the records are ``distinct``'s ``((k, v), None)``
+        self.pair_keyed = pair_keyed
         #: ``(nparts, (records in bucket order, offsets))`` of the last
         #: :func:`partition_pairs` call
         self._buckets: "tuple[int, tuple[PairBlock, np.ndarray]] | None" = None
 
+    @property
+    def pairs(self) -> bool:
+        """Whether the records are ``(k, v)`` pairs of the two columns."""
+        return (self.offsets is None and self.right is None
+                and not self.pair_keyed and self.keys is not None)
+
+    @property
+    def groups(self) -> bool:
+        """Whether the records are ``group_by_key``'s ``(k, [v, ...])``."""
+        return (self.offsets is not None and self.right is None
+                and self.keys is not None)
+
+    @property
+    def joined(self) -> bool:
+        """Whether the records are a join's ``(k, (v, w))``, or its
+        ``(v, w)`` once ``values()`` has dropped the keys."""
+        return self.right is not None
+
     def __len__(self) -> int:
-        return len(self.keys)
+        offsets = self.offsets
+        return len(self.values) if offsets is None else len(offsets) - 1
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PairBlock(self.keys[i], self.values[i])
-        return (self.keys[i].item(), self.values[i].item())
+        if isinstance(i, (slice, np.ndarray)):
+            return self._take(i)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("PairBlock index out of range")
+        i %= n
+        if self.offsets is None:
+            rec = self.values[i].item()
+        else:
+            rec = self.values[self.offsets[i]:self.offsets[i + 1]].tolist()
+        if self.right is not None:
+            rec = (rec, self.right[i].item())
+        if self.keys is not None:
+            rec = (self.keys[i].item(), rec)
+        return (rec, None) if self.pair_keyed else rec
+
+    def _take(self, i) -> "PairBlock":
+        """The records a slice, a boolean mask or an index array selects,
+        as a block of the same shape."""
+        values, offsets = self.values, self.offsets
+        if offsets is None:
+            values = values[i]
+        elif isinstance(i, slice) and i.step in (None, 1):
+            a, b, _ = i.indices(len(offsets) - 1)
+            i = slice(a, max(a, b))
+            sub = offsets[a:i.stop + 1]
+            offsets, values = sub - sub[0], values[sub[0]:sub[-1]]
+        else:  # gather the selected groups' values into fresh CSR columns
+            i = np.arange(len(offsets) - 1)[i]
+            starts = offsets[i]
+            lengths = offsets[i + 1] - starts
+            offsets = np.zeros(len(i) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            values = values[np.repeat(starts - offsets[:-1], lengths)
+                            + np.arange(offsets[-1])]
+        return PairBlock(None if self.keys is None else self.keys[i], values,
+                         offsets=offsets,
+                         right=None if self.right is None else self.right[i],
+                         pair_keyed=self.pair_keyed)
 
     def __iter__(self):
-        return iter(zip(self.keys.tolist(), self.values.tolist()))
-
-    def to_pairs(self) -> "list[tuple[int, int | float]]":
-        return list(zip(self.keys.tolist(), self.values.tolist()))
+        recs = self.values.tolist()
+        if self.offsets is not None:
+            bounds = self.offsets.tolist()
+            recs = [recs[a:b] for a, b in zip(bounds, bounds[1:])]
+        if self.right is not None:
+            recs = zip(recs, self.right.tolist())
+        if self.keys is not None:
+            recs = zip(self.keys.tolist(), recs)
+        if self.pair_keyed:
+            recs = zip(recs, repeat(None))
+        return iter(recs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PairBlock):
+            # equal numbers of another type are another partition
             return (self.values.dtype == other.values.dtype
-                    and np.array_equal(self.keys, other.keys)
-                    and np.array_equal(self.values, other.values))
+                    and list(self) == list(other))
         if isinstance(other, list):
-            return self.to_pairs() == other
+            return list(self) == other
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"PairBlock({len(self)} pairs)"
+        return f"PairBlock({len(self)} records)"
 
 
-class PairKeyBlock(Sequence):
-    """``distinct``'s shuffle records ``((k, v), None)``, columnar.
-
-    The two columns of a :class:`PairBlock` (``int64`` keys beside
-    ``int64`` or ``float64`` values), iterated and indexed as the records
-    ``distinct``'s map side builds: each ``(k, v)`` pair is the key of a
-    ``None`` value.  Every one descends from :func:`as_pair_key_block`,
-    so no value is NaN.  Slicing is zero-copy.
-    """
-
-    __slots__ = ("keys", "values")
-
-    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
-        assert keys.dtype == np.int64
-        assert values.dtype == np.int64 or values.dtype == np.float64
-        self.keys = keys
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return PairKeyBlock(self.keys[i], self.values[i])
-        return ((self.keys[i].item(), self.values[i].item()), None)
-
-    def __iter__(self):
-        return zip(zip(self.keys.tolist(), self.values.tolist()), repeat(None))
-
-    def __repr__(self) -> str:
-        return f"PairKeyBlock({len(self)} records)"
-
-
-def as_pair_key_block(block) -> "PairKeyBlock | None":
+def as_pair_key_block(block) -> "PairBlock | None":
     """``distinct``'s records over a pair block's columns, or ``None``.
 
-    Defined on a :class:`PairBlock` with no NaN value.  A NaN is equal to
-    nothing, itself included, so the scalar merge keeps every NaN row;
-    such a partition, and anything that is not a pair block, stays on the
-    scalar path.
+    Defined on a block of ``(k, v)`` pairs with no NaN value.  A NaN is
+    equal to nothing, itself included, so the scalar merge keeps every NaN
+    row; such a partition, and anything that is not a pair block, stays on
+    the scalar path.
     """
-    if type(block) is not PairBlock or (
+    if type(block) is not PairBlock or not block.pairs or (
             block.values.dtype == np.float64
             and np.isnan(block.values).any()):
         return None
-    return PairKeyBlock(block.keys, block.values)
+    return PairBlock(block.keys, block.values, pair_keyed=True)
 
 
 def as_pair_block(records) -> "PairBlock | None":
@@ -346,8 +369,9 @@ def as_pair_block(records) -> "PairBlock | None":
     as ``bool`` would serialize to different sizes, and a float64 detour
     would merge int keys past 2**53).
     """
-    if isinstance(records, PairBlock):
-        return records if records.values.dtype == np.float64 else None
+    if type(records) is PairBlock:
+        return (records if records.pairs
+                and records.values.dtype == np.float64 else None)
     cols = pair_columns(records) if records else None
     if cols is None or cols[1].dtype != np.float64:
         return None
@@ -364,8 +388,8 @@ def pair_columns(records) -> "tuple[np.ndarray, np.ndarray] | None":
     The passes run in C (``map`` over ``type``/``len``), so the full
     check costs about what the conversion itself does.
     """
-    if isinstance(records, PairBlock):
-        return records.keys, records.values
+    if type(records) is PairBlock:
+        return (records.keys, records.values) if records.pairs else None
     if type(records) is not list:
         return None
     if not records:
@@ -419,14 +443,18 @@ def parse_int_pairs(block: RecordBlock) -> "PairBlock | None":
 
 def partition_pairs(block: PairBlock,
                     nparts: int) -> "tuple[PairBlock, np.ndarray]":
-    """Hash-partition a PairBlock for ``nparts`` reducers, order-preserving.
+    """Hash-partition a block of pairs for ``nparts`` reducers, as
+    Spark's sort shuffle writes a map output: the records in bucket
+    order, as one block of the same kind, and the ``nparts + 1`` offsets
+    where each bucket starts (bucket ``r`` is ``offsets[r]:offsets[r+1]``).
 
-    Returns the records in bucket order and the ``nparts + 1`` offsets
-    where each bucket starts (see :func:`_cut`).  Replays the scalar loop
-    exactly: bucket of an exact-int key under a ``HashPartitioner`` is
-    ``(key & 0x7FFFFFFF) % nparts`` (the int64 bitwise AND agrees with
-    Python's on two's-complement), and each bucket keeps its records in
-    input order, as appending did.
+    Replays the ``HashPartitioner`` loop exactly.  An exact-int key goes
+    to ``(key & 0x7FFFFFFF) % nparts`` (the int64 AND agrees with
+    Python's on two's-complement); a ``pair_keyed`` block's ``(k, v)`` to
+    the ``crc32`` of its ``repr``, built from the ``int``/``float`` objects
+    ``tolist`` gives, as the scalar records hold (a numpy scalar's
+    ``repr`` differs).  The stable argsort keeps each bucket in record
+    order, as appending did.
 
     The block keeps the answer for its last ``nparts``: an iterative app
     re-shuffles the same cached block every iteration, and the cut of
@@ -436,42 +464,20 @@ def partition_pairs(block: PairBlock,
     memo = block._buckets
     if memo is not None and memo[0] == nparts:
         return memo[1]
-    cut = _cut(block, (block.keys & 0x7FFFFFFF) % nparts, nparts)
+    if block.pair_keyed:
+        reprs = map(repr, zip(block.keys.tolist(), block.values.tolist()))
+        bucket_ids = np.fromiter(map(crc32, map(str.encode, reprs)),
+                                 dtype=np.int64, count=len(block)) % nparts
+    else:
+        bucket_ids = (block.keys & 0x7FFFFFFF) % nparts
+    offsets = np.zeros(nparts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(bucket_ids, minlength=nparts), out=offsets[1:])
+    cut = block[np.argsort(bucket_ids, kind="stable")], offsets
     block._buckets = (nparts, cut)
     return cut
 
 
-def partition_pair_keys(block: PairKeyBlock, nparts: int
-                        ) -> "tuple[PairKeyBlock, np.ndarray]":
-    """Hash-partition ``distinct``'s records by their ``(k, v)`` keys.
-
-    Replays the scalar loop exactly: a tuple key under a
-    ``HashPartitioner`` goes to ``stable_hash((k, v)) % nparts``, the
-    ``crc32`` of the tuple's ``repr``.  The tuples are built from the
-    Python ``int``/``float`` values ``tolist`` gives, the objects the
-    scalar records hold (a numpy scalar's ``repr`` differs), and the
-    hashing runs as C-level ``map`` chains.  Returns the records in
-    bucket order and the bucket offsets, as :func:`_cut` does.
-    """
-    reprs = map(repr, zip(block.keys.tolist(), block.values.tolist()))
-    hashes = np.fromiter(map(crc32, map(str.encode, reprs)),
-                         dtype=np.int64, count=len(block))
-    return _cut(block, hashes % nparts, nparts)
-
-
-def _cut(block, bucket_ids: np.ndarray, nparts: int) -> tuple:
-    """A map output the way Spark's sort shuffle writes one: ``block``'s
-    records in bucket order, as one block of its own type, and the
-    ``nparts + 1`` offsets where each bucket starts, so bucket ``r`` is
-    records ``offsets[r]:offsets[r + 1]``.  The stable argsort keeps each
-    bucket in record order, as appending did."""
-    order = np.argsort(bucket_ids, kind="stable")
-    offsets = np.zeros(nparts + 1, dtype=np.int64)
-    np.cumsum(np.bincount(bucket_ids, minlength=nparts), out=offsets[1:])
-    return type(block)(block.keys[order], block.values[order]), offsets
-
-
-def first_occurrences(block: PairKeyBlock) -> PairKeyBlock:
+def first_occurrences(block: PairBlock) -> PairBlock:
     """Each distinct ``(k, v)`` row's first occurrence, in that order.
 
     The columnar twin of ``distinct``'s first-wins dict merge: the dict
@@ -486,8 +492,22 @@ def first_occurrences(block: PairKeyBlock) -> PairKeyBlock:
     sk, sv = keys[order], values[order]
     starts = np.ones(len(keys), dtype=bool)
     starts[1:] = (sk[1:] != sk[:-1]) | (sv[1:] != sv[:-1])
-    first = np.sort(order[starts])
-    return PairKeyBlock(keys[first], values[first])
+    return block[np.sort(order[starts])]
+
+
+def first_ranks(keys: np.ndarray):
+    """The first-occurrence ranking a dict merge inserts keys in.
+
+    Returns ``(uniq, firsts, slot)``: the distinct keys in
+    first-occurrence order, the index of each one's first occurrence, and
+    each record's group number (the rank of its key in ``uniq``).
+    """
+    uniq, first_idx, inverse = np.unique(
+        keys, return_index=True, return_inverse=True)
+    order = np.argsort(first_idx, kind="stable")
+    rank_of = np.empty(len(uniq), dtype=np.int64)
+    rank_of[order] = np.arange(len(uniq), dtype=np.int64)
+    return uniq[order], first_idx[order], rank_of[inverse]
 
 
 def sum_by_key(keys: np.ndarray, values: np.ndarray) -> PairBlock:
@@ -504,90 +524,20 @@ def sum_by_key(keys: np.ndarray, values: np.ndarray) -> PairBlock:
       ``-0.0`` and NaN payloads survive bit-for-bit;
     * output slots are ordered by each key's first occurrence.
     """
-    uniq, first_idx, inverse = np.unique(
-        keys, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
-    rank_of = np.empty(len(uniq), dtype=np.int64)
-    rank_of[order] = np.arange(len(uniq), dtype=np.int64)
-    slots = rank_of[inverse]
-    out_keys = uniq[order]
-    out_vals = np.empty(len(uniq), dtype=np.float64)
-    out_vals[rank_of] = values[first_idx]
+    uniq, firsts, slots = first_ranks(keys)
+    out_vals = values[firsts].astype(np.float64, copy=False)
     rest = np.ones(len(keys), dtype=bool)
-    rest[first_idx] = False
+    rest[firsts] = False
     np.add.at(out_vals, slots[rest], values[rest])
-    return PairBlock(out_keys, out_vals)
+    return PairBlock(uniq, out_vals)
 
 
 # ---------------------------------------------------------------------------
-# Block hash-join: cogroup + inner join against a unique-keyed right side
+# grouping and the block hash-join against a unique-keyed right side
 # ---------------------------------------------------------------------------
 
 
-class GroupBlock(Sequence):
-    """``group_by_key`` output ``(k, [v, ...])`` as ragged (CSR) columns.
-
-    ``keys`` is ``int64``, one per group, in first-occurrence order;
-    group ``g``'s values are ``values[offsets[g]:offsets[g + 1]]``
-    (``int64`` or ``float64``), and ``values`` is exactly the groups
-    concatenated (``offsets[0] == 0``, ``offsets[-1] == len(values)``).
-    Iteration and indexing yield ``(int, [v, ...])`` with a fresh Python
-    list per group — what the scalar dict merge's ``list(out.items())``
-    holds — so sampled sizing and every scalar consumer see no
-    difference.  Any slice, a boolean mask or an index array selects
-    groups and returns a compacted block.
-    """
-
-    __slots__ = ("keys", "offsets", "values")
-
-    def __init__(self, keys: np.ndarray, offsets: np.ndarray,
-                 values: np.ndarray) -> None:
-        self.keys = keys
-        self.offsets = offsets
-        self.values = values
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def lists(self) -> list[list]:
-        """Every group's values, each as a fresh Python list."""
-        flat = self.values.tolist()
-        bounds = self.offsets.tolist()
-        return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    def __getitem__(self, i):
-        if isinstance(i, (slice, np.ndarray)):
-            return self._take(i)
-        n = len(self.keys)
-        if not -n <= i < n:
-            raise IndexError("GroupBlock index out of range")
-        i %= n
-        a, b = self.offsets[i], self.offsets[i + 1]
-        return (self.keys[i].item(), self.values[a:b].tolist())
-
-    def _take(self, i) -> "GroupBlock":
-        offsets = self.offsets
-        if isinstance(i, slice) and i.step in (None, 1):
-            a, b, _ = i.indices(len(self.keys))
-            sub = offsets[a:max(a, b) + 1]
-            return GroupBlock(self.keys[a:max(a, b)], sub - sub[0],
-                              self.values[sub[0]:sub[-1]])
-        idx = np.arange(len(self.keys))[i]
-        starts = offsets[idx]
-        lengths = offsets[idx + 1] - starts
-        out = np.zeros(len(idx) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=out[1:])
-        pos = np.repeat(starts - out[:-1], lengths) + np.arange(out[-1])
-        return GroupBlock(self.keys[idx], out, self.values[pos])
-
-    def __iter__(self):
-        return iter(zip(self.keys.tolist(), self.lists()))
-
-    def __repr__(self) -> str:
-        return f"GroupBlock({len(self)} groups, {len(self.values)} values)"
-
-
-def group_pairs(block: PairBlock) -> GroupBlock:
+def group_pairs(block: PairBlock) -> PairBlock:
     """Columnar twin of ``group_by_key``'s dict merge over a pair block.
 
     The merge inserts keys in first-occurrence order and appends each
@@ -595,88 +545,27 @@ def group_pairs(block: PairBlock) -> GroupBlock:
     :func:`hash_join` applies to its left side, cut at the group
     boundaries.
     """
-    uniq, _, slot, perm = _regroup(block.keys)
+    uniq, _, slot = first_ranks(block.keys)
     offsets = np.zeros(len(uniq) + 1, dtype=np.int64)
     np.cumsum(np.bincount(slot, minlength=len(uniq)), out=offsets[1:])
-    keys = block.keys[perm]
-    return GroupBlock(keys[offsets[:-1]], offsets, block.values[perm])
+    return PairBlock(uniq, block.values[np.argsort(slot, kind="stable")],
+                     offsets=offsets)
 
 
-class JoinedBlock(Sequence):
-    """Inner-join output ``(k, (v, w))`` as three aligned columns.
-
-    ``keys`` is ``int64``; ``left`` is the left side's value column —
-    ``int64`` or ``float64``, or a :class:`GroupBlock` whose groups are
-    the ``v`` lists when the left side was grouped — and ``right`` is
-    ``float64``.  ``keys`` is ``None`` for the keyless ``(v, w)`` records
-    ``values()`` leaves.  Iteration and indexing yield plain Python
-    ``(int, (v, float))`` (or ``(v, float)``) tuples — exactly what the
-    scalar ``_join_expand`` (and ``values()``) emit — so a consumer
-    without a declared columnar twin sees no difference.
-    """
-
-    __slots__ = ("keys", "left", "right")
-
-    def __init__(self, keys: "np.ndarray | None",
-                 left: "np.ndarray | GroupBlock", right: np.ndarray) -> None:
-        self.keys = keys
-        self.left = left
-        self.right = right
-
-    def __len__(self) -> int:
-        return len(self.right)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return JoinedBlock(None if self.keys is None else self.keys[i],
-                               self.left[i], self.right[i])
-        v = self.left[i]
-        vw = (v[1] if type(self.left) is GroupBlock else v.item(),
-              self.right[i].item())
-        return vw if self.keys is None else (self.keys[i].item(), vw)
-
-    def __iter__(self):
-        left = self.left
-        vws = zip(left.lists() if type(left) is GroupBlock else left.tolist(),
-                  self.right.tolist())
-        return vws if self.keys is None else zip(self.keys.tolist(), vws)
-
-    def __repr__(self) -> str:
-        return f"JoinedBlock({len(self)} records)"
-
-
-def _regroup(keys: np.ndarray):
-    """The stable first-occurrence regroup of a key column.
-
-    Returns ``(uniq, inverse, slot, perm)``: the sorted distinct keys,
-    each record's index into them, each record's group number (the rank
-    of its key's first occurrence) and the stable permutation that lists
-    the records group by group, each group in record order.
-    """
-    uniq, first_idx, inverse = np.unique(
-        keys, return_index=True, return_inverse=True)
-    rank_of = np.empty(len(uniq), dtype=np.int64)
-    rank_of[np.argsort(first_idx, kind="stable")] = np.arange(
-        len(uniq), dtype=np.int64)
-    slot = rank_of[inverse]
-    return uniq, inverse, slot, np.argsort(slot, kind="stable")
-
-
-def hash_join(keys: np.ndarray, values: "np.ndarray | GroupBlock",
-              right) -> "tuple[JoinedBlock, int] | None":
+def hash_join(left, right) -> "tuple[PairBlock, int] | None":
     """Inner-join a columnar left side against a unique-keyed right side.
 
-    ``keys``/``values`` are the left side's columns; ``values`` may be a
-    :class:`GroupBlock` keyed by ``keys`` (a grouped left side: each
-    group is one ``v``).  ``right`` is a partition of ``(int, float)``
-    pairs (a :class:`PairBlock` or a list, checked by
-    :func:`pair_columns`).  Returns ``(joined, n_groups)`` —
+    ``left`` is a partition of exact numeric pairs (a list or a block,
+    checked by :func:`pair_columns`) or a block of groups (unique keys:
+    each group is one ``v``); ``right`` is a partition of ``(int,
+    float)`` pairs.  Returns ``(joined, n_groups)`` — ``joined`` is the
+    left side with the matched ``w`` as its ``right`` column, and
     ``n_groups`` is ``|keys(L) ∪ keys(R)|``, the length of the cogroup's
-    group list — or ``None`` when the right side is not such a partition
-    or one of its keys repeats (then ``ws`` has several entries and the
-    output is no longer a filter of the left side); the scalar loop
-    handles those.  The right side is checked first, so refusing it
-    costs no regroup of the left.
+    group list — or ``None`` when either side is not such a partition or
+    a right key repeats (then ``ws`` has several entries and the output
+    is no longer a filter of the left side); the scalar loop handles
+    those.  The right side is checked first, so refusing it costs no
+    regroup of the left.
 
     The scalar cogroup inserts keys in first-occurrence order and appends
     each key's values in record order; ``_join_expand`` then walks the
@@ -685,30 +574,38 @@ def hash_join(keys: np.ndarray, values: "np.ndarray | GroupBlock",
     the left side stably sorted by the rank of each key's first
     occurrence, filtered by presence: the scalar order.  When no left key
     repeats (always, for a grouped side) that sort is the identity; a
-    grouped left side stays grouped, its :class:`GroupBlock` filtered.
+    grouped left side stays grouped, its groups filtered.
     """
     cols = pair_columns(right)
     if cols is None or cols[1].dtype != np.float64:
         return None
+    if not (type(left) is PairBlock and left.groups):
+        lcols = pair_columns(left)
+        if lcols is None:
+            return None
+        left = PairBlock(*lcols)
     rkeys, rvalues = cols
     nr = len(rkeys)
     order = np.argsort(rkeys, kind="stable")
     sorted_keys = rkeys[order]
     if not (sorted_keys[1:] != sorted_keys[:-1]).all():
         return None
-    uniq, idx, _, perm = _regroup(keys)
-    if len(uniq) < len(keys):
-        keys, values, idx = keys[perm], values[perm], idx[perm]
+    uniq, _, slot = first_ranks(left.keys)
+    if len(uniq) < len(left):
+        perm = np.argsort(slot, kind="stable")
+        left, slot = left[perm], slot[perm]
+    n_common, w = 0, rvalues
     if nr == 0:  # nothing to probe: every left key is unmatched
-        return JoinedBlock(keys[:0], values[:0], rvalues), len(uniq)
-    pos = np.minimum(np.searchsorted(sorted_keys, uniq), nr - 1)
-    found = sorted_keys[pos] == uniq
-    n_common = int(np.count_nonzero(found))
-    w_of_uniq = rvalues[order[pos]]  # meaningful where ``found``
-    if n_common < len(uniq):  # drop left records whose key has no match
-        keep = found[idx]
-        keys, values, idx = keys[keep], values[keep], idx[keep]
-    return (JoinedBlock(keys, values, w_of_uniq[idx]),
+        left = left[:0]
+    else:
+        pos = np.minimum(np.searchsorted(sorted_keys, uniq), nr - 1)
+        found = sorted_keys[pos] == uniq
+        n_common = int(np.count_nonzero(found))
+        if n_common < len(uniq):  # drop left records whose key has no match
+            keep = found[slot]
+            left, slot = left[keep], slot[keep]
+        w = rvalues[order[pos]][slot]  # each key's ``w`` where ``found``
+    return (PairBlock(left.keys, left.values, offsets=left.offsets, right=w),
             len(uniq) + nr - n_common)
 
 

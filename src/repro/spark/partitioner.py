@@ -14,8 +14,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import SparkError
-from repro.sim.blocks import (PairBlock, PairKeyBlock, partition_pair_keys,
-                              partition_pairs)
+from repro.sim.blocks import PairBlock, partition_pairs
 
 
 def stable_hash(key: Any) -> int:
@@ -94,14 +93,12 @@ class HashPartitioner(Partitioner):
 
     def buckets(self, records) -> tuple:
         """The generic cut with :func:`stable_hash` inlined for exact-int
-        keys (the dominant shuffle path), and a ``PairBlock`` /
-        ``PairKeyBlock`` cut columnar into the same buckets in the same
-        order (see :mod:`repro.sim.blocks`)."""
+        keys (the dominant shuffle path), and a ``PairBlock`` of pairs or
+        of ``distinct``'s pair-keyed records cut columnar into the same
+        buckets in the same order (see :mod:`repro.sim.blocks`)."""
         nparts = self.num_partitions
-        if type(records) is PairBlock:
+        if type(records) is PairBlock and (records.pairs or records.pair_keyed):
             return partition_pairs(records, nparts)
-        if type(records) is PairKeyBlock:
-            return partition_pair_keys(records, nparts)
         out: list[list] = [[] for _ in range(nparts)]
         try:
             for rec in records:

@@ -22,9 +22,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from repro.errors import SparkError
-from repro.sim.blocks import (GroupBlock, JoinedBlock, PairBlock, PairKeyBlock,
-                              RecordBlock, as_pair_key_block, hash_join,
-                              pair_columns)
+from repro.sim.blocks import (PairBlock, RecordBlock, as_pair_key_block,
+                              first_ranks, hash_join)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.shuffle import merge_by_key
 from repro.spark.storage import StorageLevel
@@ -59,13 +58,14 @@ def _join_expand(groups: list) -> list:
 def _values_twin(vector: Callable) -> Callable:
     """Lift ``map_values``' twin over a values array to a twin over blocks.
 
-    Defined on a float-valued :class:`PairBlock` only — a
-    :class:`JoinedBlock`'s values are ``(v, w)`` pairs, not one column,
-    and ``vector`` is declared over ``float64`` — so anything else stays
+    Defined on a float-valued block of pairs only — a join's values are
+    ``(v, w)`` pairs and a group's are lists, not one column, and
+    ``vector`` is declared over ``float64`` — so anything else stays
     scalar.
     """
     def twin(block):
-        if isinstance(block, PairBlock) and block.values.dtype == np.float64:
+        if (type(block) is PairBlock and block.pairs
+                and block.values.dtype == np.float64):
             return PairBlock(block.keys, vector(block.values))
         return None
     return twin
@@ -74,15 +74,16 @@ def _values_twin(vector: Callable) -> Callable:
 def _join_values(block):
     """``values()``' twin over a join's columns: the same block without
     its key column, which iterates as the ``(v, w)`` records."""
-    if isinstance(block, JoinedBlock) and block.keys is not None:
-        return JoinedBlock(None, block.left, block.right)
+    if type(block) is PairBlock and block.joined and block.keys is not None:
+        return PairBlock(None, block.values, offsets=block.offsets,
+                         right=block.right)
     return None
 
 
 def _pair_keys(block):
     """``keys()``' twin over ``distinct``'s records: the ``(k, v)`` keys
-    of a :class:`PairKeyBlock` are the pair block of its two columns."""
-    if type(block) is PairKeyBlock:
+    of a pair-keyed block are the pair block of its two columns."""
+    if type(block) is PairBlock and block.pair_keyed:
         return PairBlock(block.keys, block.values)
     return None
 
@@ -263,13 +264,13 @@ class RDD:
 
         ``vector`` optionally supplies the columnar twin of ``f``.  It is
         offered every partition — a list, or a block
-        (:class:`~repro.sim.blocks.JoinedBlock` after a block join,
-        :class:`~repro.sim.blocks.PairBlock` after a numeric shuffle or a
-        columnar parse, :class:`~repro.sim.blocks.GroupBlock` after a
-        grouping, :class:`~repro.sim.blocks.RecordBlock` straight off
-        ``text_file``) — and returns a block whose records the caller
-        asserts are *bitwise* those of mapping ``f``, or ``None`` wherever
-        it is not defined (a list, a block type it does not know).
+        (a :class:`~repro.sim.blocks.PairBlock` of pairs after a numeric
+        shuffle or a columnar parse, of groups after a grouping, of joined
+        records after a block join; a
+        :class:`~repro.sim.blocks.RecordBlock` straight off ``text_file``)
+        — and returns a block whose records the caller asserts are
+        *bitwise* those of mapping ``f``, or ``None`` wherever it is not
+        defined (a list, a record shape it does not know).
         Charges are identical, and the scalar ``f`` is authoritative
         wherever the twin answers ``None``.
         """
@@ -303,8 +304,8 @@ class RDD:
         function over a ``float64`` values array that the caller asserts
         is *bitwise* elementwise-equal to mapping ``f`` (e.g. an affine
         update — numpy applies the same IEEE double ops).  It is used
-        only when the partition arrives as a
-        :class:`~repro.sim.blocks.PairBlock`; charges are identical, and
+        only when the partition arrives as a block of pairs
+        (:class:`~repro.sim.blocks.PairBlock`); charges are identical, and
         the scalar ``f`` remains authoritative everywhere else.
         """
         return self.map_partitions(
@@ -439,9 +440,9 @@ class RDD:
 
         A partition that arrives as a NaN-free
         :class:`~repro.sim.blocks.PairBlock` stays columnar throughout:
-        its ``((k, v), None)`` records are a
-        :class:`~repro.sim.blocks.PairKeyBlock`, merged first-wins on both
-        sides of the shuffle, and ``keys()`` hands on a ``PairBlock``.
+        its ``((k, v), None)`` records are a pair-keyed ``PairBlock``,
+        merged first-wins on both sides of the shuffle, and ``keys()``
+        hands on a block of pairs.
         """
         return (
             self.map_partitions(lambda _i, it: [(x, None) for x in it],
@@ -717,13 +718,12 @@ def _fold_list(zero: Any, f: Callable, it: list) -> Any:
 
 
 def _count_keys(_i: int, it: list) -> dict:
-    if isinstance(it, PairBlock):
+    if type(it) is PairBlock and it.pairs:
         # columnar twin of the loop below: Python-int keys in
         # first-occurrence order, Python-int counts
-        uniq, first_idx, counts = np.unique(
-            it.keys, return_index=True, return_counts=True)
-        order = np.argsort(first_idx, kind="stable")
-        return dict(zip(uniq[order].tolist(), counts[order].tolist()))
+        uniq, _, slot = first_ranks(it.keys)
+        return dict(zip(uniq.tolist(),
+                        np.bincount(slot, minlength=len(uniq)).tolist()))
     out: dict = {}
     for k, _v in it:
         out[k] = out.get(k, 0) + 1
@@ -1012,9 +1012,9 @@ class CoGroupedRDD(RDD):
 class JoinedRDD(CoGroupedRDD):
     """``join``: the cogroup of both sides expanded to ``(k, (v, w))``.
 
-    A left side of exact numeric pairs or a ``GroupBlock`` (unique keys)
-    against a unique-keyed right side joins as columns
-    (:func:`~repro.sim.blocks.hash_join`, a ``JoinedBlock`` out); any
+    A left side of exact numeric pairs or of groups (unique keys) against
+    a unique-keyed right side joins as columns
+    (:func:`~repro.sim.blocks.hash_join`, a joined ``PairBlock`` out); any
     other partition takes the scalar cogroup and :func:`_join_expand`.
     Charged as the cogroup and then its expansion: the records of both
     sides, then one per group.
@@ -1024,9 +1024,7 @@ class JoinedRDD(CoGroupedRDD):
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
         left, right = self._sides(index, ctx)
-        cols = ((left.keys, left) if type(left) is GroupBlock
-                else pair_columns(left))
-        joined = None if cols is None else hash_join(*cols, right)
+        joined = hash_join(left, right)
         if joined is None:
             groups = list(_cogroup_pairs(left, right).items())
             joined = _join_expand(groups), len(groups)

@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.mpi.datatypes import nbytes_of
-from repro.sim.blocks import (PairBlock, PairKeyBlock, as_pair_block,
-                              first_occurrences, group_pairs, sum_by_key)
+from repro.sim.blocks import (PairBlock, as_pair_block, first_occurrences,
+                              group_pairs, sum_by_key)
 from repro.sim.process import SimProcess
 from repro.spark.partitioner import require_pair
 
@@ -46,15 +46,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: sample size for record-size estimation
 _SAMPLE = 20
 
-#: what :func:`estimate_nbytes` comes to per record of a block bucket.  A
-#: ``PairBlock`` record is always an ``(int, float)`` or ``(int, int)``
-#: tuple, either of which ``nbytes_of`` prices at 8 + 2 * (8 + 8) = 40
-#: (``int`` as a JVM boxed long, like ``float``); a ``PairKeyBlock`` record
-#: ``((k, v), None)`` at 8 + (40 + 8) + (1 + 8) = 65.  Add the estimate's 8
-#: bytes of framing: both of its branches reduce to exactly ``48 * n`` and
-#: ``73 * n`` (the sample mean is exactly ``40.0`` or ``65.0``, and the
-#: product is exact in a double below 2**53 / 73).
-_BLOCK_RECORD_NBYTES = {PairBlock: 48, PairKeyBlock: 73}
+#: what :func:`estimate_nbytes` comes to per record of a block bucket, by
+#: :func:`_block_kind`.  A ``"pairs"`` record is always an ``(int, float)``
+#: or ``(int, int)`` tuple, either of which ``nbytes_of`` prices at
+#: 8 + 2 * (8 + 8) = 40 (``int`` as a JVM boxed long, like ``float``); a
+#: ``"pair_keys"`` record ``((k, v), None)`` at 8 + (40 + 8) + (1 + 8) = 65.
+#: Add the estimate's 8 bytes of framing: both of its branches reduce to
+#: exactly ``48 * n`` and ``73 * n`` (the sample mean is exactly ``40.0`` or
+#: ``65.0``, and the product is exact in a double below 2**53 / 73).
+_BLOCK_RECORD_NBYTES = {"pairs": 48, "pair_keys": 73}
 
 #: sentinel distinguishing "key absent" from any stored value
 _MISSING = object()
@@ -68,8 +68,8 @@ def merge_by_key(records, create: Callable, merge: Callable,
 
     The declared ``vector`` (:meth:`~repro.spark.rdd.RDD.combine_by_key`)
     lets a kernel replay the loop on a block: ``"sum"`` :func:`sum_by_key`
-    on numeric pairs, ``"group"`` :func:`group_pairs` on a ``PairBlock``,
-    ``"first"`` :func:`first_occurrences` on a ``PairKeyBlock``.  A
+    on numeric pairs, ``"group"`` :func:`group_pairs` on a block of pairs,
+    ``"first"`` :func:`first_occurrences` on a pair-keyed block.  A
     record that is not a ``(key, value)`` pair raises ``SparkError``; an
     exception of ``create`` or ``merge`` propagates unchanged.
     """
@@ -77,10 +77,11 @@ def merge_by_key(records, create: Callable, merge: Callable,
         block = as_pair_block(records)
         if block is not None:
             return sum_by_key(block.keys, block.values)
-    elif vector == "group" and type(records) is PairBlock:
-        return group_pairs(records)
-    elif vector == "first" and type(records) is PairKeyBlock:
-        return first_occurrences(records)
+    elif type(records) is PairBlock:
+        if vector == "group" and records.pairs:
+            return group_pairs(records)
+        if vector == "first" and records.pair_keyed:
+            return first_occurrences(records)
     acc: dict = {}
     get = acc.get
     it = iter(records)
@@ -138,18 +139,17 @@ def _reduce_major(counts: np.ndarray) -> np.ndarray:
 
 class _Group:
     """The maps of one shuffle whose outputs share a record kind (a
-    block type and value dtype, or ``list``), held reduce-major:
+    block kind and value dtype, or ``list``), held reduce-major:
     reducer ``r``'s buckets, in map order, are ``records[starts[r]:
     starts[r + 1]]``, and ``counts[i, r]`` is the length of the bucket of
     ``maps[i]``."""
 
-    __slots__ = ("kind", "maps", "counts", "records", "starts")
+    __slots__ = ("maps", "counts", "records", "starts")
 
     def __init__(self, maps: list[int], outputs: list,
                  counts: np.ndarray) -> None:
-        kind = type(outputs[0])
         idx = _reduce_major(counts)
-        if kind is list:
+        if type(outputs[0]) is list:
             flat = list(chain.from_iterable(outputs))
             self.records = list(map(flat.__getitem__, idx.tolist()))
         else:
@@ -159,8 +159,8 @@ class _Group:
             values = np.concatenate([o.values for o in outputs])[idx]
             keys.setflags(write=False)
             values.setflags(write=False)
-            self.records = kind(keys, values)
-        self.kind = kind
+            self.records = PairBlock(keys, values,
+                                     pair_keyed=outputs[0].pair_keyed)
         self.maps = maps
         self.counts = counts
         starts = np.zeros(counts.shape[1] + 1, dtype=np.int64)
@@ -172,16 +172,12 @@ class _Group:
         registered."""
         counts = self.counts
         idx = _reduce_major(counts)
-        if self.kind is list:
-            back = np.empty_like(idx)
-            back[idx] = np.arange(len(idx))
+        back = np.empty_like(idx)
+        back[idx] = np.arange(len(idx))
+        if type(self.records) is list:
             flat = list(map(self.records.__getitem__, back.tolist()))
         else:
-            keys = np.empty_like(self.records.keys)
-            values = np.empty_like(self.records.values)
-            keys[idx] = self.records.keys
-            values[idx] = self.records.values
-            flat = self.kind(keys, values)
+            flat = self.records[back]
         bounds = np.zeros(len(self.maps) + 1, dtype=np.int64)
         np.cumsum(counts.sum(axis=1), out=bounds[1:])
         bounds = bounds.tolist()
@@ -244,12 +240,22 @@ class ShuffleLayout:
             yield from g.split()
 
 
+def _block_kind(records) -> "str | None":
+    """``"pairs"`` for a block of ``(k, v)`` pairs and ``"pair_keys"`` for
+    ``distinct``'s ``((k, v), None)``, the two kinds a partitioner cuts
+    columnar; ``None`` for a list or a block of any other shape."""
+    if type(records) is not PairBlock:
+        return None
+    return "pair_keys" if records.pair_keyed else (
+        "pairs" if records.pairs else None)
+
+
 def _kind(records) -> tuple:
-    """What a reduce input may concatenate columnar: a block's type and
-    value dtype; a list is ``(list, None)``."""
+    """What a reduce input may concatenate columnar: a block's value
+    dtype and kind; a list is ``(None, None)``."""
     if type(records) is list:
-        return list, None
-    return type(records), records.values.dtype
+        return None, None
+    return records.values.dtype, _block_kind(records)
 
 
 class MapOutputTracker:
@@ -360,7 +366,7 @@ class ShuffleWriter:
         equal to the sampled estimate, without boxing 20 records per
         bucket to learn a constant.
         """
-        per_record = _BLOCK_RECORD_NBYTES.get(type(records))
+        per_record = _BLOCK_RECORD_NBYTES.get(_block_kind(records))
         if per_record is not None:
             return np.diff(offsets) * (per_record * scale)
         bounds = offsets.tolist()

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.spark.shuffle import _BLOCK_RECORD_NBYTES, estimate_nbytes
+from repro.sim.blocks import PairBlock
+from repro.spark.shuffle import (_BLOCK_RECORD_NBYTES, _block_kind,
+                                 estimate_nbytes)
 
 
 def reference_sizes(bucket_lists: list, scale: int
@@ -28,7 +30,7 @@ def reference_sizes(bucket_lists: list, scale: int
     for reduce_id, bucket in enumerate(bucket_lists):
         if not len(bucket):
             continue
-        per_record = _BLOCK_RECORD_NBYTES.get(type(bucket))
+        per_record = _BLOCK_RECORD_NBYTES.get(_block_kind(bucket))
         if per_record is not None:
             nbytes = per_record * len(bucket) * scale
         else:
@@ -82,12 +84,13 @@ def reference_read(proc, executor, env, shuffle_id: int, reduce_id: int,
             trace.access(proc, "read",
                          f"spark.shuffle{shuffle_id}[{map_id},{reduce_id}]")
     filled = [p for p in parts if len(p)]
-    kind = type(filled[0]) if filled else None
-    if (kind in _BLOCK_RECORD_NBYTES
-            and all(type(p) is kind for p in filled)
+    kind = _block_kind(filled[0]) if filled else None
+    if (kind is not None
+            and all(_block_kind(p) == kind for p in filled)
             and len({p.values.dtype for p in filled}) == 1):
-        out = kind(np.concatenate([p.keys for p in filled]),
-                   np.concatenate([p.values for p in filled]))
+        out = PairBlock(np.concatenate([p.keys for p in filled]),
+                        np.concatenate([p.values for p in filled]),
+                        pair_keyed=filled[0].pair_keyed)
     else:
         out = []
         for records in parts:

@@ -16,6 +16,7 @@ Two halves:
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
 import operator
 import re
@@ -27,16 +28,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.pagerank import spark_hibench as hibench
 from repro.apps.pagerank.spark_bigdatabench import _contrib, _contrib_block
 from repro.core import figures
+from repro.fs.content import BytesContent
 from repro.platform import Dataset, ScenarioSpec, fingerprint_result
 import repro.sim.blocks as blocks
 from repro.sim.blocks import (
     ContribBlock,
-    GroupBlock,
-    JoinedBlock,
     PairBlock,
-    PairKeyBlock,
     RecordBlock,
     as_pair_block,
     as_pair_key_block,
@@ -45,25 +45,21 @@ from repro.sim.blocks import (
     hash_join,
     pair_columns,
     parse_int_pairs,
-    partition_pair_keys,
     partition_pairs,
     sum_by_key,
 )
 from repro.spark.rdd import (_append, _cogroup_pairs, _count_keys,
-                             _join_expand, _join_values)
+                             _identity, _join_expand, _join_values,
+                             _pair_keys, _values_twin)
 from repro.spark.partitioner import HashPartitioner, RangePartitioner
-from repro.spark.shuffle import ShuffleWriter, estimate_nbytes
+from repro.spark.shuffle import (ShuffleWriter, _block_kind, estimate_nbytes,
+                                 merge_by_key)
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
 
 # ---------------------------------------------------------------------------
 # RecordBlock
 # ---------------------------------------------------------------------------
-
-
-#: the blocks the Spark kernels build; none may exist under
-#: :func:`ineligible_inputs`
-_KERNEL_BLOCKS = (PairBlock, PairKeyBlock, GroupBlock, JoinedBlock)
 
 
 @contextmanager
@@ -77,21 +73,21 @@ def ineligible_inputs():
     the join and every declared twin run their scalar loops — exactly
     as they do in production for a malformed line or for records that are
     not exact numeric pairs.  The patch proves itself: a ``with`` body
-    that constructs any of :data:`_KERNEL_BLOCKS` fails.
+    that constructs a :class:`PairBlock` of any shape fails.
     """
     built: Counter[str] = Counter()
     with pytest.MonkeyPatch.context() as patch:
-        for module in ("repro.sim.blocks", "repro.spark.rdd"):
-            patch.setattr(f"{module}.pair_columns", lambda records: None)
+        patch.setattr("repro.sim.blocks.pair_columns", lambda records: None)
         # whoever imported the kernel: no split fits a pattern nothing fits
         patch.setattr("repro.sim.blocks._INT_PAIR_LINES", re.compile(rb"(?!)"))
         assert as_pair_block([(1, 2.0)]) is None
         assert parse_int_pairs(RecordBlock(b"1 2\n")) is None
-        for cls in _KERNEL_BLOCKS:
-            def recording_init(self, *args, _init=cls.__init__):
-                built[type(self).__name__] += 1
-                _init(self, *args)
-            patch.setattr(cls, "__init__", recording_init)
+
+        def recording_init(self, *args, _init=PairBlock.__init__, **kwargs):
+            built[repr(sorted(kwargs))] += 1
+            _init(self, *args, **kwargs)
+
+        patch.setattr(PairBlock, "__init__", recording_init)
         yield
     assert not built, f"blocks built from ineligible inputs: {dict(built)}"
 
@@ -248,11 +244,75 @@ class TestParseIntPairs:
 # ---------------------------------------------------------------------------
 
 
+#: every record shape a :class:`PairBlock` takes, as ``(pairs, right) ->
+#: (block, the scalar records it stands for)``: the pairs themselves,
+#: ``distinct``'s pair-keyed records, ``group_by_key``'s groups, and the
+#: join against ``right`` with or without keys over a flat or a grouped
+#: left side
+SHAPES = {
+    "pairs": lambda pairs, right: (PairBlock(*pair_columns(pairs)), pairs),
+    "pair_keyed": lambda pairs, right: (
+        as_pair_key_block(PairBlock(*pair_columns(_nan_free(pairs)))),
+        [(kv, None) for kv in _nan_free(pairs)]),
+    "groups": lambda pairs, right: (_grouped(pairs), scalar_groups(pairs)),
+    "joined": lambda pairs, right: (
+        hash_join(pairs, right)[0],
+        _join_expand(list(_cogroup_pairs(pairs, right).items()))),
+    "joined_groups": lambda pairs, right: (
+        hash_join(_grouped(pairs), right)[0],
+        _join_expand(list(_cogroup_pairs(scalar_groups(pairs),
+                                         right).items()))),
+    "joined_values": lambda pairs, right: _keyless(
+        *SHAPES["joined"](pairs, right)),
+    "joined_groups_values": lambda pairs, right: _keyless(
+        *SHAPES["joined_groups"](pairs, right)),
+}
+
+
+def _nan_free(pairs) -> list:
+    return [(k, v) for k, v in pairs if v == v]
+
+
+def _keyless(joined, records) -> tuple:
+    """``values()`` of a joined block and of its scalar records."""
+    return _join_values(joined), [vw for _, vw in records]
+
+
 class TestPairBlock:
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("dtype", ["int", "float"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reads_as_the_scalar_records(self, shape, dtype, data):
+        values = (st.integers(-2**63, 2**63 - 1) if dtype == "int"
+                  else _FLOATS)
+        pairs = data.draw(_int_pair_lists(values=values))
+        block, want = SHAPES[shape](pairs, data.draw(_unique_rights()))
+        n = len(want)
+        assert type(block) is PairBlock and len(block) == n
+        assert _bits(block) == _bits(want)
+        assert _bits(block[i] for i in range(-n, n)) == _bits(want + want)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                block[i]
+        for s in (slice(None, None, 2), slice(1, None, 3), slice(-3, None),
+                  slice(None, None, -1), slice(3, 1), slice(1, -1),
+                  slice(-2, 1, -1)):
+            assert _bits(block[s]) == _bits(want[s])
+        assert block[1:].values.base is not None  # a step-1 slice is a view
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        assert _bits(block[np.array(mask, dtype=bool)]) == _bits(
+            [r for r, m in zip(want, mask) if m])
+        picks = data.draw(st.lists(st.integers(-n, n - 1), max_size=8)
+                          if n else st.just([]))
+        assert _bits(block[np.array(picks, dtype=np.int64)]) == _bits(
+            [want[j] for j in picks])
+        assert estimate_nbytes(block) == estimate_nbytes(want)
+
     def test_roundtrip_and_scalar_types(self):
         pairs = [(3, 1.5), (-1, 2.0), (3, 0.25)]
         block = PairBlock(*pair_columns(pairs))
-        assert block.to_pairs() == pairs
+        assert list(block) == pairs
         assert block == pairs
         k, v = block[1]
         assert type(k) is int and type(v) is float
@@ -262,7 +322,7 @@ class TestPairBlock:
         pairs = [(3, 7), (-1, 2**62), (3, -5)]
         block = PairBlock(*pair_columns(pairs))
         assert block.values.dtype == np.int64
-        assert _bits(block) == _bits(pairs) == _bits(block.to_pairs())
+        assert _bits(block) == _bits(pairs)
         assert _bits(block[i] for i in range(3)) == _bits(pairs)
         assert _bits(block[1:]) == _bits(pairs[1:])
         # equal numbers of another type are another partition
@@ -273,14 +333,14 @@ class TestPairBlock:
         view = block[2:5]
         assert isinstance(view, PairBlock)
         assert view.keys.base is not None  # numpy view, not a copy
-        assert view.to_pairs() == [(2, 2.0), (3, 3.0), (4, 4.0)]
+        assert list(view) == [(2, 2.0), (3, 3.0), (4, 4.0)]
 
 
 class TestAsPairBlock:
     def test_accepts_int_float_pairs(self):
         block = as_pair_block([(1, 2.0), (2, 3.5)])
         assert isinstance(block, PairBlock)
-        assert block.to_pairs() == [(1, 2.0), (2, 3.5)]
+        assert list(block) == [(1, 2.0), (2, 3.5)]
 
     def test_passthrough_for_existing_block(self):
         block = PairBlock(*pair_columns([(1, 1.0)]))
@@ -331,7 +391,7 @@ class TestPartitionPairs:
                                         nparts))
         assert len(out) == nparts
         for got, want in zip(out, buckets):
-            assert got.to_pairs() == want
+            assert list(got) == want
 
     def test_a_block_keeps_its_buckets_per_width(self):
         keys = np.arange(-40, 60, 3, dtype=np.int64)
@@ -396,19 +456,10 @@ class TestPairKeyBlock:
         object it was given."""
         return list(dict.fromkeys(pairs))
 
-    def test_iterates_indexes_and_slices_as_the_records(self):
-        pairs = [(3, 1.5), (-1, -0.0), (3, 1.5)]
-        block = as_pair_key_block(PairBlock(*pair_columns(pairs)))
-        want = [(kv, None) for kv in pairs]
-        assert _bits(block) == _bits(want)
-        assert _bits(block[i] for i in range(3)) == _bits(want)
-        assert _bits(block[1:]) == _bits(want[1:])
-        assert block[1:].keys.base is not None  # zero-copy view
-
     @pytest.mark.parametrize("records", [
         PairBlock(np.array([1, 2]), np.array([0.5, math.nan])),  # a NaN
         [(1, 0.5)],                                              # a list
-        GroupBlock(np.array([1]), np.array([0, 1]), np.array([2])),
+        PairBlock(np.array([1]), np.array([2]), offsets=np.array([0, 1])),
     ])
     def test_defined_on_nan_free_pair_blocks_only(self, records):
         assert as_pair_key_block(records) is None
@@ -419,7 +470,7 @@ class TestPairKeyBlock:
     def test_first_occurrences_equal_the_dict_merge(self, pairs):
         block = as_pair_key_block(PairBlock(*pair_columns(pairs)))
         got = first_occurrences(block)
-        assert type(got) is PairKeyBlock
+        assert type(got) is PairBlock and got.pair_keyed
         assert _bits(k for k, _ in got) == _bits(self.dict_merge(pairs))
 
     def test_the_first_zero_survives(self):
@@ -440,8 +491,8 @@ class TestPairKeyBlock:
         part = HashPartitioner(nparts).partition
         for rec in block:  # the scalar writer's append loop
             buckets[part(rec[0])].append(rec)
-        out = _buckets(*partition_pair_keys(block, nparts))
-        assert all(type(b) is PairKeyBlock for b in out)
+        out = _buckets(*partition_pairs(block, nparts))
+        assert all(b.pair_keyed for b in out)
         assert [_bits(b) for b in out] == [_bits(b) for b in buckets]
 
 
@@ -522,7 +573,7 @@ class TestHashJoin:
         groups = list(_cogroup_pairs(left, right).items())
         want = _join_expand(groups)
         rside = PairBlock(*pair_columns(right)) if right_as_block else right
-        got = hash_join(*pair_columns(left), rside)
+        got = hash_join(left, rside)
         assert got is not None
         joined, n_groups = got
         # the three numbers the charges are made of, then every record
@@ -546,9 +597,8 @@ class TestHashJoin:
         def no_regroup(keys):
             raise AssertionError("regrouped the left side")
 
-        monkeypatch.setattr("repro.sim.blocks._regroup", no_regroup)
-        left = pair_columns([(1, 10), (2, 20), (1, 11)])
-        assert hash_join(*left, right) is None
+        monkeypatch.setattr("repro.sim.blocks.first_ranks", no_regroup)
+        assert hash_join([(1, 10), (2, 20), (1, 11)], right) is None
 
     @pytest.mark.parametrize("left", [
         [(True, 1)],                      # bool key
@@ -592,41 +642,26 @@ def _int_pair_lists(draw, values=None):
                          max_size=40))
 
 
-def _grouped(pairs) -> GroupBlock:
+def _grouped(pairs) -> PairBlock:
     return group_pairs(PairBlock(*pair_columns(pairs)))
 
 
 def count_group_blocks(monkeypatch) -> list:
-    """A list that grows by one per ``GroupBlock`` built from now on."""
+    """A list that grows by one per block with group offsets built from
+    now on."""
     built: list = []
-    init = GroupBlock.__init__
+    init = PairBlock.__init__
 
-    def counting_init(self, *args):
-        built.append(1)
-        init(self, *args)
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("offsets") is not None:
+            built.append(1)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(GroupBlock, "__init__", counting_init)
+    monkeypatch.setattr(PairBlock, "__init__", counting_init)
     return built
 
 
 class TestGroupPairs:
-    @given(pairs=_int_pair_lists())
-    @settings(max_examples=200, deadline=None)
-    def test_iterates_indexes_and_slices_as_the_dict_merge(self, pairs):
-        want = scalar_groups(pairs)
-        got = _grouped(pairs)
-        assert len(got) == len(want)
-        assert _bits(got) == _bits(want)
-        n = len(want)
-        assert _bits(got[i] for i in range(-n, n)) == _bits(want + want)
-        for s in (slice(None, None, 2), slice(1, None, 3), slice(-3, None),
-                  slice(None, None, -1), slice(3, 1), slice(1, -1)):
-            assert _bits(got[s]) == _bits(want[s])
-        assert estimate_nbytes(got) == estimate_nbytes(want)
-        for i in (n, -n - 1):
-            with pytest.raises(IndexError):
-                got[i]
-
     @pytest.mark.parametrize("n_keys", [0, 1, 19, 21, 500, 4321])
     def test_sampled_size_equals_the_lists(self, n_keys):
         # past 20 groups estimate_nbytes samples records[::step][:20]
@@ -668,31 +703,23 @@ class TestRaggedJoin:
         groups = list(_cogroup_pairs(list(grouped), right).items())
         want = _join_expand(groups)
         rside = PairBlock(*pair_columns(right)) if right_as_block else right
-        joined, n_groups = hash_join(grouped.keys, grouped, rside)
+        joined, n_groups = hash_join(grouped, rside)
         assert n_groups == len(groups)
-        assert len(joined) == len(want)
+        # every read of the records: TestPairBlock's "joined_groups" shapes
         assert _bits(joined) == _bits(want)
-        assert _bits(joined[i] for i in range(len(joined))) == _bits(want)
-        assert _bits(joined[1::2]) == _bits(want[1::2])
-        # values(): the keyless twin iterates as the scalar comprehension
-        values = _join_values(joined)
-        want_values = [v for _, v in want]
-        assert len(values) == len(want_values)
-        assert _bits(values) == _bits(want_values)
-        assert _bits(values[i] for i in range(len(values))) == \
-            _bits(want_values)
-        assert _bits(values[::-1]) == _bits(want_values[::-1])
 
     def test_a_grouped_side_prepares_as_itself(self):
         # unique keys: the regroup is the identity, and with every key
         # matched nothing is filtered either
         grouped = _grouped([(3, 1), (-1, 2), (3, 4)])
-        joined, _ = hash_join(grouped.keys, grouped, [(-1, 0.5), (3, 1.5)])
-        assert joined.left is grouped and joined.keys is grouped.keys
+        joined, _ = hash_join(grouped, [(-1, 0.5), (3, 1.5)])
+        assert joined.keys is grouped.keys
+        assert joined.offsets is grouped.offsets
+        assert joined.values is grouped.values
 
     def test_values_twin_is_defined_on_keyed_joins_only(self):
         assert _join_values(PairBlock(*pair_columns([(1, 1.0)]))) is None
-        joined, _ = hash_join(*pair_columns([(1, 2)]), [(1, 0.5)])
+        joined, _ = hash_join([(1, 2)], [(1, 0.5)])
         keyless = _join_values(joined)
         assert list(keyless) == [(2, 0.5)]
         assert _join_values(keyless) is None
@@ -707,7 +734,7 @@ class TestContribTwin:
         grouped = group_pairs(PairBlock(
             *(np.array([r[i] for r in pairs], dtype=np.int64)
               for i in (0, 1))))
-        joined, _ = hash_join(grouped.keys, grouped, right)
+        joined, _ = hash_join(grouped, right)
         values = _join_values(joined)
         want = [y for x in values for y in _contrib(x)]
         got = _contrib_block(values)
@@ -715,15 +742,15 @@ class TestContribTwin:
         assert _bits(got) == _bits(want)  # floats compared by float.hex
 
     def test_undefined_blocks_stay_scalar(self):
-        joined, _ = hash_join(*pair_columns([(1, 2)]), [(1, 0.5)])
+        joined, _ = hash_join([(1, 2)], [(1, 0.5)])
         assert _contrib_block(_join_values(joined)) is None  # not grouped
         floats = _grouped([(1, 2.5)])
-        joined, _ = hash_join(floats.keys, floats, [(1, 0.5)])
+        joined, _ = hash_join(floats, [(1, 0.5)])
         assert _contrib_block(joined) is None                # keyed
         assert _contrib_block(_join_values(joined)) is None  # float urls
-        empty = GroupBlock(np.array([1]), np.array([0, 0]),
-                           np.empty(0, dtype=np.int64))
-        joined, _ = hash_join(empty.keys, empty, [(1, 0.5)])
+        empty = PairBlock(np.array([1]), np.empty(0, dtype=np.int64),
+                          offsets=np.array([0, 0]))
+        joined, _ = hash_join(empty, [(1, 0.5)])
         with pytest.raises(ZeroDivisionError):
             [y for x in _join_values(joined) for y in _contrib(x)]
         assert _contrib_block(_join_values(joined)) is None
@@ -746,18 +773,11 @@ class TestTextPipeline:
     def halve_negatives_block(block):
         # defined where one branch covers a pair block: the map output is
         # float-valued for split 0 and int-valued for the others
-        if type(block) is not PairBlock:
+        if type(block) is not PairBlock or not block.pairs:
             return None
         if (block.keys < 0).all():
             return PairBlock(block.keys, block.values * 0.5)
         return block if (block.keys >= 0).all() else None
-
-    @staticmethod
-    def seed_block(block):
-        # the rank seed's twin, as HiBench declares it
-        if type(block) is not PairBlock:
-            return None
-        return PairBlock(block.keys, np.ones(len(block)))
 
     def run(self, twins: bool):
         from repro.fs.content import BytesContent
@@ -783,7 +803,8 @@ class TestTextPipeline:
                 parsed.group_by_key(3).collect(),
                 parsed.join(parsed.map_values(lambda v: v + 1), 3).count(),
                 parsed.map(lambda e: (e[0], 1.0),
-                           vector=twin(self.seed_block)).distinct(3).collect(),
+                           vector=twin(hibench._seed_block))
+                .distinct(3).collect(),
                 # the cached block's buckets, cut at one width, then another
                 parsed.partition_by(2).collect(),
                 parsed.partition_by(3).collect(),
@@ -825,19 +846,12 @@ class TestTextPipeline:
         assert n == 3
 
 
-def run_keyed_program(parts, program, scale: int):
-    """``program(sc, rdd)`` over an RDD whose partitions are ``parts``:
-    its collected records (as :func:`_bits`), the app time and the trace
-    digest.  A partition is a pair block where ``pair_columns`` takes it
-    (so a list under :func:`ineligible_inputs`), else the list itself."""
-    def partition(i, _it):
-        cols = blocks.pair_columns(parts[i])
-        return list(parts[i]) if cols is None else PairBlock(*cols)
-
-    session = ScenarioSpec(nodes=2, procs_per_node=2, hb=True).session()
-    res = session.spark(app_startup=0.1, record_scale=scale).run(
-        lambda sc: program(sc, sc.parallelize(
-            list(range(len(parts))), len(parts)).map_partitions(partition)))
+def run_traced(app, scale: int, datasets=()):
+    """``app(sc)`` on a traced two-node session: its result records (as
+    :func:`_bits`), the app time and the trace digest."""
+    session = ScenarioSpec(nodes=2, procs_per_node=2, hb=True,
+                           datasets=datasets).session()
+    res = session.spark(app_startup=0.1, record_scale=scale).run(app)
     digest = hashlib.sha256()
     for ev in session.trace.events:
         digest.update(f"{ev.time.hex()}|{ev.proc}|{ev.kind}|"
@@ -845,9 +859,23 @@ def run_keyed_program(parts, program, scale: int):
     return _bits(res.value), res.app_elapsed.hex(), digest.hexdigest()
 
 
+def run_keyed_program(parts, program, scale: int):
+    """``program(sc, rdd)`` over an RDD whose partitions are ``parts``, by
+    :func:`run_traced`.  A partition is a pair block where
+    ``pair_columns`` takes it (so a list under :func:`ineligible_inputs`),
+    else the list itself."""
+    def partition(i, _it):
+        cols = blocks.pair_columns(parts[i])
+        return list(parts[i]) if cols is None else PairBlock(*cols)
+
+    return run_traced(lambda sc: program(sc, sc.parallelize(
+        list(range(len(parts))), len(parts)).map_partitions(partition)),
+        scale)
+
+
 class TestDistinctOverPairBlocks:
     """``distinct`` over pair-block partitions: the columnar shuffle
-    (``PairKeyBlock`` both sides, a ``PairBlock`` out) against the scalar
+    (pair-keyed blocks both sides, a block of pairs out) against the scalar
     one, by records, app time and trace."""
 
     @staticmethod
@@ -939,11 +967,13 @@ def _first_value(kv):
 
 
 def _first_values(block):
-    """``map(_first_value)``'s twin: a pair block as it is and a group
-    block's first values; ``None`` on anything else."""
-    if type(block) is GroupBlock:
+    """``map(_first_value)``'s twin: a block of pairs as it is and a block
+    of groups' first values; ``None`` on anything else."""
+    if type(block) is not PairBlock:
+        return None
+    if block.groups:
         return PairBlock(block.keys, block.values[block.offsets[:-1]])
-    return block if type(block) is PairBlock else None
+    return block if block.pairs else None
 
 
 #: name -> the keyed op ``(sc, rdd, nparts) -> rdd``
@@ -991,6 +1021,27 @@ _TAKE_GROUPS = {"join", "join(repeated key)", "join.values",
                 "count_by_key"} | _KEEP_GROUPS
 
 
+#: edge-list fields the text twin parses: small keys that repeat, and ones
+#: at and past 2**53 within its 18 digits
+_TEXT_INTS = st.one_of(st.integers(-2, 5), st.sampled_from(
+    [2**53, 2**53 + 1, -10**17]))
+
+
+class _Degrees:
+    """Out-degrees indexed by an int64 key column, as the dense column
+    HiBench's contribution twin reads (generated keys are too sparse for
+    one)."""
+
+    def __init__(self, deg: dict) -> None:
+        ints = sorted(k for k in deg
+                      if type(k) is int and -2**63 <= k < 2**63)
+        self.keys = np.array(ints, dtype=np.int64)
+        self.counts = np.array([deg[k] for k in ints], dtype=np.int64)
+
+    def __getitem__(self, keys: np.ndarray) -> np.ndarray:
+        return self.counts[np.searchsorted(self.keys, keys)]
+
+
 class TestGeneratedKeyedPrograms:
     """Generated programs of 1-3 keyed ops over generated pair partitions
     give the same records (float bits included), app time and trace with
@@ -1018,6 +1069,74 @@ class TestGeneratedKeyedPrograms:
     @settings(max_examples=150, deadline=None)
     def test_columnar_equals_scalar(self, parts, ops, nparts, scale):
         program = self.program(ops, nparts)
+        with ineligible_inputs():
+            scalar = run_keyed_program(parts, program, scale)
+        assert run_keyed_program(parts, program, scale) == scalar
+
+    @given(lines=st.lists(st.tuples(_TEXT_INTS, _TEXT_INTS), min_size=1,
+                          max_size=24),
+           bad=st.integers(0, 23), nsplits=st.integers(1, 4),
+           ops=st.lists(st.sampled_from(sorted(KEYED_OPS)), min_size=1,
+                        max_size=3),
+           nparts=st.integers(1, 4), scale=st.sampled_from([1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_a_text_source_with_one_malformed_line(self, lines, bad, nsplits,
+                                                   ops, nparts, scale):
+        """An edge-list file whose one line has a second space (the
+        scalar parse reads the same edge): exactly that line's split is
+        parsed per record, every other split columnar."""
+        bad %= len(lines)
+        text = "".join(f"{k}{'  ' if i == bad else ' '}{v}\n"
+                       for i, (k, v) in enumerate(lines))
+        datasets = (Dataset("edges.txt", BytesContent(text.encode()),
+                            on=("local",)),)
+        program = self.program(ops, nparts)
+        answers: list = []
+
+        def parse(split):
+            answers.append((split, parse_int_pairs(split)))
+            return answers[-1][1]
+
+        def app(sc):
+            return program(sc, sc.text_file("local://edges.txt", nsplits).map(
+                lambda line: tuple(map(int, line.split())), vector=parse))
+
+        with ineligible_inputs():
+            scalar = run_traced(app, scale, datasets)
+        answers.clear()
+        assert run_traced(app, scale, datasets) == scalar
+        assert len({split.buffer for split, answer in answers
+                    if answer is None and len(split)}) == 1
+
+    @given(parts=st.lists(_keyed_partition(), min_size=1, max_size=4),
+           iterations=st.integers(1, 3), nparts=st.integers(1, 4),
+           scale=st.sampled_from([1, 3]))
+    @settings(max_examples=40, deadline=None)
+    def test_a_persisted_pagerank_loop(self, parts, iterations, nparts,
+                                       scale):
+        """HiBench's loop over persisted links: the seed twin and
+        ``distinct``, then per iteration the join, the contribution twin
+        and the summing ``reduce_by_key``."""
+        def program(sc, links):
+            links = links.persist()
+            deg = links.count_by_key()
+            degrees = _Degrees(deg)
+
+            def contrib(src_dst_rank):
+                src, (dst, rank) = src_dst_rank
+                return (dst, rank / deg[src])
+
+            ranks = links.map(lambda e: (e[0], 1.0),
+                              vector=hibench._seed_block).distinct(nparts)
+            for _ in range(iterations):
+                ranks = links.join(ranks, nparts).map(
+                    contrib, vector=lambda joined: hibench._contrib_block(
+                        joined, degrees)).reduce_by_key(
+                    operator.add, nparts, vector="sum").map_values(
+                    lambda r: 0.15 + 0.85 * r,
+                    vector=lambda r: 0.15 + 0.85 * r)
+            return ranks.collect()
+
         with ineligible_inputs():
             scalar = run_keyed_program(parts, program, scale)
         assert run_keyed_program(parts, program, scale) == scalar
@@ -1055,7 +1174,8 @@ class TestBlockDispatch:
         offered: list = []
 
         def twin(block):
-            offered.append(type(block))
+            offered.append("groups" if type(block) is PairBlock
+                           and block.groups else type(block).__name__)
             return _first_values(block)
 
         def program(_sc, rdd):
@@ -1063,10 +1183,118 @@ class TestBlockDispatch:
 
         with ineligible_inputs():
             scalar = run_keyed_program(self.PARTS, program, 1)
-        assert offered == [list, list]
+        assert offered == ["list", "list"]
         offered.clear()
         assert run_keyed_program(self.PARTS, program, 1) == scalar
-        assert offered == [GroupBlock, GroupBlock]
+        assert offered == ["groups", "groups"]
+
+
+#: the refusal matrix's inputs: int and float pairs with a repeated key,
+#: and a unique-keyed right side that misses a left key
+_ML = [(1, 10), (2, 20), (1, 11), (5, 7)]
+_MF = [(1, 0.5), (2, -0.0), (1, 2.5), (5, 1.5)]
+_MR = [(1, 0.25), (5, 4.0), (9, 1.0)]
+
+
+#: a block of every shape in :data:`SHAPES`, int- and float-valued
+MATRIX_SHAPES = {
+    f"{dtype}_{shape}": lambda build=build, pairs=pairs: build(pairs, _MR)[0]
+    for dtype, pairs in (("int", _ML), ("float", _MF))
+    for shape, build in SHAPES.items()}
+_PAIRS = {"int_pairs", "float_pairs"}
+_PAIR_KEYS = {"int_pair_keyed", "float_pair_keyed"}
+_KEYED_JOINS = {"int_joined", "float_joined", "int_joined_groups",
+                "float_joined_groups"}
+
+#: entry -> (the entry over a block, the shapes it answers a block on)
+TWINS = {
+    "pair_columns": (pair_columns, _PAIRS),
+    "as_pair_block": (as_pair_block, {"float_pairs"}),
+    "as_pair_key_block": (as_pair_key_block, _PAIRS),
+    "hash_join(left)": (lambda b: hash_join(b, _MR),
+                        _PAIRS | {"int_groups", "float_groups"}),
+    "_values_twin": (_values_twin(lambda a: a * 0.5), {"float_pairs"}),
+    "_join_values": (_join_values, _KEYED_JOINS),
+    "_pair_keys": (_pair_keys, _PAIR_KEYS),
+    "hibench._seed_block": (hibench._seed_block, _PAIRS),
+    "hibench._contrib_block": (lambda b: hibench._contrib_block(
+        b, np.ones(10, dtype=np.int64)), {"int_joined"}),
+    "bigdatabench._contrib_block": (_contrib_block,
+                                    {"int_joined_groups_values"}),
+}
+
+#: entry -> (the kernel it may call, the entry over records, the shapes
+#: it calls the kernel on)
+KERNELS = {
+    "HashPartitioner.buckets": (
+        "repro.spark.partitioner.partition_pairs",
+        lambda r: [_bits(b) for b in _buckets(*HashPartitioner(3).buckets(r))],
+        _PAIRS | _PAIR_KEYS),
+    "merge_by_key(sum)": (
+        "repro.spark.shuffle.sum_by_key",
+        lambda r: _bits(merge_by_key(r, _identity, operator.add, "sum")),
+        {"float_pairs"}),
+    "merge_by_key(group)": (
+        "repro.spark.shuffle.group_pairs",
+        lambda r: _bits(merge_by_key(r, lambda v: [v], _append, "group")),
+        _PAIRS),
+    "merge_by_key(first)": (
+        "repro.spark.shuffle.first_occurrences",
+        lambda r: _bits(merge_by_key(r, _identity, lambda a, _b: a, "first")),
+        _PAIR_KEYS),
+    "_count_keys": (
+        "repro.spark.rdd.first_ranks",
+        lambda r: _bits(_count_keys(0, r).items()), _PAIRS),
+}
+
+
+def _outcome(run, records):
+    """``run(records)``, or the type of the exception it raised."""
+    try:
+        return run(records)
+    except Exception as exc:  # the scalar loop's own error is an answer
+        return type(exc)
+
+
+class TestShapeRefusals:
+    """One class means one risk: an entry defined on some record shapes
+    must not take another for one of them.  Offered a block of every
+    shape, a twin answers ``None``, and a kernel's caller runs its scalar
+    loop to the records' answer, wherever the entry is not defined."""
+
+    @pytest.mark.parametrize("shape", sorted(MATRIX_SHAPES))
+    @pytest.mark.parametrize("entry", sorted(TWINS))
+    def test_a_twin_answers_none_off_its_shapes(self, entry, shape):
+        twin, defined = TWINS[entry]
+        answer = twin(MATRIX_SHAPES[shape]())
+        assert (answer is not None) == (shape in defined)
+
+    @pytest.mark.parametrize("shape", sorted(MATRIX_SHAPES))
+    @pytest.mark.parametrize("entry", sorted(KERNELS))
+    def test_a_kernel_runs_on_its_shapes_only(self, entry, shape,
+                                              monkeypatch):
+        target, run, defined = KERNELS[entry]
+        block = MATRIX_SHAPES[shape]()
+        want = _outcome(run, list(block))
+        module, name = target.rsplit(".", 1)
+        kernel = getattr(importlib.import_module(module), name)
+        calls: list = []
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(target, counting)
+        assert _outcome(run, block) == want
+        assert bool(calls) == (shape in defined)
+
+    @pytest.mark.parametrize("shape", sorted(MATRIX_SHAPES))
+    def test_only_pairs_and_pair_keys_are_sized_in_closed_form(self, shape):
+        block = MATRIX_SHAPES[shape]()
+        closed = _block_kind(block) is not None
+        assert closed == (shape in _PAIRS | _PAIR_KEYS)
+        sizes = ShuffleWriter._sizes(block, np.array([0, len(block)]), 1)
+        assert sizes.tolist() == [estimate_nbytes(list(block))]
 
 
 class TestClosedFormSizing:
@@ -1080,7 +1308,7 @@ class TestClosedFormSizing:
                        rng.integers(-2**62, 2**62, size=n)):  # (int, int)
             # the pairs, and distinct's ((k, v), None) records over them
             for block in (PairBlock(keys, values),
-                          PairKeyBlock(keys, values)):
+                          PairBlock(keys, values, pair_keyed=True)):
                 sizes = ShuffleWriter._sizes(
                     block, np.array([0, n, n]), scale).tolist()
                 # the block's sampled estimate, and the tuple list's
@@ -1162,7 +1390,7 @@ class TestDifferentialFingerprints:
 
     def test_fig6_groups_columnar_only_when_eligible(self, monkeypatch):
         """The fig6 fingerprint differential above compares the grouped
-        path with the scalar one: ineligible inputs build no GroupBlock
+        path with the scalar one: ineligible inputs build no groups
         and never answer the contribution twin, eligible ones do both."""
         import repro.apps.pagerank.spark_bigdatabench as bigdatabench
 
@@ -1227,7 +1455,7 @@ def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench",
 
 
 def _traced_hibench() -> list:
-    """The HiBench twin (block join + JoinedBlock every iteration)."""
+    """The HiBench twin (a block join every iteration)."""
     return _traced_pagerank("spark_pagerank_hibench")
 
 
@@ -1255,6 +1483,19 @@ class TestDifferentialTraces:
         # same events at the same (bit-exact) virtual times, same owners,
         # and the same result
         assert traced() == scalar
+
+    def test_hibench_over_fewer_lines_than_splits(self):
+        """An empty split parses to an empty list, which joins as a
+        float-valued block: the contribution twin must refuse it, not
+        build a float key column."""
+        def run():
+            return _traced_pagerank("spark_pagerank_hibench",
+                                    lambda _edges: b"0 1\n1 2\n2 0\n",
+                                    collect_ranks=True)
+
+        with ineligible_inputs():
+            scalar = run()
+        assert run() == scalar
 
     @staticmethod
     def malformed_line_run(monkeypatch, app_name: str, module) -> None:

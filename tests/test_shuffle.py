@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.costs import DEFAULT_COSTS
-from repro.sim.blocks import PairBlock, PairKeyBlock
+from repro.sim.blocks import PairBlock
 from repro.spark import SparkContext
 from repro.spark import scheduler as sched
 from repro.spark.partitioner import HashPartitioner
@@ -106,18 +106,13 @@ def _bucket_lists(records, nparts: int) -> list:
     lists: list[list] = [[] for _ in range(nparts)]
     for rec in records:
         lists[part(rec[0])].append(rec)
-    if type(records) is PairBlock:
-        return [PairBlock(np.array([k for k, _ in b], dtype=np.int64),
-                          np.array([v for _, v in b],
-                                   dtype=records.values.dtype))
-                for b in lists]
-    if type(records) is PairKeyBlock:
-        return [PairKeyBlock(np.array([k for (k, _), _ in b],
-                                      dtype=np.int64),
-                             np.array([v for (_, v), _ in b],
-                                      dtype=records.values.dtype))
-                for b in lists]
-    return lists
+    if type(records) is list:
+        return lists
+    pairs = [[r[0] if records.pair_keyed else r for r in b] for b in lists]
+    return [PairBlock(np.array([k for k, _ in b], dtype=np.int64),
+                      np.array([v for _, v in b], dtype=records.values.dtype),
+                      pair_keyed=records.pair_keyed)
+            for b in pairs]
 
 
 class Shuffle:
@@ -193,7 +188,7 @@ def _map_output(draw):
     values = np.array([v for _, v in pairs],
                       dtype=np.float64 if floats else np.int64)
     if kind == "keys":
-        return PairKeyBlock(keys, values)
+        return PairBlock(keys, values, pair_keyed=True)
     if floats and pairs and draw(st.booleans()):
         values[draw(st.integers(0, len(pairs) - 1))] = math.nan
     return PairBlock(keys, values)
