@@ -64,6 +64,7 @@ import re
 from dataclasses import dataclass
 
 from repro import errors as _errors
+from repro.sim.trace import anchored_path
 
 __all__ = [
     "RULES",
@@ -216,20 +217,6 @@ def _dotted(node: ast.AST) -> str | None:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def _relpath(path: str) -> str:
-    """Anchor a filesystem path at the ``repro`` package root.
-
-    ``src/repro/sim/engine.py`` -> ``repro/sim/engine.py``; paths outside
-    the package keep their basename (so fixtures can fake a location by
-    passing ``relpath`` explicitly).
-    """
-    parts = path.replace("\\", "/").split("/")
-    for i in range(len(parts) - 1, -1, -1):
-        if parts[i] == "repro":
-            return "/".join(parts[i:])
-    return parts[-1]
 
 
 def _subpackage(relpath: str) -> str:
@@ -618,7 +605,7 @@ def lint_source(source: str, relpath: str, *,
     home) and is independent of ``display_path`` (what findings report),
     so tests can lint fixture text "as if" it lived anywhere in the tree.
     """
-    return _Linter(source, _relpath(relpath),
+    return _Linter(source, anchored_path(relpath),
                    display_path or relpath).run()
 
 

@@ -24,7 +24,7 @@ from repro.cluster.machines import MachineSpec
 from repro.cluster.network import Network
 from repro.cluster.node import Node
 from repro.cluster.storage import StorageDevice
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, FaultAbortError
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
 from repro.sim.resources import FlowSystem
@@ -113,6 +113,40 @@ class Cluster:
         return self.engine.spawn(
             fn, *args, name=name, node=self.nodes[node_id], **kwargs
         )
+
+    def spawn_spmd(self, main: Callable[[int], Any], placement: list[int],
+                   *, runtime: str, name: str) -> list[SimProcess]:
+        """Launch an HPC job: ``main(i)`` as process ``f"{name}{i}"`` on
+        node ``placement[i]``, in index order; returns the processes.
+
+        Also arms the job's fault policy.  MPI, OpenMP and OpenSHMEM have
+        no recovery story: when a node or process under the job dies, the
+        launcher kills everything (``mpirun``'s behaviour, paper Section
+        VI-D).  So a ``node_crash`` on a job node, or a ``proc_kill``
+        naming a process with the job's ``"tag:"`` prefix, raises
+        :class:`~repro.errors.FaultAbortError`, which the engine surfaces
+        unwrapped.  Degradations (``disk_stall``/``net_degrade``) merely
+        slow the job.
+        """
+        fatal_nodes = frozenset(placement)
+        prefix = "".join(name.partition(":")[:2])  # "mpi:rank" -> "mpi:"
+
+        def abort(plan: Any, t: float) -> None:
+            if plan.kind == "node_crash" and int(plan.target) in fatal_nodes:
+                raise FaultAbortError(
+                    f"{runtime} job aborted at t={t:.3f}s (virtual): node "
+                    f"{plan.target} crashed under the job; {runtime} has no "
+                    "fault tolerance — the launcher kills every process "
+                    "when one dies (paper Section VI-D)")
+            if plan.kind == "proc_kill" and str(plan.target).startswith(prefix):
+                raise FaultAbortError(
+                    f"{runtime} job aborted at t={t:.3f}s (virtual): "
+                    f"process {str(plan.target)!r} was killed; {runtime} "
+                    "has no fault tolerance (paper Section VI-D)")
+
+        self.fault_listeners.append(abort)
+        return [self.spawn(main, i, node_id=node, name=f"{name}{i}")
+                for i, node in enumerate(placement)]
 
     def placement(self, nprocs: int, procs_per_node: int) -> list[int]:
         """Block placement: node id for each of ``nprocs`` ranks.

@@ -135,14 +135,9 @@ def mpi_run(
             world.barrier()  # MPI_Init wireup synchronisation
         return fn(world, *args)
 
-    from repro.faults.listeners import arm_hpc_abort, run_aborting
-
-    arm_hpc_abort(cluster, runtime="MPI", nodes_used=set(placement),
-                  proc_prefixes=("mpi:",))
-    for r in range(nprocs):
-        p = cluster.spawn(rank_main, r, node_id=placement[r], name=f"mpi:rank{r}")
-        env.procs.append(p)
-    elapsed = run_aborting(cluster)
+    env.procs = cluster.spawn_spmd(rank_main, placement, runtime="MPI",
+                                   name="mpi:rank")
+    elapsed = cluster.run()
     return MPIResult(
         returns=[p.result for p in env.procs],
         elapsed=elapsed,

@@ -10,6 +10,7 @@ from repro.cluster.cluster import Cluster
 from repro.errors import ConfigurationError, OpenMPError
 from repro.openmp.loops import ChunkDispenser, Schedule, iterate, split_static
 from repro.sim.engine import current_process
+from repro.sim.process import SimProcess, Steps
 from repro.sim.sync import SimLock
 
 
@@ -148,7 +149,9 @@ class OMP:
         A thread waiting at a barrier executes queued tasks instead of
         idling; the barrier releases when every thread has arrived *and* the
         task pool is empty.  All threads leave at the same virtual time (the
-        latest arrival / last task completion).
+        latest arrival / last task completion).  The waiting is one step
+        body (:meth:`_barrier_steps`); a task it hands back runs here, on
+        the thread, because a task is user code and may wait itself.
         """
         team = self._team
         proc = current_process()
@@ -156,16 +159,23 @@ class OMP:
         gen = team.generation
         team.arrived += 1
         team.max_arrival = max(team.max_arrival, proc.clock)
+        while (task := proc.run_steps(self._barrier_steps(proc, gen))):
+            fn, args = task
+            proc.compute(team.costs.omp_task_overhead)
+            fn(*args)
+            team.max_arrival = max(team.max_arrival, proc.clock)
+
+    def _barrier_steps(self, proc: SimProcess,
+                       gen: int) -> Steps[tuple | None]:
+        """Wait at barrier generation ``gen`` until a task is queued (it is
+        popped and returned) or the barrier has released (``None``)."""
+        team = self._team
         while True:
-            proc.checkpoint()
+            yield from proc.checkpoint_steps()
             if team.generation != gen:
                 break  # released while we were parked or stealing
             if team.tasks:
-                fn, args = team.tasks.popleft()
-                proc.compute(team.costs.omp_task_overhead)
-                fn(*args)
-                team.max_arrival = max(team.max_arrival, proc.clock)
-                continue
+                return team.tasks.popleft()
             if team.arrived == team.nthreads and proc.clock >= team.max_arrival:
                 # last thread (in virtual time) with an empty pool: release
                 team.generation += 1
@@ -177,19 +187,16 @@ class OMP:
                     w._wake(team.release_time)
                 break
             if team.arrived == team.nthreads:
-                # everyone arrived but a later arrival exists: wait for it.
-                # The task-aware barrier owns its protocol and parks through
-                # the blocking names, not step forms: its waits run user task
-                # closures (``fn(*args)`` above), and those may wait too.
-                proc.park_until(  # reprolint: disable=raw-park
-                    team.max_arrival, reason="omp.barrier-exit")
+                # everyone arrived but a later arrival exists: wait for it
+                yield from proc.park_until_steps(team.max_arrival,
+                                                 reason="omp.barrier-exit")
                 continue
             team.sleepers.append(proc)
-            proc.block(  # reprolint: disable=raw-park
-                reason="omp.barrier", obj=team, wakers=team.active_wakers)
+            yield from proc.block_steps(reason="omp.barrier", obj=team,
+                                        wakers=team.active_wakers)
         if team.release_time > proc.clock:
-            proc.park_until(  # reprolint: disable=raw-park
-                team.release_time, reason="omp.barrier-exit")
+            yield from proc.park_until_steps(team.release_time,
+                                             reason="omp.barrier-exit")
 
     def critical(self, name: str = "") -> "_Critical":
         """``#pragma omp critical [name]`` — a context manager."""
@@ -310,7 +317,6 @@ def omp_run(
             f"{num_threads} threads exceed the node's {node.spec.cores} cores"
         )
     team = _Team(cluster, node_id, num_threads)
-    procs = team.procs
     costs = team.costs
 
     def thread_main(tid: int) -> Any:
@@ -321,13 +327,7 @@ def omp_run(
         omp.barrier()  # implicit join barrier (drains tasks)
         return result
 
-    from repro.faults.listeners import arm_hpc_abort, run_aborting
-
-    arm_hpc_abort(cluster, runtime="OpenMP", nodes_used=(node_id,),
-                  proc_prefixes=("omp:",))
-    for tid in range(num_threads):
-        procs.append(
-            cluster.spawn(thread_main, tid, node_id=node_id, name=f"omp:t{tid}")
-        )
-    elapsed = run_aborting(cluster)
-    return OMPResult(returns=[p.result for p in procs], elapsed=elapsed)
+    team.procs = cluster.spawn_spmd(thread_main, [node_id] * num_threads,
+                                    runtime="OpenMP", name="omp:t")
+    elapsed = cluster.run()
+    return OMPResult(returns=[p.result for p in team.procs], elapsed=elapsed)

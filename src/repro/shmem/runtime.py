@@ -150,104 +150,65 @@ class PE:
 
     # -- atomics -----------------------------------------------------------------------------
 
-    def atomic_fetch_add(self, sym: SymmetricArray, value: float, pe: int,
-                         offset: int = 0) -> float:
-        """``shmem_atomic_fetch_add`` on one element of ``pe``'s copy.
+    def _atomic(self, sym: SymmetricArray, pe: int, offset: int, op: str,
+                update: Callable[[Any], Any], *, words: int = 1,
+                fetch: bool = True) -> Any:
+        """One read-modify-write of element ``offset`` of ``pe``'s copy;
+        returns the prior element.
 
-        The engine's one-at-a-time execution makes the read-modify-write
-        atomic; the time cost is a network round-trip (fetch semantics).
+        The engine's one-at-a-time execution makes it atomic.  The request
+        (``words`` elements) crosses the fabric, then ``update(old)`` is
+        applied where it lands — ``None`` leaves the element — and a
+        changed element is visible, as a ``put``'s is, at that instant.
+        A fetching atomic then pays the reply's trip back.
         """
         proc = current_process()
         proc.compute(self.env.costs.shmem_rma_overhead)
         src_node, dst_node = self._rma_nodes(pe)
         itemsize = np.dtype(sym.dtype).itemsize
-        self.env.cluster.network.transmit(
-            proc, self.env.fabric, src_node, dst_node, itemsize,
-            label=f"shmem.amo->{pe}",
-        )
+        network = self.env.cluster.network
+        network.transmit(proc, self.env.fabric, src_node, dst_node,
+                         words * itemsize, label=f"shmem.{op}->{pe}")
         self.env.cluster.trace.access(
             proc, "write", f"shmem.sym{sym.handle}@pe{pe}",
             start=offset, stop=offset + 1, atomic=True)
         target = sym.local(pe)
         old = target[offset]
-        target[offset] = old + value
-        self.env.cluster.network.transmit(
-            proc, self.env.fabric, dst_node, src_node, itemsize,
-            label=f"shmem.amo<-{pe}",
-        )
-        if proc.vc is not None:
-            sym.sync_release(pe, proc._hb_release())
-        sym.notify(pe, proc.clock)
+        new = update(old)
+        if new is not None:
+            target[offset] = new
+            if proc.vc is not None:
+                sym.sync_release(pe, proc._hb_release())
+            sym.notify(pe, proc.clock)
+        if fetch:
+            network.transmit(proc, self.env.fabric, dst_node, src_node,
+                             itemsize, label=f"shmem.{op}<-{pe}")
         return old.item() if hasattr(old, "item") else old
+
+    def atomic_fetch_add(self, sym: SymmetricArray, value: float, pe: int,
+                         offset: int = 0) -> float:
+        """``shmem_atomic_fetch_add`` on one element of ``pe``'s copy; the
+        time cost is a network round-trip (fetch semantics)."""
+        return self._atomic(sym, pe, offset, "amo", lambda old: old + value)
 
     def atomic_add(self, sym: SymmetricArray, value: float, pe: int,
                    offset: int = 0) -> None:
         """``shmem_atomic_add``: non-fetching (one-way latency)."""
-        proc = current_process()
-        proc.compute(self.env.costs.shmem_rma_overhead)
-        src_node, dst_node = self._rma_nodes(pe)
-        itemsize = np.dtype(sym.dtype).itemsize
-        self.env.cluster.network.transmit(
-            proc, self.env.fabric, src_node, dst_node, itemsize,
-            label=f"shmem.amo->{pe}",
-        )
-        self.env.cluster.trace.access(
-            proc, "write", f"shmem.sym{sym.handle}@pe{pe}",
-            start=offset, stop=offset + 1, atomic=True)
-        sym.local(pe)[offset] += value
-        if proc.vc is not None:
-            sym.sync_release(pe, proc._hb_release())
-        sym.notify(pe, proc.clock)
+        self._atomic(sym, pe, offset, "amo", lambda old: old + value,
+                     fetch=False)
 
     def atomic_swap(self, sym: SymmetricArray, value: float, pe: int,
                     offset: int = 0) -> float:
         """``shmem_atomic_swap``: write ``value``, return the old element."""
-        proc = current_process()
-        proc.compute(self.env.costs.shmem_rma_overhead)
-        src_node, dst_node = self._rma_nodes(pe)
-        itemsize = np.dtype(sym.dtype).itemsize
-        self.env.cluster.network.transmit(
-            proc, self.env.fabric, src_node, dst_node, itemsize,
-            label=f"shmem.swap->{pe}")
-        self.env.cluster.trace.access(
-            proc, "write", f"shmem.sym{sym.handle}@pe{pe}",
-            start=offset, stop=offset + 1, atomic=True)
-        target = sym.local(pe)
-        old = target[offset]
-        target[offset] = value
-        self.env.cluster.network.transmit(
-            proc, self.env.fabric, dst_node, src_node, itemsize,
-            label=f"shmem.swap<-{pe}")
-        if proc.vc is not None:
-            sym.sync_release(pe, proc._hb_release())
-        sym.notify(pe, proc.clock)
-        return old.item() if hasattr(old, "item") else old
+        return self._atomic(sym, pe, offset, "swap", lambda old: value)
 
     def atomic_compare_swap(self, sym: SymmetricArray, cond: float,
                             value: float, pe: int, offset: int = 0) -> float:
         """``shmem_atomic_compare_swap``: write ``value`` iff the element
         equals ``cond``; returns the prior element either way."""
-        proc = current_process()
-        proc.compute(self.env.costs.shmem_rma_overhead)
-        src_node, dst_node = self._rma_nodes(pe)
-        itemsize = np.dtype(sym.dtype).itemsize
-        self.env.cluster.network.transmit(
-            proc, self.env.fabric, src_node, dst_node, 2 * itemsize,
-            label=f"shmem.cswap->{pe}")
-        self.env.cluster.trace.access(
-            proc, "write", f"shmem.sym{sym.handle}@pe{pe}",
-            start=offset, stop=offset + 1, atomic=True)
-        target = sym.local(pe)
-        old = target[offset]
-        if old == cond:
-            target[offset] = value
-            if proc.vc is not None:
-                sym.sync_release(pe, proc._hb_release())
-            sym.notify(pe, proc.clock)
-        self.env.cluster.network.transmit(
-            proc, self.env.fabric, dst_node, src_node, itemsize,
-            label=f"shmem.cswap<-{pe}")
-        return old.item() if hasattr(old, "item") else old
+        return self._atomic(sym, pe, offset, "cswap",
+                            lambda old: value if old == cond else None,
+                            words=2)
 
     # -- point-to-point synchronisation --------------------------------------------------------
 
@@ -342,7 +303,6 @@ def shmem_run(
         pes_per_node = -(-npes // len(cluster.nodes))
     placement = cluster.placement(npes, pes_per_node)
     env = ShmemEnv(cluster, npes, placement)
-    procs = env.procs
 
     def pe_main(idx: int) -> Any:
         proc = current_process()
@@ -351,13 +311,7 @@ def shmem_run(
         pe.barrier_all()  # shmem_init synchronisation
         return fn(pe, *args)
 
-    from repro.faults.listeners import arm_hpc_abort, run_aborting
-
-    arm_hpc_abort(cluster, runtime="OpenSHMEM", nodes_used=set(placement),
-                  proc_prefixes=("shmem:",))
-    for i in range(npes):
-        procs.append(
-            cluster.spawn(pe_main, i, node_id=placement[i], name=f"shmem:pe{i}")
-        )
-    elapsed = run_aborting(cluster)
-    return ShmemResult(returns=[p.result for p in procs], elapsed=elapsed)
+    env.procs = cluster.spawn_spmd(pe_main, placement, runtime="OpenSHMEM",
+                                   name="shmem:pe")
+    elapsed = cluster.run()
+    return ShmemResult(returns=[p.result for p in env.procs], elapsed=elapsed)

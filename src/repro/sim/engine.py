@@ -57,7 +57,8 @@ not change the schedule order, a transfer, a protocol round) switch-free:
    :meth:`SimProcess.run_steps`, the one place a thread parks: the sim
    primitives (a checkpoint, a timed park, a block, a transfer, a mailbox,
    a future, a barrier, a lock), the MPI point-to-point and collective
-   algorithms, the OpenSHMEM collectives and ``wait_until``.
+   algorithms, the OpenSHMEM collectives and ``wait_until``, OpenMP's
+   barrier.
    It parks carrying the generator instead of its thread.  At the owner's
    turn :meth:`_dispatch` runs the next segment on the thread that holds
    the token, with :func:`current_process` bound to the owner, and keeps
@@ -104,9 +105,15 @@ import threading
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable
 
-from repro.errors import DeadlockError, SimProcessError, SimulationError
+from repro.errors import (ConfigurationError, DeadlockError, FaultAbortError,
+                          SimProcessError, SimulationError)
 from repro.sim.process import ProcState, SimProcess
 from repro.sim.trace import Trace, anchored_path
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not a POSIX host
+    resource = None
 
 _current: threading.local = threading.local()
 
@@ -245,10 +252,34 @@ class Engine:
             else:
                 proc.vc = {}
             proc.vc[pid] = 1
+        if self._running and proc._thread is not None:
+            self._check_thread_ceiling(spawning=1)
         self.processes.append(proc)
         if self._running:
             proc._start()
         return proc
+
+    def _check_thread_ceiling(self, spawning: int = 0) -> None:
+        """Raise, before a thread starts, if the run would hold more backing
+        threads than the soft ``RLIMIT_NPROC`` (threadless processes own
+        none): a typed error instead of a ``RuntimeError`` from
+        ``threading`` part-way through a run.  The limit counts every
+        thread of the user, not only this run's, so passing the check does
+        not guarantee that every thread starts.
+        """
+        if resource is None:  # pragma: no cover - not a POSIX host
+            return
+        soft = resource.getrlimit(resource.RLIMIT_NPROC)[0]
+        if soft == resource.RLIM_INFINITY \
+                or len(self.processes) + spawning <= soft:
+            return  # cheap bound first: a spawn while running stays O(1)
+        threads = spawning + sum(p._thread is not None and p.alive
+                                 for p in self.processes)
+        if threads > soft:
+            raise ConfigurationError(
+                f"the run needs {threads} process threads but the soft "
+                f"RLIMIT_NPROC (ulimit -u) allows {soft}; simulate fewer "
+                "threaded processes or raise the limit")
 
     def _current_proc(self) -> SimProcess | None:
         """The simulated process running on the calling thread, or ``None``."""
@@ -310,9 +341,14 @@ class Engine:
             If any process raised; the original traceback is chained.
         DeadlockError
             If at some point every live process is blocked.
+        ConfigurationError
+            Before any thread starts, past the soft ``RLIMIT_NPROC``.
+        FaultAbortError
+            If an injected fault killed an HPC job (unwrapped).
         """
         if self._running:
             raise SimulationError("Engine.run() is not reentrant")
+        self._check_thread_ceiling()
         self._running = True
         # Host-side tuning, invisible to virtual time.  The data plane
         # allocates container objects by the hundred thousand while memo
@@ -362,10 +398,12 @@ class Engine:
             )
             if failed is not None:
                 self._abort()
-                if isinstance(failed.exception, DeadlockError):
+                if isinstance(failed.exception,
+                              (DeadlockError, FaultAbortError)):
                     # A protocol-level detector (e.g. the MPI send/send-cycle
-                    # diagnostic) already produced the full diagnosis inside
-                    # the process; surface it unwrapped.
+                    # diagnostic) or an HPC job's fault policy
+                    # (``Cluster.spawn_spmd``) already produced the full
+                    # diagnosis inside the process; surface it unwrapped.
                     raise failed.exception
                 raise SimProcessError(failed.name) from failed.exception
             proc = self._pop_min()

@@ -187,6 +187,97 @@ def current_compute(seconds: float) -> None:
     current_process().compute(seconds)
 
 
+def _mpi_job(session):
+    def rank_fn(comm):
+        current_compute(1.0)
+        return comm.allreduce(1)
+
+    return session.mpi(rank_fn, 4).returns
+
+
+def _shmem_job(session):
+    def kernel(pe):
+        current_compute(1.0)
+        pe.barrier_all()
+        return pe.my_pe
+
+    return session.shmem(kernel, 4).returns
+
+
+def _omp_job(session):
+    def region(omp):
+        omp.compute(1.0)
+        omp.barrier()
+        return omp.thread_num
+
+    return session.openmp(region, 2).returns
+
+
+#: runtime -> (job, one of its process names, another runtime's name);
+#: every job runs on nodes 0-1 of 3 (OpenMP on node 0 alone), so node 2
+#: is never a job node
+HPC_JOBS = {
+    "MPI": (_mpi_job, "mpi:rank1", "shmem:pe1"),
+    "OpenSHMEM": (_shmem_job, "shmem:pe1", "omp:t1"),
+    "OpenMP": (_omp_job, "omp:t1", "mpi:rank1"),
+}
+
+
+class TestHPCFaultPolicy:
+    """Every HPC runtime against the five fault shapes: abort on exactly
+    the fatal ones, with the launcher's diagnostic byte for byte."""
+
+    @staticmethod
+    def _run(runtime, plan):
+        job = HPC_JOBS[runtime][0]
+        return job(ScenarioSpec(nodes=3, procs_per_node=2,
+                                faults=(plan,)).session())
+
+    @pytest.mark.parametrize("runtime", sorted(HPC_JOBS))
+    def test_crash_of_a_job_node_aborts(self, runtime):
+        with pytest.raises(FaultAbortError) as ei:
+            self._run(runtime, FaultPlan("node_crash", at=0.5, target=0))
+        assert str(ei.value) == (
+            f"{runtime} job aborted at t=0.500s (virtual): node 0 crashed "
+            f"under the job; {runtime} has no fault tolerance — the "
+            "launcher kills every process when one dies (paper Section "
+            "VI-D)")
+
+    @pytest.mark.parametrize("runtime", sorted(HPC_JOBS))
+    def test_kill_of_a_job_process_aborts(self, runtime):
+        victim = HPC_JOBS[runtime][1]
+        with pytest.raises(FaultAbortError) as ei:
+            self._run(runtime, FaultPlan("proc_kill", at=0.5, target=victim))
+        assert str(ei.value) == (
+            f"{runtime} job aborted at t=0.500s (virtual): process "
+            f"'{victim}' was killed; {runtime} has no fault tolerance "
+            "(paper Section VI-D)")
+
+    @pytest.mark.parametrize("runtime", sorted(HPC_JOBS))
+    @pytest.mark.parametrize("kind,target", [
+        ("node_crash", 2), ("disk_stall", 0), ("proc_kill", "stranger")])
+    def test_harmless_faults_leave_the_job_running(self, runtime, kind,
+                                                   target):
+        job, _victim, stranger = HPC_JOBS[runtime]
+        clean = job(ScenarioSpec(nodes=3, procs_per_node=2).session())
+        target = stranger if target == "stranger" else target
+        plan = FaultPlan(kind, at=0.5, target=target)
+        assert self._run(runtime, plan) == clean
+
+    def test_bare_cluster_run_raises_the_abort_unwrapped(self):
+        from repro.cluster import Cluster
+        from repro.faults import FaultInjector
+        from tests.conftest import TESTING_MACHINE
+
+        cluster = Cluster(TESTING_MACHINE)
+        FaultInjector(cluster, [FaultPlan("node_crash", at=0.5, target=1)])
+        procs = cluster.spawn_spmd(lambda i: current_compute(1.0), [0, 1],
+                                   runtime="MPI", name="mpi:rank")
+        assert [p.name for p in procs] == ["mpi:rank0", "mpi:rank1"]
+        with pytest.raises(FaultAbortError, match="node 1 crashed"):
+            cluster.run()
+
+
 # ---------------------------------------------------------------------------
 # Spark: lineage recovery
 # ---------------------------------------------------------------------------
@@ -233,6 +324,40 @@ class TestSparkRecovery:
         recoveries = [e for e in session.trace.events
                       if e.kind == "fault.recover"]
         assert any(e.detail.get("framework") == "spark" for e in recoveries)
+
+
+def _one_task_app(sc):
+    return sc.parallelize(range(100), 1).map(lambda x: 2 * x,
+                                             cost=1e-2).collect()
+
+
+class TestSparkCrashOfTheTaskNode:
+    """Two known Spark fault-path bugs (one task, 2 nodes x 8 executors,
+    node 0 crashes).  They stay expected failures until the fixes land
+    with the re-captured goldens (fig8 moves)."""
+
+    @staticmethod
+    def _run(at=None):
+        faults = () if at is None else (
+            FaultPlan("node_crash", at=at, target=0),)
+        spec = ScenarioSpec(nodes=2, procs_per_node=8, faults=faults)
+        return spec.session().spark().run(_one_task_app)
+
+    @pytest.mark.xfail(strict=True, raises=SimProcessError, reason=(
+        "_run_stage's free deque keeps handing out dead executors, so the "
+        "job dies of JobAbortedError although node 1 is alive"))
+    def test_crash_before_the_task_runs_recovers(self):
+        assert self._run(3.0).value == self._run().value
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the task never yields between dispatch and executor_main's "
+        "ex.dead check, so it completes on a dead executor"))
+    @pytest.mark.parametrize("at", [4.2, 4.6, 5.0])
+    def test_crash_under_the_running_task_costs_time(self, at):
+        clean = self._run()
+        faulted = self._run(at)
+        assert faulted.value == clean.value
+        assert faulted.app_elapsed > clean.app_elapsed
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,38 @@ class TestAtomics:
         res = run(main, npes=3)
         assert res.returns[0] == 6.0
 
+    @staticmethod
+    def _wake_after(write):
+        """PE 0's wake from ``wait_until`` after PE 1's ``write`` to it,
+        and PE 1's clock when ``write`` returned."""
+        def main(pe):
+            a = pe.alloc(2)
+            if pe.my_pe == 0:
+                pe.wait_until(a, lambda x: x[0] != 0)
+            elif pe.my_pe == 1:
+                write(pe, a)
+            return pe.wtime()
+
+        res = run(main, npes=4, pes_per_node=2)
+        return res.returns[0], res.returns[1]
+
+    @pytest.mark.parametrize("write,words,fetch", [
+        (lambda pe, a: pe.atomic_fetch_add(a, 5.0, 0), 1, True),
+        (lambda pe, a: pe.atomic_swap(a, 5.0, 0), 1, True),
+        (lambda pe, a: pe.atomic_add(a, 5.0, 0), 1, False),
+        (lambda pe, a: pe.atomic_compare_swap(a, 0.0, 5.0, 0), 2, True),
+    ], ids=["fetch_add", "swap", "add", "compare_swap"])
+    def test_update_is_visible_when_the_request_lands(self, write, words,
+                                                      fetch):
+        """An atomic's write wakes a waiter at the instant its request
+        lands, as a ``put`` of the request's bytes does, not when a
+        fetching atomic's reply gets back."""
+        landing, _ = self._wake_after(
+            lambda pe, a: pe.put(a, [5.0] * words, 0))
+        wake, returned = self._wake_after(write)
+        assert wake == landing
+        assert (returned > wake) is fetch
+
 
 class TestSync:
     def test_wait_until_woken_by_put(self):

@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro.errors import DeadlockError, SimProcessError, SimulationError
+from repro.errors import (ConfigurationError, DeadlockError, SimProcessError,
+                          SimulationError)
 from repro.sim import Engine, Future, Mailbox, SimBarrier, current_process
 from repro.sim.process import ProcState
 from tests.sim_oracle import ReferenceEngine
@@ -581,3 +582,67 @@ class TestFuture:
         with pytest.raises(SimProcessError):
             eng.run()
 
+
+
+class TestThreadCeiling:
+    """A run that would hold more backing threads than the soft
+    ``RLIMIT_NPROC`` is refused with a typed error before a thread starts."""
+
+    @pytest.fixture
+    def nproc_limit(self, monkeypatch):
+        import resource
+
+        real = resource.getrlimit
+
+        def limit(soft):
+            monkeypatch.setattr(resource, "getrlimit", lambda which: (
+                (soft, resource.RLIM_INFINITY)
+                if which == resource.RLIMIT_NPROC else real(which)))
+
+        return limit
+
+    @staticmethod
+    def _work():
+        current_process().compute(1.0)
+
+    @staticmethod
+    def _steps_work():
+        yield from current_process().checkpoint_steps()
+
+    def test_run_refused_before_any_thread_starts(self, nproc_limit,
+                                                  thread_starts):
+        nproc_limit(3)
+        eng = Engine()
+        for i in range(4):
+            eng.spawn(self._work, name=f"w{i}")
+        with pytest.raises(ConfigurationError,
+                           match=r"needs 4 process threads .* allows 3"):
+            eng.run()
+        assert thread_starts == []
+
+    def test_threadless_processes_do_not_count(self, nproc_limit,
+                                               thread_starts):
+        nproc_limit(2)
+        eng = Engine()
+        for i in range(2):
+            eng.spawn(self._work, name=f"w{i}")
+        for i in range(5):
+            eng.spawn(self._steps_work, name=f"s{i}")
+        assert eng.run() == 1.0
+        assert thread_starts == ["sim:w0", "sim:w1"]
+
+    def test_spawn_while_running_refused(self, nproc_limit, thread_starts):
+        nproc_limit(2)
+        eng = Engine()
+
+        def parent():
+            eng.spawn(self._steps_work, name="threadless")
+            eng.spawn(self._work, name="third")
+
+        eng.spawn(parent, name="p")
+        eng.spawn(self._work, name="w")
+        with pytest.raises(SimProcessError) as ei:
+            eng.run()
+        assert isinstance(ei.value.__cause__, ConfigurationError)
+        assert "needs 3 process threads" in str(ei.value.__cause__)
+        assert thread_starts == ["sim:p", "sim:w"]
