@@ -38,7 +38,7 @@ SCENARIO = ScenarioSpec(
 
 def reference_counts(session: Session) -> Counter:
     lines = iter_all_records(session.local, "corpus.txt")
-    return Counter(w for line in lines for w in line.decode().split())
+    return Counter(w for line in lines for w in line.split())
 
 
 # --------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def openmp_wordcount(session: Session) -> tuple[Counter, float]:
                 fs, proc, "corpus.txt",
                 i * chunk, min(size, (i + 1) * chunk)))
             for line in records:
-                local.update(line.decode().split())
+                local.update(line.split())
         total = omp.reduce(local, op=lambda a, b: a + b)
         return total
 
@@ -86,7 +86,7 @@ def mpi_wordcount(session: Session) -> tuple[Counter, float]:
             min(size, (comm.rank + 1) * chunk)))
         local = Counter()
         for line in records:
-            local.update(line.decode().split())
+            local.update(line.split())
         return comm.reduce(local, op=lambda a, b: a + b, root=0)
 
     res = session.mpi(main)
@@ -113,7 +113,7 @@ def shmem_wordcount(session: Session) -> tuple[Counter, float]:
             pe.my_pe * chunk, min(size, (pe.my_pe + 1) * chunk)))
         local = pe.local(counts)
         for line in records:
-            for w in line.decode().split():
+            for w in line.split():
                 local[vocab[w]] += 1
         pe.sum_to_all(counts)
         return Counter({w: int(pe.local(counts)[i])

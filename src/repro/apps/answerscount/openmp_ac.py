@@ -43,11 +43,10 @@ def openmp_answers_count(
             records = proc.run_steps(read_split_records(
                 fs, proc, path, start, min(size, start + CHUNK)))
             # native-rate text scan of the chunk (logical bytes)
-            omp.compute_bytes(
-                sum(len(r) + 1 for r in records) * scale,
-                cluster.machine.costs.parse_rate_native)
-            for raw in records:
-                _pid, ptype, _parent = parse_post(raw.decode())
+            omp.compute_bytes(len(records.buffer) * scale,
+                              cluster.machine.costs.parse_rate_native)
+            for line in records:
+                _pid, ptype, _parent = parse_post(line)
                 if ptype == POST_QUESTION:
                     questions += 1
                 elif ptype == POST_ANSWER:

@@ -126,12 +126,17 @@ class Cluster:
         naming a process with the job's ``"tag:"`` prefix, raises
         :class:`~repro.errors.FaultAbortError`, which the engine surfaces
         unwrapped.  Degradations (``disk_stall``/``net_degrade``) merely
-        slow the job.
+        slow the job.  A fault at ``t`` after every job process has ended
+        by its own clock finds no job to abort.
         """
         fatal_nodes = frozenset(placement)
         prefix = "".join(name.partition(":")[:2])  # "mpi:rank" -> "mpi:"
 
         def abort(plan: Any, t: float) -> None:
+            # not "any alive": a rank whose clock is past t may already
+            # be DONE on the host, yet was running at t
+            if all(not p.alive and p.clock <= t for p in procs):
+                return
             if plan.kind == "node_crash" and int(plan.target) in fatal_nodes:
                 raise FaultAbortError(
                     f"{runtime} job aborted at t={t:.3f}s (virtual): node "
@@ -145,8 +150,9 @@ class Cluster:
                     "has no fault tolerance (paper Section VI-D)")
 
         self.fault_listeners.append(abort)
-        return [self.spawn(main, i, node_id=node, name=f"{name}{i}")
-                for i, node in enumerate(placement)]
+        procs = [self.spawn(main, i, node_id=node, name=f"{name}{i}")
+                 for i, node in enumerate(placement)]
+        return procs
 
     def placement(self, nprocs: int, procs_per_node: int) -> list[int]:
         """Block placement: node id for each of ``nprocs`` ranks.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.units import KiB, MB, US
+from repro.units import KiB, US
 
 # ---- HDFS (not machine-dependent: one value is in use) -----------------------
 #: bytes/s of the client+datanode software path (checksum verify,
@@ -40,8 +40,6 @@ class SoftwareCosts:
     # ---- generic compute rates -------------------------------------------------
     #: combining reduction buffers in compiled code (memory-bound)
     reduce_rate_native: float = 4.0e9
-    #: combining boxed values on the JVM (Fig 2's Float + Float lambda)
-    reduce_rate_jvm: float = 250e6
     #: scanning/parsing text in C/C++ (strtok-style)
     parse_rate_native: float = 1.2e9
     #: scanning/parsing text on the JVM (String.split-style; JDK-7-era
@@ -122,10 +120,6 @@ class SoftwareCosts:
     hadoop_sort_rate: float = 120e6
     #: per map-output fetch (HTTP request) overhead in the reduce shuffle
     hadoop_fetch_overhead: float = 3e-3
-
-    # ---- misc -----------------------------------------------------------------------------------
-    #: spill granularity used by Hadoop mappers
-    hadoop_spill_buffer: int = 100 * MB
 
 
 #: The stock Comet-era calibration.  Kept as a convenience constant for

@@ -51,6 +51,11 @@ class FaultInjector:
             if not isinstance(plan, FaultPlan):
                 raise ConfigurationError(
                     f"faults must be FaultPlan instances, got {plan!r}")
+            # a bad target fails the session here, not the run at plan.at
+            if plan.kind in ("node_crash", "disk_stall"):
+                self._node_id(plan)
+            elif plan.kind == "net_degrade":
+                cluster.spec.fabric(str(plan.target))
             events.append((plan.at, 0, plan))
             if plan.duration is not None:
                 events.append((plan.at + plan.duration, 1, plan))

@@ -44,11 +44,11 @@ def read_split_records(
     from``, and either way the split read and its boundary probes park the
     owner's thread at most once.
 
-    Returns the records as byte strings (no trailing newlines): a
-    :class:`~repro.sim.blocks.RecordBlock` over the split's buffer
-    (list-equal, but records materialize lazily and batch consumers can
-    use its columnar kernels).  I/O time is charged for the split plus any
-    boundary lookahead, exactly as a real reader would incur it.
+    Returns a :class:`~repro.sim.blocks.RecordBlock` over the split's
+    buffer: the records as decoded lines (no trailing newlines), decoded
+    on first use, with the raw bytes in ``buffer`` for columnar kernels.
+    I/O time is charged for the split plus any boundary lookahead, exactly
+    as a real reader would incur it.
     """
     f = fs.lookup(path)
     lsize = f.logical_size
@@ -88,13 +88,11 @@ def read_split_records(
     return RecordBlock(buf)
 
 
-def iter_all_records(fs: FileSystem, path: str) -> Iterator[bytes]:
-    """Untimed host-side record *iterator* over the whole file.
+def iter_all_records(fs: FileSystem, path: str) -> Iterator[str]:
+    """Untimed host-side iterator over the whole file's records.
 
-    Historically returned a fully materialized list, which callers looped
-    over once — an accidental full copy of the file on top of the content
-    provider's own buffer.  It now yields records lazily in chunks;
-    callers that need a list say so with ``list(iter_all_records(...))``.
+    Yields, chunk by chunk, the lines a :class:`RecordBlock` over the
+    whole file reads as, so the union of any tiling of splits equals it.
     """
     f = fs.lookup(path)
     content = f.content
@@ -105,8 +103,8 @@ def iter_all_records(fs: FileSystem, path: str) -> Iterator[bytes]:
     while pos < size:
         data = tail + content.read(pos, min(chunk_size, size - pos))
         pos += min(chunk_size, size - pos)
-        lines = data.split(b"\n")
-        tail = lines.pop()
-        yield from lines
+        nl = data.rfind(b"\n") + 1
+        tail = data[nl:]
+        yield from RecordBlock(data[:nl])
     if tail:
-        yield tail
+        yield from RecordBlock(tail)

@@ -268,8 +268,7 @@ def _map_attempt(state: _JobState, tid: int, split: tuple[int, int],
                                                 split[0], split[1])
         proc.compute_bytes(max(1, split[1] - split[0]), costs.parse_rate_jvm)
         out: list[tuple[Any, Any]] = []
-        # one buffer-level decode (string-equal to per-record decode)
-        for line in records.decode_all():
+        for line in records:
             out.extend(conf.mapper(line))
         proc.compute(len(records) * (conf.map_cost_per_record + 1e-7))
         state.counters.map_input_records += len(records)

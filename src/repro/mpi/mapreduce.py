@@ -22,7 +22,7 @@ a failing rank kills the job (combine it with
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.fs.base import FileSystem
@@ -45,7 +45,7 @@ def _group(pairs: Iterable[tuple[Any, Any]]) -> dict[Any, list]:
 
 def mapreduce(
     comm,
-    records: list[str],
+    records: Sequence[str],
     mapper: Mapper,
     reducer: Reducer,
     combiner: Combiner | None = None,
@@ -106,10 +106,9 @@ def run_mpi_mapreduce(
         comm.barrier()
         t0 = comm.wtime()
         proc = current_process()
-        raw = proc.run_steps(read_split_records(
+        records = proc.run_steps(read_split_records(
             fs, proc, path,
             comm.rank * chunk, min(size, (comm.rank + 1) * chunk)))
-        records = [r.decode("utf-8", errors="replace") for r in raw]
         local = mapreduce(comm, records, mapper, reducer, combiner)
         gathered = comm.gather(local, root=0)
         comm.barrier()

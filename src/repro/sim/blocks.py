@@ -30,11 +30,10 @@ asserts byte-equal fingerprints and traces.
 Block types
 -----------
 ``RecordBlock``
-    A split's worth of newline-delimited records backed by one ``bytes``
-    buffer.  Slicing is zero-copy (offset views over the shared buffer);
-    ``decode_all`` decodes the whole buffer in one C call instead of
-    per-record.  Behaves as a ``Sequence[bytes]`` equal to the list of
-    its lines.
+    A text split: one ``bytes`` buffer, read as the ``Sequence[str]`` of
+    its lines, decoded (utf-8, malformed bytes replaced) in one C call on
+    first use.  Every split reader — Spark, Hadoop, MPI, OpenMP — reads
+    lines through it.
 ``PairBlock``
     The one keyed block: an ``int64`` key column beside an ``int64`` or
     ``float64`` value column.  Optional columns shape record ``i``, built
@@ -88,60 +87,35 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# RecordBlock: newline-delimited byte records over one shared buffer
+# RecordBlock: a text split's buffer, read as its decoded lines
 # ---------------------------------------------------------------------------
 
 
 class RecordBlock(Sequence):
-    """Records of a text split as one buffer plus lazy line offsets.
+    """A text split: its ``bytes`` buffer, read as the ``Sequence[str]``
+    of its lines.
 
-    Equal to (and substitutable for) the ``list[bytes]`` of lines a
-    ``split(b"\n")`` of the buffer gives: no trailing newlines, trailing
-    empty line dropped.  ``len`` is O(1) amortized (one ``bytes.count``);
-    slicing returns a view sharing the buffer; full iteration materializes
-    the line list once (a single C-level ``split``) and caches it.
+    The one rule for turning a split into lines: the buffer decodes as
+    utf-8 with malformed bytes replaced (U+FFFD), splits at ``"\\n"``,
+    and a trailing empty line is dropped.  ``len`` counts newlines and
+    never decodes; indexing and iteration decode once, on first use, and
+    keep the list.  A columnar kernel (:func:`parse_int_pairs`) reads
+    ``buffer`` instead.
     """
 
-    __slots__ = ("_buf", "_starts", "_ends", "_lines")
+    __slots__ = ("_buf", "_lines")
 
-    def __init__(self, buf: bytes,
-                 _starts: np.ndarray | None = None,
-                 _ends: np.ndarray | None = None) -> None:
+    def __init__(self, buf: bytes) -> None:
         self._buf = buf
-        self._starts = _starts
-        self._ends = _ends
-        self._lines: list[bytes] | None = None
-
-    # -- construction -----------------------------------------------------
+        self._lines: list[str] | None = None
 
     @property
     def buffer(self) -> bytes:
         return self._buf
 
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Line [start, end) offsets into the buffer (computed lazily)."""
-        if self._starts is None:
-            buf = self._buf
-            nl = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0x0A)
-            starts = np.empty(len(nl) + 1, dtype=np.int64)
-            starts[0] = 0
-            starts[1:] = nl + 1
-            ends = np.empty_like(starts)
-            ends[:-1] = nl
-            ends[-1] = len(buf)
-            if not buf or buf.endswith(b"\n"):
-                starts = starts[:-1]
-                ends = ends[:-1]
-            self._starts, self._ends = starts, ends
-        return self._starts, self._ends
-
-    # -- Sequence protocol ------------------------------------------------
-
     def __len__(self) -> int:
         if self._lines is not None:
             return len(self._lines)
-        if self._starts is not None:
-            return len(self._starts)
         buf = self._buf
         n = buf.count(b"\n")
         if buf and not buf.endswith(b"\n"):
@@ -149,69 +123,28 @@ class RecordBlock(Sequence):
         return n
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            starts, ends = self._offsets()
-            view = RecordBlock(self._buf, starts[i], ends[i])
-            if self._lines is not None:
-                view._lines = self._lines[i]
-            return view
-        if self._lines is not None:
-            return self._lines[i]
-        starts, ends = self._offsets()
-        # numpy wraps a negative index itself; only the range is ours to check
-        if not -len(starts) <= i < len(starts):
-            raise IndexError("RecordBlock index out of range")
-        return self._buf[starts[i]:ends[i]]
+        return self.decode_all()[i]
 
-    def _materialize(self) -> list[bytes]:
-        if self._lines is None:
-            if self._starts is None:
-                lines = self._buf.split(b"\n")
-                if lines and lines[-1] == b"":
-                    lines.pop()
-                self._lines = lines
-            else:
-                starts, ends = self._offsets()
-                buf = self._buf
-                self._lines = [buf[s:e] for s, e in
-                               zip(starts.tolist(), ends.tolist())]
-        return self._lines
-
-    def __iter__(self) -> Iterator[bytes]:
-        return iter(self._materialize())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RecordBlock):
-            return self._materialize() == other._materialize()
-        if isinstance(other, list):
-            return self._materialize() == other
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.decode_all())
 
     def __repr__(self) -> str:
         return f"RecordBlock({len(self)} records, {len(self._buf)} bytes)"
 
-    # -- batch kernels ----------------------------------------------------
+    def decode_all(self) -> list[str]:
+        """The split's lines, decoded in one pass over the buffer.
 
-    def decode_all(self, encoding: str = "utf-8",
-                   errors: str = "replace") -> list[str]:
-        """Decode every record in one pass over the shared buffer.
-
-        Bitwise-equal to ``[r.decode(encoding, errors) for r in self]``
-        for utf-8: ``\\n`` is never part of a multibyte sequence and the
+        Equal to decoding each ``split(b"\\n")`` record on its own:
+        ``\\n`` is never part of a multibyte utf-8 sequence and the
         decoder resets at it, so splitting before or after decoding
         yields the same strings.
         """
-        if self._starts is not None:
-            # Possibly a sliced view (its buffer is the parent's): decode
-            # only the records the offsets cover.
-            return [r.decode(encoding, errors) for r in self._materialize()]
-        text = self._buf.decode(encoding, errors)
-        out = text.split("\n")
-        if out and out[-1] == "":
-            out.pop()
-        return out
+        if self._lines is None:
+            lines = self._buf.decode("utf-8", "replace").split("\n")
+            if lines[-1] == "":
+                lines.pop()
+            self._lines = lines
+        return self._lines
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +360,9 @@ def parse_int_pairs(block: RecordBlock) -> "PairBlock | None":
     scalar lambda yields.  Anything else — a sign ``+``, ``_``, a tab, a
     second space, ``\\r``, a non-ASCII digit, a third field, a value that
     might leave ``int64``, an empty line, an empty split — answers
-    ``None`` and the scalar lambda runs.  So does a block whose offsets
-    exist (it may be a sliced view: ``buffer`` is then the parent's).
+    ``None`` and the scalar lambda runs.
     """
-    if not isinstance(block, RecordBlock) or block._starts is not None:
+    if not isinstance(block, RecordBlock):
         return None
     buf = block.buffer
     n = len(block)

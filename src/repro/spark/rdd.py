@@ -15,14 +15,13 @@ explicit about where time goes.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
 from repro.errors import SparkError
-from repro.sim.blocks import (PairBlock, RecordBlock, as_pair_key_block,
+from repro.sim.blocks import (PairBlock, as_pair_key_block,
                               first_ranks, hash_join)
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.shuffle import merge_by_key
@@ -97,36 +96,6 @@ def _append(acc: list, v: Any) -> list:
     ``CompactBuffer`` does (``create`` gives every key its own list)."""
     acc.append(v)
     return acc
-
-
-class _TextPartition(Sequence):
-    """A text split as the ``Sequence[str]`` of its lines, decoded lazily.
-
-    ``len`` counts newlines and a declared twin reads ``block`` (the raw
-    :class:`~repro.sim.blocks.RecordBlock`), so neither decodes; every
-    scalar consumer iterates, indexes or slices the ``list[str]`` that one
-    ``decode_all`` gives — the list this partition used to be.
-    """
-
-    __slots__ = ("block", "_lines")
-
-    def __init__(self, block: RecordBlock) -> None:
-        self.block = block
-        self._lines: list[str] | None = None
-
-    def _decoded(self) -> list[str]:
-        if self._lines is None:
-            self._lines = self.block.decode_all()
-        return self._lines
-
-    def __len__(self) -> int:
-        return len(self.block)
-
-    def __getitem__(self, i):
-        return self._decoded()[i]
-
-    def __iter__(self):
-        return iter(self._decoded())
 
 
 class Dependency:
@@ -266,11 +235,12 @@ class RDD:
         offered every partition — a list, or a block
         (a :class:`~repro.sim.blocks.PairBlock` of pairs after a numeric
         shuffle or a columnar parse, of groups after a grouping, of joined
-        records after a block join; a
-        :class:`~repro.sim.blocks.RecordBlock` straight off ``text_file``)
-        — and returns a block whose records the caller asserts are
-        *bitwise* those of mapping ``f``, or ``None`` wherever it is not
-        defined (a list, a record shape it does not know).
+        records after a block join; a text split straight off
+        ``text_file``, a :class:`~repro.sim.blocks.RecordBlock` whose
+        ``buffer`` is the split's bytes) — and returns a block whose
+        records the caller asserts are *bitwise* those of mapping ``f``,
+        or ``None`` wherever it is not defined (a list, a record shape it
+        does not know).
         Charges are identical, and the scalar ``f`` is authoritative
         wherever the twin answers ``None``.
         """
@@ -812,12 +782,10 @@ class TextFileRDD(RDD):
         raw = ctx.proc.run_steps(
             read_split_records(self.fs, ctx.proc, self.path, start, end))
         ctx.charge_records(len(raw))
-        # decode cost is part of the JVM text-parsing rate
+        # decode cost is part of the JVM text-parsing rate; the lines are
+        # decoded on first use, so a count or a columnar parse never is
         ctx.charge_bytes(max(1, end - start), ctx.costs.parse_rate_jvm)
-        # decoded on first use, by one C-level pass over the split buffer
-        # (string-equal to the per-record decode, see
-        # RecordBlock.decode_all); a count or a columnar parse never is
-        return _TextPartition(raw)
+        return raw
 
     def preferred_nodes(self, index: int) -> list[int]:
         return list(self._preferred[index])
@@ -845,13 +813,9 @@ class MapPartitionsRDD(RDD):
 
     def compute(self, index: int, ctx: "TaskContext") -> list:
         records = ctx.iterator(self.deps[0].parent, index)
-        # A declared twin is offered every partition (a text split as its
-        # raw RecordBlock) and answers None where it is not defined; the
-        # charge is the same either way.
-        out = None
-        if self.vector is not None:
-            out = self.vector(records.block if type(records) is _TextPartition
-                              else records)
+        # A declared twin is offered every partition and answers None
+        # where it is not defined; the charge is the same either way.
+        out = None if self.vector is None else self.vector(records)
         ctx.charge_records(len(records), extra=self.cost_per_record)
         return self.f(index, records) if out is None else out
 

@@ -24,7 +24,7 @@ from repro.apps.reduce_bench import (
 )
 from repro.cluster import COMET_MACHINE, Cluster
 from repro.errors import MPIIntOverflowError, SimProcessError
-from repro.fs import HDFS, LocalFS
+from repro.fs import HDFS, BytesContent, LocalFS
 from repro.units import GiB, KiB, MiB
 from repro.workloads.graphs import (
     reference_pagerank,
@@ -34,6 +34,7 @@ from repro.workloads.graphs import (
 from repro.workloads.stackexchange import (
     StackExchangeSpec,
     expected_average_answers,
+    se_line,
     stackexchange_content,
 )
 
@@ -144,6 +145,30 @@ class TestAnswersCount:
         cl = self._cluster()
         _, avg = hadoop_answers_count(cl, "hdfs://posts.txt")
         assert avg == pytest.approx(expected_average_answers(self.SPEC))
+
+    def test_a_malformed_byte_reads_the_same_in_every_split_reader(self):
+        """One decode rule: a post body with an invalid utf-8 byte and a
+        multibyte character counts the same under OpenMP, Spark and
+        Hadoop (the bad byte reads as U+FFFD, the row still parses)."""
+        spec = StackExchangeSpec(n_posts=400, answers_per_question=4)
+        rows = [se_line(spec, i).encode() for i in range(spec.n_posts)]
+        rows[3] += b"\xff"
+        rows[10] = rows[10][:-2] + "é".encode()
+        content = BytesContent(b"\n".join(rows) + b"\n")
+
+        def cluster():
+            cl = comet()
+            LocalFS(cl).create_replicated("posts.txt", content)
+            HDFS(cl, replication=2, block_size=16 * KiB).create(
+                "posts.txt", content)
+            return cl
+
+        cl = cluster()
+        _, omp = openmp_answers_count(cl, cl.filesystems["local"],
+                                      "posts.txt", 4)
+        _, spark = spark_answers_count(cluster(), "hdfs://posts.txt", 4)
+        _, hadoop = hadoop_answers_count(cluster(), "hdfs://posts.txt")
+        assert omp == spark == hadoop == expected_average_answers(spec)
 
     def test_mpi_int_overflow_below_41_procs_at_80gib(self):
         """Fig 4: no MPI data points below 48 processes."""

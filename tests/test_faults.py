@@ -126,9 +126,19 @@ class TestInjectorMechanics:
         spec = ScenarioSpec(
             nodes=2, procs_per_node=2,
             faults=(FaultPlan("node_crash", at=0.1, target=7),))
-        session = spec.session()
-        with pytest.raises(SimProcessError):
-            session.openmp(lambda omp: omp.compute(1.0), 2)
+        with pytest.raises(ConfigurationError, match="node 7 out of range"):
+            spec.session()
+
+    @pytest.mark.parametrize("plan,match", [
+        (FaultPlan("disk_stall", at=0.1, target=2), "out of range"),
+        (FaultPlan("disk_stall", at=0.1, target="ssd0"), "must be a node id"),
+        (FaultPlan("net_degrade", at=0.1, target="token-ring"),
+         "unknown fabric"),
+    ])
+    def test_bad_targets_fail_when_the_session_is_provisioned(self, plan,
+                                                              match):
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec(nodes=2, procs_per_node=2, faults=(plan,)).session()
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +160,10 @@ class TestHPCAbort:
             spec.session().mpi(rank_fn)
 
     def test_shmem_job_aborts_with_diagnostic(self):
+        # the job runs ~3.4 ms: the crash lands inside it
         spec = ScenarioSpec(
             nodes=2, procs_per_node=2,
-            faults=(FaultPlan("node_crash", at=0.3, target=0),))
+            faults=(FaultPlan("node_crash", at=0.001, target=0),))
 
         def kernel(pe):
             import numpy as np
@@ -263,6 +274,31 @@ class TestHPCFaultPolicy:
         target = stranger if target == "stranger" else target
         plan = FaultPlan(kind, at=0.5, target=target)
         assert self._run(runtime, plan) == clean
+
+    @pytest.mark.parametrize("runtime", sorted(HPC_JOBS))
+    @pytest.mark.parametrize("kind", ["node_crash", "proc_kill"])
+    def test_a_fault_after_the_job_ended_aborts_nothing(self, runtime, kind):
+        job, victim, _stranger = HPC_JOBS[runtime]
+        clean = job(ScenarioSpec(nodes=3, procs_per_node=2).session())
+        target = 0 if kind == "node_crash" else victim
+        assert self._run(runtime, FaultPlan(kind, at=60.0,
+                                            target=target)) == clean
+
+    @pytest.mark.xfail(strict=True, reason="the injector daemon parks to "
+                       "the fault's time inside the job's Engine.run, so "
+                       "a late fault still extends the makespan")
+    def test_a_fault_after_the_job_ended_leaves_its_elapsed(self):
+        def rank_fn(comm):
+            current_compute(1.0)
+            return comm.allreduce(1)
+
+        clean = ScenarioSpec(nodes=2, procs_per_node=2).session().mpi(rank_fn)
+        late = ScenarioSpec(
+            nodes=2, procs_per_node=2,
+            faults=(FaultPlan("node_crash", at=6.0, target=1),),
+        ).session().mpi(rank_fn)
+        assert late.returns == clean.returns
+        assert late.elapsed == clean.elapsed
 
     def test_bare_cluster_run_raises_the_abort_unwrapped(self):
         from repro.cluster import Cluster

@@ -374,12 +374,12 @@ class TestRecordSplitting:
             cl, lambda p: p.run_steps(
                 read_split_records(fs, p, "lines.txt", 0, size))
         )
-        assert res == [f"record-{i:04d}".encode() for i in range(10)]
+        assert list(res) == [f"record-{i:04d}" for i in range(10)]
 
     def test_iter_all_records_matches(self):
         _, fs = self._fs_with_lines(7)
         assert list(iter_all_records(fs, "lines.txt")) == [
-            f"record-{i:04d}".encode() for i in range(7)
+            f"record-{i:04d}" for i in range(7)
         ]
 
     @given(
@@ -409,6 +409,33 @@ class TestRecordSplitting:
         cl.spawn(body, node_id=0, name="splitter")
         cl.run()
         assert collected == list(iter_all_records(fs, "lines.txt"))
+
+    @given(data=st.binary(max_size=200),
+           cuts=st.lists(st.integers(0, 200), max_size=6),
+           lookahead=st.sampled_from([1, 7, 64]))
+    @settings(max_examples=100, deadline=None)
+    def test_splits_of_any_bytes_decode_as_the_whole_file(self, data, cuts,
+                                                          lookahead):
+        """Split-then-decode equals decode-then-split for any buffer, any
+        cut points (mid multibyte sequence too) and any probe width."""
+        cl = make_cluster()
+        fs = LocalFS(cl)
+        fs.create_replicated("raw.txt", BytesContent(data))
+        points = sorted({0, len(data), *(c for c in cuts if c <= len(data))})
+        collected = []
+
+        def body():
+            p = current_process()
+            for a, b in zip(points, points[1:]):
+                collected.extend(p.run_steps(read_split_records(
+                    fs, p, "raw.txt", a, b, lookahead=lookahead)))
+
+        cl.spawn(body, node_id=0, name="splitter")
+        cl.run()
+        whole = data.decode("utf-8", "replace").split("\n")
+        if whole[-1] == "":
+            whole.pop()
+        assert collected == list(iter_all_records(fs, "raw.txt")) == whole
 
     @given(scale=st.sampled_from([1, 3, 10, 1000]), n_splits=st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
@@ -468,7 +495,7 @@ class TestRecordSplitting:
         cl.spawn(reader, node_id=0, name="reader")
         cl.spawn(ticker, node_id=1, name="ticker")
         cl.run()
-        assert done == [[b"head", big]]
+        assert [list(r) for r in done] == [["head", big.decode()]]
         assert len(reads) >= 4  # the split read and its boundary probes
         assert parks["reader"] <= 1
 
@@ -484,5 +511,5 @@ class TestRecordSplitting:
 
         cl.spawn(body, node_id=0, name="s")
         cl.run()
-        assert res["a"] == [b"record-0000"]
-        assert res["b"] == [b"record-0001"]
+        assert list(res["a"]) == ["record-0000"]
+        assert list(res["b"]) == ["record-0001"]
