@@ -2,7 +2,8 @@
 
 Devices expose blocking ``read``/``write`` primitives that charge a
 per-request service latency plus a fluid-bandwidth term; each is
-``run_steps`` over its one body, ``read_steps``/``write_steps``.  SSD *read
+``run_steps`` over its step form, ``read_steps``/``write_steps``, and both
+step forms are one transfer body on the device's read or write pool.  SSD *read
 contention* — the effect Section III-C of the paper discusses (throughput
 degrading once too many processes read in parallel, cf. the threshold
 algorithm of reference [20]) — is modelled by a capacity-efficiency curve.
@@ -85,14 +86,7 @@ class StorageDevice:
     def read_steps(self, proc: SimProcess, nbytes: float, *,
                    label: str = "") -> Steps[float]:
         """Step form of :meth:`read` (see ``SimProcess.run_steps``)."""
-        proc.compute(self.latency)
-        done = yield from self.flows.transfer_steps(
-            proc, (self._read,), nbytes, label=label or f"read:{self.name}"
-        )
-        if self.trace.enabled:
-            self.trace.record(done, proc.name, "disk.read",
-                              device=self.name, nbytes=int(nbytes))
-        return done
+        return self._transfer_steps(proc, self._read, "read", nbytes, label)
 
     def write(self, proc: SimProcess, nbytes: float, *, label: str = "") -> float:
         """Write ``nbytes``; blocks ``proc``; returns completion time."""
@@ -101,11 +95,17 @@ class StorageDevice:
     def write_steps(self, proc: SimProcess, nbytes: float, *,
                     label: str = "") -> Steps[float]:
         """Step form of :meth:`write` (see ``SimProcess.run_steps``)."""
+        return self._transfer_steps(proc, self._write, "write", nbytes, label)
+
+    def _transfer_steps(self, proc: SimProcess, pool: FluidResource, op: str,
+                        nbytes: float, label: str) -> Steps[float]:
+        """The one body of a request: service latency, then the flow through
+        ``pool``; traced as ``disk.<op>``."""
         proc.compute(self.latency)
         done = yield from self.flows.transfer_steps(
-            proc, (self._write,), nbytes, label=label or f"write:{self.name}"
+            proc, (pool,), nbytes, label=label or f"{op}:{self.name}"
         )
         if self.trace.enabled:
-            self.trace.record(done, proc.name, "disk.write",
+            self.trace.record(done, proc.name, f"disk.{op}",
                               device=self.name, nbytes=int(nbytes))
         return done

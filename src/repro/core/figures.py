@@ -312,6 +312,31 @@ def _spark_pagerank_session(nodes: int, procs_per_node: int, content,
                           on=("hdfs",)),)).session()
 
 
+def _spark_pagerank_series(fig: FigureResult, app, want, machine: str,
+                           node_counts: tuple[int, ...], procs_per_node: int,
+                           graph: GraphSpec, spark_physical_vertices: int,
+                           iterations: int) -> None:
+    """Append the Spark and Spark-RDMA series of ``app`` (a Spark PageRank
+    module) to ``fig``: one fresh session per node count and transport.
+    A transport the machine lacks is omitted."""
+    transports = resolve_machine(machine).shuffle_transports()
+    content, n_spark, record_scale = _spark_pagerank_inputs(
+        graph, spark_physical_vertices)
+    for transport, label in (("socket", "Spark"), ("rdma", "Spark-RDMA")):
+        if label not in want or transport not in transports:
+            continue
+        s = Series(label)
+        for nodes in node_counts:
+            session = _spark_pagerank_session(nodes, procs_per_node, content,
+                                              record_scale, machine)
+            t, _ = app.run_in(
+                session, "hdfs://edges.txt", n_spark, procs_per_node,
+                iterations=iterations, shuffle_transport=transport,
+                record_scale=record_scale)
+            s.add(nodes, t)
+        fig.series.append(s)
+
+
 def fig6(
     node_counts: tuple[int, ...] = (1, 2, 4, 8),
     *,
@@ -329,9 +354,6 @@ def fig6(
     """
     graph = graph or GraphSpec(n_vertices=1_000_000, out_degree=8)
     want = _select_series(("MPI", "Spark", "Spark-RDMA"), series)
-    transports = resolve_machine(machine).shuffle_transports()
-    content, n_spark, record_scale = _spark_pagerank_inputs(
-        graph, spark_physical_vertices)
     fig = FigureResult(
         "Fig 6",
         f"BigDataBench PageRank ({graph.n_vertices} vertices,"
@@ -348,19 +370,9 @@ def fig6(
                 procs_per_node, iterations=iterations)
             s_mpi.add(nodes, t)
         fig.series.append(s_mpi)
-    for transport, label in (("socket", "Spark"), ("rdma", "Spark-RDMA")):
-        if label not in want or transport not in transports:
-            continue
-        s = Series(label)
-        for nodes in node_counts:
-            session = _spark_pagerank_session(nodes, procs_per_node, content,
-                                              record_scale, machine)
-            t, _ = spark_pagerank_bigdatabench.run_in(
-                session, "hdfs://edges.txt", n_spark, procs_per_node,
-                iterations=iterations, shuffle_transport=transport,
-                record_scale=record_scale)
-            s.add(nodes, t)
-        fig.series.append(s)
+    _spark_pagerank_series(fig, spark_pagerank_bigdatabench, want, machine,
+                           node_counts, procs_per_node, graph,
+                           spark_physical_vertices, iterations)
     return fig
 
 
@@ -381,27 +393,14 @@ def fig7(
     """
     graph = graph or GraphSpec(n_vertices=1_000_000, out_degree=8)
     want = _select_series(("Spark", "Spark-RDMA"), series)
-    transports = resolve_machine(machine).shuffle_transports()
-    content, n_spark, record_scale = _spark_pagerank_inputs(
-        graph, spark_physical_vertices)
     fig = FigureResult(
         "Fig 7",
         f"HiBench PageRank ({graph.n_vertices} vertices,"
         f" {procs_per_node} processes/node)",
         "nodes", "execution time (s)")
-    for transport, label in (("socket", "Spark"), ("rdma", "Spark-RDMA")):
-        if label not in want or transport not in transports:
-            continue
-        s = Series(label)
-        for nodes in node_counts:
-            session = _spark_pagerank_session(nodes, procs_per_node, content,
-                                              record_scale, machine)
-            t, _ = spark_pagerank_hibench.run_in(
-                session, "hdfs://edges.txt", n_spark, procs_per_node,
-                iterations=iterations, shuffle_transport=transport,
-                record_scale=record_scale)
-            s.add(nodes, t)
-        fig.series.append(s)
+    _spark_pagerank_series(fig, spark_pagerank_hibench, want, machine,
+                           node_counts, procs_per_node, graph,
+                           spark_physical_vertices, iterations)
     return fig
 
 

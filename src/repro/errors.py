@@ -94,6 +94,10 @@ class FileExistsInSim(FileSystemError):
     """The path already exists and the operation does not allow overwrite."""
 
 
+class FileArgumentError(FileSystemError, ValueError):
+    """A file scale below 1, or a negative offset or length."""
+
+
 class HDFSError(FileSystemError):
     """HDFS-specific failure (e.g. not enough live datanodes to replicate)."""
 

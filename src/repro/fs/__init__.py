@@ -7,7 +7,7 @@ See :mod:`repro.fs.base` for the contract.
 """
 
 from repro.fs.base import FileSystem, SimFile
-from repro.fs.content import BytesContent, ContentProvider, LineContent
+from repro.fs.content import BytesContent, LineContent
 from repro.fs.hdfs import HDFS, Block
 from repro.fs.local import LocalFS
 from repro.fs.nfs import NFSFileSystem
@@ -15,7 +15,6 @@ from repro.fs.nfs import NFSFileSystem
 __all__ = [
     "FileSystem",
     "SimFile",
-    "ContentProvider",
     "BytesContent",
     "LineContent",
     "LocalFS",

@@ -1,48 +1,39 @@
 """Deterministic file payloads.
 
-A :class:`ContentProvider` supplies the *physical* bytes of a simulated
-file.  Providers are deterministic functions of their construction
-parameters, so the same experiment always processes the same data, and a
-sequential reference implementation can re-derive the expected answer.
+A :class:`BytesContent` holds the *physical* bytes of a simulated file.
+Payloads are deterministic functions of their construction parameters, so
+the same experiment always processes the same data, and a sequential
+reference implementation can re-derive the expected answer.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Callable, Iterator
 
-
-class ContentProvider(ABC):
-    """Random-access byte source for a simulated file's physical payload."""
-
-    @property
-    @abstractmethod
-    def size(self) -> int:
-        """Physical payload size in bytes."""
-
-    @abstractmethod
-    def read(self, offset: int, length: int) -> bytes:
-        """Bytes in ``[offset, offset + length)``, clamped to the payload."""
-
-    def read_all(self) -> bytes:
-        """The whole physical payload (host-side convenience)."""
-        return self.read(0, self.size)
+from repro.errors import FileArgumentError
 
 
-class BytesContent(ContentProvider):
-    """One contiguous ``bytes`` buffer — the only provider there is."""
+class BytesContent:
+    """A simulated file's physical payload: one contiguous ``bytes`` buffer."""
 
     def __init__(self, data: bytes) -> None:
         self._data = bytes(data)
 
     @property
     def size(self) -> int:
+        """Physical payload size in bytes."""
         return len(self._data)
 
     def read(self, offset: int, length: int) -> bytes:
+        """Bytes in ``[offset, offset + length)``, clamped to the payload."""
         if offset < 0 or length < 0:
-            raise ValueError(f"invalid range: offset={offset} length={length}")
+            raise FileArgumentError(
+                f"invalid range: offset={offset} length={length}")
         return self._data[offset : offset + length]
+
+    def read_all(self) -> bytes:
+        """The whole physical payload (host-side convenience)."""
+        return self._data
 
 
 class LineContent(BytesContent):

@@ -30,7 +30,7 @@ from repro.cluster.cluster import Cluster
 from repro.costs import HDFS_CLIENT_RATE, HDFS_NAMENODE_LOOKUP
 from repro.errors import BlockUnavailableError, ConfigurationError, HDFSError
 from repro.fs.base import FileSystem, SimFile
-from repro.fs.content import BytesContent, ContentProvider
+from repro.fs.content import BytesContent
 from repro.sim.process import SimProcess, Steps
 from repro.units import MB
 
@@ -62,7 +62,7 @@ class HDFS(FileSystem):
     block_size:
         Logical block size in bytes.
     replication:
-        Default replica count for new files (clamped to the node count).
+        Replica count of every block (clamped to the node count).
 
     Remote block fetches travel over the machine's Big Data fabric
     (``cluster.machine.bigdata_fabric`` — IPoIB on Comet, matching default
@@ -108,47 +108,31 @@ class HDFS(FileSystem):
     def block_locations(self, path: str) -> list[tuple[int, int, list[int]]]:
         """``(start, end, alive_replica_nodes)`` per block — the locality
         information schedulers consume."""
-        out = []
-        for b in self.blocks(path):
-            out.append((b.start, b.end, [r for r in b.replicas if r not in self._dead]))
-        return out
+        return [(b.start, b.end, self._alive(b.replicas))
+                for b in self.blocks(path)]
+
+    def _alive(self, replicas: list[int]) -> list[int]:
+        """The datanodes of ``replicas`` that are not dead, in order."""
+        return [r for r in replicas if r not in self._dead]
 
     # -- host-side setup ----------------------------------------------------------------
 
-    def create(
-        self,
-        path: str,
-        content: ContentProvider,
-        *,
-        scale: int = 1,
-        replication: int | None = None,
-    ) -> SimFile:
+    def create(self, path: str, content: BytesContent, *, scale: int = 1) -> SimFile:
         """Install a file (untimed) with blocks placed by the default policy."""
-        self._check_new(self._files, path)
-        f = SimFile(path, content, scale)
-        self._files[path] = f
-        blocks = self._place(path, f.logical_size, replication)
+        f = self._install(self._files, path, content, scale)
+        blocks = self._place(path, f.logical_size)
         self._blocks[path] = blocks
         self._ends[path] = [b.end for b in blocks]
         return f
 
-    def _place(self, path: str, logical_size: int,
-               replication: int | None) -> list[Block]:
+    def _place(self, path: str, logical_size: int) -> list[Block]:
+        """Blocks tiling the file (one empty block for an empty file)."""
         n = len(self.cluster.nodes)
-        repl = min(replication if replication is not None else self.replication, n)
-        blocks = []
-        offset = 0
-        index = 0
-        while offset < logical_size or (logical_size == 0 and index == 0):
-            end = min(offset + self.block_size, logical_size)
-            replicas = [(index + j) % n for j in range(repl)]
-            blocks.append(Block(index, offset, end, replicas,
-                                f"hdfs:{path}#{index}"))
-            index += 1
-            offset = end
-            if logical_size == 0:
-                break
-        return blocks
+        repl = min(self.replication, n)
+        starts = range(0, max(logical_size, 1), self.block_size)
+        return [Block(i, start, min(start + self.block_size, logical_size),
+                      [(i + j) % n for j in range(repl)], f"hdfs:{path}#{i}")
+                for i, start in enumerate(starts)]
 
     def delete(self, path: str) -> None:
         self._check_have(self._files, path)
@@ -181,7 +165,7 @@ class HDFS(FileSystem):
         n = len(self.cluster.nodes)
         created = 0
         for b in self.under_replicated(path):
-            alive = [r for r in b.replicas if r not in self._dead]
+            alive = self._alive(b.replicas)
             if not alive:
                 raise BlockUnavailableError(
                     f"block {b.index} of {path!r} has no live replica to "
@@ -216,22 +200,16 @@ class HDFS(FileSystem):
         return [
             b
             for b in self.blocks(path)
-            if len([r for r in b.replicas if r not in self._dead]) < target
+            if len(self._alive(b.replicas)) < target
         ]
 
     # -- timed I/O -------------------------------------------------------------------------
 
-    def read(self, proc: SimProcess, path: str, offset: int, length: int) -> bytes:
-        """Read a logical range, block by block, preferring local replicas."""
-        return proc.run_steps(self.read_steps(proc, path, offset, length))
-
     def read_steps(self, proc: SimProcess, path: str, offset: int,
                    length: int) -> Steps[bytes]:
-        """Step form of :meth:`read` (see ``SimProcess.run_steps``)."""
+        """Read a logical range, block by block, preferring local replicas."""
         f = self._check_have(self._files, path)
-        start, end = f.physical_range(offset, length)
-        lo = min(offset, f.logical_size)
-        hi = min(offset + length, f.logical_size)
+        lo, hi = f.logical_range(offset, length)
         node = self.cluster.node_of(proc)
         blocks = self._blocks[path]
         trace = self.cluster.trace
@@ -255,10 +233,10 @@ class HDFS(FileSystem):
             if src != node.id:
                 yield from self.cluster.network.transmit_steps(
                     proc, self.fabric, src, node.id, take, label=b.label)
-        return f.content.read(start, end - start)
+        return f.sample(lo, hi)
 
     def _pick_replica(self, block: Block, reader_node: int) -> int:
-        alive = [r for r in block.replicas if r not in self._dead]
+        alive = self._alive(block.replicas)
         if not alive:
             raise BlockUnavailableError(
                 f"block {block.index} [{block.start}, {block.end}) has no live replica"
@@ -268,7 +246,8 @@ class HDFS(FileSystem):
         # Deterministic spread: hash-free rotation by block index.
         return alive[block.index % len(alive)]
 
-    def write(self, proc: SimProcess, path: str, nbytes: int) -> None:
+    def write_steps(self, proc: SimProcess, path: str,
+                    nbytes: int) -> Steps[None]:
         """Timed write with pipeline replication.
 
         The writer streams each block to the first replica's disk while the
@@ -276,18 +255,10 @@ class HDFS(FileSystem):
         local write plus one network hop per remote replica (the pipeline's
         serialisation point).
         """
-        proc.run_steps(self.write_steps(proc, path, nbytes))
-
-    def write_steps(self, proc: SimProcess, path: str,
-                    nbytes: int) -> Steps[None]:
-        """Step form of :meth:`write` (see ``SimProcess.run_steps``)."""
         node = self.cluster.node_of(proc)
-        if path not in self._files:
-            self._files[path] = SimFile(path, BytesContent(b""), 1)
-            self._blocks[path] = []
-            self._ends[path] = []
-        blocks = self._blocks[path]
-        ends = self._ends[path]
+        self._touch(self._files, path)
+        blocks = self._blocks.setdefault(path, [])
+        ends = self._ends.setdefault(path, [])
         n = len(self.cluster.nodes)
         repl = min(self.replication, n)
         written = 0
@@ -295,16 +266,13 @@ class HDFS(FileSystem):
         while written < nbytes:
             take = min(self.block_size, nbytes - written)
             index = len(blocks)
-            replicas = [node.id] + [
-                r for r in ((node.id + 1 + j) % n for j in range(n - 1))
-            ][: repl - 1]
-            replicas = [r for r in replicas if r not in self._dead]
+            replicas = self._alive([(node.id + j) % n for j in range(repl)])
             if not replicas:
                 raise HDFSError("no live datanodes to write to")
             self.cluster.trace.access(proc, "write", f"hdfs:{path}",
                                       start=base + written,
                                       stop=base + written + take)
-            for j, r in enumerate(replicas):
+            for r in replicas:
                 if r == node.id:
                     yield from self.cluster.nodes[r].ssd.write_steps(
                         proc, take, label=f"hdfs:{path}")

@@ -13,13 +13,14 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.storage import StorageDevice
 from repro.errors import FileNotFoundInSim
-from repro.fs.base import FileSystem, SimFile
-from repro.fs.content import ContentProvider
-from repro.sim.process import SimProcess, Steps
+from repro.fs.base import DeviceFileSystem, SimFile
+from repro.fs.content import BytesContent
+from repro.sim.process import SimProcess
 
 
-class LocalFS(FileSystem):
+class LocalFS(DeviceFileSystem):
     """Per-node scratch space backed by each node's SSD device."""
 
     scheme = "local"
@@ -33,10 +34,8 @@ class LocalFS(FileSystem):
 
     # -- namespace ---------------------------------------------------------------
 
-    def lookup(self, path: str, node_id: int | None = None) -> SimFile:
-        """Find ``path``; searches all nodes unless ``node_id`` is given."""
-        if node_id is not None:
-            return self._check_have(self._files[node_id], path)
+    def lookup(self, path: str) -> SimFile:
+        """Find ``path`` on any node."""
         for files in self._files:
             if path in files:
                 return files[path]
@@ -57,19 +56,16 @@ class LocalFS(FileSystem):
     def create(
         self,
         path: str,
-        content: ContentProvider,
+        content: BytesContent,
         *,
         scale: int = 1,
         node_id: int = 0,
     ) -> SimFile:
         """Install a file on one node's scratch."""
-        self._check_new(self._files[node_id], path)
-        f = SimFile(path, content, scale)
-        self._files[node_id][path] = f
-        return f
+        return self._install(self._files[node_id], path, content, scale)
 
     def create_replicated(
-        self, path: str, content: ContentProvider, *, scale: int = 1
+        self, path: str, content: BytesContent, *, scale: int = 1
     ) -> SimFile:
         """Install identical copies of a file on every node (paper's setup
         for the MPI parallel-read and AnswersCount runs)."""
@@ -89,35 +85,7 @@ class LocalFS(FileSystem):
 
     # -- timed I/O --------------------------------------------------------------------
 
-    def read(self, proc: SimProcess, path: str, offset: int, length: int) -> bytes:
-        return proc.run_steps(self.read_steps(proc, path, offset, length))
-
-    def read_steps(self, proc: SimProcess, path: str, offset: int,
-                   length: int) -> Steps[bytes]:
+    def _locate(self, proc: SimProcess,
+                path: str) -> tuple[dict[str, SimFile], StorageDevice, str]:
         node = self.cluster.node_of(proc)
-        f = self._check_have(self._files[node.id], path)
-        start, end = f.physical_range(offset, length)
-        nbytes = min(offset + length, f.logical_size) - min(offset, f.logical_size)
-        if nbytes > 0:
-            self.cluster.trace.access(
-                proc, "read", f"local:{path}@node{node.id}",
-                start=min(offset, f.logical_size),
-                stop=min(offset + length, f.logical_size))
-            yield from node.ssd.read_steps(proc, nbytes, label=f"local:{path}")
-        return f.content.read(start, end - start)
-
-    def write(self, proc: SimProcess, path: str, nbytes: int) -> None:
-        proc.run_steps(self.write_steps(proc, path, nbytes))
-
-    def write_steps(self, proc: SimProcess, path: str,
-                    nbytes: int) -> Steps[None]:
-        node = self.cluster.node_of(proc)
-        files = self._files[node.id]
-        if path not in files:
-            from repro.fs.content import BytesContent
-
-            files[path] = SimFile(path, BytesContent(b""), 1)
-        # Appends don't track offsets, so the access covers the whole file:
-        # any concurrent touch of the same node-local path is a real race.
-        self.cluster.trace.access(proc, "write", f"local:{path}@node{node.id}")
-        yield from node.ssd.write_steps(proc, nbytes, label=f"local:{path}")
+        return self._files[node.id], node.ssd, f"local:{path}@node{node.id}"

@@ -11,12 +11,13 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.cluster.cluster import Cluster
-from repro.fs.base import FileSystem, SimFile
-from repro.fs.content import BytesContent, ContentProvider
-from repro.sim.process import SimProcess, Steps
+from repro.cluster.storage import StorageDevice
+from repro.fs.base import DeviceFileSystem, SimFile
+from repro.fs.content import BytesContent
+from repro.sim.process import SimProcess
 
 
-class NFSFileSystem(FileSystem):
+class NFSFileSystem(DeviceFileSystem):
     """One shared namespace backed by the cluster's NFS device."""
 
     scheme = "nfs"
@@ -32,41 +33,13 @@ class NFSFileSystem(FileSystem):
     def paths(self) -> Iterable[str]:
         return list(self._files)
 
-    def create(self, path: str, content: ContentProvider, *, scale: int = 1) -> SimFile:
-        self._check_new(self._files, path)
-        f = SimFile(path, content, scale)
-        self._files[path] = f
-        return f
+    def create(self, path: str, content: BytesContent, *, scale: int = 1) -> SimFile:
+        return self._install(self._files, path, content, scale)
 
     def delete(self, path: str) -> None:
         self._check_have(self._files, path)
         del self._files[path]
 
-    def read(self, proc: SimProcess, path: str, offset: int, length: int) -> bytes:
-        return proc.run_steps(self.read_steps(proc, path, offset, length))
-
-    def read_steps(self, proc: SimProcess, path: str, offset: int,
-                   length: int) -> Steps[bytes]:
-        f = self._check_have(self._files, path)
-        start, end = f.physical_range(offset, length)
-        nbytes = min(offset + length, f.logical_size) - min(offset, f.logical_size)
-        if nbytes > 0:
-            self.cluster.trace.access(
-                proc, "read", f"nfs:{path}",
-                start=min(offset, f.logical_size),
-                stop=min(offset + length, f.logical_size))
-            yield from self.cluster.nfs_device.read_steps(
-                proc, nbytes, label=f"nfs:{path}")
-        return f.content.read(start, end - start)
-
-    def write(self, proc: SimProcess, path: str, nbytes: int) -> None:
-        proc.run_steps(self.write_steps(proc, path, nbytes))
-
-    def write_steps(self, proc: SimProcess, path: str,
-                    nbytes: int) -> Steps[None]:
-        if path not in self._files:
-            self._files[path] = SimFile(path, BytesContent(b""), 1)
-        # Appends don't track offsets, so the access covers the whole file.
-        self.cluster.trace.access(proc, "write", f"nfs:{path}")
-        yield from self.cluster.nfs_device.write_steps(
-            proc, nbytes, label=f"nfs:{path}")
+    def _locate(self, proc: SimProcess,
+                path: str) -> tuple[dict[str, SimFile], StorageDevice, str]:
+        return self._files, self.cluster.nfs_device, f"nfs:{path}"

@@ -52,12 +52,12 @@ def read_split_records(
     """
     f = fs.lookup(path)
     lsize = f.logical_size
-    start = max(0, min(start, lsize))
-    end = max(start, min(end, lsize))
+    start = max(0, start)
+    start, end = f.logical_range(start, max(0, end - start))
     if start == end:
         return RecordBlock(b"")
     buf = yield from fs.read_steps(proc, path, start, end - start)
-    pstart, pend = f.physical_range(start, end - start)
+    pstart, pend = start // f.scale, end // f.scale
     psize = f.physical_size
 
     # Finish a record that crosses the end of the split.

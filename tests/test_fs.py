@@ -13,6 +13,7 @@ from repro.errors import (
     BlockUnavailableError,
     FileExistsInSim,
     FileNotFoundInSim,
+    FileSystemError,
     SimProcessError,
 )
 from repro.fs import HDFS, BytesContent, LineContent, LocalFS, NFSFileSystem
@@ -20,7 +21,8 @@ from repro.fs.base import SimFile
 from repro.fs.records import iter_all_records, read_split_records
 from repro.sim import current_process
 from repro.sim.process import SimProcess
-from repro.units import MB, MiB
+from repro.sim.trace import Trace
+from repro.units import MB, KiB, MiB
 from tests.conftest import TESTING_MACHINE, forced_trace
 
 
@@ -357,6 +359,105 @@ class TestHDFS:
 
         assert total_remote_bytes(4) == 0
         assert total_remote_bytes(1) > 0
+
+
+def _local_input(cl, content, scale=1):
+    fs = LocalFS(cl)
+    fs.create_replicated("in", content, scale=scale)
+    return fs
+
+
+def _nfs_input(cl, content, scale=1):
+    fs = NFSFileSystem(cl)
+    fs.create("in", content, scale=scale)
+    return fs
+
+
+def _hdfs_input(cl, content, scale=1):
+    # replicas of block i sit on nodes i % 3 and (i + 1) % 3, so a reader
+    # on node 2 mixes local and remote blocks, and writes cross the fabric
+    fs = HDFS(cl, block_size=4 * KiB, replication=2)
+    fs.create("in", content, scale=scale)
+    return fs
+
+
+FILESYSTEMS = pytest.mark.parametrize(
+    "make", [_local_input, _nfs_input, _hdfs_input],
+    ids=["local", "nfs", "hdfs"])
+
+
+class TestTimedIOContract:
+    """What every filesystem's timed surface promises alike."""
+
+    @staticmethod
+    def _run(make, blocking, monkeypatch):
+        """Two readers/writers on nodes 1 and 2, through the blocking pair
+        or through ``run_steps`` over the step bodies: what they read,
+        their end clocks, the hb event stream and every flow's label."""
+        cl = Cluster(TESTING_MACHINE.with_nodes(3), trace=Trace(hb=True))
+        fs = make(cl, LineContent(lambda i: f"row-{i:05d}", 2000), scale=3)
+        labels = []
+        real_transfer = cl.flows.transfer_steps
+
+        def transfer(proc, resources, nbytes, **kw):
+            labels.append((proc.name, kw.get("label")))
+            return real_transfer(proc, resources, nbytes, **kw)
+
+        monkeypatch.setattr(cl.flows, "transfer_steps", transfer)
+        got, clocks = {}, {}
+
+        def body(i):
+            p = current_process()
+            if blocking:
+                read, write = fs.read, fs.write
+            else:
+                def read(p, path, offset, length):
+                    return p.run_steps(fs.read_steps(p, path, offset, length))
+
+                def write(p, path, nbytes):
+                    p.run_steps(fs.write_steps(p, path, nbytes))
+            got[i] = [read(p, "in", 1000 * i, 9000)]
+            write(p, f"out{i}", 10 * KiB)
+            got[i].append(read(p, "in", 20 * KiB, 10 * MiB))
+            write(p, f"out{i}", 5000)
+            got[i].append(read(p, "in", 20, 0))
+            clocks[i] = p.clock
+
+        for i in (1, 2):
+            cl.spawn(body, i, node_id=i, name=f"io{i}")
+        cl.run()
+        events = [(e.time, e.proc, e.kind, e.detail) for e in cl.trace]
+        return got, clocks, events, labels
+
+    @FILESYSTEMS
+    def test_blocking_pair_is_run_steps_over_the_step_bodies(
+            self, make, monkeypatch):
+        blocking = self._run(make, True, monkeypatch)
+        steps = self._run(make, False, monkeypatch)
+        got, clocks, events, labels = blocking
+        assert steps == blocking
+        assert got[1][0] and got[1][1] and got[1][2] == b""
+        kinds = {kind for _, _, kind, _ in events}
+        assert {"disk.read", "disk.write", "mem.read", "mem.write"} <= kinds
+        scheme = make.__name__.split("_")[1]
+        assert all(label.startswith(f"{scheme}:") for _, label in labels)
+        if scheme == "hdfs":
+            assert "net.transmit" in kinds
+
+    @FILESYSTEMS
+    def test_a_negative_range_is_a_file_system_error(self, make):
+        cl = Cluster(TESTING_MACHINE.with_nodes(3), trace=forced_trace())
+        with pytest.raises(FileSystemError):
+            make(cl, BytesContent(b"abc"), scale=0)
+        for offset, length in ((-4, 8), (0, -1)):
+            cl = Cluster(TESTING_MACHINE.with_nodes(3), trace=forced_trace())
+            fs = make(cl, BytesContent(bytes(64)))
+            cl.spawn(lambda: fs.read(current_process(), "in", offset, length),
+                     node_id=1, name="r")
+            with pytest.raises(SimProcessError) as ei:
+                cl.run()
+            assert isinstance(ei.value.__cause__, FileSystemError)
+            assert isinstance(ei.value.__cause__, ValueError)
 
 
 class TestRecordSplitting:
