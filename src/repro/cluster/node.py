@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.cluster.spec import NodeSpec
 from repro.cluster.storage import StorageDevice, ssd_read_efficiency
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.sim.resources import FlowSystem, FluidResource
 from repro.sim.trace import Trace
 
@@ -44,9 +44,14 @@ class Node:
         Blocks ``proc`` until done; concurrent streams on the same node share
         the node's memory bandwidth.
         """
-        return self._flows.transfer(
-            proc, (self.mem,), nbytes, label=label or f"mem[{self.id}]"
-        )
+        return proc.run_steps(self.stream_bytes_steps(proc, nbytes,
+                                                      label=label))
+
+    def stream_bytes_steps(self, proc: SimProcess, nbytes: float, *,
+                           label: str = "") -> Steps[float]:
+        """Step form of :meth:`stream_bytes` (see ``SimProcess.run_steps``)."""
+        return (yield from self._flows.transfer_steps(
+            proc, (self.mem,), nbytes, label=label or f"mem[{self.id}]"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id}>"

@@ -45,11 +45,10 @@ class SimFile:
         self.path = path
         self.content = content
         self.scale = int(scale)
-        #: cached product: payload sizes are fixed after construction and
-        #: nothing reassigns ``content``/``scale`` (writes extend the
-        #: filesystems' block maps, not the payload), so the value cannot
-        #: go stale.  This sits on the per-block read hot path of every
-        #: filesystem.
+        #: the payload's logical size plus every timed write's ``nbytes``
+        #: (a filesystem's ``write_steps`` grows it when the write is
+        #: done).  A written range has no payload: it reads as no bytes
+        #: but costs its logical length, like any other range.
         self.logical_size = self.content.size * self.scale
 
     @property
@@ -183,10 +182,12 @@ class FileSystem(ABC):
         f = files[path] = SimFile(path, content, scale)
         return f
 
-    def _touch(self, files: dict[str, SimFile], path: str) -> None:
-        """Create ``path`` empty in ``files`` unless it exists (first write)."""
-        if path not in files:
-            files[path] = SimFile(path, BytesContent(b""))
+    def _touch(self, files: dict[str, SimFile], path: str) -> SimFile:
+        """``path`` in ``files``, created empty by its first write."""
+        f = files.get(path)
+        if f is None:
+            f = files[path] = SimFile(path, BytesContent(b""))
+        return f
 
 
 class DeviceFileSystem(FileSystem):
@@ -213,9 +214,10 @@ class DeviceFileSystem(FileSystem):
     def write_steps(self, proc: SimProcess, path: str,
                     nbytes: int) -> Steps[None]:
         files, device, where = self._locate(proc, path)
-        self._touch(files, path)
+        f = self._touch(files, path)
         # Appends don't track offsets, so the access covers the whole file:
         # any concurrent touch of the same path is a real race.
         self.cluster.trace.access(proc, "write", where)
         yield from device.write_steps(proc, nbytes,
                                       label=f"{self.scheme}:{path}")
+        f.logical_size += nbytes

@@ -256,7 +256,7 @@ class HDFS(FileSystem):
         serialisation point).
         """
         node = self.cluster.node_of(proc)
-        self._touch(self._files, path)
+        f = self._touch(self._files, path)
         blocks = self._blocks.setdefault(path, [])
         ends = self._ends.setdefault(path, [])
         n = len(self.cluster.nodes)
@@ -284,3 +284,4 @@ class HDFS(FileSystem):
                                 replicas, f"hdfs:{path}#{index}"))
             ends.append(base + written + take)
             written += take
+        f.logical_size += nbytes

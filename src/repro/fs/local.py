@@ -69,9 +69,10 @@ class LocalFS(DeviceFileSystem):
     ) -> SimFile:
         """Install identical copies of a file on every node (paper's setup
         for the MPI parallel-read and AnswersCount runs)."""
+        for files in self._files:  # all or nothing: check every node first
+            self._check_new(files, path)
         f = SimFile(path, content, scale)
         for files in self._files:
-            self._check_new(files, path)
             files[path] = f
         return f
 

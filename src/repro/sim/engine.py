@@ -51,7 +51,10 @@ not change the schedule order, a transfer, a protocol round) switch-free:
 3. **Engine thread as supervisor** — the thread that called :meth:`run`
    sleeps for the whole simulation and is only woken for the cases the
    process threads cannot decide locally: a process failed (abort + raise),
-   or no process is runnable (termination vs deadlock detection).
+   or no process is runnable (termination vs deadlock detection).  A
+   failure is recorded where it happens (:meth:`_fail`), so the
+   supervisor, which also dispatches threadless processes' first turns,
+   never scans the process list per iteration.
 
 4. **Step continuations** — every wait is a generator run by
    :meth:`SimProcess.run_steps`, the one place a thread parks: the sim
@@ -65,7 +68,8 @@ not change the schedule order, a transfer, a protocol round) switch-free:
    popping; the owner's thread is granted once, when the generator
    returns — or never, for a threadless process, whose body is the
    generator: it is DONE when the body returns and FAILED (the supervisor
-   woken) when it raises.  A Hadoop task attempt is such a body.  A
+   woken) when it raises.  A Hadoop task attempt and a Spark executor
+   are such bodies.  A
    segment starts at exactly the ``(clock, pid)`` turn at
    which a thread parked at that request would have resumed — the same
    retention test, the same push, the same BLOCKED state — so the
@@ -205,6 +209,9 @@ class Engine:
         #: counter handing out engine-unique ids to :class:`SimBarrier`
         #: instances on first use (sanitizer identity; see ``sync.py``).
         self._next_barrier_uid = 0
+        #: processes that raised, recorded where they fail (:meth:`_fail`),
+        #: so the supervisor finds one without scanning every process
+        self._failures: list[SimProcess] = []
 
     # -- construction --------------------------------------------------------
 
@@ -391,12 +398,8 @@ class Engine:
         runnable.
         """
         while True:
-            failed = next(
-                (p for p in self.processes
-                 if p.state is ProcState.FAILED and p.exception is not None),
-                None,
-            )
-            if failed is not None:
+            if self._failures:
+                failed = min(self._failures, key=lambda p: p.pid)
                 self._abort()
                 if isinstance(failed.exception,
                               (DeadlockError, FaultAbortError)):
@@ -489,10 +492,15 @@ class Engine:
             proc.result, proc._step_result = proc._step_result, None
             proc.state = ProcState.DONE
             return False
-        proc.state = ProcState.FAILED
-        proc.exception = exc
+        self._fail(proc, exc)
         self._yield_evt.set()
         return True
+
+    def _fail(self, proc: SimProcess, exc: BaseException) -> None:
+        """``proc`` raised ``exc``: FAILED, and recorded for the supervisor."""
+        proc.state = ProcState.FAILED
+        proc.exception = exc
+        self._failures.append(proc)
 
     def _resume(self, proc: SimProcess) -> bool:
         """Run ``proc``'s parked steps here, as ``proc``; ``True`` once over.

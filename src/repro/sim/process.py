@@ -29,6 +29,7 @@ The exception to "its own OS thread": a process whose body is a generator
 function is all steps, so it gets no thread.  The engine runs the body as
 it runs parked steps, at each of the process's turns on whichever thread
 holds the token; the generator's return value is the process's result.
+Hadoop map/reduce attempts and Spark executors are such processes.
 
 All methods prefixed with an underscore are engine/runtime internals.
 """
@@ -512,7 +513,6 @@ class SimProcess:
             self.state = ProcState.FAILED
             self.exception = None  # deliberate shutdown, not an error
         except BaseException as exc:  # noqa: BLE001 - report any failure
-            self.state = ProcState.FAILED
-            self.exception = exc
+            self.engine._fail(self, exc)
         finally:
             self.engine._release_token(self)

@@ -7,6 +7,15 @@ application.  The driver parses and manages the RDD code and ships task
 closures to executors (Section VI-B: "Spark code is parsed and managed by
 the Spark driver program and code segments are then submitted to the
 cluster machines for execution").
+
+An executor is all steps (``SimProcess.run_steps``): its body is a
+generator function, so it runs without an OS thread, at its turns on
+whichever thread holds the token.  Everything a task waits on — the task
+message, split reads, cache and checkpoint I/O, the shuffle write and
+fetch, the result reply — is a step form composed with ``yield from``;
+user closures are plain calls, because a closure never waits.  The
+driver is the one Spark process with a thread: it runs the application
+function, which may call anything.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from repro.cluster.node import Node
 from repro.costs import SoftwareCosts
 from repro.errors import ConfigurationError, SparkError
 from repro.sim.engine import current_process
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.sim.sync import Mailbox
 from repro.spark import scheduler as sched
 from repro.spark.accumulator import Accumulator
@@ -246,11 +255,12 @@ class SparkContext:
                 Executor(i, node, self.executor_memory, self.costs))
         t_app_start: list[float] = []
 
-        def executor_main(ex: Executor) -> None:
+        def executor_main(ex: Executor) -> Steps[None]:
             proc = current_process()
             proc.compute(self.app_startup)  # container + JVM spin-up
             while True:
-                msg = ex.mailbox.recv(proc, reason=f"spark:executor{ex.executor_id}")
+                msg = yield from ex.mailbox.recv_steps(
+                    proc, reason=f"spark:executor{ex.executor_id}")
                 kind = msg.meta.get("kind")
                 if kind == "shutdown":
                     return
@@ -258,29 +268,35 @@ class SparkContext:
                     raise SparkError(f"executor got unknown message {kind!r}")
                 proc.compute(self.costs.spark_task_overhead)
                 if ex.dead:
-                    self._reply(proc, ex, msg, "executor_lost", None, {})
+                    yield from self._reply_steps(proc, ex, msg,
+                                                 "executor_lost", None, {})
                     continue
                 task_kind, a, partition, fn = msg.payload
                 try:
                     if task_kind == "shuffle_map":
-                        ctx = sched.run_shuffle_map_task(env, ex, a, partition)
+                        ctx = yield from sched.run_shuffle_map_task(
+                            env, ex, a, partition)
                         result = None
                     else:
-                        result, ctx = sched.run_result_task(
+                        result, ctx = yield from sched.run_result_task(
                             env, ex, a, partition, fn)
                     if ex.dead:
                         # the executor was killed mid-task (fault injection):
                         # the work is lost with the process
-                        self._reply(proc, ex, msg, "executor_lost", None, {})
+                        yield from self._reply_steps(
+                            proc, ex, msg, "executor_lost", None, {})
                         continue
-                    self._reply(proc, ex, msg, "ok", result, ctx.accum_updates)
+                    yield from self._reply_steps(proc, ex, msg, "ok", result,
+                                                 ctx.accum_updates)
                 except sched.FetchFailedError as ff:
-                    self._reply(proc, ex, msg, "fetch_failed", None, {},
-                                shuffle_id=ff.shuffle_id)
+                    yield from self._reply_steps(
+                        proc, ex, msg, "fetch_failed", None, {},
+                        shuffle_id=ff.shuffle_id)
                 except SparkError:
                     raise
                 except Exception as exc:  # user code failed: report upstream
-                    self._reply(proc, ex, msg, "error", exc, {})
+                    yield from self._reply_steps(proc, ex, msg, "error", exc,
+                                                 {})
 
         def driver_main() -> Any:
             proc = current_process()
@@ -305,20 +321,22 @@ class SparkContext:
             app_elapsed=driver.clock - t_app_start[0],
         )
 
-    def _reply(self, proc: SimProcess, ex: Executor, msg: Any, status: str,
-               payload: Any, accum: dict, **extra: Any) -> None:
+    def _reply_steps(self, proc: SimProcess, ex: Executor, msg: Any,
+                     status: str, payload: Any, accum: dict,
+                     **extra: Any) -> Steps[None]:
+        """Post a task's outcome to the driver (a bulk result is sent)."""
         nbytes = 64 + (estimate_nbytes([payload]) if payload is not None else 0)
         proc.compute_bytes(nbytes, self.costs.ser_rate_jvm)
         env = self.env
         if nbytes >= 64 * 2**10:
-            arrival = env.cluster.network.transmit(
+            arrival = yield from env.cluster.network.transmit_steps(
                 proc, env.control_fabric, ex.node.id, env.driver_node.id,
                 nbytes, label="spark.result")
         else:
             arrival = env.cluster.network.msg_arrival(
                 proc, env.control_fabric, ex.node.id, env.driver_node.id,
                 nbytes)
-        env.driver_mailbox.post(
+        yield from env.driver_mailbox.post_steps(
             proc, payload, arrival=arrival,
             status=status, partition=msg.payload[2] if msg.payload else None,
             nbytes=nbytes, accum=accum, epoch=msg.meta.get("epoch"), **extra)

@@ -23,6 +23,7 @@ import numpy as np
 from repro.errors import SparkError
 from repro.sim.blocks import (PairBlock, as_pair_key_block,
                               first_ranks, hash_join)
+from repro.sim.process import Steps
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.spark.shuffle import merge_by_key
 from repro.spark.storage import StorageLevel
@@ -162,8 +163,14 @@ class RDD:
 
     # -- to be provided by concrete RDDs ------------------------------------------
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
-        """Materialise partition ``index`` on an executor."""
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
+        """Materialise partition ``index`` on an executor.
+
+        Written as steps (a generator function, see
+        ``SimProcess.run_steps``): it reads its inputs with the step forms
+        of ``ctx`` (``iterator_steps``, ``shuffle_read_steps``) and calls
+        user closures plainly, since a closure never waits.
+        """
         raise NotImplementedError
 
     def preferred_nodes(self, index: int) -> list[int]:
@@ -640,12 +647,14 @@ class RDD:
 
         from repro.spark.shuffle import estimate_nbytes
 
-        def write_part(i: int, it: list) -> int:
+        def write_part(i: int, it: list) -> Steps[int]:
+            # steps: the one action function that waits (a timed write)
             from repro.sim.engine import current_process
 
             fs = self.sc.cluster.filesystems[scheme]
             nbytes = estimate_nbytes(list(it))
-            fs.write(current_process(), f"{path}/part-{i:05d}", max(1, nbytes))
+            yield from fs.write_steps(current_process(),
+                                      f"{path}/part-{i:05d}", max(1, nbytes))
             return nbytes
 
         self.sc._scheduler.run_job(self, write_part)
@@ -723,7 +732,8 @@ class ParallelizeRDD(RDD):
             end = ((i + 1) * n) // num_partitions
             self._slices[i] = list(data[start:end])
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
+        yield from ()  # steps like every compute; the slice never waits
         ctx.charge_records(len(self._slices[index]))
         return list(self._slices[index])
 
@@ -775,12 +785,12 @@ class TextFileRDD(RDD):
             self._preferred = [[] for _ in self._splits]
         super().__init__(sc, [], max(1, len(self._splits)))
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
         from repro.fs.records import read_split_records
 
         start, end = self._splits[index]
-        raw = ctx.proc.run_steps(
-            read_split_records(self.fs, ctx.proc, self.path, start, end))
+        raw = yield from read_split_records(self.fs, ctx.proc, self.path,
+                                            start, end)
         ctx.charge_records(len(raw))
         # decode cost is part of the JVM text-parsing rate; the lines are
         # decoded on first use, so a count or a columnar parse never is
@@ -811,8 +821,8 @@ class MapPartitionsRDD(RDD):
         if preserves_partitioning:
             self.partitioner = parent.partitioner
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
-        records = ctx.iterator(self.deps[0].parent, index)
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
+        records = yield from ctx.iterator_steps(self.deps[0].parent, index)
         # A declared twin is offered every partition and answers None
         # where it is not defined; the charge is the same either way.
         out = None if self.vector is None else self.vector(records)
@@ -842,9 +852,9 @@ class UnionRDD(RDD):
             offset += k
         super().__init__(sc, deps, len(self._map))
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
         parent, pindex = self._map[index]
-        return list(ctx.iterator(parent, pindex))
+        return list((yield from ctx.iterator_steps(parent, pindex)))
 
     def preferred_nodes(self, index: int) -> list[int]:
         parent, pindex = self._map[index]
@@ -868,11 +878,11 @@ class CoalescedRDD(RDD):
         super().__init__(parent.sc, [NarrowDependency(parent, parents)],
                          num_partitions)
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
         parent = self.deps[0].parent
         out: list = []
         for pindex in self._groups[index]:
-            out.extend(ctx.iterator(parent, pindex))
+            out.extend((yield from ctx.iterator_steps(parent, pindex)))
         return out
 
     def _op_name(self) -> str:
@@ -894,10 +904,10 @@ class ShuffledRDD(RDD):
     def shuffle_dep(self) -> ShuffleDependency:
         return self.deps[0]  # type: ignore[return-value]
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
         dep = self.shuffle_dep
-        records = ctx.shuffle_read(dep.shuffle_id, index,
-                                   dep.parent.num_partitions)
+        records = yield from ctx.shuffle_read_steps(
+            dep.shuffle_id, index, dep.parent.num_partitions)
         agg = dep.aggregator
         if agg is None:
             return records
@@ -950,17 +960,21 @@ class CoGroupedRDD(RDD):
         super().__init__(left.sc, deps, partitioner.num_partitions)
         self.partitioner = partitioner
 
-    def _sides(self, index: int, ctx: "TaskContext") -> list:
+    def _sides(self, index: int, ctx: "TaskContext") -> Steps[list]:
         """Both parents' records for partition ``index``: a co-partitioned
         side read in place, the other fetched from its shuffle."""
-        return [
-            ctx.shuffle_read(dep.shuffle_id, index, dep.parent.num_partitions)
-            if isinstance(dep, ShuffleDependency)
-            else ctx.iterator(dep.parent, index)
-            for dep in self.deps]
+        sides = []
+        for dep in self.deps:
+            if isinstance(dep, ShuffleDependency):
+                side = yield from ctx.shuffle_read_steps(
+                    dep.shuffle_id, index, dep.parent.num_partitions)
+            else:
+                side = yield from ctx.iterator_steps(dep.parent, index)
+            sides.append(side)
+        return sides
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
-        left, right = self._sides(index, ctx)
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
+        left, right = yield from self._sides(index, ctx)
         out = list(_cogroup_pairs(left, right).items())
         # every input record lands in exactly one group list, so the sum
         # over group sizes equals the record count
@@ -986,8 +1000,8 @@ class JoinedRDD(CoGroupedRDD):
 
     _name = "Join"
 
-    def compute(self, index: int, ctx: "TaskContext") -> list:
-        left, right = self._sides(index, ctx)
+    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
+        left, right = yield from self._sides(index, ctx)
         joined = hash_join(left, right)
         if joined is None:
             groups = list(_cogroup_pairs(left, right).items())

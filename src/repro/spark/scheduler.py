@@ -10,17 +10,27 @@ and recovers from executor loss by re-running exactly the lost lineage.
 
 The executor-side half (:class:`TaskContext`) materialises partitions with
 cache lookups (lineage recomputation on miss) and performs shuffle reads.
+
+Both halves wait as steps (``SimProcess.run_steps``).  A task body
+(:func:`run_shuffle_map_task`, :func:`run_result_task`) and everything it
+waits on are step generators composed with ``yield from``, because an
+executor has no thread.  On the driver, one stage's dispatch-and-collect
+loop is one step body (:meth:`DAGScheduler._run_stage_steps`), so the
+driver's thread wakes once per stage rather than once per task result.
+The blocking names (``TaskContext.iterator``, ``shuffle_read``) are
+``run_steps`` over the step forms.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import JobAbortedError, SparkError
 from repro.sim.engine import current_process
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.spark.rdd import (
     Dependency,
     NarrowDependency,
@@ -93,6 +103,10 @@ class TaskContext:
     # -- partition materialisation ---------------------------------------------------
 
     def iterator(self, rdd: RDD, index: int) -> list:
+        """Materialise ``rdd[index]`` (see :meth:`iterator_steps`)."""
+        return self.proc.run_steps(self.iterator_steps(rdd, index))
+
+    def iterator_steps(self, rdd: RDD, index: int) -> Steps[list]:
         """Materialise ``rdd[index]``, honouring cache and checkpoint.
 
         Priority matches Spark: reliable checkpoint > block-manager cache >
@@ -100,68 +114,85 @@ class TaskContext:
         tolerance (Section VI-D): no replication, just recomputation.
         """
         key = (rdd.id, index)
+        proc = self.proc
         if rdd.is_checkpointed:
             stored = self.env.checkpoint_store.get(key)
             if stored is not None:
                 records, nbytes = stored
                 # read back from reliable (replicated) storage
-                self.executor.node.ssd.read(self.proc, max(1, nbytes),
-                                            label="rdd.checkpoint")
+                yield from self.executor.node.ssd.read_steps(
+                    proc, max(1, nbytes), label="rdd.checkpoint")
                 self.charge_bytes(max(1, nbytes), self.costs.ser_rate_jvm)
                 return records
         if rdd.storage_level is not None:
-            cached = self.executor.block_manager.get(self.proc, key)
+            cached = yield from self.executor.block_manager.get_steps(
+                proc, key)
             if cached is not None:
                 return cached
-        records = rdd.compute(index, self)
+        records = yield from rdd.compute(index, self)
         if rdd.is_checkpointed:
             nbytes = estimate_nbytes(records) * self.env.record_scale
             # write locally + one replica hop = reliable storage
             self.charge_bytes(max(1, nbytes), self.costs.ser_rate_jvm)
-            self.executor.node.ssd.write(self.proc, max(1, nbytes),
-                                         label="rdd.checkpoint")
+            yield from self.executor.node.ssd.write_steps(
+                proc, max(1, nbytes), label="rdd.checkpoint")
             nodes = self.env.cluster.nodes
             if len(nodes) > 1:
                 peer = (self.executor.node.id + 1) % len(nodes)
-                self.env.cluster.network.transmit(
-                    self.proc, self.env.control_fabric,
+                yield from self.env.cluster.network.transmit_steps(
+                    proc, self.env.control_fabric,
                     self.executor.node.id, peer, max(1, nbytes),
                     label="rdd.checkpoint")
             self.env.checkpoint_store[key] = (records, nbytes)
         if rdd.storage_level is not None:
             nbytes = estimate_nbytes(records) * self.env.record_scale
-            self.executor.block_manager.put(
-                self.proc, key, records, nbytes, rdd.storage_level)
+            yield from self.executor.block_manager.put_steps(
+                proc, key, records, nbytes, rdd.storage_level)
             self.env.cache_locations.setdefault(key, set()).add(
                 self.executor.executor_id)
         return records
 
     def shuffle_read(self, shuffle_id: int, reduce_id: int, n_maps: int) -> list:
+        """Fetch one reduce partition (see :meth:`shuffle_read_steps`)."""
+        return self.proc.run_steps(
+            self.shuffle_read_steps(shuffle_id, reduce_id, n_maps))
+
+    def shuffle_read_steps(self, shuffle_id: int, reduce_id: int,
+                           n_maps: int) -> Steps[list]:
         """Fetch one reduce partition; raises FetchFailed on missing outputs."""
         if not self.env.tracker.complete(shuffle_id, n_maps):
             raise FetchFailedError(shuffle_id)
-        return ShuffleReader(self.env).read(
-            self.proc, self.executor, shuffle_id, reduce_id, n_maps)
+        return (yield from ShuffleReader(self.env).read_steps(
+            self.proc, self.executor, shuffle_id, reduce_id, n_maps))
 
 
-# -- task bodies (run on the executor) ----------------------------------------------
+# -- task bodies (run on the executor, as steps) ---------------------------------------
 
 
 def run_shuffle_map_task(env: "SparkEnv", executor: "Executor",
-                         dep: ShuffleDependency, partition: int) -> TaskContext:
+                         dep: ShuffleDependency,
+                         partition: int) -> Steps[TaskContext]:
     """Compute one map-side partition and write its shuffle buckets."""
     ctx = TaskContext(env, executor)
-    records = ctx.iterator(dep.parent, partition)
+    records = yield from ctx.iterator_steps(dep.parent, partition)
     # a combining dependency's map-side combine happens inside the write
-    ShuffleWriter(env).write(ctx.proc, executor, dep, partition, records)
+    yield from ShuffleWriter(env).write_steps(ctx.proc, executor, dep,
+                                              partition, records)
     return ctx
 
 
 def run_result_task(env: "SparkEnv", executor: "Executor", rdd: RDD,
-                    partition: int, fn: Callable[[int, list], Any]) -> tuple[Any, TaskContext]:
-    """Compute one partition and apply the action's per-partition function."""
+                    partition: int, fn: Callable[[int, list], Any]
+                    ) -> Steps[tuple[Any, TaskContext]]:
+    """Compute one partition and apply the action's per-partition function.
+
+    ``fn`` is a plain call; an action whose ``fn`` waits (a timed write)
+    writes it as steps, a generator function, and it is run as such.
+    """
     ctx = TaskContext(env, executor)
-    records = ctx.iterator(rdd, partition)
+    records = yield from ctx.iterator_steps(rdd, partition)
+    if inspect.isgeneratorfunction(fn):
+        return (yield from fn(partition, records)), ctx
     return fn(partition, records), ctx
 
 
@@ -232,7 +263,9 @@ class DAGScheduler:
         """Run an action: compute ``fn(index, records)`` per partition.
 
         Must be called from the driver process.  Returns the per-partition
-        results in partition order.
+        results in partition order.  ``fn`` runs on an executor, which has
+        no thread: an ``fn`` that waits is written as steps (a generator
+        function, see :func:`run_result_task`).
         """
         proc = current_process()
         proc.compute(self.env.costs.spark_job_overhead)
@@ -266,6 +299,16 @@ class DAGScheduler:
 
     def _run_stage(self, stage: Stage, partitions: list[int],
                    fn: Callable[[int, list], Any] | None) -> list:
+        """Run one stage's tasks to completion; see :meth:`_run_stage_steps`."""
+        return current_process().run_steps(
+            self._run_stage_steps(stage, partitions, fn))
+
+    def _run_stage_steps(self, stage: Stage, partitions: list[int],
+                         fn: Callable[[int, list], Any] | None
+                         ) -> Steps[list]:
+        """One stage as one step body: dispatch a task to every free
+        executor, wait for a result, repeat.  The driver's thread parks on
+        the whole body, so it wakes once per stage, not once per task."""
         env = self.env
         proc = current_process()
         proc.compute(env.costs.spark_stage_overhead)
@@ -286,7 +329,7 @@ class DAGScheduler:
         lineage_cacheable = self._lineage_may_cache(stage.rdd)
         node_prefs: dict[int, set[int]] = {}
 
-        def dispatch_one() -> bool:
+        def dispatch_one() -> Steps[bool]:
             if not queue or not free:
                 return False
             part, eid = self._match_task(stage, queue, free,
@@ -305,19 +348,20 @@ class DAGScheduler:
             arrival = env.cluster.network.msg_arrival(
                 proc, env.control_fabric, env.driver_node.id, ex.node.id,
                 payload_bytes)
-            ex.mailbox.post(proc, task, arrival=arrival, kind="task",
-                            nbytes=payload_bytes, epoch=epoch)
+            yield from ex.mailbox.post_steps(
+                proc, task, arrival=arrival, kind="task",
+                nbytes=payload_bytes, epoch=epoch)
             in_flight[part] = eid
             return True
 
         while queue or in_flight:
-            while dispatch_one():
+            while (yield from dispatch_one()):
                 pass
             if not in_flight:
                 if not free:
                     raise JobAbortedError("no alive executors")
                 continue
-            msg = env.driver_mailbox.recv(
+            msg = yield from env.driver_mailbox.recv_steps(
                 proc,
                 match=lambda m: m.meta.get("epoch") == epoch,
                 reason="spark.driver-wait",

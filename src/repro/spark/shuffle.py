@@ -37,7 +37,7 @@ import numpy as np
 from repro.mpi.datatypes import nbytes_of
 from repro.sim.blocks import (PairBlock, as_pair_block, first_occurrences,
                               group_pairs, sum_by_key)
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 from repro.spark.partitioner import require_pair
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -376,6 +376,12 @@ class ShuffleWriter:
 
     def write(self, proc: SimProcess, executor: "Any",
               dep: "ShuffleDependency", map_id: int, records: list) -> None:
+        """Bucket ``records`` and register them (see :meth:`write_steps`)."""
+        proc.run_steps(self.write_steps(proc, executor, dep, map_id, records))
+
+    def write_steps(self, proc: SimProcess, executor: "Any",
+                    dep: "ShuffleDependency", map_id: int,
+                    records: list) -> Steps[None]:
         """Bucket ``records`` by ``dep``'s partitioner, spill to local
         disk, register.
 
@@ -402,7 +408,8 @@ class ShuffleWriter:
         proc.compute_bytes(max(1, total), costs.ser_rate_jvm)  # serialise
         # Shuffle files land in the OS page cache (Spark 1.5 writes them
         # without sync); charge the memory-system stream, not the SSD.
-        executor.node.stream_bytes(proc, max(1, total), label="shuffle.write")
+        yield from executor.node.stream_bytes_steps(proc, max(1, total),
+                                                    label="shuffle.write")
         trace = executor.node.trace
         if trace.hb:
             for reduce_id in np.flatnonzero(np.diff(offsets)).tolist():
@@ -421,6 +428,12 @@ class ShuffleReader:
 
     def read(self, proc: SimProcess, executor: "Any", shuffle_id: int,
              reduce_id: int, n_maps: int):
+        """Fetch one reduce partition (see :meth:`read_steps`)."""
+        return proc.run_steps(self.read_steps(proc, executor, shuffle_id,
+                                              reduce_id, n_maps))
+
+    def read_steps(self, proc: SimProcess, executor: "Any", shuffle_id: int,
+                   reduce_id: int, n_maps: int) -> Steps[Any]:
         """Fetch this reduce partition's bucket from every map output:
         one slice of the shuffle's reduce-major layout."""
         costs = self.env.costs
@@ -454,9 +467,10 @@ class ShuffleReader:
             if src_id == executor.node.id:
                 # buckets are in the node's page cache: memory-speed copy,
                 # no socket path involved
-                executor.node.stream_bytes(proc, nbytes, label="shuffle.local")
+                yield from executor.node.stream_bytes_steps(
+                    proc, nbytes, label="shuffle.local")
             else:
-                self.env.cluster.network.transmit(
+                yield from self.env.cluster.network.transmit_steps(
                     proc, fabric, src_id, executor.node.id, nbytes,
                     label=f"shuffle:{shuffle_id}->{reduce_id}",
                 )

@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.cluster.node import Node
 from repro.costs import SoftwareCosts
-from repro.sim.process import SimProcess
+from repro.sim.process import SimProcess, Steps
 
 
 class StorageLevel(enum.Enum):
@@ -61,11 +61,16 @@ class BlockManager:
     def put(self, proc: SimProcess, block_id: tuple, records: list, nbytes: int,
             level: StorageLevel) -> None:
         """Cache a block under ``level``; may evict older blocks."""
+        proc.run_steps(self.put_steps(proc, block_id, records, nbytes, level))
+
+    def put_steps(self, proc: SimProcess, block_id: tuple, records: list,
+                  nbytes: int, level: StorageLevel) -> Steps[None]:
+        """Step form of :meth:`put` (see ``SimProcess.run_steps``)."""
         self.node.trace.access(
             proc, "write", f"spark.bm{self.executor_id}.block{block_id}")
         proc.compute(self.costs.spark_cache_block_overhead)
         if level is StorageLevel.DISK_ONLY:
-            self._write_disk(proc, block_id, records, nbytes)
+            yield from self._write_disk_steps(proc, block_id, records, nbytes)
             return
         # make room in memory
         while self.mem_used + nbytes > self.memory_budget and self._mem:
@@ -73,26 +78,34 @@ class BlockManager:
             self.mem_used -= old.nbytes
             self.evictions += 1
             if level is StorageLevel.MEMORY_AND_DISK:
-                self._write_disk(proc, old_id, old.records, old.nbytes)
+                yield from self._write_disk_steps(proc, old_id, old.records,
+                                                  old.nbytes)
         if nbytes > self.memory_budget:
             # block alone exceeds the budget: straight to disk (or drop)
             if level is StorageLevel.MEMORY_AND_DISK:
-                self._write_disk(proc, block_id, records, nbytes)
+                yield from self._write_disk_steps(proc, block_id, records,
+                                                  nbytes)
             return
         self._mem[block_id] = _Block(records, nbytes, on_disk=False)
         self.mem_used += nbytes
 
-    def _write_disk(self, proc: SimProcess, block_id: tuple, records: list,
-                    nbytes: int) -> None:
+    def _write_disk_steps(self, proc: SimProcess, block_id: tuple,
+                          records: list, nbytes: int) -> Steps[None]:
         self.spills += 1
         proc.compute_bytes(nbytes, self.costs.ser_rate_jvm)
-        self.node.ssd.write(proc, nbytes, label=f"bm[{self.executor_id}]")
+        yield from self.node.ssd.write_steps(proc, nbytes,
+                                             label=f"bm[{self.executor_id}]")
         self._disk[block_id] = _Block(records, nbytes, on_disk=True)
 
     # -- read ----------------------------------------------------------------------
 
     def get(self, proc: SimProcess, block_id: tuple) -> list | None:
         """Fetch a cached block, charging disk+deser if it was spilled."""
+        return proc.run_steps(self.get_steps(proc, block_id))
+
+    def get_steps(self, proc: SimProcess,
+                  block_id: tuple) -> Steps[list | None]:
+        """Step form of :meth:`get` (see ``SimProcess.run_steps``)."""
         self.node.trace.access(
             proc, "read", f"spark.bm{self.executor_id}.block{block_id}")
         blk = self._mem.get(block_id)
@@ -101,7 +114,8 @@ class BlockManager:
             return blk.records
         blk = self._disk.get(block_id)
         if blk is not None:
-            self.node.ssd.read(proc, blk.nbytes, label=f"bm[{self.executor_id}]")
+            yield from self.node.ssd.read_steps(
+                proc, blk.nbytes, label=f"bm[{self.executor_id}]")
             proc.compute_bytes(blk.nbytes, self.costs.ser_rate_jvm)
             return blk.records
         return None

@@ -181,6 +181,15 @@ class TestLocalFS:
         with pytest.raises(FileExistsInSim):
             fs.create("a", BytesContent(b""), node_id=0)
 
+    def test_create_replicated_is_all_or_nothing(self):
+        cl = make_cluster(3)
+        fs = LocalFS(cl)
+        old = fs.create("a", BytesContent(b"old"), node_id=2)
+        with pytest.raises(FileExistsInSim):
+            fs.create_replicated("a", BytesContent(b"new"))
+        assert fs.nodes_with("a") == [2]
+        assert fs.lookup("a") is old
+
     def test_read_time_charges_logical_bytes(self):
         cl = make_cluster()
         fs = LocalFS(cl)
@@ -359,6 +368,39 @@ class TestHDFS:
 
         assert total_remote_bytes(4) == 0
         assert total_remote_bytes(1) > 0
+
+
+class TestTimedWritesGrowTheFile:
+    """A timed write extends its file by the logical bytes written.  The
+    written range has no payload: it reads as no bytes, and reading it
+    costs its length like any other range."""
+
+    @pytest.mark.parametrize("make", [
+        LocalFS, NFSFileSystem,
+        lambda cl: HDFS(cl, block_size=10 * MB, replication=2)],
+        ids=["local", "nfs", "hdfs"])
+    def test_size_and_read_back(self, make):
+        cl = make_cluster(3)
+        fs = make(cl)
+
+        def body(p):
+            fs.write(p, "out", 25 * MB)
+            size = fs.size("out")
+            t0 = p.clock
+            data = fs.read(p, "out", 0, 25 * MB)
+            t_read = p.clock - t0
+            fs.write(p, "out", 5 * MB)
+            return size, data, t_read
+
+        (size, data, t_read), _ = run_in_proc(cl, body)
+        assert size == 25 * MB
+        assert fs.size("out") == 30 * MB
+        assert data == b""
+        bw = (cl.spec.nfs_bandwidth if isinstance(fs, NFSFileSystem)
+              else cl.spec.node.ssd_read_bw)
+        assert t_read >= 25 * MB / bw
+        if isinstance(fs, HDFS):
+            assert fs.blocks("out")[-1].end == fs.size("out")
 
 
 def _local_input(cl, content, scale=1):

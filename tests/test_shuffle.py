@@ -45,9 +45,21 @@ def _bits(records):
     return [bits(r) for r in records]
 
 
+def _run(steps):
+    """Run a shuffle side's step body on the stubs, which never wait: it
+    returns without yielding a request."""
+    try:
+        req = next(steps)
+    except StopIteration as stop:
+        return stop.value
+    raise AssertionError(f"a step over the stubs yielded {req!r}")
+
+
 class Recorder:
     """The proc, nodes, trace and network a shuffle side charges, as one
-    call log (every byte count with its type)."""
+    call log (every byte count with its type).  The writer and reader
+    under test call the step forms (``transmit_steps``), the reference
+    the blocking names; both log the same entry."""
 
     def __init__(self) -> None:
         self.log: list = []
@@ -76,6 +88,10 @@ class Recorder:
         self.log.append(("transmit", fabric, src, dst, nbytes, type(nbytes),
                          label))
 
+    def transmit_steps(self, proc, fabric, src, dst, nbytes, label):
+        self.transmit(proc, fabric, src, dst, nbytes, label)
+        yield from ()
+
 
 class Node:
     def __init__(self, node_id: int, rec: Recorder) -> None:
@@ -85,6 +101,10 @@ class Node:
 
     def stream_bytes(self, _proc, nbytes, *, label=""):
         self._rec.log.append(("stream", self.id, nbytes, type(nbytes), label))
+
+    def stream_bytes_steps(self, proc, nbytes, *, label=""):
+        self.stream_bytes(proc, nbytes, label=label)
+        yield from ()
 
 
 def _env(executor_nodes: list[int], scale: int, transport: str):
@@ -130,9 +150,9 @@ class Shuffle:
             partitioner=HashPartitioner(nparts))
 
     def write(self, map_id: int, executor_id: int, records) -> None:
-        ShuffleWriter(self.env).write(
+        _run(ShuffleWriter(self.env).write_steps(
             self.rec, self.env.executors[executor_id], self.dep, map_id,
-            records)
+            records))
         self.ref_outputs[map_id] = reference_write(
             self.ref_rec, self.ref_env.executors[executor_id], self.ref_env,
             SHUFFLE, map_id, len(records),
@@ -151,9 +171,9 @@ class Shuffle:
         call; returns the fetched records."""
         n_maps = len(self.ref_outputs)
         assert self.env.tracker.complete(SHUFFLE, n_maps)
-        got = ShuffleReader(self.env).read(
+        got = _run(ShuffleReader(self.env).read_steps(
             self.rec, self.env.executors[executor_id], SHUFFLE, reduce_id,
-            n_maps)
+            n_maps))
         want = reference_read(
             self.ref_rec, self.ref_env.executors[executor_id], self.ref_env,
             SHUFFLE, reduce_id,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -140,6 +141,56 @@ def test_failure_aborts_other_processes():
         eng.run()
     assert s.state is ProcState.FAILED  # unwound via SimKilled
     assert s.exception is None  # not an error of its own
+
+
+def _one_turn():
+    """A threadless body: one checkpoint, then done."""
+    yield from current_process().checkpoint_steps()
+
+
+class TestFailureRecord:
+    """The supervisor finds a failed process from the record made where
+    it failed, not by scanning every process on every iteration."""
+
+    @pytest.mark.parametrize("threaded", [True, False],
+                             ids=["threaded", "threadless"])
+    def test_a_raising_process_among_threadless_ones_surfaces(self,
+                                                              threaded):
+        eng = Engine()
+
+        def boom_thread():
+            current_process().compute(1.0)
+            raise ValueError("kaput")
+
+        def boom_steps():
+            yield from current_process().checkpoint_steps()
+            current_process().compute(1.0)
+            raise ValueError("kaput")
+
+        for i in range(20):
+            eng.spawn(_one_turn, name=f"s{i}")
+        boom = eng.spawn(boom_thread if threaded else boom_steps,
+                         name="boom")
+        for i in range(20, 40):
+            eng.spawn(_one_turn, name=f"s{i}")
+        with pytest.raises(SimProcessError, match="boom") as ei:
+            eng.run()
+        assert isinstance(ei.value.__cause__, ValueError)
+        assert (boom._thread is not None) == threaded
+        assert boom.state is ProcState.FAILED
+        assert eng._failures == [boom]
+
+    def test_many_threadless_processes_finish_in_linear_time(self):
+        """4,096 one-checkpoint bodies, each dispatched by the supervisor:
+        ~0.03 s when a failure is read from the record, 2.6-4.9 s when
+        every iteration scanned the process list."""
+        eng = Engine()
+        procs = [eng.spawn(_one_turn, name=f"s{i}") for i in range(4096)]
+        t0 = time.perf_counter()
+        eng.run()
+        elapsed = time.perf_counter() - t0
+        assert all(p.state is ProcState.DONE for p in procs)
+        assert elapsed < 0.5, f"{elapsed:.2f} s for 4,096 processes"
 
 
 #: the production engine and the test-side reference scheduler: programs

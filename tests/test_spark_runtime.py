@@ -316,3 +316,83 @@ class TestSchedulingCosts:
         sc.run(lambda sc: 1)
         with pytest.raises(SparkError):
             sc.run(lambda sc: 2)
+
+
+class TestThreadlessExecutors:
+    """Executors are all steps and the driver wakes once per stage:
+    counted, not timed."""
+
+    def test_only_the_driver_has_a_thread_and_it_wakes_once_per_stage(
+            self, monkeypatch, thread_starts):
+        from repro.sim.process import SimProcess
+        from repro.spark.scheduler import DAGScheduler
+
+        parks: list[str] = []
+        real_wait = SimProcess._wait_for_grant
+
+        def wait_for_grant(proc):
+            parks.append(proc.name)
+            return real_wait(proc)
+
+        monkeypatch.setattr(SimProcess, "_wait_for_grant", wait_for_grant)
+        stages = {"n": 0, "parks": 0}
+        real_stage = DAGScheduler._run_stage
+
+        def run_stage(sched, *args):
+            before = len(parks)
+            try:
+                return real_stage(sched, *args)
+            finally:
+                stages["n"] += 1
+                stages["parks"] += len(parks) - before
+
+        monkeypatch.setattr(DAGScheduler, "_run_stage", run_stage)
+        cl = Cluster(TESTING_MACHINE.with_nodes(2))
+        hdfs = HDFS(cl, block_size=4096)
+        hdfs.create("in", LineContent(lambda i: f"{i} {i % 7}", 2000))
+        sc = SparkContext(cl, executors_per_node=2, app_startup=0.1)
+
+        def app(sc):
+            # a split read, a spilling cache, a shuffle both ways, a
+            # result reply and a timed write on the executors
+            pairs = sc.text_file("hdfs://in").map(
+                lambda line: tuple(map(int, line.split()))).persist(
+                StorageLevel.MEMORY_AND_DISK)
+            sums = pairs.map(lambda kv: (kv[1], kv[0])).reduce_by_key(
+                lambda a, b: a + b)
+            out = sorted(sums.collect())
+            pairs.count()
+            sums.save_as_text_file("hdfs://out")
+            return out
+
+        value = sc.run(app).value
+        assert value == sorted(
+            {k: sum(i for i in range(2000) if i % 7 == k)
+             for k in range(7)}.items())
+        executors = [p for p in cl.engine.processes
+                     if p.name.startswith("spark:executor")]
+        assert len(executors) == 4
+        assert all(p._thread is None for p in executors)
+        assert thread_starts == ["sim:spark:driver"]
+        assert set(parks) == {"spark:driver"}
+        assert stages["n"] == 4
+        assert stages["parks"] <= stages["n"]
+        # outside the stages only the shutdown posts may park
+        assert len(parks) - stages["parks"] <= len(executors)
+        assert hdfs.size("out/part-00000") > 0
+
+    def test_a_closure_that_waits_fails_its_job(self):
+        """A user closure runs on the executor's steps, so calling a
+        blocking sim name from one raises instead of parking."""
+        import repro.sim as sim
+        from repro.errors import SimulationError
+
+        def waits(x):
+            sim.current_process().checkpoint()
+            return x
+
+        with pytest.raises(SimProcessError) as ei:
+            make_sc().run(lambda sc: sc.parallelize(range(4), 2)
+                          .map(waits).collect())
+        assert isinstance(ei.value.__cause__, SimulationError)
+        assert "a step must not park" in str(ei.value.__cause__)
