@@ -9,10 +9,11 @@ PageRank on the same graph — via tracing :class:`~repro.platform.Session`
 objects — and prints who-talked-to-whom byte matrices, making the paper's
 "shuffle volume" argument visible directly.
 
-Two extra rows guard the simulator itself: per-shuffle record counts (the
-data-plane volume each phase pushes through Python) and the
-wall-seconds-per-virtual-second ratio, which surfaces a data-plane
-wall-clock regression long before any benchmark times out.
+Two extra rows guard the simulator itself: what each shuffle wrote (the
+trace's ``spark.shuffle.*`` counters: the data-plane volume each phase
+pushes through Python) and the wall-seconds-per-virtual-second ratio,
+which surfaces a data-plane wall-clock regression long before any
+benchmark times out.
 
 Run:  python examples/profile_shuffle.py
 """
@@ -53,15 +54,7 @@ def profile_spark():
     spark_pagerank_hibench.run_in(session, "hdfs://edges.txt",
                                   GRAPH.n_vertices, 4, iterations=ITERATIONS)
     wall = time.perf_counter() - t0
-    # every SparkEnv registers itself with the cluster; its map-output
-    # tracker holds the write-side volume of each shuffle phase
-    phases = {
-        f"shuffle {sid} ({s['maps']} maps, {fmt_bytes(s['nbytes'])})":
-            s["records"]
-        for env in session.cluster.spark_envs
-        for sid, s in env.tracker.shuffle_stats().items()
-    }
-    return profile_session(session, phase_records=phases, wall_s=wall)
+    return profile_session(session, wall_s=wall)
 
 
 def main() -> None:

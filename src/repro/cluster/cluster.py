@@ -73,10 +73,6 @@ class Cluster:
         #: filesystems mounted on this cluster, keyed by scheme
         #: (populated by :mod:`repro.fs`)
         self.filesystems: dict[str, Any] = {}
-        #: Spark runtime environments launched against this cluster, in
-        #: launch order (populated by :class:`repro.spark.context.SparkEnv`;
-        #: the profiler reads shuffle phase stats off their trackers)
-        self.spark_envs: list[Any] = []
         #: ids of nodes killed by fault injection (:mod:`repro.faults`);
         #: schedulers consult this before placing work.  Empty in every
         #: fault-free run.

@@ -133,8 +133,9 @@ class ScenarioSpec:
         HDFS mount parameters, and input files staged before the run in
         declaration order.
     trace:
-        Enable structured event tracing (the profiler and the
-        communication sanitizer read it back).
+        Enable structured event tracing and the trace's counters (the
+        profiler and the communication sanitizer read them back;
+        ``docs/analysis.md`` lists each counter and its reader).
     hb:
         Enable happens-before instrumentation on top of tracing: vector
         clocks are threaded through the engine and shared-state accesses
@@ -161,7 +162,7 @@ class ScenarioSpec:
     hdfs: HDFSSpec = field(default_factory=HDFSSpec)
     #: input files staged before the run, in declaration order
     datasets: tuple[Dataset, ...] = ()
-    #: enable structured event tracing (the profiler reads it back)
+    #: enable event tracing and counters (the profiler reads both back)
     trace: bool = False
     #: enable happens-before instrumentation on top of tracing: vector
     #: clocks are threaded through the engine and shared-state accesses are

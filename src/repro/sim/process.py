@@ -460,6 +460,8 @@ class SimProcess:
         The successor is granted directly from this thread (or the engine is
         woken when there is none) — see ``Engine._release_token``.
         """
+        if self.engine.trace.enabled:
+            self.engine.trace.add("sim.park", self.name)
         self.engine._release_token(self)
         self._go.acquire()
         if self._killed:

@@ -35,6 +35,13 @@ a snapshot of the acting process's vector clock.  The race checker in
 and reports unsynchronized conflicting accesses.  With ``hb=False`` (the
 default everywhere), :meth:`access` is a no-op and no vector clocks exist,
 so golden fingerprints are untouched.
+
+Counters
+--------
+
+:meth:`Trace.add` counts ``(kind, *labels)`` in :attr:`Trace.counters`
+(``sim.park``, ``spark.shuffle.*``, ``spark.storage.*``; their readers are
+in ``docs/analysis.md``).  A count is not an event, so no digest sees it.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
@@ -155,8 +163,8 @@ class Trace:
     Parameters
     ----------
     enabled:
-        When ``False`` (the default for production runs), :meth:`record` is a
-        no-op so tracing costs nothing.
+        When ``False`` (the default for production runs), :meth:`record` and
+        :meth:`add` are no-ops so tracing costs nothing.
     hb:
         Enable happens-before instrumentation: the engine threads vector
         clocks through simulated processes and :meth:`access` records
@@ -173,6 +181,8 @@ class Trace:
         self.events: list[TraceEvent] = []
         #: per-process last event time, for the monotonicity check
         self._last_time: dict[str, float] = {}
+        #: ``(kind, *labels)`` -> count, filled by :meth:`add`
+        self.counters: Counter[tuple] = Counter()
 
     def record(self, time: float, proc: str, kind: str, **detail: Any) -> None:
         """Append one event (no-op when disabled).
@@ -185,6 +195,11 @@ class Trace:
             _check_event(time, proc, kind, self._last_time.get(proc))
             self._last_time[proc] = time
             self.events.append(TraceEvent(time, proc, kind, detail))
+
+    def add(self, kind: str, *labels: Any, n: int = 1) -> None:
+        """Count ``n`` of ``kind`` under ``labels`` (no-op when disabled)."""
+        if self.enabled:
+            self.counters[(kind, *labels)] += n
 
     def access(self, proc: "SimProcess", op: str, loc: str, *,
                start: int | None = None, stop: int | None = None,

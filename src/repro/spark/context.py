@@ -93,7 +93,6 @@ class SparkEnv:
         #: TaskContext of the task currently running on each process
         self.active_ctx: dict[int, Any] = {}
         self._epoch = itertools.count()
-        cluster.spark_envs.append(self)
 
     def next_epoch(self) -> int:
         return next(self._epoch)
@@ -305,8 +304,12 @@ class SparkContext:
             try:
                 return app(self)
             finally:
-                for ex in env.executors:
-                    ex.mailbox.post(proc, None, kind="shutdown")
+                # one step body: the driver parks at most once to shut down
+                proc.run_steps(shutdown_steps(proc))
+
+        def shutdown_steps(proc: SimProcess) -> Steps[None]:
+            for ex in env.executors:
+                yield from ex.mailbox.post_steps(proc, None, kind="shutdown")
 
         self.cluster.fault_listeners.append(self._on_fault)
         for ex in env.executors:

@@ -17,8 +17,8 @@ waits on are step generators composed with ``yield from``, because an
 executor has no thread.  On the driver, one stage's dispatch-and-collect
 loop is one step body (:meth:`DAGScheduler._run_stage_steps`), so the
 driver's thread wakes once per stage rather than once per task result.
-The blocking names (``TaskContext.iterator``, ``shuffle_read``) are
-``run_steps`` over the step forms.
+The blocking name ``TaskContext.iterator`` is ``run_steps`` over its
+step form.
 """
 
 from __future__ import annotations
@@ -151,11 +151,6 @@ class TaskContext:
             self.env.cache_locations.setdefault(key, set()).add(
                 self.executor.executor_id)
         return records
-
-    def shuffle_read(self, shuffle_id: int, reduce_id: int, n_maps: int) -> list:
-        """Fetch one reduce partition (see :meth:`shuffle_read_steps`)."""
-        return self.proc.run_steps(
-            self.shuffle_read_steps(shuffle_id, reduce_id, n_maps))
 
     def shuffle_read_steps(self, shuffle_id: int, reduce_id: int,
                            n_maps: int) -> Steps[list]:
@@ -435,10 +430,15 @@ class DAGScheduler:
         set is empty — both are skipped, selecting identically.
         """
         env = self.env
+        # pass 1 (no hit) looks up every queued partition and pass 3 reads
+        # them; a memo kept across calls would go stale, because cache
+        # locations change while the stage runs
+        prefs: dict[int, set[int]] = {}
         if lineage_cacheable:
             # 1. a queued task whose cached-block executor is free
             for qi, part in enumerate(queue):
                 pref = self._preferred_executors(stage.rdd, part)
+                prefs[part] = pref
                 hit = next((e for e in free if e in pref), None)
                 if hit is not None:
                     del queue[qi]
@@ -461,7 +461,7 @@ class DAGScheduler:
             return part, free[0]
         reserved: set[int] = set()
         for q in queue:
-            reserved |= self._preferred_executors(stage.rdd, q)
+            reserved |= prefs[q]
         hit = next((e for e in free if e not in reserved), None)
         return part, hit if hit is not None else free[0]
 

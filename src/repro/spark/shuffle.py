@@ -334,23 +334,6 @@ class MapOutputTracker:
             for map_id, records in layout.split():
                 self._outputs[(shuffle_id, map_id)][1] = records
 
-    def shuffle_stats(self) -> dict[int, dict[str, int]]:
-        """Write-side aggregates per shuffle: map count, records, bytes.
-
-        The profiler's per-phase view — each entry is one shuffle phase
-        (HiBench PageRank shows the same link volume re-shuffled every
-        iteration; BigDataBench shows it once).
-        """
-        stats: dict[int, dict[str, int]] = {}
-        for (shuffle_id, _map_id), (_ex, _records, offsets, sizes) in \
-                self._outputs.items():
-            s = stats.setdefault(
-                shuffle_id, {"maps": 0, "records": 0, "nbytes": 0})
-            s["maps"] += 1
-            s["nbytes"] += int(sizes.sum())
-            s["records"] += int(offsets[-1])
-        return stats
-
 
 class ShuffleWriter:
     """Map-side shuffle output (executor-side)."""
@@ -411,6 +394,9 @@ class ShuffleWriter:
         yield from executor.node.stream_bytes_steps(proc, max(1, total),
                                                     label="shuffle.write")
         trace = executor.node.trace
+        trace.add("spark.shuffle.maps", dep.shuffle_id)
+        trace.add("spark.shuffle.records", dep.shuffle_id, n=int(offsets[-1]))
+        trace.add("spark.shuffle.bytes", dep.shuffle_id, n=total)
         if trace.hb:
             for reduce_id in np.flatnonzero(np.diff(offsets)).tolist():
                 trace.access(

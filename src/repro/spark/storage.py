@@ -52,9 +52,6 @@ class BlockManager:
         self._mem: OrderedDict[tuple, _Block] = OrderedDict()
         self._disk: dict[tuple, _Block] = {}
         self.mem_used = 0
-        #: statistics for tests/reports
-        self.evictions = 0
-        self.spills = 0
 
     # -- write -------------------------------------------------------------------
 
@@ -76,7 +73,7 @@ class BlockManager:
         while self.mem_used + nbytes > self.memory_budget and self._mem:
             old_id, old = self._mem.popitem(last=False)  # LRU
             self.mem_used -= old.nbytes
-            self.evictions += 1
+            self.node.trace.add("spark.storage.evict", self.executor_id)
             if level is StorageLevel.MEMORY_AND_DISK:
                 yield from self._write_disk_steps(proc, old_id, old.records,
                                                   old.nbytes)
@@ -91,7 +88,7 @@ class BlockManager:
 
     def _write_disk_steps(self, proc: SimProcess, block_id: tuple,
                           records: list, nbytes: int) -> Steps[None]:
-        self.spills += 1
+        self.node.trace.add("spark.storage.spill", self.executor_id)
         proc.compute_bytes(nbytes, self.costs.ser_rate_jvm)
         yield from self.node.ssd.write_steps(proc, nbytes,
                                              label=f"bm[{self.executor_id}]")

@@ -15,8 +15,9 @@ back here::
 
 The report covers: per-fabric node-to-node byte matrices (who talked to
 whom, over which path), loopback traffic, per-device disk read/write
-volumes, and message counts — the Scalasca/Tau-style view the paper notes
-the Big Data stack lacks.
+volumes, message counts and, from the trace's ``spark.shuffle.*`` counters,
+what each shuffle phase wrote — the Scalasca/Tau-style view the paper
+notes the Big Data stack lacks.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class ProfileReport:
     loopback_bytes: dict[str, int] = field(default_factory=dict)
     #: device name -> [read_bytes, write_bytes]
     disk_bytes: dict[str, list[int]] = field(default_factory=dict)
-    #: phase label -> record count (e.g. per-shuffle write volumes)
-    phase_records: dict[str, int] = field(default_factory=dict)
+    #: shuffle id -> {"maps", "records", "bytes"} its map tasks wrote
+    shuffles: dict[int, dict[str, int]] = field(default_factory=dict)
     #: host seconds spent producing the run (wall clock)
     wall_s: float | None = None
     #: simulated seconds the run covers (engine makespan)
@@ -98,10 +99,9 @@ class ProfileReport:
             r, w = self.disk_bytes[dev]
             lines.append(f"    {dev}: {fmt_bytes(r)} read, "
                          f"{fmt_bytes(w)} written")
-        if self.phase_records:
-            lines.append("  records per phase:")
-            for phase, count in self.phase_records.items():
-                lines.append(f"    {phase}: {count:,}")
+        for sid, s in sorted(self.shuffles.items()):
+            lines.append(f"  shuffle {sid}: {s['records']:,} records in "
+                         f"{s['maps']} maps, {fmt_bytes(s['bytes'])}")
         if self.wall_s is not None and self.virtual_s:
             lines.append(
                 f"  wall {self.wall_s:.2f}s for {self.virtual_s:.2f}s "
@@ -111,19 +111,20 @@ class ProfileReport:
 
 
 def profile_trace(trace: Trace, num_nodes: int, *,
-                  phase_records: dict[str, int] | None = None,
                   wall_s: float | None = None,
                   virtual_s: float | None = None) -> ProfileReport:
     """Aggregate a run's trace into a :class:`ProfileReport`.
 
-    ``phase_records`` attaches per-phase record counts (e.g. from
-    :meth:`MapOutputTracker.shuffle_stats`); ``wall_s``/``virtual_s``
-    attach the host-time-per-simulated-second ratio — the number that
-    shows a data-plane wall-clock regression before any test times out.
+    ``wall_s``/``virtual_s`` attach the host-time-per-simulated-second
+    ratio — the number that shows a data-plane wall-clock regression
+    before any test times out.
     """
-    report = ProfileReport(num_nodes=num_nodes,
-                           phase_records=dict(phase_records or {}),
-                           wall_s=wall_s, virtual_s=virtual_s)
+    report = ProfileReport(num_nodes=num_nodes, wall_s=wall_s,
+                           virtual_s=virtual_s)
+    for (kind, *labels), n in trace.counters.items():
+        if kind.startswith("spark.shuffle."):
+            report.shuffles.setdefault(labels[0], {})[
+                kind.rpartition(".")[2]] = n
     for ev in trace:
         if ev.kind in ("net.transmit", "net.msg"):
             fabric = ev.detail["fabric"]
@@ -147,14 +148,12 @@ def profile_trace(trace: Trace, num_nodes: int, *,
     return report
 
 
-def profile_session(session, *,
-                    phase_records: dict[str, int] | None = None,
-                    wall_s: float | None = None) -> ProfileReport:
+def profile_session(session, *, wall_s: float | None = None) -> ProfileReport:
     """Aggregate a traced :class:`~repro.platform.Session`'s run.
 
     The session must have been provisioned with ``trace=True`` in its
     scenario; node count and virtual makespan are read off the session, so
-    call sites only add host-side context (``wall_s``, ``phase_records``).
+    call sites only add host-side context (``wall_s``).
     """
     from repro.errors import ConfigurationError
 
@@ -163,5 +162,5 @@ def profile_session(session, *,
             "session was not provisioned with trace=True; use "
             "ScenarioSpec(trace=True) to profile a run")
     return profile_trace(session.trace, len(session.cluster.nodes),
-                         phase_records=phase_records, wall_s=wall_s,
+                         wall_s=wall_s,
                          virtual_s=session.cluster.engine.makespan())

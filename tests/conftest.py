@@ -46,6 +46,12 @@ def forced_trace() -> Trace | None:
     return Trace(hb=True) if _traced else None
 
 
+def counting_trace() -> Trace:
+    """An enabled trace, so that ``trace.counters`` counts: the
+    :func:`forced_trace` under ``pytest --traced``, else an events-only one."""
+    return forced_trace() or Trace()
+
+
 @pytest.fixture(autouse=True)
 def _no_artifact_cache(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")

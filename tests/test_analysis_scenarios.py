@@ -58,6 +58,9 @@ def test_collection_is_observational(exp_id):
     # sessions, and every collected trace is an hb trace
     assert bool(traces) == checkable(exp_id)
     assert all(t is not None and t.hb for t in traces)
+    # and counts beside its events (each session parks a thread at least
+    # once), which must not move a fingerprint either
+    assert all(t.counters for t in traces)
     plain = run_experiment(exp_id, quick=True)
     assert fingerprint_result(collected) == fingerprint_result(plain)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,10 +18,9 @@ from repro.fs import HDFS, BytesContent, LineContent, LocalFS, NFSFileSystem
 from repro.fs.base import SimFile
 from repro.fs.records import iter_all_records, read_split_records
 from repro.sim import current_process
-from repro.sim.process import SimProcess
 from repro.sim.trace import Trace
 from repro.units import MB, KiB, MiB
-from tests.conftest import TESTING_MACHINE, forced_trace
+from tests.conftest import TESTING_MACHINE, counting_trace, forced_trace
 
 
 def make_cluster(nodes=2):
@@ -604,17 +601,9 @@ class TestRecordSplitting:
 
     def test_a_split_read_parks_its_owner_at_most_once(self, monkeypatch):
         big = b"B" * 500
-        cl = make_cluster()
+        cl = Cluster(TESTING_MACHINE.with_nodes(2), trace=counting_trace())
         fs = LocalFS(cl)
         fs.create_replicated("big.txt", BytesContent(b"head\n" + big + b"\n"))
-        parks = Counter()
-        real_wait = SimProcess._wait_for_grant
-
-        def counting(self):
-            parks[self.name] += 1
-            real_wait(self)
-
-        monkeypatch.setattr(SimProcess, "_wait_for_grant", counting)
         reads = []
         real_read = fs.read_steps
 
@@ -640,7 +629,7 @@ class TestRecordSplitting:
         cl.run()
         assert [list(r) for r in done] == [["head", big.decode()]]
         assert len(reads) >= 4  # the split read and its boundary probes
-        assert parks["reader"] <= 1
+        assert cl.trace.counters["sim.park", "reader"] <= 1
 
     def test_split_mid_record_belongs_to_previous(self):
         cl, fs = self._fs_with_lines(2)  # "record-0000\nrecord-0001\n"

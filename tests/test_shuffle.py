@@ -65,6 +65,7 @@ class Recorder:
         self.log: list = []
         self.clock = 0.0
         self.hb = True
+        self.counters: Counter = Counter()
 
     # proc
     def compute(self, seconds):
@@ -82,6 +83,9 @@ class Recorder:
     # trace
     def access(self, _proc, kind, location):
         self.log.append(("access", kind, location))
+
+    def add(self, kind, *labels, n=1):
+        self.counters[(kind, *labels)] += n
 
     # network
     def transmit(self, _proc, fabric, src, dst, nbytes, label):
@@ -314,12 +318,13 @@ class TestLayoutLifetime:
         shuffle = Shuffle([0, 1], nparts=2)
         shuffle.write(0, 0, self.pairs(0, 1, 2))
         shuffle.write(1, 1, [(0, "a")])
-        before = shuffle.env.tracker.shuffle_stats()
+        before = dict(shuffle.rec.counters)
         shuffle.read(0)
-        assert shuffle.env.tracker.shuffle_stats() == before
+        assert shuffle.rec.counters == before
         sizes = [sum(out[1]) for out in shuffle.ref_outputs.values()]
-        assert before == {SHUFFLE: {"maps": 2, "records": 4,
-                                    "nbytes": sum(sizes)}}
+        assert before == {("spark.shuffle.maps", SHUFFLE): 2,
+                          ("spark.shuffle.records", SHUFFLE): 4,
+                          ("spark.shuffle.bytes", SHUFFLE): sum(sizes)}
 
 
 class TestFetchedBlocksAreReadOnly:

@@ -28,11 +28,11 @@ from repro.errors import DeadlockError, SimProcessError, SimulationError
 from repro.mpi import mpi_run
 from repro.shmem import shmem_run
 from repro.sim import Engine, Mailbox, current_process
-from repro.sim.process import ProcState, SimProcess
+from repro.sim.process import ProcState
 from repro.sim.resources import FlowSystem, FluidResource
 from repro.sim.sync import Future, SimBarrier, SimLock
 from repro.sim.trace import Trace
-from tests.conftest import TESTING_MACHINE, forced_trace
+from tests.conftest import TESTING_MACHINE, counting_trace, forced_trace
 from tests.sim_oracle import (ReferenceBarrier, ReferenceEngine,
                               ReferenceFlowSystem, ReferenceFuture,
                               ReferenceLock, ReferenceMailbox)
@@ -256,60 +256,49 @@ def test_contended_locks_and_barriers_run_as_steps_keep_their_times():
 
 # -- what a collective costs the rank's thread ---------------------------------
 
-@pytest.fixture
-def grants(monkeypatch):
-    """Count ``SimProcess._grant`` calls per pid."""
-    counts: Counter = Counter()
-    real = SimProcess._grant
-
-    def counting(self):
-        counts[self.pid] += 1
-        real(self)
-
-    monkeypatch.setattr(SimProcess, "_grant", counting)
-    return counts
-
-
-def _grants_during(grants, call):
-    """Grants of the calling process while ``call()`` runs, and its value."""
-    pid = current_process().pid
-    before = grants[pid]
+def _parks_during(call):
+    """Parks of the calling process while ``call()`` runs (each ends in
+    one grant), and its value."""
+    proc = current_process()
+    counts, key = proc.engine.trace.counters, ("sim.park", proc.name)
+    before = counts[key]
     value = call()
-    return grants[pid] - before, value
+    return counts[key] - before, value
 
 
-def test_an_mpi_collective_wakes_each_rank_at_most_twice(grants):
+def test_an_mpi_collective_wakes_each_rank_at_most_twice():
     # The blocking rounds granted 2 per message round: ~12 per barrier here.
     def main(comm):
         woke = {}
-        woke["barrier"], _ = _grants_during(grants, comm.barrier)
-        woke["reduce"], total = _grants_during(
-            grants, lambda: comm.reduce(comm.rank, root=0))
+        woke["barrier"], _ = _parks_during(comm.barrier)
+        woke["reduce"], total = _parks_during(
+            lambda: comm.reduce(comm.rank, root=0))
         return woke, total
 
-    res = mpi_run(Cluster(TESTING_MACHINE, trace=forced_trace()), main, 64,
+    res = mpi_run(Cluster(TESTING_MACHINE, trace=counting_trace()), main, 64,
                   charge_launch=False)
     assert res.returns[0][1] == sum(range(64))
     for woke, _ in res.returns:
         assert max(woke.values()) <= 2, woke
 
 
-def test_an_shmem_collective_wakes_each_pe_at_most_twice(grants):
+def test_an_shmem_collective_wakes_each_pe_at_most_twice():
     def main(pe):
         sym = pe.alloc(4, init=float(pe.my_pe))
-        woke, _ = _grants_during(grants, lambda: pe.sum_to_all(sym))
+        woke, _ = _parks_during(lambda: pe.sum_to_all(sym))
         return woke, pe.local(sym).tolist()
 
-    res = shmem_run(Cluster(TESTING_MACHINE, trace=forced_trace()), main, 64)
+    res = shmem_run(Cluster(TESTING_MACHINE, trace=counting_trace()), main,
+                    64)
     for woke, values in res.returns:
         assert woke <= 2
         assert values == [float(sum(range(64)))] * 4
 
 
-def test_uncontended_transfers_keep_the_owners_thread(grants):
+def test_uncontended_transfers_keep_the_owners_thread():
     # QUEUED obeys TURN's retention rule: an owner whose own run-queue entry
-    # is the minimum keeps the token, so its thread is granted once, to start.
-    eng = Engine(trace=forced_trace())
+    # is the minimum keeps the token, so its thread never parks.
+    eng = Engine(trace=counting_trace())
     fs = FlowSystem()
     ssd = FluidResource("ssd", 1000.0)
 
@@ -322,7 +311,7 @@ def test_uncontended_transfers_keep_the_owners_thread(grants):
     proc = eng.spawn(stream, name="stream")
     eng.run()
     assert proc.result == pytest.approx(100.0)
-    assert grants == {proc.pid: 1}
+    assert eng.trace.counters["sim.park", "stream"] == 0
 
 
 # -- failures stay the owner's ---------------------------------------------------

@@ -8,15 +8,22 @@ from repro.cluster import Cluster
 from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.errors import JobAbortedError, SimProcessError
 from repro.fs import HDFS, BytesContent, LineContent, LocalFS
+from repro.sim.trace import Trace
 from repro.spark import SparkContext, StorageLevel
 from repro.units import MiB
 from tests.conftest import TESTING_MACHINE
 
 
-def make_sc(nodes=2, executors_per_node=2, **kw):
-    cl = Cluster(TESTING_MACHINE.with_nodes(nodes))
+def make_sc(nodes=2, executors_per_node=2, trace=None, **kw):
+    cl = Cluster(TESTING_MACHINE.with_nodes(nodes), trace=trace)
     kw.setdefault("app_startup", 0.1)
     return SparkContext(cl, executors_per_node=executors_per_node, **kw)
+
+
+def counted(sc, kind):
+    """The run's count of ``kind`` over every label."""
+    return sum(n for (k, *_), n in sc.cluster.trace.counters.items()
+               if k == kind)
 
 
 class TestCaching:
@@ -65,13 +72,14 @@ class TestCaching:
                 r = sc.parallelize([bytes(1 * MiB)] * 2, 1).cache()
                 r.count()
                 rdds.append(r)
-            bms = [ex.block_manager for ex in sc.env.executors]
-            return sum(bm.evictions for bm in bms), sum(
-                bm.blocks_in_memory for bm in bms)
+            return sum(ex.block_manager.blocks_in_memory
+                       for ex in sc.env.executors)
 
-        sc = make_sc(executor_memory=4 * MiB)
-        evictions, in_mem = sc.run(app).value
-        assert evictions > 0
+        sc = make_sc(executor_memory=4 * MiB, trace=Trace())
+        in_mem = sc.run(app).value
+        assert counted(sc, "spark.storage.evict") > 0
+        # MEMORY_ONLY drops an evicted block rather than spilling it
+        assert counted(sc, "spark.storage.spill") == 0
         assert in_mem < 8
 
     def test_memory_and_disk_spills_instead_of_dropping(self):
@@ -83,8 +91,9 @@ class TestCaching:
             bms = [ex.block_manager for ex in sc.env.executors]
             return sum(bm.blocks_on_disk for bm in bms)
 
-        sc = make_sc(executor_memory=4 * MiB)
+        sc = make_sc(executor_memory=4 * MiB, trace=Trace())
         assert sc.run(app).value > 0
+        assert counted(sc, "spark.storage.spill") > 0
 
     def test_unpersist_releases_blocks(self):
         def app(sc):
@@ -324,30 +333,23 @@ class TestThreadlessExecutors:
 
     def test_only_the_driver_has_a_thread_and_it_wakes_once_per_stage(
             self, monkeypatch, thread_starts):
-        from repro.sim.process import SimProcess
         from repro.spark.scheduler import DAGScheduler
 
-        parks: list[str] = []
-        real_wait = SimProcess._wait_for_grant
-
-        def wait_for_grant(proc):
-            parks.append(proc.name)
-            return real_wait(proc)
-
-        monkeypatch.setattr(SimProcess, "_wait_for_grant", wait_for_grant)
+        cl = Cluster(TESTING_MACHINE.with_nodes(2), trace=Trace())
+        counts = cl.trace.counters
+        driver = ("sim.park", "spark:driver")
         stages = {"n": 0, "parks": 0}
         real_stage = DAGScheduler._run_stage
 
         def run_stage(sched, *args):
-            before = len(parks)
+            before = counts[driver]
             try:
                 return real_stage(sched, *args)
             finally:
                 stages["n"] += 1
-                stages["parks"] += len(parks) - before
+                stages["parks"] += counts[driver] - before
 
         monkeypatch.setattr(DAGScheduler, "_run_stage", run_stage)
-        cl = Cluster(TESTING_MACHINE.with_nodes(2))
         hdfs = HDFS(cl, block_size=4096)
         hdfs.create("in", LineContent(lambda i: f"{i} {i % 7}", 2000))
         sc = SparkContext(cl, executors_per_node=2, app_startup=0.1)
@@ -374,11 +376,11 @@ class TestThreadlessExecutors:
         assert len(executors) == 4
         assert all(p._thread is None for p in executors)
         assert thread_starts == ["sim:spark:driver"]
-        assert set(parks) == {"spark:driver"}
+        assert {k for k in counts if k[0] == "sim.park"} == {driver}
         assert stages["n"] == 4
         assert stages["parks"] <= stages["n"]
-        # outside the stages only the shutdown posts may park
-        assert len(parks) - stages["parks"] <= len(executors)
+        # outside the stages only the shutdown, one step body, may park
+        assert counts[driver] - stages["parks"] <= 1
         assert hdfs.size("out/part-00000") > 0
 
     def test_a_closure_that_waits_fails_its_job(self):

@@ -75,6 +75,18 @@ class TestNetworkAccounting:
         assert ipoib_rdma > 0
         assert rdma_sock == 0                   # default Spark never touches verbs
 
+    def test_shuffle_phases_come_from_the_trace_counters(self):
+        cl, trace = traced_cluster(2)
+        sc = SparkContext(cl, executors_per_node=2, app_startup=0.1)
+        sc.run(lambda sc: sc.parallelize([(i % 8, i) for i in range(100)], 4)
+               .group_by_key(2).count())
+        report = profile_trace(trace, 2)
+        assert list(report.shuffles) == [0]
+        phase = report.shuffles[0]
+        assert (phase["maps"], phase["records"]) == (4, 100)
+        assert phase["bytes"] > 0
+        assert "shuffle 0: 100 records in 4 maps" in report.render()
+
     def test_hotspot_identifies_busiest_link(self):
         cl, trace = traced_cluster(3)
 

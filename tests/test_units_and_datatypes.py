@@ -208,6 +208,38 @@ class TestTrace:
         t.record(1.0, "p", "x.y", a=1)
         assert len(t) == 0
 
+    def test_add_counts_only_when_enabled_and_is_no_event(self):
+        off = Trace(enabled=False)
+        off.add("x.y", "p")
+        assert not off.counters
+        on = Trace()
+        on.add("x.y", "p")
+        on.add("x.y", "p", n=2)
+        assert on.counters == {("x.y", "p"): 3}
+        assert on.events == [] and len(on) == 0
+
+    def test_parks_are_counted_for_threads_only(self):
+        eng = Engine(trace=Trace())
+
+        def threaded():
+            p = current_process()
+            for _ in range(4):
+                p.compute(1.0)
+                p.checkpoint()
+
+        def threadless():
+            p = current_process()
+            for _ in range(4):
+                p.compute(1.0)
+                yield from p.checkpoint_steps()
+
+        eng.spawn(threaded, name="thread")
+        eng.spawn(threadless, name="steps")
+        eng.run()
+        assert eng.trace.counters["sim.park", "thread"] > 0
+        assert eng.trace.counters["sim.park", "steps"] == 0
+        assert not eng.trace.filter(kind="sim.park")
+
     def test_filter_by_kind_prefix_and_proc(self):
         t = Trace()
         t.record(1.0, "p0", "net.transmit", nbytes=5)
