@@ -31,7 +31,8 @@ def spark_kmeans(
     """``(app_seconds, centroids)``."""
     # <boilerplate>
     sc = SparkContext(cluster, executors_per_node=executors_per_node)
-    parts = num_partitions or sc.default_parallelism
+    parts = (sc.default_parallelism if num_partitions is None
+             else num_partitions)
     # </boilerplate>
     init = initial_centroids(points, k)
     dim = points.shape[1]

@@ -69,7 +69,11 @@ class _JobState:
         if self.conf.split_size is None and isinstance(self.fs, HDFS):
             locs = self.fs.block_locations(self.path)
             return [(s, e) for s, e, _n in locs], [n for _s, _e, n in locs]
-        chunk = self.conf.split_size or 128 * 10**6
+        chunk = self.conf.split_size
+        if chunk is None:
+            chunk = 128 * 10**6
+        elif chunk < 1:
+            raise MapReduceError("split_size must be >= 1")
         splits = [(o, min(size, o + chunk)) for o in range(0, max(size, 1), chunk)]
         return splits, [[] for _ in splits]
 

@@ -265,7 +265,8 @@ class Session:
 
             conf = self.spec.hdfs
             kwargs: dict[str, Any] = {
-                "replication": conf.replication or self.spec.nodes}
+                "replication": (self.spec.nodes if conf.replication is None
+                                else conf.replication)}
             if conf.block_size is not None:
                 kwargs["block_size"] = conf.block_size
             fs = HDFS(self.cluster, **kwargs)
@@ -310,9 +311,11 @@ class Session:
         """Run an MPI job sized to the scenario (see :func:`repro.mpi.mpi_run`)."""
         from repro.mpi import mpi_run
 
-        return mpi_run(self.cluster, fn, nprocs or self.spec.nprocs,
-                       procs_per_node=procs_per_node or self.spec.procs_per_node,
-                       **kwargs)
+        spec = self.spec
+        return mpi_run(
+            self.cluster, fn, spec.nprocs if nprocs is None else nprocs,
+            procs_per_node=(spec.procs_per_node if procs_per_node is None
+                            else procs_per_node), **kwargs)
 
     def openmp(self, fn: Callable[..., Any], num_threads: int | None = None,
                **kwargs: Any):
@@ -320,16 +323,19 @@ class Session:
         from repro.openmp import omp_run
 
         return omp_run(self.cluster, fn,
-                       num_threads or self.spec.procs_per_node, **kwargs)
+                       self.spec.procs_per_node if num_threads is None
+                       else num_threads, **kwargs)
 
     def shmem(self, fn: Callable[..., Any], npes: int | None = None, *,
               pes_per_node: int | None = None, **kwargs: Any):
         """Run an OpenSHMEM job (see :func:`repro.shmem.shmem_run`)."""
         from repro.shmem import shmem_run
 
-        return shmem_run(self.cluster, fn, npes or self.spec.nprocs,
-                         pes_per_node=pes_per_node or self.spec.procs_per_node,
-                         **kwargs)
+        spec = self.spec
+        return shmem_run(
+            self.cluster, fn, spec.nprocs if npes is None else npes,
+            pes_per_node=(spec.procs_per_node if pes_per_node is None
+                          else pes_per_node), **kwargs)
 
     def mapreduce(self, conf: Any, **kwargs: Any):
         """Run a Hadoop MapReduce job (see :func:`repro.mapreduce.run_job`)."""

@@ -173,8 +173,11 @@ class SparkContext:
         self.env = SparkEnv(cluster, shuffle_transport,
                             cluster.nodes[driver_node], record_scale)
         self._scheduler = sched.DAGScheduler(self.env)
-        self.default_parallelism = default_parallelism or len(
-            self._executor_placement)
+        self.default_parallelism = (
+            len(self._executor_placement) if default_parallelism is None
+            else default_parallelism)
+        if self.default_parallelism < 1:
+            raise ConfigurationError("default_parallelism must be >= 1")
         self.app_startup = app_startup
         self._rdd_ids = itertools.count()
         self._shuffle_ids = itertools.count()
@@ -206,7 +209,8 @@ class SparkContext:
     def parallelize(self, data: Any, num_partitions: int | None = None) -> RDD:
         """Distribute driver-local data (the Fig 2 pattern)."""
         data = list(data)
-        n = num_partitions or self.default_parallelism
+        n = (self.default_parallelism if num_partitions is None
+             else num_partitions)
         if n < 1:
             raise SparkError("num_partitions must be >= 1")
         return ParallelizeRDD(self, data, n)
@@ -219,6 +223,8 @@ class SparkContext:
         scheme, _, path = url.partition("://")
         if not path:
             raise SparkError(f"text_file needs scheme://path, got {url!r}")
+        if min_partitions is not None and min_partitions < 1:
+            raise SparkError("min_partitions must be >= 1")
         return TextFileRDD(self, scheme, path, min_partitions)
 
     # -- shared variables ----------------------------------------------------------------

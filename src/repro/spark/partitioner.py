@@ -54,7 +54,7 @@ class Partitioner:
 
     def __init__(self, num_partitions: int) -> None:
         if num_partitions < 1:
-            raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
+            raise SparkError(f"num_partitions must be >= 1, got {num_partitions}")
         self.num_partitions = num_partitions
 
     def partition(self, key: Any) -> int:  # pragma: no cover - abstract-ish

@@ -382,7 +382,8 @@ class RDD:
         ``distinct``'s do).  The scalar functions stay authoritative for
         every other record shape.
         """
-        part = HashPartitioner(num_partitions or self.num_partitions)
+        part = HashPartitioner(self.num_partitions if num_partitions is None
+                               else num_partitions)
         return ShuffledRDD(
             self, part,
             Aggregator(create, merge_value, merge_combiners, vector),
@@ -465,7 +466,9 @@ class RDD:
     def sort_by(self, key_fn: Callable[[Any], Any], ascending: bool = True,
                 num_partitions: int | None = None) -> "RDD":
         """Total sort: sample keys, range-partition, sort within partitions."""
-        n = num_partitions or self.num_partitions
+        n = self.num_partitions if num_partitions is None else num_partitions
+        if n < 1:
+            raise SparkError("num_partitions must be >= 1")
         keyed = self.key_by(key_fn)
         if n == 1:
             bounds: list = []
@@ -775,7 +778,8 @@ class TextFileRDD(RDD):
                     self._splits.append((off, min(e, off + step)))
                     self._preferred.append(nodes)
         else:
-            n = min_partitions or sc.default_parallelism
+            n = (sc.default_parallelism if min_partitions is None
+                 else min_partitions)
             chunk = -(-size // n) if size else 1
             self._splits = [
                 (i * chunk, min(size, (i + 1) * chunk))
@@ -953,7 +957,8 @@ class CoGroupedRDD(RDD):
     def __init__(self, left: RDD, right: RDD,
                  num_partitions: int | None = None) -> None:
         partitioner = HashPartitioner(
-            num_partitions or max(left.num_partitions, right.num_partitions))
+            max(left.num_partitions, right.num_partitions)
+            if num_partitions is None else num_partitions)
         deps: list[Dependency] = [
             NarrowDependency(p) if p.partitioner == partitioner
             else ShuffleDependency(p, partitioner) for p in (left, right)]

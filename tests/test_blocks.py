@@ -1,16 +1,20 @@
-"""The columnar data plane: block kernels + scalar-vs-blocks differentials.
+"""The columnar data plane: block kernels, and the net that holds them
+to the scalar loops.
 
-Two halves:
-
-* unit tests pinning each kernel in :mod:`repro.sim.blocks` to the exact
-  scalar semantics it replays (record splitting, dict-merge group-sum,
-  hash partitioning, sparse contribution adds) — including the ``-0.0``
-  and NaN bit-preservation corners the charge-replay rule depends on;
-* differential tests running miniature Fig 4 / Fig 6 / Fig 7 workloads on
-  the scalar kernels vs the block kernels and asserting byte-identical
-  result fingerprints plus identical trace-event streams.  The scalar
-  kernels are reached the way production reaches them — by input the
-  block kernels cannot take (:func:`ineligible_inputs`).
+* Kernel tests pin each kernel in :mod:`repro.sim.blocks` to the exact
+  scalar semantics it replays where a corner needs a name: ``-0.0`` and
+  NaN bits, hostile edge-list lines, int64 ends, repeated join keys, and
+  each twin's and kernel's domain (:class:`TestShapeRefusals`).
+* :class:`TestGeneratedKeyedPrograms` is the one generated net of the
+  columnar ≡ scalar contract (DESIGN.md §6): generated keyed programs,
+  a text source with one malformed line and a persisted PageRank loop
+  give the same records, app time and trace with and without
+  :func:`ineligible_inputs`, which reaches the scalar loops the way
+  production does, by input the block kernels cannot take.
+* The differentials kept beside it run what the net does not, or kill
+  mutants it misses: ``distinct`` over pair-block partitions, and the
+  miniature Fig 4/6/7 and traced app runs (MPI's sparse contributions,
+  the apps' parse of HDFS splits, BigDataBench's grouped loop).
 """
 
 from __future__ import annotations
@@ -390,17 +394,6 @@ class TestPartitionPairs:
             PairBlock(keys[1:].copy(), keys[1:] * 0.5), 4)
 
 
-class TestCountKeys:
-    @given(pairs=st.lists(st.tuples(st.sampled_from([0, 1, 5, -7, 2**62]),
-                                    st.integers(-3, 3)), max_size=40))
-    @settings(max_examples=100, deadline=None)
-    def test_block_counts_equal_the_scalar_loop(self, pairs):
-        want = _count_keys(0, pairs)
-        got = _count_keys(0, PairBlock(*pair_columns(pairs)))
-        # same dict, same (first-occurrence) order, Python ints throughout
-        assert _bits(got.items()) == _bits(want.items())
-
-
 #: ``distinct``'s inputs: few keys (duplicate-heavy) plus keys near
 #: +-2**62 and the int64 ends; values with both zeros and ``int64`` ends
 _DKEYS = st.one_of(st.integers(0, 4), st.sampled_from(
@@ -427,12 +420,6 @@ def _distinct_partition(draw):
 
 
 class TestPairKeyBlock:
-    @staticmethod
-    def dict_merge(pairs):
-        """``distinct``'s first-wins merge: a dict keeps the first key
-        object it was given."""
-        return list(dict.fromkeys(pairs))
-
     @pytest.mark.parametrize("records", [
         PairBlock(np.array([1, 2]), np.array([0.5, math.nan])),  # a NaN
         [(1, 0.5)],                                              # a list
@@ -441,36 +428,12 @@ class TestPairKeyBlock:
     def test_defined_on_nan_free_pair_blocks_only(self, records):
         assert as_pair_key_block(records) is None
 
-    @given(pairs=_distinct_partition().filter(
-        lambda ps: not any(v != v for _, v in ps)))
-    @settings(max_examples=200, deadline=None)
-    def test_first_occurrences_equal_the_dict_merge(self, pairs):
-        block = as_pair_key_block(PairBlock(*pair_columns(pairs)))
-        got = first_occurrences(block)
-        assert type(got) is PairBlock and got.pair_keyed
-        assert _bits(k for k, _ in got) == _bits(self.dict_merge(pairs))
-
     def test_the_first_zero_survives(self):
         pairs = [(1, -0.0), (2, 0.0), (1, 0.0), (2, -0.0), (1, -0.0)]
         got = first_occurrences(
             as_pair_key_block(PairBlock(*pair_columns(pairs))))
         assert [(k, v.hex()) for (k, v), _ in got] == [
             (1, "-0x0.0p+0"), (2, "0x0.0p+0")]
-
-    @given(pairs=_distinct_partition().filter(
-        lambda ps: not any(v != v for _, v in ps)),
-        nparts=st.integers(1, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_partition_pair_keys_matches_the_scalar_hash(self, pairs,
-                                                          nparts):
-        block = as_pair_key_block(PairBlock(*pair_columns(pairs)))
-        buckets = [[] for _ in range(nparts)]
-        part = HashPartitioner(nparts).partition
-        for rec in block:  # the scalar writer's append loop
-            buckets[part(rec[0])].append(rec)
-        out = _buckets(*partition_pairs(block, nparts))
-        assert all(b.pair_keyed for b in out)
-        assert [_bits(b) for b in out] == [_bits(b) for b in buckets]
 
 
 class TestSumByKey:
@@ -542,6 +505,9 @@ def _bits(records):
 
 
 class TestHashJoin:
+    # Kept beside the net, whose joins all meet one fixed right side: these
+    # draw the right side too (empty, so ``hash_join``'s ``nr == 0``
+    # branch, and missing keys) against left keys repeated around 2**53.
     @given(left=_left_lists(), right=_unique_rights(),
            right_as_block=st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -671,20 +637,6 @@ class TestGroupPairs:
 
 
 class TestRaggedJoin:
-    @given(pairs=_int_pair_lists(), right=_unique_rights(),
-           right_as_block=st.booleans())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_scalar_cogroup_and_expand(self, pairs, right,
-                                               right_as_block):
-        grouped = _grouped(pairs)
-        groups = list(_cogroup_pairs(list(grouped), right).items())
-        want = _join_expand(groups)
-        rside = PairBlock(*pair_columns(right)) if right_as_block else right
-        joined, n_groups = hash_join(grouped, rside)
-        assert n_groups == len(groups)
-        # every read of the records: TestPairBlock's "joined_groups" shapes
-        assert _bits(joined) == _bits(want)
-
     def test_a_grouped_side_prepares_as_itself(self):
         # unique keys: the regroup is the identity, and with every key
         # matched nothing is filtered either
@@ -734,85 +686,13 @@ class TestContribTwin:
 
 
 class TestTextPipeline:
-    """End to end through the RDD API: a text split parsed by the verified
-    kernel, then every consumer an int-valued block can reach."""
-
-    #: 160 six-byte lines: four 40-line local splits, the first all
-    #: negative keys
-    LINES = ([f"-{1 + i % 9} {10 + i}" for i in range(40)]
-             + [f"{10 + i % 13} {10 + i % 90}" for i in range(120)])
-
-    @staticmethod
-    def halve_negatives(kv):
-        return (kv[0], kv[1] * 0.5) if kv[0] < 0 else kv
-
-    @staticmethod
-    def halve_negatives_block(block):
-        # defined where one branch covers a pair block: the map output is
-        # float-valued for split 0 and int-valued for the others
-        if type(block) is not PairBlock or not block.pairs:
-            return None
-        if (block.keys < 0).all():
-            return PairBlock(block.keys, block.values * 0.5)
-        return block if (block.keys >= 0).all() else None
-
-    def run(self, twins: bool):
-        from repro.fs.content import BytesContent
-
-        def twin(fn):
-            return fn if twins else None
-
-        def app(sc):
-            text = sc.text_file("local://pairs.txt", 4)
-            parsed = text.map(lambda line: tuple(map(int, line.split())),
-                              vector=twin(parse_int_pairs)).cache()
-            mixed = parsed.map(self.halve_negatives,
-                               vector=twin(self.halve_negatives_block))
-            return (
-                text.count(), text.collect()[38:42], text.map(len).sum(),
-                parsed.count_by_key(), parsed.collect(),
-                # float-only kernels must leave an int-valued block alone:
-                # the int sum stays an int, and int64 would wrap here
-                parsed.reduce_by_key(lambda a, b: a + b, 3,
-                                     vector="sum").collect(),
-                parsed.map_values(lambda v: v * 2**62,
-                                  vector=twin(lambda v: v * 2**62)).collect(),
-                parsed.group_by_key(3).collect(),
-                parsed.join(parsed.map_values(lambda v: v + 1), 3).count(),
-                parsed.map(lambda e: (e[0], 1.0),
-                           vector=twin(hibench._seed_block))
-                .distinct(3).collect(),
-                # the cached block's buckets, cut at one width, then another
-                parsed.partition_by(2).collect(),
-                parsed.partition_by(3).collect(),
-                # one reduce partition fed int- and float-valued buckets
-                mixed.partition_by(3).collect(),
-                mixed.reduce_by_key(lambda a, b: a + b, 3,
-                                    vector="sum").collect(),
-            )
-
-        session = ScenarioSpec(
-            nodes=2, procs_per_node=2,
-            datasets=(Dataset("pairs.txt", BytesContent(
-                "\n".join(self.LINES).encode() + b"\n"), on=("local",)),),
-        ).session()
-        res = session.spark(app_startup=0.1).run(app)
-        return res.app_elapsed, [
-            _bits(v.items() if type(v) is dict
-                  else v if type(v) is list else [v]) for v in res.value]
-
-    def test_scalar_and_columnar_agree(self):
-        with ineligible_inputs():
-            scalar = self.run(twins=False)
-        assert self.run(twins=True) == scalar
+    """A text split through the RDD API."""
 
     def test_count_of_a_text_file_decodes_nothing(self, monkeypatch):
         def no_decode(self, *args):
             raise AssertionError("count() decoded the split")
 
         monkeypatch.setattr(RecordBlock, "decode_all", no_decode)
-        from repro.fs.content import BytesContent
-
         session = ScenarioSpec(
             nodes=1, procs_per_node=2,
             datasets=(Dataset("pairs.txt", BytesContent(b"a b\nc d\ne f\n"),
@@ -860,6 +740,9 @@ class TestDistinctOverPairBlocks:
         return run_keyed_program(
             parts, lambda _sc, rdd: rdd.distinct(nparts).collect(), scale)
 
+    # Kept beside the net, which missed in 3 of 3 runs a ``first_occurrences``
+    # that compares keys only and one that returns its rows sorted; this
+    # test's duplicate-heavy partitions kill both every run.
     @given(parts=st.lists(_distinct_partition(), min_size=1, max_size=5),
            nparts=st.integers(1, 5), scale=st.sampled_from([1, 3]))
     @settings(max_examples=40, deadline=None)
@@ -980,6 +863,10 @@ KEYED_OPS = {
                                             vector=_first_values),
     "map_values": lambda sc, rdd, n: rdd.map_values(
         lambda v: v * 0.5, vector=lambda a: a * 0.5),
+    # an int64 column would wrap where the int does not: the twin is
+    # declared over floats, so an int-valued block must stay scalar
+    "map_values(2**62)": lambda sc, rdd, n: rdd.map_values(
+        lambda v: v * 2**62, vector=lambda a: a * 2**62),
     "count_by_key": lambda sc, rdd, n: sc.parallelize(
         list(rdd.count_by_key().items()), n),
     "persist": lambda sc, rdd, n: (rdd.persist(), rdd.count())[0],
@@ -1359,6 +1246,8 @@ MINI = {
 
 
 class TestDifferentialFingerprints:
+    # Kept beside the net: a figure runs MPI's sparse contributions and
+    # BigDataBench's grouped loop, which no generated program runs.
     @pytest.mark.parametrize("fig", sorted(MINI))
     def test_scalar_and_blocks_fingerprints_match(self, fig):
         with ineligible_inputs():
@@ -1411,12 +1300,9 @@ class TestDifferentialFingerprints:
         assert all(b is a[0] for a in reshuffled for b in a)
 
 
-def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench",
-                     edit=lambda edges: edges, **kwargs) -> list:
-    """One traced Spark PageRank run's events (PairBlock-heavy);
-    ``edit`` rewrites the edge-list bytes before they are staged."""
+def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench") -> list:
+    """One traced Spark PageRank run's events (PairBlock-heavy)."""
     import repro.apps
-    from repro.fs.content import BytesContent
     from repro.workloads.graphs import ring_edge_list_content
 
     graph = GraphSpec(n_vertices=200, out_degree=4)
@@ -1424,10 +1310,9 @@ def _traced_pagerank(app_name: str = "spark_pagerank_bigdatabench",
     session = ScenarioSpec(
         nodes=2, procs_per_node=4, hb=True,
         datasets=(Dataset("edges.txt", BytesContent(
-            edit(content.read(0, content.size))), on=("hdfs",)),)).session()
+            content.read(0, content.size)), on=("hdfs",)),)).session()
     result = getattr(repro.apps, app_name).run_in(
-        session, "hdfs://edges.txt", graph.n_vertices, 4, iterations=2,
-        **kwargs)
+        session, "hdfs://edges.txt", graph.n_vertices, 4, iterations=2)
     return [(e.time, e.proc, e.kind) for e in session.trace.events], result
 
 
@@ -1451,6 +1336,8 @@ def _traced_answers_count() -> list:
 
 
 class TestDifferentialTraces:
+    # Kept beside the net: the apps' parse of HDFS splits and BigDataBench's
+    # grouped loop, compared by event stream and result.
     @pytest.mark.parametrize("traced", [_traced_pagerank,
                                         _traced_hibench,
                                         _traced_answers_count])
@@ -1460,63 +1347,3 @@ class TestDifferentialTraces:
         # same events at the same (bit-exact) virtual times, same owners,
         # and the same result
         assert traced() == scalar
-
-    def test_hibench_over_fewer_lines_than_splits(self):
-        """An empty split parses to an empty list, which joins as a
-        float-valued block: the contribution twin must refuse it, not
-        build a float key column."""
-        def run():
-            return _traced_pagerank("spark_pagerank_hibench",
-                                    lambda _edges: b"0 1\n1 2\n2 0\n",
-                                    collect_ranks=True)
-
-        with ineligible_inputs():
-            scalar = run()
-        assert run() == scalar
-
-    @staticmethod
-    def malformed_line_run(monkeypatch, app_name: str, module) -> None:
-        """``app_name`` over a file with one line the text twin refuses (a
-        second space — the scalar parse reads the same edge): that split
-        is parsed per record, the others stay columnar, and the mixed
-        list / block buckets give the all-scalar run's events and ranks."""
-        def edit(edges: bytes) -> bytes:
-            lines = edges.split(b"\n")
-            lines[len(lines) // 2] = lines[len(lines) // 2].replace(
-                b" ", b"  ")
-            return b"\n".join(lines)
-
-        def run():
-            return _traced_pagerank(app_name, edit, collect_ranks=True)
-
-        with ineligible_inputs():
-            scalar = run()
-        answers = []
-
-        def recording(block):
-            answers.append(parse_int_pairs(block))
-            return answers[-1]
-
-        monkeypatch.setattr(module, "parse_int_pairs", recording)
-        assert run() == scalar
-        refused = [a for a in answers if a is None]
-        assert len(refused) == 1 and len(answers) > 1
-
-    def test_one_malformed_line_sends_only_its_split_to_the_scalar_parse(
-            self, monkeypatch):
-        import repro.apps.pagerank.spark_hibench as hibench
-
-        self.malformed_line_run(monkeypatch, "spark_pagerank_hibench",
-                                hibench)
-
-    def test_one_malformed_line_in_bigdatabench_reaches_the_scalar_group(
-            self, monkeypatch):
-        # the refused split's list buckets reach every reduce partition,
-        # so the grouping, the join, values() and flat_map(_contrib) all
-        # run their scalar loops on this file
-        import repro.apps.pagerank.spark_bigdatabench as bigdatabench
-
-        built = count_group_blocks(monkeypatch)
-        self.malformed_line_run(monkeypatch, "spark_pagerank_bigdatabench",
-                                bigdatabench)
-        assert not built

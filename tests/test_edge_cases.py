@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from repro.cluster import Cluster
 from repro.errors import (
     ConfigurationError,
     HDFSError,
+    MapReduceError,
     MPICommError,
     SimProcessError,
+    SparkError,
 )
 from repro.fs import HDFS, BytesContent, LocalFS
 from repro.mpi import mpi_run
@@ -46,7 +50,7 @@ class TestPartitioners:
         assert [rp.partition(k) for k in (5, 10, 15, 25)] == [0, 1, 1, 2]
 
     def test_bad_partition_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SparkError):
             HashPartitioner(0)
 
 
@@ -200,8 +204,6 @@ class TestSparkEdges:
         assert t2 > 2 * t1
 
     def test_shuffle_of_non_pairs_rejected(self):
-        from repro.errors import SparkError
-
         def app(sc):
             return sc.parallelize([1, 2, 3], 2).reduce_by_key(
                 lambda a, b: a + b, 2).collect()
@@ -209,3 +211,77 @@ class TestSparkEdges:
         with pytest.raises(SimProcessError) as ei:
             self.run_app(app)
         assert isinstance(ei.value.__cause__, SparkError)
+
+
+def _noop(*_args):
+    return None
+
+
+def _staged(**spec):
+    """A 2-node, 2-procs-per-node session with one small local file."""
+    from repro.platform import Dataset, ScenarioSpec
+
+    return ScenarioSpec(nodes=2, procs_per_node=2, datasets=(
+        Dataset("x.txt", BytesContent(b"1 2\n3 4\n"), on=("local",)),),
+        **spec).session()
+
+
+def _kmeans(session):
+    from repro.apps.kmeans.spark_kmeans import spark_kmeans
+
+    return spark_kmeans(session.cluster, np.zeros((4, 2)), 2, 2,
+                        iterations=1, num_partitions=0)
+
+
+def _split_size(session):
+    from repro.mapreduce import JobConf
+
+    return session.mapreduce(JobConf(
+        name="zero", input_url="local://x.txt", mapper=lambda line: [],
+        reducer=lambda k, vs: [], split_size=0))
+
+
+def _hdfs(_session):
+    from repro.platform import HDFSSpec
+
+    return _staged(hdfs=HDFSSpec(replication=0)).hdfs
+
+
+def _pairs(session):
+    return session.spark().parallelize([(1, 2), (3, 4)], 2)
+
+
+#: entry point -> (a call passing an explicit 0 count, the typed error)
+ZERO_COUNTS = {
+    "mpi(nprocs)": (lambda s: s.mpi(_noop, 0), ConfigurationError),
+    "mpi(procs_per_node)": (lambda s: s.mpi(_noop, procs_per_node=0),
+                            ConfigurationError),
+    "shmem(npes)": (lambda s: s.shmem(_noop, 0), ConfigurationError),
+    "shmem(pes_per_node)": (lambda s: s.shmem(_noop, pes_per_node=0),
+                            ConfigurationError),
+    "openmp(num_threads)": (lambda s: s.openmp(_noop, 0), ConfigurationError),
+    "HDFSSpec(replication)": (_hdfs, ConfigurationError),
+    "SparkContext(default_parallelism)": (
+        lambda s: s.spark(default_parallelism=0), ConfigurationError),
+    "parallelize": (lambda s: s.spark().parallelize([1, 2], 0), SparkError),
+    "text_file": (lambda s: s.spark().text_file("local://x.txt", 0),
+                  SparkError),
+    "reduce_by_key": (lambda s: _pairs(s).reduce_by_key(operator.add, 0),
+                      SparkError),
+    "sort_by": (lambda s: _pairs(s).sort_by(abs, num_partitions=0),
+                SparkError),
+    "cogroup": (lambda s: _pairs(s).cogroup(_pairs(s), 0), SparkError),
+    "spark_kmeans(num_partitions)": (_kmeans, SparkError),
+    "JobConf(split_size)": (_split_size, MapReduceError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ZERO_COUNTS))
+def test_an_explicit_zero_count_is_refused_not_defaulted(entry):
+    call, error = ZERO_COUNTS[entry]
+    with pytest.raises((error, SimProcessError)) as ei:
+        call(_staged())
+    exc = ei.value
+    if isinstance(exc, SimProcessError):  # raised inside a simulated process
+        exc = exc.__cause__
+    assert type(exc) is error, repr(exc)

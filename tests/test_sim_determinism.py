@@ -2,7 +2,12 @@
 
 The engine's core guarantee: a simulation is a pure function of its inputs
 — re-running any program yields bit-identical virtual timings, regardless
-of host scheduling, and per-process clocks never run backwards.
+of host scheduling, and per-process clocks never run backwards.  The
+golden classes check that against independent oracles: makespans and
+trace digests frozen from the reference scheduler, and app outputs
+frozen from the op-by-op data plane.  That the production engine equals
+the reference scheduler on generated programs is the steps net's
+(``tests/test_sim_steps.py``), which runs both engines.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from repro.cluster import COMET_MACHINE, Cluster
 from repro.fs import HDFS, LineContent
 from repro.mapreduce import JobConf, run_job
 from repro.mpi import mpi_run
-from repro.sim import Engine, Mailbox, SimBarrier, current_process
+from repro.sim import Engine, Mailbox, current_process
 from repro.sim.resources import FlowSystem, FluidResource
 from repro.sim.trace import Trace
 from repro.spark import SparkContext
@@ -142,68 +147,6 @@ def _trace_digest(trace: Trace) -> str:
             f"{sorted(ev.detail.items())!r}\n".encode()
         )
     return h.hexdigest()
-
-
-def _run_program(engine_cls, n_procs, steps):
-    """Run a generated program; ``(trace digest, final clocks, makespan)``.
-
-    ``steps`` is one global script of ``(kind, a, b, amount)``.  A
-    compute / checkpoint / sleep step belongs to process ``a``; a ``msg``
-    step makes ``a`` post and ``b`` ``recv``; a ``barrier`` step is
-    entered by everybody.  Each process
-    executes its own steps in script order, so the earliest unfinished
-    step can always complete and no generated program deadlocks.  Every
-    process logs an event after each of its steps: the order of events in
-    the shared trace *is* the interleaving the scheduler chose.
-    """
-    tr = Trace(enabled=True)
-    eng = engine_cls(trace=tr)
-    boxes = [Mailbox(f"b{i}") for i in range(n_procs)]
-    barrier = SimBarrier(n_procs)
-
-    def body(me):
-        p = current_process()
-        for i, (kind, a, b, amount) in enumerate(steps):
-            a, b = a % n_procs, b % n_procs
-            if kind == "barrier":
-                barrier.wait(p)
-            elif kind == "msg":
-                if me == a:
-                    boxes[b].post(p, i, arrival=p.clock + amount / 1000)
-                if me == b:
-                    # later steps' messages may already be queued
-                    boxes[b].recv(p, lambda m, i=i: m.payload == i)
-                if me not in (a, b):
-                    continue
-            elif me != a:
-                continue
-            elif kind == "compute":
-                p.compute(amount / 1000)
-            elif kind == "checkpoint":
-                p.checkpoint()
-            else:
-                p.sleep(amount / 1000)
-            tr.record(p.clock, p.name, f"step.{kind}", step=i, now=eng.now)
-
-    procs = [eng.spawn(body, i, name=f"p{i}") for i in range(n_procs)]
-    makespan = eng.run()
-    return _trace_digest(tr), [p.clock for p in procs], makespan
-
-
-@given(
-    n_procs=st.integers(2, 6),
-    steps=st.lists(
-        st.tuples(
-            st.sampled_from(
-                ["compute", "checkpoint", "sleep", "msg", "barrier"]),
-            st.integers(0, 5), st.integers(0, 5), st.integers(0, 20)),
-        max_size=30),
-)
-@settings(max_examples=60, deadline=None)
-def test_engine_matches_reference_scheduler_on_generated_programs(
-        n_procs, steps):
-    assert (_run_program(Engine, n_procs, steps)
-            == _run_program(ReferenceEngine, n_procs, steps))
 
 
 @pytest.fixture(params=["fast", "reference"])

@@ -2,12 +2,15 @@
 
 A step generator must be indistinguishable from thread-parking calls —
 same virtual times, same event order, same results — while the owner's
-thread sleeps through it.  The equivalence net below runs generated
-programs as steps and as the thread-parking reference primitives of
-``tests/sim_oracle.py``, on the production engine and on the reference
-scheduler; the guard tests pin what the step form buys (one wake per
-collective, none per uncontended transfer) and what it must not lose
-(failures on the owner, deadlock diagnosis, happens-before edges).
+thread sleeps through it.  The equivalence net below is the one generated
+net of that contract and of engine ≡ reference scheduler (DESIGN.md §6):
+it runs generated programs through the thread-parking reference
+primitives of ``tests/sim_oracle.py`` for one ``want``, then as steps per
+operation, as one step body and as a threadless body, on the production
+engine and on the reference scheduler, each of which must equal ``want``.
+The guard tests pin what the step form buys (one wake per collective,
+none per uncontended transfer) and what it must not lose (failures on
+the owner, deadlock diagnosis, happens-before edges).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
@@ -202,56 +205,31 @@ def _run_program(engine_cls, mode, n_procs, script):
             st.integers(0, 5), st.integers(0, 5), st.integers(0, 20)),
         max_size=24),
 )
+# Three owners on one NIC, each arriving while the others are parked on
+# it: kills, every run, a re-pricing that leaves a re-keyed owner's old
+# run-queue entry live (no ``owner._hseq += 1`` in FlowSystem._recompute),
+# which the drawn programs killed in 1 of 3 runs.
+@example(n_procs=3, script=[
+    ("transfer", 0, 0, 20), ("compute", 1, 0, 5), ("transfer", 1, 0, 10),
+    ("checkpoint", 2, 0, 0), ("transfer", 2, 0, 3), ("msg", 0, 2, 7),
+    ("future", 2, 1, 0)])
+# Three processes queue on lock 0 while its holder computes: the only case
+# that kills a LIFO hand-off (``pop`` for ``popleft`` in
+# SimLock.release_steps); the drawn programs missed it in 3 of 3 runs.
+@example(n_procs=3, script=[
+    ("lock", 0, 0, 20), ("compute", 1, 0, 5), ("lock", 1, 0, 10),
+    ("lock", 2, 0, 3), ("barrier", 0, 0, 0), ("lock", 2, 1, 7),
+    ("compute", 0, 0, 9), ("barrier", 1, 0, 0), ("lock", 0, 1, 1)])
 @settings(max_examples=40, deadline=None)
 def test_steps_match_blocking_calls_on_generated_programs(n_procs, script):
     want = _run_program(Engine, "blocking", n_procs, script)
     assert want == _run_program(ReferenceEngine, "blocking", n_procs, script)
+    # each mode against ``want``, not against another step mode on the same
+    # engine: two modes that share a scheduling slip agree with each other
     for engine_cls in (Engine, ReferenceEngine):
-        for mode in ("per-op", "whole"):
+        for mode in ("per-op", "whole", "threadless"):
             got = _run_program(engine_cls, mode, n_procs, script)
             assert got == want, (engine_cls.__name__, mode)
-
-
-@given(
-    n_procs=st.integers(2, 6),
-    script=st.lists(
-        st.tuples(
-            st.sampled_from(["compute", "checkpoint", "msg", "future",
-                             "transfer", "barrier", "lock"]),
-            st.integers(0, 5), st.integers(0, 5), st.integers(0, 20)),
-        max_size=24),
-)
-@settings(max_examples=30, deadline=None)
-def test_a_threadless_body_matches_a_threaded_run_steps_body(n_procs, script):
-    for engine_cls in (Engine, ReferenceEngine):
-        want = _run_program(engine_cls, "whole", n_procs, script)
-        got = _run_program(engine_cls, "threadless", n_procs, script)
-        assert got == want, engine_cls.__name__
-
-
-def test_a_contended_transfer_run_as_steps_keeps_its_finish():
-    # Three owners on one NIC, arriving while the others are parked on it:
-    # registrations re-key parked owners of both kinds.
-    script = [("transfer", 0, 0, 20), ("compute", 1, 0, 5),
-              ("transfer", 1, 0, 10), ("checkpoint", 2, 0, 0),
-              ("transfer", 2, 0, 3), ("msg", 0, 2, 7), ("future", 2, 1, 0)]
-    want = _run_program(Engine, "blocking", 3, script)
-    for engine_cls in (Engine, ReferenceEngine):
-        for mode in ("per-op", "whole"):
-            assert _run_program(engine_cls, mode, 3, script) == want
-
-
-def test_contended_locks_and_barriers_run_as_steps_keep_their_times():
-    # Holders' sections overlap in virtual time, so acquires block and
-    # releases hand the lock on; the barriers release at the latest arrival.
-    script = [("lock", 0, 0, 20), ("compute", 1, 0, 5), ("lock", 1, 0, 10),
-              ("lock", 2, 0, 3), ("barrier", 0, 0, 0), ("lock", 2, 1, 7),
-              ("compute", 0, 0, 9), ("barrier", 1, 0, 0), ("lock", 0, 1, 1)]
-    want = _run_program(Engine, "blocking", 3, script)
-    assert want == _run_program(ReferenceEngine, "blocking", 3, script)
-    for engine_cls in (Engine, ReferenceEngine):
-        for mode in ("per-op", "whole"):
-            assert _run_program(engine_cls, mode, 3, script) == want
 
 
 # -- what a collective costs the rank's thread ---------------------------------
