@@ -11,6 +11,10 @@ Automatic re-execution of failed tasks (Section II-D: "failed tasks are
 re-executed automatically") is built in; inject faults via the
 ``fault_injector`` hook.
 
+Keys are cut and grouped by the Spark shuffle's kernels, so a record that
+is not a ``(key, value)`` pair ends the job in the ``SparkError`` that
+Spark and MPI MapReduce raise (the ``SimProcessError``'s cause).
+
 Entry point::
 
     from repro.mapreduce import JobConf, run_job

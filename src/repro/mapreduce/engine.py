@@ -12,6 +12,9 @@ Execution model (Hadoop 2.x, as the paper ran it):
   reducer closures never wait), so the engine runs it without a thread;
 * map output is combined (optionally), hash-partitioned, sorted and
   **spilled to the local SSD**;
+* keys are exchanged by the Spark shuffle's kernels (Hadoop's
+  ``HashPartitioner`` is Spark's): ``HashPartitioner.buckets`` cuts,
+  ``bucket_sizes`` sizes, ``group_values`` groups for combiner and reduce;
 * reduce tasks start once every map finished (we do not model slow-start),
   fetch one bucket per map over the cluster's Hadoop fabric, merge-sort,
   reduce, and either return results to the driver or write them to the
@@ -33,8 +36,8 @@ from repro.mapreduce.types import FaultInjector, JobConf, JobCounters, JobResult
 from repro.sim.engine import current_process
 from repro.sim.process import Steps
 from repro.sim.sync import Mailbox
-from repro.spark.partitioner import stable_hash
-from repro.spark.shuffle import estimate_nbytes
+from repro.spark.partitioner import HashPartitioner, stable_hash
+from repro.spark.shuffle import bucket_sizes, estimate_nbytes, group_values
 
 
 class _InjectedFault(MapReduceError):
@@ -58,10 +61,11 @@ class _JobState:
         if self.fs is None:
             raise MapReduceError(f"no filesystem for scheme {scheme!r}")
         self.path = path
-        #: (map_id, reduce_id) -> records; map outputs live on map_node
-        self.map_outputs: dict[tuple[int, int], list] = {}
-        self.map_output_sizes: dict[tuple[int, int], int] = {}
-        self.map_node: dict[int, int] = {}
+        #: map_id -> (node, records, offsets, sizes), as Spark's
+        #: ``MapOutputTracker`` holds a map output: the records in bucket
+        #: order, the ``num_reduces + 1`` bucket offsets and the int64
+        #: nbytes of each bucket, spilled on ``node``
+        self.map_outputs: dict[int, tuple] = {}
 
     def splits(self) -> tuple[list[tuple[int, int]], list[list[int]]]:
         """Input splits + preferred nodes (HDFS block locality)."""
@@ -132,7 +136,7 @@ def _driver_main(state: _JobState, map_slots: int, reduce_slots: int) -> Any:
         are skipped.
         """
         stale = [m for m in lost
-                 if state.map_node[m] in state.cluster.failed_nodes]
+                 if state.map_outputs[m][0] in state.cluster.failed_nodes]
         if stale:
             run_maps(stale)
 
@@ -278,44 +282,22 @@ def _map_attempt(state: _JobState, tid: int, split: tuple[int, int],
         state.counters.map_input_records += len(records)
         state.counters.map_output_records += len(out)
         if conf.combiner is not None:
-            grouped: dict[Any, list] = {}
-            get_group = grouped.get
-            for k, v in out:
-                vs = get_group(k)
-                if vs is None:
-                    grouped[k] = [v]
-                else:
-                    vs.append(v)
-            out = [kv for k, vs in grouped.items()
+            out = [kv for k, vs in group_values(out)
                    for kv in conf.combiner(k, vs)]
             state.counters.combine_output_records += len(out)
-        # Bucket in one pass with preallocated lists; keys repeat heavily
-        # (word-count shaped output), so hash each distinct key once.
-        num_reduces = conf.num_reduces
-        buckets: list[list] = [[] for _ in range(num_reduces)]
-        rid_of: dict[Any, int] = {}
-        get_rid = rid_of.get
-        for k, v in out:
-            rid = get_rid(k)
-            if rid is None:
-                rid = rid_of[k] = stable_hash(k) % num_reduces
-            buckets[rid].append((k, v))
-        total = 0
+        cut, offsets = HashPartitioner(conf.num_reduces).buckets(out)
+        sizes = bucket_sizes(cut, offsets, 1)
+        total = int(sizes.sum())
         node = state.cluster.node_of(proc)
         trace = state.cluster.trace
-        for rid in range(num_reduces):
-            bucket = buckets[rid]
-            nbytes = estimate_nbytes(bucket)
+        for rid in range(conf.num_reduces):
             trace.access(proc, "write", f"mr.spill[{tid},{rid}]")
-            state.map_outputs[(tid, rid)] = bucket
-            state.map_output_sizes[(tid, rid)] = nbytes
-            total += nbytes
         # sort + spill to local disk (the defining Hadoop cost)
         proc.compute_bytes(max(1, total), costs.hadoop_sort_rate)
         yield from node.ssd.write_steps(proc, max(1, total),
                                         label=f"mr:spill{tid}")
         state.counters.spilled_bytes += total
-        state.map_node[tid] = node.id
+        state.map_outputs[tid] = (node.id, cut, offsets, sizes)
         yield from _report(state, "map", tid, "ok", None)
     except (_InjectedFault, BlockUnavailableError) as exc:
         # BlockUnavailable: the split's HDFS replicas all died (node crash
@@ -336,16 +318,17 @@ def _reduce_attempt(state: _JobState, tid: int, n_maps: int,
         total = 0
         for mid in range(n_maps):
             proc.compute(costs.hadoop_fetch_overhead)
-            if state.map_node[mid] in state.cluster.failed_nodes:
+            src, records, offsets, sizes = state.map_outputs[mid]
+            if src in state.cluster.failed_nodes:
                 # fetch failure: the serving node is gone, so every map
                 # output it held is lost — report them all so the driver
                 # re-executes the source maps before retrying this reduce
+                dead = state.cluster.failed_nodes
                 lost = [m for m in range(n_maps)
-                        if state.map_node[m] in state.cluster.failed_nodes]
+                        if state.map_outputs[m][0] in dead]
                 yield from _report(state, "reduce", tid, "lost_maps", lost)
                 return
-            nbytes = max(1, state.map_output_sizes[(mid, tid)])
-            src = state.map_node[mid]
+            nbytes = max(1, int(sizes[tid]))
             yield from state.cluster.nodes[src].ssd.read_steps(
                 proc, nbytes, label="mr:serve")
             if src != my_node.id:
@@ -356,23 +339,16 @@ def _reduce_attempt(state: _JobState, tid: int, n_maps: int,
             else:
                 state.counters.shuffled_bytes_local += nbytes
             state.cluster.trace.access(proc, "read", f"mr.spill[{mid},{tid}]")
-            merged.extend(state.map_outputs[(mid, tid)])
+            merged.extend(records[offsets[tid]:offsets[tid + 1]])
             total += nbytes
         # reduce-side merge sort
         proc.compute_bytes(max(1, total), costs.hadoop_sort_rate)
-        grouped: dict[Any, list] = {}
-        get_group = grouped.get
-        for k, v in merged:
-            vs = get_group(k)
-            if vs is None:
-                grouped[k] = [v]
-            else:
-                vs.append(v)
         out: list[tuple[Any, Any]] = []
-        # sorted() evaluates the key function once per element, so each
-        # distinct key is hashed exactly once here
-        for k in sorted(grouped, key=stable_hash):
-            out.extend(conf.reducer(k, grouped[k]))
+        # sorted() is stable and evaluates the key function once per
+        # group, so each distinct key is hashed exactly once here
+        for k, vs in sorted(group_values(merged),
+                            key=lambda kv: stable_hash(kv[0])):
+            out.extend(conf.reducer(k, vs))
         proc.compute(len(merged) * (conf.reduce_cost_per_record + 1e-7))
         state.counters.reduce_output_records += len(out)
         if conf.output_url is not None:

@@ -152,12 +152,8 @@ class Communicator:
         """
         me = self.rank
         key = me if key is None else key
-        # Count the call *before* the allgather: the allgather's completion
-        # guarantees every rank has entered (and counted) this split before
-        # any rank can reach a subsequent one, so calls // size is a stable
-        # per-collective epoch.
-        calls = self.env.bump_split_calls(self.ctx)
-        epoch = (calls - 1) // self.size
+        # counted before the allgather (see MPIEnv.epoch)
+        epoch = self.env.epoch("split", self.ctx, self.size)
         triples = self.allgather((color, key, me))
         if color is None:
             return None

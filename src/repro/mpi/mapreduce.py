@@ -15,6 +15,10 @@ platform:
   :func:`repro.mapreduce.run_job` (read splits from a filesystem, return
   the full output), so Hadoop and MPI variants are drop-in comparable.
 
+Keys are cut onto ranks and grouped by the kernels Hadoop and Spark use
+(``HashPartitioner.buckets``, ``group_values``), so all three engines
+partition and group alike and a non-pair record ends in one ``SparkError``.
+
 As the paper's discussion predicts, this engine has **no fault tolerance**:
 a failing rank kills the job (combine it with
 :mod:`repro.mpi.checkpoint` if that matters).
@@ -22,7 +26,7 @@ a failing rank kills the job (combine it with
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.fs.base import FileSystem
@@ -30,17 +34,11 @@ from repro.fs.records import read_split_records
 from repro.mapreduce.types import Combiner, Mapper, Reducer
 from repro.mpi.runtime import MPIResult, mpi_run
 from repro.sim.engine import current_process
-from repro.spark.partitioner import stable_hash
+from repro.spark.partitioner import HashPartitioner
+from repro.spark.shuffle import group_values
 
 #: modelled native cost per record for the map/reduce plumbing (C hash maps)
 RECORD_COST = 40e-9
-
-
-def _group(pairs: Iterable[tuple[Any, Any]]) -> dict[Any, list]:
-    grouped: dict[Any, list] = {}
-    for k, v in pairs:
-        grouped.setdefault(k, []).append(v)
-    return grouped
 
 
 def mapreduce(
@@ -63,18 +61,17 @@ def mapreduce(
     proc.compute(len(records) * RECORD_COST)
     # optional combine (local mini-reduce, like Hadoop's combiner)
     if combiner is not None:
-        out = [kv for k, vs in _group(out).items() for kv in combiner(k, vs)]
+        out = [kv for k, vs in group_values(out) for kv in combiner(k, vs)]
         proc.compute(len(out) * RECORD_COST)
     # shuffle: hash keys onto ranks, exchange with MPI_Alltoall
-    buckets: list[list] = [[] for _ in range(comm.size)]
-    for k, v in out:
-        buckets[stable_hash(k) % comm.size].append((k, v))
+    cut, offsets = HashPartitioner(comm.size).buckets(out)
+    bounds = offsets.tolist()
     proc.compute(len(out) * RECORD_COST)
-    mine = comm.alltoall(buckets)
+    mine = comm.alltoall([cut[a:b] for a, b in zip(bounds, bounds[1:])])
     # reduce phase (local)
     merged = [kv for part in mine for kv in part]
     result: list[tuple[Any, Any]] = []
-    for k, vs in _group(merged).items():
+    for k, vs in group_values(merged):
         result.extend(reducer(k, vs))
     proc.compute(len(merged) * RECORD_COST)
     return result

@@ -4,7 +4,9 @@ A window exposes a per-rank NumPy buffer for remote put/get without target
 participation — the "better support for one-sided and global-address-space
 models" the paper credits to MPI-3.  Puts and gets ride the RDMA fabric
 directly; synchronisation is via :meth:`Window.fence` (active target) or
-:meth:`Window.lock`/:meth:`Window.unlock` (passive target).
+:meth:`Window.lock`/:meth:`Window.unlock` (passive target).  Each put and
+get is a ``mem.write``/``mem.read`` access of its element range of the
+target's window (``mpi.win{ctx}.{epoch}@rank{r}``) for the race checker.
 """
 
 from __future__ import annotations
@@ -24,32 +26,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Window:
     """An RMA window over one communicator (``MPI_Win_create``)."""
 
-    def __init__(self, comm: "Communicator", buffers: dict[int, np.ndarray],
-                 shared: dict) -> None:
+    def __init__(self, comm: "Communicator", name: str,
+                 buffers: dict[int, np.ndarray],
+                 locks: dict[int, SimLock]) -> None:
         self.comm = comm
+        #: the window's location prefix in the race checker's accesses
+        self._name = name
         #: rank -> exposed buffer (shared registry — real memory, not copies)
         self._buffers = buffers
         #: rank -> SimLock; shared across the per-rank Window objects
-        self._locks: dict[int, SimLock] = shared
+        self._locks = locks
 
     @classmethod
     def create(cls, comm: "Communicator", buffer: np.ndarray | None) -> "Window":
         """Collective window creation (``MPI_Win_create``): every rank exposes
         its buffer into a registry shared by all ranks' window handles, so a
         remote put mutates the *actual* target memory."""
-        env = comm.env
-        if not hasattr(env, "_rma_registry"):
-            env._rma_registry = {}
-            env._rma_calls = {}
-        env._rma_calls[comm.ctx] = env._rma_calls.get(comm.ctx, 0) + 1
-        epoch = (env._rma_calls[comm.ctx] - 1) // comm.size
-        key = (comm.ctx, epoch)
-        state = env._rma_registry.setdefault(key, {"buffers": {}, "locks": {}})
-        state["buffers"][comm.rank] = (
-            buffer if buffer is not None else np.empty(0)
-        )
+        epoch = comm.env.epoch("win", comm.ctx, comm.size)
+        buffers, locks = comm.env.windows.setdefault((comm.ctx, epoch),
+                                                     ({}, {}))
+        buffers[comm.rank] = buffer if buffer is not None else np.empty(0)
         comm.barrier()  # window is usable only once all ranks registered
-        return cls(comm, state["buffers"], state["locks"])
+        return cls(comm, f"mpi.win{comm.ctx}.{epoch}", buffers, locks)
 
     def buffer(self, rank: int | None = None) -> np.ndarray:
         """The exposed buffer of ``rank`` (defaults to the calling rank)."""
@@ -77,6 +75,9 @@ class Window:
             data.nbytes,
             label=f"rma.put->{target_rank}",
         )
+        env.cluster.trace.access(
+            proc, "write", f"{self._name}@rank{target_rank}",
+            start=target_offset, stop=target_offset + data.size)
         target[target_offset : target_offset + data.size] = data
 
     def get(self, target_rank: int, offset: int = 0, count: int | None = None) -> np.ndarray:
@@ -101,6 +102,9 @@ class Window:
             view.nbytes,
             label=f"rma.get<-{target_rank}",
         )
+        env.cluster.trace.access(
+            proc, "read", f"{self._name}@rank{target_rank}",
+            start=offset, stop=offset + count)
         return view.copy()
 
     # -- synchronisation ------------------------------------------------------------

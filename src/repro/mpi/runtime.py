@@ -29,7 +29,10 @@ class MPIEnv:
         self.costs = cluster.machine.costs
         self._ctx_counter = itertools.count()
         self._msg_counter = itertools.count()
-        self._split_calls: dict[int, int] = {}
+        #: (collective, ctx) -> how many rank entries it has counted
+        self._calls: dict[tuple[str, int], int] = {}
+        #: (ctx, epoch) -> an RMA window's (rank -> buffer, rank -> SimLock)
+        self.windows: dict[tuple[int, int], tuple[dict, dict]] = {}
         self._derived_ctx: dict[tuple[int, int, int], int] = {}
         self._mailboxes: dict[tuple[int, int], Mailbox] = {}
         #: world rank of each simulated process (filled at spawn)
@@ -40,12 +43,16 @@ class MPIEnv:
         """Fresh communicator context id (message-matching namespace)."""
         return next(self._ctx_counter)
 
-    # -- comm-split bookkeeping (see Communicator.split) ------------------------
+    # -- comm-split / window-create bookkeeping --------------------------------
 
-    def bump_split_calls(self, parent_ctx: int) -> int:
-        """Count split() calls per parent context; returns the new count."""
-        self._split_calls[parent_ctx] = self._split_calls.get(parent_ctx, 0) + 1
-        return self._split_calls[parent_ctx]
+    def epoch(self, collective: str, ctx: int, size: int) -> int:
+        """Count one rank's entry into ``collective`` (``"split"``,
+        ``"win"``) on ``ctx``; returns the call's epoch.  Counted before
+        the call synchronises, every rank has counted it before any
+        reaches the next, so ``calls // size`` is stable across ranks."""
+        key = (collective, ctx)
+        calls = self._calls[key] = self._calls.get(key, 0) + 1
+        return (calls - 1) // size
 
     def derived_context(self, parent_ctx: int, epoch: int, color_idx: int) -> int:
         """Deterministic shared context id for a split's colour group."""

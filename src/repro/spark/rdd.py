@@ -25,7 +25,7 @@ from repro.sim.blocks import (PairBlock, as_pair_key_block,
                               first_ranks, hash_join)
 from repro.sim.process import Steps
 from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
-from repro.spark.shuffle import merge_by_key
+from repro.spark.shuffle import _append, _as_list, merge_by_key
 from repro.spark.storage import StorageLevel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -90,13 +90,6 @@ def _pair_keys(block):
 
 def _identity(v: Any) -> Any:
     return v
-
-
-def _append(acc: list, v: Any) -> list:
-    """``group_by_key``'s merge: append in place, as Spark's
-    ``CompactBuffer`` does (``create`` gives every key its own list)."""
-    acc.append(v)
-    return acc
 
 
 class Dependency:
@@ -399,7 +392,7 @@ class RDD:
     def group_by_key(self, num_partitions: int | None = None) -> "RDD":
         """All values per key (no map-side combine — same caveat as Spark)."""
         return self.combine_by_key(
-            lambda v: [v],
+            _as_list,
             _append,
             lambda a, b: a + b,
             num_partitions,

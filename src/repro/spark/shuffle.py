@@ -96,6 +96,23 @@ def merge_by_key(records, create: Callable, merge: Callable,
     return list(acc.items())
 
 
+def _as_list(v: Any) -> list:  # ``group_by_key``'s ``create``
+    return [v]
+
+
+def _append(acc: list, v: Any) -> list:
+    """``group_by_key``'s merge: append in place, as Spark's
+    ``CompactBuffer`` does (``create`` gives every key its own list)."""
+    acc.append(v)
+    return acc
+
+
+def group_values(records):
+    """``(key, [value, ...])`` per key in first-occurrence order, as
+    ``group_by_key`` builds them (Hadoop's and MPI MapReduce's grouping)."""
+    return merge_by_key(records, _as_list, _append, "group")
+
+
 def estimate_nbytes(records: list) -> int:
     """Estimated serialised size of a record batch (sampled).
 
@@ -116,6 +133,23 @@ def estimate_nbytes(records: list) -> int:
     for r in sample:
         total += nbytes_of(r)
     return int((total / len(sample) + 8) * n)
+
+
+def bucket_sizes(records, offsets: np.ndarray, scale: int) -> np.ndarray:
+    """The int64 nbytes of each bucket of a map output (its records in
+    bucket order, cut at ``offsets``), each times ``scale``.
+
+    Block buckets are sized in closed form, all in one vector op — equal
+    to the sampled estimate, without boxing 20 records per bucket to
+    learn a constant; a list bucket by :func:`estimate_nbytes`.
+    """
+    per_record = _BLOCK_RECORD_NBYTES.get(_block_kind(records))
+    if per_record is not None:
+        return np.diff(offsets) * (per_record * scale)
+    bounds = offsets.tolist()
+    return np.array([estimate_nbytes(records[a:b]) * scale
+                     for a, b in zip(bounds, bounds[1:])],
+                    dtype=np.int64)
 
 
 def _reduce_major(counts: np.ndarray) -> np.ndarray:
@@ -341,22 +375,6 @@ class ShuffleWriter:
     def __init__(self, env: "Any") -> None:  # env: spark context runtime env
         self.env = env
 
-    @staticmethod
-    def _sizes(records, offsets: np.ndarray, scale: int) -> np.ndarray:
-        """The int64 nbytes of each bucket of a map output.
-
-        Block buckets are sized in closed form, all in one vector op —
-        equal to the sampled estimate, without boxing 20 records per
-        bucket to learn a constant.
-        """
-        per_record = _BLOCK_RECORD_NBYTES.get(_block_kind(records))
-        if per_record is not None:
-            return np.diff(offsets) * (per_record * scale)
-        bounds = offsets.tolist()
-        return np.array([estimate_nbytes(records[a:b]) * scale
-                         for a, b in zip(bounds, bounds[1:])],
-                        dtype=np.int64)
-
     def write(self, proc: SimProcess, executor: "Any",
               dep: "ShuffleDependency", map_id: int, records: list) -> None:
         """Bucket ``records`` and register them (see :meth:`write_steps`)."""
@@ -386,7 +404,7 @@ class ShuffleWriter:
         cut, offsets = dep.partitioner.buckets(records)
         # the write's charge (output length)
         proc.compute(len(records) * scale * costs.spark_record_overhead)
-        sizes = self._sizes(cut, offsets, scale)
+        sizes = bucket_sizes(cut, offsets, scale)
         total = int(sizes.sum())
         proc.compute_bytes(max(1, total), costs.ser_rate_jvm)  # serialise
         # Shuffle files land in the OS page cache (Spark 1.5 writes them

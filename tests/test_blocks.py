@@ -56,7 +56,7 @@ from repro.spark.rdd import (_append, _cogroup_pairs, _count_keys,
                              _identity, _join_expand, _join_values,
                              _pair_keys, _values_twin)
 from repro.spark.partitioner import HashPartitioner, RangePartitioner
-from repro.spark.shuffle import (ShuffleWriter, _block_kind, estimate_nbytes,
+from repro.spark.shuffle import (_block_kind, bucket_sizes, estimate_nbytes,
                                  merge_by_key)
 from repro.workloads.graphs import GraphSpec
 from repro.workloads.stackexchange import StackExchangeSpec
@@ -685,6 +685,25 @@ class TestContribTwin:
         assert _contrib_block(_join_values(joined)) is None
 
 
+class TestHiBenchContribTwin:
+    def test_bitwise_the_scalar_division(self):
+        # rank / d and rank * (1 / d) differ on about a third of random
+        # ranks at these degrees (never at a power of two)
+        rng = np.random.default_rng(5)
+        deg = {src: (3, 5, 6, 7)[src % 4] for src in range(400)}
+        links = [(src, int(dst)) for src, d in deg.items()
+                 for dst in rng.integers(0, 400, size=d)]
+        ranks = [(src, float(r)) for src, r in
+                 zip(deg, rng.uniform(0.15, 3.0, size=len(deg)))]
+        deg_col = np.array([deg[src] for src in range(400)], dtype=np.int64)
+        joined, _ = hash_join(links, ranks)
+        # HiBench's scalar ``contrib`` closure, record by record
+        want = [(dst, rank / deg[src]) for src, (dst, rank) in joined]
+        got = hibench._contrib_block(joined, deg_col)
+        assert type(got) is PairBlock and got.values.dtype == np.float64
+        assert _bits(got) == _bits(want)
+
+
 class TestTextPipeline:
     """A text split through the RDD API."""
 
@@ -1157,7 +1176,7 @@ class TestShapeRefusals:
         block = MATRIX_SHAPES[shape]()
         closed = _block_kind(block) is not None
         assert closed == (shape in _PAIRS | _PAIR_KEYS)
-        sizes = ShuffleWriter._sizes(block, np.array([0, len(block)]), 1)
+        sizes = bucket_sizes(block, np.array([0, len(block)]), 1)
         assert sizes.tolist() == [estimate_nbytes(list(block))]
 
 
@@ -1173,7 +1192,7 @@ class TestClosedFormSizing:
             # the pairs, and distinct's ((k, v), None) records over them
             for block in (PairBlock(keys, values),
                           PairBlock(keys, values, pair_keyed=True)):
-                sizes = ShuffleWriter._sizes(
+                sizes = bucket_sizes(
                     block, np.array([0, n, n]), scale).tolist()
                 # the block's sampled estimate, and the tuple list's
                 assert sizes == [estimate_nbytes(block) * scale, 0]

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.errors import SimProcessError, TaskFailedError
+from repro.errors import SimProcessError, SparkError, TaskFailedError
 from repro.fs import HDFS, LineContent, LocalFS, NFSFileSystem
 from repro.mapreduce import JobConf, run_job
-from tests.conftest import TESTING_MACHINE
+from repro.mpi.mapreduce import run_mpi_mapreduce
+from repro.spark import SparkContext
+from tests.conftest import TESTING_MACHINE, forced_trace
 
 
 def wordcount_conf(**kw):
@@ -42,6 +46,51 @@ def test_task_attempts_run_without_threads(thread_starts):
     attempts = [p for p in cl.engine.processes if p.name != "mr:driver"]
     assert len(attempts) == 8 + 3
     assert all(p._thread is None for p in attempts)
+
+
+def _sum(k, vs):
+    return [(k, sum(vs))]
+
+
+#: engine -> how it runs a word count of ``hdfs://corpus.txt`` with ``mapper``
+KEYED_ENGINES = {
+    "hadoop": lambda cl, mapper: run_job(cl, wordcount_conf(mapper=mapper)),
+    "hadoop with a combiner": lambda cl, mapper: run_job(
+        cl, wordcount_conf(mapper=mapper, combiner=_sum)),
+    "mpi": lambda cl, mapper: run_mpi_mapreduce(
+        cl, cl.filesystems["hdfs"], "corpus.txt", mapper, _sum,
+        nprocs=4, procs_per_node=2),
+    "spark": lambda cl, mapper: SparkContext(
+        cl, executors_per_node=2, app_startup=0.1).run(
+        lambda sc: sc.text_file("hdfs://corpus.txt", 2).flat_map(mapper)
+        .reduce_by_key(operator.add).collect()),
+}
+
+#: every line of the corpus, so every record a mapper emits is the same
+LINE = "alpha beta gamma"
+
+#: mapper shape -> (the mapper, the one record it emits per line)
+NON_PAIR_MAPPERS = {
+    "the line": (lambda line: [line], LINE),
+    "an int": (lambda line: [1], 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NON_PAIR_MAPPERS))
+@pytest.mark.parametrize("engine", sorted(KEYED_ENGINES))
+def test_a_non_pair_record_raises_one_spark_error(engine, shape):
+    """Every MapReduce engine cuts and groups keys with the Spark
+    shuffle's kernels, so a mapper's non-pair ends in its one error."""
+    mapper, bad = NON_PAIR_MAPPERS[shape]
+    cl = Cluster(TESTING_MACHINE.with_nodes(2), trace=forced_trace())
+    HDFS(cl, block_size=200, replication=2).create(
+        "corpus.txt", LineContent(lambda i: LINE, 40))
+    with pytest.raises(SimProcessError) as ei:
+        KEYED_ENGINES[engine](cl, mapper)
+    cause = ei.value.__cause__
+    assert type(cause) is SparkError
+    assert str(cause) == (
+        f"keyed shuffle record is not a (key, value) pair: {bad!r}")
 
 
 class TestCorrectness:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis import check_trace
 from repro.cluster import Cluster, MachineSpec
 from repro.cluster.spec import ClusterSpec, NodeSpec
 from repro.errors import MPIIntOverflowError, SimProcessError
 from repro.fs import BytesContent, LocalFS
 from repro.mpi import MPIFile, Window, mpi_run
 from repro.mpi.io import chunk_for_rank
+from repro.sim.trace import Trace
 from repro.units import GiB, INT_MAX, MiB
 from tests.conftest import TESTING_MACHINE, forced_trace
 
@@ -116,6 +118,35 @@ class TestRMA:
         cl = Cluster(MachineSpec("t", "wide test nodes", cluster=spec),
                      trace=forced_trace())
         return mpi_run(cl, fn, nprocs, charge_launch=False)
+
+    #: how rank 0's put into rank 1's window is ordered before rank 2's
+    #: get from it -> the races the checker reports
+    ORDERINGS = {"nothing": 1, "a fence": 0, "the target's lock": 0}
+
+    @pytest.mark.parametrize("ordering", sorted(ORDERINGS))
+    def test_window_accesses_reach_the_race_checker(self, ordering):
+        def main(comm):
+            win = Window.create(comm, np.zeros(4))
+            locked = ordering == "the target's lock"
+            if locked and comm.rank != 1:
+                win.lock(1)
+            if comm.rank == 0:
+                win.put(np.ones(2), target_rank=1, target_offset=1)
+            if ordering == "a fence":
+                win.fence()
+            if comm.rank == 2:
+                win.get(target_rank=1, offset=2, count=2)
+            if locked and comm.rank != 1:
+                win.unlock(1)
+
+        spec = ClusterSpec(name="t", num_nodes=2, node=NodeSpec(cores=32))
+        cl = Cluster(MachineSpec("t", "wide test nodes", cluster=spec),
+                     trace=Trace(hb=True))
+        mpi_run(cl, main, 3, charge_launch=False)
+        report = check_trace(cl.trace)
+        assert report.accesses == 2
+        assert len(report.races) == self.ORDERINGS[ordering]
+        assert {r.loc for r in report.races} <= {"mpi.win0.0@rank1"}
 
     def test_put_then_fence_then_read(self):
         def main(comm):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Validate relative Markdown links (and their anchors) in the docs.
+"""Validate relative Markdown links (and their anchors) and module names in
+the docs.
 
 Walks the repo's Markdown surface — ``README.md``, the top-level ``*.md``
 companions and everything under ``docs/`` — and checks every inline
@@ -12,25 +13,40 @@ companions and everything under ``docs/`` — and checks every inline
   in that file, using GitHub's slug rules (lowercased, punctuation dropped,
   spaces to hyphens).
 
-Exit status is the number of broken links (0 = clean), so CI can run it
-bare:
+In the files that describe the code as it is (``docs/`` and
+``DESCRIBE_CODE``) it also resolves every ``repro.*`` dotted name in an
+inline code span against the files under ``src/``, without importing
+them: the longest prefix that is a module (``a/b.py`` or
+``a/b/__init__.py``) must be followed by nothing or by a name that module
+defines or imports.  The other top-level files (the change log, the
+roadmap, the paper notes) name deleted or planned code on purpose.
+
+Exit status is the number of broken links and names (0 = clean), so CI
+can run it bare:
 
     python tools/check_docs_links.py
     python tools/check_docs_links.py docs/ README.md   # explicit roots
 """
 from __future__ import annotations
 
+import ast
+import functools
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = REPO_ROOT / "src"
 
 # inline links/images: [text](target) — target taken up to the first
 # unescaped ')' or ' ' (drops optional "title" parts)
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 FENCE_RE = re.compile(r"^(```|~~~)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+MODULE_NAME_RE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+#: the top-level files whose ``repro.*`` names must resolve
+DESCRIBE_CODE = {"README.md", "DESIGN.md", "EXPERIMENTS.md"}
 
 
 def rel(path: Path) -> str:
@@ -71,23 +87,92 @@ def heading_anchors(md_file: Path) -> set[str]:
     return anchors
 
 
-def iter_links(md_file: Path):
-    """Yield ``(line_number, target)`` for every inline link outside code
-    fences."""
+def iter_lines(md_file: Path):
+    """Yield ``(line_number, line)`` for every line outside code fences."""
     in_fence = False
     for lineno, line in enumerate(
             md_file.read_text(encoding="utf-8").splitlines(), start=1):
         if FENCE_RE.match(line):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            yield lineno, line
+
+
+def iter_links(md_file: Path):
+    """Yield ``(line_number, target)`` for every inline link outside code
+    fences."""
+    for lineno, line in iter_lines(md_file):
         for m in LINK_RE.finditer(line):
             yield lineno, m.group(1)
 
 
+def iter_module_names(md_file: Path):
+    """Yield ``(line_number, name)`` for every ``repro.*`` dotted name in
+    an inline code span outside code fences."""
+    for lineno, line in iter_lines(md_file):
+        for span in CODE_SPAN_RE.finditer(line):
+            for name in MODULE_NAME_RE.findall(span.group(1)):
+                yield lineno, name
+
+
+def module_file(dotted: str) -> Path | None:
+    """The source file of module ``dotted`` under ``src/``, if any."""
+    base = SRC_ROOT.joinpath(*dotted.split("."))
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def bound_names(body: list) -> set[str]:
+    """Names a block of statements binds in its own scope: functions,
+    classes, assignment targets and imports, through ``if``/``try``/
+    ``with`` blocks but not into nested scopes."""
+    names: set[str] = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).partition(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                names |= bound_names(getattr(node, field, []))
+    return names
+
+
+@functools.cache
+def module_names(path: Path) -> set[str]:
+    """The names module ``path`` defines or imports at top level."""
+    return bound_names(ast.parse(path.read_text(encoding="utf-8")).body)
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is a module under ``src/``, or a module followed
+    by a name it defines or imports (attributes past that are not
+    checked)."""
+    parts = dotted.split(".")
+    for n in range(len(parts), 0, -1):
+        path = module_file(".".join(parts[:n]))
+        if path is not None:
+            return n == len(parts) or parts[n] in module_names(path)
+    return False
+
+
 def check_file(md_file: Path) -> list[str]:
     errors: list[str] = []
+    if md_file.parent != REPO_ROOT or md_file.name in DESCRIBE_CODE:
+        for lineno, name in iter_module_names(md_file):
+            if not resolves(name):
+                errors.append(f"{rel(md_file)}:{lineno}: "
+                              f"unknown module name {name!r}")
     for lineno, target in iter_links(md_file):
         if target.startswith(("http://", "https://", "mailto:")):
             continue
@@ -132,7 +217,8 @@ def main(argv: list[str]) -> int:
         all_errors.extend(check_file(md_file))
     for err in all_errors:
         print(err, file=sys.stderr)
-    print(f"checked {len(files)} files, {len(all_errors)} broken links")
+    print(f"checked {len(files)} files, "
+          f"{len(all_errors)} broken links or names")
     return min(len(all_errors), 125)
 
 
