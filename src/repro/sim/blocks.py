@@ -19,7 +19,7 @@ values, fingerprints — is then unchanged by construction.
 
 A block kernel runs only on input it can verify is eligible — exact
 ``(int, float)`` pairs, a text split whose every byte it has checked, a
-plain ``HashPartitioner``, a unique-keyed join side — and every caller
+unique-keyed join side — and every caller
 keeps the scalar loop for everything else, so the scalar kernels are
 production code, selected by the data.  The tests reach them the same
 way: ``tests/test_blocks.py`` makes every input ineligible (it patches

@@ -11,8 +11,8 @@ cluster machines for execution").
 An executor is all steps (``SimProcess.run_steps``): its body is a
 generator function, so it runs without an OS thread, at its turns on
 whichever thread holds the token.  Everything a task waits on — the task
-message, split reads, cache and checkpoint I/O, the shuffle write and
-fetch, the result reply — is a step form composed with ``yield from``;
+message, split reads, cache I/O, the shuffle write and fetch, the
+result reply — is a step form composed with ``yield from``;
 user closures are plain calls, because a closure never waits.  The
 driver is the one Spark process with a thread: it runs the application
 function, which may call anything.
@@ -86,9 +86,6 @@ class SparkEnv:
         self.tracker = MapOutputTracker()
         self.executors: list[Executor] = []
         self.cache_locations: dict[tuple, set[int]] = {}
-        #: (rdd_id, partition) -> (records, nbytes): RDD.checkpoint storage,
-        #: reliable by construction (survives any executor loss)
-        self.checkpoint_store: dict[tuple, tuple[list, int]] = {}
         self.accumulators: dict[int, Accumulator] = {}
         #: TaskContext of the task currently running on each process
         self.active_ctx: dict[int, Any] = {}
@@ -389,9 +386,3 @@ class SparkContext:
 
     def _next_broadcast_id(self) -> int:
         return next(self._broadcast_ids)
-
-    def _unpersist(self, rdd_id: int) -> None:
-        for ex in self.env.executors:
-            ex.block_manager.remove_rdd(rdd_id)
-        for key in [k for k in self.env.cache_locations if k[0] == rdd_id]:
-            del self.env.cache_locations[key]

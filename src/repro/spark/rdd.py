@@ -2,10 +2,14 @@
 
 Transformations return new RDDs and record their dependencies; nothing
 computes until an action runs a job through the DAG scheduler.  As in real
-Spark, nearly every narrow transformation lowers onto
-:class:`MapPartitionsRDD`; wide (shuffle) dependencies create
-:class:`ShuffledRDD`/:class:`CoGroupedRDD` boundaries where the scheduler
-cuts stages.
+Spark, every narrow transformation lowers onto :class:`MapPartitionsRDD`;
+wide (shuffle) dependencies create :class:`ShuffledRDD`/:class:`JoinedRDD`
+boundaries where the scheduler cuts stages.  The API is the operators the
+paper's runs use: ``map``/``flat_map``/``map_values``, the keyed
+``reduce_by_key``/``group_by_key``/``distinct``/``join``/``partition_by``
+(all lowered onto :meth:`RDD.combine_by_key` or a join), ``persist``, and
+the actions ``reduce``/``fold``/``aggregate``/``count``/``collect``/
+``count_by_key``.
 
 Cost model: every operator charges the JVM per-record iterator overhead; the
 ``cost`` keyword on transformations lets applications charge additional
@@ -24,7 +28,7 @@ from repro.errors import SparkError
 from repro.sim.blocks import (PairBlock, as_pair_key_block,
                               first_ranks, hash_join)
 from repro.sim.process import Steps
-from repro.spark.partitioner import HashPartitioner, Partitioner, RangePartitioner
+from repro.spark.partitioner import HashPartitioner
 from repro.spark.shuffle import _append, _as_list, merge_by_key
 from repro.spark.storage import StorageLevel
 
@@ -100,15 +104,7 @@ class Dependency:
 
 
 class NarrowDependency(Dependency):
-    """Child partition ``i`` depends on parent partitions ``parents(i)``."""
-
-    def __init__(self, parent: "RDD",
-                 parents: Callable[[int], list[int]] | None = None) -> None:
-        super().__init__(parent)
-        self._parents = parents or (lambda i: [i])
-
-    def parent_partitions(self, index: int) -> list[int]:
-        return self._parents(index)
+    """Child partition ``i`` depends on parent partition ``i`` only."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ class ShuffleDependency(Dependency):
     with an ``aggregator`` the reduce side merges by key, and with
     ``map_side_combine`` the shuffle write merges first."""
 
-    def __init__(self, parent: "RDD", partitioner: Partitioner,
+    def __init__(self, parent: "RDD", partitioner: HashPartitioner,
                  aggregator: Aggregator | None = None,
                  map_side_combine: bool = False) -> None:
         super().__init__(parent)
@@ -139,7 +135,7 @@ class ShuffleDependency(Dependency):
 
 
 class RDD:
-    """Base class: lineage bookkeeping + the full transformation/action API."""
+    """Base class: lineage bookkeeping + the transformation/action API."""
 
     def __init__(self, sc: "SparkContext", deps: list[Dependency],
                  num_partitions: int) -> None:
@@ -148,11 +144,9 @@ class RDD:
         self._num_partitions = num_partitions
         self.id = sc._next_rdd_id()
         self.storage_level: StorageLevel | None = None
-        #: partitions are written to reliable storage at first materialisation
-        self.is_checkpointed = False
         #: set when the RDD's layout follows a known partitioner (enables
         #: narrow joins — the Fig 6 BigDataBench optimisation)
-        self.partitioner: Partitioner | None = None
+        self.partitioner: HashPartitioner | None = None
 
     # -- to be provided by concrete RDDs ------------------------------------------
 
@@ -174,9 +168,6 @@ class RDD:
     def num_partitions(self) -> int:
         return self._num_partitions
 
-    def _op_name(self) -> str:
-        return type(self).__name__.replace("RDD", "") or "RDD"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} id={self.id} parts={self.num_partitions}>"
 
@@ -191,30 +182,11 @@ class RDD:
         """``persist(MEMORY_ONLY)``."""
         return self.persist(StorageLevel.MEMORY_ONLY)
 
-    def checkpoint(self) -> "RDD":
-        """Mark for checkpointing to reliable storage (``RDD.checkpoint``).
-
-        At the next materialisation each partition is written to replicated
-        storage; afterwards reads come from the checkpoint and the lineage
-        behind this RDD is never recomputed — even if every executor dies.
-        The complement of ``persist``: slower to hit, but survives executor
-        loss (the trade-off Section VI-D weighs against MPI-style
-        checkpointing, cf. :mod:`repro.mpi.checkpoint`).
-        """
-        self.is_checkpointed = True
-        return self
-
-    def unpersist(self) -> "RDD":
-        """Release cached partitions everywhere."""
-        self.storage_level = None
-        self.sc._unpersist(self.id)
-        return self
-
     # -- narrow transformations ----------------------------------------------------------
 
     def map_partitions(self, f: Callable[[int, list], list], *,
                        preserves_partitioning: bool = False,
-                       cost: float = 0.0, name: str = "mapPartitions",
+                       cost: float = 0.0,
                        vector: Callable | None = None) -> "RDD":
         """The primitive every narrow transformation lowers onto.
 
@@ -224,8 +196,7 @@ class RDD:
         ``None`` wherever it is not defined, so it checks its input's
         type first.  ``f`` stays authoritative.
         """
-        return MapPartitionsRDD(self, f, preserves_partitioning, cost, name,
-                                vector)
+        return MapPartitionsRDD(self, f, preserves_partitioning, cost, vector)
 
     def map(self, f: Callable[[Any], Any], *, cost: float = 0.0,
             vector: Callable | None = None) -> "RDD":
@@ -245,8 +216,7 @@ class RDD:
         wherever the twin answers ``None``.
         """
         return self.map_partitions(
-            lambda _i, it: [f(x) for x in it], cost=cost, name="map",
-            vector=vector)
+            lambda _i, it: [f(x) for x in it], cost=cost, vector=vector)
 
     def flat_map(self, f: Callable[[Any], Iterable], *, cost: float = 0.0,
                  vector: Callable | None = None) -> "RDD":
@@ -259,12 +229,7 @@ class RDD:
         """
         return self.map_partitions(
             lambda _i, it: [y for x in it for y in f(x)], cost=cost,
-            name="flatMap", vector=vector)
-
-    def filter(self, pred: Callable[[Any], bool], *, cost: float = 0.0) -> "RDD":
-        """Keep records satisfying ``pred``."""
-        return self.map_partitions(
-            lambda _i, it: [x for x in it if pred(x)], cost=cost, name="filter")
+            vector=vector)
 
     def map_values(self, f: Callable[[Any], Any], *, cost: float = 0.0,
                    vector: Callable | None = None) -> "RDD":
@@ -280,82 +245,26 @@ class RDD:
         """
         return self.map_partitions(
             lambda _i, it: [(k, f(v)) for k, v in it],
-            preserves_partitioning=True, cost=cost, name="mapValues",
+            preserves_partitioning=True, cost=cost,
             vector=None if vector is None else _values_twin(vector))
 
     def keys(self) -> "RDD":
         """First elements of (k, v) pairs."""
         return self.map_partitions(lambda _i, it: [k for k, _ in it],
-                                   name="keys", vector=_pair_keys)
+                                   vector=_pair_keys)
 
     def values(self) -> "RDD":
         """Second elements of (k, v) pairs."""
         return self.map_partitions(lambda _i, it: [v for _, v in it],
-                                   name="values", vector=_join_values)
-
-    def key_by(self, f: Callable[[Any], Any], *, cost: float = 0.0) -> "RDD":
-        """Pair every record with ``f(record)`` as its key."""
-        return self.map_partitions(
-            lambda _i, it: [(f(x), x) for x in it], cost=cost, name="keyBy")
-
-    def glom(self) -> "RDD":
-        """One list per partition."""
-        return self.map_partitions(lambda _i, it: [list(it)], name="glom")
-
-    def sample(self, fraction: float, seed: int = 17) -> "RDD":
-        """Deterministic Bernoulli sample (hash-based, reproducible)."""
-        from repro.spark.partitioner import stable_hash
-
-        if not 0.0 <= fraction <= 1.0:
-            raise SparkError(f"sample fraction must be in [0, 1]: {fraction}")
-        threshold = int(fraction * (2**31))
-
-        def body(i: int, it: list) -> list:
-            return [x for j, x in enumerate(it)
-                    if stable_hash((seed, i, j)) % (2**31) < threshold]
-
-        return self.map_partitions(body, name="sample")
-
-    def union(self, other: "RDD") -> "RDD":
-        """Concatenation of partitions (no shuffle)."""
-        return UnionRDD(self.sc, [self, other])
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each record with its global index.
-
-        Like Spark, this triggers a small job to learn partition sizes.
-        """
-        counts = self.map_partitions(lambda _i, it: [len(it)], name="count").collect()
-        offsets = [0]
-        for c in counts[:-1]:
-            offsets.append(offsets[-1] + c)
-
-        def body(i: int, it: list) -> list:
-            return [(x, offsets[i] + j) for j, x in enumerate(it)]
-
-        return self.map_partitions(body, name="zipWithIndex")
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        """Reduce partition count without a shuffle."""
-        if num_partitions < 1:
-            raise SparkError("coalesce needs >= 1 partition")
-        return CoalescedRDD(self, min(num_partitions, self.num_partitions))
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Change partition count via a full shuffle."""
-        marked = self.map_partitions(
-            lambda i, it: [(j, x) for j, x in enumerate(it)], name="pairUp")
-        shuffled = ShuffledRDD(marked, HashPartitioner(num_partitions))
-        return shuffled.map_partitions(
-            lambda _i, it: [v for _k, v in it], name="dropKeys")
+                                   vector=_join_values)
 
     # -- wide transformations ---------------------------------------------------------------
 
-    def partition_by(self, partitioner: Partitioner | int) -> "RDD":
-        """Repartition (k, v) pairs by a partitioner — the explicit layout
-        control the BigDataBench PageRank uses before persisting links."""
-        if isinstance(partitioner, int):
-            partitioner = HashPartitioner(partitioner)
+    def partition_by(self, num_partitions: int) -> "RDD":
+        """Hash-partition (k, v) pairs into ``num_partitions`` — the
+        explicit layout control the BigDataBench PageRank uses before
+        persisting links."""
+        partitioner = HashPartitioner(num_partitions)
         if self.partitioner == partitioner:
             return self
         return ShuffledRDD(self, partitioner)
@@ -400,12 +309,6 @@ class RDD:
             vector="group",
         )
 
-    def aggregate_by_key(self, zero: Any, seq: Callable, comb: Callable,
-                         num_partitions: int | None = None) -> "RDD":
-        """Keyed aggregation with a zero value."""
-        return self.combine_by_key(
-            lambda v: seq(zero, v), seq, comb, num_partitions)
-
     def distinct(self, num_partitions: int | None = None) -> "RDD":
         """Deduplicate via a keyed shuffle.
 
@@ -417,72 +320,15 @@ class RDD:
         """
         return (
             self.map_partitions(lambda _i, it: [(x, None) for x in it],
-                                name="map", vector=as_pair_key_block)
+                                vector=as_pair_key_block)
             .reduce_by_key(lambda a, _b: a, num_partitions, vector="first")
             .keys()
         )
-
-    def cogroup(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
-        """``(k, (values_self, values_other))`` — narrow when co-partitioned."""
-        return CoGroupedRDD(self, other, num_partitions)
 
     def join(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
         """Inner join; a narrow operation when both sides share the target
         partitioner (the mechanism behind Fig 6's shuffle avoidance)."""
         return JoinedRDD(self, other, num_partitions)
-
-    def left_outer_join(self, other: "RDD",
-                        num_partitions: int | None = None) -> "RDD":
-        """Left outer join (missing right values become ``None``)."""
-        return self.cogroup(other, num_partitions).map_partitions(
-            lambda _i, it: [
-                (k, (v, w))
-                for k, (vs, ws) in it
-                for v in vs
-                for w in (ws if ws else [None])
-            ],
-            preserves_partitioning=True,
-            name="leftOuterJoin",
-        )
-
-    def subtract_by_key(self, other: "RDD",
-                        num_partitions: int | None = None) -> "RDD":
-        """Pairs whose key does not appear in ``other``."""
-        return self.cogroup(other, num_partitions).map_partitions(
-            lambda _i, it: [
-                (k, v) for k, (vs, ws) in it if not ws for v in vs
-            ],
-            preserves_partitioning=True,
-            name="subtractByKey",
-        )
-
-    def sort_by(self, key_fn: Callable[[Any], Any], ascending: bool = True,
-                num_partitions: int | None = None) -> "RDD":
-        """Total sort: sample keys, range-partition, sort within partitions."""
-        n = self.num_partitions if num_partitions is None else num_partitions
-        if n < 1:
-            raise SparkError("num_partitions must be >= 1")
-        keyed = self.key_by(key_fn)
-        if n == 1:
-            bounds: list = []
-        else:
-            sample = keyed.keys().sample(min(1.0, 20.0 * n / max(1, self._rough_count()))).collect()
-            sample.sort()
-            if not sample:
-                bounds = []
-            else:
-                step = max(1, len(sample) // n)
-                bounds = sample[step::step][: n - 1]
-        part = RangePartitioner(bounds, ascending)
-        return ShuffledRDD(keyed, part).map_partitions(
-            lambda _i, it: [v for _k, v in sorted(it, key=lambda kv: kv[0],
-                                                  reverse=not ascending)],
-            name="sortBy",
-        )
-
-    def _rough_count(self) -> int:
-        """Cheap upper estimate used only to pick a sort sample fraction."""
-        return max(1000, self.num_partitions * 1000)
 
     # -- actions ------------------------------------------------------------------------------
 
@@ -534,80 +380,6 @@ class RDD:
         """Sum of records."""
         return self.fold(0, lambda a, b: a + b)
 
-    def mean(self) -> float:
-        """Arithmetic mean of records."""
-        total, n = self.aggregate(
-            (0.0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        if n == 0:
-            raise SparkError("mean() of empty RDD")
-        return total / n
-
-    def min(self) -> Any:
-        """Smallest record (raises on an empty RDD, like ``reduce``)."""
-        return self.reduce(lambda a, b: b if b < a else a)
-
-    def max(self) -> Any:
-        """Largest record (raises on an empty RDD, like ``reduce``)."""
-        return self.reduce(lambda a, b: b if b > a else a)
-
-    def first(self) -> Any:
-        """First record (scans partitions incrementally, like Spark's take)."""
-        got = self.take(1)
-        if not got:
-            raise SparkError("first() of empty RDD")
-        return got[0]
-
-    def take(self, n: int) -> list:
-        """First ``n`` records, running jobs over as few partitions as needed."""
-        out: list = []
-        for i in range(self.num_partitions):
-            if len(out) >= n:
-                break
-            part = self.sc._scheduler.run_job(
-                self, lambda _i, it: list(it), partitions=[i])
-            out.extend(part[0])
-        return out[:n]
-
-    def take_ordered(self, n: int, key: Callable[[Any], Any] | None = None) -> list:
-        """Smallest ``n`` records (per-partition heaps merged at the driver)."""
-        import heapq
-
-        parts = self.sc._scheduler.run_job(
-            self, lambda _i, it: heapq.nsmallest(n, it, key=key))
-        return heapq.nsmallest(n, [x for p in parts for x in p], key=key)
-
-    def top(self, n: int, key: Callable[[Any], Any] | None = None) -> list:
-        """Largest ``n`` records."""
-        import heapq
-
-        parts = self.sc._scheduler.run_job(
-            self, lambda _i, it: heapq.nlargest(n, it, key=key))
-        return heapq.nlargest(n, [x for p in parts for x in p], key=key)
-
-    def stats(self) -> "Stats":
-        """Count/mean/min/max/stdev in one pass (``DoubleRDDFunctions``)."""
-        def seq(acc, x):
-            n, s, s2, mn, mx = acc
-            return (n + 1, s + x, s2 + x * x,
-                    x if mn is None or x < mn else mn,
-                    x if mx is None or x > mx else mx)
-
-        def comb(a, b):
-            mn = a[3] if b[3] is None else (b[3] if a[3] is None else min(a[3], b[3]))
-            mx = a[4] if b[4] is None else (b[4] if a[4] is None else max(a[4], b[4]))
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2], mn, mx)
-
-        n, s, s2, mn, mx = self.aggregate((0, 0.0, 0.0, None, None), seq, comb)
-        if n == 0:
-            raise SparkError("stats() of empty RDD")
-        mean = s / n
-        variance = max(0.0, s2 / n - mean * mean)
-        return Stats(count=n, mean=mean, stdev=variance ** 0.5,
-                     minimum=mn, maximum=mx)
-
     def count_by_key(self) -> dict:
         """Counts per key, returned to the driver as a dict."""
         parts = self.sc._scheduler.run_job(self, _count_keys)
@@ -616,73 +388,6 @@ class RDD:
             for k, c in p.items():
                 out[k] = out.get(k, 0) + c
         return out
-
-    def count_by_value(self) -> dict:
-        """Counts per record value."""
-        return self.map(lambda x: (x, None)).count_by_key()
-
-    def collect_as_map(self) -> dict:
-        """Collect (k, v) pairs into a driver-side dict (last write wins)."""
-        return dict(self.collect())
-
-    def foreach(self, f: Callable[[Any], None]) -> None:
-        """Run ``f`` on every record on the executors (for accumulators)."""
-        self.sc._scheduler.run_job(
-            self, lambda _i, it: [f(x) for x in it] and None)
-
-    def save_as_text_file(self, url: str) -> None:
-        """Write one output file per partition to ``scheme://path``.
-
-        The payload itself is not retained (benchmark outputs are verified
-        at the application level); the I/O cost is charged faithfully,
-        including HDFS replication when the target is ``hdfs://``.
-        """
-        scheme, _, path = url.partition("://")
-        if not path:
-            raise SparkError(f"save_as_text_file needs scheme://path, got {url!r}")
-
-        from repro.spark.shuffle import estimate_nbytes
-
-        def write_part(i: int, it: list) -> Steps[int]:
-            # steps: the one action function that waits (a timed write)
-            from repro.sim.engine import current_process
-
-            fs = self.sc.cluster.filesystems[scheme]
-            nbytes = estimate_nbytes(list(it))
-            yield from fs.write_steps(current_process(),
-                                      f"{path}/part-{i:05d}", max(1, nbytes))
-            return nbytes
-
-        self.sc._scheduler.run_job(self, write_part)
-
-    # -- introspection ----------------------------------------------------------------------------
-
-    def to_debug_string(self) -> str:
-        """Lineage dump, Spark-style (indent = one dependency level)."""
-        lines: list[str] = []
-
-        def walk(rdd: "RDD", depth: int) -> None:
-            marker = "*" if rdd.storage_level else " "
-            lines.append(
-                f"{'  ' * depth}({rdd.num_partitions}){marker} "
-                f"{rdd._op_name()} [id={rdd.id}]"
-            )
-            for dep in rdd.deps:
-                walk(dep.parent, depth + 1)
-
-        walk(self, 0)
-        return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class Stats:
-    """One-pass numeric summary returned by :meth:`RDD.stats`."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
 
 
 def _fold_list(zero: Any, f: Callable, it: list) -> Any:
@@ -736,9 +441,6 @@ class ParallelizeRDD(RDD):
     def closure_payload(self, index: int) -> list:
         """Data shipped with the task (sized by the scheduler)."""
         return self._slices[index]
-
-    def _op_name(self) -> str:
-        return "Parallelize"
 
 
 class TextFileRDD(RDD):
@@ -797,21 +499,18 @@ class TextFileRDD(RDD):
     def preferred_nodes(self, index: int) -> list[int]:
         return list(self._preferred[index])
 
-    def _op_name(self) -> str:
-        return f"TextFile({self.path})"
-
 
 class MapPartitionsRDD(RDD):
-    """Narrow one-to-one transformation (map/filter/flatMap/... lower here)."""
+    """Narrow one-to-one transformation (every narrow operator lowers
+    here)."""
 
     def __init__(self, parent: RDD, f: Callable[[int, list], list],
-                 preserves_partitioning: bool, cost: float, name: str,
+                 preserves_partitioning: bool, cost: float,
                  vector: Callable | None = None) -> None:
         super().__init__(parent.sc, [NarrowDependency(parent)],
                          parent.num_partitions)
         self.f = f
         self.cost_per_record = cost
-        self.name = name
         #: declared columnar twin of ``f`` (``map``, ``map_values``,
         #: ``flat_map``, ``values``)
         self.vector = vector
@@ -826,70 +525,11 @@ class MapPartitionsRDD(RDD):
         ctx.charge_records(len(records), extra=self.cost_per_record)
         return self.f(index, records) if out is None else out
 
-    def _op_name(self) -> str:
-        return self.name
-
-
-class UnionRDD(RDD):
-    """Concatenated partitions of several parents."""
-
-    def __init__(self, sc: "SparkContext", parents: list[RDD]) -> None:
-        self._map: list[tuple[RDD, int]] = []
-        deps = []
-        offset = 0
-        for p in parents:
-            k = p.num_partitions
-
-            def parent_parts(i: int, off: int = offset, k: int = k) -> list[int]:
-                return [i - off] if off <= i < off + k else []
-
-            deps.append(NarrowDependency(p, parent_parts))
-            for i in range(k):
-                self._map.append((p, i))
-            offset += k
-        super().__init__(sc, deps, len(self._map))
-
-    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
-        parent, pindex = self._map[index]
-        return list((yield from ctx.iterator_steps(parent, pindex)))
-
-    def preferred_nodes(self, index: int) -> list[int]:
-        parent, pindex = self._map[index]
-        return parent.preferred_nodes(pindex)
-
-    def _op_name(self) -> str:
-        return "Union"
-
-
-class CoalescedRDD(RDD):
-    """Groups of parent partitions, computed without a shuffle."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        self._groups: list[list[int]] = [[] for _ in range(num_partitions)]
-        for i in range(parent.num_partitions):
-            self._groups[i % num_partitions].append(i)
-
-        def parents(i: int) -> list[int]:
-            return self._groups[i]
-
-        super().__init__(parent.sc, [NarrowDependency(parent, parents)],
-                         num_partitions)
-
-    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
-        parent = self.deps[0].parent
-        out: list = []
-        for pindex in self._groups[index]:
-            out.extend((yield from ctx.iterator_steps(parent, pindex)))
-        return out
-
-    def _op_name(self) -> str:
-        return "Coalesce"
-
 
 class ShuffledRDD(RDD):
     """Post-shuffle dataset, optionally aggregating (reduceByKey et al.)."""
 
-    def __init__(self, parent: RDD, partitioner: Partitioner,
+    def __init__(self, parent: RDD, partitioner: HashPartitioner,
                  aggregator: Aggregator | None = None,
                  map_side_combine: bool = False) -> None:
         dep = ShuffleDependency(parent, partitioner, aggregator,
@@ -916,10 +556,6 @@ class ShuffledRDD(RDD):
         ctx.charge_records(len(records))
         return out
 
-    def _op_name(self) -> str:
-        return "Shuffled" + ("+combine" if self.shuffle_dep.aggregator
-                             else "")
-
 
 def _cogroup_pairs(left, right) -> dict:
     """Scalar two-sided cogroup: ``{k: (vs, ws)}`` with keys in
@@ -936,16 +572,22 @@ def _cogroup_pairs(left, right) -> dict:
     return groups
 
 
-class CoGroupedRDD(RDD):
-    """Groups the values of two keyed parents by key.
+class JoinedRDD(RDD):
+    """``join``: the two keyed parents grouped by key and expanded to
+    ``(k, (v, w))``.
 
     For each parent: if it is already partitioned by the target partitioner,
     the dependency is **narrow** (read the co-located partition directly —
     no data moves); otherwise it is a shuffle.  This is exactly how Spark
     decides, and it is the mechanism the tuned PageRank exploits.
-    """
 
-    _name = "CoGroup"
+    A left side of exact numeric pairs or of groups (unique keys) against
+    a unique-keyed right side joins as columns
+    (:func:`~repro.sim.blocks.hash_join`, a joined ``PairBlock`` out); any
+    other partition takes the scalar :func:`_cogroup_pairs` and
+    :func:`_join_expand`.  Charged as the grouping and then its
+    expansion: the records of both sides, then one per group.
+    """
 
     def __init__(self, left: RDD, right: RDD,
                  num_partitions: int | None = None) -> None:
@@ -970,33 +612,6 @@ class CoGroupedRDD(RDD):
                 side = yield from ctx.iterator_steps(dep.parent, index)
             sides.append(side)
         return sides
-
-    def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
-        left, right = yield from self._sides(index, ctx)
-        out = list(_cogroup_pairs(left, right).items())
-        # every input record lands in exactly one group list, so the sum
-        # over group sizes equals the record count
-        ctx.charge_records(len(left) + len(right))
-        return out
-
-    def _op_name(self) -> str:
-        kinds = ["narrow" if isinstance(d, NarrowDependency) else "shuffle"
-                 for d in self.deps]
-        return f"{self._name}[{','.join(kinds)}]"
-
-
-class JoinedRDD(CoGroupedRDD):
-    """``join``: the cogroup of both sides expanded to ``(k, (v, w))``.
-
-    A left side of exact numeric pairs or of groups (unique keys) against
-    a unique-keyed right side joins as columns
-    (:func:`~repro.sim.blocks.hash_join`, a joined ``PairBlock`` out); any
-    other partition takes the scalar cogroup and :func:`_join_expand`.
-    Charged as the cogroup and then its expansion: the records of both
-    sides, then one per group.
-    """
-
-    _name = "Join"
 
     def compute(self, index: int, ctx: "TaskContext") -> Steps[list]:
         left, right = yield from self._sides(index, ctx)

@@ -23,7 +23,6 @@ step form.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable
@@ -107,43 +106,20 @@ class TaskContext:
         return self.proc.run_steps(self.iterator_steps(rdd, index))
 
     def iterator_steps(self, rdd: RDD, index: int) -> Steps[list]:
-        """Materialise ``rdd[index]``, honouring cache and checkpoint.
+        """Materialise ``rdd[index]``, honouring the cache.
 
-        Priority matches Spark: reliable checkpoint > block-manager cache >
-        recompute through the lineage.  The recompute path is Spark's fault
-        tolerance (Section VI-D): no replication, just recomputation.
+        As in Spark: a block-manager hit, else recompute through the
+        lineage.  The recompute path is Spark's fault tolerance
+        (Section VI-D): no replication, just recomputation.
         """
         key = (rdd.id, index)
         proc = self.proc
-        if rdd.is_checkpointed:
-            stored = self.env.checkpoint_store.get(key)
-            if stored is not None:
-                records, nbytes = stored
-                # read back from reliable (replicated) storage
-                yield from self.executor.node.ssd.read_steps(
-                    proc, max(1, nbytes), label="rdd.checkpoint")
-                self.charge_bytes(max(1, nbytes), self.costs.ser_rate_jvm)
-                return records
         if rdd.storage_level is not None:
             cached = yield from self.executor.block_manager.get_steps(
                 proc, key)
             if cached is not None:
                 return cached
         records = yield from rdd.compute(index, self)
-        if rdd.is_checkpointed:
-            nbytes = estimate_nbytes(records) * self.env.record_scale
-            # write locally + one replica hop = reliable storage
-            self.charge_bytes(max(1, nbytes), self.costs.ser_rate_jvm)
-            yield from self.executor.node.ssd.write_steps(
-                proc, max(1, nbytes), label="rdd.checkpoint")
-            nodes = self.env.cluster.nodes
-            if len(nodes) > 1:
-                peer = (self.executor.node.id + 1) % len(nodes)
-                yield from self.env.cluster.network.transmit_steps(
-                    proc, self.env.control_fabric,
-                    self.executor.node.id, peer, max(1, nbytes),
-                    label="rdd.checkpoint")
-            self.env.checkpoint_store[key] = (records, nbytes)
         if rdd.storage_level is not None:
             nbytes = estimate_nbytes(records) * self.env.record_scale
             yield from self.executor.block_manager.put_steps(
@@ -179,15 +155,10 @@ def run_shuffle_map_task(env: "SparkEnv", executor: "Executor",
 def run_result_task(env: "SparkEnv", executor: "Executor", rdd: RDD,
                     partition: int, fn: Callable[[int, list], Any]
                     ) -> Steps[tuple[Any, TaskContext]]:
-    """Compute one partition and apply the action's per-partition function.
-
-    ``fn`` is a plain call; an action whose ``fn`` waits (a timed write)
-    writes it as steps, a generator function, and it is run as such.
-    """
+    """Compute one partition and apply the action's per-partition function
+    (a plain call: no action function waits)."""
     ctx = TaskContext(env, executor)
     records = yield from ctx.iterator_steps(rdd, partition)
-    if inspect.isgeneratorfunction(fn):
-        return (yield from fn(partition, records)), ctx
     return fn(partition, records), ctx
 
 
@@ -253,20 +224,17 @@ class DAGScheduler:
 
     # -- job execution -----------------------------------------------------------------
 
-    def run_job(self, rdd: RDD, fn: Callable[[int, list], Any],
-                partitions: list[int] | None = None) -> list:
+    def run_job(self, rdd: RDD, fn: Callable[[int, list], Any]) -> list:
         """Run an action: compute ``fn(index, records)`` per partition.
 
         Must be called from the driver process.  Returns the per-partition
         results in partition order.  ``fn`` runs on an executor, which has
-        no thread: an ``fn`` that waits is written as steps (a generator
-        function, see :func:`run_result_task`).
+        no thread, so it must not wait.
         """
         proc = current_process()
         proc.compute(self.env.costs.spark_job_overhead)
         result_stage = self.build_stages(rdd)
-        parts = partitions if partitions is not None else list(
-            range(rdd.num_partitions))
+        parts = list(range(rdd.num_partitions))
         for attempt in range(MAX_STAGE_RETRIES + 1):
             try:
                 for st in self._linearise(result_stage):
@@ -409,8 +377,7 @@ class DAGScheduler:
                 total += estimate_nbytes(closure_payload(i)) * self.env.record_scale
             for dep in r.deps:
                 if isinstance(dep, NarrowDependency):
-                    for pi in dep.parent_partitions(i):
-                        stack.append((dep.parent, pi))
+                    stack.append((dep.parent, i))
         return total
 
     def _match_task(self, stage: Stage, queue: deque, free: deque,
@@ -486,19 +453,16 @@ class DAGScheduler:
         """Executors holding a cached copy of this partition (or of the
         nearest cached narrow ancestor)."""
         env = self.env
-        current, index = rdd, part
+        current = rdd
         while True:
             if current.storage_level is not None:
-                locs = env.cache_locations.get((current.id, index))
+                locs = env.cache_locations.get((current.id, part))
                 if locs:
                     return {e for e in locs if not env.executors[e].dead}
             narrow = [d for d in current.deps if isinstance(d, NarrowDependency)]
             if len(narrow) != 1:
                 return set()
-            parents = narrow[0].parent_partitions(index)
-            if len(parents) != 1:
-                return set()
-            current, index = narrow[0].parent, parents[0]
+            current = narrow[0].parent
 
     def _on_executor_lost(self, eid: int) -> None:
         """Forget everything the executor held (blocks + shuffle outputs)."""

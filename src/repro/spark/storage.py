@@ -33,7 +33,6 @@ class StorageLevel(enum.Enum):
 class _Block:
     records: list
     nbytes: int
-    on_disk: bool
 
 
 class BlockManager:
@@ -83,7 +82,7 @@ class BlockManager:
                 yield from self._write_disk_steps(proc, block_id, records,
                                                   nbytes)
             return
-        self._mem[block_id] = _Block(records, nbytes, on_disk=False)
+        self._mem[block_id] = _Block(records, nbytes)
         self.mem_used += nbytes
 
     def _write_disk_steps(self, proc: SimProcess, block_id: tuple,
@@ -92,7 +91,7 @@ class BlockManager:
         proc.compute_bytes(nbytes, self.costs.ser_rate_jvm)
         yield from self.node.ssd.write_steps(proc, nbytes,
                                              label=f"bm[{self.executor_id}]")
-        self._disk[block_id] = _Block(records, nbytes, on_disk=True)
+        self._disk[block_id] = _Block(records, nbytes)
 
     # -- read ----------------------------------------------------------------------
 
@@ -122,14 +121,6 @@ class BlockManager:
         self._mem.clear()
         self._disk.clear()
         self.mem_used = 0
-
-    def remove_rdd(self, rdd_id: int) -> None:
-        """Unpersist: drop all blocks of one RDD."""
-        for store in (self._mem, self._disk):
-            for bid in [b for b in store if b[0] == rdd_id]:
-                blk = store.pop(bid)
-                if not blk.on_disk:
-                    self.mem_used -= blk.nbytes
 
     @property
     def blocks_in_memory(self) -> int:

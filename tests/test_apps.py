@@ -1,4 +1,5 @@
-"""The paper's benchmark applications: correctness + qualitative shapes."""
+"""The paper's benchmark applications and the k-means extension:
+correctness + qualitative shapes."""
 
 from __future__ import annotations
 
@@ -12,6 +13,12 @@ from repro.apps.answerscount import (
     spark_answers_count,
 )
 from repro.apps.fileread import mpi_parallel_read, spark_parallel_read
+from repro.apps.kmeans import (
+    kmeans_points,
+    mpi_kmeans,
+    reference_kmeans,
+    spark_kmeans,
+)
 from repro.apps.pagerank import (
     mpi_pagerank,
     spark_pagerank_bigdatabench,
@@ -280,3 +287,38 @@ class TestPageRank:
             return t_sock - t_rdma
 
         assert gain(spark_pagerank_hibench) > gain(spark_pagerank_bigdatabench)
+
+
+class TestKMeans:
+    POINTS = kmeans_points(600, dim=3, k=4, seed=11)
+
+    def test_mpi_matches_reference(self):
+        expected = reference_kmeans(self.POINTS, 4, iterations=6)
+        _, got = mpi_kmeans(comet(), self.POINTS, 4, 8, 4, iterations=6)
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+    def test_spark_matches_reference(self):
+        expected = reference_kmeans(self.POINTS, 4, iterations=6)
+        _, got = spark_kmeans(comet(), self.POINTS, 4, 4, iterations=6)
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
+
+    def test_mpi_and_spark_agree_exactly(self):
+        _, a = mpi_kmeans(comet(), self.POINTS, 4, 8, 4, iterations=4)
+        _, b = spark_kmeans(comet(), self.POINTS, 4, 4, iterations=4)
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+    def test_mpi_faster_per_iteration(self):
+        """k-means is compute-light + latency-sensitive: the HPC profile
+        wins (each Spark iteration pays a driver-scheduled job)."""
+        t_mpi, _ = mpi_kmeans(comet(), self.POINTS, 4, 8, 4, iterations=6)
+        t_spark, _ = spark_kmeans(comet(), self.POINTS, 4, 4, iterations=6)
+        assert t_spark > 5 * t_mpi
+
+    def test_generator_is_deterministic_and_clusterable(self):
+        a = kmeans_points(100, k=3, seed=5)
+        b = kmeans_points(100, k=3, seed=5)
+        np.testing.assert_array_equal(a, b)
+        cent = reference_kmeans(a, 3, iterations=20)
+        # centroids end up near the unit circle blob centres
+        radii = np.linalg.norm(cent[:, :2], axis=1)
+        assert np.all(radii > 0.5)

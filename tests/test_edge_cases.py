@@ -22,7 +22,7 @@ from repro.fs import HDFS, BytesContent, LocalFS
 from repro.mpi import mpi_run
 from repro.sim import current_process
 from repro.spark import SparkContext
-from repro.spark.partitioner import HashPartitioner, RangePartitioner
+from repro.spark.partitioner import HashPartitioner
 from repro.spark.shuffle import estimate_nbytes
 from tests.conftest import TESTING_MACHINE
 
@@ -42,12 +42,6 @@ class TestPartitioners:
     def test_partitioner_equality_semantics(self):
         assert HashPartitioner(4) == HashPartitioner(4)
         assert HashPartitioner(4) != HashPartitioner(5)
-        assert HashPartitioner(4) != RangePartitioner([1, 2, 3])
-
-    def test_range_partitioner_orders_keys(self):
-        rp = RangePartitioner([10, 20])
-        assert rp.num_partitions == 3
-        assert [rp.partition(k) for k in (5, 10, 15, 25)] == [0, 1, 1, 2]
 
     def test_bad_partition_count(self):
         with pytest.raises(SparkError):
@@ -171,11 +165,11 @@ class TestSparkEdges:
     def test_empty_rdd_operations(self):
         def app(sc):
             rdd = sc.parallelize([], 3)
-            return (rdd.count(), rdd.collect(), rdd.take(5),
+            return (rdd.count(), rdd.collect(),
                     dict(rdd.map(lambda x: (x, 1))
                          .reduce_by_key(lambda a, b: a + b, 2).collect()))
 
-        assert self.run_app(app) == (0, [], [], {})
+        assert self.run_app(app) == (0, [], {})
 
     def test_single_record_many_partitions(self):
         def app(sc):
@@ -268,9 +262,7 @@ ZERO_COUNTS = {
                   SparkError),
     "reduce_by_key": (lambda s: _pairs(s).reduce_by_key(operator.add, 0),
                       SparkError),
-    "sort_by": (lambda s: _pairs(s).sort_by(abs, num_partitions=0),
-                SparkError),
-    "cogroup": (lambda s: _pairs(s).cogroup(_pairs(s), 0), SparkError),
+    "join": (lambda s: _pairs(s).join(_pairs(s), 0), SparkError),
     "spark_kmeans(num_partitions)": (_kmeans, SparkError),
     "JobConf(split_size)": (_split_size, MapReduceError),
 }

@@ -1,4 +1,5 @@
-"""MapReduce engine: correctness, combiner, locality, retries, costs."""
+"""MapReduce engines: Hadoop's correctness, combiner, locality, retries and
+costs, and MapReduce over MPI."""
 
 from __future__ import annotations
 
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster
+from repro.cluster import COMET_MACHINE, Cluster
 from repro.errors import SimProcessError, SparkError, TaskFailedError
 from repro.fs import HDFS, LineContent, LocalFS, NFSFileSystem
 from repro.mapreduce import JobConf, run_job
-from repro.mpi.mapreduce import run_mpi_mapreduce
+from repro.mpi import mpi_run
+from repro.mpi.mapreduce import mapreduce, run_mpi_mapreduce
 from repro.spark import SparkContext
 from tests.conftest import TESTING_MACHINE, forced_trace
 
@@ -249,3 +251,88 @@ class TestCostShape:
         cl, _ = make_cluster()
         res = run_job(cl, wordcount_conf())
         assert res.counters.spilled_bytes > 0
+
+
+def _words(line):
+    return [(w, 1) for w in line.split()]
+
+
+def comet_cluster():
+    return Cluster(COMET_MACHINE.with_nodes(2), trace=forced_trace())
+
+
+class TestMPIMapReduce:
+    def test_collective_mapreduce_wordcount(self):
+        lines = [f"a b c{i % 3}" for i in range(60)]
+
+        def job(comm):
+            chunk = -(-len(lines) // comm.size)
+            mine = lines[comm.rank * chunk:(comm.rank + 1) * chunk]
+            local = mapreduce(comm, mine, _words, _sum)
+            gathered = comm.gather(local, root=0)
+            if comm.rank == 0:
+                return dict(kv for part in gathered for kv in part)
+            return None
+
+        res = mpi_run(comet_cluster(), job, 4, procs_per_node=2, charge_launch=False)
+        assert res.returns[0]["a"] == 60
+        assert res.returns[0]["c0"] == 20
+
+    def test_keys_partitioned_across_ranks(self):
+        """Each key is reduced on exactly one rank (hash partitioning)."""
+        lines = [f"k{i % 10} x" for i in range(100)]
+
+        def job(comm):
+            chunk = -(-len(lines) // comm.size)
+            mine = lines[comm.rank * chunk:(comm.rank + 1) * chunk]
+            local = mapreduce(comm, mine, _words, _sum)
+            return sorted(k for k, _ in local)
+
+        res = mpi_run(comet_cluster(), job, 4, procs_per_node=2, charge_launch=False)
+        all_keys = [k for part in res.returns for k in part]
+        assert len(all_keys) == len(set(all_keys))  # no key on two ranks
+        assert sorted(set(all_keys)) == sorted(
+            {f"k{i}" for i in range(10)} | {"x"})
+
+    def test_combiner_reduces_exchange(self):
+        lines = ["w w w w"] * 50
+
+        def job(use_combiner):
+            def body(comm):
+                chunk = -(-len(lines) // comm.size)
+                mine = lines[comm.rank * chunk:(comm.rank + 1) * chunk]
+                return mapreduce(
+                    comm, mine, _words, _sum,
+                    combiner=_sum if use_combiner else None)
+
+            res = mpi_run(comet_cluster(), body, 4, procs_per_node=2,
+                          charge_launch=False)
+            out = dict(kv for part in res.returns for kv in part)
+            return out, res.elapsed
+
+        with_c, t_c = job(True)
+        without, t_n = job(False)
+        assert with_c == without == {"w": 200}
+        assert t_c <= t_n  # fewer exchanged records
+
+    def test_driver_matches_hadoop_output(self):
+        """The head-to-head the related work lacked: same input, same
+        answer, MPI engine far faster (no JVM/job overheads)."""
+        content = LineContent(lambda i: f"alpha beta g{i % 5}", 400)
+
+        cl = comet_cluster()
+        LocalFS(cl).create_replicated("in.txt", content)
+        mpi_out, mpi_t = run_mpi_mapreduce(
+            cl, cl.filesystems["local"], "in.txt",
+            _words, _sum, nprocs=4, procs_per_node=2,
+            combiner=_sum)
+
+        cl = comet_cluster()
+        HDFS(cl, replication=2, block_size=4096).create("in.txt", content)
+        hadoop = run_job(cl, JobConf(
+            name="wc", input_url="hdfs://in.txt",
+            mapper=_words, reducer=_sum,
+            combiner=_sum, num_reduces=4))
+
+        assert dict(mpi_out) == dict(hadoop.output)
+        assert hadoop.elapsed > 20 * mpi_t  # Plimpton et al.: "more than 100x"

@@ -1,4 +1,5 @@
-"""Collectives: correctness against NumPy references + cost-shape checks."""
+"""Collectives and scans: correctness against NumPy references + cost-shape
+checks."""
 
 from __future__ import annotations
 
@@ -235,6 +236,56 @@ class TestSplit:
 
         res = run(main, 4)
         assert res.returns == [(2, 20)] * 4
+
+
+class TestMPIScan:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    def test_inclusive_scan(self, p):
+        def job(comm):
+            return comm.scan(comm.rank + 1)
+
+        res = run(job, p, procs_per_node=4)
+        assert res.returns == [sum(range(1, r + 2)) for r in range(p)]
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 7])
+    def test_exclusive_scan(self, p):
+        def job(comm):
+            return comm.exscan(comm.rank + 1)
+
+        res = run(job, p, procs_per_node=4)
+        expected = [None] + [sum(range(1, r + 1)) for r in range(1, p)]
+        assert res.returns == expected
+
+    def test_scan_arrays(self):
+        def job(comm):
+            return comm.scan(np.array([1.0, float(comm.rank)]))
+
+        res = run(job, 4, procs_per_node=2)
+        np.testing.assert_allclose(res.returns[3], [4.0, 6.0])
+
+    @given(vals=st.lists(st.integers(-100, 100), min_size=1, max_size=9))
+    @settings(max_examples=10, deadline=None)
+    def test_scan_matches_itertools(self, vals):
+        import itertools
+
+        p = len(vals)
+
+        def job(comm):
+            return comm.scan(vals[comm.rank])
+
+        res = run(job, p, procs_per_node=5)
+        assert res.returns == list(itertools.accumulate(vals))
+
+    def test_scan_prefix_used_for_offsets(self):
+        """The classic use: turning per-rank counts into write offsets."""
+
+        def job(comm):
+            my_count = (comm.rank + 1) * 10
+            end = comm.scan(my_count)
+            return end - my_count  # my exclusive offset
+
+        res = run(job, 4, procs_per_node=2)
+        assert res.returns == [0, 10, 30, 60]
 
 
 class TestCollectiveCostShapes:

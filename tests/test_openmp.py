@@ -1,4 +1,5 @@
-"""OpenMP runtime: schedules, sync constructs, reductions, tasks, timing."""
+"""OpenMP runtime: schedules, sync constructs, sections, reductions, tasks,
+timing."""
 
 from __future__ import annotations
 
@@ -188,6 +189,45 @@ class TestReduction:
 
         res = omp_run(cluster(), region, 3)
         assert res.returns == [(3, 3)] * 3
+
+
+class TestOpenMPSections:
+    def test_each_section_runs_once(self):
+        calls = []
+
+        def region(omp):
+            return omp.sections(
+                lambda: calls.append("a") or "ra",
+                lambda: calls.append("b") or "rb",
+                lambda: calls.append("c") or "rc",
+            )
+
+        res = omp_run(cluster(), region, 2)
+        assert sorted(calls) == ["a", "b", "c"]
+        for r in res.returns:
+            assert r == ["ra", "rb", "rc"]
+
+    def test_sections_parallelised(self):
+        def region(omp):
+            omp.sections(
+                lambda: omp.compute(1.0),
+                lambda: omp.compute(1.0),
+                lambda: omp.compute(1.0),
+                lambda: omp.compute(1.0),
+            )
+            return omp.wtime()
+
+        res = omp_run(cluster(), region, 4)
+        assert max(res.returns) < 2.0  # 4 x 1s over 4 threads
+
+    def test_consecutive_sections_blocks(self):
+        def region(omp):
+            first = omp.sections(lambda: 1, lambda: 2)
+            second = omp.sections(lambda: 3)
+            return (first, second)
+
+        res = omp_run(cluster(), region, 2)
+        assert res.returns == [([1, 2], [3])] * 2
 
 
 class TestTasks:

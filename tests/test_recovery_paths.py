@@ -124,76 +124,3 @@ class TestOversizedRecords:
         cl.spawn(reader, node_id=0, name="r")
         cl.run()
         assert collected == ["first", big.decode(), "last"]
-
-
-class TestRDDCheckpoint:
-    def make_sc(self):
-        return SparkContext(
-            Cluster(TESTING_MACHINE, trace=forced_trace()),
-            executors_per_node=2, app_startup=0.1)
-
-    def test_checkpoint_survives_total_executor_loss(self):
-        """Unlike cache, a checkpointed RDD never recomputes — even when
-        every executor that computed it is gone."""
-        sc = self.make_sc()
-
-        def app(sc):
-            acc = sc.accumulator(0)
-
-            def spy(x):
-                acc.add(1)
-                return x * x
-
-            rdd = sc.parallelize(range(100), 4).map(spy).checkpoint()
-            assert rdd.sum() == sum(x * x for x in range(100))
-            first = acc.value
-            for eid in range(len(sc.env.executors) - 1):
-                sc.kill_executor(eid)  # keep one alive to run tasks
-            assert rdd.sum() == sum(x * x for x in range(100))
-            return first, acc.value
-
-        first, total = sc.run(app).value
-        assert first == 100
-        assert total == 100  # zero recomputation after the massacre
-
-    def test_checkpoint_read_is_timed(self):
-        def timed(checkpointed):
-            sc = self.make_sc()
-
-            def app(sc):
-                import repro.sim as sim
-
-                rdd = sc.parallelize(range(1000), 4).map(lambda x: x)
-                if checkpointed:
-                    rdd = rdd.checkpoint()
-                rdd.count()
-                t0 = sim.current_process().clock
-                rdd.count()
-                return sim.current_process().clock - t0
-
-            return sc.run(app).value
-
-        # the second count reads the checkpoint: cheaper than a full
-        # recompute would not necessarily hold, but it must cost > 0 I/O
-        assert timed(True) > 0
-
-    def test_checkpoint_beats_recompute_for_expensive_lineage(self):
-        def timed(checkpointed):
-            sc = self.make_sc()
-
-            def app(sc):
-                import repro.sim as sim
-
-                rdd = sc.parallelize(range(2000), 4).map(
-                    lambda x: x, cost=1e-3)
-                if checkpointed:
-                    rdd = rdd.checkpoint()
-                rdd.count()
-                sc.kill_executor(0)  # drop any cached/block state
-                t0 = sim.current_process().clock
-                rdd.count()
-                return sim.current_process().clock - t0
-
-            return sc.run(app).value
-
-        assert timed(True) < timed(False)

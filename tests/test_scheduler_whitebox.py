@@ -35,7 +35,7 @@ class TestStageConstruction:
     def test_narrow_chain_is_one_stage(self):
         stages = self._stages(
             lambda sc: sc.parallelize(range(10), 2)
-            .map(lambda x: x).filter(lambda x: True))
+            .map(lambda x: x).flat_map(lambda x: [x]))
         assert len(stages) == 1
         assert stages[0][0] is True  # result stage only
 

@@ -188,6 +188,57 @@ class TestAtomics:
         assert (returned > wake) is fetch
 
 
+class TestShmemSwapAtomics:
+    def test_atomic_swap_returns_old(self):
+        def main(pe):
+            a = pe.alloc(1, init=5.0)
+            pe.barrier_all()
+            if pe.my_pe == 1:
+                old = pe.atomic_swap(a, 9.0, pe=0)
+                pe.barrier_all()
+                return old
+            pe.barrier_all()
+            return float(pe.local(a)[0])
+
+        res = run(main, 2, pes_per_node=1)
+        assert res.returns == [9.0, 5.0]
+
+    def test_compare_swap_success_and_failure(self):
+        def main(pe):
+            a = pe.alloc(1, init=3.0)
+            pe.barrier_all()
+            if pe.my_pe == 1:
+                ok = pe.atomic_compare_swap(a, cond=3.0, value=7.0, pe=0)
+                fail = pe.atomic_compare_swap(a, cond=3.0, value=99.0, pe=0)
+                pe.barrier_all()
+                return (ok, fail)
+            pe.barrier_all()
+            return float(pe.local(a)[0])
+
+        res = run(main, 2, pes_per_node=1)
+        assert res.returns[1] == (3.0, 7.0)  # first succeeded, second saw 7
+        assert res.returns[0] == 7.0
+
+    def test_cswap_builds_a_spinlock(self):
+        """The canonical cswap idiom: PEs take turns via a 0/1 lock word."""
+
+        def main(pe):
+            lock = pe.alloc(1)      # 0 = free
+            count = pe.alloc(1)
+            pe.barrier_all()
+            for _ in range(3):
+                while pe.atomic_compare_swap(lock, 0.0, 1.0, pe=0) != 0.0:
+                    pass
+                v = pe.get(count, 0)
+                pe.put(count, v + 1.0, pe=0)
+                pe.atomic_swap(lock, 0.0, pe=0)  # release
+            pe.barrier_all()
+            return float(pe.local(count)[0]) if pe.my_pe == 0 else None
+
+        res = run(main, 3, pes_per_node=2)
+        assert res.returns[0] == 9.0
+
+
 class TestSync:
     def test_wait_until_woken_by_put(self):
         def main(pe):
